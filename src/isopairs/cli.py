@@ -2,8 +2,9 @@
 
 Subcommands: make, verify, tkk, lts, rep (check / hw / induce /
 graph-check), poly-check, suite.  Exit codes: 0 all checks pass, 1
-axiom failures, 2 parse or usage errors.  ISOPAIR_JOBS (or --jobs)
-controls checker parallelism.
+axiom failures, 2 parse or usage errors.  --jobs (on ``make`` and
+``verify``) and ISOPAIR_JOBS are accepted for compatibility and ignored:
+one single-process evaluator checks every identity.
 
 Pairs persist as catalog entries: the pair JSON, its verify report, and
 a sha256 hash linking the report to the exact pair bytes it was
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -141,7 +141,7 @@ def cmd_make(args) -> int:
         _write(args.out, entry)
         print(f"{args.spec}: sampled check {'pass' if report.passed else 'FAIL'} -> {args.out}")
         return 0 if report.passed else 1
-    report = verify(pair, jobs=args.jobs)
+    report = verify(pair)
     pj = pair.to_json()
     sha = _pair_sha(pj)
     entry = {
@@ -176,7 +176,7 @@ def _print_report(report: VerifyReport, as_json: bool):
 
 def cmd_verify(args) -> int:
     pair = _pair_from_file(args.file)
-    report = verify(pair, jobs=args.jobs)
+    report = verify(pair)
     _print_report(report, args.json)
     return 0 if report.passed else 1
 
@@ -352,13 +352,6 @@ def cmd_suite(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("ISOPAIR_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def make_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="isopair",
@@ -369,14 +362,14 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make", help=f"build a pair ({BUILDERS_HELP})")
     p.add_argument("spec")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, help="accepted and ignored")
     p.add_argument("--trials", type=int, default=50, help="wo specs: sampled trials")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(fn=cmd_make)
 
     p = sub.add_parser("verify", help="verify a pair or catalog file")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, help="accepted and ignored")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

@@ -30,7 +30,10 @@ def scalar_to_str(x: Fraction) -> str:
 
 def scalar_from_str(s: str) -> Fraction:
     """Parse the "p/q" / "p" wire format back into a scalar."""
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {s!r}") from None
 
 
 def vec(entries: Iterable) -> tuple[Fraction, ...]:

@@ -11,14 +11,17 @@ templates from :mod:`isopairs.supercore` on every basis tuple, in both
 orientations (letters X, Y, Z on the V1 side and U, V on the V2 side,
 then mirrored), and report exact residual vectors.
 
-Two evaluation backends produce identical reports: a vectorized integer
-path (tensors are scaled by the lcm of their denominators; int64 is
-exact within a checked magnitude bound) and a sparse rational fallback.
+One evaluator checks every identity.  Tensors are scaled by the lcm of
+their denominators, and each template term becomes a product ``a @ b``
+over the nonzero rows and columns of its two bracket nodes.  The
+arithmetic is int64 while a checked magnitude bound stays below 2^62
+and Python ints above it, so the reports are exact either way.  A sparse
+``Fraction`` evaluation on arbitrary vectors, :func:`residual_on_vectors`,
+is kept apart as the independent reference the tests compare against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +38,9 @@ from .supercore import (
     Identity,
     Letter,
     SuperSpace,
+    TemplateTerm,
     eval_sign_pairs,
+    expr_letters,
 )
 
 ISOTOPIC = "isotopic"
@@ -78,10 +83,16 @@ class PairStructure:
         self.m2 = _canon_tensor(self.m2)
         d1, d2 = self.v1.dim, self.v2.dim
         for (u, x, y), comps in self.m1.items():
-            if not (u < d2 and x < d1 and y < d1 and all(o < d1 for o in comps)):
+            if not (
+                0 <= u < d2 and 0 <= x < d1 and 0 <= y < d1
+                and all(0 <= o < d1 for o in comps)
+            ):
                 raise SpaceMismatch("m1 index out of range")
         for (x, u, v), comps in self.m2.items():
-            if not (x < d1 and u < d2 and v < d2 and all(o < d2 for o in comps)):
+            if not (
+                0 <= x < d1 and 0 <= u < d2 and 0 <= v < d2
+                and all(0 <= o < d2 for o in comps)
+            ):
                 raise SpaceMismatch("m2 index out of range")
 
     # -- basic operations ---------------------------------------------------
@@ -148,12 +159,18 @@ class PairStructure:
     @staticmethod
     def from_json(obj: dict) -> "PairStructure":
         def tensor(rows, names):
-            return {
-                tuple(row[n] for n in names): {
-                    e["idx"]: scalar_from_str(e["c"]) for e in row["out"]
-                }
-                for row in rows
-            }
+            out = {}
+            for row in rows:
+                key = tuple(row[n] for n in names)
+                comps = {}
+                for e in row["out"]:
+                    if e["idx"] in comps:
+                        raise ValueError(f"duplicate output index {e['idx']} in {key}")
+                    comps[e["idx"]] = scalar_from_str(e["c"])
+                if key in out:
+                    raise ValueError(f"duplicate tensor row {key}")
+                out[key] = comps
+            return out
 
         return PairStructure(
             SuperSpace.from_json(obj["v1"]),
@@ -162,29 +179,6 @@ class PairStructure:
             tensor(obj["m1"], ("u", "x", "y")),
             tensor(obj["m2"], ("x", "u", "v")),
         )
-
-    # -- scaled integer tensors for the vectorized backend -------------------
-
-    def _scaled_dense(self):
-        if "dense" not in self._cache:
-            denoms = [
-                c.denominator
-                for t in (self.m1, self.m2)
-                for comps in t.values()
-                for c in comps.values()
-            ]
-            scale = reduce(math.lcm, denoms, 1)
-            d1, d2 = self.v1.dim, self.v2.dim
-            M1 = np.zeros((d2, d1, d1, d1), dtype=np.int64)
-            M2 = np.zeros((d1, d2, d2, d2), dtype=np.int64)
-            for (u, x, y), comps in self.m1.items():
-                for o, c in comps.items():
-                    M1[u, x, y, o] = int(c * scale)
-            for (x, u, v), comps in self.m2.items():
-                for o, c in comps.items():
-                    M2[x, u, v, o] = int(c * scale)
-            self._cache["dense"] = (M1, M2, scale)
-        return self._cache["dense"]
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +276,6 @@ def _adopted_form_id(ident: Identity) -> str:
 # ---------------------------------------------------------------------------
 # template evaluation over structure constants
 
-_AXIS = {"X": "x", "Y": "y", "Z": "z", "U": "u", "V": "v"}
-_INTERNAL_AXES = "abcdefg"
-
 
 def _orient(sides: dict, orientation: int) -> dict:
     if orientation == 1:
@@ -308,136 +299,203 @@ def _term_degree(expr) -> int:
     return 1 + _term_degree(expr.left) + _term_degree(expr.right) + _term_degree(expr.iso)
 
 
-def _einsum_plan(expr, sides: dict):
-    """Compile a bracket tree into einsum operands over the m-tensors.
-
-    Returns (subscripts, tensor_names, root_axis); each bracket node
-    becomes one operand M[iso, left, right, out].
-    """
-    subs: list[str] = []
-    ops: list[str] = []
-    pool = iter(_INTERNAL_AXES)
-
-    def walk(e) -> str:
-        if isinstance(e, Letter):
-            return _AXIS[e.name]
-        li = walk(e.left)
-        ri = walk(e.right)
-        ii = walk(e.iso)
-        out = next(pool)
-        side = _value_side(e.left, sides)
-        subs.append(ii + li + ri + out)
-        ops.append("m1" if side == 1 else "m2")
-        return out
-
-    root = walk(expr)
-    return subs, ops, root
-
-
-def _parity_bits(pair: PairStructure, side: int) -> np.ndarray:
-    return np.array(pair.space(side).parities, dtype=np.int64)
-
-
-def _sign_block(pair, term, sides, rest_letters, x_letter, x_index):
-    """Sign table (+-1 int64 array over the free-letter axes) for one term
-    with the blocked letter fixed."""
-    dims = [pair.space(sides[l]).dim for l in rest_letters]
-    E = np.zeros(dims, dtype=np.int64)
-    axis_of = {l: i for i, l in enumerate(rest_letters)}
-
-    def bits(letter):
-        b = _parity_bits(pair, sides[letter])
-        if letter == x_letter:
-            return int(b[x_index])
-        shape = [1] * len(rest_letters)
-        shape[axis_of[letter]] = len(b)
-        return b.reshape(shape)
-
-    for pq in term.sign_pairs:
-        p, q = tuple(pq)
-        E = E + bits(p) * bits(q)
-    return 1 - 2 * (E & 1)
-
-
 def _int_coeffs(ident: Identity):
     terms = ident.residual_terms()
     cs = reduce(math.lcm, (t.coeff.denominator for t in terms), 1)
     return terms, cs, [int(t.coeff * cs) for t in terms]
 
 
-def _eval_identity_fast(pair, ident, orientation, cap, x_range=None):
+def _degree(terms) -> int:
+    degrees = {_term_degree(t.expr) for t in terms}
+    if len(degrees) != 1 or not degrees <= {1, 2}:
+        raise TypeError("pair checking needs terms of one bracket degree, 1 or 2")
+    return degrees.pop()
+
+
+def _scale(pair: PairStructure) -> tuple[int, int]:
+    """(lcm of the tensors' denominators, largest scaled |entry|, at least 1)."""
+    if "scale" not in pair._cache:
+        cs = [c for t in (pair.m1, pair.m2) for comps in t.values() for c in comps.values()]
+        scale = reduce(math.lcm, (c.denominator for c in cs), 1)
+        biggest = max((abs(c.numerator) * (scale // c.denominator) for c in cs), default=1)
+        pair._cache["scale"] = (scale, biggest)
+    return pair._cache["scale"]
+
+
+def _checked_bound(pair: PairStructure, ident: Identity) -> int:
+    """Bound on every partial sum of the scaled residual: the summed
+    integer coefficient magnitudes times max|m|^degree times the
+    contracted volume.  int64 arithmetic is exact while it stays below
+    2^62."""
+    terms, _, coeffs = _int_coeffs(ident)
+    degree = _degree(terms)
+    dim = max(pair.v1.dim, pair.v2.dim, 1)
+    return sum(map(abs, coeffs)) * _scale(pair)[1] ** degree * dim ** (2 * degree)
+
+
+def _coo(pair: PairStructure, side: int):
+    """m1 (side 1) or m2 scaled to integers, as coordinates: keys (n, 3),
+    outputs (n,) and values (n,) as Python ints."""
+    if ("coo", side) not in pair._cache:
+        scale = _scale(pair)[0]
+        entries = [
+            (key, o, c.numerator * (scale // c.denominator))
+            for key, comps in (pair.m1 if side == 1 else pair.m2).items()
+            for o, c in comps.items()
+        ]
+        pair._cache["coo", side] = (
+            np.array([e[0] for e in entries], dtype=np.int64).reshape(-1, 3),
+            np.array([e[1] for e in entries], dtype=np.int64),
+            np.array([e[2] for e in entries], dtype=object),
+        )
+    return pair._cache["coo", side]
+
+
+def _distinct(x, flat, bits, size):
+    """Sort the (x, flat) keys and merge repeats: (inverse, x, flat, bits)."""
+    _, first, inverse = np.unique(x * size + flat, return_index=True, return_inverse=True)
+    return inverse, x[first], flat[first], bits[first]
+
+
+@dataclass
+class _Term:
+    """One residual term as ``a @ b``.
+
+    Rows of ``a`` are the nested bracket's nonzero letter tuples (a
+    single empty row for a lone bracket), its columns the contracted
+    index; columns of ``b`` are the outer bracket's nonzero (letters,
+    output) tuples.  Every row and column carries its offset in the flat
+    residual of one X index and its letters' parity bits (bit k for
+    ``LETTERS[k]``).  The side that holds X is sorted by it, and
+    ``x_bounds[i]:x_bounds[i + 1]`` are the rows or columns with X = i.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    row_flat: np.ndarray
+    row_bits: np.ndarray
+    col_flat: np.ndarray
+    col_bits: np.ndarray
+    x_in_rows: bool
+    x_bounds: np.ndarray
+
+    def block(self, xi: int):
+        """(flat residual offsets, parity bits, values) of the tuples with
+        X = xi; the offsets are distinct."""
+        part = slice(self.x_bounds[xi], self.x_bounds[xi + 1])
+        rows, cols = (part, slice(None)) if self.x_in_rows else (slice(None), part)
+        return (
+            self.row_flat[rows, None] + self.col_flat[cols],
+            self.row_bits[rows, None] | self.col_bits[cols],
+            self.a[rows] @ self.b[:, cols],
+        )
+
+
+def _compile_term(pair: PairStructure, expr: Bracket, sides: dict, dtype) -> _Term:
+    """The term's ``a @ b`` form, built once per pair, sides and dtype (so
+    the identities that share J1..J6 share their compiled terms)."""
+    key = ("term", expr, frozenset(sides.items()), dtype)
+    if key in pair._cache:
+        return pair._cache[key]
+    letters = sorted(expr_letters(expr), key=LETTERS.index)
+    stride, size = {"X": 0}, pair.space(_value_side(expr, sides)).dim
+    for l in reversed(letters[1:]):
+        stride[l], size = size, size * pair.space(sides[l]).dim
+    parities = {s: np.array(pair.space(s).parities, dtype=np.uint8) for s in (1, 2)}
+
+    def node(bracket: Bracket):
+        """(X index, flat offset, parity bits, nested-slot index, output,
+        value) of every nonzero entry of one bracket node."""
+        keys, outs, values = _coo(pair, _value_side(bracket, sides))
+        x = flat = nested = np.zeros(len(outs), np.int64)
+        bits = np.zeros(len(outs), np.uint8)
+        for j, e in enumerate((bracket.iso, bracket.left, bracket.right)):
+            if isinstance(e, Bracket):
+                nested = keys[:, j]
+                continue
+            flat = flat + stride[e.name] * keys[:, j]
+            bits = bits | parities[sides[e.name]][keys[:, j]] << LETTERS.index(e.name)
+            if e.name == "X":
+                x = keys[:, j]
+        return x, flat, bits, nested, outs, values.astype(dtype)
+
+    slots = (expr.iso, expr.left, expr.right)
+    inner = next((e for e in slots if isinstance(e, Bracket)), None)
+    if inner is None:
+        a = np.ones((1, 1), dtype)
+        row_x = row_flat = np.zeros(1, np.int64)
+        row_bits = np.zeros(1, np.uint8)
+    else:
+        x, flat, bits, _, c, values = node(inner)
+        rows, row_x, row_flat, row_bits = _distinct(x, flat, bits, size)
+        a = np.zeros((len(row_x), pair.space(_value_side(inner, sides)).dim), dtype)
+        a[rows, c] = values
+    x, flat, bits, c, o, values = node(expr)
+    cols, col_x, col_flat, col_bits = _distinct(x, flat + o, bits, size)
+    b = np.zeros((a.shape[1], len(col_x)), dtype)
+    b[c, cols] = values
+    x_in_rows = inner is not None and "X" in expr_letters(inner)
+    xs = np.arange(pair.space(sides["X"]).dim + 1)
+    pair._cache[key] = _Term(
+        a, b, row_flat, row_bits, col_flat, col_bits, x_in_rows,
+        np.searchsorted(row_x if x_in_rows else col_x, xs),
+    )
+    return pair._cache[key]
+
+
+def _sign_table(t: TemplateTerm, coeff: int, dtype) -> np.ndarray:
+    """coeff times the term's Koszul sign, indexed by the parity bits."""
+    parities = [
+        {l: bits >> k & 1 for k, l in enumerate(LETTERS)} for bits in range(2 ** len(LETTERS))
+    ]
+    return np.array([coeff * eval_sign_pairs(t.sign_pairs, p) for p in parities], dtype)
+
+
+def _eval_identity(pair, ident, orientation, cap=FAILURE_CAP):
+    """Check ``ident`` on every basis tuple of one orientation.
+
+    For each X index every term's block is scattered into one flat
+    residual over the remaining letters and the output, so its nonzero
+    entries come out in lexicographic tuple order.  The arithmetic is
+    int64 below the checked bound and Python ints above it.
+    """
     sides = _orient(ident.sides, orientation)
     letters = tuple(sorted(sides, key=LETTERS.index))
-    assert letters[0] == "X"
-    dims = {l: pair.space(sides[l]).dim for l in letters}
-    nx = dims["X"] if x_range is None else x_range[1] - x_range[0]
-    total = nx * math.prod(dims[l] for l in letters[1:])
+    dims = [pair.space(sides[l]).dim for l in letters]
+    if 0 in dims:
+        return AxiomReport(ident.name, orientation, 0, 0, [], _adopted_form_id(ident))
     terms, coeff_scale, coeffs = _int_coeffs(ident)
-    degrees = {_term_degree(t.expr) for t in terms}
-    assert len(degrees) == 1, "identity terms must have uniform bracket degree"
-    degree = degrees.pop()
-    out_side = _value_side(terms[0].expr, sides)
-    M1, M2, scale = pair._scaled_dense()
-    arrays = {"m1": M1, "m2": M2}
-    denom = Fraction(coeff_scale * scale**degree)
-
-    # overflow guard: max |entry| of a term block is bounded by
-    # max|M|^degree times the contracted volume
-    maxm = max(int(abs(M1).max(initial=0)), int(abs(M2).max(initial=0)), 1)
-    bound = sum(abs(c) for c in coeffs) * maxm**degree * max(
-        pair.v1.dim, pair.v2.dim, 1
-    ) ** (2 * degree)
-    if bound >= 2**62:
-        return _eval_identity_exact(pair, ident, orientation, cap, x_range)
-
-    rest = letters[1:]
-    out_axes = "".join(_AXIS[l] for l in rest)
-    plans = [_einsum_plan(t.expr, sides) for t in terms]
+    dtype = np.int64 if _checked_bound(pair, ident) < 2**62 else object
+    blocks = [
+        (_compile_term(pair, t.expr, sides, dtype), _sign_table(t, c, dtype))
+        for t, c in zip(terms, coeffs)
+    ]
+    d_out = pair.space(_value_side(terms[0].expr, sides)).dim
+    denom = coeff_scale * _scale(pair)[0] ** _degree(terms)
     failures: list[Failure] = []
     count = 0
-    xs = range(dims["X"]) if x_range is None else range(*x_range)
-    for xi in xs:
-        R = None
-        memo: dict = {}
-        for t, c, (subs, ops, root) in zip(terms, coeffs, plans):
-            key = (t.expr, root)
-            if key not in memo:
-                operands = []
-                new_subs = []
-                for s, name in zip(subs, ops):
-                    arr = arrays[name]
-                    if "x" in s:
-                        pos = s.index("x")
-                        idx = [slice(None)] * 4
-                        idx[pos] = xi
-                        arr = arr[tuple(idx)]
-                        s = s.replace("x", "")
-                    operands.append(arr)
-                    new_subs.append(s)
-                expr = ",".join(new_subs) + "->" + out_axes + root
-                memo[key] = np.einsum(expr, *operands, optimize=True)
-            block = memo[key]
-            S = _sign_block(pair, t, sides, rest, "X", xi)
-            contrib = (c * S)[..., None] * block
-            R = contrib if R is None else R + contrib
-        mask = np.any(R != 0, axis=-1)
-        if not mask.any():
-            continue
-        idxs = np.argwhere(mask)
-        count += len(idxs)
-        for idx in idxs:
-            if len(failures) >= cap:
-                break
-            where = {"X": xi, **{l: int(i) for l, i in zip(rest, idx)}}
-            vecr = R[tuple(idx)]
-            residual = {
-                int(o): Fraction(int(vecr[o])) / denom
-                for o in np.nonzero(vecr)[0]
-            }
-            failures.append(Failure(where, residual))
+    for xi in range(dims[0]):
+        residual = np.zeros(math.prod(dims[1:]) * d_out, dtype)
+        for term, table in blocks:
+            flat, bits, values = term.block(xi)
+            values *= table[bits]
+            residual[flat] += values
+        nz = np.flatnonzero(residual)
+        tuples, starts = np.unique(nz // d_out, return_index=True)
+        count += len(tuples)
+        ends = np.append(starts[1:], nz.size)
+        for t, lo, hi in zip(tuples[: cap - len(failures)], starts, ends):
+            where = dict(zip(letters, (xi, *map(int, np.unravel_index(t, dims[1:])))))
+            failures.append(Failure(where, {
+                int(o % d_out): Fraction(int(residual[o]), denom) for o in nz[lo:hi]
+            }))
     return AxiomReport(
-        ident.name, orientation, total, count, failures, _adopted_form_id(ident)
+        ident.name, orientation, math.prod(dims), count, failures, _adopted_form_id(ident)
     )
+
+
+# ---------------------------------------------------------------------------
+# the independent Fraction oracle (tests compare the evaluator against it)
 
 
 def _eval_expr_sparse(expr, env: dict, pair: PairStructure, sides: dict):
@@ -490,83 +548,6 @@ def residual_on_vectors(
     return residual
 
 
-def _eval_identity_exact(pair, ident, orientation, cap, x_range=None):
-    sides = _orient(ident.sides, orientation)
-    letters = tuple(sorted(sides, key=LETTERS.index))
-    dims = {l: pair.space(sides[l]).dim for l in letters}
-    nx = dims["X"] if x_range is None else x_range[1] - x_range[0]
-    total = nx * math.prod(dims[l] for l in letters[1:])
-    terms = ident.residual_terms()
-    failures: list[Failure] = []
-    count = 0
-    xs = range(dims["X"]) if x_range is None else range(*x_range)
-    rest = letters[1:]
-    for xi in xs:
-        for combo in itertools.product(*(range(dims[l]) for l in rest)):
-            assignment = {"X": xi, **dict(zip(rest, combo))}
-            parities = {
-                l: pair.space(sides[l]).parities[i] for l, i in assignment.items()
-            }
-            env = {l: {i: Fraction(1)} for l, i in assignment.items()}
-            residual: dict = {}
-            for t in terms:
-                c = t.coeff * eval_sign_pairs(t.sign_pairs, parities)
-                for o, s in _eval_expr_sparse(t.expr, env, pair, sides).items():
-                    v = residual.get(o, 0) + c * s
-                    if v:
-                        residual[o] = v
-                    elif o in residual:
-                        del residual[o]
-            if residual:
-                count += 1
-                if len(failures) < cap:
-                    failures.append(Failure(dict(assignment), residual))
-    return AxiomReport(
-        ident.name, orientation, total, count, failures, _adopted_form_id(ident)
-    )
-
-
-def _eval_identity(pair, ident, orientation, cap=FAILURE_CAP, jobs=1, exact=False):
-    if any(
-        pair.space(s).dim == 0 for s in _orient(ident.sides, orientation).values()
-    ):
-        return AxiomReport(ident.name, orientation, 0, 0, [], _adopted_form_id(ident))
-    if jobs and jobs > 1:
-        return _eval_identity_parallel(pair, ident, orientation, cap, jobs, exact)
-    fn = _eval_identity_exact if exact else _eval_identity_fast
-    return fn(pair, ident, orientation, cap)
-
-
-def _parallel_worker(args):
-    pair_json, name, orientation, cap, exact, lo, hi = args
-    pair = PairStructure.from_json(pair_json)
-    ident = CATALOG[name]
-    fn = _eval_identity_exact if exact else _eval_identity_fast
-    return fn(pair, ident, orientation, cap, x_range=(lo, hi)).to_json()
-
-
-def _eval_identity_parallel(pair, ident, orientation, cap, jobs, exact):
-    from concurrent.futures import ProcessPoolExecutor
-
-    sides = _orient(ident.sides, orientation)
-    dx = pair.space(sides["X"]).dim
-    jobs = min(jobs, dx) or 1
-    bounds = [(i * dx // jobs, (i + 1) * dx // jobs) for i in range(jobs)]
-    pj = pair.to_json()
-    tasks = [(pj, ident.name, orientation, cap, exact, lo, hi) for lo, hi in bounds]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = [AxiomReport.from_json(r) for r in pool.map(_parallel_worker, tasks)]
-    failures = [f for p in parts for f in p.failures][:cap]
-    return AxiomReport(
-        ident.name,
-        orientation,
-        sum(p.total for p in parts),
-        sum(p.failure_count for p in parts),
-        failures,
-        _adopted_form_id(ident),
-    )
-
-
 # ---------------------------------------------------------------------------
 # checkers
 
@@ -604,50 +585,41 @@ def _kind_symmetry(pair: PairStructure) -> Identity:
     ]
 
 
-def check_symmetry(pair: PairStructure, cap: int = FAILURE_CAP, jobs: int = 1) -> list:
+def check_symmetry(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
     """Graded (anti)symmetry of both tensors, per the pair's kind."""
     ident = _kind_symmetry(pair)
-    return [
-        _eval_identity(pair, ident, orientation, cap, jobs)
-        for orientation in (1, 2)
-    ]
+    return [_eval_identity(pair, ident, orientation, cap) for orientation in (1, 2)]
 
 
-def check_jacobi_analog(
-    pair: PairStructure, cap: int = FAILURE_CAP, jobs: int = 1
-) -> list:
+def check_jacobi_analog(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
     if pair.kind != ISOTOPIC:
         raise ValueError("jacobi analog applies to isotopic pairs")
     ident = CATALOG["jacobi_analog"]
-    return [_eval_identity(pair, ident, o, cap, jobs) for o in (1, 2)]
+    return [_eval_identity(pair, ident, o, cap) for o in (1, 2)]
 
 
-def check_compatibility(
-    pair: PairStructure, cap: int = FAILURE_CAP, jobs: int = 1
-) -> list:
+def check_compatibility(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
     if pair.kind != ISOTOPIC:
         raise ValueError("compatibility applies to isotopic pairs")
     ident = CATALOG["compatibility"]
-    return [_eval_identity(pair, ident, o, cap, jobs) for o in (1, 2)]
+    return [_eval_identity(pair, ident, o, cap) for o in (1, 2)]
 
 
-def check_super_jordan(
-    pair: PairStructure, cap: int = FAILURE_CAP, jobs: int = 1
-) -> list:
+def check_super_jordan(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
     if pair.kind != SUPER_JORDAN:
         raise ValueError("the super-Jordan identity applies to superJordan pairs")
     ident = CATALOG["super_jordan"]
-    return [_eval_identity(pair, ident, o, cap, jobs) for o in (1, 2)]
+    return [_eval_identity(pair, ident, o, cap) for o in (1, 2)]
 
 
-def verify(pair: PairStructure, cap: int = FAILURE_CAP, jobs: int = 1) -> VerifyReport:
+def verify(pair: PairStructure, cap: int = FAILURE_CAP) -> VerifyReport:
     """Evenness, graded (anti)symmetry, and the kind-appropriate identity
     suite, both orientations, aggregated."""
     reports = check_evenness(pair, cap)
-    reports += check_symmetry(pair, cap, jobs)
+    reports += check_symmetry(pair, cap)
     if pair.kind == ISOTOPIC:
-        reports += check_jacobi_analog(pair, cap, jobs)
-        reports += check_compatibility(pair, cap, jobs)
+        reports += check_jacobi_analog(pair, cap)
+        reports += check_compatibility(pair, cap)
     else:
-        reports += check_super_jordan(pair, cap, jobs)
+        reports += check_super_jordan(pair, cap)
     return VerifyReport(pair.kind, reports)

@@ -60,6 +60,52 @@ def test_verify_malformed_json_exit_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def _verify_edited_pair(tmp_path, capsys, edit):
+    """Exit code and stderr of verify on a gl(1,1) catalog file after
+    ``edit`` changes its pair JSON."""
+    out = tmp_path / "gl11.json"
+    run(["make", "gl:1,1", "-o", str(out)])
+    capsys.readouterr()
+    entry = json.loads(out.read_text())
+    edit(entry["pair"])
+    bad = tmp_path / "edited.json"
+    bad.write_text(canonical_json(entry))
+    code = run(["verify", str(bad)])
+    return code, capsys.readouterr().err
+
+
+def test_verify_negative_index_exit_2(tmp_path, capsys):
+    def edit(pair):
+        pair["m1"][0]["u"] = -1
+
+    code, err = _verify_edited_pair(tmp_path, capsys, edit)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "out of range" in err
+
+
+def test_verify_zero_denominator_exit_2(tmp_path, capsys):
+    def edit(pair):
+        pair["m1"][0]["out"][0]["c"] = "1/0"
+
+    code, err = _verify_edited_pair(tmp_path, capsys, edit)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "zero denominator" in err
+
+
+def test_verify_duplicate_entries_exit_2(tmp_path, capsys):
+    def duplicate_row(pair):
+        pair["m1"].append(dict(pair["m1"][0], out=[{"idx": 0, "c": "5"}]))
+
+    def duplicate_output(pair):
+        out = pair["m2"][0]["out"]
+        out.append(dict(out[0], c="5"))
+
+    for edit, what in ((duplicate_row, "tensor row"), (duplicate_output, "output index")):
+        code, err = _verify_edited_pair(tmp_path, capsys, edit)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and f"duplicate {what}" in err
+
+
 def test_unknown_spec_exit_2(tmp_path, capsys):
     assert run(["make", "zzz:9", "-o", str(tmp_path / "x.json")]) == 2
     assert "unknown builder spec" in capsys.readouterr().err

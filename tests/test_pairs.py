@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -136,46 +137,102 @@ def test_verify_empty_spaces_vacuous():
     assert rep.passed and all(r.total == 0 for r in rep.reports)
 
 
+def _oracle_report(pair, ident, orientation):
+    """The evaluator's report, rebuilt tuple by tuple with the Fraction
+    reference: the failure count and the first failures in tuple order."""
+    sides = P._orient(ident.sides, orientation)
+    letters = sorted(sides, key="XYZUV".index)
+    spaces = [pair.space(sides[l]) for l in letters]
+    count, failures = 0, []
+    for combo in itertools.product(*(range(s.dim) for s in spaces)):
+        vectors = {l: unit(i, s.dim) for l, i, s in zip(letters, combo, spaces)}
+        parities = {l: s.parities[i] for l, i, s in zip(letters, combo, spaces)}
+        residual = P.residual_on_vectors(pair, ident, orientation, vectors, parities)
+        if residual:
+            count += 1
+            if len(failures) < P.FAILURE_CAP:
+                failures.append(P.Failure(dict(zip(letters, combo)), residual))
+    total = math.prod(s.dim for s in spaces)
+    return P.AxiomReport(
+        ident.name, orientation, total, count, failures, P._adopted_form_id(ident)
+    )
+
+
+def _scaled(pair, scale):
+    def tensor(t):
+        return {k: {o: c * scale for o, c in v.items()} for k, v in t.items()}
+
+    return P.PairStructure(pair.v1, pair.v2, pair.kind, tensor(pair.m1), tensor(pair.m2))
+
+
 def test_fast_and_exact_paths_agree():
     for pair in (series_gl(1, 1).pair, series_q(1).pair):
         for name in ("jacobi_analog", "compatibility"):
             for orientation in (1, 2):
                 fast = P._eval_identity(pair, CATALOG[name], orientation)
-                exact = P._eval_identity(pair, CATALOG[name], orientation, exact=True)
+                exact = _oracle_report(pair, CATALOG[name], orientation)
                 assert fast.to_json() == exact.to_json()
     rng = Lcg64(23)
     pert = random_even_perturbation(series_gl(1, 1).pair, rng)
     fast = P._eval_identity(pert, CATALOG["jacobi_analog"], 1)
-    exact = P._eval_identity(pert, CATALOG["jacobi_analog"], 1, exact=True)
+    exact = _oracle_report(pert, CATALOG["jacobi_analog"], 1)
     assert fast.to_json() == exact.to_json()
-
-
-def test_jobs_parallel_matches_sequential():
-    pair = series_gl(1, 1).pair
-    seq = P._eval_identity(pair, CATALOG["jacobi_analog"], 1)
-    par = P._eval_identity(pair, CATALOG["jacobi_analog"], 1, jobs=2)
-    assert seq.to_json() == par.to_json()
 
 
 def test_fractional_constants_scale_exactly():
     # scaling a valid pair by 1/3 keeps every identity (they are
-    # homogeneous in m) and exercises the integer-scaling fast path
-    base = series_gl(1, 1).pair
-    scale = F(1, 3)
-    m1 = {k: {o: c * scale for o, c in v.items()} for k, v in base.m1.items()}
-    m2 = {k: {o: c * scale for o, c in v.items()} for k, v in base.m2.items()}
-    scaled = P.PairStructure(base.v1, base.v2, base.kind, m1, m2)
+    # homogeneous in m) and exercises the integer scaling
+    scaled = _scaled(series_gl(1, 1).pair, F(1, 3))
     assert P.verify(scaled).passed
     for name in ("jacobi_analog", "compatibility"):
         fast = P._eval_identity(scaled, CATALOG[name], 1)
-        exact = P._eval_identity(scaled, CATALOG[name], 1, exact=True)
+        exact = _oracle_report(scaled, CATALOG[name], 1)
         assert fast.to_json() == exact.to_json()
     rng = Lcg64(61)
     pert = random_even_perturbation(scaled, rng)
     fast = P._eval_identity(pert, CATALOG["jacobi_analog"], 1)
-    exact = P._eval_identity(pert, CATALOG["jacobi_analog"], 1, exact=True)
+    exact = _oracle_report(pert, CATALOG["jacobi_analog"], 1)
     assert fast.to_json() == exact.to_json()
     assert not fast.passed
+
+
+def test_evaluator_matches_fraction_oracle():
+    # every identity is homogeneous in m, so scaling keeps a valid pair
+    # valid; 1/3 exercises the integer scaling, and an odd factor above
+    # 2^31 pushes the degree-2 identities past the int64 bound (the last
+    # case, perturbed before scaling, has residuals beyond 2^63)
+    rng = Lcg64(23)
+    gl11 = series_gl(1, 1).pair
+    big = F(2**31 + 11)
+    valid = [gl11, series_q(1).pair, gl11.parity_flip()]
+    valid += [_scaled(gl11, F(1, 3)), _scaled(gl11, big)]
+    broken = [random_even_perturbation(p, rng) for p in valid]
+    broken.append(_scaled(random_even_perturbation(gl11, rng), big))
+    for name in ("jacobi_analog", "compatibility"):
+        assert P._checked_bound(valid[-1], CATALOG[name]) >= 2**62
+    cases = [(p, True) for p in valid] + [(p, False) for p in broken]
+    for k, (pair, passes) in enumerate(cases):
+        if pair.kind == "isotopic":
+            names = ("antisymmetry.isotopic", "jacobi_analog", "compatibility")
+        else:
+            names = ("symmetry.superJordan", "super_jordan")
+        reports = []
+        for name in names:
+            for orientation in (1, 2):
+                got = P._eval_identity(pair, CATALOG[name], orientation)
+                want = _oracle_report(pair, CATALOG[name], orientation)
+                assert got.to_json() == want.to_json(), (k, name, orientation)
+                reports.append(got)
+        assert all(r.passed for r in reports) == passes
+
+
+def test_negative_indices_rejected():
+    v = SuperSpace.make(["a", "b"], [0, 0])
+    for m1 in ({(-1, 0, 0): {0: F(1)}}, {(0, 0, 0): {-1: F(1)}}):
+        with pytest.raises(P.SpaceMismatch):
+            P.PairStructure(v, v, "isotopic", m1, {})
+    with pytest.raises(P.SpaceMismatch):
+        P.PairStructure(v, v, "isotopic", {}, {(0, -2, 1): {0: F(1)}})
 
 
 def test_basis_checking_matches_element_checking():
