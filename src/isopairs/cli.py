@@ -213,20 +213,30 @@ def cmd_rep_check(args) -> int:
     obj = _load_json(args.file)
     try:
         rep = R.PairRep.from_json(obj)
+        split = R.SplitData.from_json(obj["split"]) if "split" in obj else None
+        # a split that does not partition H raises SpaceMismatch here
+        sreport = R.check_split(rep, split) if split is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{args.file}: not a representation file: {exc}") from exc
     report = R.check_rep(rep)
     _print_report(report, args.json)
-    if "split" in obj:
-        split = R.SplitData.from_json(obj["split"])
-        sreport = R.check_split(rep, split)
-        _print_report(sreport, args.json)
-        return 0 if report.passed and sreport.passed else 1
-    return 0 if report.passed else 1
+    if sreport is None:
+        return 0 if report.passed else 1
+    _print_report(sreport, args.json)
+    return 0 if report.passed and sreport.passed else 1
 
 
 def _parse_weights(text: str) -> list:
-    return [scalar_from_str(t) for t in text.split(",")]
+    try:
+        return [scalar_from_str(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad rational in {text!r}: {exc}") from exc
+
+
+def _positive_int(text: str) -> int:
+    if text.isdigit() and int(text) > 0:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _diagonal_grading(pair: PairStructure):
@@ -393,13 +403,13 @@ def make_parser() -> argparse.ArgumentParser:
     p = rsub.add_parser("hw", help="highest-weight split module")
     p.add_argument("--pair", required=True)
     p.add_argument("--weights", required=True, help="two rationals, e.g. 1/2,1/2")
-    p.add_argument("--cap", type=int, default=6)
+    p.add_argument("--cap", type=_positive_int, default=6)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_rep_hw)
     p = rsub.add_parser("induce", help="induce from the diagonal subpair")
     p.add_argument("--pair", required=True)
     p.add_argument("--chi", default="", help="character values on the diagonal units")
-    p.add_argument("--cap", type=int, default=3)
+    p.add_argument("--cap", type=_positive_int, default=3)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_rep_induce)
     p = rsub.add_parser("graph-check", help="check a graph-representation file")

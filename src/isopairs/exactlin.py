@@ -132,13 +132,19 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        cols = other.transpose().entries
-        return Matrix(
-            tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), ZERO) for col in cols)
-                for row in self.entries
-            )
-        )
+        n = other.cols
+        # nonzero (column, entry) pairs of each row of ``other``; each row
+        # of the product sums a * (row b of other) over the nonzero a
+        other_nz = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [ZERO] * n
+            for a, nz in zip(row, other_nz):
+                if a:
+                    for j, b in nz:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return Matrix(tuple(out))
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if self.cols != len(v):
@@ -271,13 +277,16 @@ def intersect_spans(
 
 
 class IncrementalSpan:
-    """Growing span with sparse reduced rows and membership solving.
+    """Growing span with sparse echelon rows and membership solving.
 
-    Vectors are sparse dicts column->Fraction.  Rows are kept fully
-    reduced with unit pivots, so membership tests and coordinate
-    extraction are a single sparse reduction.  When ``track_combos`` is
-    set, each row remembers its expression in the inserted vectors, so
-    ``solve`` can return exact coefficients over the insertion order.
+    Vectors are sparse dicts column->Fraction.  Rows are kept in echelon
+    form: each row has a unit pivot at the first column of its support
+    in the ``pivot`` order (its minimum for "min", maximum for "max"),
+    and no two rows share a pivot.  Rows are not reduced against later
+    pivots, so an insert touches only the new row.  When
+    ``track_combos`` is set, each row remembers its expression in the
+    inserted vectors, so ``solve`` can return exact coefficients over
+    the insertion order.
     """
 
     def __init__(self, track_combos: bool = False, pivot: str = "min"):
@@ -300,11 +309,18 @@ class IncrementalSpan:
 
     def reduce(self, v: dict) -> tuple[dict, dict]:
         """Residual of v modulo the span, and the row combination used
-        (over inserted-vector indices when tracked, else over rows)."""
+        (over inserted-vector indices when tracked, else over rows).
+
+        The residual is the normal form of v: the only vector congruent
+        to v modulo the span with no entries at pivot columns, since a
+        nonzero span element has an entry at the pivot of the first row,
+        in pivot order, that it uses.
+        """
         r = {c: Fraction(x) for c, x in v.items() if x}
         combo: dict = {}
-        # rows hold no entries at other rows' pivots, so each reducible
-        # column is cleared exactly once and never reintroduced
+        # clear reducible columns in pivot order: a row's entries lie at
+        # or after its pivot in that order, so each step writes only to
+        # later columns and a cleared column is never reintroduced
         while True:
             cols = [c for c in r if c in self.row_by_pivot]
             if not cols:
@@ -336,36 +352,14 @@ class IncrementalSpan:
             return False
         idx = self.inserted
         self.inserted += 1
-        if self.track_combos:
-            combo = {j: -x for j, x in combo.items()}
-            combo[idx] = ONE
         pivot = self._pick(r)
         inv = ONE / r[pivot]
-        r = {c: x * inv for c, x in r.items()}
         if self.track_combos:
-            combo = {j: x * inv for j, x in combo.items()}
-        new_i = len(self.rows)
-        # keep existing rows reduced against the new pivot
-        for i, row in enumerate(self.rows):
-            f = row.get(pivot)
-            if f:
-                for c, x in r.items():
-                    nv = row.get(c, ZERO) - f * x
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-                if self.track_combos:
-                    ci = self.combos[i]
-                    for j, x in combo.items():
-                        nv = ci.get(j, ZERO) - f * x
-                        if nv:
-                            ci[j] = nv
-                        else:
-                            ci.pop(j, None)
-        self.rows.append(r)
+            combo = {j: -x * inv for j, x in combo.items()}
+            combo[idx] = inv
+        self.row_by_pivot[pivot] = len(self.rows)
+        self.rows.append({c: x * inv for c, x in r.items()})
         self.combos.append(combo if self.track_combos else {})
-        self.row_by_pivot[pivot] = new_i
         return True
 
     def contains(self, v: dict) -> bool:

@@ -568,61 +568,54 @@ def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
                 failures.append(Failure({"a": i, "b": j, "c": k}, res))
     reports.append(AxiomReport("lts.cyclic", 0, N**3, count, failures))
 
-    def T_vec(i, j, vec: dict) -> dict:
-        out: dict = {}
-        for k, c in vec.items():
-            for o, d in T(i, j, k).items():
-                v = out.get(o, 0) + c * d
-                if v:
-                    out[o] = v
-                else:
-                    out.pop(o, None)
-        return out
+    # [a b [c d e]] - [[a b c] d e] - s2 [c [a b d] e] - s3 [c d [a b e]],
+    # joined over the nonzero products only.  Every term is linear in
+    # L = T(a, b, .), so blocks with L = 0 hold no failures; each (a, b)
+    # block is accumulated on its own and read out in (c, d, e) order.
+    by_first: dict = {}
+    by_mid: dict = {}
+    by_last: dict = {}
+    for (i, j, k), out in l.tensor.items():
+        by_first.setdefault(i, []).append((j, k, out))
+        by_mid.setdefault(j, []).append((i, k, out))
+        by_last.setdefault(k, []).append((i, j, out))
 
-    def T_mid(i, vec: dict, e) -> dict:
-        out: dict = {}
-        for k, c in vec.items():
-            for o, d in T(i, k, e).items():
-                v = out.get(o, 0) + c * d
-                if v:
-                    out[o] = v
-                else:
-                    out.pop(o, None)
-        return out
-
-    def T_left(vec: dict, d, e) -> dict:
-        out: dict = {}
-        for k, c in vec.items():
-            for o, w in T(k, d, e).items():
-                v = out.get(o, 0) + c * w
-                if v:
-                    out[o] = v
-                else:
-                    out.pop(o, None)
-        return out
+    def add(acc, key, f, out):
+        res = acc.setdefault(key, {})
+        for o, v in out.items():
+            res[o] = res.get(o, 0) + f * v
 
     failures, count = [], 0
     total = N**5
-    for a, b, c, d, e in itertools.product(range(N), repeat=5):
-        lhs = T_vec(a, b, T(c, d, e))
-        t1 = T_left(T(a, b, c), d, e)
-        s2 = -1 if ((p[a] + p[b]) * p[c]) % 2 else 1
-        t2 = T_mid(c, T(a, b, d), e)
-        s3 = -1 if ((p[a] + p[b]) * (p[c] + p[d])) % 2 else 1
-        t3 = T_vec(c, d, T(a, b, e))
-        res = dict(lhs)
-        for src, s in ((t1, 1), (t2, s2), (t3, s3)):
-            for o, v in src.items():
-                w = res.get(o, 0) - s * v
-                if w:
-                    res[o] = w
-                else:
-                    res.pop(o, None)
-        if res:
-            count += 1
-            if len(failures) < cap:
-                failures.append(
-                    Failure({"a": a, "b": b, "c": c, "d": d, "e": e}, res)
-                )
+    for a, b in itertools.product(range(N), repeat=2):
+        L = {k: T(a, b, k) for k in range(N) if T(a, b, k)}
+        if not L:
+            continue
+        acc: dict = {}
+        for key, out in l.tensor.items():  # [a b [c d e]]
+            for k, x in out.items():
+                if k in L:
+                    add(acc, key, x, L[k])
+        pab = p[a] + p[b]
+        for c, abc in L.items():  # -[[a b c] d e]
+            for k, x in abc.items():
+                for d, e, out in by_first.get(k, ()):
+                    add(acc, (c, d, e), -x, out)
+        for d, abd in L.items():  # -s2 [c [a b d] e]
+            for k, x in abd.items():
+                for c, e, out in by_mid.get(k, ()):
+                    add(acc, (c, d, e), x if pab * p[c] % 2 else -x, out)
+        for e, abe in L.items():  # -s3 [c d [a b e]]
+            for k, x in abe.items():
+                for c, d, out in by_last.get(k, ()):
+                    add(acc, (c, d, e), x if pab * (p[c] + p[d]) % 2 else -x, out)
+        for (c, d, e) in sorted(acc):
+            res = {o: v for o, v in acc[(c, d, e)].items() if v}
+            if res:
+                count += 1
+                if len(failures) < cap:
+                    failures.append(
+                        Failure({"a": a, "b": b, "c": c, "d": d, "e": e}, res)
+                    )
     reports.append(AxiomReport("lts.derivation", 0, total, count, failures))
     return VerifyReport("lts", reports)

@@ -204,3 +204,47 @@ def test_build_from_spec_known_set():
     for spec in ("gl:2,1", "osp+:2,2", "q:2", "osq:2", "magnetic:sl2", "sym2:so3", "isoq"):
         pair, _ = build_from_spec(spec)
         assert pair is not None
+
+
+def _single_error_line(err: str) -> bool:
+    return len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("weights", ["1/0,1", "abc,1"])
+def test_rep_hw_bad_weights_exit_2(capsys, weights):
+    assert run(["rep", "hw", "--pair", "gl:2,0", "--weights", weights]) == 2
+    assert _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rep", "hw", "--pair", "gl:2,0", "--weights", "1/2,1/2", "--cap", "0"],
+        ["rep", "induce", "--pair", "gl:2,0", "--cap", "0"],
+    ],
+)
+def test_rep_cap_zero_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    # argparse prints its usage line, then one error line
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--cap" in errors[0]
+
+
+def test_rep_induce_bad_chi_exit_2(capsys):
+    assert run(["rep", "induce", "--pair", "gl:2,0", "--chi", "x"]) == 2
+    assert _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("split", [{"h": [0]}, {"h1": [99], "h2": []}])
+def test_rep_check_malformed_split_exit_2(tmp_path, capsys, split):
+    from isopairs.reps import isoquaternion_fundamental
+
+    payload = isoquaternion_fundamental().rep.to_json()
+    payload["split"] = split
+    f = tmp_path / "rep.json"
+    f.write_text(canonical_json(payload))
+    assert run(["rep", "check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and "not a representation file" in err

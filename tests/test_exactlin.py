@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from isopairs.exactlin import (
     DimensionMismatch,
+    IncrementalSpan,
     Matrix,
     intersect_spans,
     invert,
@@ -27,6 +28,10 @@ F = Fraction
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=6
 )
+
+
+# mostly zero: about two draws in three are zero
+sparse_entries = st.one_of(st.just(F(0)), st.just(F(0)), rationals)
 
 
 def small_matrices(max_dim=4):
@@ -142,3 +147,106 @@ def test_span_basis_canonical():
     b1 = span_basis([vec([2, 4]), vec([1, 2])])
     b2 = span_basis([vec([1, 2])])
     assert b1 == b2
+
+
+@st.composite
+def sparse_matrix_pairs(draw):
+    """(a, b) with a.cols == b.rows, independently drawn shapes, mostly
+    zero entries, a zero row in a and a zero column in b."""
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    a = [[draw(sparse_entries) for _ in range(k)] for _ in range(r)]
+    b = [[draw(sparse_entries) for _ in range(c)] for _ in range(k)]
+    a[draw(st.integers(0, r - 1))] = [F(0)] * k
+    j = draw(st.integers(0, c - 1))
+    for row in b:
+        row[j] = F(0)
+    return Matrix.from_rows(a), Matrix.from_rows(b)
+
+
+@given(sparse_matrix_pairs())
+@settings(max_examples=150)
+def test_matmul_matches_triple_loop(ab):
+    a, b = ab
+    want = tuple(
+        tuple(
+            sum((a[i, k] * b[k, j] for k in range(a.cols)), F(0))
+            for j in range(b.cols)
+        )
+        for i in range(a.rows)
+    )
+    assert (a @ b).entries == want
+    assert all(type(x) is F for row in (a @ b).entries for x in row)
+
+
+def test_matmul_shape_mismatch():
+    with pytest.raises(DimensionMismatch):
+        Matrix.zeros(2, 3) @ Matrix.zeros(2, 3)
+
+
+def _normal_form(vectors, v, n, pivot):
+    """v minus its projection on the reduced row-echelon basis of the
+    vectors, from a dense rref; with pivot "max" the columns are
+    reversed, so pivots sit at the last column of each row's support.
+    Returns (pivot columns, residual as a sparse dict)."""
+    order = list(range(n)) if pivot == "min" else list(reversed(range(n)))
+    dense = [tuple(u.get(c, F(0)) for c in order) for u in vectors]
+    _, red, pivots = rref(Matrix(tuple(dense))) if dense else (0, None, ())
+    w = [v.get(c, F(0)) for c in order]
+    for i, p in enumerate(pivots):
+        f = w[p]
+        w = [x - f * y for x, y in zip(w, red.row(i))]
+    return {order[p] for p in pivots}, {order[j]: x for j, x in enumerate(w) if x}
+
+
+@st.composite
+def span_cases(draw):
+    n = draw(st.integers(1, 7))
+    sparse = st.lists(sparse_entries, min_size=n, max_size=n).map(
+        lambda row: {c: x for c, x in enumerate(row) if x}
+    )
+    inserted = draw(st.lists(sparse, max_size=8))
+    # probes: random vectors, and combinations of the inserted ones
+    probes = draw(st.lists(sparse, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        combo = {}
+        for u in inserted:
+            f = draw(rationals)
+            for c, x in u.items():
+                combo[c] = combo.get(c, F(0)) + f * x
+        probes.append({c: x for c, x in combo.items() if x})
+    return n, inserted, probes
+
+
+@given(span_cases(), st.sampled_from(["min", "max"]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_incremental_span_matches_rref(case, pivot, track):
+    n, inserted, probes = case
+
+    def dense(u):
+        return vec(u.get(c, 0) for c in range(n))
+
+    span = IncrementalSpan(track_combos=track, pivot=pivot)
+    kept = []
+    for u in inserted:
+        grew = span.insert(u)
+        assert grew == (rank_of([*map(dense, kept), dense(u)]) > len(kept))
+        if grew:
+            kept.append(u)
+    pivots, _ = _normal_form(inserted, {}, n, pivot)
+    assert span.rank == len(kept) == len(pivots)
+    assert span.pivots == pivots
+    for v in inserted + probes:
+        residual, _ = span.reduce(v)
+        assert residual == _normal_form(inserted, v, n, pivot)[1]
+        in_span = solve_in_span([dense(u) for u in kept], dense(v)) is not None
+        assert span.contains(v) == in_span
+        if not track:
+            continue
+        coeffs = span.solve(v)
+        assert (coeffs is not None) == in_span
+        if coeffs is not None:
+            got = {}
+            for j, f in coeffs.items():
+                for c, x in kept[j].items():
+                    got[c] = got.get(c, F(0)) + f * x
+            assert {c: x for c, x in got.items() if x} == v

@@ -1,13 +1,15 @@
 """Polarized superalgebras (2B) and triple systems (2A)."""
 
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from isopairs import tkk
-from isopairs.constructions import isoquaternionic_pair, series_gl, series_q
-from isopairs.pairs import PairStructure
+from isopairs.constructions import isoquaternionic_pair, series_gl, series_osp, series_q
+from isopairs.pairs import AxiomReport, Failure, PairStructure
 from isopairs.supercore import SuperSpace
 
 F = Fraction
@@ -163,3 +165,79 @@ def test_perturbed_lts_fails():
     bad_tensor[key] = comps
     bad = tkk.PolarizedLTS(lts.space, lts.split, bad_tensor)
     assert not tkk.check_lts_axioms(bad).passed
+
+
+def _derivation_oracle(l, cap=tkk.FAILURE_CAP):
+    """lts.derivation as a plain loop over all N^5 basis tuples, the
+    reference for the sparse join in check_lts_axioms."""
+    N = l.dim
+    p = l.space.parities
+    T = l.product_basis
+
+    def combine(terms):
+        out = {}
+        for f, vec, prod in terms:
+            for k, c in vec.items():
+                for o, d in prod(k).items():
+                    out[o] = out.get(o, 0) + f * c * d
+        return {o: v for o, v in out.items() if v}
+
+    failures, count = [], 0
+    for a, b, c, d, e in itertools.product(range(N), repeat=5):
+        s2 = -1 if ((p[a] + p[b]) * p[c]) % 2 else 1
+        s3 = -1 if ((p[a] + p[b]) * (p[c] + p[d])) % 2 else 1
+        res = combine(
+            [
+                (1, T(c, d, e), lambda k: T(a, b, k)),
+                (-1, T(a, b, c), lambda k: T(k, d, e)),
+                (-s2, T(a, b, d), lambda k: T(c, k, e)),
+                (-s3, T(a, b, e), lambda k: T(c, d, k)),
+            ]
+        )
+        if res:
+            count += 1
+            if len(failures) < cap:
+                failures.append(
+                    Failure({"a": a, "b": b, "c": c, "d": d, "e": e}, res)
+                )
+    return AxiomReport("lts.derivation", 0, N**5, count, failures)
+
+
+def _perturbed_lts(pair, seed, edits):
+    """The triple system of the flipped pair with ``edits`` random
+    changes to its tensor: bumped, new and deleted components."""
+    lts = tkk.lts_from_pair(pair.parity_flip(), verified=True)
+    rng = random.Random(seed)
+    tensor = {k: dict(v) for k, v in lts.tensor.items()}
+    N = lts.dim
+    for step in range(edits):
+        key = rng.choice(sorted(tensor))
+        if step % 3 == 0:
+            o = rng.choice(sorted(tensor[key]))
+            tensor[key][o] += F(rng.choice((-2, 1, 3)), rng.choice((1, 2)))
+        elif step % 3 == 1:
+            new = tuple(rng.randrange(N) for _ in range(3))
+            tensor.setdefault(new, {})[rng.randrange(N)] = F(rng.randrange(1, 4))
+        else:
+            del tensor[key]
+    return tkk.PolarizedLTS(lts.space, lts.split, tensor)
+
+
+@pytest.mark.parametrize(
+    "build, seed, edits",
+    [
+        (lambda: series_gl(1, 1), 0, 1),
+        (lambda: series_gl(1, 1), 1, 3),
+        (lambda: series_gl(1, 1), 2, 6),
+        (lambda: series_osp(2, 1, 1), 3, 4),
+    ],
+    ids=["gl11-1", "gl11-3", "gl11-6", "osp+21-4"],
+)
+def test_lts_derivation_matches_loop_oracle(build, seed, edits):
+    lts = _perturbed_lts(build().pair, seed, edits)
+    got = tkk.check_lts_axioms(lts)
+    want = tkk.check_lts_axioms(lts)
+    want.reports[-1] = _derivation_oracle(lts)
+    assert got.to_json() == want.to_json()
+    # past the cap, so the order of the kept failures is compared too
+    assert got.reports[-1].failure_count > tkk.FAILURE_CAP
