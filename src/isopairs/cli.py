@@ -45,6 +45,19 @@ def _pair_sha(pair_json: dict) -> str:
     return hashlib.sha256(canonical_json(pair_json).encode()).hexdigest()
 
 
+def _sizes(spec: str, arg: str, count: int) -> tuple:
+    """The ``count`` sizes of a builder spec: integers >= 0 summing to
+    at least 1."""
+    try:
+        sizes = tuple(int(x) for x in arg.split(","))
+    except ValueError:
+        sizes = ()
+    if len(sizes) != count or min(sizes) < 0 or sum(sizes) < 1:
+        want = "a size n >= 1" if count == 1 else "sizes n,m >= 0 with n + m >= 1"
+        raise UsageError(f"builder spec {spec!r} needs {want}")
+    return sizes
+
+
 def build_from_spec(spec: str):
     """Returns (pair_or_None, notes dict); wo specs have no finite pair."""
     notes: dict = {}
@@ -59,15 +72,14 @@ def build_from_spec(spec: str):
             return C.isoquaternionic_pair().pair, notes
         head, _, arg = spec.partition(":")
         if head == "gl":
-            n, m = (int(x) for x in arg.split(","))
-            return C.series_gl(n, m).pair, notes
+            return C.series_gl(*_sizes(spec, arg, 2)).pair, notes
         if head in ("osp+", "osp-"):
-            n, m = (int(x) for x in arg.split(","))
+            n, m = _sizes(spec, arg, 2)
             return C.series_osp(n, m, 1 if head == "osp+" else -1).pair, notes
         if head == "q":
-            return C.series_q(int(arg)).pair, notes
+            return C.series_q(*_sizes(spec, arg, 1)).pair, notes
         if head == "osq":
-            ep = C.series_osq(int(arg))
+            ep = C.series_osq(*_sizes(spec, arg, 1))
             notes["convention"] = ep.convention
             notes["attempts"] = ep.attempts
             p = ep.pair
@@ -89,10 +101,12 @@ def build_from_spec(spec: str):
             ]
             return pair, notes
         if head == "wo":
-            n, m = (int(x) for x in arg.split(","))
+            n, m = _sizes(spec, arg, 2)
             notes["type"] = "wo_pair"
             notes["n"], notes["m"] = n, m
             return None, notes
+    except UsageError:
+        raise
     except (KeyError, ValueError) as exc:
         raise UsageError(f"unknown builder spec {spec!r} (known: {BUILDERS_HELP})") from exc
     raise UsageError(f"unknown builder spec {spec!r} (known: {BUILDERS_HELP})")
@@ -125,9 +139,17 @@ def _pair_from_file(path: str) -> PairStructure:
         raise UsageError(f"{path}: not a pair or catalog file: {exc}") from exc
 
 
+def _check_sample_args(n: int, m: int, maxdeg: int, trials: int):
+    try:
+        PF.check_sample_args(n, m, maxdeg, trials)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_make(args) -> int:
     pair, notes = build_from_spec(args.spec)
     if pair is None:  # wo pair: persist the descriptor and a sampled report
+        _check_sample_args(notes["n"], notes["m"], 3, args.trials)
         report = PF.sample_check_w_o_pair(
             notes["n"], notes["m"], maxdeg=3, trials=args.trials, seed=args.seed
         )
@@ -335,6 +357,7 @@ def cmd_rep_graph_check(args) -> int:
 
 
 def cmd_poly_check(args) -> int:
+    _check_sample_args(args.n, args.m, args.maxdeg, args.trials)
     if args.bracket_fields:
         xs, ys, fs = args.bracket_fields
         X = PF.parse_field(xs, args.n, args.m)

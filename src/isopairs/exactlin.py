@@ -48,16 +48,39 @@ def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+# the dense vector ops leave zero operands alone: the operators they
+# build are mostly zero, and a zero entry needs no Fraction arithmetic
+
+
 def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple((x + y if x else y) if y else x for x, y in zip(a, b))
 
 
 def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple((x - y if x else -y) if y else x for x, y in zip(a, b))
 
 
 def vec_scale(c: Fraction, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * x for x in a)
+    return tuple(c * x if x else x for x in a)
+
+
+def axpy(acc: dict, f, v: dict) -> dict:
+    """``acc += f * v`` in place over sparse dicts; keys that cancel are
+    dropped and zero terms never stored.  Returns ``acc``."""
+    one, neg = f == 1, f == -1
+    for k, x in v.items():
+        x = x if one else -x if neg else f * x
+        y = acc.get(k)
+        if y is None:
+            if x:
+                acc[k] = x
+        else:
+            y += x
+            if y:
+                acc[k] = y
+            else:
+                del acc[k]
+    return acc
 
 
 def is_zero_vec(a: Sequence[Fraction]) -> bool:
@@ -328,19 +351,8 @@ class IncrementalSpan:
             col = self._pick(cols)
             i = self.row_by_pivot[col]
             f = r[col]
-            for c, x in self.rows[i].items():
-                nv = r.get(c, ZERO) - f * x
-                if nv:
-                    r[c] = nv
-                else:
-                    r.pop(c, None)
-            src = self.combos[i] if self.track_combos else {i: ONE}
-            for j, x in src.items():
-                nv = combo.get(j, ZERO) + f * x
-                if nv:
-                    combo[j] = nv
-                else:
-                    combo.pop(j, None)
+            axpy(r, -f, self.rows[i])
+            axpy(combo, f, self.combos[i] if self.track_combos else {i: ONE})
         return r, combo
 
     def insert(self, v: dict) -> bool:

@@ -27,6 +27,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from .exactlin import axpy
 from .pairs import AxiomReport, Failure, VerifyReport
 from .rng import Lcg64
 from .supercore import CATALOG, LETTERS, Letter, sign_a
@@ -65,6 +66,16 @@ class SuperPolynomial:
             self.terms[(exps, odd)] = self.terms.get((exps, odd), Fraction(0)) + c
         self.terms = {k: v for k, v in self.terms.items() if v}
 
+    @classmethod
+    def _make(cls, n: int, m: int, terms: dict) -> "SuperPolynomial":
+        """Trusted constructor for arithmetic results: the keys are
+        normalized monomials and the values Fractions, so only zeros
+        are dropped."""
+        p = object.__new__(cls)
+        p.n, p.m = n, m
+        p.terms = {k: c for k, c in terms.items() if c}
+        return p
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -92,17 +103,17 @@ class SuperPolynomial:
 
     def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return SuperPolynomial(self.n, self.m, out)
+        out = axpy(dict(self.terms), 1, other.terms)
+        return SuperPolynomial._make(self.n, self.m, out)
 
     def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        return self + other.scale(-1)
+        self._check(other)
+        out = axpy(dict(self.terms), -1, other.terms)
+        return SuperPolynomial._make(self.n, self.m, out)
 
     def scale(self, c) -> "SuperPolynomial":
         c = Fraction(c)
-        return SuperPolynomial(
+        return SuperPolynomial._make(
             self.n, self.m, {k: c * v for k, v in self.terms.items()}
         )
 
@@ -118,8 +129,9 @@ class SuperPolynomial:
                 if not s:
                     continue
                 key = (tuple(a + b for a, b in zip(ea, eb)), tuple(sorted(oa + ob)))
-                out[key] = out.get(key, Fraction(0)) + s * ca * cb
-        return SuperPolynomial(self.n, self.m, out)
+                c = ca * cb if s > 0 else -ca * cb
+                out[key] = out[key] + c if key in out else c
+        return SuperPolynomial._make(self.n, self.m, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -153,9 +165,8 @@ class SuperPolynomial:
         for (exps, odd), c in self.terms.items():
             e = exps[i - 1]
             if e:
-                key = (exps[: i - 1] + (e - 1,) + exps[i:], odd)
-                out[key] = out.get(key, Fraction(0)) + c * e
-        return SuperPolynomial(self.n, self.m, out)
+                out[(exps[: i - 1] + (e - 1,) + exps[i:], odd)] = c * e
+        return SuperPolynomial._make(self.n, self.m, out)
 
     def d_odd(self, j: int) -> "SuperPolynomial":
         """Left derivative d/dt_j (1-indexed)."""
@@ -164,10 +175,8 @@ class SuperPolynomial:
             if j not in odd:
                 continue
             pos = odd.index(j)
-            sign = -1 if pos % 2 else 1
-            key = (exps, odd[:pos] + odd[pos + 1 :])
-            out[key] = out.get(key, Fraction(0)) + sign * c
-        return SuperPolynomial(self.n, self.m, out)
+            out[(exps, odd[:pos] + odd[pos + 1 :])] = -c if pos % 2 else c
+        return SuperPolynomial._make(self.n, self.m, out)
 
     def __repr__(self) -> str:
         return f"SuperPolynomial({self.pretty()!r})"
@@ -459,14 +468,24 @@ def _residual_repr(value) -> dict:
     return {"field": repr(value)}
 
 
+def check_sample_args(n: int, m: int, maxdeg: int, trials: int):
+    """Raise ValueError unless the sampler can draw from these sizes:
+    odd polynomials need degree 1, and zero trials is a vacuous pass."""
+    if n < 0 or m < 0 or n + m < 1:
+        raise ValueError(f"need n, m >= 0 and n + m >= 1, got n={n}, m={m}")
+    if maxdeg < (1 if m else 0):
+        raise ValueError(f"need maxdeg >= {1 if m else 0}, got {maxdeg}")
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
+
+
 def sample_check_w_o_pair(
     n: int, m: int, maxdeg: int = 3, trials: int = 50, seed: int = 1
 ) -> VerifyReport:
     """Draw random homogeneous tuples and evaluate both adopted pair
     identities exactly, in both orientations; also cross-check the
     closed-form brackets against raw operator compositions."""
-    if n + m < 1:
-        raise ValueError("need n + m >= 1")
+    check_sample_args(n, m, maxdeg, trials)
     rng = Lcg64(seed)
     reports = []
     for name in ("jacobi_analog", "compatibility"):

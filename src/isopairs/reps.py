@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import IncrementalSpan, Matrix, invert, scalar_to_str
+from .exactlin import IncrementalSpan, Matrix, axpy, invert, scalar_to_str
 from .pairs import (
     ISOTOPIC,
     AxiomReport,
@@ -346,19 +346,21 @@ class _WordEngine:
         self.seeds = seeds
         self.degrees = degrees  # (deg1, deg2) or None
         self.words: list[Word] = []
-        self.index: dict = {}
         self.sector: list = []
+        # breadth-first by length so longer words get larger ids; the
+        # children of a word are added together in op order, so the
+        # child of wid under op is first_child[wid] + op (None at the cap)
+        self.first_child: list = []
         for k, (sector, _, _) in enumerate(seeds):
             self._add(Word(k, ()))
-        # breadth-first by length so longer words get larger ids
         frontier = list(range(len(self.words)))
         for _ in range(cap):
             nxt = []
             for wid in frontier:
                 w = self.words[wid]
                 side = self.sector[wid]
-                dim = pair.space(side).dim
-                for op in range(dim):
+                self.first_child[wid] = len(self.words)
+                for op in range(pair.space(side).dim):
                     nxt.append(self._add(Word(w.seed, w.chain + ((side, op),))))
             frontier = nxt
         self.relations = IncrementalSpan(pivot="max")
@@ -367,7 +369,7 @@ class _WordEngine:
     def _add(self, w: Word) -> int:
         wid = len(self.words)
         self.words.append(w)
-        self.index[w] = wid
+        self.first_child.append(None)
         sector = self.seeds[w.seed][0]
         for side, _ in w.chain:
             # acting with side s requires sector s and flips it
@@ -394,20 +396,17 @@ class _WordEngine:
 
     def act(self, side: int, op: int, vec: dict) -> Optional[dict]:
         """Apply a generator to a word vector; wrong-sector words are
-        killed (split structure).  None when the cap is exceeded."""
+        killed (split structure).  None when the cap is exceeded.
+        Distinct words have distinct children, so nothing accumulates."""
         out: dict = {}
+        sector, first_child = self.sector, self.first_child
         for wid, c in vec.items():
-            if self.sector[wid] != side:
+            if sector[wid] != side:
                 continue
-            w = self.words[wid]
-            if len(w) + 1 > self.cap:
+            child = first_child[wid]
+            if child is None:
                 return None
-            nid = self.index[Word(w.seed, w.chain + ((side, op),))]
-            v = out.get(nid, 0) + c
-            if v:
-                out[nid] = v
-            else:
-                out.pop(nid, None)
+            out[child + op] = c
         return out
 
     def _collect(self, seed_relations):
@@ -419,15 +418,10 @@ class _WordEngine:
 
         for rel in seed_relations:
             vec: dict = {}
-            for op, c in rel.combo.items():
-                if self.seeds[rel.seed][0] != rel.side:
-                    continue  # structurally zero
-                wid = self.index[Word(rel.seed, ((rel.side, op),))]
-                vec[wid] = vec.get(wid, 0) + c
-            for s, c in rel.rhs.items():
-                vec[s] = vec.get(s, 0) - c
-            vec = {k: v for k, v in vec.items() if v}
-            push(vec)
+            if self.seeds[rel.seed][0] == rel.side:  # else structurally zero
+                first = self.first_child[rel.seed]
+                vec = {first + op: c for op, c in rel.combo.items() if c}
+            push(axpy(vec, -1, rel.rhs))
 
         pair = self.pair
         d1, d2 = pair.v1.dim, pair.v2.dim
@@ -436,63 +430,30 @@ class _WordEngine:
             if len(self.words[wid]) > self.cap - 3:
                 continue
             base = {wid: Fraction(1)}
+            child = self.first_child[wid]
             if self.sector[wid] == 1:
                 # T1([x,y]_u) w = T1(x)T2(u)T1(y) w - A T1(y)T2(u)T1(x) w
                 for u, x, y in itertools.product(range(d2), range(d1), range(d1)):
-                    vec: dict = {}
-                    for o, c in pair.m1.get((u, x, y), {}).items():
-                        nid = self.index[
-                            Word(self.words[wid].seed, self.words[wid].chain + ((1, o),))
-                        ]
-                        vec[nid] = vec.get(nid, 0) + c
+                    vec = {child + o: c for o, c in pair.m1.get((u, x, y), {}).items()}
                     a = sign_a(p1[x], p2[u], p1[y])
                     t = self.act(1, y, base)
                     t = self.act(2, u, t)
-                    t = self.act(1, x, t)
-                    for k, c in t.items():
-                        v = vec.get(k, 0) - c
-                        if v:
-                            vec[k] = v
-                        else:
-                            vec.pop(k, None)
+                    axpy(vec, -1, self.act(1, x, t))
                     t = self.act(1, x, base)
                     t = self.act(2, u, t)
-                    t = self.act(1, y, t)
-                    for k, c in t.items():
-                        v = vec.get(k, 0) + a * c
-                        if v:
-                            vec[k] = v
-                        else:
-                            vec.pop(k, None)
+                    axpy(vec, a, self.act(1, y, t))
                     push(vec)
             else:
                 # T2([u,v]_x) w = T2(u)T1(x)T2(v) w - A T2(v)T1(x)T2(u) w
                 for x, u, v in itertools.product(range(d1), range(d2), range(d2)):
-                    vec = {}
-                    for o, c in pair.m2.get((x, u, v), {}).items():
-                        nid = self.index[
-                            Word(self.words[wid].seed, self.words[wid].chain + ((2, o),))
-                        ]
-                        vec[nid] = vec.get(nid, 0) + c
+                    vec = {child + o: c for o, c in pair.m2.get((x, u, v), {}).items()}
                     a = sign_a(p2[u], p1[x], p2[v])
                     t = self.act(2, v, base)
                     t = self.act(1, x, t)
-                    t = self.act(2, u, t)
-                    for k, c in t.items():
-                        w2 = vec.get(k, 0) - c
-                        if w2:
-                            vec[k] = w2
-                        else:
-                            vec.pop(k, None)
+                    axpy(vec, -1, self.act(2, u, t))
                     t = self.act(2, u, base)
                     t = self.act(1, x, t)
-                    t = self.act(2, v, t)
-                    for k, c in t.items():
-                        w2 = vec.get(k, 0) + a * c
-                        if w2:
-                            vec[k] = w2
-                        else:
-                            vec.pop(k, None)
+                    axpy(vec, a, self.act(2, v, t))
                     push(vec)
 
         # close the relation span under left multiplication
@@ -572,12 +533,7 @@ class _WordEngine:
                 for v in S:
                     img: dict = {}
                     for cls, c in v.items():
-                        for k, d in images[(basis[cls], g)].items():
-                            x = img.get(k, 0) + c * d
-                            if x:
-                                img[k] = x
-                            else:
-                                img.pop(k, None)
+                        axpy(img, c, images[(basis[cls], g)])
                     residual, _ = span.reduce(img)
                     rows.append(residual)
             cols = len(S)
@@ -596,12 +552,7 @@ class _WordEngine:
                 v: dict = {}
                 for c, s_vec in zip(lam, S):
                     if c:
-                        for k, x in s_vec.items():
-                            y = v.get(k, 0) + c * x
-                            if y:
-                                v[k] = y
-                            else:
-                                v.pop(k, None)
+                        axpy(v, c, s_vec)
                 if v:
                     new_S.append(v)
             S = new_S
@@ -833,18 +784,10 @@ def induced_split_module(
                 if sector_of[v] == 1:
                     for i, c in enumerate(emb):
                         if c:
-                            img = engine.act(1, i, {v: Fraction(c)})
-                            for k, cc in img.items():
-                                got[k] = got.get(k, 0) + cc
+                            axpy(got, 1, engine.act(1, i, {v: Fraction(c)}))
                 residual, _ = engine.relations.reduce(got)
                 want_red, _ = engine.relations.reduce(dict(want))
-                diff = dict(residual)
-                for k, c in want_red.items():
-                    v2 = diff.get(k, 0) - c
-                    if v2:
-                        diff[k] = v2
-                    else:
-                        diff.pop(k, None)
+                diff = axpy(dict(residual), -1, want_red)
                 if diff:
                     count += 1
                     if len(failures) < cap:

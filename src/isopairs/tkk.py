@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import IncrementalSpan, Matrix
+from .exactlin import IncrementalSpan, Matrix, axpy
 from .pairs import (
     ISOTOPIC,
     SUPER_JORDAN,
@@ -370,36 +370,17 @@ def check_superalgebra(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> Veri
     def ad(i, vec: dict) -> dict:
         out: dict = {}
         for j, c in vec.items():
-            for k, d in a.bracket_basis(i, j).items():
-                v = out.get(k, 0) + c * d
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+            axpy(out, c, a.bracket_basis(i, j))
         return out
 
     # [a,[b,c]] = [[a,b],c] + (-1)^(p(a)p(b)) [b,[a,c]]
     failures, count = [], 0
     for i, j, k in itertools.product(range(N), repeat=3):
-        lhs = ad(i, a.bracket_basis(j, k))
-        first: dict = {}
+        res = ad(i, a.bracket_basis(j, k))
         for m, c in a.bracket_basis(i, j).items():
-            for o, d in a.bracket_basis(m, k).items():
-                v = first.get(o, 0) + c * d
-                if v:
-                    first[o] = v
-                else:
-                    first.pop(o, None)
+            axpy(res, -c, a.bracket_basis(m, k))
         s = -1 if hat[i] * hat[j] % 2 else 1
-        second = ad(j, a.bracket_basis(i, k))
-        res = dict(lhs)
-        for src, sgn in ((first, 1), (second, s)):
-            for o, c in src.items():
-                v = res.get(o, 0) - sgn * c
-                if v:
-                    res[o] = v
-                else:
-                    res.pop(o, None)
+        axpy(res, -s, ad(j, a.bracket_basis(i, k)))
         if res:
             count += 1
             if len(failures) < cap:
@@ -502,12 +483,7 @@ def lts_from_pair(pair: PairStructure, verified: bool = False) -> PolarizedLTS:
         ai, aj, ak = n0 + i, n0 + j, n0 + k
         out: dict = {}
         for m, c in alg.bracket_basis(ai, aj).items():
-            for o, d in alg.bracket_basis(m, ak).items():
-                v = out.get(o, 0) + c * d
-                if v:
-                    out[o] = v
-                else:
-                    out.pop(o, None)
+            axpy(out, c, alg.bracket_basis(m, ak))
         out = {o - n0: c for o, c in out.items()}
         if any(o < 0 or o >= N for o in out):
             raise RuntimeError("triple product escaped g1")
@@ -555,13 +531,7 @@ def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
     for i, j, k in itertools.product(range(N), repeat=3):
         res: dict = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            s = -1 if p[a] * p[c] % 2 else 1
-            for o, v in T(a, b, c).items():
-                w = res.get(o, 0) + s * v
-                if w:
-                    res[o] = w
-                else:
-                    res.pop(o, None)
+            axpy(res, -1 if p[a] * p[c] % 2 else 1, T(a, b, c))
         if res:
             count += 1
             if len(failures) < cap:
@@ -581,9 +551,7 @@ def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
         by_last.setdefault(k, []).append((i, j, out))
 
     def add(acc, key, f, out):
-        res = acc.setdefault(key, {})
-        for o, v in out.items():
-            res[o] = res.get(o, 0) + f * v
+        axpy(acc.setdefault(key, {}), f, out)
 
     failures, count = [], 0
     total = N**5
@@ -610,7 +578,7 @@ def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
                 for c, d, out in by_last.get(k, ()):
                     add(acc, (c, d, e), x if pab * (p[c] + p[d]) % 2 else -x, out)
         for (c, d, e) in sorted(acc):
-            res = {o: v for o, v in acc[(c, d, e)].items() if v}
+            res = acc[(c, d, e)]
             if res:
                 count += 1
                 if len(failures) < cap:

@@ -248,3 +248,40 @@ def test_rep_check_malformed_split_exit_2(tmp_path, capsys, split):
     assert run(["rep", "check", str(f)]) == 2
     err = capsys.readouterr().err
     assert _single_error_line(err) and "not a representation file" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "0", "--m", "0"],
+        ["--n", "-1"],
+        ["--maxdeg", "-1"],
+        ["--maxdeg", "0"],
+        ["--trials", "-3"],
+        ["--m", "-1", "--bracket-fields", "dx1", "x1*dx1", "x1"],
+    ],
+)
+def test_poly_check_bad_options_exit_2(capsys, argv):
+    assert run(["poly-check", *argv]) == 2
+    assert _single_error_line(capsys.readouterr().err)
+
+
+def test_poly_check_zero_trials_passes(capsys):
+    assert run(["poly-check", "--trials", "0"]) == 0
+    assert "verdict: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gl:-1,2"], ["gl:0,0"], ["gl:1"], ["osp+:0,0"], ["osp-:-1,1"], ["q:0"],
+        ["osq:-1"], ["wo:0,0"], ["wo:-1,2"], ["flip:gl:-1,2"],
+        ["wo:1,1", "--trials", "-3"],
+    ],
+)
+def test_make_bad_sizes_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    assert run(["make", *argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and "need" in err
+    assert not out.exists()

@@ -10,6 +10,7 @@ from isopairs.exactlin import (
     DimensionMismatch,
     IncrementalSpan,
     Matrix,
+    axpy,
     intersect_spans,
     invert,
     kernel_basis,
@@ -21,6 +22,9 @@ from isopairs.exactlin import (
     span_basis,
     unit_vec,
     vec,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
 
 F = Fraction
@@ -250,3 +254,37 @@ def test_incremental_span_matches_rref(case, pivot, track):
                 for c, x in kept[j].items():
                     got[c] = got.get(c, F(0)) + f * x
             assert {c: x for c, x in got.items() if x} == v
+
+
+NKEYS = 6
+keys = st.integers(0, NKEYS - 1)
+sparse_dicts = st.dictionaries(keys, rationals.filter(lambda x: x != 0), max_size=NKEYS)
+factors = st.one_of(st.sampled_from([1, -1, F(1), F(-1), 0]), rationals)
+
+
+# v may hold zero values; acc, as every result, holds none
+@given(sparse_dicts, factors, st.dictionaries(keys, rationals, max_size=NKEYS), st.booleans())
+@settings(max_examples=200)
+def test_axpy_matches_dense_oracle(acc, f, v, cancel):
+    if cancel and f:  # acc holds -f v on some keys, which must drop out
+        acc.update({k: -f * x for k, x in list(v.items())[::2]})
+    want = [acc.get(k, F(0)) + f * v.get(k, F(0)) for k in range(NKEYS)]
+    out = dict(acc)
+    assert axpy(out, f, v) is out
+    assert out == {k: x for k, x in enumerate(want) if x}
+    assert all(type(x) is F for x in out.values())
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(*[st.lists(sparse_entries, min_size=n, max_size=n)] * 2)
+), rationals)
+@settings(max_examples=200)
+def test_vec_ops_match_dense_oracle(ab, c):
+    a, b = (tuple(u) for u in ab)
+    for got, want in (
+        (vec_add(a, b), [x + y for x, y in zip(a, b)]),
+        (vec_sub(a, b), [x - y for x, y in zip(a, b)]),
+        (vec_scale(c, a), [c * x for x in a]),
+    ):
+        assert list(got) == want
+        assert all(type(x) is F for x in got)

@@ -1,5 +1,6 @@
 """Grassmann polynomials, super vector fields, and the W-O pair."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -220,3 +221,92 @@ def test_parse_field():
 def test_parse_round_trip_through_pretty():
     p = parse_poly("2*x1*t1 - 1/3*t2", 1, 2)
     assert parse_poly(p.pretty(), 1, 2) == p
+
+
+# -- arithmetic results against the validating constructor -------------------
+
+
+def _koszul(oa, ob):
+    """Sign of sorting the odd block oa + ob by adjacent swaps; 0 on a
+    repeated odd variable."""
+    seq = list(oa + ob)
+    if len(set(seq)) < len(seq):
+        return 0
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(len(seq) - 1 - i):
+            if seq[j] > seq[j + 1]:
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+                sign = -sign
+    return sign
+
+
+@st.composite
+def poly_cases(draw):
+    n, m = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (0, 3)]))
+    monos = [
+        (exps, odd)
+        for exps in itertools.product(range(3), repeat=n)
+        for k in range(m + 1)
+        for odd in itertools.combinations(range(1, m + 1), k)
+    ]
+    coeffs = st.sampled_from([F(-2), F(-1), F(-1, 2), F(1, 3), F(1), F(2)])
+    terms = st.dictionaries(st.sampled_from(monos), coeffs, max_size=4)
+    a, b = draw(terms), draw(terms)
+    if draw(st.booleans()):  # b cancels a on some monomials
+        b.update({k: -c for k, c in a.items() if draw(st.booleans())})
+    c = draw(st.sampled_from([F(0), F(1), F(-1), F(3, 2), -3]))
+    return n, m, P(n, m, a), P(n, m, b), c
+
+
+def _oracle(n, m, contributions):
+    acc = {}
+    for k, c in contributions:
+        acc[k] = acc.get(k, 0) + c
+    return P(n, m, acc)
+
+
+def _results_and_oracles(n, m, a, b, c):
+    A, B = list(a.terms.items()), list(b.terms.items())
+    yield a + b, _oracle(n, m, A + B)
+    yield a - b, _oracle(n, m, A + [(k, -v) for k, v in B])
+    yield a.scale(c), _oracle(n, m, [(k, c * v) for k, v in A])
+    yield a * b, _oracle(n, m, [
+        ((tuple(x + y for x, y in zip(ea, eb)), tuple(sorted(oa + ob))),
+         _koszul(oa, ob) * ca * cb)
+        for (ea, oa), ca in A for (eb, ob), cb in B
+    ])
+    for i in range(1, n + 1):
+        yield a.d_even(i), _oracle(n, m, [
+            ((e[: i - 1] + (e[i - 1] - 1,) + e[i:], o), e[i - 1] * v)
+            for (e, o), v in A if e[i - 1]
+        ])
+    for j in range(1, m + 1):
+        yield a.d_odd(j), _oracle(n, m, [
+            ((e, tuple(t for t in o if t != j)), (-1) ** o.index(j) * v)
+            for (e, o), v in A if j in o
+        ])
+
+
+@given(poly_cases())
+@settings(max_examples=150)
+def test_results_match_validating_constructor(case):
+    n, m, a, b, c = case
+    for r, expected in _results_and_oracles(n, m, a, b, c):
+        assert r == expected
+        assert SuperPolynomial(n, m, r.terms) == r
+        for (exps, odd), v in r.terms.items():
+            assert type(v) is Fraction and v != 0
+            assert type(exps) is tuple and len(exps) == n
+            assert all(type(e) is int and e >= 0 for e in exps)
+            assert type(odd) is tuple and list(odd) == sorted(set(odd))
+            assert all(1 <= j <= m for j in odd)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{((0, 0), ()): 1}, {((0,), (2,)): 1}, {((0,), (0,)): 1}, {((0,), (1, 1)): 1}],
+)
+def test_constructor_rejects_malformed_monomials(terms):
+    with pytest.raises(ValueError, match="malformed monomial"):
+        P(1, 1, terms)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isopairs import reps as R
 from isopairs.constructions import (
@@ -309,3 +311,72 @@ def test_engine_deterministic():
     b = R.isoquaternion_fundamental()
     assert a.rep.to_json() == b.rep.to_json()
     assert a.basis_labels == b.basis_labels
+
+
+def _bare_engine(cap=3):
+    """A word engine on a zero pair with dim V1 != dim V2 and a seed in
+    each sector, so child ids of the two sectors are not interchangeable."""
+    v1 = SuperSpace.make(["a0", "a1"], [0, 1])
+    v2 = SuperSpace.make(["b0", "b1", "b2"], [0, 0, 1])
+    pair = PairStructure(v1, v2, "isotopic", {}, {})
+    seeds = [(1, "s1", 0), (2, "s2", 0), (1, "s3", 1)]
+    return R._WordEngine(pair, seeds, [], cap)
+
+
+ENGINE = _bare_engine()
+
+
+def _sector(engine, w):
+    start = engine.seeds[w.seed][0]
+    return start if len(w.chain) % 2 == 0 else 3 - start
+
+
+def test_word_engine_child_ids():
+    eng = ENGINE
+    for wid, w in enumerate(eng.words):
+        assert eng.sector[wid] == _sector(eng, w)
+        if len(w) == eng.cap:
+            assert eng.first_child[wid] is None
+            continue
+        side = eng.sector[wid]
+        for op in range(eng.pair.space(side).dim):
+            child = eng.words[eng.first_child[wid] + op]
+            assert child == R.Word(w.seed, w.chain + ((side, op),))
+
+
+@st.composite
+def word_vectors(draw):
+    eng = ENGINE
+    side = draw(st.sampled_from([1, 2]))
+    op = draw(st.integers(0, eng.pair.space(side).dim - 1))
+    wids = draw(st.lists(st.integers(0, len(eng.words) - 1), max_size=6, unique=True))
+    coeffs = st.fractions(min_value=-3, max_value=3).filter(lambda x: x != 0)
+    return side, op, {wid: draw(coeffs) for wid in wids}
+
+
+@given(word_vectors())
+@settings(max_examples=200)
+def test_word_engine_act_matches_chain_oracle(case):
+    side, op, vec = case
+    eng = ENGINE
+    index = {w: wid for wid, w in enumerate(eng.words)}
+    moved = {wid: c for wid, c in vec.items() if _sector(eng, eng.words[wid]) == side}
+    got = eng.act(side, op, vec)
+    if any(len(eng.words[wid]) == eng.cap for wid in moved):
+        assert got is None
+        return
+    want = {}
+    for wid, c in moved.items():
+        w = eng.words[wid]
+        key = index[R.Word(w.seed, w.chain + ((side, op),))]
+        want[key] = want.get(key, 0) + c
+    assert got == want
+
+
+def test_word_engine_act_at_the_cap():
+    eng = ENGINE
+    last = len(eng.words) - 1
+    side = eng.sector[last]
+    assert len(eng.words[last]) == eng.cap
+    assert eng.act(side, 0, {last: F(1)}) is None
+    assert eng.act(3 - side, 0, {last: F(1)}) == {}
