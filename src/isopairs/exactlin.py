@@ -10,6 +10,7 @@ word-module engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -303,13 +304,16 @@ class IncrementalSpan:
     """Growing span with sparse echelon rows and membership solving.
 
     Vectors are sparse dicts column->Fraction.  Rows are kept in echelon
-    form: each row has a unit pivot at the first column of its support
-    in the ``pivot`` order (its minimum for "min", maximum for "max"),
-    and no two rows share a pivot.  Rows are not reduced against later
-    pivots, so an insert touches only the new row.  When
-    ``track_combos`` is set, each row remembers its expression in the
-    inserted vectors, so ``solve`` can return exact coefficients over
-    the insertion order.
+    form, as primitive integer dicts: each row's pivot, the first column
+    of its support in the ``pivot`` order (its minimum for "min",
+    maximum for "max"), holds a positive entry p, row / p is the
+    unit-pivot row, and no two rows share a pivot.  Rows are not
+    reduced against later pivots, so an insert touches only the new
+    row.  Reduction is fraction-free, after Bareiss: a vector is scaled
+    to integers once, and a step multiplies it by p / gcd instead of
+    dividing by p.  When ``track_combos`` is set, each row remembers its
+    unit-pivot form's expression in the inserted vectors, so ``solve``
+    can return exact coefficients over the insertion order.
     """
 
     def __init__(self, track_combos: bool = False, pivot: str = "min"):
@@ -330,16 +334,11 @@ class IncrementalSpan:
     def pivots(self) -> set:
         return set(self.row_by_pivot)
 
-    def reduce(self, v: dict) -> tuple[dict, dict]:
-        """Residual of v modulo the span, and the row combination used
-        (over inserted-vector indices when tracked, else over rows).
-
-        The residual is the normal form of v: the only vector congruent
-        to v modulo the span with no entries at pivot columns, since a
-        nonzero span element has an entry at the pivot of the first row,
-        in pivot order, that it uses.
-        """
-        r = {c: Fraction(x) for c, x in v.items() if x}
+    def _reduce(self, v: dict) -> tuple[dict, int, dict]:
+        """(r, D, combo): the residual of v is r / D, with r an integer
+        dict; the combo is as in ``reduce``."""
+        D = math.lcm(*(x.denominator for x in v.values()))
+        r = {c: x.numerator * (D // x.denominator) for c, x in v.items() if x}
         combo: dict = {}
         # clear reducible columns in pivot order: a row's entries lie at
         # or after its pivot in that order, so each step writes only to
@@ -350,40 +349,63 @@ class IncrementalSpan:
                 break
             col = self._pick(cols)
             i = self.row_by_pivot[col]
-            f = r[col]
-            axpy(r, -f, self.rows[i])
-            axpy(combo, f, self.combos[i] if self.track_combos else {i: ONE})
-        return r, combo
+            row = self.rows[i]
+            a, p = r[col], row[col]
+            if self.track_combos:
+                axpy(combo, Fraction(a, D), self.combos[i])
+            if p != 1:  # r <- (p/g) r - (a/g) row stays integral
+                g = math.gcd(a, p)
+                a, p = a // g, p // g
+                for c in r:
+                    r[c] *= p
+                D *= p
+            axpy(r, -a, row)
+        g = math.gcd(D, *r.values())
+        if g != 1:
+            r, D = {c: x // g for c, x in r.items()}, D // g
+        return r, D, combo
+
+    def reduce(self, v: dict) -> tuple[dict, dict]:
+        """Residual of v modulo the span, and the combination of inserted
+        vectors it subtracts (``{}`` unless combos are tracked).
+
+        The residual is the normal form of v: the only vector congruent
+        to v modulo the span with no entries at pivot columns, since a
+        nonzero span element has an entry at the pivot of the first row,
+        in pivot order, that it uses.
+        """
+        r, D, combo = self._reduce(v)
+        return {c: Fraction(x, D) for c, x in r.items()}, combo
 
     def insert(self, v: dict) -> bool:
         """Add v to the span; returns True iff the rank grew.  Only
         rank-growing insertions consume a combo index, so ``solve``
         coefficients refer to the kept vectors in insertion order."""
-        r, combo = self.reduce(v)
+        r, D, combo = self._reduce(v)
         if not r:
             return False
         idx = self.inserted
         self.inserted += 1
         pivot = self._pick(r)
-        inv = ONE / r[pivot]
         if self.track_combos:
+            inv = Fraction(D, r[pivot])
             combo = {j: -x * inv for j, x in combo.items()}
             combo[idx] = inv
+        g = math.gcd(*r.values()) if r[pivot] > 0 else -math.gcd(*r.values())
         self.row_by_pivot[pivot] = len(self.rows)
-        self.rows.append({c: x * inv for c, x in r.items()})
-        self.combos.append(combo if self.track_combos else {})
+        self.rows.append({c: x // g for c, x in r.items()})
+        self.combos.append(combo)
         return True
 
     def contains(self, v: dict) -> bool:
-        r, _ = self.reduce(v)
-        return not r
+        return not self._reduce(v)[0]
 
     def solve(self, v: dict) -> Optional[dict]:
         """Coefficients over the inserted vectors, or None if v is
         outside the span (requires track_combos)."""
         if not self.track_combos:
             raise ValueError("span was built without combo tracking")
-        r, combo = self.reduce(v)
+        r, _, combo = self._reduce(v)
         if r:
             return None
         return combo

@@ -58,6 +58,11 @@ class SuperPolynomial:
             if not c:
                 continue
             exps = tuple(int(e) for e in exps)
+            # sorting the odd block reorders anticommuting variables:
+            # the coefficient picks up the sign of the permutation
+            inversions = sum(1 for k, i in enumerate(odd) for j in odd[k + 1 :] if j < i)
+            if inversions % 2:
+                c = -c
             odd = tuple(sorted(odd))
             if len(exps) != n or len(set(odd)) != len(odd) or any(
                 j < 1 or j > m for j in odd

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import IncrementalSpan, Matrix, axpy, invert, scalar_to_str
+from .exactlin import ONE, IncrementalSpan, Matrix, axpy, invert, scalar_to_str
 from .pairs import (
     ISOTOPIC,
     AxiomReport,
@@ -486,7 +486,7 @@ class _WordEngine:
         words, that the generators map into itself.  Returned as
         vectors in word coordinates.
         """
-        from .exactlin import kernel_basis as _kernel
+        from .exactlin import rref  # looked up per call, as the per-layer trace wraps it
 
         basis = self._classes()
         pos = {wid: k for k, wid in enumerate(basis)}
@@ -544,15 +544,17 @@ class _WordEngine:
                     matrix_rows.append([b.get(coord, Fraction(0)) for b in block])
             if not matrix_rows:
                 break  # fully invariant already
-            ker = _kernel(Matrix.from_rows(matrix_rows))
-            if len(ker) == cols:
+            rank, red, pivots = rref(Matrix.from_rows(matrix_rows))
+            if rank == 0:
                 break
+            # kernel vector of free column f: e_f - sum_r red[r, f] e_(pivot r),
+            # recombined over its nonzero coefficients in column order
             new_S = []
-            for lam in ker:
+            for f in sorted(set(range(cols)) - set(pivots)):
+                terms = [(c, -red[r, f]) for r, c in enumerate(pivots) if red[r, f]]
                 v: dict = {}
-                for c, s_vec in zip(lam, S):
-                    if c:
-                        axpy(v, c, s_vec)
+                for c, x in sorted(terms + [(f, ONE)]):
+                    axpy(v, x, S[c])
                 if v:
                     new_S.append(v)
             S = new_S

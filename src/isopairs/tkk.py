@@ -34,6 +34,7 @@ checked exhaustively on basis tuples.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -52,6 +53,19 @@ from .pairs import (
 from .supercore import SuperSpace
 
 FAILURE_CAP = 25
+
+
+def _int_scaled(tensor: dict) -> tuple[int, dict]:
+    """(scale, tensor * scale as ints), scale the lcm of the denominators:
+    the checkers run on ints and give a residual of degree k in the
+    tensor back as _unscaled(res, scale**k)."""
+    scale = math.lcm(*(c.denominator for out in tensor.values() for c in out.values()))
+    ints = lambda out: {o: c.numerator * (scale // c.denominator) for o, c in out.items()}
+    return scale, {key: ints(out) for key, out in tensor.items()}
+
+
+def _unscaled(res: dict, denom: int) -> dict:
+    return {k: Fraction(x, denom) for k, x in res.items()}
 
 
 class PreconditionError(ValueError):
@@ -315,20 +329,22 @@ def check_superalgebra(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> Veri
     exhaustive super-Jacobi identity on all basis triples."""
     N = a.dim
     hat = a.parities
+    scale, table = _int_scaled(a.table)
+    bracket = lambda i, j: table.get((i, j), {})
     reports = []
 
     failures, count = [], 0
     for i, j in itertools.product(range(N), repeat=2):
         s = -1 if hat[i] * hat[j] % 2 else 1
-        lhs = a.bracket_basis(i, j)
-        rhs = a.bracket_basis(j, i)
+        lhs = bracket(i, j)
+        rhs = bracket(j, i)
         keys = set(lhs) | set(rhs)
         res = {k: lhs.get(k, 0) + s * rhs.get(k, 0) for k in keys}
         res = {k: v for k, v in res.items() if v}
         if res:
             count += 1
             if len(failures) < cap:
-                failures.append(Failure({"i": i, "j": j}, res))
+                failures.append(Failure({"i": i, "j": j}, _unscaled(res, scale)))
     reports.append(AxiomReport("superalgebra.antisymmetry", 0, N * N, count, failures))
 
     failures, count = [], 0
@@ -336,11 +352,11 @@ def check_superalgebra(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> Veri
     minus = [i for i in range(N) if a.grading[i] == "-"]
     for block in (plus, minus):
         for i, j in itertools.product(block, repeat=2):
-            res = a.bracket_basis(i, j)
+            res = bracket(i, j)
             if res:
                 count += 1
                 if len(failures) < cap:
-                    failures.append(Failure({"i": i, "j": j}, dict(res)))
+                    failures.append(Failure({"i": i, "j": j}, _unscaled(res, scale)))
     reports.append(
         AxiomReport(
             "superalgebra.polarization",
@@ -355,12 +371,12 @@ def check_superalgebra(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> Veri
     zero = [i for i in range(N) if a.grading[i] == "0"]
     for i in zero:
         for j in plus + minus:
-            out = a.bracket_basis(i, j)
+            out = bracket(i, j)
             bad = {k: c for k, c in out.items() if a.grading[k] != a.grading[j]}
             if bad:
                 count += 1
                 if len(failures) < cap:
-                    failures.append(Failure({"i": i, "j": j}, bad))
+                    failures.append(Failure({"i": i, "j": j}, _unscaled(bad, scale)))
     reports.append(
         AxiomReport(
             "superalgebra.submodule", 0, len(zero) * (len(plus) + len(minus)), count, failures
@@ -370,21 +386,21 @@ def check_superalgebra(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> Veri
     def ad(i, vec: dict) -> dict:
         out: dict = {}
         for j, c in vec.items():
-            axpy(out, c, a.bracket_basis(i, j))
+            axpy(out, c, bracket(i, j))
         return out
 
     # [a,[b,c]] = [[a,b],c] + (-1)^(p(a)p(b)) [b,[a,c]]
     failures, count = [], 0
     for i, j, k in itertools.product(range(N), repeat=3):
-        res = ad(i, a.bracket_basis(j, k))
-        for m, c in a.bracket_basis(i, j).items():
-            axpy(res, -c, a.bracket_basis(m, k))
+        res = ad(i, bracket(j, k))
+        for m, c in bracket(i, j).items():
+            axpy(res, -c, bracket(m, k))
         s = -1 if hat[i] * hat[j] % 2 else 1
-        axpy(res, -s, ad(j, a.bracket_basis(i, k)))
+        axpy(res, -s, ad(j, bracket(i, k)))
         if res:
             count += 1
             if len(failures) < cap:
-                failures.append(Failure({"i": i, "j": j, "k": k}, res))
+                failures.append(Failure({"i": i, "j": j, "k": k}, _unscaled(res, scale**2)))
     reports.append(AxiomReport("superalgebra.super_jacobi", 0, N**3, count, failures))
     return VerifyReport("superalgebra", reports)
 
@@ -500,7 +516,8 @@ def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
     """Polarization plus the documented graded triple-system axioms."""
     N = l.dim
     p = l.space.parities
-    T = l.product_basis
+    scale, tensor = _int_scaled(l.tensor)
+    T = lambda i, j, k: tensor.get((i, j, k), {})
     reports = []
 
     failures, count = [], 0
@@ -510,7 +527,7 @@ def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
             if res:
                 count += 1
                 if len(failures) < cap:
-                    failures.append(Failure({"a": i, "b": j, "c": k}, dict(res)))
+                    failures.append(Failure({"a": i, "b": j, "c": k}, _unscaled(res, scale)))
     reports.append(AxiomReport("lts.polarization", 0, N**3, count, failures))
 
     failures, count = [], 0
@@ -524,7 +541,7 @@ def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
         if res:
             count += 1
             if len(failures) < cap:
-                failures.append(Failure({"a": i, "b": j, "c": k}, res))
+                failures.append(Failure({"a": i, "b": j, "c": k}, _unscaled(res, scale)))
     reports.append(AxiomReport("lts.antisymmetry", 0, N**3, count, failures))
 
     failures, count = [], 0
@@ -535,7 +552,7 @@ def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
         if res:
             count += 1
             if len(failures) < cap:
-                failures.append(Failure({"a": i, "b": j, "c": k}, res))
+                failures.append(Failure({"a": i, "b": j, "c": k}, _unscaled(res, scale)))
     reports.append(AxiomReport("lts.cyclic", 0, N**3, count, failures))
 
     # [a b [c d e]] - [[a b c] d e] - s2 [c [a b d] e] - s3 [c d [a b e]],
@@ -545,7 +562,7 @@ def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
     by_first: dict = {}
     by_mid: dict = {}
     by_last: dict = {}
-    for (i, j, k), out in l.tensor.items():
+    for (i, j, k), out in tensor.items():
         by_first.setdefault(i, []).append((j, k, out))
         by_mid.setdefault(j, []).append((i, k, out))
         by_last.setdefault(k, []).append((i, j, out))
@@ -560,7 +577,7 @@ def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
         if not L:
             continue
         acc: dict = {}
-        for key, out in l.tensor.items():  # [a b [c d e]]
+        for key, out in tensor.items():  # [a b [c d e]]
             for k, x in out.items():
                 if k in L:
                     add(acc, key, x, L[k])
@@ -582,8 +599,7 @@ def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
             if res:
                 count += 1
                 if len(failures) < cap:
-                    failures.append(
-                        Failure({"a": a, "b": b, "c": c, "d": d, "e": e}, res)
-                    )
+                    where = {"a": a, "b": b, "c": c, "d": d, "e": e}
+                    failures.append(Failure(where, _unscaled(res, scale**2)))
     reports.append(AxiomReport("lts.derivation", 0, total, count, failures))
     return VerifyReport("lts", reports)

@@ -203,9 +203,9 @@ def _normal_form(vectors, v, n, pivot):
 
 
 @st.composite
-def span_cases(draw):
+def span_cases(draw, entries=sparse_entries):
     n = draw(st.integers(1, 7))
-    sparse = st.lists(sparse_entries, min_size=n, max_size=n).map(
+    sparse = st.lists(entries, min_size=n, max_size=n).map(
         lambda row: {c: x for c, x in enumerate(row) if x}
     )
     inserted = draw(st.lists(sparse, max_size=8))
@@ -221,10 +221,9 @@ def span_cases(draw):
     return n, inserted, probes
 
 
-@given(span_cases(), st.sampled_from(["min", "max"]), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_incremental_span_matches_rref(case, pivot, track):
-    n, inserted, probes = case
+def _check_span(n, inserted, probes, pivot, track):
+    """IncrementalSpan against a dense rref: rank, pivots, residuals,
+    membership and solve coefficients, all returned as Fractions."""
 
     def dense(u):
         return vec(u.get(c, 0) for c in range(n))
@@ -242,6 +241,7 @@ def test_incremental_span_matches_rref(case, pivot, track):
     for v in inserted + probes:
         residual, _ = span.reduce(v)
         assert residual == _normal_form(inserted, v, n, pivot)[1]
+        assert all(type(x) is F for x in residual.values())
         in_span = solve_in_span([dense(u) for u in kept], dense(v)) is not None
         assert span.contains(v) == in_span
         if not track:
@@ -249,11 +249,48 @@ def test_incremental_span_matches_rref(case, pivot, track):
         coeffs = span.solve(v)
         assert (coeffs is not None) == in_span
         if coeffs is not None:
+            assert all(type(x) is F for x in coeffs.values())
             got = {}
             for j, f in coeffs.items():
                 for c, x in kept[j].items():
                     got[c] = got.get(c, F(0)) + f * x
             assert {c: x for c, x in got.items() if x} == v
+
+
+@given(span_cases(), st.sampled_from(["min", "max"]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_incremental_span_matches_rref(case, pivot, track):
+    _check_span(*case, pivot, track)
+
+
+# entries past 2^61 over odd denominators: integer rows get non-unit
+# pivots, and reductions scale the residual's denominator up step by step
+big_rationals = st.builds(
+    lambda k, d, s: F(s * (2**61 + k), d),
+    st.integers(0, 40),
+    st.sampled_from([1, 3, 7, 15, 2**31 - 1]),
+    st.sampled_from([1, -1]),
+)
+big_entries = st.one_of(st.just(F(0)), rationals, big_rationals)
+
+
+@given(span_cases(big_entries), st.sampled_from(["min", "max"]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_incremental_span_integer_rows_match_rref(case, pivot, track):
+    _check_span(*case, pivot, track)
+
+
+@pytest.mark.parametrize("pivot", ["min", "max"])
+@pytest.mark.parametrize("track", [False, True])
+def test_incremental_span_non_unit_pivots(pivot, track):
+    # the first two vectors give integer rows with pivot entries 2 and 5
+    # (3 and 21 under "max"), so reducing a unit probe scales its
+    # denominator up to 10 (or 21)
+    big = F(2**61 + 1, 2**31 - 1)
+    inserted = [{0: F(2), 1: F(3)}, {1: F(5, 3), 2: F(7, 3)}, {0: big, 2: F(1, 9)}]
+    probes = [{0: F(1)}, {1: F(1)}, {2: F(1)}, {0: big, 1: -big, 2: big}]
+    _check_span(3, inserted[:2], probes, pivot, track)
+    _check_span(3, inserted, probes, pivot, track)
 
 
 NKEYS = 6

@@ -310,3 +310,13 @@ def test_results_match_validating_constructor(case):
 def test_constructor_rejects_malformed_monomials(terms):
     with pytest.raises(ValueError, match="malformed monomial"):
         P(1, 1, terms)
+
+
+def test_constructor_signs_unsorted_odd_blocks():
+    t = [P.t(1, 3, j) for j in (1, 2, 3)]
+    assert P(1, 3, {((0,), (2, 1)): 1}) == t[1] * t[0] == -(t[0] * t[1])
+    # (3, 1, 2) is an even permutation of (1, 2, 3), (3, 2, 1) an odd one
+    assert P(1, 3, {((0,), (3, 1, 2)): 2}) == (t[0] * t[1] * t[2]).scale(2)
+    assert P(1, 3, {((0,), (3, 2, 1)): 1}) == t[2] * t[1] * t[0] == -(t[0] * t[1] * t[2])
+    # the two orders of one monomial cancel
+    assert P(1, 3, {((1,), (1, 3)): 1, ((1,), (3, 1)): 1}) == P.zero(1, 3)

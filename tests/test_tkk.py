@@ -9,7 +9,7 @@ import pytest
 
 from isopairs import tkk
 from isopairs.constructions import isoquaternionic_pair, series_gl, series_osp, series_q
-from isopairs.pairs import AxiomReport, Failure, PairStructure
+from isopairs.pairs import AxiomReport, Failure, PairStructure, VerifyReport
 from isopairs.supercore import SuperSpace
 
 F = Fraction
@@ -167,20 +167,23 @@ def test_perturbed_lts_fails():
     assert not tkk.check_lts_axioms(bad).passed
 
 
+def _combine(terms):
+    """sum f * prod(k) * c over the components k, c of each vec."""
+    out = {}
+    for f, vec, prod in terms:
+        for k, c in vec.items():
+            for o, d in prod(k).items():
+                out[o] = out.get(o, 0) + f * c * d
+    return {o: v for o, v in out.items() if v}
+
+
 def _derivation_oracle(l, cap=tkk.FAILURE_CAP):
     """lts.derivation as a plain loop over all N^5 basis tuples, the
     reference for the sparse join in check_lts_axioms."""
     N = l.dim
     p = l.space.parities
     T = l.product_basis
-
-    def combine(terms):
-        out = {}
-        for f, vec, prod in terms:
-            for k, c in vec.items():
-                for o, d in prod(k).items():
-                    out[o] = out.get(o, 0) + f * c * d
-        return {o: v for o, v in out.items() if v}
+    combine = _combine
 
     failures, count = [], 0
     for a, b, c, d, e in itertools.product(range(N), repeat=5):
@@ -240,4 +243,184 @@ def test_lts_derivation_matches_loop_oracle(build, seed, edits):
     want.reports[-1] = _derivation_oracle(lts)
     assert got.to_json() == want.to_json()
     # past the cap, so the order of the kept failures is compared too
+    assert got.reports[-1].failure_count > tkk.FAILURE_CAP
+
+
+# Fraction oracles for every hull and triple-system axiom, one plain
+# loop per basis tuple, the reference for the integer-scaled checkers
+
+
+def _loop_report(name, letters, tuples, residual, cap=tkk.FAILURE_CAP):
+    failures, count, total = [], 0, 0
+    for t in tuples:
+        total += 1
+        res = {o: v for o, v in residual(*t).items() if v}
+        if res:
+            count += 1
+            if len(failures) < cap:
+                failures.append(Failure(dict(zip(letters, t)), res))
+    return AxiomReport(name, 0, total, count, failures)
+
+
+def _lts_oracle(l):
+    N, p, T = l.dim, l.space.parities, l.product_basis
+
+    def sign(x, y):
+        return -1 if p[x] * p[y] % 2 else 1
+
+    def ident(k):
+        return {k: F(1)}
+
+    def polarization(i, j, k):
+        same = l.summand(i) == l.summand(j) == l.summand(k)
+        return T(i, j, k) if same else {}
+
+    def antisymmetry(i, j, k):
+        return _combine([(1, T(i, j, k), ident), (sign(i, j), T(j, i, k), ident)])
+
+    def cyclic(i, j, k):
+        return _combine(
+            [(sign(a, c), T(a, b, c), ident) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+        )
+
+    triples = list(itertools.product(range(N), repeat=3))
+    abc = ("a", "b", "c")
+    return VerifyReport(
+        "lts",
+        [
+            _loop_report("lts.polarization", abc, triples, polarization),
+            _loop_report("lts.antisymmetry", abc, triples, antisymmetry),
+            _loop_report("lts.cyclic", abc, triples, cyclic),
+            _derivation_oracle(l),
+        ],
+    )
+
+
+def _superalgebra_oracle(alg):
+    N, hat, B = alg.dim, alg.parities, alg.bracket_basis
+    grading = alg.grading
+    plus = [i for i in range(N) if grading[i] == "+"]
+    minus = [i for i in range(N) if grading[i] == "-"]
+    zero = [i for i in range(N) if grading[i] == "0"]
+
+    def sign(x, y):
+        return -1 if hat[x] * hat[y] % 2 else 1
+
+    def ident(k):
+        return {k: F(1)}
+
+    def antisymmetry(i, j):
+        return _combine([(1, B(i, j), ident), (sign(i, j), B(j, i), ident)])
+
+    def submodule(i, j):
+        return {k: c for k, c in B(i, j).items() if grading[k] != grading[j]}
+
+    def super_jacobi(i, j, k):
+        return _combine(
+            [
+                (1, B(j, k), lambda m: B(i, m)),
+                (-1, B(i, j), lambda m: B(m, k)),
+                (-sign(i, j), B(i, k), lambda m: B(j, m)),
+            ]
+        )
+
+    ij = ("i", "j")
+    pairs = list(itertools.product(range(N), repeat=2))
+    polarized = [*itertools.product(plus, repeat=2), *itertools.product(minus, repeat=2)]
+    return VerifyReport(
+        "superalgebra",
+        [
+            _loop_report("superalgebra.antisymmetry", ij, pairs, antisymmetry),
+            _loop_report("superalgebra.polarization", ij, polarized, B),
+            _loop_report(
+                "superalgebra.submodule", ij, itertools.product(zero, plus + minus), submodule
+            ),
+            _loop_report(
+                "superalgebra.super_jacobi",
+                ("i", "j", "k"),
+                itertools.product(range(N), repeat=3),
+                super_jacobi,
+            ),
+        ],
+    )
+
+
+def _rescaled(tensor, factor):
+    return {
+        key: {o: c * factor for o, c in out.items() if c}
+        for key, out in tensor.items()
+        if any(out.values())
+    }
+
+
+def _perturbed_superalgebra(pair, seed, edits):
+    """The hull of the pair with ``edits`` random changes to its bracket
+    table: bumped, new and deleted components, plus a bracket inside g1+
+    and a g0 element moving g1+ into g1- (polarization and submodule
+    failures)."""
+    alg = tkk.superalgebra_from_pair(pair, verified=True)
+    rng = random.Random(seed)
+    table = {k: dict(v) for k, v in alg.table.items()}
+    N = alg.dim
+    plus, minus = alg.grading.index("+"), alg.grading.index("-")
+    table.setdefault((plus, plus), {})[0] = F(rng.randrange(1, 4), 2)
+    table.setdefault((0, plus), {})[minus] = F(rng.randrange(1, 4), 2)
+    for step in range(edits):
+        key = rng.choice(sorted(table))
+        if step % 3 == 0:
+            o = rng.choice(sorted(table[key]))
+            table[key][o] += F(rng.choice((-2, 1, 3)), rng.choice((1, 2)))
+        elif step % 3 == 1:
+            new = (rng.randrange(N), rng.randrange(N))
+            table.setdefault(new, {})[rng.randrange(N)] = F(rng.randrange(1, 4))
+        else:
+            del table[key]
+    return alg, table
+
+
+def _residuals_are_fractions(report):
+    return all(
+        type(c) is F for r in report.reports for f in r.failures for c in f.residual.values()
+    )
+
+
+FACTORS = [F(1), F(1, 3), F(2**31 + 11, 7)]
+
+
+@pytest.mark.parametrize("factor", FACTORS, ids=["1", "1/3", "(2^31+11)/7"])
+@pytest.mark.parametrize(
+    "build, seed, edits",
+    [(lambda: series_gl(1, 1), 4, 5), (lambda: series_osp(2, 1, 1), 5, 7)],
+    ids=["gl11-5", "osp+21-7"],
+)
+def test_lts_checker_matches_fraction_oracle(build, seed, edits, factor):
+    base = _perturbed_lts(build().pair, seed, edits)
+    lts = tkk.PolarizedLTS(base.space, base.split, _rescaled(base.tensor, factor))
+    got = tkk.check_lts_axioms(lts)
+    assert got.to_json() == _lts_oracle(lts).to_json()
+    assert _residuals_are_fractions(got)
+    assert got.reports[-1].failure_count > tkk.FAILURE_CAP
+
+
+@pytest.mark.parametrize("factor", FACTORS, ids=["1", "1/3", "(2^31+11)/7"])
+@pytest.mark.parametrize(
+    "build, seed, edits",
+    [(lambda: series_gl(1, 1), 6, 8), (lambda: series_q(1), 7, 6)],
+    ids=["gl11-8", "q1-6"],
+)
+def test_superalgebra_checker_matches_fraction_oracle(build, seed, edits, factor):
+    alg, table = _perturbed_superalgebra(build().pair, seed, edits)
+    bad = tkk.PolarizedSuperalgebra(
+        alg.pair,
+        alg.labels,
+        alg.parities,
+        alg.grading,
+        _rescaled(table, factor),
+        alg.g0_ops,
+        alg.g0_recipes,
+        alg.sigma,
+    )
+    got = tkk.check_superalgebra(bad)
+    assert got.to_json() == _superalgebra_oracle(bad).to_json()
+    assert _residuals_are_fractions(got)
     assert got.reports[-1].failure_count > tkk.FAILURE_CAP
