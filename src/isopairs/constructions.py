@@ -32,10 +32,6 @@ from .supercore import SuperSpace, sign_a
 SMat = dict  # (row, col) -> Fraction, zero entries absent
 
 
-def smat(entries) -> SMat:
-    return {(i, j): Fraction(c) for (i, j), c in dict(entries).items() if c}
-
-
 def unit(i: int, j: int, c=1) -> SMat:
     return {(i, j): Fraction(c)}
 
@@ -49,11 +45,6 @@ def smat_add(a: SMat, b: SMat, scale=1) -> SMat:
         else:
             out.pop(k, None)
     return out
-
-
-def smat_scale(c, a: SMat) -> SMat:
-    c = Fraction(c)
-    return {k: c * x for k, x in a.items()} if c else {}
 
 
 def smat_mul(a: SMat, b: SMat) -> SMat:

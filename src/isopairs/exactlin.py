@@ -1,10 +1,13 @@
-"""Exact rational scalars and dense linear algebra.
+"""Exact rational scalars and linear algebra.
 
 Everything in the package runs over the rationals: scalars are
 ``fractions.Fraction`` (arbitrary precision, always reduced, positive
-denominator), vectors are tuples of scalars, matrices are dense grids.
-No floating point anywhere.  Row reduction, span membership, kernels and
-span intersections are the workhorses used by the pair builders and the
+denominator).  Dense vectors are tuples of scalars and ``Matrix`` a
+dense grid of them; sparse vectors are dicts column -> scalar, combined
+with ``axpy``.  ``IncrementalSpan`` takes sparse vectors and keeps its
+echelon rows as fraction-free integer dicts.  No floating point
+anywhere.  Row reduction, span membership, kernels and span
+intersections are the workhorses used by the pair builders and the
 word-module engine.
 """
 

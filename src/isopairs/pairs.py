@@ -12,12 +12,23 @@ orientations (letters X, Y, Z on the V1 side and U, V on the V2 side,
 then mirrored), and report exact residual vectors.
 
 One evaluator checks every identity.  Tensors are scaled by the lcm of
-their denominators, and each template term becomes a product ``a @ b``
-over the nonzero rows and columns of its two bracket nodes.  The
-arithmetic is int64 while a checked magnitude bound stays below 2^62
-and Python ints above it, so the reports are exact either way.  A sparse
-``Fraction`` evaluation on arbitrary vectors, :func:`residual_on_vectors`,
-is kept apart as the independent reference the tests compare against.
+their denominators, and each template term is read from the nonzero
+entries of its two bracket nodes in one of two forms:
+
+* the sparse join: every pair of entries that meet on the contracted
+  index is one contribution, keyed by its place in the residual; all
+  terms' contributions are sorted by key and repeats summed, so the
+  work grows with the nonzero contributions;
+* the dense form: a product ``a @ b`` over the distinct rows and columns
+  of the two nodes, scattered into one residual per X index.
+
+The arithmetic is int64 while a checked magnitude bound stays below 2^62
+and Python ints above it, so the reports are exact either way.  In int64
+the join runs when it has fewer contributions than the dense blocks have
+cells, as on sparse pairs; Python ints always take the dense form.  A
+sparse ``Fraction`` evaluation on arbitrary vectors,
+:func:`residual_on_vectors`, is kept apart as the independent reference
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -158,15 +169,27 @@ class PairStructure:
 
     @staticmethod
     def from_json(obj: dict) -> "PairStructure":
+        def index(value, name):
+            # bool is an int subclass, and int() would truncate 0.9 or parse "0"
+            if type(value) is not int:
+                raise ValueError(f"index {name!r} must be a JSON integer, got {value!r}")
+            return value
+
+        def scalar(value):
+            if type(value) not in (str, int):
+                raise ValueError(f"coefficient must be a string or an integer, got {value!r}")
+            return scalar_from_str(value)
+
         def tensor(rows, names):
             out = {}
             for row in rows:
-                key = tuple(row[n] for n in names)
+                key = tuple(index(row[n], n) for n in names)
                 comps = {}
                 for e in row["out"]:
-                    if e["idx"] in comps:
-                        raise ValueError(f"duplicate output index {e['idx']} in {key}")
-                    comps[e["idx"]] = scalar_from_str(e["c"])
+                    o = index(e["idx"], "idx")
+                    if o in comps:
+                        raise ValueError(f"duplicate output index {o} in {key}")
+                    comps[o] = scalar(e["c"])
                 if key in out:
                     raise ValueError(f"duplicate tensor row {key}")
                 out[key] = comps
@@ -358,18 +381,19 @@ def _distinct(x, flat, bits, size):
 
 
 @dataclass
-class _Term:
-    """One residual term as ``a @ b``.
+class _Dense:
+    """A term's dense form ``a @ b``.
 
-    Rows of ``a`` are the nested bracket's nonzero letter tuples (a
-    single empty row for a lone bracket), its columns the contracted
-    index; columns of ``b`` are the outer bracket's nonzero (letters,
-    output) tuples.  Every row and column carries its offset in the flat
-    residual of one X index and its letters' parity bits (bit k for
-    ``LETTERS[k]``).  The side that holds X is sorted by it, and
-    ``x_bounds[i]:x_bounds[i + 1]`` are the rows or columns with X = i.
+    Rows of ``a`` are the nested bracket's distinct letter tuples, its
+    columns the contracted index; columns of ``b`` are the outer
+    bracket's distinct (letters, output) tuples.  Every row and column
+    carries its offset in the flat residual of one X index, ``size``
+    long, and its letters' parity bits.  The side that holds X is sorted
+    by it, and ``x_bounds[i]:x_bounds[i + 1]`` are the rows or columns
+    with X = i.
     """
 
+    size: int
     a: np.ndarray
     b: np.ndarray
     row_flat: np.ndarray
@@ -391,12 +415,21 @@ class _Term:
         )
 
 
-def _compile_term(pair: PairStructure, expr: Bracket, sides: dict, dtype) -> _Term:
-    """The term's ``a @ b`` form, built once per pair, sides and dtype (so
-    the identities that share J1..J6 share their compiled terms)."""
-    key = ("term", expr, frozenset(sides.items()), dtype)
-    if key in pair._cache:
-        return pair._cache[key]
+def _nodes(pair: PairStructure, expr: Bracket, sides: dict):
+    """One residual term as the nonzero entries of its two bracket nodes:
+    (size, width, x_in_rows, rows, cols), from which either form of the
+    term is built; they are not kept, since only the forms are used again.
+
+    ``rows`` are the nested bracket's entries (a single unit entry for a
+    lone bracket) and ``cols`` the outer bracket's, each as (X index,
+    flat offset, parity bits, contracted index, value).  The flat offset
+    is the position in the residual of one X index, ``size`` long, with
+    the output included for ``cols``; bit k of the parity bits belongs to
+    ``LETTERS[k]``.  The contracted index, ``width`` values, is the
+    nested bracket's output and the outer bracket's nested slot: a row
+    and a column that agree on it make one contribution to the residual.
+    ``x_in_rows`` tells whether X is a letter of the nested bracket.
+    """
     letters = sorted(expr_letters(expr), key=LETTERS.index)
     stride, size = {"X": 0}, pair.space(_value_side(expr, sides)).dim
     for l in reversed(letters[1:]):
@@ -417,30 +450,97 @@ def _compile_term(pair: PairStructure, expr: Bracket, sides: dict, dtype) -> _Te
             bits = bits | parities[sides[e.name]][keys[:, j]] << LETTERS.index(e.name)
             if e.name == "X":
                 x = keys[:, j]
-        return x, flat, bits, nested, outs, values.astype(dtype)
+        return x, flat, bits, nested, outs, values
 
-    slots = (expr.iso, expr.left, expr.right)
-    inner = next((e for e in slots if isinstance(e, Bracket)), None)
+    inner = next((e for e in (expr.iso, expr.left, expr.right) if isinstance(e, Bracket)), None)
     if inner is None:
-        a = np.ones((1, 1), dtype)
-        row_x = row_flat = np.zeros(1, np.int64)
-        row_bits = np.zeros(1, np.uint8)
+        zero = np.zeros(1, np.int64)
+        rows, width = (zero, zero, np.zeros(1, np.uint8), zero, np.ones(1, object)), 1
     else:
         x, flat, bits, _, c, values = node(inner)
-        rows, row_x, row_flat, row_bits = _distinct(x, flat, bits, size)
-        a = np.zeros((len(row_x), pair.space(_value_side(inner, sides)).dim), dtype)
-        a[rows, c] = values
+        rows, width = (x, flat, bits, c, values), pair.space(_value_side(inner, sides)).dim
     x, flat, bits, c, o, values = node(expr)
-    cols, col_x, col_flat, col_bits = _distinct(x, flat + o, bits, size)
-    b = np.zeros((a.shape[1], len(col_x)), dtype)
-    b[c, cols] = values
     x_in_rows = inner is not None and "X" in expr_letters(inner)
-    xs = np.arange(pair.space(sides["X"]).dim + 1)
-    pair._cache[key] = _Term(
-        a, b, row_flat, row_bits, col_flat, col_bits, x_in_rows,
-        np.searchsorted(row_x if x_in_rows else col_x, xs),
-    )
+    return size, width, x_in_rows, rows, (x, flat + o, bits, c, values)
+
+
+def _cached(pair: PairStructure, key: tuple, build):
+    """``build()``, kept in the pair's cache: counts and term forms are
+    made once per pair, so the identities that share J1..J6 share them."""
+    if key not in pair._cache:
+        pair._cache[key] = build()
     return pair._cache[key]
+
+
+def _term_counts(pair: PairStructure, expr: Bracket, sides: dict) -> tuple[int, int]:
+    """(contributions of the term's sparse join, cells of its dense
+    ``a @ b``), read off the two tensors: the join pairs each nested
+    entry with the outer entries whose nested slot holds its output;
+    ``a`` has a row per key of the nested tensor and ``b`` a column per
+    outer (key without the nested slot, output)."""
+    slots = (expr.iso, expr.left, expr.right)
+    j = next((j for j, e in enumerate(slots) if isinstance(e, Bracket)), None)
+    outer = _value_side(expr, sides)
+    inner = None if j is None else _value_side(slots[j], sides)
+
+    def build():
+        keys, outs, _ = _coo(pair, outer)
+        if inner is None:
+            return len(outs), len(outs)
+        width = pair.space(inner).dim
+        joins = np.bincount(_coo(pair, inner)[1], minlength=width) @ np.bincount(
+            keys[:, j], minlength=width)
+        d = max(pair.v1.dim, pair.v2.dim)
+        k, l = np.delete(keys, j, axis=1).T
+        cols = np.sort((k * d + l) * d + outs)
+        rows = len(pair.m1 if inner == 1 else pair.m2)
+        return int(joins), rows * np.count_nonzero(np.diff(cols, prepend=-1))
+
+    return _cached(pair, ("counts", outer, inner, j), build)
+
+
+def _join_term(pair: PairStructure, expr: Bracket, sides: dict):
+    """The term's sparse join: (global keys ``X * size + flat``, parity
+    bits, int64 values) of every contribution, each row times each
+    column that shares its contracted index."""
+    def build():
+        size, width, _, rows, cols = _nodes(pair, expr, sides)
+        x_r, flat_r, bits_r, c_r, v_r = rows
+        x_c, flat_c, bits_c, c_c, v_c = cols
+        counts = np.bincount(c_c, minlength=width)
+        reps = counts[c_r]
+        r = np.repeat(np.arange(len(c_r)), reps)
+        # the columns sorted by contracted index, then each row's run of them
+        by_c, first = np.argsort(c_c, kind="stable"), np.cumsum(counts) - counts
+        c = by_c[np.repeat(first[c_r] - (np.cumsum(reps) - reps), reps) + np.arange(len(r))]
+        return (
+            (x_r[r] + x_c[c]) * size + flat_r[r] + flat_c[c],
+            bits_r[r] | bits_c[c],
+            v_r.astype(np.int64)[r] * v_c.astype(np.int64)[c],
+        )
+
+    return _cached(pair, ("join", expr, frozenset(sides.items())), build)
+
+
+def _dense_term(pair: PairStructure, expr: Bracket, sides: dict, dtype) -> _Dense:
+    """The term's dense form in ``dtype``."""
+    def build():
+        size, width, x_in_rows, rows, cols = _nodes(pair, expr, sides)
+        x, flat, bits, c, values = rows
+        rows, row_x, row_flat, row_bits = _distinct(x, flat, bits, size)
+        a = np.zeros((len(row_x), width), dtype)
+        a[rows, c] = values.astype(dtype)
+        x, flat, bits, c, values = cols
+        cols, col_x, col_flat, col_bits = _distinct(x, flat, bits, size)
+        b = np.zeros((width, len(col_x)), dtype)
+        b[c, cols] = values.astype(dtype)
+        xs = np.arange(pair.space(sides["X"]).dim + 1)
+        return _Dense(
+            size, a, b, row_flat, row_bits, col_flat, col_bits, x_in_rows,
+            np.searchsorted(row_x if x_in_rows else col_x, xs),
+        )
+
+    return _cached(pair, ("dense", expr, frozenset(sides.items()), dtype), build)
 
 
 def _sign_table(t: TemplateTerm, coeff: int, dtype) -> np.ndarray:
@@ -451,43 +551,93 @@ def _sign_table(t: TemplateTerm, coeff: int, dtype) -> np.ndarray:
     return np.array([coeff * eval_sign_pairs(t.sign_pairs, p) for p in parities], dtype)
 
 
+def _form(pair: PairStructure, ident: Identity, orientation: int) -> tuple:
+    """The evaluator form of one identity and orientation, as (name, dtype).
+
+    Above the checked bound the arithmetic is Python ints, and only the
+    dense form keeps it affordable: the join would box one int per
+    contribution.  In int64 the sparse join runs when it has fewer
+    contributions than the dense blocks have cells, which is the case on
+    sparse pairs; on dense pairs the join would have more.
+    """
+    if _checked_bound(pair, ident) >= 2**62:
+        return "dense", object
+    sides = _orient(ident.sides, orientation)
+    counts = [_term_counts(pair, t.expr, sides) for t in ident.residual_terms()]
+    joins, cells = map(sum, zip(*counts))
+    if joins < cells:
+        return "join", np.int64
+    return "dense", np.int64
+
+
+def _residual(pair: PairStructure, ident: Identity, orientation: int, form: tuple):
+    """The nonzero entries of the scaled residual of one orientation, as
+    chunks (global keys, values) in increasing key order.  A key is
+    ``X * size + flat``, so key order is the lexicographic order of
+    (basis tuple, output index).
+
+    The join form sums all contributions of all terms at once: sorted by
+    key, repeats summed with ``np.add.reduceat``.  In int64 that is exact
+    in any order, because the checked bound covers every partial sum.
+    The dense form scatters every term's block into one residual per X
+    index.
+    """
+    sides = _orient(ident.sides, orientation)
+    terms, _, coeffs = _int_coeffs(ident)
+    name, dtype = form
+    tables = [_sign_table(t, c, dtype) for t, c in zip(terms, coeffs)]
+    if name == "join":
+        joins = [(_join_term(pair, t.expr, sides), table) for t, table in zip(terms, tables)]
+        keys = np.concatenate([k for (k, _, _), _ in joins])
+        values = np.concatenate([v * table[bits] for (_, bits, v), table in joins])
+        if keys.size:
+            # one sorted copy at a time keeps the peak at four arrays
+            order = np.argsort(keys)
+            keys = keys[order]
+            values = values[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            sums = np.add.reduceat(values, starts)
+            kept = np.flatnonzero(sums)
+            yield keys[starts[kept]], sums[kept]
+        return
+    blocks = [(_dense_term(pair, t.expr, sides, dtype), table) for t, table in zip(terms, tables)]
+    size = blocks[0][0].size
+    for xi in range(pair.space(sides["X"]).dim):
+        residual = np.zeros(size, dtype)
+        for term, table in blocks:
+            flat, bits, values = term.block(xi)
+            values *= table[bits]
+            residual[flat] += values
+        nz = np.flatnonzero(residual)
+        yield xi * size + nz, residual[nz]
+
+
 def _eval_identity(pair, ident, orientation, cap=FAILURE_CAP):
     """Check ``ident`` on every basis tuple of one orientation.
 
-    For each X index every term's block is scattered into one flat
-    residual over the remaining letters and the output, so its nonzero
-    entries come out in lexicographic tuple order.  The arithmetic is
-    int64 below the checked bound and Python ints above it.
+    The nonzero residual entries come from :func:`_residual`, in the
+    form :func:`_form` picks, already in lexicographic tuple order; the
+    failing tuples are their distinct ``key // d_out``.
     """
     sides = _orient(ident.sides, orientation)
     letters = tuple(sorted(sides, key=LETTERS.index))
     dims = [pair.space(sides[l]).dim for l in letters]
     if 0 in dims:
         return AxiomReport(ident.name, orientation, 0, 0, [], _adopted_form_id(ident))
-    terms, coeff_scale, coeffs = _int_coeffs(ident)
-    dtype = np.int64 if _checked_bound(pair, ident) < 2**62 else object
-    blocks = [
-        (_compile_term(pair, t.expr, sides, dtype), _sign_table(t, c, dtype))
-        for t, c in zip(terms, coeffs)
-    ]
+    terms, coeff_scale, _ = _int_coeffs(ident)
     d_out = pair.space(_value_side(terms[0].expr, sides)).dim
     denom = coeff_scale * _scale(pair)[0] ** _degree(terms)
     failures: list[Failure] = []
     count = 0
-    for xi in range(dims[0]):
-        residual = np.zeros(math.prod(dims[1:]) * d_out, dtype)
-        for term, table in blocks:
-            flat, bits, values = term.block(xi)
-            values *= table[bits]
-            residual[flat] += values
-        nz = np.flatnonzero(residual)
-        tuples, starts = np.unique(nz // d_out, return_index=True)
+    for keys, values in _residual(pair, ident, orientation, _form(pair, ident, orientation)):
+        tuples, starts = np.unique(keys // d_out, return_index=True)
         count += len(tuples)
-        ends = np.append(starts[1:], nz.size)
+        ends = np.append(starts[1:], keys.size)
         for t, lo, hi in zip(tuples[: cap - len(failures)], starts, ends):
-            where = dict(zip(letters, (xi, *map(int, np.unravel_index(t, dims[1:])))))
+            where = dict(zip(letters, map(int, np.unravel_index(t, dims))))
             failures.append(Failure(where, {
-                int(o % d_out): Fraction(int(residual[o]), denom) for o in nz[lo:hi]
+                int(k % d_out): Fraction(int(v), denom)
+                for k, v in zip(keys[lo:hi], values[lo:hi])
             }))
     return AxiomReport(
         ident.name, orientation, math.prod(dims), count, failures, _adopted_form_id(ident)

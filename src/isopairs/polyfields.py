@@ -208,11 +208,6 @@ def poly_mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
     return f * g
 
 
-def vf_apply(X: "SuperVectorField", f: SuperPolynomial) -> SuperPolynomial:
-    """Derivation action of a field on a polynomial."""
-    return X.apply(f)
-
-
 class SuperVectorField:
     """First-order operator sum f_i d/dx_i + g_j d/dt_j."""
 

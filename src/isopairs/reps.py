@@ -69,20 +69,6 @@ class PairRep:
             if t.rows != self.H.dim or t.cols != self.H.dim:
                 raise SpaceMismatch("operator shape does not match H")
 
-    def t1_of(self, coords) -> Matrix:
-        out = Matrix.zeros(self.H.dim, self.H.dim)
-        for c, t in zip(coords, self.T1):
-            if c:
-                out = out + t.scale(c)
-        return out
-
-    def t2_of(self, coords) -> Matrix:
-        out = Matrix.zeros(self.H.dim, self.H.dim)
-        for c, t in zip(coords, self.T2):
-            if c:
-                out = out + t.scale(c)
-        return out
-
     def to_json(self) -> dict:
         return {
             "pair": self.pair.to_json(),
@@ -662,18 +648,6 @@ class _WordEngine:
             rep, split, dims, n, True, labels,
             self.relations.rank, len(self.words), closure_dims, radical_dim,
         )
-
-    def _label(self, wid: int) -> str:
-        w = self.words[wid]
-        sector, slabel, _ = self.seeds[w.seed]
-        parts = []
-        for side, op in reversed(w.chain):
-            parts.append(self.pair.space(side).labels[op] + ("+" if side == 1 else "-"))
-        return " ".join(parts + [slabel]) if parts else slabel
-
-    def seed_coords_in_quotient(self, seed_idx: int) -> dict:
-        residual, _ = self.relations.reduce({seed_idx: Fraction(1)})
-        return residual
 
 
 def hw_split_module(

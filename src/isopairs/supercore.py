@@ -27,7 +27,6 @@ catalog records both the printed and the adopted form.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -576,7 +575,3 @@ def find_correction(
                 if validate_identity(lhs, cand).equal:
                     return cand, f"term {c1}: {what1}; term {c2}: {what2}"
     return None
-
-
-def catalog_report_json() -> str:
-    return json.dumps(validate_catalog(), sort_keys=True, indent=1)

@@ -1,0 +1,61 @@
+"""The benchmark's verify reports, pinned byte for byte.
+
+Runs the verify-sparse and verify-dense jobs of seed 0 through
+``bench/workloads.py`` and compares the SHA-256 of each gated report
+with the one recorded in ``bench/digests.json``, and checks that those
+jobs exercise every form of the identity evaluator.  Reads ``bench/``
+and writes nothing.
+"""
+
+import functools
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
+from isopairs import pairs as P  # noqa: E402
+from isopairs.supercore import CATALOG  # noqa: E402
+
+VERIFY_WORKLOADS = ("verify-sparse", "verify-dense")
+
+
+@functools.lru_cache(maxsize=None)
+def _jobs(workload):
+    return {job.name: job for job in workloads.WORKLOADS[workload](0)}
+
+
+@pytest.mark.parametrize("workload", VERIFY_WORKLOADS)
+def test_verify_reports_match_recorded_digests(workload):
+    recorded = json.loads((BENCH / "digests.json").read_text())[workload]["0"]
+    for name, job in _jobs(workload).items():
+        ok, payload = job.gate(job.call(*job.args()))
+        assert ok, name
+        assert workloads.canonical_digest(payload) == recorded[name], name
+
+
+@pytest.mark.parametrize("workload, job, form", [
+    ("verify-sparse", "verify gl(2,2) relabelled", ("join", np.int64)),
+    ("verify-dense", "verify gl(2,1) transported", ("dense", np.int64)),
+    ("verify-dense", "verify osp+(2,1) transported scaled", ("dense", object)),
+])
+def test_bench_jobs_pin_the_evaluator_form(workload, job, form):
+    # the sparse pair takes the join, the basis-changed dense pair the
+    # int64 dense form, and the pair scaled past 2^62 the Python-int one;
+    # the degree-1 symmetry stays far below 2^62 and its join has as
+    # many contributions as its dense form has cells, so it takes the
+    # int64 dense form on all three
+    (pair,) = _jobs(workload)[job].args()
+    if pair.kind == P.ISOTOPIC:
+        symmetry, deep = "antisymmetry.isotopic", ("jacobi_analog", "compatibility")
+    else:
+        symmetry, deep = "symmetry.superJordan", ("super_jordan",)
+    for orientation in (1, 2):
+        assert P._form(pair, CATALOG[symmetry], orientation) == ("dense", np.int64)
+        for name in deep:
+            assert P._form(pair, CATALOG[name], orientation) == form

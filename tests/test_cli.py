@@ -106,6 +106,41 @@ def test_verify_duplicate_entries_exit_2(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1 and f"duplicate {what}" in err
 
 
+@pytest.mark.parametrize("value", [0.9, "0", True, 1.0])
+@pytest.mark.parametrize("field", ["u", "x", "y", "idx"])
+def test_verify_non_integer_index_exit_2(tmp_path, capsys, field, value):
+    # int() would truncate 0.9 to 0 or parse "0", so a row could silently
+    # replace another one instead of being rejected
+    def edit(pair):
+        row = pair["m1"][1]
+        (row["out"][0] if field == "idx" else row)[field] = value
+
+    code, err = _verify_edited_pair(tmp_path, capsys, edit)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "must be a JSON integer" in err
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, None])
+def test_verify_non_string_coefficient_exit_2(tmp_path, capsys, value):
+    def edit(pair):
+        pair["m2"][0]["out"][0]["c"] = value
+
+    code, err = _verify_edited_pair(tmp_path, capsys, edit)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "string or an integer" in err
+
+
+def test_verify_integer_coefficient_accepted(tmp_path, capsys):
+    def edit(pair):
+        for row in pair["m1"] + pair["m2"]:
+            for e in row["out"]:
+                if "/" not in e["c"]:
+                    e["c"] = int(e["c"])
+
+    code, err = _verify_edited_pair(tmp_path, capsys, edit)
+    assert code == 0 and not err
+
+
 def test_unknown_spec_exit_2(tmp_path, capsys):
     assert run(["make", "zzz:9", "-o", str(tmp_path / "x.json")]) == 2
     assert "unknown builder spec" in capsys.readouterr().err

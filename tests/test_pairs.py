@@ -5,7 +5,10 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isopairs import pairs as P
 from isopairs.constructions import (
@@ -224,6 +227,121 @@ def test_evaluator_matches_fraction_oracle():
                 assert got.to_json() == want.to_json(), (k, name, orientation)
                 reports.append(got)
         assert all(r.passed for r in reports) == passes
+
+
+FORMS = (("join", np.int64), ("dense", np.int64), ("dense", object))
+
+
+def _form_residuals(pair, ident, orientation, form):
+    """Every nonzero residual of one evaluator form, decoded from its
+    keys: {basis tuple: {output index: Fraction}}."""
+    sides = P._orient(ident.sides, orientation)
+    dims = [pair.space(sides[l]).dim for l in sorted(sides, key="XYZUV".index)]
+    terms, coeff_scale, _ = P._int_coeffs(ident)
+    d_out = pair.space(P._value_side(terms[0].expr, sides)).dim
+    denom = coeff_scale * P._scale(pair)[0] ** P._degree(terms)
+    out = {}
+    for keys, values in P._residual(pair, ident, orientation, form):
+        for k, v in zip(keys.tolist(), values):
+            where = tuple(int(i) for i in np.unravel_index(k // d_out, dims))
+            assert k % d_out not in out.get(where, {})  # keys are distinct
+            out.setdefault(where, {})[k % d_out] = F(int(v), denom)
+    return out
+
+
+def _oracle_residual(pair, ident, orientation, where):
+    sides = P._orient(ident.sides, orientation)
+    letters = sorted(sides, key="XYZUV".index)
+    spaces = [pair.space(sides[l]) for l in letters]
+    vectors = {l: unit(i, s.dim) for l, i, s in zip(letters, where, spaces)}
+    parities = {l: s.parities[i] for l, i, s in zip(letters, where, spaces)}
+    return P.residual_on_vectors(pair, ident, orientation, vectors, parities)
+
+
+_VALUES = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 3)])
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Random sparse m1, m2 on spaces of dimension at most 3 with random
+    parities.  Some rows get a mirror image (x and y swapped) of the
+    opposite or the same sign, so that contributions cancel."""
+    spaces = [
+        SuperSpace.make(
+            [f"e{i}" for i in range(d)], draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+        )
+        for d in (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    ]
+
+    def tensor(iso, arg):
+        key = st.tuples(*(st.integers(0, s.dim - 1) for s in (iso, arg, arg)))
+        comps = st.dictionaries(st.integers(0, arg.dim - 1), _VALUES, min_size=1, max_size=2)
+        t = draw(st.dictionaries(key, comps, max_size=6))
+        for (u, x, y), c in list(t.items()):
+            if draw(st.booleans()):
+                sign = draw(st.sampled_from((1, -1)))
+                t.setdefault((u, y, x), {k: sign * v for k, v in c.items()})
+        return t
+
+    kind = draw(st.sampled_from(P.KINDS))
+    v1, v2 = spaces
+    return P.PairStructure(v1, v2, kind, tensor(v2, v1), tensor(v1, v2))
+
+
+@given(sparse_pairs(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_both_forms_match_fraction_oracle_on_random_sparse_pairs(pair, rng):
+    if pair.kind == "isotopic":
+        names = ("antisymmetry.isotopic", "jacobi_analog", "compatibility")
+    else:
+        names = ("symmetry.superJordan", "super_jordan")
+    for name in names:
+        ident = CATALOG[name]
+        for orientation in (1, 2):
+            sides = P._orient(ident.sides, orientation)
+            dims = [pair.space(sides[l]).dim for l in sorted(sides, key="XYZUV".index)]
+            total = math.prod(dims)
+            report = P._eval_identity(pair, ident, orientation, cap=total)
+            got = {tuple(f.where.values()): f.residual for f in report.failures}
+            assert report.failure_count == len(got)
+            assert list(got) == sorted(got)
+            for where, residual in got.items():
+                assert residual == _oracle_residual(pair, ident, orientation, where)
+            passing = [w for w in itertools.product(*map(range, dims)) if w not in got]
+            for where in rng.sample(passing, min(len(passing), 8)):
+                assert _oracle_residual(pair, ident, orientation, where) == {}
+            for form in FORMS:
+                assert _form_residuals(pair, ident, orientation, form) == got, form
+
+
+def test_join_form_just_under_the_int64_bound():
+    # the largest integer scale that keeps both deep identities of a
+    # perturbed gl(2,1) under 2^62: still the int64 join, and its report
+    # equals the Python-int dense form's and the oracle's
+    pert = random_even_perturbation(series_gl(2, 1).pair, Lcg64(5))
+    idents = [CATALOG[n] for n in ("jacobi_analog", "compatibility")]
+
+    def worst(k):
+        return max(P._checked_bound(_scaled(pert, F(k)), i) for i in idents)
+
+    k = math.isqrt((2**62 - 1) // worst(1))
+    while worst(k + 1) < 2**62:
+        k += 1
+    big = _scaled(pert, F(k))
+    assert 2**61 <= worst(k) < 2**62 <= worst(k + 1)
+    failing = 0
+    for ident in idents:
+        for orientation in (1, 2):
+            assert P._form(big, ident, orientation) == ("join", np.int64)
+            residuals = _form_residuals(big, ident, orientation, ("join", np.int64))
+            assert residuals == _form_residuals(big, ident, orientation, ("dense", object))
+            report = P._eval_identity(big, ident, orientation)
+            failing += report.failure_count
+            for f in report.failures:
+                where = tuple(f.where.values())
+                assert f.residual == residuals[where]
+                assert f.residual == _oracle_residual(big, ident, orientation, where)
+    assert failing
 
 
 def test_negative_indices_rejected():
