@@ -5,7 +5,7 @@ Matrix envelopes over Mat(n|m) with closure checking, the five series
 over a semisimple Lie algebra, and the symmetric-square construction
 (g, S^2(g)) together with its invariants quotient.
 
-Envelope elements are sparse matrices (dicts (i,j) -> Fraction); a
+Envelope elements are ``exactlin.Matrix`` objects on sparse rows; a
 bracket of basis elements is computed in the envelope and expressed in
 the target span exactly, raising :class:`NotClosed` when it escapes.
 """
@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .exactlin import (
     IncrementalSpan,
     Matrix,
+    axpy,
     intersect_spans,
     kernel_basis,
     scalar_to_str,
@@ -28,44 +29,6 @@ from .exactlin import (
 from .pairs import ISOTOPIC, AxiomReport, Failure, PairStructure, verify
 from .rng import Lcg64
 from .supercore import SuperSpace, sign_a
-
-SMat = dict  # (row, col) -> Fraction, zero entries absent
-
-
-def unit(i: int, j: int, c=1) -> SMat:
-    return {(i, j): Fraction(c)}
-
-
-def smat_add(a: SMat, b: SMat, scale=1) -> SMat:
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) + scale * c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
-
-
-def smat_mul(a: SMat, b: SMat) -> SMat:
-    by_row: dict = {}
-    for (i, j), c in b.items():
-        by_row.setdefault(i, []).append((j, c))
-    out: dict = {}
-    for (i, j), c in a.items():
-        for k, d in by_row.get(j, ()):
-            key = (i, k)
-            v = out.get(key, 0) + c * d
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
-
-
-def smat_triple(a: SMat, b: SMat, c: SMat) -> SMat:
-    return smat_mul(smat_mul(a, b), c)
-
 
 @dataclass(frozen=True)
 class SuperMatrixSpace:
@@ -81,13 +44,14 @@ class SuperMatrixSpace:
     def parity_of_index(self, i: int, j: int) -> int:
         return 1 if (i < self.n) != (j < self.n) else 0
 
-    def parity_of(self, a: SMat) -> Optional[int]:
+    def parity_of(self, a: Matrix) -> Optional[int]:
         """Parity bit of a homogeneous matrix, None if mixed or zero."""
-        ps = {self.parity_of_index(i, j) for (i, j) in a}
+        ps = {self.parity_of_index(i, j) for i, j, _ in a.nonzeros()}
         return ps.pop() if len(ps) == 1 else None
 
-    def flatten(self, a: SMat) -> dict:
-        return {i * self.size + j: c for (i, j), c in a.items()}
+    def unit(self, i: int, j: int, c=1) -> Matrix:
+        """c times the matrix unit E_ij."""
+        return Matrix(self.size, self.size, [(i, j, c)])
 
     def units(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.size) for j in range(self.size)]
@@ -96,13 +60,11 @@ class SuperMatrixSpace:
 class NotClosed(Exception):
     """A bracket of span elements left the span."""
 
-    def __init__(self, side: int, triple, offending: SMat):
+    def __init__(self, side: int, triple, offending: Matrix):
         self.side = side
         self.triple = triple
         self.offending = offending
-        shown = {
-            f"({i},{j})": scalar_to_str(c) for (i, j), c in sorted(offending.items())
-        }
+        shown = {f"({i},{j})": scalar_to_str(c) for i, j, c in offending.nonzeros()}
         super().__init__(f"side {side}, triple {triple}: product escapes span {shown}")
 
 
@@ -118,19 +80,25 @@ class EnvelopePair:
     convention: str = ""
     attempts: list = field(default_factory=list)
 
-    def matrix_of(self, side: int, coords: Sequence[Fraction]) -> SMat:
+    def matrix_of(self, side: int, coords: Sequence[Fraction]) -> Matrix:
         basis = self.basis1 if side == 1 else self.basis2
-        out: SMat = {}
+        out = Matrix.zeros(self.space.size, self.space.size)
         for c, b in zip(coords, basis):
             if c:
-                out = smat_add(out, b, Fraction(c))
+                out = out + b.scale(c)
         return out
+
+
+def _envelope_bracket(x: Matrix, u: Matrix, y: Matrix, s: int) -> Matrix:
+    """x u y + s y u x for s = +-1: no copy is scaled by -1."""
+    xuy, yux = x @ u @ y, y @ u @ x
+    return xuy + yux if s == 1 else xuy - yux
 
 
 def _span_solver(space: SuperMatrixSpace, basis: list) -> IncrementalSpan:
     span = IncrementalSpan(track_combos=True)
     for b in basis:
-        if not span.insert(space.flatten(b)):
+        if not span.insert(b.flat()):
             raise ValueError("envelope basis is linearly dependent")
     return span
 
@@ -173,10 +141,10 @@ def envelope_pair(
             enumerate(iso_basis), enumerate(arg_basis), enumerate(arg_basis)
         ):
             a = sign_a(arg_par[i], iso_par[j], arg_par[k])
-            prod = smat_add(smat_triple(x, u, y), smat_triple(y, u, x), sgn * a)
-            if not prod:
+            prod = _envelope_bracket(x, u, y, sgn * a)
+            if prod.is_zero():
                 continue
-            coeffs = arg_span.solve(space.flatten(prod))
+            coeffs = arg_span.solve(prod.flat())
             if coeffs is None:
                 trip = (j, i, k)
                 raise NotClosed(side, trip, prod)
@@ -202,7 +170,7 @@ def series_gl(n: int, m: int, kind: str = ISOTOPIC) -> EnvelopePair:
     if n + m < 1:
         raise ValueError("need n + m >= 1")
     space = SuperMatrixSpace(n, m)
-    units_ = [unit(i, j) for i, j in space.units()]
+    units_ = [space.unit(i, j) for i, j in space.units()]
     labels = [f"E{i},{j}" for i, j in space.units()]
     return envelope_pair(space, units_, units_, kind, labels, labels)
 
@@ -213,55 +181,52 @@ def series_osp(n: int, m: int, eps: int) -> EnvelopePair:
     if eps not in (1, -1):
         raise ValueError("eps must be +-1")
     space = SuperMatrixSpace(n, m)
+    e = space.unit
     b1, l1 = [], []
     for i in range(n):
         for j in range(i + 1, n):
-            b1.append(smat_add(unit(i, j), unit(j, i), -1))
+            b1.append(e(i, j) + e(j, i, -1))
             l1.append(f"a{i},{j}")
     for i in range(n, n + m):
-        b1.append(unit(i, i))
+        b1.append(e(i, i))
         l1.append(f"d{i},{i}")
         for j in range(i + 1, n + m):
-            b1.append(smat_add(unit(i, j), unit(j, i)))
+            b1.append(e(i, j) + e(j, i))
             l1.append(f"d{i},{j}")
     for i in range(n):
         for j in range(n, n + m):
-            b1.append(smat_add(unit(i, j), unit(j, i), eps))
+            b1.append(e(i, j) + e(j, i, eps))
             l1.append(f"b{i},{j}")
     b2, l2 = [], []
     for i in range(n):
-        b2.append(unit(i, i))
+        b2.append(e(i, i))
         l2.append(f"s{i},{i}")
         for j in range(i + 1, n):
-            b2.append(smat_add(unit(i, j), unit(j, i)))
+            b2.append(e(i, j) + e(j, i))
             l2.append(f"s{i},{j}")
     for i in range(n, n + m):
         for j in range(i + 1, n + m):
-            b2.append(smat_add(unit(i, j), unit(j, i), -1))
+            b2.append(e(i, j) + e(j, i, -1))
             l2.append(f"w{i},{j}")
     for i in range(n):
         for j in range(n, n + m):
-            b2.append(smat_add(unit(i, j), unit(j, i), eps))
+            b2.append(e(i, j) + e(j, i, eps))
             l2.append(f"y{i},{j}")
     return envelope_pair(space, b1, b2, ISOTOPIC, l1, l2)
 
 
-def _q_even(n: int, a: SMat) -> SMat:
-    """diag(A, A) inside Mat(n|n)."""
-    out: SMat = {}
-    for (i, j), c in a.items():
-        out[(i, j)] = c
-        out[(n + i, n + j)] = c
-    return out
+def _q_even(space: SuperMatrixSpace, a: Matrix) -> Matrix:
+    """diag(A, A) inside Mat(n|n), A the upper-left n x n block of a."""
+    n = space.n
+    entries = [(i + s, j + s, c) for i, j, c in a.nonzeros() for s in (0, n)]
+    return Matrix(space.size, space.size, entries)
 
 
-def _q_odd(n: int, b: SMat) -> SMat:
-    """antidiag(B, B) inside Mat(n|n)."""
-    out: SMat = {}
-    for (i, j), c in b.items():
-        out[(i, n + j)] = c
-        out[(n + i, j)] = c
-    return out
+def _q_odd(space: SuperMatrixSpace, a: Matrix) -> Matrix:
+    """antidiag(A, A) inside Mat(n|n), A the upper-left n x n block of a."""
+    n = space.n
+    entries = [(i + s, j + n - s, c) for i, j, c in a.nonzeros() for s in (0, n)]
+    return Matrix(space.size, space.size, entries)
 
 
 def series_q(n: int) -> EnvelopePair:
@@ -269,14 +234,15 @@ def series_q(n: int) -> EnvelopePair:
     if n < 1:
         raise ValueError("need n >= 1")
     space = SuperMatrixSpace(n, n)
+    e = space.unit
     basis, labels = [], []
     for i in range(n):
         for j in range(n):
-            basis.append(_q_even(n, unit(i, j)))
+            basis.append(_q_even(space, e(i, j)))
             labels.append(f"e{i},{j}")
     for i in range(n):
         for j in range(n):
-            basis.append(_q_odd(n, unit(i, j)))
+            basis.append(_q_odd(space, e(i, j)))
             labels.append(f"o{i},{j}")
     return envelope_pair(space, basis, basis, ISOTOPIC, labels, list(labels))
 
@@ -294,21 +260,22 @@ def series_osq(n: int) -> EnvelopePair:
     if n < 1:
         raise ValueError("need n >= 1")
     space = SuperMatrixSpace(n, n)
+    e = space.unit
     attempts = []
 
     # literal reading
     b1, l1 = [], []
     for i in range(n):
-        b1.append(_q_even(n, unit(i, i)))
+        b1.append(_q_even(space, e(i, i)))
         l1.append(f"s{i},{i}")
         for j in range(i + 1, n):
-            b1.append(_q_even(n, smat_add(unit(i, j), unit(j, i))))
+            b1.append(_q_even(space, e(i, j) + e(j, i)))
             l1.append(f"s{i},{j}")
     for i in range(n):
         for j in range(i + 1, n):
-            b1.append(_q_odd(n, smat_add(unit(i, j), unit(j, i), -1)))
+            b1.append(_q_odd(space, e(i, j) + e(j, i, -1)))
             l1.append(f"k{i},{j}")
-    b2 = [_q_odd(n, unit(i, j)) for i in range(n) for j in range(n)]
+    b2 = [_q_odd(space, e(i, j)) for i in range(n) for j in range(n)]
     l2 = [f"y{i},{j}" for i in range(n) for j in range(n)]
     try:
         ep = envelope_pair(space, b1, b2, ISOTOPIC, l1, l2)
@@ -324,15 +291,15 @@ def series_osq(n: int) -> EnvelopePair:
     # supertranspose reading: fixed / anti-fixed spaces of M -> M^st in q(n)
     b1, l1 = [], []
     for i in range(n):
-        b1.append(_q_even(n, unit(i, i)))
+        b1.append(_q_even(space, e(i, i)))
         l1.append(f"s{i},{i}")
         for j in range(i + 1, n):
-            b1.append(_q_even(n, smat_add(unit(i, j), unit(j, i))))
+            b1.append(_q_even(space, e(i, j) + e(j, i)))
             l1.append(f"s{i},{j}")
     b2, l2 = [], []
     for i in range(n):
         for j in range(i + 1, n):
-            b2.append(_q_even(n, smat_add(unit(i, j), unit(j, i), -1)))
+            b2.append(_q_even(space, e(i, j) + e(j, i, -1)))
             l2.append(f"k{i},{j}")
     ep = envelope_pair(space, b1, b2, ISOTOPIC, l1, l2)
     attempts.append({"reading": "supertranspose", "closed": True})
@@ -438,12 +405,7 @@ class LieData:
             res = {}
             for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
                 for l, cxy in self.c.get((x, y), {}).items():
-                    for o, clz in self.c.get((l, z), {}).items():
-                        v = res.get(o, 0) + cxy * clz
-                        if v:
-                            res[o] = v
-                        else:
-                            res.pop(o, None)
+                    axpy(res, cxy, self.c.get((l, z), {}))
             if res:
                 raise ValueError(f"Jacobi identity fails at {(i,j,k)}")
         if self.eta is not None:
@@ -467,11 +429,8 @@ class LieData:
 
     def ad(self, i: int) -> Matrix:
         n = self.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            for k, c in self.c.get((i, j), {}).items():
-                rows[k][j] = c
-        return Matrix.from_rows(rows)
+        entries = [(k, j, c) for j in range(n) for k, c in self.c.get((i, j), {}).items()]
+        return Matrix(n, n, entries)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]):
         out = [Fraction(0)] * self.dim
@@ -617,15 +576,8 @@ def sym2_pair(g: LieData, eta: Matrix):
         u = index[(gm, dl)]
         for a, b in itertools.product(range(n), repeat=2):
             comps: dict = {}
-            if eta[a, gm]:
-                for r, cc in g.c.get((b, dl), {}).items():
-                    v = comps.get(r, 0) + eta[a, gm] * cc
-                    comps[r] = v
-            if eta[a, dl]:
-                for r, cc in g.c.get((b, gm), {}).items():
-                    v = comps.get(r, 0) - eta[a, dl] * cc
-                    comps[r] = v
-            comps = {k: v for k, v in comps.items() if v}
+            axpy(comps, eta[a, gm], g.c.get((b, dl), {}))
+            axpy(comps, -eta[a, dl], g.c.get((b, gm), {}))
             if comps:
                 m1[(u, a, b)] = comps
 
@@ -641,13 +593,7 @@ def sym2_pair(g: LieData, eta: Matrix):
                 (c_lower(b, dl, z), (a, gm)),
                 (c_lower(a, dl, z), (b, gm)),
             ):
-                if coeff:
-                    o = sym_index(*pr)
-                    v = comps.get(o, 0) + coeff
-                    if v:
-                        comps[o] = v
-                    else:
-                        comps.pop(o, None)
+                axpy(comps, 1, {sym_index(*pr): coeff})
             if comps:
                 m2[(z, index[(a, b)], index[(gm, dl)])] = comps
 
@@ -656,16 +602,13 @@ def sym2_pair(g: LieData, eta: Matrix):
     pair = PairStructure(v1, v2, ISOTOPIC, m1, m2)
 
     # invariants S^2(g)^g : kernel of the stacked g-action on S^2
-    rows = []
-    for z in range(n):
-        act = [[Fraction(0)] * D for _ in range(D)]
-        for col, (a, b) in enumerate(pairs_idx):
-            for k, cc in g.c.get((z, a), {}).items():
-                act[sym_index(k, b)][col] += cc
-            for k, cc in g.c.get((z, b), {}).items():
-                act[sym_index(a, k)][col] += cc
-        rows.extend(act)
-    invariants = kernel_basis(Matrix.from_rows(rows)) if rows else []
+    entries = []
+    for z, (col, (a, b)) in itertools.product(range(n), enumerate(pairs_idx)):
+        for k, cc in g.c.get((z, a), {}).items():
+            entries.append((z * D + sym_index(k, b), col, cc))
+        for k, cc in g.c.get((z, b), {}).items():
+            entries.append((z * D + sym_index(a, k), col, cc))
+    invariants = kernel_basis(Matrix(n * D, D, entries)) if n else []
 
     full_verify = verify(pair)
     sym_m2 = next(
@@ -755,16 +698,16 @@ def sym2_pair(g: LieData, eta: Matrix):
 # seeded random closed subpairs and perturbations
 
 
-def _random_homogeneous(space: SuperMatrixSpace, rng: Lcg64, parity: int) -> SMat:
+def _random_homogeneous(space: SuperMatrixSpace, rng: Lcg64, parity: int) -> Matrix:
     cells = [
         (i, j) for i, j in space.units() if space.parity_of_index(i, j) == parity
     ]
     while True:
-        out: SMat = {}
+        out = Matrix.zeros(space.size, space.size)
         for _ in range(1 + rng.below(2)):
             c = rng.choice((-2, -1, 1, 2))
-            out = smat_add(out, unit(*rng.choice(cells)), c)
-        if out:
+            out = out + space.unit(*rng.choice(cells), c)
+        if not out.is_zero():
             return out
 
 
@@ -780,7 +723,7 @@ def random_closed_subpair(
         span = IncrementalSpan()
         kept = []
         for b in basis:
-            if span.insert(space.flatten(b)):
+            if span.insert(b.flat()):
                 kept.append(b)
         sides.append((kept, span))
     (b1, s1), (b2, s2) = sides
@@ -788,19 +731,17 @@ def random_closed_subpair(
     changed = True
     while changed and (len(b1) < cap or len(b2) < cap):
         changed = False
-        for iso_b, arg_b, arg_span, arg_list in ((b2, b1, s1, b1), (b1, b2, s2, b2)):
-            new = []
+        for iso_b, arg_b, arg_span in ((b2, b1, s1), (b1, b2, s2)):
+            # product() copies arg_b first: what this pass adjoins is
+            # bracketed from the next pass on
             for u, x, y in itertools.product(iso_b, arg_b, arg_b):
                 pu = space.parity_of(u)
                 px = space.parity_of(x)
                 py = space.parity_of(y)
                 a = sign_a(px, pu, py)
-                prod = smat_add(smat_triple(x, u, y), smat_triple(y, u, x), sgn * a)
-                if prod and not arg_span.contains(space.flatten(prod)):
-                    new.append(prod)
-            for p in new:
-                if arg_span.insert(space.flatten(p)):
-                    arg_list.append(p)
+                prod = _envelope_bracket(x, u, y, sgn * a)
+                if not prod.is_zero() and arg_span.insert(prod.flat()):
+                    arg_b.append(prod)
                     changed = True
     return envelope_pair(space, b1, b2, kind)
 

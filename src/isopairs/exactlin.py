@@ -2,21 +2,20 @@
 
 Everything in the package runs over the rationals: scalars are
 ``fractions.Fraction`` (arbitrary precision, always reduced, positive
-denominator).  Dense vectors are tuples of scalars and ``Matrix`` a
-dense grid of them; sparse vectors are dicts column -> scalar, combined
-with ``axpy``.  ``IncrementalSpan`` takes sparse vectors and keeps its
-echelon rows as fraction-free integer dicts.  No floating point
-anywhere.  Row reduction, span membership, kernels and span
-intersections are the workhorses used by the pair builders and the
-word-module engine.
+denominator).  Dense vectors are tuples of scalars; sparse vectors are
+dicts column -> scalar, combined with ``axpy``.  ``Matrix`` keeps its
+rows as sparse vectors, and ``IncrementalSpan`` keeps its echelon rows
+as fraction-free integer dicts.  No floating point anywhere.  Row
+reduction, span membership, kernels and span intersections are the
+workhorses used by the pair builders and the word-module engine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Scalar = Fraction
 
@@ -44,28 +43,8 @@ def vec(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(e) for e in entries)
 
 
-def zero_vec(n: int) -> tuple[Fraction, ...]:
-    return (ZERO,) * n
-
-
 def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-# the dense vector ops leave zero operands alone: the operators they
-# build are mostly zero, and a zero entry needs no Fraction arithmetic
-
-
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple((x + y if x else y) if y else x for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple((x - y if x else -y) if y else x for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * x if x else x for x in a)
 
 
 def axpy(acc: dict, f, v: dict) -> dict:
@@ -87,107 +66,160 @@ def axpy(acc: dict, f, v: dict) -> dict:
     return acc
 
 
-def is_zero_vec(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
-
-
 class DimensionMismatch(ValueError):
     """Raised when vector or matrix dimensions are inconsistent."""
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Dense immutable matrix of exact rationals."""
+    """Immutable exact matrix on sparse rows.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    Row i is a dict column -> Fraction holding only the nonzero entries
+    of that row, and a row with none is absent.  Sum, difference, scale,
+    transpose and product work row by row over the nonzeros with
+    ``axpy``; the product is the row-wise sparse product (Gustavson,
+    ACM TOMS 4, 1978), so an operation costs what its nonzeros cost,
+    not what its shape does.  ``nonzeros`` reads the entries back.
+    """
 
-    def __post_init__(self):
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
-            raise DimensionMismatch("ragged rows")
+    __slots__ = ("rows", "cols", "_data")
+
+    def __init__(self, rows: int, cols: int, entries: Iterable = ()):
+        """rows x cols matrix from (i, j, value) triples; the values
+        given for one position are summed and zero entries dropped.
+        Indices must be ints (numpy's too): others raise TypeError."""
+        data: dict = {}
+        for i, j, x in entries:
+            i, j = operator.index(i), operator.index(j)
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DimensionMismatch(f"entry ({i}, {j}) outside a {rows} x {cols} matrix")
+            axpy(data.setdefault(i, {}), ONE, {j: Fraction(x)})
+        self.rows, self.cols = rows, cols
+        self._data = {i: row for i, row in data.items() if row}
+
+    @classmethod
+    def _make(cls, rows: int, cols: int, data: dict) -> "Matrix":
+        """Trusted constructor for results: ``data`` maps rows to
+        nonempty dicts of nonzero Fractions inside the shape."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._data = rows, cols, data
+        return m
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Matrix":
-        return Matrix(tuple(vec(r) for r in rows))
+        rows = [vec(r) for r in rows]
+        widths = {len(r) for r in rows}
+        if len(widths) > 1:
+            raise DimensionMismatch("ragged rows")
+        data = {i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(rows)}
+        data = {i: r for i, r in data.items() if r}
+        return Matrix._make(len(rows), widths.pop() if widths else 0, data)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple((ZERO,) * cols for _ in range(rows)))
+        return Matrix._make(rows, cols, {})
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(tuple(unit_vec(n, i) for i in range(n)))
+        return Matrix._make(n, n, {i: {i: ONE} for i in range(n)})
 
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
+    def nonzeros(self) -> Iterator[tuple[int, int, Fraction]]:
+        """The nonzero entries as (i, j, value), in row-major order."""
+        for i in sorted(self._data):
+            row = self._data[i]
+            for j in sorted(row):
+                yield i, j, row[j]
 
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    def flat(self) -> dict:
+        """The nonzero entries keyed by row-major index i * cols + j, in
+        no set order."""
+        n = self.cols
+        return {i * n + j: x for i, row in self._data.items() for j, x in row.items()}
 
-    def __getitem__(self, ij):
+    def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.entries[i][j]
+        return self._data.get(i, {}).get(j, ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
+        row = self._data.get(i, {})
+        return tuple(row.get(j, ZERO) for j in range(self.cols))
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
+        return tuple(self[i, j] for i in range(self.rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries))) if self.entries else self
+        out: dict = {}
+        for i, row in self._data.items():
+            for j, x in row.items():
+                out.setdefault(j, {})[i] = x
+        return Matrix._make(self.cols, self.rows, out)
+
+    def _combine(self, other: "Matrix", f: Fraction, what: str) -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch(f"matrix {what} shape mismatch")
+        out = dict(self._data)
+        for i, row in other._data.items():
+            acc = axpy(dict(out.get(i, ())), f, row)
+            if acc:
+                out[i] = acc
+            else:
+                del out[i]
+        return Matrix._make(self.rows, self.cols, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix(tuple(vec_add(r, s) for r, s in zip(self.entries, other.entries)))
+        return self._combine(other, ONE, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return Matrix(tuple(vec_sub(r, s) for r, s in zip(self.entries, other.entries)))
+        return self._combine(other, -ONE, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return self.scale(Fraction(-1))
+        return self.scale(-ONE)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix(tuple(vec_scale(c, r) for r in self.entries))
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        data = {i: {j: c * x for j, x in row.items()} for i, row in self._data.items()}
+        return Matrix._make(self.rows, self.cols, data)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        n = other.cols
-        # nonzero (column, entry) pairs of each row of ``other``; each row
-        # of the product sums a * (row b of other) over the nonzero a
-        other_nz = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
-        out = []
-        for row in self.entries:
-            acc = [ZERO] * n
-            for a, nz in zip(row, other_nz):
-                if a:
-                    for j, b in nz:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix(tuple(out))
+        # row i of the product sums a * (row k of other) over the
+        # nonzero entries a = self[i, k]
+        out = {}
+        for i, row in self._data.items():
+            acc: dict = {}
+            for k, a in row.items():
+                b = other._data.get(k)
+                if b:
+                    axpy(acc, a, b)
+            if acc:
+                out[i] = acc
+        return Matrix._make(self.rows, other.cols, out)
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if self.cols != len(v):
             raise DimensionMismatch("matrix-vector shape mismatch")
-        return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in self.entries)
+        return tuple(
+            sum((x * v[j] for j, x in self._data.get(i, {}).items()), ZERO)
+            for i in range(self.rows)
+        )
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
+        return sum((row.get(i, ZERO) for i, row in self._data.items()), ZERO)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.entries)
+        return not self._data
 
-    def flatten(self) -> tuple[Fraction, ...]:
-        return tuple(x for r in self.entries for x in r)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.rows}, {self.cols}, {list(self.nonzeros())!r})"
 
 
 def rref(m: Matrix) -> tuple[int, Matrix, tuple[int, ...]]:
@@ -196,26 +228,25 @@ def rref(m: Matrix) -> tuple[int, Matrix, tuple[int, ...]]:
     Returns ``(rank, reduced, pivots)``; ``reduced`` is the unique RREF of
     ``m`` over the rationals and ``pivots`` the pivot column indices.
     """
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = len(rows), m.cols
+    rows = [dict(m._data.get(i, ())) for i in range(m.rows)]
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if c in rows[i]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        rows[r] = {j: x * inv for j, x in rows[r].items()}
+        for i in range(m.rows):
+            if i != r and c in rows[i]:
+                axpy(rows[i], -rows[i][c], rows[r])
         pivots.append(c)
         r += 1
-        if r == nrows:
+        if r == m.rows:
             break
-    return r, Matrix.from_rows(rows), tuple(pivots)
+    data = {i: row for i, row in enumerate(rows) if row}
+    return r, Matrix._make(m.rows, m.cols, data), tuple(pivots)
 
 
 def span_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
@@ -223,7 +254,7 @@ def span_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ..
     vectors = [vec(v) for v in vectors]
     if not vectors:
         return []
-    rank, red, _ = rref(Matrix(tuple(vectors)))
+    rank, red, _ = rref(Matrix.from_rows(vectors))
     return [red.row(i) for i in range(rank)]
 
 
@@ -245,7 +276,7 @@ def solve_in_span(
         if len(b) != len(v):
             raise DimensionMismatch("basis/vector length mismatch")
     if not basis:
-        return () if is_zero_vec(v) else None
+        return None if any(v) else ()
     # Columns are the basis vectors, augmented with v.
     n = len(v)
     aug = Matrix.from_rows(
@@ -288,17 +319,14 @@ def intersect_spans(
     n = dims.pop()
     # x in both spans: sum s_i a_i - sum t_j b_j = 0; read intersection
     # vectors off the a-part of the kernel.
-    cols = len(a) + len(b)
     m = Matrix.from_rows(
         [[a[j][i] for j in range(len(a))] + [-b[j][i] for j in range(len(b))] for i in range(n)]
     )
-    assert m.cols == cols
     vectors = []
     for k in kernel_basis(m):
-        w = zero_vec(n)
-        for s, av in zip(k[: len(a)], a):
-            w = vec_add(w, vec_scale(s, av))
-        if not is_zero_vec(w):
+        # zip stops at the a-part of k
+        w = tuple(sum((s * av[i] for s, av in zip(k, a)), ZERO) for i in range(n))
+        if any(w):
             vectors.append(w)
     return span_basis(vectors)
 
@@ -419,10 +447,9 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    aug = Matrix.from_rows(
-        [list(m.row(i)) + list(unit_vec(n, i)) for i in range(n)]
-    )
+    aug = Matrix._make(n, 2 * n, {i: {**m._data.get(i, {}), n + i: ONE} for i in range(n)})
     rank, red, pivots = rref(aug)
     if rank < n or pivots[:n] != tuple(range(n)):
         raise ValueError("singular matrix")
-    return Matrix.from_rows([red.row(i)[n:] for i in range(n)])
+    data = {i: {j - n: x for j, x in row.items() if j >= n} for i, row in red._data.items()}
+    return Matrix._make(n, n, data)

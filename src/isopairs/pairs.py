@@ -34,6 +34,7 @@ the tests compare against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -67,12 +68,21 @@ class SpaceMismatch(ValueError):
     """Raised when vectors or sides do not match the pair's spaces."""
 
 
+def _index(i) -> int:
+    """An index as an int: ints (numpy's too) pass, anything else, such
+    as a float or a Fraction, raises ValueError instead of truncating."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"tensor index {i!r} is not an integer") from None
+
+
 def _canon_tensor(t: TensorMap) -> TensorMap:
     out = {}
     for key, comps in t.items():
-        kept = {int(i): Fraction(c) for i, c in comps.items() if c != 0}
+        kept = {_index(i): Fraction(c) for i, c in comps.items() if c != 0}
         if kept:
-            out[tuple(int(k) for k in key)] = kept
+            out[tuple(_index(k) for k in key)] = kept
     return out
 
 

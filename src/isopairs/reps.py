@@ -39,7 +39,7 @@ FAILURE_CAP = 25
 
 
 def _matrix_json(m: Matrix) -> list:
-    return [[scalar_to_str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [[scalar_to_str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 def _matrix_from_json(rows: list) -> Matrix:
@@ -54,8 +54,9 @@ def _matrix_from_json(rows: list) -> Matrix:
 
 @dataclass
 class PairRep:
-    """(T1, T2) acting on a graded space H; T_i(basis element) is a
-    dense matrix, even in the graded sense."""
+    """(T1, T2) acting on a graded space H; T_i(basis element) is an
+    exact ``Matrix``, even in the graded sense.  The JSON form lists
+    every matrix densely, row by row."""
 
     pair: PairStructure
     H: SuperSpace
@@ -116,15 +117,6 @@ def _mat_residual_failures(
     return AxiomReport(name, orientation, total, count, failures)
 
 
-def _matrix_to_residual(m: Matrix) -> dict:
-    out = {}
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if m[i, j]:
-                out[i * m.cols + j] = m[i, j]
-    return out
-
-
 def check_rep(r: PairRep, cap: int = FAILURE_CAP) -> VerifyReport:
     """Evenness of the operators plus both Definition-2 identities
     (second in the corrected mirrored form) on all basis triples."""
@@ -136,11 +128,11 @@ def check_rep(r: PairRep, cap: int = FAILURE_CAP) -> VerifyReport:
     for side, ops, space in ((1, r.T1, pair.v1), (2, r.T2, pair.v2)):
         for k, t in enumerate(ops):
             p = space.parities[k]
-            bad = {}
-            for i in range(H.dim):
-                for j in range(H.dim):
-                    if t[i, j] and H.parities[i] != (H.parities[j] + p) % 2:
-                        bad[i * H.dim + j] = t[i, j]
+            bad = {
+                i * H.dim + j: x
+                for i, j, x in t.nonzeros()
+                if H.parities[i] != (H.parities[j] + p) % 2
+            }
             entries.append(({"side": side, "op": k}, bad))
     reports.append(_mat_residual_failures("rep.evenness", 0, entries, cap))
 
@@ -152,7 +144,7 @@ def check_rep(r: PairRep, cap: int = FAILURE_CAP) -> VerifyReport:
         a = sign_a(pair.v1.parities[x], pair.v2.parities[u], pair.v1.parities[y])
         rhs = r.T1[x] @ r.T2[u] @ r.T1[y] - (r.T1[y] @ r.T2[u] @ r.T1[x]).scale(a)
         entries.append(
-            ({"U": u, "X": x, "Y": y}, _matrix_to_residual(lhs - rhs))
+            ({"U": u, "X": x, "Y": y}, (lhs - rhs).flat())
         )
     reports.append(_mat_residual_failures("rep.T1_identity", 1, entries, cap))
 
@@ -164,7 +156,7 @@ def check_rep(r: PairRep, cap: int = FAILURE_CAP) -> VerifyReport:
         a = sign_a(pair.v2.parities[u], pair.v1.parities[x], pair.v2.parities[v])
         rhs = r.T2[u] @ r.T1[x] @ r.T2[v] - (r.T2[v] @ r.T1[x] @ r.T2[u]).scale(a)
         entries.append(
-            ({"X": x, "U": u, "V": v}, _matrix_to_residual(lhs - rhs))
+            ({"X": x, "U": u, "V": v}, (lhs - rhs).flat())
         )
     reports.append(
         AxiomReport(
@@ -194,14 +186,11 @@ def check_split(r: PairRep, s: SplitData, cap: int = FAILURE_CAP) -> VerifyRepor
     for name, ops, cols, target in specs:
         entries = []
         for k, t in enumerate(ops):
-            bad = {}
-            for j in cols:
-                for i in range(r.H.dim):
-                    v = t[i, j]
-                    if not v:
-                        continue
-                    if target is None or i not in target:
-                        bad[i * r.H.dim + j] = v
+            bad = {
+                i * r.H.dim + j: x
+                for i, j, x in t.nonzeros()
+                if j in cols and (target is None or i not in target)
+            }
             entries.append(({"op": k}, bad))
         reports.append(_mat_residual_failures(name, 0, entries, cap))
     return VerifyReport("split", reports)
@@ -215,14 +204,7 @@ def tautological_rep(ep) -> PairRep:
     H = SuperSpace.make(
         [f"c{i}" for i in range(size)], [0 if i < space.n else 1 for i in range(size)]
     )
-
-    def dense(sm):
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        for (i, j), c in sm.items():
-            rows[i][j] = c
-        return Matrix.from_rows(rows)
-
-    return PairRep(ep.pair, H, [dense(b) for b in ep.basis1], [dense(b) for b in ep.basis2])
+    return PairRep(ep.pair, H, list(ep.basis1), list(ep.basis2))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +602,7 @@ class _WordEngine:
         n = len(basis_vecs)
 
         def op_matrix(side, op) -> Matrix:
-            rows = [[Fraction(0)] * n for _ in range(n)]
+            entries = []
             for col, v in enumerate(basis_vecs):
                 if meta[col][1] != side:
                     continue
@@ -629,9 +611,8 @@ class _WordEngine:
                 coords = G.solve(img)
                 if coords is None:
                     raise RuntimeError("generated submodule not closed")
-                for k, c in coords.items():
-                    rows[k][col] = c
-            return Matrix.from_rows(rows)
+                entries += [(k, col, c) for k, c in coords.items()]
+            return Matrix(n, n, entries)
 
         H = SuperSpace.make(labels, [m[2] for m in meta])
         rep = PairRep(
@@ -811,7 +792,7 @@ def lie_from_pair_rep(r: PairRep, cap: int = FAILURE_CAP):
             lhs = lhs + T0[o].scale(c)
         s = -1 if pair.v1.parities[i] * pair.v1.parities[j] % 2 else 1
         rhs = T0[i] @ T0[j] - (T0[j] @ T0[i]).scale(s)
-        entries.append(({"i": i, "j": j}, _matrix_to_residual(lhs - rhs)))
+        entries.append(({"i": i, "j": j}, (lhs - rhs).flat()))
     return T0, _mat_residual_failures("lie.bracket_respected", 0, entries, cap)
 
 
@@ -922,7 +903,7 @@ def tkk_rep_from_split(
                     rhs = graded_comm(
                         rho_ext[i], rho_ext[j], ext.parities[i], ext.parities[j]
                     )
-                    entries.append(({"i": i, "j": j}, _matrix_to_residual(lhs - rhs)))
+                    entries.append(({"i": i, "j": j}, (lhs - rhs).flat()))
                 report = _mat_residual_failures("tkk_homomorphism", 0, entries, cap)
                 report.adopted_form = (
                     "central extension: cocycle measured from the module on "
@@ -930,7 +911,7 @@ def tkk_rep_from_split(
                 )
                 return report
 
-    entries = [({"i": i, "j": j}, _matrix_to_residual(m)) for (i, j), m in res]
+    entries = [({"i": i, "j": j}, m.flat()) for (i, j), m in res]
     report = _mat_residual_failures("tkk_homomorphism", 0, entries, cap)
     report.adopted_form = note
     return report
@@ -1004,7 +985,7 @@ def check_graph_rep(gr: GraphRep, cap: int = FAILURE_CAP) -> VerifyReport:
                         T1[x] @ T2[u] @ T1[y] - (T1[y] @ T2[u] @ T1[x]).scale(a)
                     ).scale(coeff)
             entries.append(
-                ({"alpha": alpha, "U": u, "X": x, "Y": y}, _matrix_to_residual(lhs - rhs))
+                ({"alpha": alpha, "U": u, "X": x, "Y": y}, (lhs - rhs).flat())
             )
     reports.append(_mat_residual_failures("graph.T1_identity", 1, entries, cap))
 
@@ -1023,7 +1004,7 @@ def check_graph_rep(gr: GraphRep, cap: int = FAILURE_CAP) -> VerifyReport:
                         T2[u] @ T1[x] @ T2[v] - (T2[v] @ T1[x] @ T2[u]).scale(a)
                     ).scale(coeff)
             entries.append(
-                ({"beta": beta, "X": x, "U": u, "V": v}, _matrix_to_residual(lhs - rhs))
+                ({"beta": beta, "X": x, "U": u, "V": v}, (lhs - rhs).flat())
             )
     reports.append(_mat_residual_failures("graph.T2_identity", 2, entries, cap))
     return VerifyReport("graph", reports)

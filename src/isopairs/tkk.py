@@ -137,7 +137,7 @@ class PolarizedSuperalgebra:
     parities: tuple
     grading: tuple
     table: dict  # (i, j) -> {k: Fraction}
-    g0_ops: list  # (P: Matrix on V1, Q: Matrix on V2) per g0 basis element
+    g0_ops: list  # (P, Q): sparse Matrix actions on V1 and V2 per g0 basis element
     g0_recipes: list  # ("gen", i, j) or ("comm", a, b)
     sigma: SigmaConvention
 
@@ -178,31 +178,28 @@ def _d_operator(pair: PairStructure, i: int, j: int, sigma: SigmaConvention):
     """D(x_i, u_j) as a pair of matrices (action on V1, action on V2)."""
     d1, d2 = pair.v1.dim, pair.v2.dim
     px, pu = pair.v1.parities[i], pair.v2.parities[j]
-    P = [[Fraction(0)] * d1 for _ in range(d1)]
-    for k in range(d1):
-        for o, c in pair.m1.get((j, i, k), {}).items():
-            P[o][k] = c
-    Q = [[Fraction(0)] * d2 for _ in range(d2)]
-    for k in range(d2):
-        s = sigma.value(px, pu, pair.v2.parities[k])
-        for o, c in pair.m2.get((i, j, k), {}).items():
-            Q[o][k] = s * c
-    return Matrix.from_rows(P), Matrix.from_rows(Q)
+    P = [(o, k, c) for k in range(d1) for o, c in pair.m1.get((j, i, k), {}).items()]
+    Q = [
+        (o, k, sigma.value(px, pu, pair.v2.parities[k]) * c)
+        for k in range(d2)
+        for o, c in pair.m2.get((i, j, k), {}).items()
+    ]
+    return Matrix(d1, d1, P), Matrix(d2, d2, Q)
 
 
 def _flatten_op(op) -> dict:
+    """(P, Q) as one sparse vector: P row-major, then Q row-major."""
     P, Q = op
-    flat = {}
-    base = 0
-    for M in (P, Q):
-        n = M.rows
-        for r in range(n):
-            for c in range(n):
-                v = M[r, c]
-                if v:
-                    flat[base + r * n + c] = v
-        base += n * n
+    flat = P.flat()
+    base = P.rows * P.cols
+    flat.update((base + k, x) for k, x in Q.flat().items())
     return flat
+
+
+def _graded_comm(a, b, pa: int, pb: int):
+    """[(Pa, Qa), (Pb, Qb)] = Pa Pb - (-1)^(pa pb) Pb Pa, and so for Q."""
+    s = -1 if pa * pb % 2 else 1
+    return tuple(x @ y - (y @ x).scale(s) for x, y in zip(a, b))
 
 
 def superalgebra_from_pair(
@@ -225,50 +222,36 @@ def superalgebra_from_pair(
     parities: list = []
     recipes: list = []
     kept_by_parity: dict = {0: [], 1: []}
-    gen_index: dict = {}
+    gen_flat: dict = {}  # (i, j) -> (flattened D(x_i, u_j), parity)
+    comm_flat: dict = {}  # (a, b) -> (flattened [D_a, D_b], parity)
 
-    def adjoin(op, parity, recipe) -> Optional[int]:
-        flat = _flatten_op(op)
-        if not flat:
-            return None
-        if spans[parity].contains(flat):
-            return None
-        spans[parity].insert(flat)
-        ops.append(op)
-        parities.append(parity)
-        recipes.append(recipe)
-        kept_by_parity[parity].append(len(ops) - 1)
-        return len(ops) - 1
+    def adjoin(op, flat, parity, recipe):
+        if flat and spans[parity].insert(flat):
+            ops.append(op)
+            parities.append(parity)
+            recipes.append(recipe)
+            kept_by_parity[parity].append(len(ops) - 1)
 
     for i in range(d1):
         for j in range(d2):
             op = _d_operator(pair, i, j, sigma)
-            parity = (pair.v1.parities[i] + pair.v2.parities[j]) % 2
-            gen_index[(i, j)] = (op, parity)
-            adjoin(op, parity, ("gen", i, j))
+            gen_flat[(i, j)] = (_flatten_op(op), (pair.v1.parities[i] + pair.v2.parities[j]) % 2)
+            adjoin(op, *gen_flat[(i, j)], ("gen", i, j))
 
     # closure under the graded operator commutator; the span inside
-    # End(V1) + End(V2) is finite so this terminates
-    processed: set = set()
+    # End(V1) + End(V2) is finite so this terminates, and its last pass
+    # brackets every pair of kept elements, so the table below reads
+    # each commutator from comm_flat
     changed = True
     while changed:
-        changed = False
         size = len(ops)
         for a in range(size):
             for b in range(a, size):
-                if (a, b) in processed:
-                    continue
-                processed.add((a, b))
-                Pa, Qa = ops[a]
-                Pb, Qb = ops[b]
-                s = -1 if parities[a] * parities[b] % 2 else 1
-                comm = (
-                    Pa @ Pb - (Pb @ Pa).scale(s),
-                    Qa @ Qb - (Qb @ Qa).scale(s),
-                )
-                idx = adjoin(comm, (parities[a] + parities[b]) % 2, ("comm", a, b))
-                if idx is not None:
-                    changed = True
+                if (a, b) not in comm_flat:
+                    comm = _graded_comm(ops[a], ops[b], parities[a], parities[b])
+                    comm_flat[(a, b)] = (_flatten_op(comm), (parities[a] + parities[b]) % 2)
+                    adjoin(comm, *comm_flat[(a, b)], ("comm", a, b))
+        changed = len(ops) > size
 
     n0 = len(ops)
     labels = (
@@ -283,8 +266,7 @@ def superalgebra_from_pair(
     )
     grading = ("0",) * n0 + ("+",) * d1 + ("-",) * d2
 
-    def g0_coords(op, parity) -> dict:
-        flat = _flatten_op(op)
+    def g0_coords(flat, parity) -> dict:
         if not flat:
             return {}
         combo = spans[parity].solve(flat)
@@ -302,22 +284,17 @@ def superalgebra_from_pair(
             table[(j, i)] = {k: -s * c for k, c in comps.items()}
 
     for a in range(n0):
-        Pa, Qa = ops[a]
         for b in range(a, n0):
-            Pb, Qb = ops[b]
-            s = -1 if parities[a] * parities[b] % 2 else 1
-            comm = (Pa @ Pb - (Pb @ Pa).scale(s), Qa @ Qb - (Qb @ Qa).scale(s))
-            put(a, b, g0_coords(comm, (parities[a] + parities[b]) % 2))
-        for k in range(d1):
-            col = Pa.col(k)
-            put(a, n0 + k, {n0 + o: c for o, c in enumerate(col) if c})
-        for k in range(d2):
-            col = Qa.col(k)
-            put(a, n0 + d1 + k, {n0 + d1 + o: c for o, c in enumerate(col) if c})
+            put(a, b, g0_coords(*comm_flat[(a, b)]))
+        for M, base in zip(ops[a], (n0, n0 + d1)):
+            cols: dict = {}  # column k of M: the image of basis vector k
+            for o, k, c in M.nonzeros():
+                cols.setdefault(k, {})[base + o] = c
+            for k in sorted(cols):
+                put(a, base + k, cols[k])
     for i in range(d1):
         for j in range(d2):
-            op, parity = gen_index[(i, j)]
-            put(n0 + i, n0 + d1 + j, g0_coords(op, parity))
+            put(n0 + i, n0 + d1 + j, g0_coords(*gen_flat[(i, j)]))
 
     return PolarizedSuperalgebra(
         pair, labels, hat, grading, table, ops, recipes, sigma

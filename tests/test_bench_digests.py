@@ -1,10 +1,11 @@
-"""The benchmark's verify reports, pinned byte for byte.
+"""The benchmark's job reports, pinned byte for byte.
 
-Runs the verify-sparse and verify-dense jobs of seed 0 through
+Runs the verify-sparse, verify-dense and modules jobs of seed 0 through
 ``bench/workloads.py`` and compares the SHA-256 of each gated report
-with the one recorded in ``bench/digests.json``, and checks that those
-jobs exercise every form of the identity evaluator.  Reads ``bench/``
-and writes nothing.
+with the one recorded in ``bench/digests.json``; the modules jobs cover
+the hull, triple-system, highest-weight module and W-O reports.  Also
+checks that the verify jobs exercise every form of the identity
+evaluator.  Reads ``bench/`` and writes nothing.
 """
 
 import functools
@@ -22,7 +23,7 @@ import workloads  # noqa: E402
 from isopairs import pairs as P  # noqa: E402
 from isopairs.supercore import CATALOG  # noqa: E402
 
-VERIFY_WORKLOADS = ("verify-sparse", "verify-dense")
+PINNED_WORKLOADS = ("verify-sparse", "verify-dense", "modules")
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,7 +31,7 @@ def _jobs(workload):
     return {job.name: job for job in workloads.WORKLOADS[workload](0)}
 
 
-@pytest.mark.parametrize("workload", VERIFY_WORKLOADS)
+@pytest.mark.parametrize("workload", PINNED_WORKLOADS)
 def test_verify_reports_match_recorded_digests(workload):
     recorded = json.loads((BENCH / "digests.json").read_text())[workload]["0"]
     for name, job in _jobs(workload).items():

@@ -22,9 +22,6 @@ from isopairs.exactlin import (
     span_basis,
     unit_vec,
     vec,
-    vec_add,
-    vec_scale,
-    vec_sub,
 )
 
 F = Fraction
@@ -155,31 +152,71 @@ def test_span_basis_canonical():
 
 @st.composite
 def sparse_matrix_pairs(draw):
-    """(a, b) with a.cols == b.rows, independently drawn shapes, mostly
-    zero entries, a zero row in a and a zero column in b."""
+    """Grids (a, a2, b) as lists of rows, a dense vector v and a scalar
+    c: a and a2 of one shape, len(v) == cols of a == rows of b, shapes
+    drawn independently, entries mostly zero, a zero row in a and a
+    zero column in b."""
     r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
     a = [[draw(sparse_entries) for _ in range(k)] for _ in range(r)]
+    a2 = [[draw(sparse_entries) for _ in range(k)] for _ in range(r)]
     b = [[draw(sparse_entries) for _ in range(c)] for _ in range(k)]
     a[draw(st.integers(0, r - 1))] = [F(0)] * k
     j = draw(st.integers(0, c - 1))
     for row in b:
         row[j] = F(0)
-    return Matrix.from_rows(a), Matrix.from_rows(b)
+    v = [draw(sparse_entries) for _ in range(k)]
+    return a, a2, b, v, draw(sparse_entries)
+
+
+def _grid(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _stores_no_zero(m):
+    return all(type(x) is F and x != 0 for _, _, x in m.nonzeros())
 
 
 @given(sparse_matrix_pairs())
 @settings(max_examples=150)
-def test_matmul_matches_triple_loop(ab):
-    a, b = ab
-    want = tuple(
-        tuple(
-            sum((a[i, k] * b[k, j] for k in range(a.cols)), F(0))
-            for j in range(b.cols)
-        )
-        for i in range(a.rows)
-    )
-    assert (a @ b).entries == want
-    assert all(type(x) is F for row in (a @ b).entries for x in row)
+def test_matmul_matches_triple_loop(case):
+    ga, ga2, gb, v, c = case
+    a, a2, b = (Matrix.from_rows(g) for g in (ga, ga2, gb))
+    triple_loop = [
+        [sum((ga[i][k] * gb[k][j] for k in range(len(gb))), F(0)) for j in range(len(gb[0]))]
+        for i in range(len(ga))
+    ]
+    # each operation against its entrywise definition on the input grids
+    for got, want in (
+        (a, ga),
+        (a @ b, triple_loop),
+        (a + a2, [[x + y for x, y in zip(r, s)] for r, s in zip(ga, ga2)]),
+        (a - a2, [[x - y for x, y in zip(r, s)] for r, s in zip(ga, ga2)]),
+        (a.scale(c), [[c * x for x in r] for r in ga]),
+        (a.transpose(), [list(col) for col in zip(*ga)]),
+    ):
+        assert _grid(got) == want
+        assert all(type(x) is F for row in _grid(got) for x in row)
+        assert _stores_no_zero(got)
+        assert list(got.nonzeros()) == [
+            (i, j, x) for i, r in enumerate(want) for j, x in enumerate(r) if x
+        ]
+    assert a.apply(v) == tuple(sum((x * y for x, y in zip(r, v)), F(0)) for r in ga)
+    assert all(type(x) is F for x in a.apply(v))
+    assert (a == a2) == (ga == ga2)
+    assert a - a == Matrix.zeros(len(ga), len(ga[0])) and (a - a).is_zero()
+
+
+def test_entries_constructor():
+    # repeated positions are summed, zeros dropped, and indices checked
+    m = Matrix(2, 3, [(0, 1, 1), (0, 1, -1), (1, 2, F(1, 2)), (1, 2, F(1, 2)), (1, 0, 0)])
+    assert m == Matrix.from_rows([[0, 0, 0], [0, 0, 1]])
+    assert list(m.nonzeros()) == [(1, 2, F(1))]
+    with pytest.raises(DimensionMismatch):
+        Matrix(2, 3, [(0, 3, 1)])
+    with pytest.raises(DimensionMismatch):
+        Matrix(2, 3, [(-1, 0, 1)])
+    with pytest.raises(TypeError):
+        Matrix(2, 3, [(0.5, 0, 1)])
 
 
 def test_matmul_shape_mismatch():
@@ -194,7 +231,7 @@ def _normal_form(vectors, v, n, pivot):
     Returns (pivot columns, residual as a sparse dict)."""
     order = list(range(n)) if pivot == "min" else list(reversed(range(n)))
     dense = [tuple(u.get(c, F(0)) for c in order) for u in vectors]
-    _, red, pivots = rref(Matrix(tuple(dense))) if dense else (0, None, ())
+    _, red, pivots = rref(Matrix.from_rows(dense)) if dense else (0, None, ())
     w = [v.get(c, F(0)) for c in order]
     for i, p in enumerate(pivots):
         f = w[p]
@@ -312,16 +349,43 @@ def test_axpy_matches_dense_oracle(acc, f, v, cancel):
     assert all(type(x) is F for x in out.values())
 
 
-@given(st.integers(1, 6).flatmap(
-    lambda n: st.tuples(*[st.lists(sparse_entries, min_size=n, max_size=n)] * 2)
-), rationals)
-@settings(max_examples=200)
-def test_vec_ops_match_dense_oracle(ab, c):
-    a, b = (tuple(u) for u in ab)
-    for got, want in (
-        (vec_add(a, b), [x + y for x, y in zip(a, b)]),
-        (vec_sub(a, b), [x - y for x, y in zip(a, b)]),
-        (vec_scale(c, a), [c * x for x in a]),
-    ):
-        assert list(got) == want
-        assert all(type(x) is F for x in got)
+@st.composite
+def sparse_matrices(draw):
+    """Mostly-zero matrices, square about half the time."""
+    r = draw(st.integers(1, 5))
+    c = draw(st.one_of(st.just(r), st.integers(1, 5)))
+    return Matrix.from_rows([[draw(sparse_entries) for _ in range(c)] for _ in range(r)])
+
+
+@given(sparse_matrices())
+@settings(max_examples=150, deadline=None)
+def test_sparse_rref_kernel_invert_match_span_oracles(m):
+    rows, cols = _grid(m), [list(c) for c in zip(*_grid(m))]
+    rank, red, pivots = rref(m)
+    assert rank == len(pivots) == rank_of(rows)
+    assert _stores_no_zero(red)
+    # RREF: unit pivots alone in their columns, zero rows below the rank,
+    # and a row space equal to that of m
+    for r, p in enumerate(pivots):
+        assert red.col(p) == unit_vec(m.rows, r)
+        assert all(x == 0 for x in red.row(r)[:p])
+    assert all(x == 0 for r in range(rank, m.rows) for x in red.row(r))
+    basis = [red.row(r) for r in range(rank)]
+    assert all(solve_in_span(basis, row) is not None for row in rows)
+    assert all(solve_in_span(rows, row) is not None for row in basis)
+    ker = kernel_basis(m)
+    assert len(ker) == m.cols - rank
+    assert not ker or rank_of(ker) == len(ker)
+    assert all(not any(m.apply(k)) for k in ker)
+    if m.rows != m.cols:
+        return
+    if rank < m.rows:
+        with pytest.raises(ValueError):
+            invert(m)
+        return
+    inv = invert(m)
+    assert _stores_no_zero(inv)
+    # column j of the inverse is the coefficient vector of e_j over the
+    # columns of m
+    for j in range(m.cols):
+        assert inv.col(j) == solve_in_span(cols, unit_vec(m.rows, j))

@@ -92,10 +92,10 @@ def test_compatibility_envelope_pass():
 
 
 def test_super_jordan_plus_envelope():
-    from isopairs.constructions import SuperMatrixSpace, envelope_pair, unit as u_
+    from isopairs.constructions import SuperMatrixSpace, envelope_pair
 
     space = SuperMatrixSpace(1, 1)
-    units = [u_(i, j) for i in range(2) for j in range(2)]
+    units = [space.unit(i, j) for i in range(2) for j in range(2)]
     ep = envelope_pair(space, units, units, "superJordan")
     assert all(r.passed for r in P.check_super_jordan(ep.pair))
     # the same plus-model tensors fail the checks for the wrong kind
@@ -351,6 +351,25 @@ def test_negative_indices_rejected():
             P.PairStructure(v, v, "isotopic", m1, {})
     with pytest.raises(P.SpaceMismatch):
         P.PairStructure(v, v, "isotopic", {}, {(0, -2, 1): {0: F(1)}})
+
+
+def test_non_integer_indices_rejected():
+    # int() truncation once read this tensor as {(0, 0, 1): {0: 2},
+    # (1, 0, 1): {0: 3}}, silently dropping the (0.9, 0, 1) row
+    v = SuperSpace.make(["a", "b"], [0, 0])
+    m1 = {(0.9, 0, 1): {0: F(1)}, (0, 0, 1): {0: F(2)}, (1, 0, 1.5): {0.7: F(3)}}
+    with pytest.raises(ValueError):
+        P.PairStructure(v, v, "isotopic", m1, {})
+    for bad in (1.0, F(1), "1"):
+        for t in ({(bad, 0, 0): {0: F(1)}}, {(0, 0, 0): {bad: F(1)}}):
+            with pytest.raises(ValueError):
+                P.PairStructure(v, v, "isotopic", t, {})
+            with pytest.raises(ValueError):
+                P.PairStructure(v, v, "isotopic", {}, t)
+    # Python and numpy ints pass, and come out as Python ints
+    pair = P.PairStructure(v, v, "isotopic", {(np.int64(1), 0, 1): {np.int32(0): F(3)}}, {})
+    assert pair.m1 == {(1, 0, 1): {0: F(3)}}
+    assert all(type(k) is int for key, out in pair.m1.items() for k in (*key, *out))
 
 
 def test_basis_checking_matches_element_checking():

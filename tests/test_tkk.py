@@ -1,5 +1,6 @@
 """Polarized superalgebras (2B) and triple systems (2A)."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -424,3 +425,24 @@ def test_superalgebra_checker_matches_fraction_oracle(build, seed, edits, factor
     assert got.to_json() == _superalgebra_oracle(bad).to_json()
     assert _residuals_are_fractions(got)
     assert got.reports[-1].failure_count > tkk.FAILURE_CAP
+
+
+# SHA-256 of the hull's JSON (sorted keys) and of its g0 recipes: the
+# hull is an artifact, so a rework of its construction must keep both
+HULL_DIGESTS = {
+    (2, 2): (
+        "cb7d74ebf62dd39c7d10206fb68ce582b137a9aabfc468460c1912e8414c3309",
+        "817894cfe90b5fb154b4a2e908a2f789fcdccdc4a2b28ae9a25c3e02382b7685",
+    ),
+    (3, 2): (
+        "616b717e5fbb84a2e0b06fefcdcc2ff60d2251628cc116433bb8bbe50215c3fd",
+        "6574c0541f22d8ce3f39b41f630f121dc2e44492d73ef4ab69fefaeaac2aaffd",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(HULL_DIGESTS), ids=["gl22", "gl32"])
+def test_hull_pinned_byte_for_byte(n, m):
+    alg = tkk.superalgebra_from_pair(series_gl(n, m).pair, verified=True)
+    digest = lambda obj: hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert (digest(alg.to_json()), digest(alg.g0_recipes)) == HULL_DIGESTS[(n, m)]
