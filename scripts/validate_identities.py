@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Print the free-envelope validation report for the identity catalog:
-every adopted form checked over all parity assignments, with the diff
-against the printed form wherever a correction was adopted.
+"""Print the free-envelope validation report for the identity catalogs
+(the pair and representation identities, and the superalgebra and
+triple-system identities): every adopted form checked over all parity
+assignments, with the diff against the printed form wherever a
+correction was adopted.
 """
 
 import sys
@@ -11,7 +13,7 @@ from isopairs import supercore as sc
 
 def main():
     ok = True
-    for name, ident in sc.CATALOG.items():
+    for name, ident in {**sc.CATALOG, **sc.TKK_CATALOG}.items():
         rep = ident.validate()
         ok = ok and rep.equal
         line = f"{name:24s} adopted: {'valid' if rep.equal else 'INVALID'} over {len(rep.verdicts)} assignments"

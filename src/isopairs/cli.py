@@ -2,9 +2,7 @@
 
 Subcommands: make, verify, tkk, lts, rep (check / hw / induce /
 graph-check), poly-check, suite.  Exit codes: 0 all checks pass, 1
-axiom failures, 2 parse or usage errors.  --jobs (on ``make`` and
-``verify``) and ISOPAIR_JOBS are accepted for compatibility and ignored:
-one single-process evaluator checks every identity.
+axiom failures, 2 parse or usage errors.
 
 Pairs persist as catalog entries: the pair JSON, its verify report, and
 a sha256 hash linking the report to the exact pair bytes it was
@@ -395,14 +393,12 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make", help=f"build a pair ({BUILDERS_HELP})")
     p.add_argument("spec")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--jobs", type=int, help="accepted and ignored")
     p.add_argument("--trials", type=int, default=50, help="wo specs: sampled trials")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(fn=cmd_make)
 
     p = sub.add_parser("verify", help="verify a pair or catalog file")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, help="accepted and ignored")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

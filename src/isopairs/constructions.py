@@ -26,7 +26,7 @@ from .exactlin import (
     scalar_to_str,
     vec,
 )
-from .pairs import ISOTOPIC, AxiomReport, Failure, PairStructure, verify
+from .pairs import ISOTOPIC, PairStructure, axiom_report, verify
 from .rng import Lcg64
 from .supercore import SuperSpace, sign_a
 
@@ -516,29 +516,27 @@ def g_equivariance_report(pair: PairStructure, g: LieData, cap: int = 25) -> lis
     checked exhaustively on basis tuples for both tensors."""
     n = g.dim
     ads = [g.ad(i) for i in range(n)]
-    reports = []
-    for name, side in (("g_equivariance[m1]", 1), ("g_equivariance[m2]", 2)):
-        failures = []
-        count = 0
-        total = n**4
-        for z, u, x, y in itertools.product(range(n), repeat=4):
-            e = lambda k, d=n: tuple(Fraction(int(i == k)) for i in range(d))
-            br = lambda iso, a, b: pair.bracket(side, iso, a, b)
-            lhs = ads[z].apply(br(e(u), e(x), e(y)))
-            rhs = [Fraction(0)] * n
-            for term in (
-                br(e(u), ads[z].apply(e(x)), e(y)),
-                br(e(u), e(x), ads[z].apply(e(y))),
-                br(ads[z].apply(e(u)), e(x), e(y)),
-            ):
-                rhs = [a + b for a, b in zip(rhs, term)]
-            res = {i: a - b for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b}
-            if res:
-                count += 1
-                if len(failures) < cap:
-                    failures.append(Failure({"Z": z, "U": u, "X": x, "Y": y}, res))
-        reports.append(AxiomReport(name, side, total, count, failures, "printed"))
-    return reports
+    e = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
+
+    def residual(side, z, u, x, y):
+        br = lambda iso, a, b: pair.bracket(side, iso, a, b)
+        lhs = ads[z].apply(br(e[u], e[x], e[y]))
+        rhs = [Fraction(0)] * n
+        for term in (
+            br(e[u], ads[z].apply(e[x]), e[y]),
+            br(e[u], e[x], ads[z].apply(e[y])),
+            br(ads[z].apply(e[u]), e[x], e[y]),
+        ):
+            rhs = [a + b for a, b in zip(rhs, term)]
+        return {i: a - b for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b}
+
+    return [
+        axiom_report(name, side, n**4, (
+            ({"Z": z, "U": u, "X": x, "Y": y}, residual(side, z, u, x, y))
+            for z, u, x, y in itertools.product(range(n), repeat=4)
+        ), cap)
+        for name, side in (("g_equivariance[m1]", 1), ("g_equivariance[m2]", 2))
+    ]
 
 
 # ---------------------------------------------------------------------------

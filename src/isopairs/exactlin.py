@@ -32,7 +32,11 @@ def scalar_to_str(x: Fraction) -> str:
 
 
 def scalar_from_str(s: str) -> Fraction:
-    """Parse the "p/q" / "p" wire format back into a scalar."""
+    """Parse the "p/q" / "p" wire format, a string or an integer, back
+    into a scalar; anything else, such as a float, raises ValueError
+    instead of being read approximately."""
+    if type(s) not in (str, int):  # bool is an int subclass
+        raise ValueError(f"scalar must be a string or an integer, got {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:

@@ -11,9 +11,13 @@ templates from :mod:`isopairs.supercore` on every basis tuple, in both
 orientations (letters X, Y, Z on the V1 side and U, V on the V2 side,
 then mirrored), and report exact residual vectors.
 
-One evaluator checks every identity.  Tensors are scaled by the lcm of
-their denominators, and each template term is read from the nonzero
-entries of its two bracket nodes in one of two forms:
+One evaluator checks every identity, over any graded spaces and
+structure tensors (:class:`Tensors`): the pair's m1 and m2, and the one
+space of a polarized superalgebra (its bracket table) or triple system
+(its product), whose identities :mod:`isopairs.tkk` checks in the one
+orientation 0.  Tensors are scaled by the lcm of their denominators,
+and each template term is read from the nonzero entries of its two
+bracket nodes in one of two forms:
 
 * the sparse join: every pair of entries that meet on the contracted
   index is one contribution, keyed by its place in the residual; all
@@ -28,7 +32,9 @@ the join runs when it has fewer contributions than the dense blocks have
 cells, as on sparse pairs; Python ints always take the dense form.  A
 sparse ``Fraction`` evaluation on arbitrary vectors,
 :func:`residual_on_vectors`, is kept apart as the independent reference
-the tests compare against.
+the tests compare against.  Checks that are not identities (evenness
+here, and the support and representation checks elsewhere) build their
+reports with :func:`axiom_report`.
 """
 
 from __future__ import annotations
@@ -45,8 +51,6 @@ import numpy as np
 from .exactlin import scalar_from_str, scalar_to_str
 from .supercore import (
     CATALOG,
-    LETTERS,
-    Bracket,
     Identity,
     Letter,
     SuperSpace,
@@ -95,7 +99,6 @@ class PairStructure:
     kind: str
     m1: TensorMap
     m2: TensorMap
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -145,6 +148,9 @@ class PairStructure:
                     out[o] += c * s
         return tuple(out)
 
+    def tensors(self) -> "Tensors":
+        return Tensors({1: self.v1, 2: self.v2}, {1: self.m1, 2: self.m2})
+
     def parity_flip(self) -> "PairStructure":
         """Same constants, all parities toggled, kind toggled."""
         return PairStructure(
@@ -185,11 +191,6 @@ class PairStructure:
                 raise ValueError(f"index {name!r} must be a JSON integer, got {value!r}")
             return value
 
-        def scalar(value):
-            if type(value) not in (str, int):
-                raise ValueError(f"coefficient must be a string or an integer, got {value!r}")
-            return scalar_from_str(value)
-
         def tensor(rows, names):
             out = {}
             for row in rows:
@@ -199,7 +200,7 @@ class PairStructure:
                     o = index(e["idx"], "idx")
                     if o in comps:
                         raise ValueError(f"duplicate output index {o} in {key}")
-                    comps[o] = scalar(e["c"])
+                    comps[o] = scalar_from_str(e["c"])
                 if key in out:
                     raise ValueError(f"duplicate tensor row {key}")
                 out[key] = comps
@@ -310,26 +311,47 @@ def _adopted_form_id(ident: Identity) -> str:
 # template evaluation over structure constants
 
 
+@dataclass
+class Tensors:
+    """What the identity evaluator reads: a graded space and a structure
+    tensor per side (1 and 2 for a pair; 0 for the one space of a
+    superalgebra or triple system), and the memo of what the identities
+    evaluated over this object share; a check makes its own and drops it."""
+
+    spaces: dict
+    tensors: dict
+    memo: dict = field(default_factory=dict)
+
+    def cached(self, key: tuple, build):
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
+
+def _tensors(s) -> Tensors:
+    """``s`` itself, or a fresh Tensors of a pair, superalgebra or triple system."""
+    return s if isinstance(s, Tensors) else s.tensors()
+
+
 def _orient(sides: dict, orientation: int) -> dict:
-    if orientation == 1:
-        return dict(sides)
-    return {l: 3 - s for l, s in sides.items()}
+    """Orientation 2 mirrors the sides; 1 and, over one space, 0 keep them."""
+    return {l: 3 - s if orientation == 2 else s for l, s in sides.items()}
 
 
 def _value_side(expr, sides: dict) -> int:
-    while isinstance(expr, Bracket):
+    while not isinstance(expr, Letter):
         expr = expr.left
-    if not isinstance(expr, Letter):
-        raise TypeError("pair checking needs bracket/letter expressions")
     return sides[expr.name]
 
 
 def _term_degree(expr) -> int:
-    if isinstance(expr, Letter):
-        return 0
-    if not isinstance(expr, Bracket):
-        raise TypeError("pair checking needs bracket/letter expressions")
-    return 1 + _term_degree(expr.left) + _term_degree(expr.right) + _term_degree(expr.iso)
+    return 0 if isinstance(expr, Letter) else 1 + sum(map(_term_degree, expr.slots))
+
+
+def _nested(expr):
+    """(slot, node) of the node nested in ``expr``, or (None, None)."""
+    return next(((j, e) for j, e in enumerate(expr.slots) if not isinstance(e, Letter)),
+                (None, None))
 
 
 def _int_coeffs(ident: Identity):
@@ -341,47 +363,52 @@ def _int_coeffs(ident: Identity):
 def _degree(terms) -> int:
     degrees = {_term_degree(t.expr) for t in terms}
     if len(degrees) != 1 or not degrees <= {1, 2}:
-        raise TypeError("pair checking needs terms of one bracket degree, 1 or 2")
+        raise TypeError("identity evaluation needs terms of one bracket degree, 1 or 2")
     return degrees.pop()
 
 
-def _scale(pair: PairStructure) -> tuple[int, int]:
+def _scale(s) -> tuple[int, int]:
     """(lcm of the tensors' denominators, largest scaled |entry|, at least 1)."""
-    if "scale" not in pair._cache:
-        cs = [c for t in (pair.m1, pair.m2) for comps in t.values() for c in comps.values()]
+    t = _tensors(s)
+
+    def build():
+        cs = [c for tensor in t.tensors.values() for comps in tensor.values() for c in comps.values()]
         scale = reduce(math.lcm, (c.denominator for c in cs), 1)
         biggest = max((abs(c.numerator) * (scale // c.denominator) for c in cs), default=1)
-        pair._cache["scale"] = (scale, biggest)
-    return pair._cache["scale"]
+        return scale, biggest
+
+    return t.cached(("scale",), build)
 
 
-def _checked_bound(pair: PairStructure, ident: Identity) -> int:
+def _coo(t: Tensors, side: int, arity: int):
+    """The tensor of ``side`` scaled to integers, as coordinates: keys
+    (n, arity), outputs (n,) and values (n,), int64 where they fit."""
+    def build():
+        scale, biggest = _scale(t)
+        entries = [
+            (key, o, c.numerator * (scale // c.denominator))
+            for key, comps in t.tensors[side].items()
+            for o, c in comps.items()
+        ]
+        return (
+            np.array([e[0] for e in entries], dtype=np.int64).reshape(-1, arity),
+            np.array([e[1] for e in entries], dtype=np.int64),
+            np.array([e[2] for e in entries], dtype=np.int64 if biggest < 2**63 else object),
+        )
+
+    return t.cached(("coo", side), build)
+
+
+def _checked_bound(s, ident: Identity) -> int:
     """Bound on every partial sum of the scaled residual: the summed
     integer coefficient magnitudes times max|m|^degree times the
     contracted volume.  int64 arithmetic is exact while it stays below
     2^62."""
+    t = _tensors(s)
     terms, _, coeffs = _int_coeffs(ident)
     degree = _degree(terms)
-    dim = max(pair.v1.dim, pair.v2.dim, 1)
-    return sum(map(abs, coeffs)) * _scale(pair)[1] ** degree * dim ** (2 * degree)
-
-
-def _coo(pair: PairStructure, side: int):
-    """m1 (side 1) or m2 scaled to integers, as coordinates: keys (n, 3),
-    outputs (n,) and values (n,) as Python ints."""
-    if ("coo", side) not in pair._cache:
-        scale = _scale(pair)[0]
-        entries = [
-            (key, o, c.numerator * (scale // c.denominator))
-            for key, comps in (pair.m1 if side == 1 else pair.m2).items()
-            for o, c in comps.items()
-        ]
-        pair._cache["coo", side] = (
-            np.array([e[0] for e in entries], dtype=np.int64).reshape(-1, 3),
-            np.array([e[1] for e in entries], dtype=np.int64),
-            np.array([e[2] for e in entries], dtype=object),
-        )
-    return pair._cache["coo", side]
+    dim = max(max(space.dim for space in t.spaces.values()), 1)
+    return sum(map(abs, coeffs)) * _scale(t)[1] ** degree * dim ** (2 * degree)
 
 
 def _distinct(x, flat, bits, size):
@@ -392,15 +419,11 @@ def _distinct(x, flat, bits, size):
 
 @dataclass
 class _Dense:
-    """A term's dense form ``a @ b``.
-
-    Rows of ``a`` are the nested bracket's distinct letter tuples, its
-    columns the contracted index; columns of ``b`` are the outer
-    bracket's distinct (letters, output) tuples.  Every row and column
-    carries its offset in the flat residual of one X index, ``size``
-    long, and its letters' parity bits.  The side that holds X is sorted
-    by it, and ``x_bounds[i]:x_bounds[i + 1]`` are the rows or columns
-    with X = i.
+    """A term's dense form ``a @ b``: rows of ``a`` are the nested node's
+    distinct letter tuples, columns of ``b`` the outer node's distinct
+    (letters, output) tuples, each with its offset in the flat residual
+    of one X index, ``size`` long, and its parity bits.  The side that
+    holds X is sorted by it; ``x_bounds[i]:x_bounds[i + 1]`` have X = i.
     """
 
     size: int
@@ -425,117 +448,118 @@ class _Dense:
         )
 
 
-def _nodes(pair: PairStructure, expr: Bracket, sides: dict):
-    """One residual term as the nonzero entries of its two bracket nodes:
+def _nodes(t: Tensors, expr, sides: dict, letters: tuple):
+    """One residual term as the nonzero entries of its two nodes:
     (size, width, x_in_rows, rows, cols), from which either form of the
-    term is built; they are not kept, since only the forms are used again.
+    term is built.  X is the first of the identity's ``letters``, a
+    letter of every term.
 
-    ``rows`` are the nested bracket's entries (a single unit entry for a
-    lone bracket) and ``cols`` the outer bracket's, each as (X index,
-    flat offset, parity bits, contracted index, value).  The flat offset
-    is the position in the residual of one X index, ``size`` long, with
-    the output included for ``cols``; bit k of the parity bits belongs to
-    ``LETTERS[k]``.  The contracted index, ``width`` values, is the
-    nested bracket's output and the outer bracket's nested slot: a row
-    and a column that agree on it make one contribution to the residual.
-    ``x_in_rows`` tells whether X is a letter of the nested bracket.
-    """
-    letters = sorted(expr_letters(expr), key=LETTERS.index)
-    stride, size = {"X": 0}, pair.space(_value_side(expr, sides)).dim
-    for l in reversed(letters[1:]):
-        stride[l], size = size, size * pair.space(sides[l]).dim
-    parities = {s: np.array(pair.space(s).parities, dtype=np.uint8) for s in (1, 2)}
+    ``rows`` are the nested node's entries (a single unit entry for a
+    lone node) and ``cols`` the outer node's, each as (X index, flat
+    offset, parity bits, contracted index, value).  The flat offset is
+    the position in the residual of one X index, ``size`` long, with the
+    output included for ``cols``; bit k of the parity bits belongs to
+    ``letters[k]``.  A row and a column that agree on the contracted
+    index (``width`` values: the nested node's output, the outer node's
+    nested slot) make one contribution to the residual.  The entries of
+    the node that holds X, the nested one when ``x_in_rows``, are sorted
+    by X."""
+    first, named = letters[0], expr_letters(expr)
+    own = [l for l in letters if l in named]
+    if own[0] != first:
+        raise TypeError(f"every term needs the identity's first letter {first!r}")
+    stride, size = {first: 0}, t.spaces[_value_side(expr, sides)].dim
+    for l in reversed(own[1:]):
+        stride[l], size = size, size * t.spaces[sides[l]].dim
+    parities = {s: np.array(t.spaces[s].parities, dtype=np.uint8) for s in set(sides.values())}
 
-    def node(bracket: Bracket):
-        """(X index, flat offset, parity bits, nested-slot index, output,
-        value) of every nonzero entry of one bracket node."""
-        keys, outs, values = _coo(pair, _value_side(bracket, sides))
+    def node(bracket):
+        """(X index, flat offset, parity bits, nested-slot index,
+        output, value) of every nonzero entry of one node."""
+        keys, outs, values = _coo(t, _value_side(bracket, sides), len(bracket.slots))
         x = flat = nested = np.zeros(len(outs), np.int64)
         bits = np.zeros(len(outs), np.uint8)
-        for j, e in enumerate((bracket.iso, bracket.left, bracket.right)):
-            if isinstance(e, Bracket):
+        for j, e in enumerate(bracket.slots):
+            if not isinstance(e, Letter):
                 nested = keys[:, j]
                 continue
             flat = flat + stride[e.name] * keys[:, j]
-            bits = bits | parities[sides[e.name]][keys[:, j]] << LETTERS.index(e.name)
-            if e.name == "X":
+            bits = bits | parities[sides[e.name]][keys[:, j]] << letters.index(e.name)
+            if e.name == first:
                 x = keys[:, j]
         return x, flat, bits, nested, outs, values
 
-    inner = next((e for e in (expr.iso, expr.left, expr.right) if isinstance(e, Bracket)), None)
+    _, inner = _nested(expr)
     if inner is None:
         zero = np.zeros(1, np.int64)
         rows, width = (zero, zero, np.zeros(1, np.uint8), zero, np.ones(1, object)), 1
     else:
         x, flat, bits, _, c, values = node(inner)
-        rows, width = (x, flat, bits, c, values), pair.space(_value_side(inner, sides)).dim
+        rows, width = (x, flat, bits, c, values), t.spaces[_value_side(inner, sides)].dim
     x, flat, bits, c, o, values = node(expr)
-    x_in_rows = inner is not None and "X" in expr_letters(inner)
-    return size, width, x_in_rows, rows, (x, flat + o, bits, c, values)
+    cols = (x, flat + o, bits, c, values)
+    x_in_rows = inner is not None and first in expr_letters(inner)
+    by_x = lambda part: tuple(a[np.argsort(part[0], kind="stable")] for a in part)
+    rows, cols = (by_x(rows), cols) if x_in_rows else (rows, by_x(cols))
+    return size, width, x_in_rows, rows, cols
 
 
-def _cached(pair: PairStructure, key: tuple, build):
-    """``build()``, kept in the pair's cache: counts and term forms are
-    made once per pair, so the identities that share J1..J6 share them."""
-    if key not in pair._cache:
-        pair._cache[key] = build()
-    return pair._cache[key]
-
-
-def _term_counts(pair: PairStructure, expr: Bracket, sides: dict) -> tuple[int, int]:
+def _term_counts(t: Tensors, expr, sides: dict) -> tuple[int, int]:
     """(contributions of the term's sparse join, cells of its dense
     ``a @ b``), read off the two tensors: the join pairs each nested
     entry with the outer entries whose nested slot holds its output;
     ``a`` has a row per key of the nested tensor and ``b`` a column per
     outer (key without the nested slot, output)."""
-    slots = (expr.iso, expr.left, expr.right)
-    j = next((j for j, e in enumerate(slots) if isinstance(e, Bracket)), None)
+    j, inner_node = _nested(expr)
     outer = _value_side(expr, sides)
-    inner = None if j is None else _value_side(slots[j], sides)
+    inner = None if j is None else _value_side(inner_node, sides)
 
     def build():
-        keys, outs, _ = _coo(pair, outer)
+        keys, outs, _ = _coo(t, outer, len(expr.slots))
         if inner is None:
             return len(outs), len(outs)
-        width = pair.space(inner).dim
-        joins = np.bincount(_coo(pair, inner)[1], minlength=width) @ np.bincount(
-            keys[:, j], minlength=width)
-        d = max(pair.v1.dim, pair.v2.dim)
-        k, l = np.delete(keys, j, axis=1).T
-        cols = np.sort((k * d + l) * d + outs)
-        rows = len(pair.m1 if inner == 1 else pair.m2)
+        width = t.spaces[inner].dim
+        joins = np.bincount(_coo(t, inner, len(inner_node.slots))[1], minlength=width) @ (
+            np.bincount(keys[:, j], minlength=width))
+        d = max(space.dim for space in t.spaces.values())
+        cols = np.sort(reduce(lambda acc, col: acc * d + col, [*np.delete(keys, j, axis=1).T, outs]))
+        rows = len(t.tensors[inner])
         return int(joins), rows * np.count_nonzero(np.diff(cols, prepend=-1))
 
-    return _cached(pair, ("counts", outer, inner, j), build)
+    return t.cached(("counts", outer, inner, j), build)
 
 
-def _join_term(pair: PairStructure, expr: Bracket, sides: dict):
-    """The term's sparse join: (global keys ``X * size + flat``, parity
-    bits, int64 values) of every contribution, each row times each
-    column that shares its contracted index."""
-    def build():
-        size, width, _, rows, cols = _nodes(pair, expr, sides)
-        x_r, flat_r, bits_r, c_r, v_r = rows
-        x_c, flat_c, bits_c, c_c, v_c = cols
-        counts = np.bincount(c_c, minlength=width)
-        reps = counts[c_r]
-        r = np.repeat(np.arange(len(c_r)), reps)
-        # the columns sorted by contracted index, then each row's run of them
-        by_c, first = np.argsort(c_c, kind="stable"), np.cumsum(counts) - counts
-        c = by_c[np.repeat(first[c_r] - (np.cumsum(reps) - reps), reps) + np.arange(len(r))]
-        return (
-            (x_r[r] + x_c[c]) * size + flat_r[r] + flat_c[c],
-            bits_r[r] | bits_c[c],
-            v_r.astype(np.int64)[r] * v_c.astype(np.int64)[c],
-        )
+def _join_term(t: Tensors, expr, sides: dict, letters: tuple, run: tuple):
+    """The term's sparse join over the X indices ``lo <= X < hi`` of
+    ``run``: (global keys ``X * size + flat``, parity bits, int64
+    values) of every contribution, each row times each column that
+    shares its contracted index."""
+    size, width, x_in_rows, rows, cols = t.cached(
+        ("nodes", expr, frozenset(sides.items()), letters), lambda: _nodes(t, expr, sides, letters))
+    part = slice(*np.searchsorted((rows if x_in_rows else cols)[0], run))
+    if x_in_rows:
+        rows = tuple(a[part] for a in rows)
+    else:
+        cols = tuple(a[part] for a in cols)
+    x_r, flat_r, bits_r, c_r, v_r = rows
+    x_c, flat_c, bits_c, c_c, v_c = cols
+    counts = np.bincount(c_c, minlength=width)
+    reps = counts[c_r]
+    r = np.repeat(np.arange(len(c_r)), reps)
+    # the columns sorted by contracted index, then each row's run of them
+    by_c, first = np.argsort(c_c, kind="stable"), np.cumsum(counts) - counts
+    c = by_c[np.repeat(first[c_r] - (np.cumsum(reps) - reps), reps) + np.arange(len(r))]
+    return (
+        (x_r[r] + x_c[c]) * size + flat_r[r] + flat_c[c],
+        bits_r[r] | bits_c[c],
+        np.asarray(v_r, np.int64)[r] * np.asarray(v_c, np.int64)[c],
+    )
 
-    return _cached(pair, ("join", expr, frozenset(sides.items())), build)
 
-
-def _dense_term(pair: PairStructure, expr: Bracket, sides: dict, dtype) -> _Dense:
+def _dense_term(t: Tensors, expr, sides: dict, letters: tuple, dtype) -> _Dense:
     """The term's dense form in ``dtype``."""
     def build():
-        size, width, x_in_rows, rows, cols = _nodes(pair, expr, sides)
+        size, width, x_in_rows, rows, cols = _nodes(t, expr, sides, letters)
         x, flat, bits, c, values = rows
         rows, row_x, row_flat, row_bits = _distinct(x, flat, bits, size)
         a = np.zeros((len(row_x), width), dtype)
@@ -544,114 +568,163 @@ def _dense_term(pair: PairStructure, expr: Bracket, sides: dict, dtype) -> _Dens
         cols, col_x, col_flat, col_bits = _distinct(x, flat, bits, size)
         b = np.zeros((width, len(col_x)), dtype)
         b[c, cols] = values.astype(dtype)
-        xs = np.arange(pair.space(sides["X"]).dim + 1)
+        xs = np.arange(t.spaces[sides[letters[0]]].dim + 1)
         return _Dense(
             size, a, b, row_flat, row_bits, col_flat, col_bits, x_in_rows,
             np.searchsorted(row_x if x_in_rows else col_x, xs),
         )
 
-    return _cached(pair, ("dense", expr, frozenset(sides.items()), dtype), build)
+    return t.cached(("dense", expr, frozenset(sides.items()), letters, dtype), build)
 
 
-def _sign_table(t: TemplateTerm, coeff: int, dtype) -> np.ndarray:
+def _sign_table(term: TemplateTerm, coeff: int, dtype, letters: tuple) -> np.ndarray:
     """coeff times the term's Koszul sign, indexed by the parity bits."""
     parities = [
-        {l: bits >> k & 1 for k, l in enumerate(LETTERS)} for bits in range(2 ** len(LETTERS))
+        {l: bits >> k & 1 for k, l in enumerate(letters)} for bits in range(2 ** len(letters))
     ]
-    return np.array([coeff * eval_sign_pairs(t.sign_pairs, p) for p in parities], dtype)
+    return np.array([coeff * eval_sign_pairs(term.sign_pairs, p) for p in parities], dtype)
 
 
-def _form(pair: PairStructure, ident: Identity, orientation: int) -> tuple:
+def _form(s, ident: Identity, orientation: int) -> tuple:
     """The evaluator form of one identity and orientation, as (name, dtype).
 
     Above the checked bound the arithmetic is Python ints, and only the
     dense form keeps it affordable: the join would box one int per
     contribution.  In int64 the sparse join runs when it has fewer
     contributions than the dense blocks have cells, which is the case on
-    sparse pairs; on dense pairs the join would have more.
+    sparse structures; on dense ones the join would have more.
     """
-    if _checked_bound(pair, ident) >= 2**62:
+    t = _tensors(s)
+    if _checked_bound(t, ident) >= 2**62:
         return "dense", object
     sides = _orient(ident.sides, orientation)
-    counts = [_term_counts(pair, t.expr, sides) for t in ident.residual_terms()]
+    counts = [_term_counts(t, term.expr, sides) for term in ident.residual_terms()]
     joins, cells = map(sum, zip(*counts))
     if joins < cells:
         return "join", np.int64
     return "dense", np.int64
 
 
-def _residual(pair: PairStructure, ident: Identity, orientation: int, form: tuple):
-    """The nonzero entries of the scaled residual of one orientation, as
-    chunks (global keys, values) in increasing key order.  A key is
-    ``X * size + flat``, so key order is the lexicographic order of
-    (basis tuple, output index).
-
-    The join form sums all contributions of all terms at once: sorted by
-    key, repeats summed with ``np.add.reduceat``.  In int64 that is exact
-    in any order, because the checked bound covers every partial sum.
-    The dense form scatters every term's block into one residual per X
-    index.
-    """
-    sides = _orient(ident.sides, orientation)
-    terms, _, coeffs = _int_coeffs(ident)
-    name, dtype = form
-    tables = [_sign_table(t, c, dtype) for t, c in zip(terms, coeffs)]
-    if name == "join":
-        joins = [(_join_term(pair, t.expr, sides), table) for t, table in zip(terms, tables)]
-        keys = np.concatenate([k for (k, _, _), _ in joins])
-        values = np.concatenate([v * table[bits] for (_, bits, v), table in joins])
-        if keys.size:
-            # one sorted copy at a time keeps the peak at four arrays
-            order = np.argsort(keys)
-            keys = keys[order]
-            values = values[order]
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            sums = np.add.reduceat(values, starts)
-            kept = np.flatnonzero(sums)
-            yield keys[starts[kept]], sums[kept]
-        return
-    blocks = [(_dense_term(pair, t.expr, sides, dtype), table) for t, table in zip(terms, tables)]
-    size = blocks[0][0].size
-    for xi in range(pair.space(sides["X"]).dim):
-        residual = np.zeros(size, dtype)
-        for term, table in blocks:
-            flat, bits, values = term.block(xi)
-            values *= table[bits]
-            residual[flat] += values
-        nz = np.flatnonzero(residual)
-        yield xi * size + nz, residual[nz]
+# sparse-join contributions per run of X indices: the joins and the
+# arrays that sum them are built one run at a time
+_RUN = 2**15
 
 
-def _eval_identity(pair, ident, orientation, cap=FAILURE_CAP):
-    """Check ``ident`` on every basis tuple of one orientation.
+def _runs(t: Tensors, evals: list) -> list:
+    """The runs ``(lo, hi)`` of X indices for evaluations that share
+    their X: one run unless some take the sparse join."""
+    joins = max((sum(_term_counts(t, expr, e.sides)[0] for expr, _ in e.terms)
+                 for e in evals if e.form[0] == "join"), default=0)
+    dim = t.spaces[evals[0].sides[evals[0].ident.letters[0]]].dim
+    n = 1 + joins // _RUN
+    bounds = sorted({dim * k // n for k in range(n + 1)})
+    return list(zip(bounds[:-1], bounds[1:]))
 
-    The nonzero residual entries come from :func:`_residual`, in the
-    form :func:`_form` picks, already in lexicographic tuple order; the
-    failing tuples are their distinct ``key // d_out``.
-    """
-    sides = _orient(ident.sides, orientation)
-    letters = tuple(sorted(sides, key=LETTERS.index))
-    dims = [pair.space(sides[l]).dim for l in letters]
-    if 0 in dims:
-        return AxiomReport(ident.name, orientation, 0, 0, [], _adopted_form_id(ident))
-    terms, coeff_scale, _ = _int_coeffs(ident)
-    d_out = pair.space(_value_side(terms[0].expr, sides)).dim
-    denom = coeff_scale * _scale(pair)[0] ** _degree(terms)
-    failures: list[Failure] = []
-    count = 0
-    for keys, values in _residual(pair, ident, orientation, _form(pair, ident, orientation)):
-        tuples, starts = np.unique(keys // d_out, return_index=True)
-        count += len(tuples)
+
+class _Evaluation:
+    """One identity and orientation over a :class:`Tensors`, in the form
+    :func:`_form` picks unless ``form`` is given."""
+
+    def __init__(self, t: Tensors, ident: Identity, orientation: int, form=None):
+        self.t, self.ident, self.orientation = t, ident, orientation
+        self.sides = sides = _orient(ident.sides, orientation)
+        self.dims = [t.spaces[sides[l]].dim for l in ident.letters]
+        terms, coeff_scale, coeffs = _int_coeffs(ident)
+        self.d_out = t.spaces[_value_side(terms[0].expr, sides)].dim
+        self.denom = coeff_scale * _scale(t)[0] ** _degree(terms)
+        self.form = form or (None if 0 in self.dims else _form(t, ident, orientation))
+        self.terms = [  # the expression, or the dense form, and the sign table
+            (_dense_term(t, term.expr, sides, ident.letters, self.form[1])
+             if self.form[0] == "dense" else term.expr,
+             _sign_table(term, c, self.form[1], ident.letters))
+            for term, c in zip(terms, coeffs)
+        ] if self.form else []
+        self.failures: list[Failure] = []
+        self.count = 0
+
+    def residual(self, run: tuple, joins: dict):
+        """The nonzero entries of the scaled residual over the X indices
+        ``lo <= X < hi``, as chunks (keys ``X * size + flat``, values) in
+        increasing key order, the lexicographic order of (basis tuple,
+        output index).  The join form sorts all terms' contributions by
+        key and sums repeats, exact in int64 in any order under the
+        checked bound; ``joins`` keeps the run's term joins for the
+        identities evaluated in lockstep.  The dense form scatters every
+        term's block into one residual per X index."""
+        t, sides, letters = self.t, self.sides, self.ident.letters
+        name, dtype = self.form
+        if name == "join":
+            key = (frozenset(sides.items()), letters)
+            for expr, _ in self.terms:
+                if (expr, key) not in joins:
+                    joins[expr, key] = _join_term(t, expr, sides, letters, run)
+            terms = [(joins[expr, key], table) for expr, table in self.terms]
+            keys = np.concatenate([k for (k, _, _), _ in terms])
+            values = np.concatenate([v * table[bits] for (_, bits, v), table in terms])
+            if keys.size:
+                # one sorted copy at a time keeps the peak at four arrays
+                order = np.argsort(keys)
+                keys = keys[order]
+                values = values[order]
+                starts = np.flatnonzero(np.diff(keys, prepend=-1))
+                sums = np.add.reduceat(values, starts)
+                kept = np.flatnonzero(sums)
+                yield keys[starts[kept]], sums[kept]
+            return
+        size = self.terms[0][0].size
+        for xi in range(*run):
+            residual = np.zeros(size, dtype)
+            for term, table in self.terms:
+                flat, bits, values = term.block(xi)
+                values *= table[bits]
+                residual[flat] += values
+            nz = np.flatnonzero(residual)
+            yield xi * size + nz, residual[nz]
+
+    def add(self, keys, values, cap: int):
+        """Count the failing tuples, the distinct ``key // d_out``; keep ``cap``."""
+        tuples, starts = np.unique(keys // self.d_out, return_index=True)
+        self.count += len(tuples)
         ends = np.append(starts[1:], keys.size)
-        for t, lo, hi in zip(tuples[: cap - len(failures)], starts, ends):
-            where = dict(zip(letters, map(int, np.unravel_index(t, dims))))
-            failures.append(Failure(where, {
-                int(k % d_out): Fraction(int(v), denom)
+        for tup, lo, hi in zip(tuples[: cap - len(self.failures)], starts, ends):
+            where = dict(zip(self.ident.letters, map(int, np.unravel_index(tup, self.dims))))
+            self.failures.append(Failure(where, {
+                int(k % self.d_out): Fraction(int(v), self.denom)
                 for k, v in zip(keys[lo:hi], values[lo:hi])
             }))
-    return AxiomReport(
-        ident.name, orientation, math.prod(dims), count, failures, _adopted_form_id(ident)
-    )
+
+    def report(self) -> AxiomReport:
+        return AxiomReport(self.ident.name, self.orientation, math.prod(self.dims), self.count,
+                           self.failures, _adopted_form_id(self.ident))
+
+
+def _residual(s, ident: Identity, orientation: int, form: tuple):
+    """The residual of one identity, orientation and form, run by run."""
+    e = _Evaluation(_tensors(s), ident, orientation, form)
+    for run in _runs(e.t, [e]):
+        yield from e.residual(run, {})
+
+
+def _eval_identities(s, idents: Sequence[Identity], orientation: int, cap: int) -> list:
+    """Check identities that share their X side on every basis tuple of
+    one orientation of ``s``: a pair, superalgebra, triple system or
+    :class:`Tensors`.  They go run by run in lockstep, so the joins of
+    shared terms (J1..J6 of jacobi_analog and compatibility) are built
+    once per run, and no join outlives its run."""
+    t = _tensors(s)
+    evals = [_Evaluation(t, ident, orientation) for ident in idents]
+    live = [e for e in evals if e.form is not None]
+    for run in _runs(t, live) if live else ():
+        joins: dict = {}
+        for e in live:
+            for keys, values in e.residual(run, joins):
+                e.add(keys, values, cap)
+    return [e.report() for e in evals]
+
+
+def _eval_identity(s, ident, orientation, cap=FAILURE_CAP):
+    """Check ``ident`` on every basis tuple of one orientation of ``s``."""
+    return _eval_identities(s, [ident], orientation, cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -712,30 +785,37 @@ def residual_on_vectors(
 # checkers
 
 
+def axiom_report(
+    name: str, orientation: int, total: int, entries, cap: int, adopted_form: str = "printed"
+) -> AxiomReport:
+    """The report of a check over ``total`` places from ``(where,
+    residual)`` entries in order: a nonempty residual fails, every
+    failure is counted, the first ``cap`` are kept; absent places pass."""
+    failures, count = [], 0
+    for where, residual in entries:
+        if residual:
+            count += 1
+            if len(failures) < cap:
+                failures.append(Failure(where, residual))
+    return AxiomReport(name, orientation, total, count, failures, adopted_form)
+
+
 def check_evenness(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
     """Parity of every nonzero component must equal the sum of the input
     parities; one report per tensor."""
-    reports = []
     specs = [
         ("evenness[m1]", pair.m1, (pair.v2, pair.v1, pair.v1), pair.v1, ("u", "x", "y")),
         ("evenness[m2]", pair.m2, (pair.v1, pair.v2, pair.v2), pair.v2, ("x", "u", "v")),
     ]
+    reports = []
     for name, tensor, in_spaces, out_space, names in specs:
-        total = math.prod(s.dim for s in in_spaces)
-        failures = []
-        count = 0
-        for key in sorted(tensor):
+        def odd_part(key):
             expected = sum(s.parities[i] for s, i in zip(in_spaces, key)) % 2
-            bad = {
-                o: c
-                for o, c in tensor[key].items()
-                if out_space.parities[o] != expected
-            }
-            if bad:
-                count += 1
-                if len(failures) < cap:
-                    failures.append(Failure(dict(zip(names, key)), bad))
-        reports.append(AxiomReport(name, 0, total, count, failures, "printed"))
+            return {o: c for o, c in tensor[key].items() if out_space.parities[o] != expected}
+
+        entries = ((dict(zip(names, key)), odd_part(key)) for key in sorted(tensor))
+        total = math.prod(s.dim for s in in_spaces)
+        reports.append(axiom_report(name, 0, total, entries, cap))
     return reports
 
 
@@ -745,41 +825,42 @@ def _kind_symmetry(pair: PairStructure) -> Identity:
     ]
 
 
+def _check(pair: PairStructure, names: Sequence[str], cap: int) -> list:
+    """The reports of the named identities, each in both orientations,
+    evaluated together over one :class:`Tensors`."""
+    t = pair.tensors()
+    idents = [CATALOG[n] for n in names]
+    by_orientation = [_eval_identities(t, idents, o, cap) for o in (1, 2)]
+    return [r for rs in zip(*by_orientation) for r in rs]
+
+
 def check_symmetry(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
     """Graded (anti)symmetry of both tensors, per the pair's kind."""
-    ident = _kind_symmetry(pair)
-    return [_eval_identity(pair, ident, orientation, cap) for orientation in (1, 2)]
+    return _check(pair, [_kind_symmetry(pair).name], cap)
 
 
 def check_jacobi_analog(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
     if pair.kind != ISOTOPIC:
         raise ValueError("jacobi analog applies to isotopic pairs")
-    ident = CATALOG["jacobi_analog"]
-    return [_eval_identity(pair, ident, o, cap) for o in (1, 2)]
+    return _check(pair, ["jacobi_analog"], cap)
 
 
 def check_compatibility(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
     if pair.kind != ISOTOPIC:
         raise ValueError("compatibility applies to isotopic pairs")
-    ident = CATALOG["compatibility"]
-    return [_eval_identity(pair, ident, o, cap) for o in (1, 2)]
+    return _check(pair, ["compatibility"], cap)
 
 
 def check_super_jordan(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
     if pair.kind != SUPER_JORDAN:
         raise ValueError("the super-Jordan identity applies to superJordan pairs")
-    ident = CATALOG["super_jordan"]
-    return [_eval_identity(pair, ident, o, cap) for o in (1, 2)]
+    return _check(pair, ["super_jordan"], cap)
 
 
 def verify(pair: PairStructure, cap: int = FAILURE_CAP) -> VerifyReport:
     """Evenness, graded (anti)symmetry, and the kind-appropriate identity
-    suite, both orientations, aggregated."""
-    reports = check_evenness(pair, cap)
-    reports += check_symmetry(pair, cap)
-    if pair.kind == ISOTOPIC:
-        reports += check_jacobi_analog(pair, cap)
-        reports += check_compatibility(pair, cap)
-    else:
-        reports += check_super_jordan(pair, cap)
-    return VerifyReport(pair.kind, reports)
+    suite, both orientations, aggregated.  The identities are evaluated
+    together, so that jacobi_analog and compatibility share J1..J6."""
+    deep = ["jacobi_analog", "compatibility"] if pair.kind == ISOTOPIC else ["super_jordan"]
+    names = [_kind_symmetry(pair).name, *deep]
+    return VerifyReport(pair.kind, check_evenness(pair, cap) + _check(pair, names, cap))

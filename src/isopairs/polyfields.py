@@ -28,9 +28,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exactlin import axpy
-from .pairs import AxiomReport, Failure, VerifyReport
+from .pairs import VerifyReport, _orient, axiom_report
 from .rng import Lcg64
-from .supercore import CATALOG, LETTERS, Letter, sign_a
+from .supercore import CATALOG, Letter, eval_sign_pairs, sign_a
 
 Monomial = tuple  # (exps: tuple[int, ...], odd: tuple[int, ...] ascending)
 
@@ -491,51 +491,35 @@ def sample_check_w_o_pair(
     for name in ("jacobi_analog", "compatibility"):
         ident = CATALOG[name]
         for orientation in (1, 2):
-            sides = (
-                dict(ident.sides)
-                if orientation == 1
-                else {l: 3 - s for l, s in ident.sides.items()}
-            )
-            failures = []
-            count = 0
-            for trial in range(trials):
+            sides = _orient(ident.sides, orientation)
+
+            def residual():
                 env, parities = {}, {}
-                for letter in sorted(sides, key=LETTERS.index):
+                for letter in ident.letters:
                     par = rng.below(2) if m else 0
                     if sides[letter] == 1:  # V1 = W(n|m)
                         env[letter] = random_field(n, m, maxdeg, par, rng)
                     else:  # V2 = O(n|m)
                         env[letter] = random_poly(n, m, maxdeg, par, rng)
                     parities[letter] = par
-                residual = None
+                total = None
                 for t in ident.residual_terms():
-                    from .supercore import eval_sign_pairs
-
                     c = t.coeff * eval_sign_pairs(t.sign_pairs, parities)
-                    val = _eval_tree(t.expr, env)
-                    val = val.scale(c)
-                    residual = val if residual is None else residual + val
-                if not residual.is_zero():
-                    count += 1
-                    if len(failures) < 10:
-                        failures.append(
-                            Failure({"trial": trial}, _residual_repr(residual))
-                        )
-            reports.append(
-                AxiomReport(
-                    f"wo({n}|{m}).{name}",
-                    orientation,
-                    trials,
-                    count,
-                    failures,
-                    "printed" if ident.correction is None else "corrected",
-                )
-            )
+                    val = _eval_tree(t.expr, env).scale(c)
+                    total = val if total is None else total + val
+                return {} if total.is_zero() else _residual_repr(total)
+
+            reports.append(axiom_report(
+                f"wo({n}|{m}).{name}",
+                orientation,
+                trials,
+                (({"trial": trial}, residual()) for trial in range(trials)),
+                10,
+                "printed" if ident.correction is None else "corrected",
+            ))
 
     # dual route: closed forms against operator compositions
-    failures = []
-    count = 0
-    for trial in range(trials):
+    def mismatch():
         px, py, pf, pg = (rng.below(2) if m else 0 for _ in range(4))
         X = random_field(n, m, maxdeg, px, rng)
         Y = random_field(n, m, maxdeg, py, rng)
@@ -552,13 +536,15 @@ def sample_check_w_o_pair(
         ok = ok and op2(probe) == closed2 * probe
         # degree bound on coefficient degrees
         ok = ok and closed.degree() <= X.degree() + Y.degree() + f.degree()
-        if not ok:
-            count += 1
-            if len(failures) < 10:
-                failures.append(Failure({"trial": trial}, {"mismatch": Fraction(1)}))
-    reports.append(
-        AxiomReport(f"wo({n}|{m}).operator_oracle", 0, trials, count, failures, "printed")
-    )
+        return {} if ok else {"mismatch": Fraction(1)}
+
+    reports.append(axiom_report(
+        f"wo({n}|{m}).operator_oracle",
+        0,
+        trials,
+        (({"trial": trial}, mismatch()) for trial in range(trials)),
+        10,
+    ))
     return VerifyReport("isotopic", reports)
 
 

@@ -27,10 +27,10 @@ from .exactlin import ONE, IncrementalSpan, Matrix, axpy, invert, scalar_to_str
 from .pairs import (
     ISOTOPIC,
     AxiomReport,
-    Failure,
     PairStructure,
     SpaceMismatch,
     VerifyReport,
+    axiom_report,
 )
 from .supercore import SuperSpace, sign_a
 from .tkk import PolarizedSuperalgebra, PreconditionError
@@ -52,6 +52,14 @@ def _matrix_from_json(rows: list) -> Matrix:
 # pair representations and the Definition-2 checkers
 
 
+def _check_family(ops: Sequence[Matrix], side: SuperSpace, H: SuperSpace):
+    """One operator on H per basis element of ``side``."""
+    if len(ops) != side.dim:
+        raise SpaceMismatch("operator count does not match the pair")
+    if any((t.rows, t.cols) != (H.dim, H.dim) for t in ops):
+        raise SpaceMismatch("operator shape does not match H")
+
+
 @dataclass
 class PairRep:
     """(T1, T2) acting on a graded space H; T_i(basis element) is an
@@ -64,11 +72,8 @@ class PairRep:
     T2: list  # Matrix per V2 basis element
 
     def __post_init__(self):
-        if len(self.T1) != self.pair.v1.dim or len(self.T2) != self.pair.v2.dim:
-            raise SpaceMismatch("operator count does not match the pair")
-        for t in list(self.T1) + list(self.T2):
-            if t.rows != self.H.dim or t.cols != self.H.dim:
-                raise SpaceMismatch("operator shape does not match H")
+        _check_family(self.T1, self.pair.v1, self.H)
+        _check_family(self.T2, self.pair.v2, self.H)
 
     def to_json(self) -> dict:
         return {
@@ -103,20 +108,6 @@ class SplitData:
         return SplitData(tuple(obj["h1"]), tuple(obj["h2"]))
 
 
-def _mat_residual_failures(
-    name, orientation, entries, cap=FAILURE_CAP
-) -> AxiomReport:
-    failures, count = [], 0
-    total = 0
-    for where, residual in entries:
-        total += 1
-        if residual:
-            count += 1
-            if len(failures) < cap:
-                failures.append(Failure(where, residual))
-    return AxiomReport(name, orientation, total, count, failures)
-
-
 def check_rep(r: PairRep, cap: int = FAILURE_CAP) -> VerifyReport:
     """Evenness of the operators plus both Definition-2 identities
     (second in the corrected mirrored form) on all basis triples."""
@@ -134,7 +125,7 @@ def check_rep(r: PairRep, cap: int = FAILURE_CAP) -> VerifyReport:
                 if H.parities[i] != (H.parities[j] + p) % 2
             }
             entries.append(({"side": side, "op": k}, bad))
-    reports.append(_mat_residual_failures("rep.evenness", 0, entries, cap))
+    reports.append(axiom_report("rep.evenness", 0, len(entries), entries, cap))
 
     entries = []
     for u, x, y in itertools.product(range(d2), range(d1), range(d1)):
@@ -146,7 +137,7 @@ def check_rep(r: PairRep, cap: int = FAILURE_CAP) -> VerifyReport:
         entries.append(
             ({"U": u, "X": x, "Y": y}, (lhs - rhs).flat())
         )
-    reports.append(_mat_residual_failures("rep.T1_identity", 1, entries, cap))
+    reports.append(axiom_report("rep.T1_identity", 1, len(entries), entries, cap))
 
     entries = []
     for x, u, v in itertools.product(range(d1), range(d2), range(d2)):
@@ -159,13 +150,8 @@ def check_rep(r: PairRep, cap: int = FAILURE_CAP) -> VerifyReport:
             ({"X": x, "U": u, "V": v}, (lhs - rhs).flat())
         )
     reports.append(
-        AxiomReport(
-            "rep.T2_identity",
-            2,
-            len(entries),
-            sum(1 for _, res in entries if res),
-            [Failure(w, res) for w, res in entries if res][:cap],
-            "corrected: second word reversed",
+        axiom_report(
+            "rep.T2_identity", 2, len(entries), entries, cap, "corrected: second word reversed"
         )
     )
     return VerifyReport("rep", reports)
@@ -192,7 +178,7 @@ def check_split(r: PairRep, s: SplitData, cap: int = FAILURE_CAP) -> VerifyRepor
                 if j in cols and (target is None or i not in target)
             }
             entries.append(({"op": k}, bad))
-        reports.append(_mat_residual_failures(name, 0, entries, cap))
+        reports.append(axiom_report(name, 0, len(entries), entries, cap))
     return VerifyReport("split", reports)
 
 
@@ -233,13 +219,13 @@ class GradedPairData:
             want = self.deg2[u] + self.deg1[x] + self.deg1[y]
             bad = {o: c for o, c in comps.items() if self.deg1[o] != want}
             entries.append(({"u": u, "x": x, "y": y}, bad))
-        reports.append(_mat_residual_failures("grading.m1", 1, entries, cap))
+        reports.append(axiom_report("grading.m1", 1, len(entries), entries, cap))
         entries = []
         for (x, u, v), comps in sorted(pair.m2.items()):
             want = self.deg1[x] + self.deg2[u] + self.deg2[v]
             bad = {o: c for o, c in comps.items() if self.deg2[o] != want}
             entries.append(({"x": x, "u": u, "v": v}, bad))
-        reports.append(_mat_residual_failures("grading.m2", 2, entries, cap))
+        reports.append(axiom_report("grading.m2", 2, len(entries), entries, cap))
 
         entries = []
         z1 = [i for i, d in enumerate(self.deg1) if d == 0]
@@ -252,7 +238,7 @@ class GradedPairData:
             entries.append(
                 ({"x": x, "u": u, "v": v}, dict(pair.m2.get((x, u, v), {})))
             )
-        reports.append(_mat_residual_failures("grading.degree0_trivial", 0, entries, cap))
+        reports.append(axiom_report("grading.degree0_trivial", 0, len(entries), entries, cap))
         return VerifyReport("grading", reports)
 
 
@@ -726,31 +712,27 @@ def induced_split_module(
     engine = _WordEngine(pair, seeds, rels, cap)
     result = engine.quotient(radical=radical)
 
-    containment = None
-    if result.stabilized:
-        failures, count = [], 0
-        total = 0
-        for si, emb in enumerate(sub_basis_1):
-            for v in range(subrep.H.dim):
-                total += 1
-                want = {
-                    w: subrep.T1[si][w, v] for w in range(subrep.H.dim)
-                    if subrep.T1[si][w, v]
-                }
-                got: dict = {}
-                if sector_of[v] == 1:
-                    for i, c in enumerate(emb):
-                        if c:
-                            axpy(got, 1, engine.act(1, i, {v: Fraction(c)}))
-                residual, _ = engine.relations.reduce(got)
-                want_red, _ = engine.relations.reduce(dict(want))
-                diff = axpy(dict(residual), -1, want_red)
-                if diff:
-                    count += 1
-                    if len(failures) < cap:
-                        failures.append(Failure({"sub_op": si, "seed": v}, diff))
-        containment = AxiomReport("induced.contains_subrep", 0, total, count, failures)
-    return result, containment
+    if not result.stabilized:
+        return result, None
+
+    def diff(si, emb, v):
+        want = {w: subrep.T1[si][w, v] for w in range(subrep.H.dim) if subrep.T1[si][w, v]}
+        got: dict = {}
+        if sector_of[v] == 1:
+            for i, c in enumerate(emb):
+                if c:
+                    axpy(got, 1, engine.act(1, i, {v: Fraction(c)}))
+        residual, _ = engine.relations.reduce(got)
+        want_red, _ = engine.relations.reduce(want)
+        return axpy(dict(residual), -1, want_red)
+
+    entries = (
+        ({"sub_op": si, "seed": v}, diff(si, emb, v))
+        for si, emb in enumerate(sub_basis_1)
+        for v in range(subrep.H.dim)
+    )
+    total = len(sub_basis_1) * subrep.H.dim
+    return result, axiom_report("induced.contains_subrep", 0, total, entries, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +775,7 @@ def lie_from_pair_rep(r: PairRep, cap: int = FAILURE_CAP):
         s = -1 if pair.v1.parities[i] * pair.v1.parities[j] % 2 else 1
         rhs = T0[i] @ T0[j] - (T0[j] @ T0[i]).scale(s)
         entries.append(({"i": i, "j": j}, (lhs - rhs).flat()))
-    return T0, _mat_residual_failures("lie.bracket_respected", 0, entries, cap)
+    return T0, axiom_report("lie.bracket_respected", 0, len(entries), entries, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +836,6 @@ def tkk_rep_from_split(
             out.append(((i, j), lhs - rhs))
         return out
 
-    note = "printed"
     res = residuals(rho)
     if any(not m.is_zero() for _, m in res):
         # The inner g0 identifies operator pairs up to relations the
@@ -904,17 +885,14 @@ def tkk_rep_from_split(
                         rho_ext[i], rho_ext[j], ext.parities[i], ext.parities[j]
                     )
                     entries.append(({"i": i, "j": j}, (lhs - rhs).flat()))
-                report = _mat_residual_failures("tkk_homomorphism", 0, entries, cap)
-                report.adopted_form = (
+                form = (
                     "central extension: cocycle measured from the module on "
                     f"{len(theta)} bracket pairs, rho(z) = Id"
                 )
-                return report
+                return axiom_report("tkk_homomorphism", 0, len(entries), entries, cap, form)
 
     entries = [({"i": i, "j": j}, m.flat()) for (i, j), m in res]
-    report = _mat_residual_failures("tkk_homomorphism", 0, entries, cap)
-    report.adopted_form = note
-    return report
+    return axiom_report("tkk_homomorphism", 0, len(entries), entries, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -939,6 +917,10 @@ class GraphRep:
             self.Q.cols,
         ) != (n1, n2):
             raise SpaceMismatch("mixing matrices must be N1 x N2")
+        for family in self.T1s:
+            _check_family(family, self.pair.v1, self.H)
+        for family in self.T2s:
+            _check_family(family, self.pair.v2, self.H)
 
     def to_json(self) -> dict:
         return {
@@ -987,7 +969,7 @@ def check_graph_rep(gr: GraphRep, cap: int = FAILURE_CAP) -> VerifyReport:
             entries.append(
                 ({"alpha": alpha, "U": u, "X": x, "Y": y}, (lhs - rhs).flat())
             )
-    reports.append(_mat_residual_failures("graph.T1_identity", 1, entries, cap))
+    reports.append(axiom_report("graph.T1_identity", 1, len(entries), entries, cap))
 
     entries = []
     for beta, T2 in enumerate(gr.T2s):
@@ -1006,7 +988,7 @@ def check_graph_rep(gr: GraphRep, cap: int = FAILURE_CAP) -> VerifyReport:
             entries.append(
                 ({"beta": beta, "X": x, "U": u, "V": v}, (lhs - rhs).flat())
             )
-    reports.append(_mat_residual_failures("graph.T2_identity", 2, entries, cap))
+    reports.append(axiom_report("graph.T2_identity", 2, len(entries), entries, cap))
     return VerifyReport("graph", reports)
 
 

@@ -8,13 +8,18 @@ The two sign factors are
 over parity bits.  Bracket identities are stored as data
 (:class:`IdentityTemplate`): a sum of terms, each carrying a rational
 coefficient, a quadratic sign exponent in the parities of the formal
-letters, and a nesting of brackets over the letters X, Y, Z, U, V.
+letters, and a nesting of bracket nodes over the letters.  Each
+:class:`Identity` names its own letters: X, Y, Z, U, V for the pair
+identities, i, j, k for those of a superalgebra and a..e for those of
+a triple system.
 
 Every identity is validated in the free associative envelope, where a
-bracket of homogeneous elements expands by the model
+node over homogeneous elements expands by its model
 
-    comm:  [l, r]_i = l i r - sign_a(l, i, r) r i l
-    circ:  l o_i r  = l i r + sign_a(l, i, r) r i l
+    comm:    [l, r]_i  = l i r - sign_a(l, i, r) r i l
+    circ:    l o_i r   = l i r + sign_a(l, i, r) r i l
+    Comm:    [l, r]    = l r - (-1)^(p(l)p(r)) r l  (comm, empty i)
+    Triple:  [a b c]   = [[a, b], c]
 
 into signed noncommutative words.  Two templates are equal iff their
 word expansions agree for every parity assignment of the letters; the
@@ -32,6 +37,12 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 LETTERS = ("X", "Y", "Z", "U", "V")
+
+
+def letter_key(name: str) -> tuple:
+    """Letter order: the pair letters X, Y, Z, U, V first, in that order,
+    then any other letters alphabetically (i, j, k and a..e)."""
+    return (LETTERS.index(name), "") if name in LETTERS else (len(LETTERS), name)
 
 
 def sign_a(p1: int, p2: int, p3: int) -> int:
@@ -83,7 +94,12 @@ class SuperSpace:
 
     @staticmethod
     def from_json(obj: dict) -> "SuperSpace":
-        return SuperSpace.make(obj["labels"], obj["parities"])
+        labels, parities = obj["labels"], obj["parities"]
+        if type(labels) is not list or not all(type(l) is str for l in labels):
+            raise ValueError(f"labels must be a list of strings, got {labels!r}")
+        if type(parities) is not list or not all(type(p) is int for p in parities):
+            raise ValueError(f"parities must be a list of integers, got {parities!r}")
+        return SuperSpace.make(labels, parities)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +134,35 @@ class Bracket:
         if self.op not in ("comm", "circ"):
             raise ValueError(f"unknown bracket op {self.op!r}")
 
+    # the operands in the order of a pair tensor's key (u, x, y)
+    slots = property(lambda self: (self.iso, self.left, self.right))
 
-Expr = Union[Letter, WordExpr, Bracket]
+
+@dataclass(frozen=True)
+class Comm:
+    """The super-commutator [left, right] of a superalgebra, read from
+    its binary bracket table keyed (left, right); in the envelope it is
+    the isocommutator with an empty isotopic word."""
+
+    left: "Expr"
+    right: "Expr"
+    iso = WordExpr(())
+    op = "comm"
+    slots = property(lambda self: (self.left, self.right))
+
+
+@dataclass(frozen=True)
+class Triple:
+    """The triple product [left mid right] := [[left, mid], right] of a
+    triple system, read from its ternary tensor keyed (left, mid, right)."""
+
+    left: "Expr"
+    mid: "Expr"
+    right: "Expr"
+    slots = property(lambda self: (self.left, self.mid, self.right))
+
+
+Expr = Union[Letter, WordExpr, Bracket, Comm, Triple]
 
 
 def expr_letters(e: Expr) -> tuple[str, ...]:
@@ -127,7 +170,7 @@ def expr_letters(e: Expr) -> tuple[str, ...]:
         return (e.name,)
     if isinstance(e, WordExpr):
         return e.letters
-    return expr_letters(e.left) + expr_letters(e.iso) + expr_letters(e.right)
+    return sum(map(expr_letters, e.slots), ())
 
 
 def expr_parity(e: Expr, parities: dict) -> int:
@@ -164,6 +207,8 @@ def expand_expr(e: Expr, parities: dict) -> dict:
         return {(e.name,): Fraction(1)}
     if isinstance(e, WordExpr):
         return {tuple(e.letters): Fraction(1)}
+    if isinstance(e, Triple):
+        return expand_expr(Comm(Comm(e.left, e.mid), e.right), parities)
     left = expand_expr(e.left, parities)
     right = expand_expr(e.right, parities)
     iso = expand_expr(e.iso, parities)
@@ -199,6 +244,13 @@ def bpairs(a: str, b: str, c: str, d: str) -> SignPairs:
     )
 
 
+def koszul(left: str, right: str) -> SignPairs:
+    """Sign exponent p(left) p(right), where ``left`` and ``right`` are
+    disjoint strings of one-character letters whose parities add up."""
+    assert not set(left) & set(right)
+    return frozenset(frozenset({a, b}) for a in left for b in right)
+
+
 NO_SIGN: SignPairs = frozenset()
 
 
@@ -229,7 +281,7 @@ class IdentityTemplate:
             for l in expr_letters(t.expr):
                 if l not in seen:
                     seen.append(l)
-        return tuple(sorted(seen, key=LETTERS.index))
+        return tuple(sorted(seen, key=letter_key))
 
 
 def term(coeff, sign_pairs: SignPairs, expr: Expr) -> TemplateTerm:
@@ -303,7 +355,7 @@ def validate_identity(
 ) -> ValidationReport:
     """Compare two templates in the free envelope over all parity
     assignments of their (shared) letter set."""
-    letters = tuple(sorted(set(lhs.letters()) | set(rhs.letters()), key=LETTERS.index))
+    letters = tuple(sorted(set(lhs.letters()) | set(rhs.letters()), key=letter_key))
     verdicts = []
     for bits in itertools.product((0, 1), repeat=len(letters)):
         parities = dict(zip(letters, bits))
@@ -334,8 +386,10 @@ class Identity:
 
     ``sides`` maps each letter to 1 or 2 for the primary orientation
     (elements of V1 get brackets from m1, of V2 from m2); the mirrored
-    orientation swaps every side.  ``printed_rhs``/``printed_lhs`` retain
-    the source form when it differs from the adopted one.
+    orientation swaps every side.  Identities over the one space of a
+    superalgebra or triple system put every letter on side 0.
+    ``printed_rhs``/``printed_lhs`` retain the source form when it
+    differs from the adopted one.
     """
 
     name: str
@@ -345,6 +399,10 @@ class Identity:
     printed_lhs: Optional[IdentityTemplate] = None
     printed_rhs: Optional[IdentityTemplate] = None
     correction: Optional[str] = None
+
+    @property
+    def letters(self) -> tuple[str, ...]:
+        return tuple(sorted(self.sides, key=letter_key))
 
     @property
     def adopted_differs(self) -> bool:
@@ -499,6 +557,60 @@ CATALOG = {
     )
 }
 
+# The identities of the polarized superalgebra and triple system that
+# tkk builds, over their one space (side 0): consequences of super-Jacobi
+# (Kac, Adv. Math. 26, 1977; Loos, LNM 460, 1975), whose printed signs
+# validate as-is.  CATALOG, whose validation is an acceptance artifact,
+# keeps the pair and representation identities only.
+
+
+def _one_space(name: str, lhs: tuple, rhs: tuple = ()) -> Identity:
+    letters = {l for t in lhs + rhs for l in expr_letters(t.expr)}
+    return Identity(name, template(*lhs), template(*rhs), dict.fromkeys(sorted(letters), 0))
+
+
+_i, _j, _k = map(Letter, "ijk")
+_a, _b, _c, _d, _e = map(Letter, "abcde")
+
+TKK_CATALOG = {
+    ident.name: ident
+    for ident in (
+        # [i,j] + (-1)^(ij) [j,i] = 0
+        _one_space(
+            "superalgebra.antisymmetry",
+            (term(1, NO_SIGN, Comm(_i, _j)), term(1, koszul("i", "j"), Comm(_j, _i))),
+        ),
+        # [i,[j,k]] = [[i,j],k] + (-1)^(ij) [j,[i,k]]
+        _one_space(
+            "superalgebra.super_jacobi",
+            (term(1, NO_SIGN, Comm(_i, Comm(_j, _k))),),
+            (term(1, NO_SIGN, Comm(Comm(_i, _j), _k)),
+             term(1, koszul("i", "j"), Comm(_j, Comm(_i, _k)))),
+        ),
+        # (i) [a b c] + (-1)^(ab) [b a c] = 0
+        _one_space(
+            "lts.antisymmetry",
+            (term(1, NO_SIGN, Triple(_a, _b, _c)), term(1, koszul("a", "b"), Triple(_b, _a, _c))),
+        ),
+        # (ii) (-1)^(ac) [a b c] + (-1)^(ba) [b c a] + (-1)^(cb) [c a b] = 0
+        _one_space(
+            "lts.cyclic",
+            (term(1, koszul("a", "c"), Triple(_a, _b, _c)),
+             term(1, koszul("b", "a"), Triple(_b, _c, _a)),
+             term(1, koszul("c", "b"), Triple(_c, _a, _b))),
+        ),
+        # (iii) [a b [c d e]] = [[a b c] d e] + (-1)^((a+b)c) [c [a b d] e]
+        #                       + (-1)^((a+b)(c+d)) [c d [a b e]]
+        _one_space(
+            "lts.derivation",
+            (term(1, NO_SIGN, Triple(_a, _b, Triple(_c, _d, _e))),),
+            (term(1, NO_SIGN, Triple(Triple(_a, _b, _c), _d, _e)),
+             term(1, koszul("ab", "c"), Triple(_c, Triple(_a, _b, _d), _e)),
+             term(1, koszul("ab", "cd"), Triple(_c, _d, Triple(_a, _b, _e)))),
+        ),
+    )
+}
+
 
 def validate_catalog() -> dict:
     """Validate every adopted identity (and the printed form where it
@@ -552,7 +664,7 @@ def find_correction(
     """Search sign-corrected variants of ``rhs`` that make lhs = rhs hold
     in the envelope, nearest the printed form first.  Returns the first
     passing variant (terms scanned left to right) or None."""
-    letters = tuple(sorted(set(lhs.letters()) | set(rhs.letters()), key=LETTERS.index))
+    letters = tuple(sorted(set(lhs.letters()) | set(rhs.letters()), key=letter_key))
     if validate_identity(lhs, rhs).equal:
         return rhs, "printed form validates"
     candidates: list[tuple[IdentityTemplate, str]] = []

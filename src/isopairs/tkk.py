@@ -28,13 +28,16 @@ implemented (graded) triple-system axiom set is:
           + (-1)^((p(a)+p(b))p(c)) [c [a b d] e]
           + (-1)^((p(a)+p(b))(p(c)+p(d))) [c d [a b e]]
 
-checked exhaustively on basis tuples.
+These axioms, and the superalgebra's graded antisymmetry and
+super-Jacobi identity, are templates of ``supercore.TKK_CATALOG``,
+validated in the free envelope and checked exhaustively on basis tuples
+by the identity evaluator of :mod:`isopairs.pairs`.  Polarization and
+the submodule property are support checks on the tensor entries.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,28 +47,17 @@ from .pairs import (
     ISOTOPIC,
     SUPER_JORDAN,
     AxiomReport,
-    Failure,
     PairStructure,
+    Tensors,
     VerifyReport,
+    _eval_identity,
+    axiom_report,
     check_super_jordan,
     verify,
 )
-from .supercore import SuperSpace
+from .supercore import TKK_CATALOG, SuperSpace
 
 FAILURE_CAP = 25
-
-
-def _int_scaled(tensor: dict) -> tuple[int, dict]:
-    """(scale, tensor * scale as ints), scale the lcm of the denominators:
-    the checkers run on ints and give a residual of degree k in the
-    tensor back as _unscaled(res, scale**k)."""
-    scale = math.lcm(*(c.denominator for out in tensor.values() for c in out.values()))
-    ints = lambda out: {o: c.numerator * (scale // c.denominator) for o, c in out.items()}
-    return scale, {key: ints(out) for key, out in tensor.items()}
-
-
-def _unscaled(res: dict, denom: int) -> dict:
-    return {k: Fraction(x, denom) for k, x in res.items()}
 
 
 class PreconditionError(ValueError):
@@ -151,6 +143,9 @@ class PolarizedSuperalgebra:
 
     def bracket_basis(self, i: int, j: int) -> dict:
         return self.table.get((i, j), {})
+
+    def tensors(self) -> Tensors:
+        return Tensors({0: SuperSpace.make(self.labels, self.parities)}, {0: self.table})
 
     def to_json(self) -> dict:
         from .exactlin import scalar_to_str
@@ -302,84 +297,25 @@ def superalgebra_from_pair(
 
 
 def check_superalgebra(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> VerifyReport:
-    """Graded antisymmetry, polarization, submodule property, and the
-    exhaustive super-Jacobi identity on all basis triples."""
-    N = a.dim
-    hat = a.parities
-    scale, table = _int_scaled(a.table)
-    bracket = lambda i, j: table.get((i, j), {})
-    reports = []
-
-    failures, count = [], 0
-    for i, j in itertools.product(range(N), repeat=2):
-        s = -1 if hat[i] * hat[j] % 2 else 1
-        lhs = bracket(i, j)
-        rhs = bracket(j, i)
-        keys = set(lhs) | set(rhs)
-        res = {k: lhs.get(k, 0) + s * rhs.get(k, 0) for k in keys}
-        res = {k: v for k, v in res.items() if v}
-        if res:
-            count += 1
-            if len(failures) < cap:
-                failures.append(Failure({"i": i, "j": j}, _unscaled(res, scale)))
-    reports.append(AxiomReport("superalgebra.antisymmetry", 0, N * N, count, failures))
-
-    failures, count = [], 0
-    plus = [i for i in range(N) if a.grading[i] == "+"]
-    minus = [i for i in range(N) if a.grading[i] == "-"]
-    for block in (plus, minus):
-        for i, j in itertools.product(block, repeat=2):
-            res = bracket(i, j)
-            if res:
-                count += 1
-                if len(failures) < cap:
-                    failures.append(Failure({"i": i, "j": j}, _unscaled(res, scale)))
-    reports.append(
-        AxiomReport(
-            "superalgebra.polarization",
-            0,
-            len(plus) ** 2 + len(minus) ** 2,
-            count,
-            failures,
-        )
-    )
-
-    failures, count = [], 0
-    zero = [i for i in range(N) if a.grading[i] == "0"]
-    for i in zero:
-        for j in plus + minus:
-            out = bracket(i, j)
-            bad = {k: c for k, c in out.items() if a.grading[k] != a.grading[j]}
-            if bad:
-                count += 1
-                if len(failures) < cap:
-                    failures.append(Failure({"i": i, "j": j}, _unscaled(bad, scale)))
-    reports.append(
-        AxiomReport(
-            "superalgebra.submodule", 0, len(zero) * (len(plus) + len(minus)), count, failures
-        )
-    )
-
-    def ad(i, vec: dict) -> dict:
-        out: dict = {}
-        for j, c in vec.items():
-            axpy(out, c, bracket(i, j))
-        return out
-
-    # [a,[b,c]] = [[a,b],c] + (-1)^(p(a)p(b)) [b,[a,c]]
-    failures, count = [], 0
-    for i, j, k in itertools.product(range(N), repeat=3):
-        res = ad(i, bracket(j, k))
-        for m, c in bracket(i, j).items():
-            axpy(res, -c, bracket(m, k))
-        s = -1 if hat[i] * hat[j] % 2 else 1
-        axpy(res, -s, ad(j, bracket(i, k)))
-        if res:
-            count += 1
-            if len(failures) < cap:
-                failures.append(Failure({"i": i, "j": j, "k": k}, _unscaled(res, scale**2)))
-    reports.append(AxiomReport("superalgebra.super_jacobi", 0, N**3, count, failures))
-    return VerifyReport("superalgebra", reports)
+    """Graded antisymmetry and the super-Jacobi identity on all basis
+    pairs and triples, evaluated as catalog identities over the bracket
+    table, plus polarization and the submodule property as support
+    checks on its entries."""
+    g, table, n0 = a.grading, a.table, a.grading.count("0")
+    t = a.tensors()
+    antisymmetry, jacobi = (_eval_identity(t, TKK_CATALOG[n], 0, cap)
+                            for n in ("superalgebra.antisymmetry", "superalgebra.super_jacobi"))
+    polarized = (({"i": i, "j": j}, dict(table[i, j]))
+                 for i, j in sorted(table) if g[i] == g[j] != "0")
+    moved = (({"i": i, "j": j}, {k: c for k, c in table[i, j].items() if g[k] != g[j]})
+             for i, j in sorted(table) if g[i] == "0" != g[j])
+    return VerifyReport("superalgebra", [
+        antisymmetry,
+        axiom_report("superalgebra.polarization", 0, g.count("+") ** 2 + g.count("-") ** 2,
+                     polarized, cap),
+        axiom_report("superalgebra.submodule", 0, n0 * (a.dim - n0), moved, cap),
+        jacobi,
+    ])
 
 
 def g0_equivariance_report(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> AxiomReport:
@@ -390,32 +326,28 @@ def g0_equivariance_report(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> 
     d1, d2 = pair.v1.dim, pair.v2.dim
     hat1 = [(p + 1) % 2 for p in pair.v1.parities]
     hat2 = [(p + 1) % 2 for p in pair.v2.parities]
-    gens = [
-        (idx, rec) for idx, rec in enumerate(a.g0_recipes) if rec[0] == "gen"
-    ]
+    gens = [idx for idx, rec in enumerate(a.g0_recipes) if rec[0] == "gen"]
     unit1 = [tuple(Fraction(int(i == k)) for i in range(d1)) for k in range(d1)]
     unit2 = [tuple(Fraction(int(i == k)) for i in range(d2)) for k in range(d2)]
-    failures, count = [], 0
-    total = len(gens) * d2 * d1 * d1
-    for gidx, rec in gens:
+
+    def residual(gidx, u, x, y):
         P, Q = a.g0_ops[gidx]
         pD = a.parities[gidx]
-        for u, x, y in itertools.product(range(d2), range(d1), range(d1)):
-            lhs = P.apply(pair.bracket(1, unit2[u], unit1[x], unit1[y]))
-            t1 = pair.bracket(1, unit2[u], P.apply(unit1[x]), unit1[y])
-            s2 = -1 if (pD * hat1[x]) % 2 else 1
-            t2 = pair.bracket(1, Q.apply(unit2[u]), unit1[x], unit1[y])
-            s3 = -1 if (pD * (hat1[x] + hat2[u])) % 2 else 1
-            t3 = pair.bracket(1, unit2[u], unit1[x], P.apply(unit1[y]))
-            res = {
-                o: lhs[o] - t1[o] - s2 * t2[o] - s3 * t3[o] for o in range(d1)
-            }
-            res = {o: v for o, v in res.items() if v}
-            if res:
-                count += 1
-                if len(failures) < cap:
-                    failures.append(Failure({"D": gidx, "U": u, "X": x, "Y": y}, res))
-    return AxiomReport("g0_equivariance", 0, total, count, failures)
+        lhs = P.apply(pair.bracket(1, unit2[u], unit1[x], unit1[y]))
+        t1 = pair.bracket(1, unit2[u], P.apply(unit1[x]), unit1[y])
+        s2 = -1 if (pD * hat1[x]) % 2 else 1
+        t2 = pair.bracket(1, Q.apply(unit2[u]), unit1[x], unit1[y])
+        s3 = -1 if (pD * (hat1[x] + hat2[u])) % 2 else 1
+        t3 = pair.bracket(1, unit2[u], unit1[x], P.apply(unit1[y]))
+        res = {o: lhs[o] - t1[o] - s2 * t2[o] - s3 * t3[o] for o in range(d1)}
+        return {o: v for o, v in res.items() if v}
+
+    entries = (
+        ({"D": gidx, "U": u, "X": x, "Y": y}, residual(gidx, u, x, y))
+        for gidx in gens
+        for u, x, y in itertools.product(range(d2), range(d1), range(d1))
+    )
+    return axiom_report("g0_equivariance", 0, len(gens) * d2 * d1 * d1, entries, cap)
 
 
 def scan_sigma_conventions(pairs: Sequence[PairStructure]) -> list:
@@ -456,6 +388,9 @@ class PolarizedLTS:
     def summand(self, idx: int) -> int:
         return 1 if idx < self.split else 2
 
+    def tensors(self) -> Tensors:
+        return Tensors({0: self.space}, {0: self.tensor})
+
 
 def lts_from_pair(pair: PairStructure, verified: bool = False) -> PolarizedLTS:
     """Theorem-2A construction.  The super-Jordan pair is parity-flipped
@@ -490,93 +425,14 @@ def lts_from_pair(pair: PairStructure, verified: bool = False) -> PolarizedLTS:
 
 
 def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:
-    """Polarization plus the documented graded triple-system axioms."""
-    N = l.dim
-    p = l.space.parities
-    scale, tensor = _int_scaled(l.tensor)
-    T = lambda i, j, k: tensor.get((i, j, k), {})
-    reports = []
-
-    failures, count = [], 0
-    for i, j, k in itertools.product(range(N), repeat=3):
-        if l.summand(i) == l.summand(j) == l.summand(k):
-            res = T(i, j, k)
-            if res:
-                count += 1
-                if len(failures) < cap:
-                    failures.append(Failure({"a": i, "b": j, "c": k}, _unscaled(res, scale)))
-    reports.append(AxiomReport("lts.polarization", 0, N**3, count, failures))
-
-    failures, count = [], 0
-    for i, j, k in itertools.product(range(N), repeat=3):
-        s = -1 if p[i] * p[j] % 2 else 1
-        lhs = T(i, j, k)
-        rhs = T(j, i, k)
-        keys = set(lhs) | set(rhs)
-        res = {o: lhs.get(o, 0) + s * rhs.get(o, 0) for o in keys}
-        res = {o: v for o, v in res.items() if v}
-        if res:
-            count += 1
-            if len(failures) < cap:
-                failures.append(Failure({"a": i, "b": j, "c": k}, _unscaled(res, scale)))
-    reports.append(AxiomReport("lts.antisymmetry", 0, N**3, count, failures))
-
-    failures, count = [], 0
-    for i, j, k in itertools.product(range(N), repeat=3):
-        res: dict = {}
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            axpy(res, -1 if p[a] * p[c] % 2 else 1, T(a, b, c))
-        if res:
-            count += 1
-            if len(failures) < cap:
-                failures.append(Failure({"a": i, "b": j, "c": k}, _unscaled(res, scale)))
-    reports.append(AxiomReport("lts.cyclic", 0, N**3, count, failures))
-
-    # [a b [c d e]] - [[a b c] d e] - s2 [c [a b d] e] - s3 [c d [a b e]],
-    # joined over the nonzero products only.  Every term is linear in
-    # L = T(a, b, .), so blocks with L = 0 hold no failures; each (a, b)
-    # block is accumulated on its own and read out in (c, d, e) order.
-    by_first: dict = {}
-    by_mid: dict = {}
-    by_last: dict = {}
-    for (i, j, k), out in tensor.items():
-        by_first.setdefault(i, []).append((j, k, out))
-        by_mid.setdefault(j, []).append((i, k, out))
-        by_last.setdefault(k, []).append((i, j, out))
-
-    def add(acc, key, f, out):
-        axpy(acc.setdefault(key, {}), f, out)
-
-    failures, count = [], 0
-    total = N**5
-    for a, b in itertools.product(range(N), repeat=2):
-        L = {k: T(a, b, k) for k in range(N) if T(a, b, k)}
-        if not L:
-            continue
-        acc: dict = {}
-        for key, out in tensor.items():  # [a b [c d e]]
-            for k, x in out.items():
-                if k in L:
-                    add(acc, key, x, L[k])
-        pab = p[a] + p[b]
-        for c, abc in L.items():  # -[[a b c] d e]
-            for k, x in abc.items():
-                for d, e, out in by_first.get(k, ()):
-                    add(acc, (c, d, e), -x, out)
-        for d, abd in L.items():  # -s2 [c [a b d] e]
-            for k, x in abd.items():
-                for c, e, out in by_mid.get(k, ()):
-                    add(acc, (c, d, e), x if pab * p[c] % 2 else -x, out)
-        for e, abe in L.items():  # -s3 [c d [a b e]]
-            for k, x in abe.items():
-                for c, d, out in by_last.get(k, ()):
-                    add(acc, (c, d, e), x if pab * (p[c] + p[d]) % 2 else -x, out)
-        for (c, d, e) in sorted(acc):
-            res = acc[(c, d, e)]
-            if res:
-                count += 1
-                if len(failures) < cap:
-                    where = {"a": a, "b": b, "c": c, "d": d, "e": e}
-                    failures.append(Failure(where, _unscaled(res, scale**2)))
-    reports.append(AxiomReport("lts.derivation", 0, total, count, failures))
-    return VerifyReport("lts", reports)
+    """Polarization, a support check on the product's entries, and the
+    triple-system axioms (i)-(iii), evaluated as catalog identities over
+    the product."""
+    t = l.tensors()
+    unpolarized = ((dict(zip("abc", key)), dict(l.tensor[key]))
+                   for key in sorted(l.tensor) if len({l.summand(i) for i in key}) == 1)
+    return VerifyReport("lts", [
+        axiom_report("lts.polarization", 0, l.dim**3, unpolarized, cap),
+        *(_eval_identity(t, TKK_CATALOG[n], 0, cap)
+          for n in ("lts.antisymmetry", "lts.cyclic", "lts.derivation")),
+    ])

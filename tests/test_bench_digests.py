@@ -60,3 +60,28 @@ def test_bench_jobs_pin_the_evaluator_form(workload, job, form):
         assert P._form(pair, CATALOG[symmetry], orientation) == ("dense", np.int64)
         for name in deep:
             assert P._form(pair, CATALOG[name], orientation) == form
+
+
+@pytest.mark.parametrize("job, build, forms", [
+    ("tkk gl(2,1) relabelled", "superalgebra_from_pair", {
+        "superalgebra.antisymmetry": ("dense", np.int64),
+        "superalgebra.super_jacobi": ("join", np.int64),
+    }),
+    ("lts flip osp+(2,2) relabelled", "lts_from_pair", {
+        "lts.antisymmetry": ("dense", np.int64),
+        "lts.cyclic": ("dense", np.int64),
+        "lts.derivation": ("join", np.int64),
+    }),
+])
+def test_modules_jobs_pin_the_evaluator_form(job, build, forms):
+    # the hull and triple-system identities run on the one evaluator:
+    # the degree-1 ones take the int64 dense form, whose blocks have as
+    # many cells as the join has contributions, and the degree-2 ones,
+    # over sparse tensors, the join
+    from isopairs import tkk
+    from isopairs.supercore import TKK_CATALOG
+
+    (pair,) = _jobs("modules")[job].args()
+    structure = getattr(tkk, build)(pair)
+    for name, form in forms.items():
+        assert P._form(structure, TKK_CATALOG[name], 0) == form

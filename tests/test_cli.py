@@ -146,14 +146,17 @@ def test_unknown_spec_exit_2(tmp_path, capsys):
     assert "unknown builder spec" in capsys.readouterr().err
 
 
-def test_verify_jobs_flag(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["make", "verify"])
+def test_jobs_flag_is_a_usage_error(tmp_path, capsys, command):
     out = tmp_path / "q1.json"
     run(["make", "q:1", "-o", str(out)])
     capsys.readouterr()  # drop the make line
-    assert run(["verify", str(out), "--jobs", "2"]) == 0
-    text1 = capsys.readouterr().out
-    assert run(["verify", str(out), "--jobs", "1"]) == 0
-    assert capsys.readouterr().out == text1  # deterministic across job counts
+    args = ["q:1", "-o", str(out)] if command == "make" else [str(out)]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *args, "--jobs", "2"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--jobs" in errors[0]
 
 
 def test_tkk_and_lts_commands(tmp_path, capsys):
@@ -320,3 +323,59 @@ def test_make_bad_sizes_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert _single_error_line(err) and "need" in err
     assert not out.exists()
+
+
+def _gl11_rep_json():
+    from isopairs.constructions import series_gl
+    from isopairs.reps import tautological_rep
+
+    return tautological_rep(series_gl(1, 1)).to_json()
+
+
+def _gl11_graph_json():
+    from isopairs.constructions import series_gl
+    from isopairs.reps import graph_from_rep, tautological_rep
+
+    return graph_from_rep(tautological_rep(series_gl(1, 1))).to_json()
+
+
+def _edited(payload, path, value):
+    *head, last = path
+    target = payload
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("T1s",), [[]]),  # a family with no operators
+        (("T1s", 0, 0), [["1"]]),  # a 1 x 1 operator on a two-dimensional H
+    ],
+    ids=["empty-family", "operator-shape"],
+)
+def test_graph_check_malformed_families_exit_2(tmp_path, capsys, path, value):
+    f = tmp_path / "graph.json"
+    f.write_text(canonical_json(_edited(_gl11_graph_json(), path, value)))
+    assert run(["rep", "graph-check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and "not a graph-representation file" in err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("T1", 0, 0, 0), 1.5),  # a float scalar
+        (("T1", 0, 0, 0), 0.1),  # a float that is not exactly 1/10
+        (("H", "labels"), "ab"),  # labels given as a string
+    ],
+    ids=["float-1.5", "float-0.1", "labels-string"],
+)
+def test_rep_check_malformed_wire_values_exit_2(tmp_path, capsys, path, value):
+    f = tmp_path / "rep.json"
+    f.write_text(canonical_json(_edited(_gl11_rep_json(), path, value)))
+    assert run(["rep", "check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and "not a representation file" in err

@@ -471,3 +471,27 @@ def test_adopted_form_recorded():
     assert sym.adopted_form.startswith("corrected")
     jac = next(r for r in rep.reports if r.identity == "jacobi_analog")
     assert jac.adopted_form == "printed"
+
+
+def test_runs_of_x_indices_keep_every_report(monkeypatch):
+    # a tiny run budget cuts the X indices of the sparse joins into many
+    # runs, evaluated in lockstep by verify; the reports stay the same
+    pairs = [
+        random_even_perturbation(series_gl(2, 1).pair, Lcg64(5)),
+        random_even_perturbation(series_q(1).pair, Lcg64(6)).parity_flip(),
+    ]
+    want = [P.verify(p).to_json() for p in pairs]
+    monkeypatch.setattr(P, "_RUN", 64)
+    got = [P.verify(p).to_json() for p in pairs]
+    assert got == want
+    assert not all(r["passed"] for w in want for r in w["reports"])
+    ident = CATALOG["compatibility"]
+    e = P._Evaluation(pairs[0].tensors(), ident, 1)
+    assert e.form == ("join", np.int64) and len(P._runs(e.t, [e])) > 1
+
+
+def test_verify_keeps_nothing_on_the_pair():
+    pair = series_gl(2, 1).pair
+    before = dict(vars(pair))
+    assert P.verify(pair).passed
+    assert vars(pair) == before

@@ -137,3 +137,42 @@ def test_validation_report_json():
     assert data["equal"] is False
     bad = [a for a in data["assignments"] if not a["equal"]]
     assert bad and "diff_word" in bad[0]
+
+
+@pytest.mark.parametrize("name", sorted(sc.TKK_CATALOG))
+def test_tkk_templates_validate_and_one_sign_mutations_fail(name):
+    # each hull and triple-system identity holds in the free envelope,
+    # and flipping the sign of any one term, or dropping its Koszul
+    # factor, breaks it
+    ident = sc.TKK_CATALOG[name]
+    report = ident.validate()
+    assert report.equal
+    assert report.letters == ident.letters == tuple(ident.sides)
+    assert set(ident.sides.values()) == {0}
+    for side in ("lhs", "rhs"):
+        terms = getattr(ident, side).terms
+        for k, t in enumerate(terms):
+            mutations = [sc.TemplateTerm(-t.coeff, t.sign_pairs, t.expr)]
+            if t.sign_pairs:
+                mutations.append(sc.TemplateTerm(t.coeff, sc.NO_SIGN, t.expr))
+            for m in mutations:
+                mutated = sc.IdentityTemplate(terms[:k] + (m,) + terms[k + 1:])
+                lhs, rhs = (mutated, ident.rhs) if side == "lhs" else (ident.lhs, mutated)
+                assert not sc.validate_identity(lhs, rhs).equal, (name, side, k)
+
+
+def test_comm_and_triple_envelope_models():
+    i, j, k = map(sc.Letter, "ijk")
+    # [i, j] = ij - (-1)^(ij) ji
+    assert sc.expand_expr(sc.Comm(i, j), {"i": 1, "j": 1}) == {("i", "j"): 1, ("j", "i"): 1}
+    assert sc.expand_expr(sc.Comm(i, j), {"i": 0, "j": 1}) == {("i", "j"): 1, ("j", "i"): -1}
+    # [i j k] = [[i, j], k]
+    parities = {"i": 1, "j": 0, "k": 1}
+    assert sc.expand_expr(sc.Triple(i, j, k), parities) == sc.expand_expr(
+        sc.Comm(sc.Comm(i, j), k), parities
+    )
+
+
+def test_tkk_templates_stay_out_of_the_published_catalog():
+    assert not set(sc.TKK_CATALOG) & set(sc.CATALOG)
+    assert sc.letter_key("X") < sc.letter_key("V") < sc.letter_key("a") < sc.letter_key("i")

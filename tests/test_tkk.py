@@ -446,3 +446,19 @@ def test_hull_pinned_byte_for_byte(n, m):
     alg = tkk.superalgebra_from_pair(series_gl(n, m).pair, verified=True)
     digest = lambda obj: hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
     assert (digest(alg.to_json()), digest(alg.g0_recipes)) == HULL_DIGESTS[(n, m)]
+
+
+def test_hull_and_triple_system_checks_in_many_runs(monkeypatch):
+    # a tiny run budget evaluates the sparse joins run by run; the
+    # reports still equal the loop oracles
+    from isopairs import pairs
+
+    lts = _perturbed_lts(series_osp(2, 1, 1).pair, 8, 7)
+    alg, table = _perturbed_superalgebra(series_gl(1, 1).pair, 9, 8)
+    bad = tkk.PolarizedSuperalgebra(
+        alg.pair, alg.labels, alg.parities, alg.grading, _rescaled(table, F(1)),
+        alg.g0_ops, alg.g0_recipes, alg.sigma,
+    )
+    monkeypatch.setattr(pairs, "_RUN", 16)
+    assert tkk.check_lts_axioms(lts).to_json() == _lts_oracle(lts).to_json()
+    assert tkk.check_superalgebra(bad).to_json() == _superalgebra_oracle(bad).to_json()
