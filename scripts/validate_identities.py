@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Print the free-envelope validation report for the identity catalogs
-(the pair and representation identities, and the superalgebra and
-triple-system identities): every adopted form checked over all parity
-assignments, with the diff against the printed form wherever a
-correction was adopted.
+(the pair identities and the two of Definition 2, then those of the
+superalgebra, of its representations and of the triple system): every
+adopted form checked over all parity assignments, with the diff against
+the printed form wherever a correction was adopted.
 """
 
 import sys

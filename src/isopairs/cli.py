@@ -115,26 +115,32 @@ def _write(path: str, payload: dict):
         fh.write(canonical_json(payload))
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse, what: str):
+    """``parse`` of the JSON object in ``path``; anything else, or one it
+    rejects, is a one-line UsageError saying the file is not ``what``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(str(exc)) from exc
+    try:
+        if type(obj) is not dict:
+            raise TypeError(f"expected a JSON object, got {json.dumps(obj)[:40]}")
+        return parse(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: not a {what}: {exc}") from exc
 
 
 def _pair_from_file(path: str) -> PairStructure:
-    obj = _load_json(path)
-    if "pair" in obj and isinstance(obj["pair"], dict):
-        obj = obj["pair"]
-    try:
-        return PairStructure.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: not a pair or catalog file: {exc}") from exc
+    """A pair file, or the pair of a catalog entry."""
+    def parse(obj):
+        return PairStructure.from_json(obj["pair"] if isinstance(obj.get("pair"), dict) else obj)
+
+    return _load(path, parse, "pair or catalog file")
 
 
 def _check_sample_args(n: int, m: int, maxdeg: int, trials: int):
@@ -230,14 +236,14 @@ def cmd_lts(args) -> int:
 
 
 def cmd_rep_check(args) -> int:
-    obj = _load_json(args.file)
-    try:
+    def parse(obj):
         rep = R.PairRep.from_json(obj)
-        split = R.SplitData.from_json(obj["split"]) if "split" in obj else None
+        if "split" not in obj:
+            return rep, None
         # a split that does not partition H raises SpaceMismatch here
-        sreport = R.check_split(rep, split) if split is not None else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{args.file}: not a representation file: {exc}") from exc
+        return rep, R.check_split(rep, R.SplitData.from_json(obj["split"]))
+
+    rep, sreport = _load(args.file, parse, "representation file")
     report = R.check_rep(rep)
     _print_report(report, args.json)
     if sreport is None:
@@ -344,11 +350,7 @@ def cmd_rep_induce(args) -> int:
 
 
 def cmd_rep_graph_check(args) -> int:
-    obj = _load_json(args.file)
-    try:
-        gr = R.GraphRep.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{args.file}: not a graph-representation file: {exc}") from exc
+    gr = _load(args.file, R.GraphRep.from_json, "graph-representation file")
     report = R.check_graph_rep(gr)
     _print_report(report, args.json)
     return 0 if report.passed else 1

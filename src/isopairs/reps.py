@@ -6,6 +6,11 @@ between pair representations of (g, k) and Lie representations, the
 lift of a split representation to its polarized superalgebra, and graph
 representations.
 
+The Definition-2 checks, the word engine's relations, the Lie round
+trip and the lift read their identities from validated catalog
+templates (``rep.T1``, ``rep.T2`` and ``rep.superalgebra``), whose basis
+instances :func:`_instances` lists; no sign is written by hand here.
+
 The word-module engine represents candidate vectors as formal
 alternating operator words on seed vectors; relations (seed rules plus
 every Definition-2 instance applied to every short-enough word) are
@@ -18,21 +23,26 @@ more reduction.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
-from .exactlin import ONE, IncrementalSpan, Matrix, axpy, invert, scalar_to_str
+from .exactlin import ONE, IncrementalSpan, Matrix, axpy, invert
+from .exactlin import scalar_from_str, scalar_to_str
 from .pairs import (
     ISOTOPIC,
     AxiomReport,
     PairStructure,
     SpaceMismatch,
+    Tensors,
     VerifyReport,
     axiom_report,
 )
-from .supercore import SuperSpace, sign_a
+from .supercore import CATALOG, TKK_CATALOG, Identity, SuperSpace, eval_sign_pairs
 from .tkk import PolarizedSuperalgebra, PreconditionError
 
 FAILURE_CAP = 25
@@ -43,8 +53,6 @@ def _matrix_json(m: Matrix) -> list:
 
 
 def _matrix_from_json(rows: list) -> Matrix:
-    from .exactlin import scalar_from_str
-
     return Matrix.from_rows([[scalar_from_str(c) for c in row] for row in rows])
 
 
@@ -105,14 +113,65 @@ class SplitData:
 
     @staticmethod
     def from_json(obj: dict) -> "SplitData":
-        return SplitData(tuple(obj["h1"]), tuple(obj["h2"]))
+        def indices(name):
+            # bool is an int subclass, and 0.0 would pass as an index of H
+            v = obj[name]
+            if type(v) is not list or any(type(i) is not int for i in v):
+                raise ValueError(f"split {name!r} must be a list of JSON integers, got {v!r}")
+            return tuple(v)
+
+        return SplitData(indices("h1"), indices("h2"))
+
+
+def _instances(t: Tensors, ident: Identity):
+    """The basis instances over ``t`` of an identity whose one left node
+    equals a signed sum of operator words, as ``(where, comps, words)``:
+    the letters' basis indices in the node's key order, the node's
+    tensor output, and each word as (coefficient, ((side, index), ...))."""
+    (lhs,), terms = ident.lhs.terms, ident.rhs.terms
+    if lhs.coeff != 1 or lhs.sign_pairs or any(tm.coeff.denominator > 1 for tm in terms):
+        raise TypeError("a representation identity equates one node to integer words")
+    node, sides = lhs.expr, ident.sides
+    letters = tuple(e.name for e in node.slots)
+    tensor = t.tensors[sides[node.left.name]]
+    spaces = [t.spaces[sides[l]] for l in letters]
+    signed: dict = {}  # the words' coefficients, by the letters' parities
+    for key in itertools.product(*(range(s.dim) for s in spaces)):
+        where = dict(zip(letters, key))
+        bits = tuple(s.parities[i] for s, i in zip(spaces, key))
+        if bits not in signed:
+            parities = dict(zip(letters, bits))
+            signed[bits] = [int(tm.coeff) * eval_sign_pairs(tm.sign_pairs, parities)
+                            for tm in terms]
+        words = [(c, tuple((sides[l], where[l]) for l in tm.expr.letters))
+                 for c, tm in zip(signed[bits], terms)]
+        yield where, tensor.get(key, {}), words
+
+
+def _residuals(t: Tensors, ident: Identity, own: Sequence[Matrix], mix, tag=()):
+    """``(where, residual)`` of every instance of ``ident``, ``where``
+    led by the ``tag`` entries: the node's output on the operators
+    ``own`` of its side, minus the operator words summed over ``mix``,
+    a list of (weight, operators by side)."""
+    for where, comps, words in _instances(t, ident):
+        res = Matrix.zeros(own[0].rows, own[0].cols)
+        for o, c in comps.items():
+            res = res + own[o].scale(c)
+        for weight, ops in mix:
+            for c, word in words:
+                p = reduce(operator.matmul, (ops[side][i] for side, i in word))
+                res = res - (p if weight * c == 1 else p.scale(weight * c))
+        yield dict(tag, **where), res
+
+
+# the Definition-2 identities, by the side whose operators they constrain
+_REP = {1: CATALOG["rep.T1"], 2: CATALOG["rep.T2"]}
 
 
 def check_rep(r: PairRep, cap: int = FAILURE_CAP) -> VerifyReport:
     """Evenness of the operators plus both Definition-2 identities
     (second in the corrected mirrored form) on all basis triples."""
     pair, H = r.pair, r.H
-    d1, d2 = pair.v1.dim, pair.v2.dim
     reports = []
 
     entries = []
@@ -127,33 +186,11 @@ def check_rep(r: PairRep, cap: int = FAILURE_CAP) -> VerifyReport:
             entries.append(({"side": side, "op": k}, bad))
     reports.append(axiom_report("rep.evenness", 0, len(entries), entries, cap))
 
-    entries = []
-    for u, x, y in itertools.product(range(d2), range(d1), range(d1)):
-        lhs = Matrix.zeros(H.dim, H.dim)
-        for o, c in pair.m1.get((u, x, y), {}).items():
-            lhs = lhs + r.T1[o].scale(c)
-        a = sign_a(pair.v1.parities[x], pair.v2.parities[u], pair.v1.parities[y])
-        rhs = r.T1[x] @ r.T2[u] @ r.T1[y] - (r.T1[y] @ r.T2[u] @ r.T1[x]).scale(a)
-        entries.append(
-            ({"U": u, "X": x, "Y": y}, (lhs - rhs).flat())
-        )
-    reports.append(axiom_report("rep.T1_identity", 1, len(entries), entries, cap))
-
-    entries = []
-    for x, u, v in itertools.product(range(d1), range(d2), range(d2)):
-        lhs = Matrix.zeros(H.dim, H.dim)
-        for o, c in pair.m2.get((x, u, v), {}).items():
-            lhs = lhs + r.T2[o].scale(c)
-        a = sign_a(pair.v2.parities[u], pair.v1.parities[x], pair.v2.parities[v])
-        rhs = r.T2[u] @ r.T1[x] @ r.T2[v] - (r.T2[v] @ r.T1[x] @ r.T2[u]).scale(a)
-        entries.append(
-            ({"X": x, "U": u, "V": v}, (lhs - rhs).flat())
-        )
-    reports.append(
-        axiom_report(
-            "rep.T2_identity", 2, len(entries), entries, cap, "corrected: second word reversed"
-        )
-    )
+    t, ops = pair.tensors(), {1: r.T1, 2: r.T2}
+    for side, form in ((1, "printed"), (2, "corrected: second word reversed")):
+        entries = [(w, m.flat()) for w, m in _residuals(t, _REP[side], ops[side], [(1, ops)])]
+        reports.append(
+            axiom_report(f"rep.T{side}_identity", side, len(entries), entries, cap, form))
     return VerifyReport("rep", reports)
 
 
@@ -377,40 +414,27 @@ class _WordEngine:
                 vec = {first + op: c for op, c in rel.combo.items() if c}
             push(axpy(vec, -1, rel.rhs))
 
-        pair = self.pair
-        d1, d2 = pair.v1.dim, pair.v2.dim
-        p1, p2 = pair.v1.parities, pair.v2.parities
+        # every instance of the identity of a word's sector, applied to
+        # the word: T_s(node) w minus each operator word times w, the
+        # word's last operator acting first
+        t = self.pair.tensors()
+        instances = {side: list(_instances(t, ident)) for side, ident in _REP.items()}
         for wid in range(len(self.words)):
             if len(self.words[wid]) > self.cap - 3:
                 continue
             base = {wid: Fraction(1)}
             child = self.first_child[wid]
-            if self.sector[wid] == 1:
-                # T1([x,y]_u) w = T1(x)T2(u)T1(y) w - A T1(y)T2(u)T1(x) w
-                for u, x, y in itertools.product(range(d2), range(d1), range(d1)):
-                    vec = {child + o: c for o, c in pair.m1.get((u, x, y), {}).items()}
-                    a = sign_a(p1[x], p2[u], p1[y])
-                    t = self.act(1, y, base)
-                    t = self.act(2, u, t)
-                    axpy(vec, -1, self.act(1, x, t))
-                    t = self.act(1, x, base)
-                    t = self.act(2, u, t)
-                    axpy(vec, a, self.act(1, y, t))
-                    push(vec)
-            else:
-                # T2([u,v]_x) w = T2(u)T1(x)T2(v) w - A T2(v)T1(x)T2(u) w
-                for x, u, v in itertools.product(range(d1), range(d2), range(d2)):
-                    vec = {child + o: c for o, c in pair.m2.get((x, u, v), {}).items()}
-                    a = sign_a(p2[u], p1[x], p2[v])
-                    t = self.act(2, v, base)
-                    t = self.act(1, x, t)
-                    axpy(vec, -1, self.act(2, u, t))
-                    t = self.act(2, u, base)
-                    t = self.act(1, x, t)
-                    axpy(vec, a, self.act(2, v, t))
-                    push(vec)
+            for _, comps, words in instances[self.sector[wid]]:
+                vec = {child + o: c for o, c in comps.items()}
+                for c, word in words:
+                    v = base
+                    for side, op in reversed(word):
+                        v = self.act(side, op, v)
+                    axpy(vec, -c, v)
+                push(vec)
 
         # close the relation span under left multiplication
+        d1, d2 = self.pair.v1.dim, self.pair.v2.dim
         while queue:
             vec = queue.pop()
             for side, dim in ((1, d1), (2, d2)):
@@ -765,16 +789,13 @@ def lie_from_pair_rep(r: PairRep, cap: int = FAILURE_CAP):
     pair = r.pair
     if pair.v2.dim != 1 or pair.v2.parities != (0,):
         raise PreconditionError("lie_from_pair_rep needs dim V2 = 1|0")
-    T0 = [r.T2[0] @ t for t in r.T1]
-    entries = []
-    d1 = pair.v1.dim
-    for i, j in itertools.product(range(d1), repeat=2):
-        lhs = Matrix.zeros(r.H.dim, r.H.dim)
-        for o, c in pair.m1.get((0, i, j), {}).items():
-            lhs = lhs + T0[o].scale(c)
-        s = -1 if pair.v1.parities[i] * pair.v1.parities[j] % 2 else 1
-        rhs = T0[i] @ T0[j] - (T0[j] @ T0[i]).scale(s)
-        entries.append(({"i": i, "j": j}, (lhs - rhs).flat()))
+    Q = r.T2[0]
+    T0 = [Q @ t for t in r.T1]
+    # T0 = Q T1 with Q = T2 of the even basis element u of V2, so the
+    # bracket residual T0([i, j]) - T0(i) T0(j) + (-1)^(ij) T0(j) T0(i)
+    # is Q times the rep.T1 residual at (U, X, Y) = (u, i, j)
+    residuals = _residuals(pair.tensors(), _REP[1], r.T1, [(1, {1: r.T1, 2: r.T2})])
+    entries = [({"i": w["X"], "j": w["Y"]}, (Q @ m).flat()) for w, m in residuals]
     return T0, axiom_report("lie.bracket_respected", 0, len(entries), entries, cap)
 
 
@@ -800,43 +821,16 @@ def tkk_rep_from_split(
         raise PreconditionError("representation fails check_rep/check_split")
     if a.pair.to_json() != r.pair.to_json():
         raise PreconditionError("superalgebra was built from a different pair")
-    n0 = a.g0_dim
-    d1 = a.pair.v1.dim
-    rho: list = [None] * a.dim
+    n0, d1 = a.g0_dim, a.pair.v1.dim
+    rho = [None] * n0 + list(r.T1) + list(r.T2)
+    for idx, (kind, x, y) in enumerate(a.g0_recipes):
+        if kind == "gen":  # D(x, u): x in V1, u in V2
+            x, y = n0 + x, n0 + d1 + y
+        sign = -1 if a.parities[x] * a.parities[y] % 2 else 1
+        rho[idx] = rho[x] @ rho[y] - (rho[y] @ rho[x]).scale(sign)
 
-    def graded_comm(A, B, pa, pb):
-        s_ = -1 if pa * pb % 2 else 1
-        return A @ B - (B @ A).scale(s_)
-
-    for k in range(d1):
-        rho[n0 + k] = r.T1[k]
-    for k in range(a.pair.v2.dim):
-        rho[n0 + d1 + k] = r.T2[k]
-    for idx, recipe in enumerate(a.g0_recipes):
-        if recipe[0] == "gen":
-            _, i, j = recipe
-            rho[idx] = graded_comm(
-                r.T1[i], r.T2[j], a.parities[n0 + i], a.parities[n0 + d1 + j]
-            )
-        else:
-            _, x, y = recipe
-            rho[idx] = graded_comm(rho[x], rho[y], a.parities[x], a.parities[y])
-
-    N = a.dim
-
-    def residuals(current_rho):
-        out = []
-        for i, j in itertools.product(range(N), repeat=2):
-            lhs = Matrix.zeros(r.H.dim, r.H.dim)
-            for k, c in a.bracket_basis(i, j).items():
-                lhs = lhs + current_rho[k].scale(c)
-            rhs = graded_comm(
-                current_rho[i], current_rho[j], a.parities[i], a.parities[j]
-            )
-            out.append(((i, j), lhs - rhs))
-        return out
-
-    res = residuals(rho)
+    hom = TKK_CATALOG["rep.superalgebra"]
+    res = list(_residuals(a.tensors(), hom, rho, [(1, {0: rho})]))
     if any(not m.is_zero() for _, m in res):
         # The inner g0 identifies operator pairs up to relations the
         # module may violate by scalars only (a central charge).  When
@@ -848,50 +842,37 @@ def tkk_rep_from_split(
         ident = Matrix.identity(r.H.dim)
         theta = {}
         scalar_only = True
-        for (i, j), m in res:
+        for w, m in res:
             diag = m[0, 0]
             if m != ident.scale(diag):
                 scalar_only = False
                 break
             if diag:
-                theta[(i, j)] = -diag  # lhs + theta z closes onto rhs
+                theta[(w["i"], w["j"])] = -diag  # lhs + theta z closes onto rhs
         if scalar_only:
-            z = N
+            z = a.dim
             table_ext = {k: dict(v) for k, v in a.table.items()}
             for (i, j), c in theta.items():
                 comps = dict(table_ext.get((i, j), {}))
                 comps[z] = c
                 table_ext[(i, j)] = comps
-            ext = PolarizedSuperalgebra(
-                a.pair,
-                a.labels + ("z",),
-                a.parities + (0,),
-                a.grading + ("0",),
-                table_ext,
-                a.g0_ops,
-                a.g0_recipes,
-                a.sigma,
+            ext = dataclasses.replace(
+                a, labels=a.labels + ("z",), parities=a.parities + (0,),
+                grading=a.grading + ("0",), table=table_ext,
             )
             from .tkk import check_superalgebra
 
             if check_superalgebra(ext).passed:
-                rho_ext = list(rho) + [ident]
-                entries = []
-                for i, j in itertools.product(range(N + 1), repeat=2):
-                    lhs = Matrix.zeros(r.H.dim, r.H.dim)
-                    for k, c in table_ext.get((i, j), {}).items():
-                        lhs = lhs + rho_ext[k].scale(c)
-                    rhs = graded_comm(
-                        rho_ext[i], rho_ext[j], ext.parities[i], ext.parities[j]
-                    )
-                    entries.append(({"i": i, "j": j}, (lhs - rhs).flat()))
+                rho_ext = rho + [ident]
+                entries = [(w, m.flat()) for w, m in
+                           _residuals(ext.tensors(), hom, rho_ext, [(1, {0: rho_ext})])]
                 form = (
                     "central extension: cocycle measured from the module on "
                     f"{len(theta)} bracket pairs, rho(z) = Id"
                 )
                 return axiom_report("tkk_homomorphism", 0, len(entries), entries, cap, form)
 
-    entries = [({"i": i, "j": j}, m.flat()) for (i, j), m in res]
+    entries = [(w, m.flat()) for w, m in res]
     return axiom_report("tkk_homomorphism", 0, len(entries), entries, cap)
 
 
@@ -946,49 +927,19 @@ class GraphRep:
 
 def check_graph_rep(gr: GraphRep, cap: int = FAILURE_CAP) -> VerifyReport:
     """Both graph identities (the second in its printed, already
-    mirrored, form), exhaustively over families and basis triples."""
-    pair = gr.pair
-    d1, d2 = pair.v1.dim, pair.v2.dim
-    H = gr.H
+    mirrored, form), exhaustively over families and basis triples: the
+    identity of family alpha of T1 mixes its words over the families
+    beta of T2 with weights P[alpha, beta], and mirrored with Q."""
+    t, families = gr.pair.tensors(), {1: gr.T1s, 2: gr.T2s}
     reports = []
-
-    entries = []
-    for alpha, T1 in enumerate(gr.T1s):
-        for u, x, y in itertools.product(range(d2), range(d1), range(d1)):
-            lhs = Matrix.zeros(H.dim, H.dim)
-            for o, c in pair.m1.get((u, x, y), {}).items():
-                lhs = lhs + T1[o].scale(c)
-            a = sign_a(pair.v1.parities[x], pair.v2.parities[u], pair.v1.parities[y])
-            rhs = Matrix.zeros(H.dim, H.dim)
-            for beta, T2 in enumerate(gr.T2s):
-                coeff = gr.P[alpha, beta]
-                if coeff:
-                    rhs = rhs + (
-                        T1[x] @ T2[u] @ T1[y] - (T1[y] @ T2[u] @ T1[x]).scale(a)
-                    ).scale(coeff)
-            entries.append(
-                ({"alpha": alpha, "U": u, "X": x, "Y": y}, (lhs - rhs).flat())
-            )
-    reports.append(axiom_report("graph.T1_identity", 1, len(entries), entries, cap))
-
-    entries = []
-    for beta, T2 in enumerate(gr.T2s):
-        for x, u, v in itertools.product(range(d1), range(d2), range(d2)):
-            lhs = Matrix.zeros(H.dim, H.dim)
-            for o, c in pair.m2.get((x, u, v), {}).items():
-                lhs = lhs + T2[o].scale(c)
-            a = sign_a(pair.v2.parities[u], pair.v1.parities[x], pair.v2.parities[v])
-            rhs = Matrix.zeros(H.dim, H.dim)
-            for alpha, T1 in enumerate(gr.T1s):
-                coeff = gr.Q[alpha, beta]
-                if coeff:
-                    rhs = rhs + (
-                        T2[u] @ T1[x] @ T2[v] - (T2[v] @ T1[x] @ T2[u]).scale(a)
-                    ).scale(coeff)
-            entries.append(
-                ({"beta": beta, "X": x, "U": u, "V": v}, (lhs - rhs).flat())
-            )
-    reports.append(axiom_report("graph.T2_identity", 2, len(entries), entries, cap))
+    for side, tag, mixing in ((1, "alpha", gr.P), (2, "beta", gr.Q.transpose())):
+        entries = []
+        for k, own in enumerate(families[side]):
+            mix = [(w, {side: own, 3 - side: other})
+                   for w, other in zip(mixing.row(k), families[3 - side]) if w]
+            entries += [(where, m.flat())
+                        for where, m in _residuals(t, _REP[side], own, mix, {tag: k})]
+        reports.append(axiom_report(f"graph.T{side}_identity", side, len(entries), entries, cap))
     return VerifyReport("graph", reports)
 
 

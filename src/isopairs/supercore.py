@@ -557,11 +557,13 @@ CATALOG = {
     )
 }
 
-# The identities of the polarized superalgebra and triple system that
-# tkk builds, over their one space (side 0): consequences of super-Jacobi
-# (Kac, Adv. Math. 26, 1977; Loos, LNM 460, 1975), whose printed signs
-# validate as-is.  CATALOG, whose validation is an acceptance artifact,
-# keeps the pair and representation identities only.
+# The identities over the one space (side 0) of the polarized
+# superalgebra and triple system that tkk builds: consequences of
+# super-Jacobi (Kac, Adv. Math. 26, 1977; Loos, LNM 460, 1975), and the
+# homomorphism property of a representation of the superalgebra, which
+# reps checks for the lift of a split pair representation.  Their signs
+# validate as written.  CATALOG, whose validation is an acceptance
+# artifact, keeps the pair identities and the two of Definition 2.
 
 
 def _one_space(name: str, lhs: tuple, rhs: tuple = ()) -> Identity:
@@ -607,6 +609,13 @@ TKK_CATALOG = {
             (term(1, NO_SIGN, Triple(Triple(_a, _b, _c), _d, _e)),
              term(1, koszul("ab", "c"), Triple(_c, Triple(_a, _b, _d), _e)),
              term(1, koszul("ab", "cd"), Triple(_c, _d, Triple(_a, _b, _e)))),
+        ),
+        # rho([i,j]) = rho(i) rho(j) - (-1)^(ij) rho(j) rho(i)
+        _one_space(
+            "rep.superalgebra",
+            (term(1, NO_SIGN, Comm(_i, _j)),),
+            (term(1, NO_SIGN, WordExpr(("i", "j"))),
+             term(-1, koszul("i", "j"), WordExpr(("j", "i")))),
         ),
     )
 }

@@ -1,5 +1,6 @@
 """Command-line interface and catalog persistence."""
 
+import copy
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from isopairs.acceptance import canonical_json
 from isopairs.cli import build_from_spec, main
 from isopairs.pairs import PairStructure
+from isopairs.rng import Lcg64
 
 
 def run(argv):
@@ -275,7 +277,9 @@ def test_rep_induce_bad_chi_exit_2(capsys):
     assert _single_error_line(capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("split", [{"h": [0]}, {"h1": [99], "h2": []}])
+@pytest.mark.parametrize(
+    "split", [{"h": [0]}, {"h1": [99], "h2": []}, {"h1": [0.0, 3.0], "h2": [1, 2]}]
+)
 def test_rep_check_malformed_split_exit_2(tmp_path, capsys, split):
     from isopairs.reps import isoquaternion_fundamental
 
@@ -379,3 +383,87 @@ def test_rep_check_malformed_wire_values_exit_2(tmp_path, capsys, path, value):
     assert run(["rep", "check", str(f)]) == 2
     err = capsys.readouterr().err
     assert _single_error_line(err) and "not a representation file" in err
+
+
+@pytest.mark.parametrize("document", ["7", "null", "[]", '"x"', "true", "1.5"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["tkk"], ["lts"], ["rep", "check"], ["rep", "graph-check"]],
+    ids=" ".join,
+)
+def test_non_object_document_exit_2(tmp_path, capsys, command, document):
+    f = tmp_path / "doc.json"
+    f.write_text(document)
+    assert run([*command, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and "expected a JSON object" in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under mutated input files
+
+_FUZZ_VALUES = (None, [], {}, "x", -1, 1.5, True, 10**20, "1/0")
+_FUZZ_COMMANDS = (["verify"], ["tkk"], ["rep", "check"], ["rep", "graph-check"])
+
+
+def _places(doc, path=()):
+    """The path of every value in a JSON document, the document first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _places(value, path + (key,))
+
+
+def _mutation(doc, path, value, delete):
+    """``doc`` with the value at ``path`` replaced by ``value``, or its
+    key deleted when ``delete`` and the value sits in an object."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if delete and isinstance(parent, dict):
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def _fuzz_inputs(tmp_path):
+    """A `make gl:1,1` catalog entry, the rep of `rep hw` on gl(2,0)
+    with its split, and that rep as a one-family graph representation."""
+    from isopairs.reps import PairRep, graph_from_rep
+
+    assert run(["make", "gl:1,1", "-o", str(tmp_path / "pair.json")]) == 0
+    hw = tmp_path / "hw.json"
+    assert run(["rep", "hw", "--pair", "gl:2,0", "--weights", "1/2,1/2", "--cap", "4",
+                "-o", str(hw)]) == 0
+    out = json.loads(hw.read_text())
+    graph = graph_from_rep(PairRep.from_json(out["rep"])).to_json()
+    pair = json.loads((tmp_path / "pair.json").read_text())
+    return {"pair": pair, "rep": {**out["rep"], "split": out["split"]}, "graph": graph}
+
+
+def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
+    # every value of the three files, the whole document included, may
+    # be replaced by one of _FUZZ_VALUES, or its key deleted; every
+    # command then exits 0, 1 or 2, never with a traceback, and exit 2
+    # comes with one error line
+    rng = Lcg64(20261018)
+    inputs = _fuzz_inputs(tmp_path)
+    capsys.readouterr()
+    for name, doc in inputs.items():
+        places = list(_places(doc))
+        mutations = [((), value, False) for value in _FUZZ_VALUES]
+        mutations += [(rng.choice(places), rng.choice(_FUZZ_VALUES), rng.below(4) == 0)
+                      for _ in range(25)]
+        for path, value, delete in mutations:
+            f = tmp_path / f"{name}.mutated.json"
+            f.write_text(json.dumps(_mutation(doc, path, value, delete)))
+            for command in _FUZZ_COMMANDS:
+                code = run([*command, str(f)])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (name, path, value, delete, command)
+                assert code != 2 or _single_error_line(err), (name, path, value, err)

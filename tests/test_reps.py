@@ -1,5 +1,6 @@
 """Representation checkers, word modules, conversions, graph reps."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,13 @@ from isopairs.constructions import (
     isoquaternionic_pair,
     random_closed_subpair,
     series_gl,
+    series_osp,
     sl2,
 )
 from isopairs.exactlin import IncrementalSpan, Matrix, axpy, kernel_basis
 from isopairs.pairs import PairStructure
 from isopairs.rng import Lcg64
-from isopairs.supercore import SuperSpace
+from isopairs.supercore import SuperSpace, sign_a
 from isopairs.tkk import superalgebra_from_pair
 
 F = Fraction
@@ -210,6 +212,130 @@ def test_graph_rep_reduces_to_check_rep():
         assert [r.failure_count for r in g.reports] == [
             r.failure_count for r in c_idents
         ]
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle for the Definition-2 identities: dense Fraction
+# matrices and hand-signed sign_a triple products, as the checkers wrote
+# them before they read the catalog templates
+
+
+def _dense(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def _dense_mul(a, b):
+    out = [[F(0)] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    out[i][j] += x * y
+    return out
+
+
+def _add_scaled(acc, m, c):
+    return [[x + c * y for x, y in zip(r, s)] for r, s in zip(acc, m)]
+
+
+def _definition2_oracle(pair, T1s, T2s, P, Q, cap=R.FAILURE_CAP):
+    """Per identity (T1, then T2): (total, failure count, the first
+    ``cap`` failures as (k, l, m, n, residual)), with k the family and
+    (l, m, n) the tensor key.  Family k of side s is checked against
+    every family of the other side, weighted by P[k, .] or Q[., k]."""
+    fams = {1: [[_dense(t) for t in f] for f in T1s], 2: [[_dense(t) for t in f] for f in T2s]}
+    weight = {1: lambda k, l: P[k, l], 2: lambda k, l: Q[l, k]}
+    reports = []
+    for side, tensor in ((1, pair.m1), (2, pair.m2)):
+        other = 3 - side
+        p_own, p_other = pair.space(side).parities, pair.space(other).parities
+        d_own, d_other = len(p_own), len(p_other)
+        total, count, failures = 0, 0, []
+        for k, own in enumerate(fams[side]):
+            for u, x, y in itertools.product(range(d_other), range(d_own), range(d_own)):
+                n = len(own[0])
+                res = [[F(0)] * n for _ in range(n)]
+                for o, c in tensor.get((u, x, y), {}).items():
+                    res = _add_scaled(res, own[o], c)
+                a = sign_a(p_own[x], p_other[u], p_own[y])
+                for l, T in enumerate(fams[other]):
+                    w = weight[side](k, l)
+                    res = _add_scaled(res, _dense_mul(_dense_mul(own[x], T[u]), own[y]), -w)
+                    res = _add_scaled(res, _dense_mul(_dense_mul(own[y], T[u]), own[x]), w * a)
+                total += 1
+                bad = {i * n + j: v for i, row in enumerate(res) for j, v in enumerate(row) if v}
+                if bad:
+                    count += 1
+                    if len(failures) < cap:
+                        failures.append((k, u, x, y, bad))
+        reports.append((total, count, failures))
+    return reports
+
+
+def _perturbed(rep, k, i, j, c):
+    T1 = list(rep.T1)
+    T1[k] = T1[k] + Matrix(T1[k].rows, T1[k].cols, [(i, j, c)])
+    return R.PairRep(rep.pair, rep.H, T1, list(rep.T2))
+
+
+def _oracle_inputs():
+    """Tautological reps of gl(1,1), gl(2,1) and osp+(2,1), each as is
+    and with one operator entry perturbed, and random gl(2,0) reps."""
+    out = []
+    for ep in (series_gl(1, 1), series_gl(2, 1), series_osp(2, 1, 1)):
+        taut = R.tautological_rep(ep)
+        n = taut.H.dim
+        out += [taut, _perturbed(taut, 0, 0, n - 1, F(-3, 2)), _perturbed(taut, 1, n - 1, 0, F(7))]
+    rng = Lcg64(41)
+    out += [random_rep(series_gl(2, 0).pair, rng) for _ in range(2)]
+    return out
+
+
+def _failures(report):
+    return [(list(f.where.items()), f.residual) for f in report.failures]
+
+
+def test_check_rep_matches_the_dense_oracle():
+    one, cap = Matrix.from_rows([[1]]), 3
+    verdicts = []
+    for rep in _oracle_inputs():
+        _, t1, t2 = R.check_rep(rep, cap).reports
+        want = _definition2_oracle(rep.pair, [rep.T1], [rep.T2], one, one, cap)
+        for got, (total, count, failures), head, letters in (
+            (t1, want[0], ("rep.T1_identity", 1, "printed"), "UXY"),
+            (t2, want[1], ("rep.T2_identity", 2, "corrected: second word reversed"), "XUV"),
+        ):
+            assert (got.identity, got.orientation, got.adopted_form) == head
+            assert (got.total, got.failure_count) == (total, count)
+            assert _failures(got) == [
+                (list(zip(letters, key)), bad) for _, *key, bad in failures
+            ]
+        verdicts.append(t1.passed and t2.passed)
+    # the unperturbed tautological reps pass, the perturbed and random ones fail
+    assert verdicts == [True, False, False] * 3 + [False, False]
+
+
+def test_check_graph_rep_matches_the_dense_oracle():
+    one = Matrix.from_rows([[1]])
+    P = Matrix.from_rows([[1, F(1, 2)], [0, -2]])
+    Q = Matrix.from_rows([[F(1, 3), 0], [1, 1]])
+    inputs = _oracle_inputs()
+    cases = [([r.T1], [r.T2], one, one, r) for r in inputs]
+    # each tautological rep beside its perturbation, and two random reps
+    for a, b in zip(inputs[::3], inputs[1::3]):
+        cases.append(([a.T1, b.T1], [b.T2, a.T2], P, Q, a))
+    for T1s, T2s, mix1, mix2, rep in cases:
+        got = R.check_graph_rep(R.GraphRep(rep.pair, rep.H, T1s, T2s, mix1, mix2))
+        want = _definition2_oracle(rep.pair, T1s, T2s, mix1, mix2)
+        for report, (total, count, failures), name, letters in zip(
+            got.reports, want, ("graph.T1_identity", "graph.T2_identity"),
+            (("alpha", "U", "X", "Y"), ("beta", "X", "U", "V")),
+        ):
+            assert (report.identity, report.adopted_form) == (name, "printed")
+            assert (report.total, report.failure_count) == (total, count)
+            assert _failures(report) == [
+                (list(zip(letters, key)), bad) for *key, bad in failures
+            ]
 
 
 def test_graph_rep_zero_mixing():
