@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Print the free-envelope validation report for the identity catalogs
 (the pair identities and the two of Definition 2, then those of the
-superalgebra, of its representations and of the triple system): every
-adopted form checked over all parity assignments, with the diff against
-the printed form wherever a correction was adopted.
+superalgebra, of its representations and of the triple system, then the
+derivation identities of ad and of the hull's g0 acting on a pair):
+every adopted form checked over all parity assignments, with the diff
+against the printed form wherever a correction was adopted.  Exits 1 if
+any adopted form is invalid.
 """
 
 import sys
@@ -13,7 +15,7 @@ from isopairs import supercore as sc
 
 def main():
     ok = True
-    for name, ident in {**sc.CATALOG, **sc.TKK_CATALOG}.items():
+    for name, ident in {**sc.CATALOG, **sc.TKK_CATALOG, **sc.EQUIVARIANCE}.items():
         rep = ident.validate()
         ok = ok and rep.equal
         line = f"{name:24s} adopted: {'valid' if rep.equal else 'INVALID'} over {len(rep.verdicts)} assignments"

@@ -25,7 +25,7 @@ from . import polyfields as PF
 from . import reps as R
 from . import tkk as TK
 from .acceptance import canonical_json, format_table, run_all
-from .exactlin import scalar_from_str
+from .exactlin import Matrix, scalar_from_str, unit_vec
 from .pairs import PairStructure, VerifyReport, verify
 from .supercore import SuperSpace
 
@@ -317,18 +317,16 @@ def cmd_rep_induce(args) -> int:
     if pair is None:
         raise UsageError("rep induce needs a finite matrix pair")
     labels = list(pair.v1.labels)
-    diag = [k for k, l in enumerate(labels) if l[1:].split(",")[0] == l[1:].split(",")[1]]
+    indices = [l[1:].split(",") for l in labels]
+    if any(len(ij) < 2 for ij in indices):
+        raise UsageError("rep induce needs a matrix pair with labels <letter>i,j")
+    diag = [k for k, ij in enumerate(indices) if ij[0] == ij[1]]
     chi = _parse_weights(args.chi) if args.chi else [Fraction(0)] * len(diag)
     if len(chi) != len(diag):
         raise UsageError(f"--chi takes {len(diag)} rationals for this pair")
-    def unit(k, d):
-        return tuple(Fraction(int(i == k)) for i in range(d))
-
-    sub = [unit(k, pair.v1.dim) for k in diag]
+    sub = [unit_vec(pair.v1.dim, k) for k in diag]
     dspace = SuperSpace.make([labels[k] for k in diag], [0] * len(diag))
     subpair = PairStructure(dspace, dspace, "isotopic", {}, {})
-    from .exactlin import Matrix
-
     H0 = SuperSpace.make(["w1", "w2"], [0, 0])
     T1 = [Matrix.from_rows([[0, 0], [c, 0]]) for c in chi]
     T2 = [Matrix.from_rows([[0, c], [0, 0]]) for c in chi]
@@ -469,7 +467,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, PF.ParseError) as exc:
+    except (UsageError, PF.ParseError, PF.InhomogeneousInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TK.PreconditionError, R.PreconditionError) as exc:

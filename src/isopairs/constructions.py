@@ -13,7 +13,7 @@ the target span exactly, raising :class:`NotClosed` when it escapes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -24,11 +24,20 @@ from .exactlin import (
     intersect_spans,
     kernel_basis,
     scalar_to_str,
+    unit_vec,
     vec,
 )
-from .pairs import ISOTOPIC, PairStructure, axiom_report, verify
+from .pairs import (
+    ISOTOPIC,
+    PairStructure,
+    SpaceMismatch,
+    Tensors,
+    _canon_tensor,
+    _eval_identity,
+    verify,
+)
 from .rng import Lcg64
-from .supercore import SuperSpace, sign_a
+from .supercore import EQUIVARIANCE, TKK_CATALOG, SuperSpace, sign_a
 
 @dataclass(frozen=True)
 class SuperMatrixSpace:
@@ -330,37 +339,29 @@ def centralizer_subpair(
     pair = ep.pair
     a = vec(a)
     b = vec(b)
+    if len(a) != pair.v1.dim or len(b) != pair.v2.dim:
+        raise SpaceMismatch("vector length does not match the pair's spaces")
 
     def kernel(side, iso, first):
+        """The kernel of Y -> [first, Y]_iso, column k the image of e_k."""
         dim = pair.space(side).dim
         if dim == 0:
             return []
-        cols = [
-            pair.bracket(side, iso, first, tuple(Fraction(int(i == k)) for i in range(dim)))
-            for k in range(dim)
-        ]
-        mat = Matrix.from_rows([[cols[k][r] for k in range(dim)] for r in range(dim)])
-        return kernel_basis(mat)
+        tensor = pair.m1 if side == 1 else pair.m2
+        return kernel_basis(Matrix(dim, dim, [
+            (o, k, iso[i] * first[l] * c)
+            for (i, l, k), comps in tensor.items() for o, c in comps.items()
+        ]))
 
     def graded_split(vectors, parities):
         if not vectors:
             return []
         dim = len(parities)
-        evens = [
-            tuple(Fraction(int(i == k)) for i in range(dim))
-            for k in range(dim)
-            if parities[k] == 0
-        ]
-        odds = [
-            tuple(Fraction(int(i == k)) for i in range(dim))
-            for k in range(dim)
-            if parities[k] == 1
-        ]
-        ke = intersect_spans(vectors, evens) if evens else []
-        ko = intersect_spans(vectors, odds) if odds else []
-        if len(ke) + len(ko) != len(vectors):
+        units = [[unit_vec(dim, k) for k in range(dim) if parities[k] == p] for p in (0, 1)]
+        graded = [v for part in units if part for v in intersect_spans(vectors, part)]
+        if len(graded) != len(vectors):
             raise ValueError("centralizer kernel is not parity graded")
-        return list(ke) + list(ko)
+        return graded
 
     k1 = graded_split(kernel(1, b, a), pair.v1.parities)
     k2 = graded_split(kernel(2, a, b), pair.v2.parities)
@@ -379,7 +380,8 @@ def centralizer_subpair(
 class LieData:
     """A Lie algebra by structure constants, with optional invariant form.
 
-    Antisymmetry and the Jacobi identity are checked on construction;
+    Antisymmetry and the Jacobi identity, the superalgebra identities of
+    ``TKK_CATALOG`` over the even space g, are checked on construction;
     eta, when present, must be symmetric and invariant.
     """
 
@@ -388,26 +390,18 @@ class LieData:
     eta: Optional[Matrix] = None
 
     def __post_init__(self):
-        self.c = {
-            (i, j): {k: Fraction(v) for k, v in comp.items() if v}
-            for (i, j), comp in self.c.items()
-        }
-        self.c = {k: v for k, v in self.c.items() if v}
+        self.c = _canon_tensor(self.c)
         n = self.dim
-        for i in range(n):
-            for j in range(n):
-                left = self.c.get((i, j), {})
-                right = self.c.get((j, i), {})
-                keys = set(left) | set(right)
-                if any(left.get(k, 0) != -right.get(k, 0) for k in keys):
-                    raise ValueError(f"structure constants not antisymmetric at {(i,j)}")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            res = {}
-            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                for l, cxy in self.c.get((x, y), {}).items():
-                    axpy(res, cxy, self.c.get((l, z), {}))
-            if res:
-                raise ValueError(f"Jacobi identity fails at {(i,j,k)}")
+        for key, comps in self.c.items():
+            if len(key) != 2 or not all(0 <= i < n for i in (*key, *comps)):
+                raise ValueError(f"structure constant index out of range at {key}")
+        # given antisymmetry, super-Jacobi fails where the cyclic sum does
+        t = Tensors({0: self.space}, {0: self.c})
+        for name, what in (("superalgebra.antisymmetry", "structure constants not antisymmetric"),
+                           ("superalgebra.super_jacobi", "Jacobi identity fails")):
+            report = _eval_identity(t, TKK_CATALOG[name], 0, cap=1)
+            if not report.passed:
+                raise ValueError(f"{what} at {tuple(report.failures[0].where.values())}")
         if self.eta is not None:
             if self.eta != self.eta.transpose():
                 raise ValueError("eta is not symmetric")
@@ -427,19 +421,14 @@ class LieData:
     def dim(self) -> int:
         return len(self.labels)
 
+    @property
+    def space(self) -> SuperSpace:
+        return SuperSpace.make(self.labels, [0] * self.dim)
+
     def ad(self, i: int) -> Matrix:
         n = self.dim
         entries = [(k, j, c) for j in range(n) for k, c in self.c.get((i, j), {}).items()]
         return Matrix(n, n, entries)
-
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]):
-        out = [Fraction(0)] * self.dim
-        for (i, j), comp in self.c.items():
-            f = Fraction(x[i]) * Fraction(y[j])
-            if f:
-                for k, c in comp.items():
-                    out[k] += f * c
-        return tuple(out)
 
 
 def sl2() -> LieData:
@@ -505,37 +494,24 @@ def magnetic_pair(g: LieData, form: Matrix, sign: int = 1) -> PairStructure:
                 t[(u, x, y)] = comps
         return t
 
-    space = SuperSpace.make(list(g.labels), [0] * n)
     return PairStructure(
-        space, space, ISOTOPIC, tensor(Fraction(sign)), tensor(Fraction(-sign))
+        g.space, g.space, ISOTOPIC, tensor(Fraction(sign)), tensor(Fraction(-sign))
     )
 
 
 def g_equivariance_report(pair: PairStructure, g: LieData, cap: int = 25) -> list:
-    """ad_Z [X,Y]_U = [ad_Z X, Y]_U + [X, ad_Z Y]_U + [X,Y]_{ad_Z U},
-    checked exhaustively on basis tuples for both tensors."""
-    n = g.dim
-    ads = [g.ad(i) for i in range(n)]
-    e = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
-
-    def residual(side, z, u, x, y):
-        br = lambda iso, a, b: pair.bracket(side, iso, a, b)
-        lhs = ads[z].apply(br(e[u], e[x], e[y]))
-        rhs = [Fraction(0)] * n
-        for term in (
-            br(e[u], ads[z].apply(e[x]), e[y]),
-            br(e[u], e[x], ads[z].apply(e[y])),
-            br(ads[z].apply(e[u]), e[x], e[y]),
-        ):
-            rhs = [a + b for a, b in zip(rhs, term)]
-        return {i: a - b for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b}
-
+    """ad_Z [X,Y]_U = [ad_Z X, Y]_U + [X,Y]_{ad_Z U} + [X, ad_Z Y]_U,
+    ``EQUIVARIANCE["g_equivariance"]`` with g acting by its bracket on
+    both sides, checked exhaustively on basis tuples for m1 (orientation
+    1) and m2 (2)."""
+    if pair.v1.dim != g.dim or pair.v2.dim != g.dim:
+        raise SpaceMismatch("vector length does not match the pair's spaces")
+    t = Tensors({0: g.space, 1: pair.v1, 2: pair.v2},
+                {1: pair.m1, 2: pair.m2, ("act", 1): g.c, ("act", 2): g.c})
     return [
-        axiom_report(name, side, n**4, (
-            ({"Z": z, "U": u, "X": x, "Y": y}, residual(side, z, u, x, y))
-            for z, u, x, y in itertools.product(range(n), repeat=4)
-        ), cap)
-        for name, side in (("g_equivariance[m1]", 1), ("g_equivariance[m2]", 2))
+        replace(_eval_identity(t, EQUIVARIANCE["g_equivariance"], o, cap),
+                identity=f"g_equivariance[m{o}]")
+        for o in (1, 2)
     ]
 
 
@@ -595,7 +571,7 @@ def sym2_pair(g: LieData, eta: Matrix):
             if comps:
                 m2[(z, index[(a, b)], index[(gm, dl)])] = comps
 
-    v1 = SuperSpace.make(list(g.labels), [0] * n)
+    v1 = g.space
     v2 = SuperSpace.make([f"m{a},{b}" for a, b in pairs_idx], [0] * D)
     pair = PairStructure(v1, v2, ISOTOPIC, m1, m2)
 
@@ -636,50 +612,25 @@ def sym2_pair(g: LieData, eta: Matrix):
         complement = [i for i in range(D) if i not in inv_span.pivots]
         qpos = {c: i for i, c in enumerate(complement)}
 
-        def project(vec_dict):
-            r, _ = inv_span.reduce(vec_dict)
-            return {qpos[i]: c for i, c in r.items()}
-
-        unitD = [tuple(Fraction(int(i == k)) for i in range(D)) for k in range(D)]
-        unitn = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
+        def contract(kv, tensor, slot):
+            """``tensor`` with ``kv`` in ``slot``: one vector per rest of the key."""
+            out: dict = {}
+            for key, comps in tensor.items():
+                axpy(out.setdefault(key[:slot] + key[slot + 1:], {}), kv[key[slot]], comps)
+            return out.values()
 
         # well-definedness: the e-bracket must kill invariant isotopes and
         # the m-bracket must map (invariant, anything) back into the
         # invariant subspace
-        iso_ok = all(
-            all(c == 0 for c in pair.bracket(1, tuple(kv), ex, ey))
-            for kv in invariants
-            for ex in unitn
-            for ey in unitn
-        )
-
-        def in_invariants(v):
-            residual, _ = inv_span.reduce({i: c for i, c in enumerate(v) if c})
-            return not residual
-
-        m2_preserves = all(
-            in_invariants(pair.bracket(2, ez, tuple(kv), w))
-            and in_invariants(pair.bracket(2, ez, w, tuple(kv)))
-            for kv in invariants
-            for ez in unitn
-            for w in unitD
-        )
-        q_m1 = {}
-        for qi, col in enumerate(complement):
-            iso = unitD[col]
-            for a, bidx in itertools.product(range(n), repeat=2):
-                out = pair.bracket(1, iso, unitn[a], unitn[bidx])
-                comps = {i: c for i, c in enumerate(out) if c}
-                if comps:
-                    q_m1[(qi, a, bidx)] = comps
+        iso_ok = not any(v for kv in invariants for v in contract(kv, pair.m1, 0))
+        m2_preserves = all(inv_span.contains(v) for kv in invariants
+                           for slot in (1, 2) for v in contract(kv, pair.m2, slot))
+        q_m1 = {(qpos[u], x, y): comps for (u, x, y), comps in sorted(pair.m1.items()) if u in qpos}
         q_m2 = {}
-        for z in range(n):
-            for qi, ci in enumerate(complement):
-                for qj, cj in enumerate(complement):
-                    out = pair.bracket(2, unitn[z], unitD[ci], unitD[cj])
-                    comps = project({i: c for i, c in enumerate(out) if c})
-                    if comps:
-                        q_m2[(z, qi, qj)] = comps
+        for (z, a, b), comps in sorted(pair.m2.items()):
+            r = inv_span.reduce(comps)[0] if a in qpos and b in qpos else {}
+            if r:  # the projection to the complement
+                q_m2[(z, qpos[a], qpos[b])] = {qpos[i]: c for i, c in r.items()}
         qv2 = SuperSpace.make([f"q{i}" for i in range(len(complement))], [0] * len(complement))
         qpair = PairStructure(v1, qv2, ISOTOPIC, q_m1, q_m2)
         report["quotient"] = {

@@ -15,9 +15,14 @@ One evaluator checks every identity, over any graded spaces and
 structure tensors (:class:`Tensors`): the pair's m1 and m2, and the one
 space of a polarized superalgebra (its bracket table) or triple system
 (its product), whose identities :mod:`isopairs.tkk` checks in the one
-orientation 0.  Tensors are scaled by the lcm of their denominators,
-and each template term is read from the nonzero entries of its two
-bracket nodes in one of two forms:
+orientation 0.  Each node reads the tensor under its table key: a
+bracket node its value side, an ``Act`` node ``("act", side)``, the
+action tensor, keyed (op, arg), of operators on side 0 (which mirroring
+keeps) on the side of its argument.  So ``supercore.EQUIVARIANCE``
+checks that ad of a Lie algebra, or a hull's generators D(x, u), are
+derivations of a pair.  Tensors are scaled by the lcm of their
+denominators, and each template term is read from the nonzero entries
+of its two nodes in one of two forms:
 
 * the sparse join: every pair of entries that meet on the contracted
   index is one contribution, keyed by its place in the residual; all
@@ -51,6 +56,7 @@ import numpy as np
 from .exactlin import scalar_from_str, scalar_to_str
 from .supercore import (
     CATALOG,
+    Act,
     Identity,
     Letter,
     SuperSpace,
@@ -313,10 +319,11 @@ def _adopted_form_id(ident: Identity) -> str:
 
 @dataclass
 class Tensors:
-    """What the identity evaluator reads: a graded space and a structure
-    tensor per side (1 and 2 for a pair; 0 for the one space of a
-    superalgebra or triple system), and the memo of what the identities
-    evaluated over this object share; a check makes its own and drops it."""
+    """What the identity evaluator reads: a graded space per side (1 and
+    2 for a pair; 0 for the one space of a superalgebra or triple system,
+    or for the operators of a derivation identity), the structure tensors
+    by table key, and the memo of what the identities evaluated over this
+    object share; a check makes its own and drops it."""
 
     spaces: dict
     tensors: dict
@@ -334,14 +341,20 @@ def _tensors(s) -> Tensors:
 
 
 def _orient(sides: dict, orientation: int) -> dict:
-    """Orientation 2 mirrors the sides; 1 and, over one space, 0 keep them."""
-    return {l: 3 - s if orientation == 2 else s for l, s in sides.items()}
+    """Orientation 2 swaps sides 1 and 2 and keeps 0; 0 and 1 keep all."""
+    return {l: 3 - s if orientation == 2 and s else s for l, s in sides.items()}
 
 
 def _value_side(expr, sides: dict) -> int:
     while not isinstance(expr, Letter):
-        expr = expr.left
+        expr = expr.arg if isinstance(expr, Act) else expr.left
     return sides[expr.name]
+
+
+def _table(expr, sides: dict):
+    """A node's table key: its value side, or ("act", side) for an Act."""
+    side = _value_side(expr, sides)
+    return ("act", side) if isinstance(expr, Act) else side
 
 
 def _term_degree(expr) -> int:
@@ -380,14 +393,14 @@ def _scale(s) -> tuple[int, int]:
     return t.cached(("scale",), build)
 
 
-def _coo(t: Tensors, side: int, arity: int):
-    """The tensor of ``side`` scaled to integers, as coordinates: keys
-    (n, arity), outputs (n,) and values (n,), int64 where they fit."""
+def _coo(t: Tensors, table, arity: int):
+    """The tensor under key ``table`` scaled to integers, as coordinates:
+    keys (n, arity), outputs (n,) and values (n,), int64 where they fit."""
     def build():
         scale, biggest = _scale(t)
         entries = [
             (key, o, c.numerator * (scale // c.denominator))
-            for key, comps in t.tensors[side].items()
+            for key, comps in t.tensors[table].items()
             for o, c in comps.items()
         ]
         return (
@@ -396,7 +409,7 @@ def _coo(t: Tensors, side: int, arity: int):
             np.array([e[2] for e in entries], dtype=np.int64 if biggest < 2**63 else object),
         )
 
-    return t.cached(("coo", side), build)
+    return t.cached(("coo", table), build)
 
 
 def _checked_bound(s, ident: Identity) -> int:
@@ -476,7 +489,7 @@ def _nodes(t: Tensors, expr, sides: dict, letters: tuple):
     def node(bracket):
         """(X index, flat offset, parity bits, nested-slot index,
         output, value) of every nonzero entry of one node."""
-        keys, outs, values = _coo(t, _value_side(bracket, sides), len(bracket.slots))
+        keys, outs, values = _coo(t, _table(bracket, sides), len(bracket.slots))
         x = flat = nested = np.zeros(len(outs), np.int64)
         bits = np.zeros(len(outs), np.uint8)
         for j, e in enumerate(bracket.slots):
@@ -511,14 +524,14 @@ def _term_counts(t: Tensors, expr, sides: dict) -> tuple[int, int]:
     ``a`` has a row per key of the nested tensor and ``b`` a column per
     outer (key without the nested slot, output)."""
     j, inner_node = _nested(expr)
-    outer = _value_side(expr, sides)
-    inner = None if j is None else _value_side(inner_node, sides)
+    outer = _table(expr, sides)
+    inner = None if j is None else _table(inner_node, sides)
 
     def build():
         keys, outs, _ = _coo(t, outer, len(expr.slots))
         if inner is None:
             return len(outs), len(outs)
-        width = t.spaces[inner].dim
+        width = t.spaces[_value_side(inner_node, sides)].dim
         joins = np.bincount(_coo(t, inner, len(inner_node.slots))[1], minlength=width) @ (
             np.bincount(keys[:, j], minlength=width))
         d = max(space.dim for space in t.spaces.values())

@@ -249,33 +249,20 @@ class GradedPairData:
     def validate(self, cap: int = FAILURE_CAP) -> VerifyReport:
         """Brackets respect the grading and the degree-0 subpair is
         trivial (all its brackets vanish)."""
-        pair = self.pair
-        reports = []
-        entries = []
-        for (u, x, y), comps in sorted(pair.m1.items()):
-            want = self.deg2[u] + self.deg1[x] + self.deg1[y]
-            bad = {o: c for o, c in comps.items() if self.deg1[o] != want}
-            entries.append(({"u": u, "x": x, "y": y}, bad))
-        reports.append(axiom_report("grading.m1", 1, len(entries), entries, cap))
-        entries = []
-        for (x, u, v), comps in sorted(pair.m2.items()):
-            want = self.deg1[x] + self.deg2[u] + self.deg2[v]
-            bad = {o: c for o, c in comps.items() if self.deg2[o] != want}
-            entries.append(({"x": x, "u": u, "v": v}, bad))
-        reports.append(axiom_report("grading.m2", 2, len(entries), entries, cap))
-
-        entries = []
-        z1 = [i for i, d in enumerate(self.deg1) if d == 0]
-        z2 = [j for j, d in enumerate(self.deg2) if d == 0]
-        for u, x, y in itertools.product(z2, z1, z1):
-            entries.append(
-                ({"u": u, "x": x, "y": y}, dict(pair.m1.get((u, x, y), {})))
-            )
-        for x, u, v in itertools.product(z1, z2, z2):
-            entries.append(
-                ({"x": x, "u": u, "v": v}, dict(pair.m2.get((x, u, v), {})))
-            )
-        reports.append(axiom_report("grading.degree0_trivial", 0, len(entries), entries, cap))
+        degs = {1: self.deg1, 2: self.deg2}
+        zero = {s: [i for i, d in enumerate(degs[s]) if d == 0] for s in (1, 2)}
+        reports, trivial = [], []
+        for side, tensor, names in ((1, self.pair.m1, "uxy"), (2, self.pair.m2, "xuv")):
+            own, other = degs[side], degs[3 - side]
+            entries = [
+                (dict(zip(names, (i, a, b))),
+                 {o: c for o, c in comps.items() if own[o] != other[i] + own[a] + own[b]})
+                for (i, a, b), comps in sorted(tensor.items())
+            ]
+            reports.append(axiom_report(f"grading.m{side}", side, len(entries), entries, cap))
+            trivial += [(dict(zip(names, key)), dict(tensor.get(key, {})))
+                        for key in itertools.product(zero[3 - side], zero[side], zero[side])]
+        reports.append(axiom_report("grading.degree0_trivial", 0, len(trivial), trivial, cap))
         return VerifyReport("grading", reports)
 
 
@@ -713,26 +700,14 @@ def induced_split_module(
         for k in range(subrep.H.dim)
     ]
     rels = []
-    for si, emb in enumerate(sub_basis_1):
-        combo = {i: Fraction(c) for i, c in enumerate(emb) if c}
-        col_matrix = subrep.T1[si]
-        for v in range(subrep.H.dim):
-            if sector_of[v] != 1:
-                continue  # T1 kills H2 seeds; the engine encodes that
-            rhs = {
-                w: col_matrix[w, v] for w in range(subrep.H.dim) if col_matrix[w, v]
-            }
-            rels.append(SeedRelation(1, combo, v, rhs))
-    for sj, emb in enumerate(sub_basis_2):
-        combo = {j: Fraction(c) for j, c in enumerate(emb) if c}
-        col_matrix = subrep.T2[sj]
-        for v in range(subrep.H.dim):
-            if sector_of[v] != 2:
-                continue
-            rhs = {
-                w: col_matrix[w, v] for w in range(subrep.H.dim) if col_matrix[w, v]
-            }
-            rels.append(SeedRelation(2, combo, v, rhs))
+    for side, basis, ops in ((1, sub_basis_1, subrep.T1), (2, sub_basis_2, subrep.T2)):
+        for si, emb in enumerate(basis):
+            combo = {i: Fraction(c) for i, c in enumerate(emb) if c}
+            for v in range(subrep.H.dim):
+                if sector_of[v] != side:
+                    continue  # T1 kills H2 seeds, T2 H1 seeds; the engine encodes that
+                rhs = {w: ops[si][w, v] for w in range(subrep.H.dim) if ops[si][w, v]}
+                rels.append(SeedRelation(side, combo, v, rhs))
     engine = _WordEngine(pair, seeds, rels, cap)
     result = engine.quotient(radical=radical)
 

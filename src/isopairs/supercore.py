@@ -10,8 +10,8 @@ over parity bits.  Bracket identities are stored as data
 coefficient, a quadratic sign exponent in the parities of the formal
 letters, and a nesting of bracket nodes over the letters.  Each
 :class:`Identity` names its own letters: X, Y, Z, U, V for the pair
-identities, i, j, k for those of a superalgebra and a..e for those of
-a triple system.
+identities, i, j, k for those of a superalgebra, a..e for those of a
+triple system, and Z or D for the operator of a derivation identity.
 
 Every identity is validated in the free associative envelope, where a
 node over homogeneous elements expands by its model
@@ -20,6 +20,7 @@ node over homogeneous elements expands by its model
     circ:    l o_i r   = l i r + sign_a(l, i, r) r i l
     Comm:    [l, r]    = l r - (-1)^(p(l)p(r)) r l  (comm, empty i)
     Triple:  [a b c]   = [[a, b], c]
+    Act:     d.v       = [d, v]                      (an operator d on v)
 
 into signed noncommutative words.  Two templates are equal iff their
 word expansions agree for every parity assignment of the letters; the
@@ -162,7 +163,18 @@ class Triple:
     slots = property(lambda self: (self.left, self.mid, self.right))
 
 
-Expr = Union[Letter, WordExpr, Bracket, Comm, Triple]
+@dataclass(frozen=True)
+class Act:
+    """An operator acting on a vector, read from an action tensor keyed
+    (op, arg) into arg's space; in the envelope it is the super-commutator
+    [op, arg], so its derivation identities hold for super-derivations."""
+
+    op: "Expr"
+    arg: "Expr"
+    slots = property(lambda self: (self.op, self.arg))
+
+
+Expr = Union[Letter, WordExpr, Bracket, Comm, Triple, Act]
 
 
 def expr_letters(e: Expr) -> tuple[str, ...]:
@@ -209,6 +221,8 @@ def expand_expr(e: Expr, parities: dict) -> dict:
         return {tuple(e.letters): Fraction(1)}
     if isinstance(e, Triple):
         return expand_expr(Comm(Comm(e.left, e.mid), e.right), parities)
+    if isinstance(e, Act):
+        return expand_expr(Comm(e.op, e.arg), parities)
     left = expand_expr(e.left, parities)
     right = expand_expr(e.right, parities)
     iso = expand_expr(e.iso, parities)
@@ -384,10 +398,11 @@ X, Y, Z, U, V = (Letter(l) for l in LETTERS)
 class Identity:
     """A named identity: lhs = rhs, letters typed to pair sides.
 
-    ``sides`` maps each letter to 1 or 2 for the primary orientation
-    (elements of V1 get brackets from m1, of V2 from m2); the mirrored
-    orientation swaps every side.  Identities over the one space of a
-    superalgebra or triple system put every letter on side 0.
+    ``sides`` maps each letter, in basis-tuple order, to 1 or 2 for the
+    primary orientation (elements of V1 get brackets from m1, of V2 from
+    m2); the mirrored orientation swaps sides 1 and 2.  It keeps side 0:
+    the one space of a superalgebra or triple system, whose identities
+    put every letter there, or the operators of a derivation identity.
     ``printed_rhs``/``printed_lhs`` retain the source form when it
     differs from the adopted one.
     """
@@ -402,7 +417,7 @@ class Identity:
 
     @property
     def letters(self) -> tuple[str, ...]:
-        return tuple(sorted(self.sides, key=letter_key))
+        return tuple(self.sides)
 
     @property
     def adopted_differs(self) -> bool:
@@ -435,7 +450,7 @@ def _circ(l, r, i) -> Bracket:
 
 SIDES_XYU = {"X": 1, "Y": 1, "U": 2}
 SIDES_FULL = {"X": 1, "Y": 1, "Z": 1, "U": 2, "V": 2}
-SIDES_UVX = {"U": 2, "V": 2, "X": 1}
+SIDES_UVX = {"X": 1, "U": 2, "V": 2}
 
 # Graded antisymmetry of the isocommutator.  The printed relation
 # "m(U,X,Y) = A_{XUY} m(U,Y,X)" lacks the minus sign that the envelope
@@ -618,6 +633,31 @@ TKK_CATALOG = {
              term(-1, koszul("i", "j"), WordExpr(("j", "i")))),
         ),
     )
+}
+
+
+def _derivation(name: str, d: str) -> Identity:
+    """d [X,Y]_U = [dX,Y]_U + (-1)^(dX) [X,Y]_dU + (-1)^(d(X+U)) [X,dY]_U:
+    the operator letter ``d`` (side 0) acts as a derivation of the pair
+    bracket; its letters go (d, U, X, Y)."""
+    op = Letter(d)
+    return Identity(
+        name,
+        template(term(1, NO_SIGN, Act(op, _comm(X, Y, U)))),
+        template(term(1, NO_SIGN, _comm(Act(op, X), Y, U)),
+                 term(1, koszul(d, "X"), _comm(X, Y, Act(op, U))),
+                 term(1, koszul(d, "XU"), _comm(X, Act(op, Y), U))),
+        {d: 0, "U": 2, "X": 1, "Y": 1},
+    )
+
+
+# The derivation identities of ad of a Lie algebra g on a pair over g (Z)
+# and of the generators D(x, u) of a hull's g0, its inner structure
+# algebra (Loos, LNM 460, 1975).  They validate as written and stay out
+# of CATALOG and TKK_CATALOG, whose identities are over a pair or a space.
+EQUIVARIANCE = {
+    ident.name: ident
+    for ident in (_derivation("g_equivariance", "Z"), _derivation("g0_equivariance", "D"))
 }
 
 

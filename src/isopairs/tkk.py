@@ -32,7 +32,10 @@ These axioms, and the superalgebra's graded antisymmetry and
 super-Jacobi identity, are templates of ``supercore.TKK_CATALOG``,
 validated in the free envelope and checked exhaustively on basis tuples
 by the identity evaluator of :mod:`isopairs.pairs`.  Polarization and
-the submodule property are support checks on the tensor entries.
+the submodule property are support checks on the tensor entries.  That
+the generators D(x, u) act on the pair as bracket derivations is the
+template ``supercore.EQUIVARIANCE["g0_equivariance"]``, which the same
+evaluator reads over their action tensors on V1 and V2.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .pairs import (
     check_super_jordan,
     verify,
 )
-from .supercore import TKK_CATALOG, SuperSpace
+from .supercore import EQUIVARIANCE, TKK_CATALOG, SuperSpace
 
 FAILURE_CAP = 25
 
@@ -319,35 +322,21 @@ def check_superalgebra(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> Veri
 
 
 def g0_equivariance_report(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> AxiomReport:
-    """Generators D act as bracket derivations:
-    D [x,y]_u = [Dx, y]_u + (-1)^(pD px)[x, y]_{Du}
-              + (-1)^(pD (px+pu))[x, Dy]_u  (hat parities)."""
-    pair = a.pair
-    d1, d2 = pair.v1.dim, pair.v2.dim
-    hat1 = [(p + 1) % 2 for p in pair.v1.parities]
-    hat2 = [(p + 1) % 2 for p in pair.v2.parities]
-    gens = [idx for idx, rec in enumerate(a.g0_recipes) if rec[0] == "gen"]
-    unit1 = [tuple(Fraction(int(i == k)) for i in range(d1)) for k in range(d1)]
-    unit2 = [tuple(Fraction(int(i == k)) for i in range(d2)) for k in range(d2)]
-
-    def residual(gidx, u, x, y):
-        P, Q = a.g0_ops[gidx]
-        pD = a.parities[gidx]
-        lhs = P.apply(pair.bracket(1, unit2[u], unit1[x], unit1[y]))
-        t1 = pair.bracket(1, unit2[u], P.apply(unit1[x]), unit1[y])
-        s2 = -1 if (pD * hat1[x]) % 2 else 1
-        t2 = pair.bracket(1, Q.apply(unit2[u]), unit1[x], unit1[y])
-        s3 = -1 if (pD * (hat1[x] + hat2[u])) % 2 else 1
-        t3 = pair.bracket(1, unit2[u], unit1[x], P.apply(unit1[y]))
-        res = {o: lhs[o] - t1[o] - s2 * t2[o] - s3 * t3[o] for o in range(d1)}
-        return {o: v for o, v in res.items() if v}
-
-    entries = (
-        ({"D": gidx, "U": u, "X": x, "Y": y}, residual(gidx, u, x, y))
-        for gidx in gens
-        for u, x, y in itertools.product(range(d2), range(d1), range(d1))
+    """The generators D = D(x, u) act as derivations of the pair bracket,
+    D [x,y]_u = [Dx, y]_u + (-1)^(pD px) [x, y]_{Du} + (-1)^(pD (px+pu)) [x, Dy]_u
+    in the hat parities: ``EQUIVARIANCE["g0_equivariance"]`` over their
+    actions on V1 and V2, on every basis tuple (D, u, x, y)."""
+    pair, n = a.pair, [rec[0] for rec in a.g0_recipes].count("gen")
+    acts = ({}, {})  # (D, k) -> D(e_k), on V1 and on V2
+    for d, op in enumerate(a.g0_ops[:n]):  # the generators are adjoined first
+        for act, M in zip(acts, op):
+            for o, k, c in M.nonzeros():
+                act.setdefault((d, k), {})[o] = c
+    t = Tensors(
+        {0: SuperSpace.make(a.labels[:n], a.parities[:n]), 1: pair.v1.flipped(), 2: pair.v2.flipped()},
+        {1: pair.m1, 2: pair.m2, ("act", 1): acts[0], ("act", 2): acts[1]},
     )
-    return axiom_report("g0_equivariance", 0, len(gens) * d2 * d1 * d1, entries, cap)
+    return _eval_identity(t, EQUIVARIANCE["g0_equivariance"], 0, cap)
 
 
 def scan_sigma_conventions(pairs: Sequence[PairStructure]) -> list:

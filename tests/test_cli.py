@@ -467,3 +467,24 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
                 err = capsys.readouterr().err
                 assert code in (0, 1, 2), (name, path, value, delete, command)
                 assert code != 2 or _single_error_line(err), (name, path, value, err)
+
+
+@pytest.mark.parametrize("spec", ["magnetic:sl2", "magnetic:so3", "sym2:so3"])
+def test_rep_induce_needs_matrix_labels_exit_2(capsys, spec):
+    # labels without <letter>i,j indices have no diagonal subpair
+    assert run(["rep", "induce", "--pair", spec]) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and "<letter>i,j" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--bracket-fields", "dx1+t1*dx1", "dx1", "x1"],
+        ["--bracket-functions", "x1+t1", "1", "dx1"],
+    ],
+)
+def test_poly_check_inhomogeneous_input_exit_2(capsys, argv):
+    assert run(["poly-check", "--n", "1", "--m", "1", *argv]) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and "inhomogeneous" in err

@@ -1,12 +1,20 @@
 """Series builders, envelopes, Killing forms, magnetic and S^2 pairs."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from isopairs import constructions as C
-from isopairs.exactlin import Matrix
-from isopairs.pairs import check_super_jordan, verify
+from isopairs.exactlin import IncrementalSpan, Matrix, kernel_basis
+from isopairs.pairs import (
+    AxiomReport,
+    Failure,
+    PairStructure,
+    SpaceMismatch,
+    check_super_jordan,
+    verify,
+)
 from isopairs.rng import Lcg64
 
 F = Fraction
@@ -253,3 +261,232 @@ def test_isoquaternionic_alias():
     ep = C.isoquaternionic_pair()
     assert ep.pair.v1.dim == 4 and ep.pair.v1.odd_dim == 0
     assert verify(ep.pair).passed
+
+
+# Fraction oracles for the checkers that read the tensors: the loops that
+# ran before them, over unit vectors with PairStructure.bracket
+
+
+def _g_equivariance_oracle(pair, g, cap=25):
+    n = g.dim
+    ads = [g.ad(i) for i in range(n)]
+    e = [unit_vec(k, n) for k in range(n)]
+    reports = []
+    for side in (1, 2):
+        def br(iso, a, b):
+            return pair.bracket(side, iso, a, b)
+
+        count, failures = 0, []
+        for z, u, x, y in itertools.product(range(n), repeat=4):
+            lhs = ads[z].apply(br(e[u], e[x], e[y]))
+            terms = (br(e[u], ads[z].apply(e[x]), e[y]), br(e[u], e[x], ads[z].apply(e[y])),
+                     br(ads[z].apply(e[u]), e[x], e[y]))
+            residual = {i: lhs[i] - sum(t[i] for t in terms) for i in range(n)}
+            residual = {i: c for i, c in residual.items() if c}
+            if residual:
+                count += 1
+                if len(failures) < cap:
+                    failures.append(Failure({"Z": z, "U": u, "X": x, "Y": y}, residual))
+        reports.append(AxiomReport(f"g_equivariance[m{side}]", side, n**4, count, failures))
+    return reports
+
+
+def _mirrored_perturbation(pair, rng):
+    """A random evenness-respecting entry added to m2 instead of m1."""
+    swapped = PairStructure(pair.v2, pair.v1, pair.kind, pair.m2, pair.m1)
+    pert = C.random_even_perturbation(swapped, rng)
+    return PairStructure(pair.v1, pair.v2, pair.kind, pair.m1, pert.m1)
+
+
+@pytest.mark.parametrize("build", [C.sl2, C.so3], ids=["sl2", "so3"])
+def test_g_equivariance_matches_loop_oracle(build):
+    g = build()
+    plain = C.magnetic_pair(g, C.killing_form(g), 1)
+    rng = Lcg64(7)
+    cases = [plain]
+    for perturb in (C.random_even_perturbation, _mirrored_perturbation) * 2:
+        cases.append(perturb(cases[-1], rng))
+    counts = []
+    for pair in cases:
+        for cap in (1, 3, 25):
+            got = [r.to_json() for r in C.g_equivariance_report(pair, g, cap)]
+            assert got == [r.to_json() for r in _g_equivariance_oracle(pair, g, cap)], cap
+        counts.append([r.failure_count for r in C.g_equivariance_report(pair, g)])
+    assert counts[0] == [0, 0] and all(m1 > 1 for m1, _ in counts[1:]), counts
+    assert all(m2 > 1 for _, m2 in counts[2:]), counts
+
+
+def test_g_equivariance_of_a_pair_over_another_algebra():
+    # so3's magnetic pair is not sl2-equivariant: every report fails
+    so3 = C.so3()
+    pair = C.magnetic_pair(so3, C.killing_form(so3), 1)
+    got = C.g_equivariance_report(pair, C.sl2(), 1000)
+    assert [r.to_json() for r in got] == [
+        r.to_json() for r in _g_equivariance_oracle(pair, C.sl2(), 1000)]
+    assert [r.failure_count for r in got] == [36, 36]
+
+
+@pytest.mark.parametrize("pair", [C.series_gl(1, 1).pair, C.series_gl(1, 0).pair],
+                         ids=["gl11", "gl10"])
+def test_g_equivariance_needs_a_pair_over_g(pair):
+    with pytest.raises(SpaceMismatch):
+        C.g_equivariance_report(pair, C.sl2())
+
+
+def _lie_oracle_message(n, c):
+    """The error of the loops LieData ran, or None if they pass."""
+    c = {k: {o: F(v) for o, v in comps.items() if v} for k, comps in c.items()}
+    for i, j in itertools.product(range(n), repeat=2):
+        left, right = c.get((i, j), {}), c.get((j, i), {})
+        if any(left.get(k, 0) != -right.get(k, 0) for k in set(left) | set(right)):
+            return f"structure constants not antisymmetric at {(i, j)}"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        res = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, cxy in c.get((x, y), {}).items():
+                for o, clz in c.get((l, z), {}).items():
+                    res[o] = res.get(o, 0) + cxy * clz
+        if any(res.values()):
+            return f"Jacobi identity fails at {(i, j, k)}"
+    return None
+
+
+def _antisymmetrized(c):
+    """The given [i, j] with [j, i] = -[i, j] (no pair given both ways)."""
+    return {**c, **{(j, i): {o: -v for o, v in comps.items()} for (i, j), comps in c.items()}}
+
+
+LIE_CASES = {
+    "one-sided": (2, {(0, 1): {0: F(1)}}),
+    "diagonal": (2, {(1, 1): {0: F(1)}}),
+    "late": (3, {(0, 1): {2: F(1)}, (1, 0): {2: F(-1)}, (2, 1): {0: F(1)}}),
+    "cyclic": (3, _antisymmetrized({(0, 1): {0: F(1)}, (1, 2): {1: F(1)}, (2, 0): {2: F(1)}})),
+    "jacobi-late": (3, _antisymmetrized({(0, 1): {2: F(1)}, (1, 2): {1: F(2)}})),
+    "jacobi-4": (4, _antisymmetrized({(1, 2): {1: F(1)}, (2, 3): {2: F(1, 2)},
+                                      (3, 1): {3: F(1)}})),
+    "sl2": (3, C.sl2().c),
+    "so3": (3, C.so3().c),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIE_CASES))
+def test_lie_data_checks_match_loop_oracle(name):
+    n, c = LIE_CASES[name]
+    want = _lie_oracle_message(n, c)
+    labels = tuple(f"e{k}" for k in range(n))
+    if want is None:
+        assert C.LieData(labels, c).c == {k: v for k, v in c.items() if v}
+    else:
+        with pytest.raises(ValueError) as exc:
+            C.LieData(labels, c)
+        assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("c", [{(0, 2): {0: F(1)}}, {(0, 1): {2: F(1)}, (1, 0): {2: F(-1)}},
+                               {(-1, 0): {0: F(1)}}, {(0, 1, 1): {0: F(1)}}])
+def test_lie_data_rejects_indices_out_of_range(c):
+    with pytest.raises(ValueError, match="out of range"):
+        C.LieData(("a", "b"), c)
+
+
+def _sym2_quotient_oracle(pair, invariants):
+    """The quotient's two flags and its tensors as the loops computed them."""
+    n, D = pair.v1.dim, pair.v2.dim
+    span = IncrementalSpan()
+    for kv in invariants:
+        span.insert({i: c for i, c in enumerate(kv) if c})
+    complement = [i for i in range(D) if i not in span.pivots]
+    qpos = {c: i for i, c in enumerate(complement)}
+    eD, en = [unit_vec(k, D) for k in range(D)], [unit_vec(k, n) for k in range(n)]
+
+    def sparse(v):
+        return {i: c for i, c in enumerate(v) if c}
+
+    def inside(v):
+        return not span.reduce(sparse(v))[0]
+
+    iso_ok = all(not any(pair.bracket(1, tuple(kv), x, y))
+                 for kv in invariants for x in en for y in en)
+    m2_ok = all(inside(pair.bracket(2, z, tuple(kv), w)) and inside(pair.bracket(2, z, w, tuple(kv)))
+                for kv in invariants for z in en for w in eD)
+    q_m1, q_m2 = {}, {}
+    for (qi, col), a, b in itertools.product(enumerate(complement), range(n), range(n)):
+        comps = sparse(pair.bracket(1, eD[col], en[a], en[b]))
+        if comps:
+            q_m1[(qi, a, b)] = comps
+    for z, (qi, ci), (qj, cj) in itertools.product(range(n), enumerate(complement),
+                                                   enumerate(complement)):
+        r, _ = span.reduce(sparse(pair.bracket(2, en[z], eD[ci], eD[cj])))
+        if r:
+            q_m2[(z, qi, qj)] = {qpos[i]: c for i, c in r.items()}
+    return iso_ok, m2_ok, q_m1, q_m2
+
+
+SYM2_CASES = {
+    "so3": (C.so3, F(-1, 2), (True, False)),
+    "sl2": (C.sl2, F(1), (False, False)),
+    "sl2-3/7": (C.sl2, F(3, 7), (False, False)),
+    "abelian": (lambda: C.LieData(("a", "b"), {}), None, (True, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYM2_CASES))
+def test_sym2_quotient_matches_loop_oracle(name):
+    build, scale, flags = SYM2_CASES[name]
+    g = build()
+    eta = Matrix.identity(g.dim) if scale is None else C.killing_form(g).scale(scale)
+    pair, report = C.sym2_pair(g, eta)
+    q = report["quotient"]
+    iso_ok, m2_ok, q_m1, q_m2 = _sym2_quotient_oracle(pair, _invariants(g, pair))
+    assert (q["iso_action_kills_invariants"], q["m_bracket_preserves_invariants"]) == flags
+    assert (iso_ok, m2_ok) == flags
+    want = PairStructure(pair.v1, q["pair"].v2, "isotopic", q_m1, q_m2)
+    assert q["pair"].to_json() == want.to_json()
+    assert q["verify"].to_json() == verify(want).to_json()
+
+
+def _invariants(g, pair):
+    """S^2(g)^g from its definition: the m in S^2(g) with [z, m] = 0."""
+    n, D = g.dim, pair.v2.dim
+    labels = pair.v2.labels
+    index = {tuple(map(int, l[1:].split(","))): k for k, l in enumerate(labels)}
+    rows = []
+    for z, k in itertools.product(range(n), range(D)):
+        row = [F(0)] * D
+        for col, l in enumerate(labels):
+            a, b = map(int, l[1:].split(","))
+            for x, y in ((a, b), (b, a)):
+                for o, c in g.c.get((z, x), {}).items():
+                    if index[tuple(sorted((o, y)))] == k:
+                        row[col] += c
+        rows.append(row)
+    return kernel_basis(Matrix.from_rows(rows))
+
+
+def _centralizer_kernel_oracle(pair, side, iso, first):
+    dim = pair.space(side).dim
+    cols = [pair.bracket(side, iso, first, unit_vec(k, dim)) for k in range(dim)]
+    return kernel_basis(Matrix.from_rows([[cols[k][r] for k in range(dim)] for r in range(dim)]))
+
+
+@pytest.mark.parametrize("build", [lambda: C.series_gl(1, 1), lambda: C.series_gl(2, 0),
+                                   lambda: C.series_osp(1, 1, 1)], ids=["gl11", "gl20", "osp+11"])
+def test_centralizer_subpairs_match_bracket_kernels(build):
+    ep = build()
+    pair, rng = ep.pair, Lcg64(5)
+    for k in range(8):  # homogeneous a and b, of parities k % 2 and k // 2 % 2
+        a = [F(rng.choice((0, 0, 1, -1, 2))) if p == k % 2 else F(0) for p in pair.v1.parities]
+        b = [F(rng.choice((0, 0, 1, -1, 3))) if p == k // 2 % 2 else F(0) for p in pair.v2.parities]
+        sub = C.centralizer_subpair(ep, a, b)
+        for side, iso, first, basis in ((1, b, a, sub.basis1), (2, a, b, sub.basis2)):
+            kernel = _centralizer_kernel_oracle(pair, side, tuple(iso), tuple(first))
+            got = [ep.matrix_of(side, v) for v in kernel]
+            # the subpair's basis spans the bracket kernel, parity by parity
+            assert len(basis) == len(got)
+            span = C._span_solver(ep.space, got)
+            assert all(span.contains(m.flat()) for m in basis)
+
+
+def test_centralizer_rejects_vectors_of_the_wrong_length():
+    with pytest.raises(SpaceMismatch):
+        C.centralizer_subpair(C.series_gl(1, 1), (F(1),) * 3, (F(1),) * 4)

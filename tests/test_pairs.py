@@ -17,7 +17,7 @@ from isopairs.constructions import (
     series_q,
 )
 from isopairs.rng import Lcg64
-from isopairs.supercore import CATALOG, SuperSpace
+from isopairs.supercore import CATALOG, EQUIVARIANCE, Act, SuperSpace
 
 F = Fraction
 
@@ -495,3 +495,46 @@ def test_verify_keeps_nothing_on_the_pair():
     before = dict(vars(pair))
     assert P.verify(pair).passed
     assert vars(pair) == before
+
+
+def test_mirroring_keeps_side_zero():
+    # the operator letter of a derivation identity stays on side 0 when
+    # the pair letters are mirrored
+    sides = EQUIVARIANCE["g_equivariance"].sides
+    assert P._orient(sides, 2) == {"Z": 0, "U": 1, "X": 2, "Y": 2}
+    assert P._orient(sides, 1) == sides == {"Z": 0, "U": 2, "X": 1, "Y": 1}
+    assert P._orient({"i": 0, "j": 0}, 0) == {"i": 0, "j": 0}
+
+
+def test_act_and_bracket_nodes_read_their_own_tables():
+    # "Act over a nested bracket" and "bracket over a nested Act" both
+    # put their value on side 1 with the nested node in slot 1; their
+    # tensors and counts are told apart by table key
+    ident = EQUIVARIANCE["g_equivariance"]
+    over_bracket, over_act = ident.lhs.terms[0].expr, ident.rhs.terms[0].expr
+    assert isinstance(over_bracket, Act) and isinstance(over_act.left, Act)
+    sides = ident.sides
+    assert (P._table(over_bracket, sides), P._table(over_act, sides)) == (("act", 1), 1)
+    assert P._value_side(over_bracket, sides) == P._value_side(over_act, sides) == 1
+    pair = series_gl(1, 1).pair
+
+    def tensors(s1, s2):
+        """One operator, acting as s1 on V1 and as s2 on V2."""
+        acts = [{(0, k): {k: F(s)} for k in range(4)} for s in (s1, s2)]
+        return P.Tensors({0: SuperSpace.make(["z"], [0]), 1: pair.v1, 2: pair.v2},
+                         {1: pair.m1, 2: pair.m2, ("act", 1): acts[0], ("act", 2): acts[1]})
+
+    t = tensors(1, -1)
+    entries = sum(map(len, pair.m1.values()))
+    assert P._term_counts(t, over_bracket, sides)[0] == entries  # each output once
+    assert P._term_counts(t, over_act, sides)[0] == entries  # each x once
+    assert P._coo(t, ("act", 1), 2)[0].shape == (4, 2)
+    # the grading operator (1 on V1, -1 on V2) is a derivation; the
+    # identity is not: its residual is -2 [X,Y]_U
+    for orientation in (1, 2):
+        assert P._eval_identity(t, ident, orientation).passed
+        report = P._eval_identity(tensors(1, 1), ident, orientation, cap=10**6)
+        m = pair.m1 if orientation == 1 else pair.m2
+        assert {(w["U"], w["X"], w["Y"]): r for w, r in (
+            (f.where, f.residual) for f in report.failures)} == {
+            key: {o: -2 * c for o, c in comps.items()} for key, comps in m.items()}

@@ -176,3 +176,41 @@ def test_comm_and_triple_envelope_models():
 def test_tkk_templates_stay_out_of_the_published_catalog():
     assert not set(sc.TKK_CATALOG) & set(sc.CATALOG)
     assert sc.letter_key("X") < sc.letter_key("V") < sc.letter_key("a") < sc.letter_key("i")
+
+
+@pytest.mark.parametrize("name", sorted(sc.EQUIVARIANCE))
+def test_derivation_templates_validate_and_one_sign_mutations_fail(name):
+    # d [X,Y]_U = [dX,Y]_U + (-1)^(dX) [X,Y]_dU + (-1)^(d(X+U)) [X,dY]_U
+    # holds in the free envelope for all 16 parity assignments; flipping
+    # any one term, or dropping its Koszul factor, breaks it
+    ident = sc.EQUIVARIANCE[name]
+    report = ident.validate()
+    assert report.equal and len(report.verdicts) == 16
+    d = ident.letters[0]
+    assert ident.letters == (d, "U", "X", "Y") and ident.sides[d] == 0
+    assert report.letters == tuple(sorted(ident.sides, key=sc.letter_key))
+    for side in ("lhs", "rhs"):
+        terms = getattr(ident, side).terms
+        for k, t in enumerate(terms):
+            mutations = [sc.TemplateTerm(-t.coeff, t.sign_pairs, t.expr)]
+            if t.sign_pairs:
+                mutations.append(sc.TemplateTerm(t.coeff, sc.NO_SIGN, t.expr))
+            for m in mutations:
+                mutated = sc.IdentityTemplate(terms[:k] + (m,) + terms[k + 1:])
+                lhs, rhs = (mutated, ident.rhs) if side == "lhs" else (ident.lhs, mutated)
+                assert not sc.validate_identity(lhs, rhs).equal, (name, side, k)
+
+
+def test_act_envelope_model_is_the_super_commutator():
+    d, x = sc.Letter("D"), sc.Letter("X")
+    for p in itertools.product((0, 1), repeat=2):
+        parities = dict(zip("DX", p))
+        assert sc.expand_expr(sc.Act(d, x), parities) == sc.expand_expr(sc.Comm(d, x), parities)
+    assert sc.expr_letters(sc.Act(d, sc.Bracket(x, sc.Y, sc.U))) == ("D", "U", "X", "Y")
+
+
+def test_derivation_templates_stay_out_of_the_other_catalogs():
+    assert not set(sc.EQUIVARIANCE) & (set(sc.CATALOG) | set(sc.TKK_CATALOG))
+    # every other identity enumerates its letters in letter_key order
+    for ident in [*sc.CATALOG.values(), *sc.TKK_CATALOG.values()]:
+        assert ident.letters == tuple(sorted(ident.sides, key=sc.letter_key)), ident.name

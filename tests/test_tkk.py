@@ -4,13 +4,23 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from isopairs import tkk
-from isopairs.constructions import isoquaternionic_pair, series_gl, series_osp, series_q
+from isopairs.constructions import (
+    isoquaternionic_pair,
+    random_even_perturbation,
+    series_gl,
+    series_osp,
+    series_q,
+)
+from isopairs.exactlin import Matrix
 from isopairs.pairs import AxiomReport, Failure, PairStructure, VerifyReport
+from isopairs.rng import Lcg64
 from isopairs.supercore import SuperSpace
 
 F = Fraction
@@ -462,3 +472,89 @@ def test_hull_and_triple_system_checks_in_many_runs(monkeypatch):
     monkeypatch.setattr(pairs, "_RUN", 16)
     assert tkk.check_lts_axioms(lts).to_json() == _lts_oracle(lts).to_json()
     assert tkk.check_superalgebra(bad).to_json() == _superalgebra_oracle(bad).to_json()
+
+
+# The generators D(x, u) as bracket derivations: the loop that checked
+# them before the Act node, over unit vectors with PairStructure.bracket
+# and hand-written hat-parity signs, kept as the oracle
+
+
+def _g0_equivariance_oracle(a, cap=tkk.FAILURE_CAP):
+    pair = a.pair
+    d1, d2 = pair.v1.dim, pair.v2.dim
+    hat1 = [1 - p for p in pair.v1.parities]
+    hat2 = [1 - p for p in pair.v2.parities]
+    e1 = [tuple(F(int(i == k)) for i in range(d1)) for k in range(d1)]
+    e2 = [tuple(F(int(i == k)) for i in range(d2)) for k in range(d2)]
+    gens = [k for k, rec in enumerate(a.g0_recipes) if rec[0] == "gen"]
+
+    def residual(g, u, x, y):
+        P, Q = a.g0_ops[g]
+        pD = a.parities[g]
+        lhs = P.apply(pair.bracket(1, e2[u], e1[x], e1[y]))
+        t1 = pair.bracket(1, e2[u], P.apply(e1[x]), e1[y])
+        t2 = pair.bracket(1, Q.apply(e2[u]), e1[x], e1[y])
+        t3 = pair.bracket(1, e2[u], e1[x], P.apply(e1[y]))
+        s2 = -1 if pD * hat1[x] % 2 else 1
+        s3 = -1 if pD * (hat1[x] + hat2[u]) % 2 else 1
+        return {o: lhs[o] - t1[o] - s2 * t2[o] - s3 * t3[o] for o in range(d1)}
+
+    tuples = itertools.product(gens, range(d2), range(d1), range(d1))
+    return _loop_report("g0_equivariance", ("D", "U", "X", "Y"), tuples, residual, cap)
+
+
+def _g0_cases(pair, seed):
+    """The hull of ``pair``; the hull of a perturbed pair; the plain
+    hull's generators acting on that perturbed pair; and the plain hull
+    with one generator's action on V1 bumped."""
+    alg = tkk.superalgebra_from_pair(pair, verified=True)
+    pert = random_even_perturbation(pair, Lcg64(seed))
+    P, Q = alg.g0_ops[0]
+    bumped = P + Matrix(P.rows, P.cols, [(0, P.cols - 1, F(3, 2))])
+    return [
+        alg,
+        tkk.superalgebra_from_pair(pert, verified=True),
+        replace(alg, pair=pert),
+        replace(alg, g0_ops=[(bumped, Q)] + alg.g0_ops[1:]),
+    ]
+
+
+G0_PAIRS = [
+    (lambda: series_gl(1, 1), 11),
+    (isoquaternionic_pair, 12),
+    (lambda: series_osp(1, 1, 1), 16),
+    (lambda: series_q(1), 17),
+]
+
+
+@pytest.mark.parametrize("build, seed", G0_PAIRS, ids=["gl11", "isoq", "osp+11", "q1"])
+def test_g0_equivariance_matches_loop_oracle(build, seed):
+    # whole reports, failure order under the cap included
+    counts = []
+    for alg in _g0_cases(build().pair, seed):
+        want_all = _g0_equivariance_oracle(alg, cap=10**6)
+        counts.append(want_all.failure_count)
+        for cap in (2, 10**6):
+            got = tkk.g0_equivariance_report(alg, cap)
+            assert got.to_json() == _g0_equivariance_oracle(alg, cap).to_json(), cap
+    assert counts[0] == 0 and all(counts[1:]) and max(counts) > 2, counts
+
+
+def test_g0_equivariance_in_every_evaluator_form(monkeypatch):
+    # the sparse join, int64 dense and Python-int dense forms give the
+    # oracle's report on a failing hull, also run by run
+    from isopairs import pairs
+
+    alg = _g0_cases(series_gl(1, 1).pair, 11)[2]
+    want = _g0_equivariance_oracle(alg, cap=10**6).to_json()
+    monkeypatch.setattr(pairs, "_RUN", 4)
+    for form in (("join", np.int64), ("dense", np.int64), ("dense", object)):
+        monkeypatch.setattr(pairs, "_form", lambda *args, form=form: form)
+        assert tkk.g0_equivariance_report(alg, 10**6).to_json() == want, form
+
+
+def test_g0_equivariance_of_the_zero_pair_is_vacuous():
+    alg = tkk.superalgebra_from_pair(zero_pair(), verified=True)
+    report = tkk.g0_equivariance_report(alg)
+    assert report.to_json() == _g0_equivariance_oracle(alg).to_json()
+    assert report.total == 0 and report.passed
