@@ -28,18 +28,24 @@ of its two nodes in one of two forms:
   index is one contribution, keyed by its place in the residual; all
   terms' contributions are sorted by key and repeats summed, so the
   work grows with the nonzero contributions;
-* the dense form: a product ``a @ b`` over the distinct rows and columns
-  of the two nodes, scattered into one residual per X index.
+* the dense form: products ``a @ b`` over the distinct rows and columns
+  of the two nodes, in blocks of one X index and one parity pattern of
+  the rows, each term's Koszul signs folded into a signed copy of ``b``;
+  all terms add their blocks into one residual buffer.
 
-The arithmetic is int64 while a checked magnitude bound stays below 2^62
-and Python ints above it, so the reports are exact either way.  In int64
-the join runs when it has fewer contributions than the dense blocks have
-cells, as on sparse pairs; Python ints always take the dense form.  A
-sparse ``Fraction`` evaluation on arbitrary vectors,
-:func:`residual_on_vectors`, is kept apart as the independent reference
-the tests compare against.  Checks that are not identities (evenness
-here, and the support and representation checks elsewhere) build their
-reports with :func:`axiom_report`.
+A checked bound on every partial sum fixes the arithmetic in three
+bands, and the reports are exact in each.  Below 2^53 every partial sum
+is an integer that float64 holds exactly, in any order of summation, so
+the dense form runs on float64 BLAS (the premise of FFLAS: Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008); there the int64 join runs
+instead when it has fewer contributions than the dense blocks have
+cells, as on sparse pairs.  From 2^53 to 2^62 the int64 join runs, and
+from 2^62 on Python ints in the dense form.  A sparse ``Fraction``
+evaluation on arbitrary vectors, :func:`residual_on_vectors`, is kept
+apart as the independent reference the tests compare against.  Checks
+that are not identities (evenness here, and the support and
+representation checks elsewhere) build their reports with
+:func:`axiom_report`.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ from .supercore import (
     Identity,
     Letter,
     SuperSpace,
-    TemplateTerm,
     eval_sign_pairs,
     expr_letters,
 )
@@ -380,43 +385,45 @@ def _degree(terms) -> int:
     return degrees.pop()
 
 
+def _read(t: Tensors) -> None:
+    """Read every tensor ``Fraction`` once, into the memo entries that
+    :func:`_scale` and :func:`_coo` return."""
+    read = {table: [(key, o, c.numerator, c.denominator)
+                    for key, comps in tensor.items() for o, c in comps.items()]
+            for table, tensor in t.tensors.items()}
+    scale = math.lcm(*{d for entries in read.values() for *_, d in entries})
+    values = {table: [n * (scale // d) for *_, n, d in entries] for table, entries in read.items()}
+    biggest = max((abs(v) for vs in values.values() for v in vs), default=1)
+    t.memo[("scale",)] = scale, biggest
+    for table, entries in read.items():
+        t.memo[("coo", table)] = (
+            np.array([key for key, *_ in entries], dtype=np.int64),
+            np.array([o for _, o, *_ in entries], dtype=np.int64),
+            np.array(values[table], dtype=np.int64 if biggest < 2**63 else object),
+        )
+
+
 def _scale(s) -> tuple[int, int]:
     """(lcm of the tensors' denominators, largest scaled |entry|, at least 1)."""
     t = _tensors(s)
-
-    def build():
-        cs = [c for tensor in t.tensors.values() for comps in tensor.values() for c in comps.values()]
-        scale = reduce(math.lcm, (c.denominator for c in cs), 1)
-        biggest = max((abs(c.numerator) * (scale // c.denominator) for c in cs), default=1)
-        return scale, biggest
-
-    return t.cached(("scale",), build)
+    if ("scale",) not in t.memo:
+        _read(t)
+    return t.memo[("scale",)]
 
 
 def _coo(t: Tensors, table, arity: int):
     """The tensor under key ``table`` scaled to integers, as coordinates:
     keys (n, arity), outputs (n,) and values (n,), int64 where they fit."""
-    def build():
-        scale, biggest = _scale(t)
-        entries = [
-            (key, o, c.numerator * (scale // c.denominator))
-            for key, comps in t.tensors[table].items()
-            for o, c in comps.items()
-        ]
-        return (
-            np.array([e[0] for e in entries], dtype=np.int64).reshape(-1, arity),
-            np.array([e[1] for e in entries], dtype=np.int64),
-            np.array([e[2] for e in entries], dtype=np.int64 if biggest < 2**63 else object),
-        )
-
-    return t.cached(("coo", table), build)
+    _scale(t)
+    keys, outs, values = t.memo[("coo", table)]
+    return keys.reshape(-1, arity), outs, values
 
 
 def _checked_bound(s, ident: Identity) -> int:
     """Bound on every partial sum of the scaled residual: the summed
     integer coefficient magnitudes times max|m|^degree times the
-    contracted volume.  int64 arithmetic is exact while it stays below
-    2^62."""
+    contracted volume.  float64 arithmetic is exact while it stays below
+    2^53, and int64 arithmetic below 2^62 (``_EXACT_BELOW``)."""
     t = _tensors(s)
     terms, _, coeffs = _int_coeffs(ident)
     degree = _degree(terms)
@@ -425,8 +432,11 @@ def _checked_bound(s, ident: Identity) -> int:
 
 
 def _distinct(x, flat, bits, size):
-    """Sort the (x, flat) keys and merge repeats: (inverse, x, flat, bits)."""
-    _, first, inverse = np.unique(x * size + flat, return_index=True, return_inverse=True)
+    """Merge repeated (x, flat) keys, sorted by (x, bits, flat):
+    (inverse, x, flat, bits)."""
+    span = int(bits.max()) + 1 if bits.size else 1
+    _, first, inverse = np.unique((x * span + bits) * size + flat,
+                                  return_index=True, return_inverse=True)
     return inverse, x[first], flat[first], bits[first]
 
 
@@ -435,30 +445,43 @@ class _Dense:
     """A term's dense form ``a @ b``: rows of ``a`` are the nested node's
     distinct letter tuples, columns of ``b`` the outer node's distinct
     (letters, output) tuples, each with its offset in the flat residual
-    of one X index, ``size`` long, and its parity bits.  The side that
-    holds X is sorted by it; ``x_bounds[i]:x_bounds[i + 1]`` have X = i.
+    of one X index, ``size`` long; columns also carry their parity bits.
+    The contracted index runs over its even values, then its odd ones.
+    ``blocks[i]`` lists the products of X = i as (row parity bits, rows,
+    columns, contracted values) slices.  The rows of a block share their
+    parity bits, so the term's signed coefficients over it,
+    ``table[bits | col_bits]``, are one factor times one sign per column,
+    folded into a copy of ``b`` (see :meth:`signed`).  The contracted
+    slice keeps the parities that both its rows and its columns meet, so
+    on even tensors a block skips the half of ``a @ b`` that parity makes
+    zero.
     """
 
     size: int
     a: np.ndarray
     b: np.ndarray
     row_flat: np.ndarray
-    row_bits: np.ndarray
     col_flat: np.ndarray
     col_bits: np.ndarray
-    x_in_rows: bool
-    x_bounds: np.ndarray
+    blocks: list
+    copies: dict = field(default_factory=dict)
 
-    def block(self, xi: int):
-        """(flat residual offsets, parity bits, values) of the tuples with
-        X = xi; the offsets are distinct."""
-        part = slice(self.x_bounds[xi], self.x_bounds[xi + 1])
-        rows, cols = (part, slice(None)) if self.x_in_rows else (slice(None), part)
-        return (
-            self.row_flat[rows, None] + self.col_flat[cols],
-            self.row_bits[rows, None] | self.col_bits[cols],
-            self.a[rows] @ self.b[:, cols],
-        )
+    def signed(self, table: np.ndarray) -> dict:
+        """{row parity pattern: (copy of ``b``, factor)}: the factor times
+        the copy is ``b`` with every column times ``table[pattern | column
+        bits]``, the term's signed coefficient.  The copy flips the
+        columns whose coefficient differs from the factor; every table and
+        pattern that flips the same columns shares it."""
+        columns = np.flatnonzero(np.bincount(self.col_bits))
+        out = {}
+        for pattern in {pattern for block in self.blocks for pattern, *_ in block}:
+            factor, entries = table[pattern | columns[0]], table[pattern | columns]
+            key = tuple(entries != factor)
+            if key not in self.copies:
+                flips = table[pattern | self.col_bits] != factor
+                self.copies[key] = np.where(flips, -self.b, self.b) if any(key) else self.b
+            out[pattern] = self.copies[key], factor
+        return out
 
 
 def _nodes(t: Tensors, expr, sides: dict, letters: tuple):
@@ -569,53 +592,98 @@ def _join_term(t: Tensors, expr, sides: dict, letters: tuple, run: tuple):
     )
 
 
+def _equal_runs(keys) -> tuple:
+    """(starts, ends) of the runs of equal values in ``keys``, none if empty."""
+    change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    return np.append(0, change)[:len(keys)], np.append(change, len(keys))[:len(keys)]
+
+
 def _dense_term(t: Tensors, expr, sides: dict, letters: tuple, dtype) -> _Dense:
     """The term's dense form in ``dtype``."""
     def build():
         size, width, x_in_rows, rows, cols = _nodes(t, expr, sides, letters)
+        # the contracted index, even values first, to the places ``place``
+        _, inner = _nested(expr)
+        parity = np.array(t.spaces[_value_side(inner, sides)].parities if inner else [0])
+        place, split = np.argsort(np.argsort(parity, kind="stable")), np.count_nonzero(parity == 0)
         x, flat, bits, c, values = rows
         rows, row_x, row_flat, row_bits = _distinct(x, flat, bits, size)
         a = np.zeros((len(row_x), width), dtype)
-        a[rows, c] = values.astype(dtype)
+        a[rows, place[c]] = values.astype(dtype)
         x, flat, bits, c, values = cols
         cols, col_x, col_flat, col_bits = _distinct(x, flat, bits, size)
         b = np.zeros((width, len(col_x)), dtype)
-        b[c, cols] = values.astype(dtype)
-        xs = np.arange(t.spaces[sides[letters[0]]].dim + 1)
-        return _Dense(
-            size, a, b, row_flat, row_bits, col_flat, col_bits, x_in_rows,
-            np.searchsorted(row_x if x_in_rows else col_x, xs),
-        )
+        b[place[c], cols] = values.astype(dtype)
+        # the parities of the contracted index each row and column meets,
+        # as bits (1 even, 2 odd); the columns sorted by X, then by them
+        row_meets = (a[:, :split] != 0).any(1) | 2 * (a[:, split:] != 0).any(1)
+        col_meets = (b[:split] != 0).any(0) | 2 * (b[split:] != 0).any(0)
+        order = np.lexsort((col_meets, col_x))
+        b, col_x, col_flat, col_bits, col_meets = (
+            b[:, order], col_x[order], col_flat[order], col_bits[order], col_meets[order])
+        # row groups of one X and one parity pattern, column groups of one
+        # X and one meets; a block pairs a row and a column group of the
+        # same X that meet on some parity, over the contracted values of
+        # those parities
+        dim = t.spaces[sides[letters[0]]].dim
+        rows_of, cols_of = [[] for _ in range(dim)], [[] for _ in range(dim)]
+        starts, ends = _equal_runs(row_x * (int(row_bits.max(initial=0)) + 1) + row_bits)
+        meets = np.bitwise_or.reduceat(row_meets, starts) if len(starts) else starts
+        groups = (row_x[starts], row_bits[starts], meets, starts, ends)
+        for xi, pattern, m, lo, hi in zip(*(v.tolist() for v in groups)):
+            rows_of[xi].append((pattern, m, slice(lo, hi)))
+        starts, ends = _equal_runs(col_x * 4 + col_meets)
+        groups = (col_x[starts], col_meets[starts], starts, ends)
+        for xi, m, lo, hi in zip(*(v.tolist() for v in groups)):
+            cols_of[xi].append((m, slice(lo, hi)))
+        if x_in_rows:  # the other side has X = 0 throughout
+            cols_of = cols_of[:1] * dim
+        else:
+            rows_of = rows_of[:1] * dim
+        contracted = {1: slice(0, split), 2: slice(split, width), 3: slice(0, width)}
+        blocks = [[(pattern, r, c, contracted[rm & cm]) for pattern, rm, r in rs for cm, c in cs
+                   if rm & cm] for rs, cs in zip(rows_of, cols_of)]
+        return _Dense(size, a, b, row_flat, col_flat, col_bits, blocks)
 
     return t.cached(("dense", expr, frozenset(sides.items()), letters, dtype), build)
 
 
-def _sign_table(term: TemplateTerm, coeff: int, dtype, letters: tuple) -> np.ndarray:
-    """coeff times the term's Koszul sign, indexed by the parity bits."""
+def _sign_table(sign_pairs, coeff: int, dtype, letters: tuple) -> np.ndarray:
+    """coeff times a term's Koszul sign, indexed by the parity bits."""
     parities = [
         {l: bits >> k & 1 for k, l in enumerate(letters)} for bits in range(2 ** len(letters))
     ]
-    return np.array([coeff * eval_sign_pairs(term.sign_pairs, p) for p in parities], dtype)
+    return np.array([coeff * eval_sign_pairs(sign_pairs, p) for p in parities], dtype)
+
+
+# the evaluator's forms, each with the checked bound below which its
+# sums are exact in any order
+_JOIN, _FLOAT, _PYINT = ("join", np.int64), ("dense", np.float64), ("dense", object)
+_EXACT_BELOW = {_JOIN: 2**62, _FLOAT: 2**53, _PYINT: math.inf}
 
 
 def _form(s, ident: Identity, orientation: int) -> tuple:
     """The evaluator form of one identity and orientation, as (name, dtype).
 
-    Above the checked bound the arithmetic is Python ints, and only the
-    dense form keeps it affordable: the join would box one int per
-    contribution.  In int64 the sparse join runs when it has fewer
-    contributions than the dense blocks have cells, which is the case on
-    sparse structures; on dense ones the join would have more.
+    Three bands of the checked bound fix the arithmetic.  Below 2^53
+    every partial sum is an integer that float64 holds exactly, so the
+    dense form runs on float64 BLAS; there the sparse join runs in int64
+    when it has fewer contributions than the dense blocks have cells,
+    which is the case on sparse structures (on dense ones the join would
+    have more).  From 2^53 to 2^62 the int64 join runs.  At 2^62 and
+    above the arithmetic is Python ints, and only the dense form keeps
+    it affordable: the join would box one int per contribution.
     """
     t = _tensors(s)
-    if _checked_bound(t, ident) >= 2**62:
-        return "dense", object
+    bound = _checked_bound(t, ident)
+    if bound >= _EXACT_BELOW[_JOIN]:
+        return _PYINT
+    if bound >= _EXACT_BELOW[_FLOAT]:
+        return _JOIN
     sides = _orient(ident.sides, orientation)
     counts = [_term_counts(t, term.expr, sides) for term in ident.residual_terms()]
     joins, cells = map(sum, zip(*counts))
-    if joins < cells:
-        return "join", np.int64
-    return "dense", np.int64
+    return _JOIN if joins < cells else _FLOAT
 
 
 # sparse-join contributions per run of X indices: the joins and the
@@ -627,7 +695,7 @@ def _runs(t: Tensors, evals: list) -> list:
     """The runs ``(lo, hi)`` of X indices for evaluations that share
     their X: one run unless some take the sparse join."""
     joins = max((sum(_term_counts(t, expr, e.sides)[0] for expr, _ in e.terms)
-                 for e in evals if e.form[0] == "join"), default=0)
+                 for e in evals if e.form == _JOIN), default=0)
     dim = t.spaces[evals[0].sides[evals[0].ident.letters[0]]].dim
     n = 1 + joins // _RUN
     bounds = sorted({dim * k // n for k in range(n + 1)})
@@ -646,12 +714,17 @@ class _Evaluation:
         self.d_out = t.spaces[_value_side(terms[0].expr, sides)].dim
         self.denom = coeff_scale * _scale(t)[0] ** _degree(terms)
         self.form = form or (None if 0 in self.dims else _form(t, ident, orientation))
-        self.terms = [  # the expression, or the dense form, and the sign table
-            (_dense_term(t, term.expr, sides, ident.letters, self.form[1])
-             if self.form[0] == "dense" else term.expr,
-             _sign_table(term, c, self.form[1], ident.letters))
-            for term, c in zip(terms, coeffs)
-        ] if self.form else []
+        if form and not _checked_bound(t, ident) < _EXACT_BELOW.get(form, 0):
+            raise ValueError(f"{ident.name} is not exact in the evaluator form {form}")
+        self.terms = []  # (expression, sign table), or (dense form, its signed b's)
+        for term, c in zip(terms, coeffs) if self.form else ():
+            key = (term.sign_pairs, c, self.form[1], ident.letters)
+            table = t.cached(("signs", *key), lambda: _sign_table(*key))
+            if self.form == _JOIN:
+                self.terms.append((term.expr, table))
+            else:
+                dense = _dense_term(t, term.expr, sides, ident.letters, self.form[1])
+                self.terms.append((dense, dense.signed(table)))
         self.failures: list[Failure] = []
         self.count = 0
 
@@ -662,11 +735,12 @@ class _Evaluation:
         output index).  The join form sorts all terms' contributions by
         key and sums repeats, exact in int64 in any order under the
         checked bound; ``joins`` keeps the run's term joins for the
-        identities evaluated in lockstep.  The dense form scatters every
-        term's block into one residual per X index."""
+        identities evaluated in lockstep.  The dense form adds every
+        term's products, signed through ``b``, into one residual buffer,
+        reused from X index to X index: only its nonzeros are read out
+        (and, in float64, cast to int64) and reset."""
         t, sides, letters = self.t, self.sides, self.ident.letters
-        name, dtype = self.form
-        if name == "join":
+        if self.form == _JOIN:
             key = (frozenset(sides.items()), letters)
             for expr, _ in self.terms:
                 if (expr, key) not in joins:
@@ -685,14 +759,17 @@ class _Evaluation:
                 yield keys[starts[kept]], sums[kept]
             return
         size = self.terms[0][0].size
+        residual = np.zeros(size, self.form[1])
         for xi in range(*run):
-            residual = np.zeros(size, dtype)
-            for term, table in self.terms:
-                flat, bits, values = term.block(xi)
-                values *= table[bits]
-                residual[flat] += values
+            for term, signed in self.terms:
+                for pattern, rows, cols, contracted in term.blocks[xi]:
+                    b, factor = signed[pattern]
+                    flat = term.row_flat[rows, None] + term.col_flat[cols]
+                    residual[flat] += (factor * term.a[rows, contracted]) @ b[contracted, cols]
             nz = np.flatnonzero(residual)
-            yield xi * size + nz, residual[nz]
+            values = residual[nz]
+            residual[nz] = 0
+            yield xi * size + nz, values.astype(np.int64) if self.form == _FLOAT else values
 
     def add(self, keys, values, cap: int):
         """Count the failing tuples, the distinct ``key // d_out``; keep ``cap``."""

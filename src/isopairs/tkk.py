@@ -33,15 +33,16 @@ super-Jacobi identity, are templates of ``supercore.TKK_CATALOG``,
 validated in the free envelope and checked exhaustively on basis tuples
 by the identity evaluator of :mod:`isopairs.pairs`.  Polarization and
 the submodule property are support checks on the tensor entries.  That
-the generators D(x, u) act on the pair as bracket derivations is the
-template ``supercore.EQUIVARIANCE["g0_equivariance"]``, which the same
-evaluator reads over their action tensors on V1 and V2.
+the generators D(x, u) act on the pair as derivations of both brackets
+is the template ``supercore.EQUIVARIANCE["g0_equivariance"]``, which the
+same evaluator reads over their action tensors on V1 and V2, in both
+orientations.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -49,7 +50,6 @@ from .exactlin import IncrementalSpan, Matrix, axpy
 from .pairs import (
     ISOTOPIC,
     SUPER_JORDAN,
-    AxiomReport,
     PairStructure,
     Tensors,
     VerifyReport,
@@ -321,11 +321,12 @@ def check_superalgebra(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> Veri
     ])
 
 
-def g0_equivariance_report(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> AxiomReport:
-    """The generators D = D(x, u) act as derivations of the pair bracket,
+def g0_equivariance_report(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> list:
+    """The generators D = D(x, u) act as derivations of both brackets,
     D [x,y]_u = [Dx, y]_u + (-1)^(pD px) [x, y]_{Du} + (-1)^(pD (px+pu)) [x, Dy]_u
     in the hat parities: ``EQUIVARIANCE["g0_equivariance"]`` over their
-    actions on V1 and V2, on every basis tuple (D, u, x, y)."""
+    actions on V1 and V2, on every basis tuple (D, u, x, y), for m1
+    (orientation 1, x and y in V1) and m2 (orientation 2, x and y in V2)."""
     pair, n = a.pair, [rec[0] for rec in a.g0_recipes].count("gen")
     acts = ({}, {})  # (D, k) -> D(e_k), on V1 and on V2
     for d, op in enumerate(a.g0_ops[:n]):  # the generators are adjoined first
@@ -336,7 +337,11 @@ def g0_equivariance_report(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> 
         {0: SuperSpace.make(a.labels[:n], a.parities[:n]), 1: pair.v1.flipped(), 2: pair.v2.flipped()},
         {1: pair.m1, 2: pair.m2, ("act", 1): acts[0], ("act", 2): acts[1]},
     )
-    return _eval_identity(t, EQUIVARIANCE["g0_equivariance"], 0, cap)
+    return [
+        replace(_eval_identity(t, EQUIVARIANCE["g0_equivariance"], o, cap),
+                identity=f"g0_equivariance[m{o}]")
+        for o in (1, 2)
+    ]
 
 
 def scan_sigma_conventions(pairs: Sequence[PairStructure]) -> list:

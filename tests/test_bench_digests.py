@@ -42,40 +42,40 @@ def test_verify_reports_match_recorded_digests(workload):
 
 @pytest.mark.parametrize("workload, job, form", [
     ("verify-sparse", "verify gl(2,2) relabelled", ("join", np.int64)),
-    ("verify-dense", "verify gl(2,1) transported", ("dense", np.int64)),
+    ("verify-dense", "verify gl(2,1) transported", ("dense", np.float64)),
     ("verify-dense", "verify osp+(2,1) transported scaled", ("dense", object)),
 ])
 def test_bench_jobs_pin_the_evaluator_form(workload, job, form):
     # the sparse pair takes the join, the basis-changed dense pair the
-    # int64 dense form, and the pair scaled past 2^62 the Python-int one;
-    # the degree-1 symmetry stays far below 2^62 and its join has as
+    # float64 dense form, and the pair scaled past 2^62 the Python-int
+    # one; the degree-1 symmetry stays far below 2^53 and its join has as
     # many contributions as its dense form has cells, so it takes the
-    # int64 dense form on all three
+    # float64 dense form on all three
     (pair,) = _jobs(workload)[job].args()
     if pair.kind == P.ISOTOPIC:
         symmetry, deep = "antisymmetry.isotopic", ("jacobi_analog", "compatibility")
     else:
         symmetry, deep = "symmetry.superJordan", ("super_jordan",)
     for orientation in (1, 2):
-        assert P._form(pair, CATALOG[symmetry], orientation) == ("dense", np.int64)
+        assert P._form(pair, CATALOG[symmetry], orientation) == ("dense", np.float64)
         for name in deep:
             assert P._form(pair, CATALOG[name], orientation) == form
 
 
 @pytest.mark.parametrize("job, build, forms", [
     ("tkk gl(2,1) relabelled", "superalgebra_from_pair", {
-        "superalgebra.antisymmetry": ("dense", np.int64),
+        "superalgebra.antisymmetry": ("dense", np.float64),
         "superalgebra.super_jacobi": ("join", np.int64),
     }),
     ("lts flip osp+(2,2) relabelled", "lts_from_pair", {
-        "lts.antisymmetry": ("dense", np.int64),
-        "lts.cyclic": ("dense", np.int64),
+        "lts.antisymmetry": ("dense", np.float64),
+        "lts.cyclic": ("dense", np.float64),
         "lts.derivation": ("join", np.int64),
     }),
 ])
 def test_modules_jobs_pin_the_evaluator_form(job, build, forms):
     # the hull and triple-system identities run on the one evaluator:
-    # the degree-1 ones take the int64 dense form, whose blocks have as
+    # the degree-1 ones take the float64 dense form, whose blocks have as
     # many cells as the join has contributions, and the degree-2 ones,
     # over sparse tensors, the join
     from isopairs import tkk

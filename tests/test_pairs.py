@@ -14,8 +14,10 @@ from isopairs import pairs as P
 from isopairs.constructions import (
     random_even_perturbation,
     series_gl,
+    series_osp,
     series_q,
 )
+from isopairs.exactlin import Matrix, invert
 from isopairs.rng import Lcg64
 from isopairs.supercore import CATALOG, EQUIVARIANCE, Act, SuperSpace
 
@@ -229,7 +231,7 @@ def test_evaluator_matches_fraction_oracle():
         assert all(r.passed for r in reports) == passes
 
 
-FORMS = (("join", np.int64), ("dense", np.int64), ("dense", object))
+FORMS = (("join", np.int64), ("dense", np.float64), ("dense", object))
 
 
 def _form_residuals(pair, ident, orientation, form):
@@ -342,6 +344,112 @@ def test_join_form_just_under_the_int64_bound():
                 assert f.residual == residuals[where]
                 assert f.residual == _oracle_residual(big, ident, orientation, where)
     assert failing
+
+
+def _dense_basis(pair):
+    """The pair in the basis f_k = e_k + (the sum of the e_j of e_k's
+    parity), which preserves parity: the sparse catalog constants fill
+    in, so the deep identities take the dense form."""
+    def change(space):
+        par = space.parities
+        p = Matrix(space.dim, space.dim, [
+            (i, k, F(1 + (i == k))) for k in range(space.dim) for i in range(space.dim)
+            if par[i] == par[k]])
+        return p, invert(p)
+
+    def tensor(side, p_iso, p_own, q_own):
+        out = {}
+        for u, x, y in itertools.product(range(p_iso.cols), range(p_own.cols), range(p_own.cols)):
+            v = q_own.apply(pair.bracket(side, p_iso.col(u), p_own.col(x), p_own.col(y)))
+            if any(v):
+                out[u, x, y] = {o: c for o, c in enumerate(v) if c}
+        return out
+
+    (p1, q1), (p2, q2) = change(pair.v1), change(pair.v2)
+    return P.PairStructure(
+        pair.v1, pair.v2, pair.kind, tensor(1, p2, p1, q1), tensor(2, p1, p2, q2))
+
+
+@pytest.mark.parametrize("osp, orientation", [((2, 1, 1), 2), ((1, 2, 1), 1)])
+def test_float_form_just_under_the_float64_bound(osp, orientation):
+    # the orientation in which both deep identities of a perturbed osp+
+    # pair in a dense basis take the dense form: the largest integer
+    # scale that keeps both under 2^53 takes the float64 dense form, and
+    # at the next one the identity past 2^53 takes the int64 join.  Both
+    # equal the Python-int dense form and the oracle; the float64 form,
+    # forced past 2^53, refuses
+    pert = random_even_perturbation(_dense_basis(series_osp(*osp).pair), Lcg64(5))
+    pert = _scaled(pert, F(P._scale(pert)[0]))  # integer entries: the bound grows as k^2
+    idents = [CATALOG[n] for n in ("jacobi_analog", "compatibility")]
+
+    def worst(k):
+        return max(P._checked_bound(_scaled(pert, F(k)), i) for i in idents)
+
+    k = math.isqrt((2**53 - 1) // worst(1))
+    while worst(k + 1) < 2**53:
+        k += 1
+    assert 2**52 <= worst(k) < 2**53 <= worst(k + 1)
+    failing, forms = 0, set()
+    for scale in (k, k + 1):
+        big = _scaled(pert, F(scale))
+        for ident in idents:
+            past = P._checked_bound(big, ident) >= 2**53
+            form = ("join", np.int64) if past else ("dense", np.float64)
+            forms.add((scale, form))
+            assert P._form(big, ident, orientation) == form
+            residuals = _form_residuals(big, ident, orientation, form)
+            assert residuals == _form_residuals(big, ident, orientation, ("dense", object))
+            report = P._eval_identity(big, ident, orientation)
+            failing += report.failure_count
+            for f in report.failures:
+                where = tuple(f.where.values())
+                assert f.residual == residuals[where]
+                assert f.residual == _oracle_residual(big, ident, orientation, where)
+            if past:
+                with pytest.raises(ValueError, match="not exact"):
+                    next(P._residual(big, ident, orientation, ("dense", np.float64)))
+    assert failing
+    assert forms == {(k, ("dense", np.float64)), (k + 1, ("dense", np.float64)),
+                     (k + 1, ("join", np.int64))}
+
+
+def test_float_form_on_an_uneven_dense_pair():
+    # entries of the wrong parity make rows and columns of the dense
+    # blocks meet contracted values of both parities; the float64 form
+    # still equals the oracle
+    pair = _dense_basis(series_osp(2, 1, 1).pair)
+    p1, p2 = pair.v1.parities, pair.v2.parities
+    m1 = {**pair.m1, (0, 0, 0): {p1.index(1 - p2[0]): F(5)}}
+    m2 = {**pair.m2, (0, 0, 0): {p2.index(1 - p1[0]): F(-3)}}
+    pair = P.PairStructure(pair.v1, pair.v2, pair.kind, m1, m2)
+    assert [r.failure_count for r in P.check_evenness(pair)] == [1, 1]
+    for name in ("jacobi_analog", "compatibility"):
+        ident = CATALOG[name]
+        assert P._form(pair, ident, 2) == ("dense", np.float64)
+        report = P._eval_identity(pair, ident, 2)
+        assert report.to_json() == _oracle_report(pair, ident, 2).to_json()
+        assert not report.passed
+
+
+def test_float_form_stops_short_of_2_to_the_53():
+    # graded antisymmetry (coefficients 1, 1) on two-dimensional spaces
+    # with largest entry 2^50 has a checked bound of exactly 2 * 2^50 * 2^2
+    # = 2^53: the int64 join, while half of it takes the float64 form
+    v = SuperSpace.make(["a", "b"], [0, 1])
+    pair = P.PairStructure(v, v, "isotopic", {(0, 0, 1): {1: F(2**50)}}, {(1, 0, 1): {0: F(4)}})
+    half = _scaled(pair, F(1, 2))
+    ident = CATALOG["antisymmetry.isotopic"]
+    assert P._checked_bound(pair, ident) == 2**53 == 2 * P._checked_bound(half, ident)
+    for orientation in (1, 2):
+        assert P._form(pair, ident, orientation) == ("join", np.int64)
+        assert P._form(half, ident, orientation) == ("dense", np.float64)
+        for p in (pair, half):
+            assert P._eval_identity(p, ident, orientation).to_json() == (
+                _oracle_report(p, ident, orientation).to_json())
+    with pytest.raises(ValueError, match="not exact"):
+        next(P._residual(pair, ident, 1, ("dense", np.float64)))
+    with pytest.raises(ValueError, match="not exact"):
+        next(P._residual(half, ident, 1, ("dense", np.int64)))
 
 
 def test_negative_indices_rejected():

@@ -109,7 +109,10 @@ def test_perturbed_table_fails():
 def test_g0_equivariance():
     for pair in (series_gl(1, 1).pair, isoquaternionic_pair().pair):
         alg = tkk.superalgebra_from_pair(pair, verified=True)
-        assert tkk.g0_equivariance_report(alg).passed
+        reports = tkk.g0_equivariance_report(alg)
+        assert [(r.identity, r.orientation) for r in reports] == [
+            ("g0_equivariance[m1]", 1), ("g0_equivariance[m2]", 2)]
+        assert all(r.passed for r in reports)
 
 
 def test_small_series_superalgebras_pass():
@@ -476,37 +479,56 @@ def test_hull_and_triple_system_checks_in_many_runs(monkeypatch):
 
 # The generators D(x, u) as bracket derivations: the loop that checked
 # them before the Act node, over unit vectors with PairStructure.bracket
-# and hand-written hat-parity signs, kept as the oracle
+# and hand-written hat-parity signs, kept as the oracle, for the m1 half
+# (x, y in V1, D acting as P) and the m2 half (x, y in V2, D acting as Q)
 
 
 def _g0_equivariance_oracle(a, cap=tkk.FAILURE_CAP):
     pair = a.pair
-    d1, d2 = pair.v1.dim, pair.v2.dim
-    hat1 = [1 - p for p in pair.v1.parities]
-    hat2 = [1 - p for p in pair.v2.parities]
-    e1 = [tuple(F(int(i == k)) for i in range(d1)) for k in range(d1)]
-    e2 = [tuple(F(int(i == k)) for i in range(d2)) for k in range(d2)]
+    dims = (pair.v1.dim, pair.v2.dim)
+    hats = ([1 - p for p in pair.v1.parities], [1 - p for p in pair.v2.parities])
+    units = [[tuple(F(int(i == k)) for i in range(d)) for k in range(d)] for d in dims]
     gens = [k for k, rec in enumerate(a.g0_recipes) if rec[0] == "gen"]
 
-    def residual(g, u, x, y):
-        P, Q = a.g0_ops[g]
-        pD = a.parities[g]
-        lhs = P.apply(pair.bracket(1, e2[u], e1[x], e1[y]))
-        t1 = pair.bracket(1, e2[u], P.apply(e1[x]), e1[y])
-        t2 = pair.bracket(1, Q.apply(e2[u]), e1[x], e1[y])
-        t3 = pair.bracket(1, e2[u], e1[x], P.apply(e1[y]))
-        s2 = -1 if pD * hat1[x] % 2 else 1
-        s3 = -1 if pD * (hat1[x] + hat2[u]) % 2 else 1
-        return {o: lhs[o] - t1[o] - s2 * t2[o] - s3 * t3[o] for o in range(d1)}
+    def half(side):
+        own, other = side - 1, 2 - side
+        e, f = units[own], units[other]
 
-    tuples = itertools.product(gens, range(d2), range(d1), range(d1))
-    return _loop_report("g0_equivariance", ("D", "U", "X", "Y"), tuples, residual, cap)
+        def residual(g, u, x, y):
+            A, B = a.g0_ops[g][own], a.g0_ops[g][other]
+            pD = a.parities[g]
+            lhs = A.apply(pair.bracket(side, f[u], e[x], e[y]))
+            t1 = pair.bracket(side, f[u], A.apply(e[x]), e[y])
+            t2 = pair.bracket(side, B.apply(f[u]), e[x], e[y])
+            t3 = pair.bracket(side, f[u], e[x], A.apply(e[y]))
+            s2 = -1 if pD * hats[own][x] % 2 else 1
+            s3 = -1 if pD * (hats[own][x] + hats[other][u]) % 2 else 1
+            return {o: lhs[o] - t1[o] - s2 * t2[o] - s3 * t3[o] for o in range(dims[own])}
+
+        tuples = itertools.product(gens, range(dims[other]), range(dims[own]), range(dims[own]))
+        report = _loop_report(f"g0_equivariance[m{side}]", ("D", "U", "X", "Y"), tuples,
+                              residual, cap)
+        return replace(report, orientation=side)
+
+    return [half(1), half(2)]
+
+
+def _json(reports):
+    return [r.to_json() for r in reports]
+
+
+def _m2_perturbed(pair, seed):
+    """``pair`` with one random evenness-respecting entry added to m2."""
+    swapped = random_even_perturbation(
+        PairStructure(pair.v2, pair.v1, pair.kind, pair.m2, pair.m1), Lcg64(seed))
+    return PairStructure(pair.v1, pair.v2, pair.kind, swapped.m2, swapped.m1)
 
 
 def _g0_cases(pair, seed):
     """The hull of ``pair``; the hull of a perturbed pair; the plain
-    hull's generators acting on that perturbed pair; and the plain hull
-    with one generator's action on V1 bumped."""
+    hull's generators acting on that perturbed pair, and on the pair with
+    its m2 perturbed; and the plain hull with one generator's action on
+    V1 bumped."""
     alg = tkk.superalgebra_from_pair(pair, verified=True)
     pert = random_even_perturbation(pair, Lcg64(seed))
     P, Q = alg.g0_ops[0]
@@ -515,6 +537,7 @@ def _g0_cases(pair, seed):
         alg,
         tkk.superalgebra_from_pair(pert, verified=True),
         replace(alg, pair=pert),
+        replace(alg, pair=_m2_perturbed(pair, seed)),
         replace(alg, g0_ops=[(bumped, Q)] + alg.g0_ops[1:]),
     ]
 
@@ -532,29 +555,40 @@ def test_g0_equivariance_matches_loop_oracle(build, seed):
     # whole reports, failure order under the cap included
     counts = []
     for alg in _g0_cases(build().pair, seed):
-        want_all = _g0_equivariance_oracle(alg, cap=10**6)
-        counts.append(want_all.failure_count)
+        counts.append([r.failure_count for r in _g0_equivariance_oracle(alg, cap=10**6)])
         for cap in (2, 10**6):
             got = tkk.g0_equivariance_report(alg, cap)
-            assert got.to_json() == _g0_equivariance_oracle(alg, cap).to_json(), cap
-    assert counts[0] == 0 and all(counts[1:]) and max(counts) > 2, counts
+            assert _json(got) == _json(_g0_equivariance_oracle(alg, cap)), cap
+    totals = list(map(sum, counts))
+    assert totals[0] == 0 and all(totals[1:]) and max(totals) > 2, counts
+
+
+def test_g0_equivariance_checks_the_m2_half():
+    # the gl(1,1) hull's generators on a pair whose m2 alone is perturbed:
+    # the m1 half passes, the m2 half fails
+    alg = tkk.superalgebra_from_pair(series_gl(1, 1).pair, verified=True)
+    alg = replace(alg, pair=_m2_perturbed(alg.pair, 3))
+    m1, m2 = tkk.g0_equivariance_report(alg, cap=10**6)
+    assert (m1.failure_count, m2.failure_count) == (0, 8)
+    assert _json([m1, m2]) == _json(_g0_equivariance_oracle(alg, cap=10**6))
 
 
 def test_g0_equivariance_in_every_evaluator_form(monkeypatch):
-    # the sparse join, int64 dense and Python-int dense forms give the
-    # oracle's report on a failing hull, also run by run
+    # the sparse join, float64 dense and Python-int dense forms give the
+    # oracle's reports on the hull's generators acting on a pair with m1,
+    # and on one with m2, perturbed, also run by run
     from isopairs import pairs
 
-    alg = _g0_cases(series_gl(1, 1).pair, 11)[2]
-    want = _g0_equivariance_oracle(alg, cap=10**6).to_json()
     monkeypatch.setattr(pairs, "_RUN", 4)
-    for form in (("join", np.int64), ("dense", np.int64), ("dense", object)):
-        monkeypatch.setattr(pairs, "_form", lambda *args, form=form: form)
-        assert tkk.g0_equivariance_report(alg, 10**6).to_json() == want, form
+    for alg in _g0_cases(series_gl(1, 1).pair, 11)[2:4]:
+        want = _json(_g0_equivariance_oracle(alg, cap=10**6))
+        for form in (("join", np.int64), ("dense", np.float64), ("dense", object)):
+            monkeypatch.setattr(pairs, "_form", lambda *args, form=form: form)
+            assert _json(tkk.g0_equivariance_report(alg, 10**6)) == want, form
 
 
 def test_g0_equivariance_of_the_zero_pair_is_vacuous():
     alg = tkk.superalgebra_from_pair(zero_pair(), verified=True)
-    report = tkk.g0_equivariance_report(alg)
-    assert report.to_json() == _g0_equivariance_oracle(alg).to_json()
-    assert report.total == 0 and report.passed
+    reports = tkk.g0_equivariance_report(alg)
+    assert _json(reports) == _json(_g0_equivariance_oracle(alg))
+    assert all(r.total == 0 and r.passed for r in reports)
