@@ -320,7 +320,11 @@ def cmd_rep_induce(args) -> int:
     indices = [l[1:].split(",") for l in labels]
     if any(len(ij) < 2 for ij in indices):
         raise UsageError("rep induce needs a matrix pair with labels <letter>i,j")
-    diag = [k for k, ij in enumerate(indices) if ij[0] == ij[1]]
+    # the even diagonal elements: odd ones (q:n's oi,i, every one of a
+    # flipped pair's) cannot sit in the even diagonal subpair
+    diag = [k for k, ij in enumerate(indices) if ij[0] == ij[1] and not pair.v1.parities[k]]
+    if not diag:
+        raise UsageError("rep induce needs even diagonal elements <letter>i,i; this pair has none")
     chi = _parse_weights(args.chi) if args.chi else [Fraction(0)] * len(diag)
     if len(chi) != len(diag):
         raise UsageError(f"--chi takes {len(diag)} rationals for this pair")
@@ -425,9 +429,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_positive_int, default=6)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_rep_hw)
-    p = rsub.add_parser("induce", help="induce from the diagonal subpair")
+    p = rsub.add_parser("induce", help="induce from the even diagonal subpair")
     p.add_argument("--pair", required=True)
-    p.add_argument("--chi", default="", help="character values on the diagonal units")
+    p.add_argument("--chi", default="", help="character values on the even diagonal units")
     p.add_argument("--cap", type=_positive_int, default=3)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_rep_induce)

@@ -4,10 +4,13 @@ Everything in the package runs over the rationals: scalars are
 ``fractions.Fraction`` (arbitrary precision, always reduced, positive
 denominator).  Dense vectors are tuples of scalars; sparse vectors are
 dicts column -> scalar, combined with ``axpy``.  ``Matrix`` keeps its
-rows as sparse vectors, and ``IncrementalSpan`` keeps its echelon rows
-as fraction-free integer dicts.  No floating point anywhere.  Row
-reduction, span membership, kernels and span intersections are the
-workhorses used by the pair builders and the word-module engine.
+rows as sparse vectors.  No floating point anywhere.
+
+There is one elimination engine, ``IncrementalSpan``: a fraction-free
+integer echelon for span membership and solving, whose ``reduced``
+read-out is the reduced row-echelon form.  Kernels, canonical span
+bases, span intersections and inverses are read off it; the dense
+Gauss-Jordan elimination they are checked against lives in the tests.
 """
 
 from __future__ import annotations
@@ -147,9 +150,6 @@ class Matrix:
         row = self._data.get(i, {})
         return tuple(row.get(j, ZERO) for j in range(self.cols))
 
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self[i, j] for i in range(self.rows))
-
     def transpose(self) -> "Matrix":
         out: dict = {}
         for i, row in self._data.items():
@@ -201,14 +201,6 @@ class Matrix:
                 out[i] = acc
         return Matrix._make(self.rows, other.cols, out)
 
-    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if self.cols != len(v):
-            raise DimensionMismatch("matrix-vector shape mismatch")
-        return tuple(
-            sum((x * v[j] for j, x in self._data.get(i, {}).items()), ZERO)
-            for i in range(self.rows)
-        )
-
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
@@ -224,115 +216,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}, {self.cols}, {list(self.nonzeros())!r})"
-
-
-def rref(m: Matrix) -> tuple[int, Matrix, tuple[int, ...]]:
-    """Reduced row-echelon form.
-
-    Returns ``(rank, reduced, pivots)``; ``reduced`` is the unique RREF of
-    ``m`` over the rationals and ``pivots`` the pivot column indices.
-    """
-    rows = [dict(m._data.get(i, ())) for i in range(m.rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if c in rows[i]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = {j: x * inv for j, x in rows[r].items()}
-        for i in range(m.rows):
-            if i != r and c in rows[i]:
-                axpy(rows[i], -rows[i][c], rows[r])
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    data = {i: row for i, row in enumerate(rows) if row}
-    return r, Matrix._make(m.rows, m.cols, data), tuple(pivots)
-
-
-def span_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Canonical (RREF-row) basis of the span of the given vectors."""
-    vectors = [vec(v) for v in vectors]
-    if not vectors:
-        return []
-    rank, red, _ = rref(Matrix.from_rows(vectors))
-    return [red.row(i) for i in range(rank)]
-
-
-def rank_of(vectors: Sequence[Sequence[Fraction]]) -> int:
-    return len(span_basis(vectors))
-
-
-def solve_in_span(
-    basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]
-) -> Optional[tuple[Fraction, ...]]:
-    """Exact coefficients of ``v`` in terms of ``basis``, or None.
-
-    Returns a coefficient tuple ``c`` with ``sum c_i basis_i == v`` iff
-    ``v`` lies in the span; raises on ambient-dimension mismatch.
-    """
-    basis = [vec(b) for b in basis]
-    v = vec(v)
-    for b in basis:
-        if len(b) != len(v):
-            raise DimensionMismatch("basis/vector length mismatch")
-    if not basis:
-        return None if any(v) else ()
-    # Columns are the basis vectors, augmented with v.
-    n = len(v)
-    aug = Matrix.from_rows(
-        [[basis[j][i] for j in range(len(basis))] + [v[i]] for i in range(n)]
-    )
-    rank, red, pivots = rref(aug)
-    if len(basis) in pivots:  # v is not a combination
-        return None
-    coeffs = [ZERO] * len(basis)
-    for r, c in enumerate(pivots):
-        coeffs[c] = red[r, len(basis)]
-    return tuple(coeffs)
-
-
-def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {x : m x = 0}."""
-    rank, red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    out = []
-    for f in free:
-        x = [ZERO] * m.cols
-        x[f] = ONE
-        for r, c in enumerate(pivots):
-            x[c] = -red[r, f]
-        out.append(tuple(x))
-    return out
-
-
-def intersect_spans(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
-) -> list[tuple[Fraction, ...]]:
-    """Basis of span(a) ∩ span(b), both inside the same ambient space."""
-    a = [vec(v) for v in a]
-    b = [vec(v) for v in b]
-    dims = {len(v) for v in a + b}
-    if len(dims) > 1:
-        raise DimensionMismatch("ambient dimension mismatch")
-    if not a or not b:
-        return []
-    n = dims.pop()
-    # x in both spans: sum s_i a_i - sum t_j b_j = 0; read intersection
-    # vectors off the a-part of the kernel.
-    m = Matrix.from_rows(
-        [[a[j][i] for j in range(len(a))] + [-b[j][i] for j in range(len(b))] for i in range(n)]
-    )
-    vectors = []
-    for k in kernel_basis(m):
-        # zip stops at the a-part of k
-        w = tuple(sum((s * av[i] for s, av in zip(k, a)), ZERO) for i in range(n))
-        if any(w):
-            vectors.append(w)
-    return span_basis(vectors)
 
 
 class IncrementalSpan:
@@ -445,15 +328,83 @@ class IncrementalSpan:
             return None
         return combo
 
+    def reduced(self) -> tuple[list[int], list[dict]]:
+        """The span's reduced row-echelon form: the pivots in ascending
+        order and, for each, the span vector that is 1 at that pivot and
+        0 at the others, as a Fraction dict.  It is unique, so it is the
+        RREF of any matrix whose rows span the same space (with pivot
+        "max", of that matrix with its columns reversed).  Back-
+        substitution: each echelon row, scaled to a unit pivot, has its
+        entries at later pivots, in pivot order, cleared by the rows
+        already reduced, which are 0 at every other pivot."""
+        red: dict = {}
+        for p in sorted(self.row_by_pivot, reverse=self._pick is min):
+            row = self.rows[self.row_by_pivot[p]]
+            v = {c: Fraction(x, row[p]) for c, x in row.items()}
+            for q in [c for c in v if c in red]:
+                axpy(v, -v[q], red[q])
+            red[p] = v
+        pivots = sorted(red)
+        return pivots, [red[p] for p in pivots]
+
+
+def _reduced_rows(rows: Iterable[dict]) -> tuple[list[int], list[dict]]:
+    """``IncrementalSpan.reduced`` of the span of the sparse rows."""
+    span = IncrementalSpan()
+    for row in rows:
+        span.insert(row)
+    return span.reduced()
+
+
+def span_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
+    """Canonical (RREF-row) basis of the span of the given vectors."""
+    m = Matrix.from_rows(vectors)
+    _, red = _reduced_rows(m._data.values())
+    return [tuple(row.get(j, ZERO) for j in range(m.cols)) for row in red]
+
+
+def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel {x : m x = 0}: for each free column f
+    of the RREF, e_f - sum_r red[r][f] e_(pivot r)."""
+    pivots, red = _reduced_rows(m._data.values())
+    out = []
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        x = [ZERO] * m.cols
+        x[f] = ONE
+        for p, row in zip(pivots, red):
+            x[p] = -row.get(f, ZERO)
+        out.append(tuple(x))
+    return out
+
+
+def intersect_spans(
+    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
+) -> list[tuple[Fraction, ...]]:
+    """Canonical (RREF-row) basis of span(a) ∩ span(b), both inside the
+    same ambient space.  Zassenhaus: the rows (a_i | a_i) and (b_j | 0)
+    span {(u + w | u) : u in span(a), w in span(b)}, whose vectors with
+    left half zero are the (0 | u) with u in both spans; the RREF rows
+    pivoting in the right half are those vectors' RREF."""
+    a = [vec(v) for v in a]
+    b = [vec(v) for v in b]
+    dims = {len(v) for v in a + b}
+    if len(dims) > 1:
+        raise DimensionMismatch("ambient dimension mismatch")
+    n = dims.pop() if dims else 0
+    rows = [{j: x for j, x in enumerate(v + v) if x} for v in a]
+    rows += [{j: x for j, x in enumerate(v) if x} for v in b]
+    pivots, red = _reduced_rows(rows)
+    return [tuple(row.get(n + j, ZERO) for j in range(n)) for p, row in zip(pivots, red) if p >= n]
+
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on singular input."""
+    """Exact inverse, read off the RREF of [m | I]; raises ValueError on
+    singular input."""
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    aug = Matrix._make(n, 2 * n, {i: {**m._data.get(i, {}), n + i: ONE} for i in range(n)})
-    rank, red, pivots = rref(aug)
-    if rank < n or pivots[:n] != tuple(range(n)):
+    pivots, red = _reduced_rows({**m._data.get(i, {}), n + i: ONE} for i in range(n))
+    if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    data = {i: {j - n: x for j, x in row.items() if j >= n} for i, row in red._data.items()}
-    return Matrix._make(n, n, data)
+    return Matrix._make(n, n, {i: {j - n: x for j, x in row.items() if j >= n}
+                               for i, row in enumerate(red)})

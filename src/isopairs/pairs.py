@@ -917,10 +917,15 @@ def _kind_symmetry(pair: PairStructure) -> Identity:
 
 def _check(pair: PairStructure, names: Sequence[str], cap: int) -> list:
     """The reports of the named identities, each in both orientations,
-    evaluated together over one :class:`Tensors`."""
+    evaluated together over one :class:`Tensors`.  The orientations share
+    the scale, the integer tensors and the sign tables, but no dense
+    form, so each orientation's dense forms are dropped once it is done."""
     t = pair.tensors()
     idents = [CATALOG[n] for n in names]
-    by_orientation = [_eval_identities(t, idents, o, cap) for o in (1, 2)]
+    by_orientation = []
+    for o in (1, 2):
+        by_orientation.append(_eval_identities(t, idents, o, cap))
+        t.memo = {k: v for k, v in t.memo.items() if k[0] != "dense"}
     return [r for rs in zip(*by_orientation) for r in rs]
 
 

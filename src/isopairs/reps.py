@@ -451,8 +451,6 @@ class _WordEngine:
         words, that the generators map into itself.  Returned as
         vectors in word coordinates.
         """
-        from .exactlin import rref  # looked up per call, as the per-layer trace wraps it
-
         basis = self._classes()
         pos = {wid: k for k, wid in enumerate(basis)}
         window = [
@@ -489,34 +487,30 @@ class _WordEngine:
 
         while True:
             span = IncrementalSpan()
-            for v in S:
+            for v in S + boundary:
                 span.insert(v)
-            for v in boundary:
-                span.insert(v)
-            rows = []
+            # the constraints on a combination of the candidates: one row
+            # per (generator, class coordinate), over the candidates, of
+            # their images reduced modulo the candidates and the boundary
+            constraints = IncrementalSpan()
             for g in gens:
-                for v in S:
+                rows: dict = {}
+                for k, v in enumerate(S):
                     img: dict = {}
                     for cls, c in v.items():
                         axpy(img, c, images[(basis[cls], g)])
-                    residual, _ = span.reduce(img)
-                    rows.append(residual)
-            cols = len(S)
-            matrix_rows = []
-            for g_i, g in enumerate(gens):
-                block = rows[g_i * len(S) : (g_i + 1) * len(S)]
-                for coord in sorted({k for r in block for k in r}):
-                    matrix_rows.append([b.get(coord, Fraction(0)) for b in block])
-            if not matrix_rows:
+                    for coord, x in span.reduce(img)[0].items():
+                        rows.setdefault(coord, {})[k] = x
+                for row in rows.values():
+                    constraints.insert(row)
+            if not constraints.rank:
                 break  # fully invariant already
-            rank, red, pivots = rref(Matrix.from_rows(matrix_rows))
-            if rank == 0:
-                break
-            # kernel vector of free column f: e_f - sum_r red[r, f] e_(pivot r),
+            # kernel vector of free column f: e_f - sum_r red[r][f] e_(pivot r),
             # recombined over its nonzero coefficients in column order
+            pivots, red = constraints.reduced()
             new_S = []
-            for f in sorted(set(range(cols)) - set(pivots)):
-                terms = [(c, -red[r, f]) for r, c in enumerate(pivots) if red[r, f]]
+            for f in sorted(set(range(len(S))) - set(pivots)):
+                terms = [(p, -row[f]) for p, row in zip(pivots, red) if f in row]
                 v: dict = {}
                 for c, x in sorted(terms + [(f, ONE)]):
                     axpy(v, x, S[c])
@@ -684,8 +678,14 @@ def induced_split_module(
     ``sub_basis_i`` embed the subpair's basis into the ambient pair's
     coordinates; the subrep's action supplies the seed rules.  Returns
     the module and a report that its restriction to the subpair
-    reproduces the subrepresentation.
+    reproduces the subrepresentation.  An embedding vector whose support
+    leaves the parity of its subpair basis element raises SpaceMismatch.
     """
+    for side, basis in ((1, sub_basis_1), (2, sub_basis_2)):
+        ambient, sub = pair.space(side), subrep.pair.space(side)
+        for si, emb in enumerate(basis):
+            if any(c and ambient.parities[i] != sub.parities[si] for i, c in enumerate(emb)):
+                raise SpaceMismatch(f"side {side} embedding of {sub.labels[si]} leaves its parity")
     if not verified:
         ok = check_rep(subrep).passed and check_split(subrep, subsplit).passed
         if not ok:

@@ -5,10 +5,13 @@ import json
 
 import pytest
 
+from isopairs import reps as R
 from isopairs.acceptance import canonical_json
 from isopairs.cli import build_from_spec, main
+from isopairs.exactlin import Matrix, unit_vec
 from isopairs.pairs import PairStructure
 from isopairs.rng import Lcg64
+from isopairs.supercore import SuperSpace
 
 
 def run(argv):
@@ -467,6 +470,32 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
                 err = capsys.readouterr().err
                 assert code in (0, 1, 2), (name, path, value, delete, command)
                 assert code != 2 or _single_error_line(err), (name, path, value, err)
+
+
+def test_rep_induce_embeds_only_the_even_diagonal(capsys):
+    # q:1's diagonal holds the even e0,0 and the odd o0,0: the subpair
+    # is e0,0 alone, so --chi takes one value, and the module is the one
+    # induced from e0,0
+    assert run(["rep", "induce", "--pair", "q:1", "--chi", "1"]) == 0
+    out = capsys.readouterr().out
+    pair, _ = build_from_spec("q:1")
+    sub = [unit_vec(pair.v1.dim, pair.v1.labels.index("e0,0"))]
+    dspace = SuperSpace.make(["e0,0"], [0])
+    subrep = R.PairRep(PairStructure(dspace, dspace, "isotopic", {}, {}),
+                       SuperSpace.make(["w1", "w2"], [0, 0]),
+                       [Matrix.from_rows([[0, 0], [1, 0]])], [Matrix.from_rows([[0, 1], [0, 0]])])
+    want, containment = R.induced_split_module(pair, sub, sub, subrep, R.SplitData((0,), (1,)),
+                                               cap=3)
+    assert f"total dim {want.total_dim}," in out
+    assert containment.passed and "contains subrep: pass" in out
+
+
+@pytest.mark.parametrize("spec", ["flip:gl:1,1", "flip:gl:2,1"])
+def test_rep_induce_without_even_diagonal_exit_2(capsys, spec):
+    # every diagonal element of a flipped gl pair is odd
+    assert run(["rep", "induce", "--pair", spec]) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and "even diagonal" in err
 
 
 @pytest.mark.parametrize("spec", ["magnetic:sl2", "magnetic:so3", "sym2:so3"])

@@ -14,15 +14,15 @@ from isopairs.exactlin import (
     intersect_spans,
     invert,
     kernel_basis,
-    rank_of,
-    rref,
     scalar_from_str,
     scalar_to_str,
-    solve_in_span,
     span_basis,
     unit_vec,
     vec,
 )
+
+import dense_oracle as oracle
+from dense_oracle import apply, col, rank_of, rref, solve_in_span
 
 F = Fraction
 
@@ -122,7 +122,7 @@ def test_kernel_basis():
     ker = kernel_basis(m)
     assert len(ker) == 2
     for k in ker:
-        assert all(x == 0 for x in m.apply(k))
+        assert all(x == 0 for x in apply(m, k))
 
 
 def test_invert_round_trip():
@@ -200,8 +200,10 @@ def test_matmul_matches_triple_loop(case):
         assert list(got.nonzeros()) == [
             (i, j, x) for i, r in enumerate(want) for j, x in enumerate(r) if x
         ]
-    assert a.apply(v) == tuple(sum((x * y for x, y in zip(r, v)), F(0)) for r in ga)
-    assert all(type(x) is F for x in a.apply(v))
+    # times a one-column matrix: the matrix-vector product
+    column = a @ Matrix.from_rows([[x] for x in v])
+    assert _grid(column) == [[sum((x * y for x, y in zip(r, v)), F(0))] for r in ga]
+    assert _stores_no_zero(column)
     assert (a == a2) == (ga == ga2)
     assert a - a == Matrix.zeros(len(ga), len(ga[0])) and (a - a).is_zero()
 
@@ -275,6 +277,14 @@ def _check_span(n, inserted, probes, pivot, track):
     pivots, _ = _normal_form(inserted, {}, n, pivot)
     assert span.rank == len(kept) == len(pivots)
     assert span.pivots == pivots
+    # the read-out: per pivot, ascending, the span vector that is 1 there
+    # and 0 at the other pivots
+    got_pivots, red = span.reduced()
+    assert got_pivots == sorted(pivots)
+    for p, row in zip(got_pivots, red):
+        assert row[p] == 1 and not row.keys() & pivots - {p}
+        assert all(type(x) is F and x for x in row.values())
+        assert _normal_form(inserted, row, n, pivot)[1] == {}
     for v in inserted + probes:
         residual, _ = span.reduce(v)
         assert residual == _normal_form(inserted, v, n, pivot)[1]
@@ -349,17 +359,32 @@ def test_axpy_matches_dense_oracle(acc, f, v, cancel):
     assert all(type(x) is F for x in out.values())
 
 
+# mostly zero, with entries past 2^61 over odd denominators
+big_sparse_entries = st.one_of(st.just(F(0)), st.just(F(0)), rationals, big_rationals)
+
+
 @st.composite
 def sparse_matrices(draw):
-    """Mostly-zero matrices, square about half the time."""
-    r = draw(st.integers(1, 5))
-    c = draw(st.one_of(st.just(r), st.integers(1, 5)))
-    return Matrix.from_rows([[draw(sparse_entries) for _ in range(c)] for _ in range(r)])
+    """Mostly-zero matrices with 0 to 5 rows and columns, square about
+    half the time; about half of them get a row that is the sum of two
+    others, a zero row and a zero column, each drawn on its own."""
+    r = draw(st.integers(0, 5))
+    c = draw(st.one_of(st.just(r), st.integers(0, 5)))
+    grid = [[draw(big_sparse_entries) for _ in range(c)] for _ in range(r)]
+    if r > 2 and draw(st.booleans()):
+        grid[-1] = [x + y for x, y in zip(grid[0], grid[1])]
+    if r and draw(st.booleans()):
+        grid[draw(st.integers(0, r - 1))] = [F(0)] * c
+    if c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in grid:
+            row[j] = F(0)
+    return Matrix(r, c, [(i, j, x) for i, row in enumerate(grid) for j, x in enumerate(row)])
 
 
-@given(sparse_matrices())
+@given(sparse_matrices(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_sparse_rref_kernel_invert_match_span_oracles(m):
+def test_sparse_rref_kernel_invert_match_span_oracles(m, data):
     rows, cols = _grid(m), [list(c) for c in zip(*_grid(m))]
     rank, red, pivots = rref(m)
     assert rank == len(pivots) == rank_of(rows)
@@ -367,25 +392,42 @@ def test_sparse_rref_kernel_invert_match_span_oracles(m):
     # RREF: unit pivots alone in their columns, zero rows below the rank,
     # and a row space equal to that of m
     for r, p in enumerate(pivots):
-        assert red.col(p) == unit_vec(m.rows, r)
+        assert col(red, p) == unit_vec(m.rows, r)
         assert all(x == 0 for x in red.row(r)[:p])
     assert all(x == 0 for r in range(rank, m.rows) for x in red.row(r))
     basis = [red.row(r) for r in range(rank)]
     assert all(solve_in_span(basis, row) is not None for row in rows)
     assert all(solve_in_span(rows, row) is not None for row in basis)
+    # IncrementalSpan's reduced form is that RREF, and what is read off
+    # it is what the Gauss-Jordan oracle reads off its own
+    span = IncrementalSpan()
+    for row in rows:
+        span.insert({j: x for j, x in enumerate(row) if x})
+    got_pivots, got_red = span.reduced()
+    assert got_pivots == list(pivots)
+    assert got_red == [{j: x for j, x in enumerate(row) if x} for row in basis]
+    assert all(type(x) is F for row in got_red for x in row.values())
+    assert span_basis(rows) == oracle.span_basis(rows)
     ker = kernel_basis(m)
+    assert ker == oracle.kernel_basis(m)
     assert len(ker) == m.cols - rank
     assert not ker or rank_of(ker) == len(ker)
-    assert all(not any(m.apply(k)) for k in ker)
+    assert all(not any(apply(m, k)) for k in ker)
+    other = data.draw(st.lists(st.lists(big_sparse_entries, min_size=m.cols, max_size=m.cols),
+                               max_size=4))
+    assert intersect_spans(rows, other) == oracle.intersect_spans(rows, other)
     if m.rows != m.cols:
+        with pytest.raises(DimensionMismatch):
+            invert(m)
         return
     if rank < m.rows:
         with pytest.raises(ValueError):
             invert(m)
         return
     inv = invert(m)
+    assert inv == oracle.invert(m)
     assert _stores_no_zero(inv)
     # column j of the inverse is the coefficient vector of e_j over the
     # columns of m
     for j in range(m.cols):
-        assert inv.col(j) == solve_in_span(cols, unit_vec(m.rows, j))
+        assert col(inv, j) == solve_in_span(cols, unit_vec(m.rows, j))

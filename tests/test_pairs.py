@@ -1,8 +1,10 @@
 """Pair structures and exhaustive checkers."""
 
+import gc
 import itertools
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,8 @@ from isopairs.constructions import (
 from isopairs.exactlin import Matrix, invert
 from isopairs.rng import Lcg64
 from isopairs.supercore import CATALOG, EQUIVARIANCE, Act, SuperSpace
+
+from dense_oracle import apply, col
 
 F = Fraction
 
@@ -360,7 +364,7 @@ def _dense_basis(pair):
     def tensor(side, p_iso, p_own, q_own):
         out = {}
         for u, x, y in itertools.product(range(p_iso.cols), range(p_own.cols), range(p_own.cols)):
-            v = q_own.apply(pair.bracket(side, p_iso.col(u), p_own.col(x), p_own.col(y)))
+            v = apply(q_own, pair.bracket(side, col(p_iso, u), col(p_own, x), col(p_own, y)))
             if any(v):
                 out[u, x, y] = {o: c for o, c in enumerate(v) if c}
         return out
@@ -368,6 +372,34 @@ def _dense_basis(pair):
     (p1, q1), (p2, q2) = change(pair.v1), change(pair.v2)
     return P.PairStructure(
         pair.v1, pair.v2, pair.kind, tensor(1, p2, p1, q1), tensor(2, p1, p2, q2))
+
+
+def test_check_drops_each_orientations_dense_forms(monkeypatch):
+    # verify evaluates both orientations over one Tensors: when orientation
+    # 2 starts, no dense form of orientation 1 (nor its signed copies of
+    # b) is left in the memo or alive, and the reports are those of each
+    # orientation evaluated over a Tensors of its own
+    pair = _dense_basis(series_osp(2, 1, 1).pair)
+    real = P._eval_identities
+    done, starts, built = [], {}, {}
+
+    def spy(t, idents, orientation, cap):
+        gc.collect()
+        starts[orientation] = ([k for k in t.memo if k[0] == "dense"],
+                               [ref for ref in done if ref() is not None])
+        reports = real(t, idents, orientation, cap)
+        dense = [v for k, v in t.memo.items() if k[0] == "dense"]
+        built[orientation] = len(dense)
+        done.extend(map(weakref.ref, dense))
+        return reports
+
+    monkeypatch.setattr(P, "_eval_identities", spy)
+    got = P.verify(pair).reports
+    assert starts == {1: ([], []), 2: ([], [])}
+    assert built[1] and built[2]
+    idents = [CATALOG[n] for n in ("antisymmetry.isotopic", "jacobi_analog", "compatibility")]
+    alone = [real(pair.tensors(), idents, o, P.FAILURE_CAP) for o in (1, 2)]
+    assert got[2:] == [r for rs in zip(*alone) for r in rs]
 
 
 @pytest.mark.parametrize("osp, orientation", [((2, 1, 1), 2), ((1, 2, 1), 1)])

@@ -14,13 +14,16 @@ from isopairs.constructions import (
     random_closed_subpair,
     series_gl,
     series_osp,
+    series_q,
     sl2,
 )
-from isopairs.exactlin import IncrementalSpan, Matrix, axpy, kernel_basis
-from isopairs.pairs import PairStructure
+from isopairs.exactlin import IncrementalSpan, Matrix, axpy
+from isopairs.pairs import PairStructure, SpaceMismatch
 from isopairs.rng import Lcg64
 from isopairs.supercore import SuperSpace, sign_a
 from isopairs.tkk import superalgebra_from_pair
+
+from dense_oracle import kernel_basis
 
 F = Fraction
 
@@ -409,6 +412,22 @@ def test_induced_diagonal_character():
     assert (1, None) in ind.dims and (2, None) in ind.dims
 
 
+@pytest.mark.parametrize("side", [1, 2])
+def test_induced_rejects_an_embedding_of_another_parity(side):
+    # q(1)'s o0,0 is odd; the subpair's one basis element is even
+    pair = series_q(1).pair
+    even, odd = unit(pair.v1.labels.index("e0,0"), 2), unit(pair.v1.labels.index("o0,0"), 2)
+    dspace = SuperSpace.make(["d0"], [0])
+    subrep = R.PairRep(PairStructure(dspace, dspace, "isotopic", {}, {}),
+                       SuperSpace.make(["w1", "w2"], [0, 0]), [Matrix.zeros(2, 2)],
+                       [Matrix.zeros(2, 2)])
+    subs = ([odd], [even]) if side == 1 else ([even], [odd])
+    with pytest.raises(SpaceMismatch):
+        R.induced_split_module(pair, *subs, subrep, R.SplitData((0,), (1,)), cap=2)
+    ind, _ = R.induced_split_module(pair, [even], [even], subrep, R.SplitData((0,), (1,)), cap=2)
+    assert ind.total_dim > 0
+
+
 def test_invalid_subrep_rejected():
     pair = isoquaternionic_pair().pair
     rng = Lcg64(9)
@@ -574,8 +593,9 @@ def test_radical_matches_dense_kernel_recombination(monkeypatch):
 
     def dense_instead(eng):
         got, ref = radical(eng), _dense_radical(eng)
-        # both recombine the kernel basis read off the same rref, so the
-        # spans agree vector by vector
+        # both recombine the kernel basis of the same unique RREF, read
+        # off IncrementalSpan in one and the Gauss-Jordan oracle in the
+        # other, so the spans agree vector by vector
         assert got == ref
         seen.append(len(ref))
         return ref

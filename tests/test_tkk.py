@@ -23,6 +23,8 @@ from isopairs.pairs import AxiomReport, Failure, PairStructure, VerifyReport
 from isopairs.rng import Lcg64
 from isopairs.supercore import SuperSpace
 
+from dense_oracle import apply
+
 F = Fraction
 
 
@@ -497,10 +499,10 @@ def _g0_equivariance_oracle(a, cap=tkk.FAILURE_CAP):
         def residual(g, u, x, y):
             A, B = a.g0_ops[g][own], a.g0_ops[g][other]
             pD = a.parities[g]
-            lhs = A.apply(pair.bracket(side, f[u], e[x], e[y]))
-            t1 = pair.bracket(side, f[u], A.apply(e[x]), e[y])
-            t2 = pair.bracket(side, B.apply(f[u]), e[x], e[y])
-            t3 = pair.bracket(side, f[u], e[x], A.apply(e[y]))
+            lhs = apply(A, pair.bracket(side, f[u], e[x], e[y]))
+            t1 = pair.bracket(side, f[u], apply(A, e[x]), e[y])
+            t2 = pair.bracket(side, apply(B, f[u]), e[x], e[y])
+            t3 = pair.bracket(side, f[u], e[x], apply(A, e[y]))
             s2 = -1 if pD * hats[own][x] % 2 else 1
             s3 = -1 if pD * (hats[own][x] + hats[other][u]) % 2 else 1
             return {o: lhs[o] - t1[o] - s2 * t2[o] - s3 * t3[o] for o in range(dims[own])}
