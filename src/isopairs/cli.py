@@ -214,7 +214,7 @@ def cmd_tkk(args) -> int:
     if args.out:
         _write(args.out, alg.to_json())
     print(
-        f"g0 dim {alg.g0_dim}, total dim {alg.dim}, sigma {alg.sigma.ident}; "
+        f"g0 dim {alg.g0_dim}, total dim {alg.dim}, sigma {TK.SIGMA}; "
         f"check_superalgebra {'pass' if report.passed else 'FAIL'}"
     )
     if not report.passed:
@@ -348,7 +348,7 @@ def cmd_rep_induce(args) -> int:
         print("contains subrep:", "pass" if containment.passed else "FAIL")
     if args.out:
         _write(args.out, result.dims_json())
-    return 0
+    return 0 if result.stabilized and containment.passed else 1
 
 
 def cmd_rep_graph_check(args) -> int:

@@ -28,6 +28,7 @@ from .exactlin import (
     vec,
 )
 from .pairs import (
+    FAILURE_CAP,
     ISOTOPIC,
     PairStructure,
     SpaceMismatch,
@@ -499,7 +500,7 @@ def magnetic_pair(g: LieData, form: Matrix, sign: int = 1) -> PairStructure:
     )
 
 
-def g_equivariance_report(pair: PairStructure, g: LieData, cap: int = 25) -> list:
+def g_equivariance_report(pair: PairStructure, g: LieData, cap: int = FAILURE_CAP) -> list:
     """ad_Z [X,Y]_U = [ad_Z X, Y]_U + [X,Y]_{ad_Z U} + [X, ad_Z Y]_U,
     ``EQUIVARIANCE["g_equivariance"]`` with g acting by its bracket on
     both sides, checked exhaustively on basis tuples for m1 (orientation

@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 from .exactlin import ONE, IncrementalSpan, Matrix, axpy, invert
 from .exactlin import scalar_from_str, scalar_to_str
 from .pairs import (
+    FAILURE_CAP,
     ISOTOPIC,
     AxiomReport,
     PairStructure,
@@ -44,8 +45,6 @@ from .pairs import (
 )
 from .supercore import CATALOG, TKK_CATALOG, Identity, SuperSpace, eval_sign_pairs
 from .tkk import PolarizedSuperalgebra, PreconditionError
-
-FAILURE_CAP = 25
 
 
 def _matrix_json(m: Matrix) -> list:
@@ -634,10 +633,13 @@ def hw_split_module(
     chi1 / chi2 map degree-0 basis indices to weights.  Degree-0
     generators send a vacuum to the opposite vacuum scaled by chi,
     negative generators annihilate it; every Definition-2 consequence is
-    imposed and the quotient's induced action is returned.
+    imposed and the quotient's induced action is returned.  Definition 2
+    is an isotopic-pair notion: any other pair raises PreconditionError.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if graded.pair.kind != ISOTOPIC:
+        raise PreconditionError("hw_split_module needs an isotopic pair")
     rep_errors = graded.validate()
     if not rep_errors.passed:
         raise PreconditionError("grading invalid: " + rep_errors.failing()[0].identity)
@@ -679,8 +681,11 @@ def induced_split_module(
     coordinates; the subrep's action supplies the seed rules.  Returns
     the module and a report that its restriction to the subpair
     reproduces the subrepresentation.  An embedding vector whose support
-    leaves the parity of its subpair basis element raises SpaceMismatch.
+    leaves the parity of its subpair basis element raises SpaceMismatch;
+    a pair that is not isotopic raises PreconditionError.
     """
+    if pair.kind != ISOTOPIC:
+        raise PreconditionError("induced_split_module needs an isotopic pair")
     for side, basis in ((1, sub_basis_1), (2, sub_basis_2)):
         ambient, sub = pair.space(side), subrep.pair.space(side)
         for si, emb in enumerate(basis):

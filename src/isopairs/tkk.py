@@ -8,10 +8,13 @@ commutator, of the maps
     D(x, u) = ( y |-> [x, y]_u  on V1,
                 v |-> sigma(x, u, v) [u, v]_x  on V2 ).
 
-The Koszul factor sigma is not printed in the source construction; it
-is parametrized here and pinned by requiring the full super-Jacobi
-check to pass on pairs with odd elements (see PINNED_SIGMA, selected by
-scan_sigma_conventions and frozen in tests).
+Each D(x, u), and each element of g0, is one block-diagonal matrix on
+V1 + V2, the V1 block before the V2 block.  The Koszul factor sigma is
+not printed in the source construction.  It is pinned (``_sigma``,
+printed as ``SIGMA``) as the one sign form, of the 128 forms
+eps (-1)^(quadratic + linear form in p(x), p(u), p(v)), for which the
+full super-Jacobi check passes on gl(2,0) and gl(1,1); the scan that
+finds it lives in tests/test_tkk.py.
 
 A super-Jordan pair yields a polarized super Lie triple system on
 V = V1 + V2 via the same machinery: the pair is parity-flipped into an
@@ -44,10 +47,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .exactlin import IncrementalSpan, Matrix, axpy
 from .pairs import (
+    FAILURE_CAP,
     ISOTOPIC,
     SUPER_JORDAN,
     PairStructure,
@@ -60,62 +63,18 @@ from .pairs import (
 )
 from .supercore import EQUIVARIANCE, TKK_CATALOG, SuperSpace
 
-FAILURE_CAP = 25
+# the pinned Koszul factor ``_sigma`` as artifacts and ``isopair tkk`` print it
+SIGMA = "(-1)^p(x)p(u)*(-1)^p(x)*(-1)^p(u)"
 
 
 class PreconditionError(ValueError):
     """The input pair does not satisfy the construction's precondition."""
 
 
-@dataclass(frozen=True)
-class SigmaConvention:
-    """sigma(x, u, v) = eps * (-1)^(quadratic+linear form in parities)."""
-
-    eps: int = 1
-    l_xu: int = 0
-    l_xv: int = 0
-    l_uv: int = 0
-    m_x: int = 0
-    m_u: int = 0
-    m_v: int = 0
-
-    def value(self, px: int, pu: int, pv: int) -> int:
-        e = (
-            self.l_xu * px * pu
-            + self.l_xv * px * pv
-            + self.l_uv * pu * pv
-            + self.m_x * px
-            + self.m_u * pu
-            + self.m_v * pv
-        )
-        return self.eps * (-1 if e % 2 else 1)
-
-    @property
-    def ident(self) -> str:
-        bits = [] if self.eps == 1 else ["-1"]
-        for flag, name in (
-            (self.l_xu, "p(x)p(u)"),
-            (self.l_xv, "p(x)p(v)"),
-            (self.l_uv, "p(u)p(v)"),
-            (self.m_x, "p(x)"),
-            (self.m_u, "p(u)"),
-            (self.m_v, "p(v)"),
-        ):
-            if flag:
-                bits.append(f"(-1)^{name}")
-        return "*".join(bits) if bits else "+1"
-
-
-def all_sigma_conventions():
-    for eps in (1, -1):
-        for flags in itertools.product((0, 1), repeat=6):
-            yield SigmaConvention(eps, *flags)
-
-
-# Pinned by scan_sigma_conventions on gl(2,0) and gl(1,1): the unique
-# passing convention.  sigma(x,u,v) = (-1)^(p(x)p(u)+p(x)+p(u)), i.e.
-# -(-1)^(p^(x)p^(u)) in the twisted (hat) parities; independent of p(v).
-PINNED_SIGMA = SigmaConvention(eps=1, l_xu=1, m_x=1, m_u=1)
+def _sigma(px: int, pu: int, pv: int) -> int:
+    """sigma(x, u, v) = (-1)^(p(x)p(u)+p(x)+p(u)), i.e. -(-1)^(p^(x)p^(u))
+    in the twisted (hat) parities; independent of p(v)."""
+    return -1 if (px * pu + px + pu) % 2 else 1
 
 
 @dataclass
@@ -132,9 +91,8 @@ class PolarizedSuperalgebra:
     parities: tuple
     grading: tuple
     table: dict  # (i, j) -> {k: Fraction}
-    g0_ops: list  # (P, Q): sparse Matrix actions on V1 and V2 per g0 basis element
+    g0_ops: list  # block-diagonal Matrix on V1 + V2 per g0 basis element
     g0_recipes: list  # ("gen", i, j) or ("comm", a, b)
-    sigma: SigmaConvention
 
     @property
     def dim(self) -> int:
@@ -157,7 +115,7 @@ class PolarizedSuperalgebra:
             "labels": list(self.labels),
             "parities": list(self.parities),
             "grading": list(self.grading),
-            "sigma": self.sigma.ident,
+            "sigma": SIGMA,
             "brackets": [
                 {
                     "i": i,
@@ -172,39 +130,21 @@ class PolarizedSuperalgebra:
         }
 
 
-def _d_operator(pair: PairStructure, i: int, j: int, sigma: SigmaConvention):
-    """D(x_i, u_j) as a pair of matrices (action on V1, action on V2)."""
+def _d_operator(pair: PairStructure, i: int, j: int) -> Matrix:
+    """D(x_i, u_j) as one block-diagonal matrix on V1 + V2: y |-> [x_i, y]_u_j
+    in the V1 block, v |-> sigma [u_j, v]_x_i in the V2 block."""
     d1, d2 = pair.v1.dim, pair.v2.dim
     px, pu = pair.v1.parities[i], pair.v2.parities[j]
     P = [(o, k, c) for k in range(d1) for o, c in pair.m1.get((j, i, k), {}).items()]
     Q = [
-        (o, k, sigma.value(px, pu, pair.v2.parities[k]) * c)
+        (d1 + o, d1 + k, _sigma(px, pu, pair.v2.parities[k]) * c)
         for k in range(d2)
         for o, c in pair.m2.get((i, j, k), {}).items()
     ]
-    return Matrix(d1, d1, P), Matrix(d2, d2, Q)
+    return Matrix(d1 + d2, d1 + d2, P + Q)
 
 
-def _flatten_op(op) -> dict:
-    """(P, Q) as one sparse vector: P row-major, then Q row-major."""
-    P, Q = op
-    flat = P.flat()
-    base = P.rows * P.cols
-    flat.update((base + k, x) for k, x in Q.flat().items())
-    return flat
-
-
-def _graded_comm(a, b, pa: int, pb: int):
-    """[(Pa, Qa), (Pb, Qb)] = Pa Pb - (-1)^(pa pb) Pb Pa, and so for Q."""
-    s = -1 if pa * pb % 2 else 1
-    return tuple(x @ y - (y @ x).scale(s) for x, y in zip(a, b))
-
-
-def superalgebra_from_pair(
-    pair: PairStructure,
-    sigma: Optional[SigmaConvention] = None,
-    verified: bool = False,
-) -> PolarizedSuperalgebra:
+def superalgebra_from_pair(pair: PairStructure, verified: bool = False) -> PolarizedSuperalgebra:
     """Theorem-2B construction: the polarized Z2-graded superalgebra of
     an isotopic pair.  ``verified=True`` skips the (possibly expensive)
     precondition run of the full verify suite."""
@@ -212,7 +152,6 @@ def superalgebra_from_pair(
         raise PreconditionError("superalgebra_from_pair needs an isotopic pair")
     if not verified and not verify(pair).passed:
         raise PreconditionError("pair fails its verify suite")
-    sigma = sigma or PINNED_SIGMA
     d1, d2 = pair.v1.dim, pair.v2.dim
 
     spans = {0: IncrementalSpan(track_combos=True), 1: IncrementalSpan(track_combos=True)}
@@ -232,8 +171,8 @@ def superalgebra_from_pair(
 
     for i in range(d1):
         for j in range(d2):
-            op = _d_operator(pair, i, j, sigma)
-            gen_flat[(i, j)] = (_flatten_op(op), (pair.v1.parities[i] + pair.v2.parities[j]) % 2)
+            op = _d_operator(pair, i, j)
+            gen_flat[(i, j)] = (op.flat(), (pair.v1.parities[i] + pair.v2.parities[j]) % 2)
             adjoin(op, *gen_flat[(i, j)], ("gen", i, j))
 
     # closure under the graded operator commutator; the span inside
@@ -246,8 +185,9 @@ def superalgebra_from_pair(
         for a in range(size):
             for b in range(a, size):
                 if (a, b) not in comm_flat:
-                    comm = _graded_comm(ops[a], ops[b], parities[a], parities[b])
-                    comm_flat[(a, b)] = (_flatten_op(comm), (parities[a] + parities[b]) % 2)
+                    sign = -1 if parities[a] * parities[b] % 2 else 1
+                    comm = ops[a] @ ops[b] - (ops[b] @ ops[a]).scale(sign)
+                    comm_flat[(a, b)] = (comm.flat(), (parities[a] + parities[b]) % 2)
                     adjoin(comm, *comm_flat[(a, b)], ("comm", a, b))
         changed = len(ops) > size
 
@@ -284,19 +224,16 @@ def superalgebra_from_pair(
     for a in range(n0):
         for b in range(a, n0):
             put(a, b, g0_coords(*comm_flat[(a, b)]))
-        for M, base in zip(ops[a], (n0, n0 + d1)):
-            cols: dict = {}  # column k of M: the image of basis vector k
-            for o, k, c in M.nonzeros():
-                cols.setdefault(k, {})[base + o] = c
-            for k in sorted(cols):
-                put(a, base + k, cols[k])
+        cols: dict = {}  # column k of D_a: the image of basis vector k of V1 + V2
+        for o, k, c in ops[a].nonzeros():
+            cols.setdefault(k, {})[n0 + o] = c
+        for k in sorted(cols):
+            put(a, n0 + k, cols[k])
     for i in range(d1):
         for j in range(d2):
             put(n0 + i, n0 + d1 + j, g0_coords(*gen_flat[(i, j)]))
 
-    return PolarizedSuperalgebra(
-        pair, labels, hat, grading, table, ops, recipes, sigma
-    )
+    return PolarizedSuperalgebra(pair, labels, hat, grading, table, ops, recipes)
 
 
 def check_superalgebra(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> VerifyReport:
@@ -328,11 +265,12 @@ def g0_equivariance_report(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> 
     actions on V1 and V2, on every basis tuple (D, u, x, y), for m1
     (orientation 1, x and y in V1) and m2 (orientation 2, x and y in V2)."""
     pair, n = a.pair, [rec[0] for rec in a.g0_recipes].count("gen")
+    d1 = pair.v1.dim
     acts = ({}, {})  # (D, k) -> D(e_k), on V1 and on V2
     for d, op in enumerate(a.g0_ops[:n]):  # the generators are adjoined first
-        for act, M in zip(acts, op):
-            for o, k, c in M.nonzeros():
-                act.setdefault((d, k), {})[o] = c
+        for o, k, c in op.nonzeros():  # the V1 block, then the V2 block
+            side, base = (0, 0) if k < d1 else (1, d1)
+            acts[side].setdefault((d, k - base), {})[o - base] = c
     t = Tensors(
         {0: SuperSpace.make(a.labels[:n], a.parities[:n]), 1: pair.v1.flipped(), 2: pair.v2.flipped()},
         {1: pair.m1, 2: pair.m2, ("act", 1): acts[0], ("act", 2): acts[1]},
@@ -342,22 +280,6 @@ def g0_equivariance_report(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> 
                 identity=f"g0_equivariance[m{o}]")
         for o in (1, 2)
     ]
-
-
-def scan_sigma_conventions(pairs: Sequence[PairStructure]) -> list:
-    """All sigma conventions for which every given pair's superalgebra
-    passes check_superalgebra; used once to pin PINNED_SIGMA."""
-    passing = []
-    for sigma in all_sigma_conventions():
-        ok = True
-        for pair in pairs:
-            alg = superalgebra_from_pair(pair, sigma=sigma, verified=True)
-            if not check_superalgebra(alg).passed:
-                ok = False
-                break
-        if ok:
-            passing.append(sigma)
-    return passing
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -168,7 +169,12 @@ def test_tkk_and_lts_commands(tmp_path, capsys):
     pair_file = tmp_path / "gl11.json"
     run(["make", "gl:1,1", "-o", str(pair_file)])
     alg_file = tmp_path / "alg.json"
+    capsys.readouterr()
     assert run(["tkk", str(pair_file), "-o", str(alg_file)]) == 0
+    # the line pins the printed Koszul sign sigma
+    assert capsys.readouterr().out == (
+        "g0 dim 6, total dim 14, sigma (-1)^p(x)p(u)*(-1)^p(x)*(-1)^p(u); "
+        "check_superalgebra pass\n")
     dumped = json.loads(alg_file.read_text())
     assert dumped["grading"].count("0") == dumped["labels"].index("E0,0+")
     flip_file = tmp_path / "flip.json"
@@ -182,6 +188,16 @@ def test_lts_on_isotopic_pair_fails_precondition(tmp_path, capsys):
     run(["make", "gl:1,1", "-o", str(pair_file)])
     assert run(["lts", str(pair_file)]) == 1
     assert "precondition" in capsys.readouterr().err
+
+
+def test_rep_hw_on_super_jordan_pair_fails_precondition(capsys):
+    # Definition 2 is imposed on isotopic pairs only: a super-Jordan pair
+    # is a precondition failure, not an empty module that passes its checks
+    assert run(["rep", "hw", "--pair", "flip:gl:2,0", "--weights", "1/2,1/2", "--cap", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precondition violated:")
 
 
 def test_rep_hw_fundamental(capsys):
@@ -488,6 +504,29 @@ def test_rep_induce_embeds_only_the_even_diagonal(capsys):
                                                cap=3)
     assert f"total dim {want.total_dim}," in out
     assert containment.passed and "contains subrep: pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--pair", "gl:1,1", "--chi", "1,2", "--cap", "3"],
+    ["--pair", "gl:2,0", "--chi", "1,0", "--cap", "3"],
+], ids=["gl11", "gl20"])
+def test_rep_induce_exits_1_unless_stabilized(capsys, argv):
+    assert run(["rep", "induce", *argv]) == 1
+    out = capsys.readouterr().out
+    assert "stabilized: False" in out and "contains subrep" not in out
+
+
+def test_rep_induce_exits_1_when_containment_fails(capsys, monkeypatch):
+    real = R.induced_split_module
+
+    def failing(*args, **kwargs):
+        result, containment = real(*args, **kwargs)
+        return result, replace(containment, failure_count=1)
+
+    monkeypatch.setattr(R, "induced_split_module", failing)
+    assert run(["rep", "induce", "--pair", "q:1", "--chi", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "stabilized: True" in out and "contains subrep: FAIL" in out
 
 
 @pytest.mark.parametrize("spec", ["flip:gl:1,1", "flip:gl:2,1"])

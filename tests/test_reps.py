@@ -428,6 +428,21 @@ def test_induced_rejects_an_embedding_of_another_parity(side):
     assert ind.total_dim > 0
 
 
+def test_module_builders_reject_super_jordan_pairs():
+    # Definition 2 (rep.T1 / rep.T2) is imposed on isotopic pairs only
+    pair = series_gl(2, 0).pair.parity_flip()
+    deg = tuple(int(l[3]) - int(l[1]) for l in pair.v1.labels)  # deg E_{i,j} = j - i
+    with pytest.raises(R.PreconditionError, match="isotopic"):
+        R.hw_split_module(R.GradedPairData(pair, deg, deg), {3: F(1)}, {3: F(1)}, cap=4)
+    dspace = SuperSpace.make(["d0"], [1])
+    subrep = R.PairRep(PairStructure(dspace, dspace, "isotopic", {}, {}),
+                       SuperSpace.make(["w1", "w2"], [0, 0]), [Matrix.zeros(2, 2)],
+                       [Matrix.zeros(2, 2)])
+    sub = [unit(pair.v1.labels.index("E0,0"), 4)]
+    with pytest.raises(R.PreconditionError, match="isotopic"):
+        R.induced_split_module(pair, sub, sub, subrep, R.SplitData((0,), (1,)), cap=2)
+
+
 def test_invalid_subrep_rejected():
     pair = isoquaternionic_pair().pair
     rng = Lcg64(9)
