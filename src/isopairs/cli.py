@@ -348,7 +348,13 @@ def cmd_rep_induce(args) -> int:
         print("contains subrep:", "pass" if containment.passed else "FAIL")
     if args.out:
         _write(args.out, result.dims_json())
-    return 0 if result.stabilized and containment.passed else 1
+    if result.rep is None:
+        return 1
+    # the word engine runs without the radical here, so a module that
+    # closes within the cap can still be a quotient that is no rep
+    ok = R.check_rep(result.rep).passed and R.check_split(result.rep, result.split).passed
+    print("check_rep + check_split:", "pass" if ok else "FAIL")
+    return 0 if ok and containment.passed else 1
 
 
 def cmd_rep_graph_check(args) -> int:

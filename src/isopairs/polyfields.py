@@ -2,9 +2,12 @@
 
 Polynomials have n even variables x1..xn and m odd variables t1..tm;
 monomials are (exponent tuple, ascending odd subset) with odd squares
-vanishing and Koszul signs on reordering.  Odd derivatives are left
-derivatives.  Vector fields are first-order operators with polynomial
-coefficients, sum of f_i d/dx_i and g_j d/dt_j.
+vanishing and Koszul signs on reordering.  Coefficients are exact in
+one canonical form: a nonzero int when integral, otherwise a Fraction
+with denominator > 1, so integer inputs stay on Python ints throughout
+(products, derivatives and Koszul signs keep them integral).  Odd
+derivatives are left derivatives.  Vector fields are first-order
+operators with polynomial coefficients, sum of f_i d/dx_i and g_j d/dt_j.
 
 The pair brackets are realized through first-order operators: with M_f
 multiplication by f,
@@ -24,6 +27,7 @@ compared by the sampled checks.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -35,13 +39,31 @@ from .supercore import CATALOG, Letter, eval_sign_pairs, sign_a
 Monomial = tuple  # (exps: tuple[int, ...], odd: tuple[int, ...] ascending)
 
 
-def _merge_sign(a: tuple, b: tuple) -> int:
-    """Koszul sign for concatenating ascending odd blocks a, b; 0 when
-    they intersect."""
+def _merge(a: tuple, b: tuple) -> tuple:
+    """(Koszul sign, ascending block) of concatenating ascending odd
+    blocks a, b; the sign is 0 when they intersect."""
     if set(a) & set(b):
-        return 0
+        return 0, ()
     inversions = sum(1 for i in a for j in b if j < i)
-    return -1 if inversions % 2 else 1
+    return (-1 if inversions % 2 else 1), tuple(sorted(a + b))
+
+
+def _coeff(c):
+    """The canonical coefficient: an int when c is integral, else a
+    Fraction with denominator > 1."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _index(e) -> int:
+    """An exponent or odd index as an int; floats and Fractions are
+    malformed rather than truncated."""
+    try:
+        return operator.index(e)
+    except TypeError:
+        raise ValueError("malformed monomial") from None
 
 
 class SuperPolynomial:
@@ -54,31 +76,30 @@ class SuperPolynomial:
         self.m = m
         self.terms: dict = {}
         for (exps, odd), c in (terms or {}).items():
-            c = Fraction(c)
+            c = _coeff(c)
             if not c:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps, odd = tuple(map(_index, exps)), tuple(map(_index, odd))
             # sorting the odd block reorders anticommuting variables:
             # the coefficient picks up the sign of the permutation
             inversions = sum(1 for k, i in enumerate(odd) for j in odd[k + 1 :] if j < i)
             if inversions % 2:
                 c = -c
             odd = tuple(sorted(odd))
-            if len(exps) != n or len(set(odd)) != len(odd) or any(
-                j < 1 or j > m for j in odd
-            ):
+            if (len(exps) != n or any(e < 0 for e in exps)
+                    or len(set(odd)) != len(odd) or any(j < 1 or j > m for j in odd)):
                 raise ValueError("malformed monomial")
-            self.terms[(exps, odd)] = self.terms.get((exps, odd), Fraction(0)) + c
-        self.terms = {k: v for k, v in self.terms.items() if v}
+            self.terms[(exps, odd)] = self.terms.get((exps, odd), 0) + c
+        self.terms = {k: _coeff(v) for k, v in self.terms.items() if v}
 
     @classmethod
     def _make(cls, n: int, m: int, terms: dict) -> "SuperPolynomial":
         """Trusted constructor for arithmetic results: the keys are
-        normalized monomials and the values Fractions, so only zeros
-        are dropped."""
+        normalized monomials and the values ints or Fractions, so zeros
+        are dropped and integral Fractions (-1/2 * -2) narrowed."""
         p = object.__new__(cls)
         p.n, p.m = n, m
-        p.terms = {k: c for k, c in terms.items() if c}
+        p.terms = {k: c if type(c) is int else _coeff(c) for k, c in terms.items() if c}
         return p
 
     # -- constructors --------------------------------------------------------
@@ -89,16 +110,16 @@ class SuperPolynomial:
 
     @staticmethod
     def const(n: int, m: int, c) -> "SuperPolynomial":
-        return SuperPolynomial(n, m, {((0,) * n, ()): Fraction(c)})
+        return SuperPolynomial(n, m, {((0,) * n, ()): c})
 
     @staticmethod
     def x(n: int, m: int, i: int) -> "SuperPolynomial":
         exps = tuple(int(k == i - 1) for k in range(n))
-        return SuperPolynomial(n, m, {(exps, ()): Fraction(1)})
+        return SuperPolynomial(n, m, {(exps, ()): 1})
 
     @staticmethod
     def t(n: int, m: int, j: int) -> "SuperPolynomial":
-        return SuperPolynomial(n, m, {((0,) * n, (j,)): Fraction(1)})
+        return SuperPolynomial(n, m, {((0,) * n, (j,)): 1})
 
     # -- ring structure -------------------------------------------------------
 
@@ -117,7 +138,7 @@ class SuperPolynomial:
         return SuperPolynomial._make(self.n, self.m, out)
 
     def scale(self, c) -> "SuperPolynomial":
-        c = Fraction(c)
+        c = _coeff(c)
         return SuperPolynomial._make(
             self.n, self.m, {k: c * v for k, v in self.terms.items()}
         )
@@ -128,12 +149,16 @@ class SuperPolynomial:
     def __mul__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         self._check(other)
         out: dict = {}
+        merges: dict = {}  # (oa, ob) -> _merge(oa, ob), for this product only
         for (ea, oa), ca in self.terms.items():
             for (eb, ob), cb in other.terms.items():
-                s = _merge_sign(oa, ob)
+                merge = merges.get((oa, ob))
+                if merge is None:
+                    merge = merges[oa, ob] = _merge(oa, ob)
+                s, odd = merge
                 if not s:
                     continue
-                key = (tuple(a + b for a, b in zip(ea, eb)), tuple(sorted(oa + ob)))
+                key = (tuple(map(operator.add, ea, eb)), odd)
                 c = ca * cb if s > 0 else -ca * cb
                 out[key] = out[key] + c if key in out else c
         return SuperPolynomial._make(self.n, self.m, out)
@@ -267,15 +292,6 @@ class SuperVectorField:
             [p.scale(c) for p in self.odd_coeffs],
         )
 
-    def left_mul(self, f: SuperPolynomial) -> "SuperVectorField":
-        """The field M_f X (coefficients multiplied by f on the left)."""
-        return SuperVectorField(
-            self.n,
-            self.m,
-            [f * p for p in self.even_coeffs],
-            [f * p for p in self.odd_coeffs],
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SuperVectorField)
@@ -315,14 +331,14 @@ class SuperVectorField:
         return max(degs) if degs else 0
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        out = SuperPolynomial.zero(self.n, self.m)
+        out: dict = {}
         for i, p in enumerate(self.even_coeffs, start=1):
             if not p.is_zero():
-                out = out + p * f.d_even(i)
+                axpy(out, 1, (p * f.d_even(i)).terms)
         for j, p in enumerate(self.odd_coeffs, start=1):
             if not p.is_zero():
-                out = out + p * f.d_odd(j)
-        return out
+                axpy(out, 1, (p * f.d_odd(j)).terms)
+        return SuperPolynomial._make(self.n, self.m, out)
 
     def __repr__(self):
         bits = []
@@ -367,10 +383,19 @@ def iso_bracket_fields(
     """[X, Y]_f as a first-order field (closed form)."""
     X._check(Y)
     px, py, pf = _parity_or_raise(X), _parity_or_raise(Y), _parity_or_raise(f)
-    a = sign_a(px, pf, py)
-    out = Y.left_mul(X.apply(f)) - X.left_mul(Y.apply(f)).scale(a)
-    lie = super_lie_bracket(X, Y).left_mul(f)
-    return out + lie.scale(-1 if (px * pf) % 2 else 1)
+    a, s = sign_a(px, pf, py), -1 if (px * pf) % 2 else 1
+    xf, yf, lie = X.apply(f), Y.apply(f), super_lie_bracket(X, Y)
+
+    def coeff(x, y, z):  # one slot: X(f) y - a Y(f) x + s f z
+        out = axpy(dict((xf * y).terms), -a, (yf * x).terms)
+        return SuperPolynomial._make(X.n, X.m, axpy(out, s, (f * z).terms))
+
+    return SuperVectorField(
+        X.n,
+        X.m,
+        list(map(coeff, X.even_coeffs, Y.even_coeffs, lie.even_coeffs)),
+        list(map(coeff, X.odd_coeffs, Y.odd_coeffs, lie.odd_coeffs)),
+    )
 
 
 def iso_bracket_fields_operator(

@@ -251,6 +251,23 @@ def test_poly_bracket_evaluation(capsys):
     ) == 2
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["--m", "1", "--bracket-functions", "x1", "1", "dx1"], "-1"),
+    (["--m", "2", "--bracket-functions", "x1*t1 + 1/2*t2", "t1*t2 - 2*x1",
+      "t1*dx1 + x1*t2*dx1 + x1*dt1"],
+     "1*t1*t2 + 2*x1^2*t1*t2 + -2*x1^3"),
+    (["--m", "2", "--bracket-fields", "t1*dx1 + x1*t2*dx1 + x1*dt1",
+      "t2*dx1 + t1*t2*dt1 + x1^2*dt2", "x1*t1 + 1/2*t2"],
+     "SuperVectorField((1/2*x1^2*t1 + 1*x1^2*t2 + -1*x1^4*t1)*dx1"
+     " + (-2*x1*t1*t2 + 1*x1^2*t1*t2 + 1/2*x1^3)*dt1"
+     " + (1*x1*t1*t2 + -3*x1^3*t1*t2 + 1*x1^4)*dt2)"),
+], ids=["readme", "functions-m2", "fields-m2"])
+def test_poly_bracket_output_is_pinned(capsys, argv, out):
+    # with m = 2, products merge odd blocks with both Koszul signs
+    assert run(["poly-check", "--n", "1", *argv]) == 0
+    assert capsys.readouterr().out == out + "\n"
+
+
 def test_wo_make(tmp_path):
     out = tmp_path / "wo.json"
     assert run(["make", "wo:1,1", "-o", str(out), "--trials", "5"]) == 0
@@ -491,8 +508,8 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
 def test_rep_induce_embeds_only_the_even_diagonal(capsys):
     # q:1's diagonal holds the even e0,0 and the odd o0,0: the subpair
     # is e0,0 alone, so --chi takes one value, and the module is the one
-    # induced from e0,0
-    assert run(["rep", "induce", "--pair", "q:1", "--chi", "1"]) == 0
+    # induced from e0,0 (a rep from cap 5 on)
+    assert run(["rep", "induce", "--pair", "q:1", "--chi", "1", "--cap", "5"]) == 0
     out = capsys.readouterr().out
     pair, _ = build_from_spec("q:1")
     sub = [unit_vec(pair.v1.dim, pair.v1.labels.index("e0,0"))]
@@ -501,9 +518,23 @@ def test_rep_induce_embeds_only_the_even_diagonal(capsys):
                        SuperSpace.make(["w1", "w2"], [0, 0]),
                        [Matrix.from_rows([[0, 0], [1, 0]])], [Matrix.from_rows([[0, 1], [0, 0]])])
     want, containment = R.induced_split_module(pair, sub, sub, subrep, R.SplitData((0,), (1,)),
-                                               cap=3)
+                                               cap=5)
     assert f"total dim {want.total_dim}," in out
     assert containment.passed and "contains subrep: pass" in out
+    assert "check_rep + check_split: pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--pair", "gl:2,0", "--chi", "1,0", "--cap", "5"],
+    ["--pair", "q:1", "--chi", "1", "--cap", "3"],
+], ids=["gl20", "q1"])
+def test_rep_induce_exits_1_when_the_module_is_no_rep(capsys, argv):
+    # the module closes within the cap and contains the subrep, but
+    # relations among longer words are missing: check_rep fails on it
+    assert run(["rep", "induce", *argv]) == 1
+    out = capsys.readouterr().out
+    assert "stabilized: True" in out and "contains subrep: pass" in out
+    assert "check_rep + check_split: FAIL" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -524,9 +555,10 @@ def test_rep_induce_exits_1_when_containment_fails(capsys, monkeypatch):
         return result, replace(containment, failure_count=1)
 
     monkeypatch.setattr(R, "induced_split_module", failing)
-    assert run(["rep", "induce", "--pair", "q:1", "--chi", "1"]) == 1
+    assert run(["rep", "induce", "--pair", "q:1", "--chi", "1", "--cap", "5"]) == 1
     out = capsys.readouterr().out
     assert "stabilized: True" in out and "contains subrep: FAIL" in out
+    assert "check_rep + check_split: pass" in out
 
 
 @pytest.mark.parametrize("spec", ["flip:gl:1,1", "flip:gl:2,1"])

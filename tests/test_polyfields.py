@@ -1,6 +1,8 @@
 """Grassmann polynomials, super vector fields, and the W-O pair."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -191,6 +193,19 @@ def test_sample_check_small():
     assert rep.passed
 
 
+@pytest.mark.parametrize("n, digest", [
+    (1, "2cf9b0a35fdb2e825cea80b9e29ff468e414ca21f90a166bc8e1067c9e62b3e5"),
+    (2, "d27c867d1b811b5a82d4773c2e756fc092531c9b2b7bb7151bcdb540f0652c10"),
+], ids=["W(1|2)", "W(2|2)"])
+def test_sample_check_two_odd_variables_keeps_its_report(n, digest):
+    # W(n|2) products merge odd blocks with both Koszul signs; the bench
+    # digests and criterion 12 sample W(1|1), whose one odd variable
+    # never reorders
+    report = sample_check_w_o_pair(n, 2, maxdeg=3, trials=50, seed=7)
+    text = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
+    assert report.passed and hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_sample_check_zero_trials_vacuous():
     rep = sample_check_w_o_pair(1, 1, maxdeg=2, trials=0, seed=1)
     assert rep.passed and all(r.total == 0 for r in rep.reports)
@@ -250,12 +265,18 @@ def poly_cases(draw):
         for k in range(m + 1)
         for odd in itertools.combinations(range(1, m + 1), k)
     ]
-    coeffs = st.sampled_from([F(-2), F(-1), F(-1, 2), F(1, 3), F(1), F(2)])
+    # halves against twos make products, sums and scalings of
+    # non-integral coefficients land on integers; 2^63 + 1 and -2^64
+    # lie outside int64
+    coeffs = st.sampled_from(
+        [F(-2), F(-1), F(-1, 2), F(1, 2), F(1, 3), F(1), F(2), 2**63 + 1, -(2**64)]
+    )
     terms = st.dictionaries(st.sampled_from(monos), coeffs, max_size=4)
     a, b = draw(terms), draw(terms)
-    if draw(st.booleans()):  # b cancels a on some monomials
-        b.update({k: -c for k, c in a.items() if draw(st.booleans())})
-    c = draw(st.sampled_from([F(0), F(1), F(-1), F(3, 2), -3]))
+    if draw(st.booleans()):  # b cancels a, or tops it up to 1, on some monomials
+        b.update({k: draw(st.sampled_from([-c, 1 - c])) for k, c in a.items()
+                  if draw(st.booleans())})
+    c = draw(st.sampled_from([F(0), F(1), F(-1), F(3, 2), -3, F(-1, 2), 2, 2**64]))
     return n, m, P(n, m, a), P(n, m, b), c
 
 
@@ -296,7 +317,8 @@ def test_results_match_validating_constructor(case):
         assert r == expected
         assert SuperPolynomial(n, m, r.terms) == r
         for (exps, odd), v in r.terms.items():
-            assert type(v) is Fraction and v != 0
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+            assert v != 0
             assert type(exps) is tuple and len(exps) == n
             assert all(type(e) is int and e >= 0 for e in exps)
             assert type(odd) is tuple and list(odd) == sorted(set(odd))
@@ -305,7 +327,8 @@ def test_results_match_validating_constructor(case):
 
 @pytest.mark.parametrize(
     "terms",
-    [{((0, 0), ()): 1}, {((0,), (2,)): 1}, {((0,), (0,)): 1}, {((0,), (1, 1)): 1}],
+    [{((0, 0), ()): 1}, {((0,), (2,)): 1}, {((0,), (0,)): 1}, {((0,), (1, 1)): 1},
+     {((-1,), ()): 1}, {((1.5,), ()): 1}, {((0,), (1.0,)): 1}],
 )
 def test_constructor_rejects_malformed_monomials(terms):
     with pytest.raises(ValueError, match="malformed monomial"):
