@@ -26,6 +26,7 @@ compared by the sampled checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -69,7 +70,7 @@ def _index(e) -> int:
 class SuperPolynomial:
     """Exact polynomial in n even and m odd variables."""
 
-    __slots__ = ("n", "m", "terms")
+    __slots__ = ("n", "m", "terms", "_parity")
 
     def __init__(self, n: int, m: int, terms: Optional[dict] = None):
         self.n = n
@@ -178,9 +179,14 @@ class SuperPolynomial:
 
     @property
     def parity(self) -> Optional[int]:
-        """Parity bit for homogeneous polynomials, None when mixed."""
-        ps = {len(odd) % 2 for _, odd in self.terms}
-        return ps.pop() if len(ps) == 1 else (0 if not self.terms else None)
+        """Parity bit for homogeneous polynomials, None when mixed;
+        computed once, as no operation changes a polynomial's terms."""
+        try:
+            return self._parity
+        except AttributeError:
+            ps = {len(odd) % 2 for _, odd in self.terms}
+            self._parity = ps.pop() if len(ps) == 1 else (0 if not self.terms else None)
+            return self._parity
 
     def degree(self) -> int:
         if not self.terms:
@@ -236,7 +242,7 @@ def poly_mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
 class SuperVectorField:
     """First-order operator sum f_i d/dx_i + g_j d/dt_j."""
 
-    __slots__ = ("n", "m", "even_coeffs", "odd_coeffs")
+    __slots__ = ("n", "m", "even_coeffs", "odd_coeffs", "_parity")
 
     def __init__(
         self,
@@ -308,21 +314,16 @@ class SuperVectorField:
     @property
     def parity(self) -> Optional[int]:
         """d/dx_i slots contribute the coefficient parity, d/dt_j slots
-        the opposite; None when mixed."""
-        ps = set()
-        for p in self.even_coeffs:
-            if not p.is_zero():
-                if p.parity is None:
-                    return None
-                ps.add(p.parity)
-        for p in self.odd_coeffs:
-            if not p.is_zero():
-                if p.parity is None:
-                    return None
-                ps.add((p.parity + 1) % 2)
-        if len(ps) > 1:
-            return None
-        return ps.pop() if ps else 0
+        the opposite; None when mixed.  Computed once, like a
+        polynomial's."""
+        try:
+            return self._parity
+        except AttributeError:
+            ps = {p.parity for p in self.even_coeffs if not p.is_zero()}
+            ps |= {p.parity if p.parity is None else 1 - p.parity
+                   for p in self.odd_coeffs if not p.is_zero()}
+            self._parity = ps.pop() if len(ps) == 1 else (0 if not ps else None)
+            return self._parity
 
     def degree(self) -> int:
         degs = [
@@ -439,14 +440,21 @@ def iso_bracket_functions_operator(
 # sampled identity checks for the (W(n|m), O(n|m)) pair
 
 
+@functools.lru_cache(maxsize=64)
+def _monomials(n, m, maxdeg, parity) -> tuple:
+    """The monomials random_poly draws from, in its fixed order."""
+    return tuple(
+        (exps, odd)
+        for exps in itertools.product(*(range(maxdeg + 1) for _ in range(n)))
+        for k in range(m + 1)
+        for odd in itertools.combinations(range(1, m + 1), k)
+        if sum(exps) + k <= maxdeg and k % 2 == parity
+    )
+
+
 def random_poly(n, m, maxdeg, parity, rng: Lcg64) -> SuperPolynomial:
     """Random homogeneous polynomial of the given parity, degree <= maxdeg."""
-    monos = []
-    for exps in itertools.product(*(range(maxdeg + 1) for _ in range(n))):
-        for k in range(m + 1):
-            for odd in itertools.combinations(range(1, m + 1), k):
-                if sum(exps) + k <= maxdeg and k % 2 == parity:
-                    monos.append((exps, odd))
+    monos = _monomials(n, m, maxdeg, parity)
     while True:
         terms = {}
         for _ in range(1 + rng.below(2)):

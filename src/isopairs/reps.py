@@ -18,7 +18,11 @@ collected, closed under left multiplication by generators, and
 row-reduced to define the quotient.  Longest words are eliminated
 first, so the surviving basis consists of the shortest coset
 representatives and the induced action matrices can be read off by one
-more reduction.
+more reduction.  The radical step then divides out the largest
+action-invariant subspace of in-window classes that avoids the seeds:
+the unobservable subspace of the seed coordinates under the generators'
+action (Wonham, "Linear Multivariable Control: a Geometric Approach",
+ch. 3), the kernel of their closure under the transposed action.
 """
 
 from __future__ import annotations
@@ -388,46 +392,54 @@ class _WordEngine:
 
     def _collect(self, seed_relations):
         queue = []
+        sector, first_child = self.sector, self.first_child
 
         def push(vec: dict):
             if vec and self.relations.insert(vec):
-                queue.append(dict(vec))
+                queue.append(vec)
 
         for rel in seed_relations:
             vec: dict = {}
             if self.seeds[rel.seed][0] == rel.side:  # else structurally zero
-                first = self.first_child[rel.seed]
+                first = first_child[rel.seed]
                 vec = {first + op: c for op, c in rel.combo.items() if c}
             push(axpy(vec, -1, rel.rhs))
 
         # every instance of the identity of a word's sector, applied to
         # the word: T_s(node) w minus each operator word times w, the
-        # word's last operator acting first
+        # word's last operator acting first, walked down first_child (a
+        # word on the wrong sector is killed, and none reaches the cap)
         t = self.pair.tensors()
-        instances = {side: list(_instances(t, ident)) for side, ident in _REP.items()}
+        instances = {side: [(comps, [(Fraction(-c), word[::-1]) for c, word in words])
+                            for _, comps, words in _instances(t, ident)]
+                     for side, ident in _REP.items()}
         for wid in range(len(self.words)):
             if len(self.words[wid]) > self.cap - 3:
                 continue
-            base = {wid: Fraction(1)}
-            child = self.first_child[wid]
-            for _, comps, words in instances[self.sector[wid]]:
+            child = first_child[wid]
+            for comps, words in instances[sector[wid]]:
                 vec = {child + o: c for o, c in comps.items()}
                 for c, word in words:
-                    v = base
-                    for side, op in reversed(word):
-                        v = self.act(side, op, v)
-                    axpy(vec, -c, v)
+                    w = wid
+                    for side, op in word:
+                        if sector[w] != side:
+                            break
+                        w = first_child[w] + op
+                    else:
+                        axpy(vec, 1, {w: c})
                 push(vec)
 
-        # close the relation span under left multiplication
+        # close the relation span under left multiplication: a vector's
+        # words of a side move to their children together, unless one of
+        # them is at the cap
         d1, d2 = self.pair.v1.dim, self.pair.v2.dim
         while queue:
             vec = queue.pop()
             for side, dim in ((1, d1), (2, d2)):
-                for op in range(dim):
-                    img = self.act(side, op, vec)
-                    if img:
-                        push(img)
+                moved = [(first_child[wid], c) for wid, c in vec.items() if sector[wid] == side]
+                if moved and all(child is not None for child, _ in moved):
+                    for op in range(dim):
+                        push({child + op: c for child, c in moved})
 
     def _classes(self) -> list:
         pivots = self.relations.pivots
@@ -446,83 +458,51 @@ class _WordEngine:
         The relation closure alone leaves a Verma-like tower (no
         Definition-2 instance can rewrite a bare length-two pattern such
         as T2(u)T1(x)|seed>), so the engine quotients additionally by
-        the largest subspace, spanned by non-seed classes of in-window
-        words, that the generators map into itself.  Returned as
-        vectors in word coordinates.
+        the largest subspace W, spanned by non-seed classes of in-window
+        words, that the generators map into W plus the classes of
+        full-length words: a truncated submodule may exit through the
+        cap, and the final quotient is re-certified by check_rep.
+
+        Split a generator g's reduced image of a window class into its
+        window part psi_g, its seed part sigma_g and its full-length
+        part.  W is the largest subspace with sigma_g(W) = 0 and
+        psi_g(W) in W: the unobservable subspace of the outputs sigma_g
+        under the maps psi_h, i.e. the common kernel of every
+        sigma_g psi_h1 ... psi_hk (Wonham, "Linear Multivariable
+        Control: a Geometric Approach", ch. 3).  The sigma_g rows are
+        closed under the transposed psi_h in one span, and W is read
+        off its reduced form: for each free window class f, the vector
+        e_f - sum_r red[r][f] e_(pivot r), in word coordinates.
         """
-        basis = self._classes()
-        pos = {wid: k for k, wid in enumerate(basis)}
-        window = [
-            wid
-            for wid in basis
-            if len(self.words[wid]) < self.cap and len(self.words[wid]) > 0
-        ]
-        if not window:
-            return []
-        # a truncated submodule may exit through the cap boundary; classes
-        # of full-length words are allowed as escape room (never the
-        # seeds), and the final quotient is re-certified by check_rep
-        boundary = [
-            {pos[wid]: Fraction(1)}
-            for wid in basis
-            if len(self.words[wid]) == self.cap
-        ]
-
-        def reduced_class_coords(vec: dict) -> dict:
-            residual, _ = self.relations.reduce(vec)
-            return {pos[w]: c for w, c in residual.items()}
-
-        # current candidate basis, as vectors over class coordinates
-        S = [{pos[wid]: Fraction(1)} for wid in window]
+        words = self.words
+        window = [wid for wid in self._classes() if 0 < len(words[wid]) < self.cap]
+        inside = set(window)
         gens = [(1, i) for i in range(self.pair.v1.dim)] + [
             (2, j) for j in range(self.pair.v2.dim)
         ]
-        images = {}
-        for wid in window:
+        psi_t = {g: {} for g in gens}  # g -> window class j -> row j of psi_g
+        outputs: dict = {}  # (g, seed class) -> that row of sigma_g
+        for k in window:
             for g in gens:
-                images[(wid, g)] = reduced_class_coords(
-                    self.act(g[0], g[1], {wid: Fraction(1)})
-                )
-
-        while True:
-            span = IncrementalSpan()
-            for v in S + boundary:
-                span.insert(v)
-            # the constraints on a combination of the candidates: one row
-            # per (generator, class coordinate), over the candidates, of
-            # their images reduced modulo the candidates and the boundary
-            constraints = IncrementalSpan()
-            for g in gens:
-                rows: dict = {}
-                for k, v in enumerate(S):
+                residual, _ = self.relations.reduce(self.act(g[0], g[1], {k: ONE}))
+                for j, c in residual.items():
+                    if j in inside:
+                        psi_t[g].setdefault(j, {})[k] = c
+                    elif len(words[j]) == 0:  # a seed; full-length classes drop out
+                        outputs.setdefault((g, j), {})[k] = c
+        observed = IncrementalSpan()
+        queue = list(outputs.values())
+        while queue:
+            row = queue.pop()
+            if observed.insert(row):
+                for rows in psi_t.values():
                     img: dict = {}
-                    for cls, c in v.items():
-                        axpy(img, c, images[(basis[cls], g)])
-                    for coord, x in span.reduce(img)[0].items():
-                        rows.setdefault(coord, {})[k] = x
-                for row in rows.values():
-                    constraints.insert(row)
-            if not constraints.rank:
-                break  # fully invariant already
-            # kernel vector of free column f: e_f - sum_r red[r][f] e_(pivot r),
-            # recombined over its nonzero coefficients in column order
-            pivots, red = constraints.reduced()
-            new_S = []
-            for f in sorted(set(range(len(S))) - set(pivots)):
-                terms = [(p, -row[f]) for p, row in zip(pivots, red) if f in row]
-                v: dict = {}
-                for c, x in sorted(terms + [(f, ONE)]):
-                    axpy(v, x, S[c])
-                if v:
-                    new_S.append(v)
-            S = new_S
-            if not S:
-                break
-        # convert class-coordinate vectors back to word coordinates
-        out = []
-        for v in S:
-            out.append({basis[k]: c for k, c in v.items()})
-        return out
+                    for j, c in row.items():
+                        axpy(img, c, rows.get(j, {}))
+                    queue.append(img)
+        obs, red = observed.reduced()
+        return [dict(sorted([(p, -r[f]) for p, r in zip(obs, red) if f in r] + [(f, ONE)]))
+                for f in window if f not in observed.row_by_pivot]
 
     def quotient(self, radical: bool = True) -> WordModuleResult:
         """Relation-closure quotient, then the radical quotient, then the

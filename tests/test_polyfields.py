@@ -177,6 +177,51 @@ def test_inhomogeneous_inputs_rejected():
         iso_bracket_functions(mixed, x, ddx)
 
 
+def _field_parity(X):
+    """The field parity rule, recomputed from the coefficients' terms."""
+    ps = set()
+    for slot, coeffs in ((0, X.even_coeffs), (1, X.odd_coeffs)):
+        for p in coeffs:
+            ps |= {(len(odd) + slot) % 2 for _, odd in p.terms}
+    return ps.pop() if len(ps) == 1 else (None if ps else 0)
+
+
+def test_cached_parity_matches_the_coefficient_rule():
+    x, t = P.x(1, 1, 1), P.t(1, 1, 1)
+    fields = [SuperVectorField.zero(1, 1), SuperVectorField.d_dx(1, 1, 1, x),
+              SuperVectorField.d_dt(1, 1, 1, x), SuperVectorField.d_dt(1, 1, 1, x + t),
+              SuperVectorField.d_dx(1, 1, 1, t) + SuperVectorField.d_dt(1, 1, 1, x),
+              SuperVectorField.d_dx(1, 1, 1, x) + SuperVectorField.d_dt(1, 1, 1, x)]
+    for X in fields:
+        assert X.parity == _field_parity(X) == X.parity  # the second read is cached
+    assert [X.parity for X in fields] == [0, 0, 1, None, 1, None]
+    assert (x + t).parity is None and (x * t).parity == 1 and P.zero(1, 1).parity == 0
+    with pytest.raises(InhomogeneousInput, match="inhomogeneous input SuperVectorField"):
+        iso_bracket_fields(fields[5], fields[1], x)
+
+
+@pytest.mark.parametrize("n, m, maxdeg", [(1, 1, 3), (2, 2, 3), (0, 3, 2), (2, 0, 2)])
+def test_random_poly_draws_from_the_ordered_monomials(n, m, maxdeg):
+    for parity in (0, 1):
+        # the list random_poly drew from when it built the list per draw
+        monos = [(exps, odd) for exps in itertools.product(*(range(maxdeg + 1) for _ in range(n)))
+                 for k in range(m + 1) for odd in itertools.combinations(range(1, m + 1), k)
+                 if sum(exps) + k <= maxdeg and k % 2 == parity]
+        a, b = Lcg64(5), Lcg64(5)
+        for _ in range(20):
+            if not monos:
+                break
+            p = random_poly(n, m, maxdeg, parity, a)
+            want = {}
+            while not want:
+                for _ in range(1 + b.below(2)):
+                    c = b.choice((-2, -1, 1, 2))
+                    key = b.choice(monos)
+                    want[key] = want.get(key, 0) + c
+                want = {k: c for k, c in want.items() if c}
+            assert p.terms == want and a.state == b.state
+
+
 def test_degree_bound():
     rng = Lcg64(17)
     for _ in range(20):

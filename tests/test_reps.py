@@ -23,7 +23,7 @@ from isopairs.rng import Lcg64
 from isopairs.supercore import SuperSpace, sign_a
 from isopairs.tkk import superalgebra_from_pair
 
-from dense_oracle import kernel_basis
+from dense_oracle import kernel_basis, rref
 
 F = Fraction
 
@@ -589,8 +589,8 @@ def _dense_radical(eng):
     return [{basis[k]: c for k, c in v.items()} for v in S]
 
 
-def _gl20_grading():
-    pair = series_gl(2, 0).pair
+def _gl_grading(n=2, m=0):
+    pair = series_gl(n, m).pair
 
     def degs(space):  # deg E_{i,j} = j - i
         return tuple(int(j) - int(i) for i, j in (l[1:].split(",") for l in space.labels))
@@ -598,9 +598,34 @@ def _gl20_grading():
     return R.GradedPairData(pair, degs(pair.v1), degs(pair.v2))
 
 
+def _hw_module(n, m, weights, cap, radical=True):
+    """``rep hw --pair gl:n,m --weights w1,w2 --cap cap``: weight s pins
+    chi(E_{k,k}) = 2 s on the last diagonal unit k."""
+    graded = _gl_grading(n, m)
+    lo = graded.pair.v1.labels.index(f"E{n + m - 1},{n + m - 1}")
+    w1, w2 = (F(w) for w in weights)
+    return R.hw_split_module(graded, {lo: 2 * w1}, {lo: 2 * w2}, cap=cap, radical=radical)
+
+
+def _induced_diagonal(chi, cap, radical=False):
+    """``rep induce --pair gl:2,0 --chi ...``: the word engine seeded by
+    a character of the even diagonal subpair."""
+    pair = series_gl(2, 0).pair
+    diag = [k for k, l in enumerate(pair.v1.labels) if l in ("E0,0", "E1,1")]
+    sub = [unit(k, pair.v1.dim) for k in diag]
+    dspace = SuperSpace.make([pair.v1.labels[k] for k in diag], [0, 0])
+    subpair = PairStructure(dspace, dspace, "isotopic", {}, {})
+    H0 = SuperSpace.make(["w1", "w2"], [0, 0])
+    T1 = [Matrix.from_rows([[0, 0], [c, 0]]) for c in chi]
+    T2 = [Matrix.from_rows([[0, c], [0, 0]]) for c in chi]
+    subrep = R.PairRep(subpair, H0, T1, T2)
+    return R.induced_split_module(pair, sub, sub, subrep, R.SplitData((0,), (1,)),
+                                  cap=cap, radical=radical)
+
+
 def test_radical_matches_dense_kernel_recombination(monkeypatch):
     # rep hw --pair gl:2,0 --weights 1/2,1/2 --cap 6
-    graded = _gl20_grading()
+    graded = _gl_grading()
     chi = {graded.pair.v1.labels.index("E1,1"): F(1)}
     want = R.hw_split_module(graded, chi, dict(chi), cap=6)
     radical = R._WordEngine._radical
@@ -621,3 +646,126 @@ def test_radical_matches_dense_kernel_recombination(monkeypatch):
     assert result.radical_dim == want.radical_dim > 0
     assert result.dims_json() == want.dims_json()
     assert result.total_dim == 4 and result.stabilized
+
+
+def _span_rref(vectors):
+    """The dense oracle's RREF of a list of sparse vectors, over the
+    columns their supports use."""
+    cols = sorted({k for v in vectors for k in v})
+    index = {k: j for j, k in enumerate(cols)}
+    m = Matrix(len(vectors), len(cols),
+               [(i, index[k], x) for i, v in enumerate(vectors) for k, x in v.items()])
+    return cols, rref(m)
+
+
+RADICAL_CASES = [
+    *[(2, 0, w, cap) for w in ((F(1, 2), F(1, 2)), (1, 0), (F(3, 2), F(-1, 2)))
+      for cap in (4, 5, 6, 7)],
+    (1, 1, (F(1, 2), F(1, 2)), 6),
+    (2, 1, (F(1, 2), F(1, 2)), 4),
+]
+
+
+def _compare_radicals(monkeypatch, build):
+    """Run ``build`` with every radical checked, as a span, against the
+    fixed-point oracle; returns the radical dimensions seen."""
+    radical = R._WordEngine._radical
+    seen = []
+
+    def checked(eng):
+        got, ref = radical(eng), _dense_radical(eng)
+        assert len(got) == len(ref)
+        assert _span_rref(got) == _span_rref(ref)
+        seen.append(len(ref))
+        return got
+
+    monkeypatch.setattr(R._WordEngine, "_radical", checked)
+    build()
+    return seen
+
+
+@pytest.mark.parametrize("n, m, weights, cap", RADICAL_CASES)
+def test_radical_spans_match_the_fixed_point_oracle(monkeypatch, n, m, weights, cap):
+    seen = _compare_radicals(monkeypatch, lambda: _hw_module(n, m, weights, cap))
+    assert len(seen) == 1 and seen[0] > 0
+
+
+def test_induced_radical_matches_the_fixed_point_oracle(monkeypatch):
+    # the cap-5 module of rep induce --pair gl:2,0 --chi 1,0 is no
+    # representation until its radical is divided out
+    results = []
+    seen = _compare_radicals(
+        monkeypatch, lambda: results.append(_induced_diagonal((1, 0), 5, radical=True)))
+    (result, containment), = results
+    assert len(seen) == 1 and seen[0] > 0
+    assert result.stabilized and result.total_dim == 4 and containment.passed
+    assert R.check_rep(result.rep).passed and R.check_split(result.rep, result.split).passed
+
+
+def _collect_oracle(eng, seed_relations):
+    """The relation closure with every operator applied through ``act``:
+    seed rules, every Definition-2 instance on every short-enough word,
+    then left multiplication until nothing new is spanned."""
+    relations = IncrementalSpan(pivot="max")
+    queue = []
+
+    def push(vec):
+        if vec and relations.insert(vec):
+            queue.append(dict(vec))
+
+    for rel in seed_relations:
+        vec = {}
+        if eng.seeds[rel.seed][0] == rel.side:
+            first = eng.first_child[rel.seed]
+            vec = {first + op: c for op, c in rel.combo.items() if c}
+        push(axpy(vec, -1, rel.rhs))
+    t = eng.pair.tensors()
+    instances = {side: list(R._instances(t, ident)) for side, ident in R._REP.items()}
+    for wid in range(len(eng.words)):
+        if len(eng.words[wid]) > eng.cap - 3:
+            continue
+        base = {wid: F(1)}
+        child = eng.first_child[wid]
+        for _, comps, words in instances[eng.sector[wid]]:
+            vec = {child + o: c for o, c in comps.items()}
+            for c, word in words:
+                v = base
+                for side, op in reversed(word):
+                    v = eng.act(side, op, v)
+                axpy(vec, -c, v)
+            push(vec)
+    while queue:
+        vec = queue.pop()
+        for side in (1, 2):
+            for op in range(eng.pair.space(side).dim):
+                img = eng.act(side, op, vec)
+                if img:
+                    push(img)
+    return relations
+
+
+@pytest.mark.parametrize("build", [
+    *[pytest.param(lambda cap=cap: _hw_module(2, 0, (F(1, 2), F(1, 2)), cap, radical=False),
+                   id=f"gl20-cap{cap}") for cap in (3, 4, 5, 6)],
+    pytest.param(lambda: _hw_module(2, 1, (F(1, 2), F(1, 2)), 4, radical=False),
+                 id="gl21-cap4"),
+    pytest.param(lambda: _induced_diagonal((1, 0), 4)[0], id="induced-gl20-cap4"),
+])
+def test_relation_closure_matches_the_act_oracle(monkeypatch, build):
+    collect = R._WordEngine._collect
+    seen = []
+
+    def checked(eng, seed_relations):
+        collect(eng, seed_relations)
+        ref = _collect_oracle(eng, seed_relations)
+        assert eng.relations.pivots == ref.pivots
+        assert eng.relations.rank == ref.rank
+        assert not any(eng.relations.reduce(row)[0] for row in ref.rows)  # same span
+        classes = [wid for wid in range(len(eng.words)) if wid not in ref.pivots]
+        seen.append((ref.rank, eng._dims_of(classes)))
+
+    monkeypatch.setattr(R._WordEngine, "_collect", checked)
+    result = build()
+    (rank, closure_dims), = seen
+    assert rank > 0 and result.relation_rank == rank
+    assert result.closure_dims == closure_dims
