@@ -22,6 +22,12 @@ whose second-order / first-order parts cancel, leaving the closed forms
 
 with [X, Y] the super Lie bracket.  Both routes are computed and
 compared by the sampled checks.
+
+All of this arithmetic is one kernel, ``_mul_into``: a sparse
+accumulator (Gustavson 1978) that adds c*a*b into a single dict
+workspace.  A field applies by feeding each slot's derivative terms
+straight to it, a bracket sums every term of one coefficient slot into
+one workspace, and each result is built from its workspace once.
 """
 
 from __future__ import annotations
@@ -37,16 +43,51 @@ from .pairs import VerifyReport, _orient, axiom_report
 from .rng import Lcg64
 from .supercore import CATALOG, Letter, eval_sign_pairs, sign_a
 
-Monomial = tuple  # (exps: tuple[int, ...], odd: tuple[int, ...] ascending)
-
-
+@functools.lru_cache(maxsize=4096)
 def _merge(a: tuple, b: tuple) -> tuple:
     """(Koszul sign, ascending block) of concatenating ascending odd
-    blocks a, b; the sign is 0 when they intersect."""
+    blocks a, b; the sign is 0 when they intersect.  Memoised, bounded."""
     if set(a) & set(b):
         return 0, ()
     inversions = sum(1 for i in a for j in b if j < i)
     return (-1 if inversions % 2 else 1), tuple(sorted(a + b))
+
+
+def _mul_into(acc: dict, c, a, b) -> dict:
+    """``acc += c * a * b`` in place, the workspace every product, field
+    application and bracket sums into: a and b are (monomial, coefficient)
+    pairs, a iterated per term of b, and c is nonzero.  Keys that cancel
+    are dropped, no zero is stored.  Returns ``acc``."""
+    for (eb, ob), cb in b:
+        cb *= c
+        for (ea, oa), ca in a:
+            s, odd = _merge(oa, ob)
+            if s:
+                key = (tuple(map(operator.add, ea, eb)), odd)
+                v = ca * cb if s > 0 else -ca * cb
+                if key in acc:
+                    v += acc[key]
+                    if not v:
+                        del acc[key]
+                        continue
+                acc[key] = v
+    return acc
+
+
+def _d_even(terms: dict, i: int):
+    """The terms of d/dx_i (1-indexed) of a term dict, as pairs."""
+    for (exps, odd), c in terms.items():
+        e = exps[i - 1]
+        if e:
+            yield (exps[: i - 1] + (e - 1,) + exps[i:], odd), c * e
+
+
+def _d_odd(terms: dict, j: int):
+    """The terms of the left derivative d/dt_j (1-indexed), as pairs."""
+    for (exps, odd), c in terms.items():
+        if j in odd:
+            pos = odd.index(j)
+            yield (exps, odd[:pos] + odd[pos + 1 :]), -c if pos % 2 else c
 
 
 def _coeff(c):
@@ -96,11 +137,11 @@ class SuperPolynomial:
     @classmethod
     def _make(cls, n: int, m: int, terms: dict) -> "SuperPolynomial":
         """Trusted constructor for arithmetic results: the keys are
-        normalized monomials and the values ints or Fractions, so zeros
-        are dropped and integral Fractions (-1/2 * -2) narrowed."""
+        normalized monomials and the values nonzero ints or Fractions,
+        so only integral Fractions (-1/2 * -2) are narrowed."""
         p = object.__new__(cls)
         p.n, p.m = n, m
-        p.terms = {k: c if type(c) is int else _coeff(c) for k, c in terms.items() if c}
+        p.terms = {k: c if type(c) is int else _coeff(c) for k, c in terms.items()}
         return p
 
     # -- constructors --------------------------------------------------------
@@ -141,7 +182,7 @@ class SuperPolynomial:
     def scale(self, c) -> "SuperPolynomial":
         c = _coeff(c)
         return SuperPolynomial._make(
-            self.n, self.m, {k: c * v for k, v in self.terms.items()}
+            self.n, self.m, {k: c * v for k, v in self.terms.items()} if c else {}
         )
 
     def __neg__(self) -> "SuperPolynomial":
@@ -149,19 +190,7 @@ class SuperPolynomial:
 
     def __mul__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         self._check(other)
-        out: dict = {}
-        merges: dict = {}  # (oa, ob) -> _merge(oa, ob), for this product only
-        for (ea, oa), ca in self.terms.items():
-            for (eb, ob), cb in other.terms.items():
-                merge = merges.get((oa, ob))
-                if merge is None:
-                    merge = merges[oa, ob] = _merge(oa, ob)
-                s, odd = merge
-                if not s:
-                    continue
-                key = (tuple(map(operator.add, ea, eb)), odd)
-                c = ca * cb if s > 0 else -ca * cb
-                out[key] = out[key] + c if key in out else c
+        out = _mul_into({}, 1, self.terms.items(), other.terms.items())
         return SuperPolynomial._make(self.n, self.m, out)
 
     def __eq__(self, other) -> bool:
@@ -197,22 +226,11 @@ class SuperPolynomial:
 
     def d_even(self, i: int) -> "SuperPolynomial":
         """d/dx_i (1-indexed)."""
-        out = {}
-        for (exps, odd), c in self.terms.items():
-            e = exps[i - 1]
-            if e:
-                out[(exps[: i - 1] + (e - 1,) + exps[i:], odd)] = c * e
-        return SuperPolynomial._make(self.n, self.m, out)
+        return SuperPolynomial._make(self.n, self.m, dict(_d_even(self.terms, i)))
 
     def d_odd(self, j: int) -> "SuperPolynomial":
         """Left derivative d/dt_j (1-indexed)."""
-        out = {}
-        for (exps, odd), c in self.terms.items():
-            if j not in odd:
-                continue
-            pos = odd.index(j)
-            out[(exps, odd[:pos] + odd[pos + 1 :])] = -c if pos % 2 else c
-        return SuperPolynomial._make(self.n, self.m, out)
+        return SuperPolynomial._make(self.n, self.m, dict(_d_odd(self.terms, j)))
 
     def __repr__(self) -> str:
         return f"SuperPolynomial({self.pretty()!r})"
@@ -222,21 +240,15 @@ class SuperPolynomial:
             return "0"
         bits = []
         for (exps, odd), c in sorted(self.terms.items()):
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{i+1}")
-                elif e > 1:
-                    factors.append(f"x{i+1}^{e}")
-            factors.extend(f"t{j}" for j in odd)
-            mono = "*".join(factors) if factors else "1"
-            bits.append(f"{c}*{mono}" if factors else f"{c}")
+            factors = _factors(exps, odd)
+            bits.append(f"{c}*{'*'.join(factors)}" if factors else f"{c}")
         return " + ".join(bits)
 
 
-def poly_mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
-    """Supercommutative product; odd squares vanish."""
-    return f * g
+def _factors(exps: tuple, odd: tuple) -> list:
+    """A monomial's factors in print order: x1^2, x2, t1."""
+    xs = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e]
+    return xs + [f"t{j}" for j in odd]
 
 
 class SuperVectorField:
@@ -332,14 +344,18 @@ class SuperVectorField:
         return max(degs) if degs else 0
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        out: dict = {}
+        return SuperPolynomial._make(self.n, self.m, self._apply_into({}, 1, f.terms))
+
+    def _apply_into(self, acc: dict, c, terms: dict) -> dict:
+        """``acc += c * X(f)`` for f's term dict: each slot's coefficient
+        times that derivative's terms of f, never built as a polynomial."""
         for i, p in enumerate(self.even_coeffs, start=1):
-            if not p.is_zero():
-                axpy(out, 1, (p * f.d_even(i)).terms)
+            if p.terms:
+                _mul_into(acc, c, p.terms.items(), _d_even(terms, i))
         for j, p in enumerate(self.odd_coeffs, start=1):
-            if not p.is_zero():
-                axpy(out, 1, (p * f.d_odd(j)).terms)
-        return SuperPolynomial._make(self.n, self.m, out)
+            if p.terms:
+                _mul_into(acc, c, p.terms.items(), _d_odd(terms, j))
+        return acc
 
     def __repr__(self):
         bits = []
@@ -367,15 +383,13 @@ def super_lie_bracket(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFi
     """[X, Y] = X Y - (-1)^(p(X)p(Y)) Y X, computed on coefficients."""
     px, py = _parity_or_raise(X), _parity_or_raise(Y)
     sign = -1 if px * py % 2 else 1
-    even = [
-        X.apply(Y.even_coeffs[i]) - Y.apply(X.even_coeffs[i]).scale(sign)
-        for i in range(X.n)
-    ]
-    odd = [
-        X.apply(Y.odd_coeffs[j]) - Y.apply(X.odd_coeffs[j]).scale(sign)
-        for j in range(X.m)
-    ]
-    return SuperVectorField(X.n, X.m, even, odd)
+
+    def coeff(x, y):  # one slot: X(y) - sign Y(x)
+        acc = Y._apply_into(X._apply_into({}, 1, y.terms), -sign, x.terms)
+        return SuperPolynomial._make(X.n, X.m, acc)
+
+    return SuperVectorField(X.n, X.m, list(map(coeff, X.even_coeffs, Y.even_coeffs)),
+                            list(map(coeff, X.odd_coeffs, Y.odd_coeffs)))
 
 
 def iso_bracket_fields(
@@ -385,18 +399,16 @@ def iso_bracket_fields(
     X._check(Y)
     px, py, pf = _parity_or_raise(X), _parity_or_raise(Y), _parity_or_raise(f)
     a, s = sign_a(px, pf, py), -1 if (px * pf) % 2 else 1
-    xf, yf, lie = X.apply(f), Y.apply(f), super_lie_bracket(X, Y)
+    xf, yf = X._apply_into({}, 1, f.terms).items(), Y._apply_into({}, 1, f.terms).items()
+    lie = super_lie_bracket(X, Y)
 
     def coeff(x, y, z):  # one slot: X(f) y - a Y(f) x + s f z
-        out = axpy(dict((xf * y).terms), -a, (yf * x).terms)
-        return SuperPolynomial._make(X.n, X.m, axpy(out, s, (f * z).terms))
+        acc = _mul_into(_mul_into({}, 1, xf, y.terms.items()), -a, yf, x.terms.items())
+        return SuperPolynomial._make(X.n, X.m, _mul_into(acc, s, f.terms.items(), z.terms.items()))
 
     return SuperVectorField(
-        X.n,
-        X.m,
-        list(map(coeff, X.even_coeffs, Y.even_coeffs, lie.even_coeffs)),
-        list(map(coeff, X.odd_coeffs, Y.odd_coeffs, lie.odd_coeffs)),
-    )
+        X.n, X.m, list(map(coeff, X.even_coeffs, Y.even_coeffs, lie.even_coeffs)),
+        list(map(coeff, X.odd_coeffs, Y.odd_coeffs, lie.odd_coeffs)))
 
 
 def iso_bracket_fields_operator(
@@ -407,7 +419,8 @@ def iso_bracket_fields_operator(
     a = sign_a(px, pf, py)
 
     def op(g: SuperPolynomial) -> SuperPolynomial:
-        return X.apply(f * Y.apply(g)) - Y.apply(f * X.apply(g)).scale(a)
+        acc = X._apply_into({}, 1, (f * Y.apply(g)).terms)
+        return SuperPolynomial._make(X.n, X.m, Y._apply_into(acc, -a, (f * X.apply(g)).terms))
 
     return op
 
@@ -419,7 +432,9 @@ def iso_bracket_functions(
     f._check(g)
     pf, pg, px = _parity_or_raise(f), _parity_or_raise(g), _parity_or_raise(X)
     a = sign_a(pf, px, pg)
-    return f * X.apply(g) - (g * X.apply(f)).scale(a)
+    acc = _mul_into({}, 1, f.terms.items(), X._apply_into({}, 1, g.terms).items())
+    acc = _mul_into(acc, -a, g.terms.items(), X._apply_into({}, 1, f.terms).items())
+    return SuperPolynomial._make(f.n, f.m, acc)
 
 
 def iso_bracket_functions_operator(
@@ -431,7 +446,9 @@ def iso_bracket_functions_operator(
     a = sign_a(pf, px, pg)
 
     def op(h: SuperPolynomial) -> SuperPolynomial:
-        return f * X.apply(g * h) - (g * X.apply(f * h)).scale(a)
+        acc = _mul_into({}, 1, f.terms.items(), X._apply_into({}, 1, (g * h).terms).items())
+        acc = _mul_into(acc, -a, g.terms.items(), X._apply_into({}, 1, (f * h).terms).items())
+        return SuperPolynomial._make(f.n, f.m, acc)
 
     return op
 
@@ -496,9 +513,13 @@ def _eval_tree(expr, env: dict):
 
 
 def _residual_repr(value) -> dict:
+    """A nonzero residual's exact coefficients keyed by monomial label:
+    x1^2*t1 (1 for the constant) for a polynomial, x1^3*dx1 for a field."""
     if isinstance(value, SuperPolynomial):
-        return {"poly": value.pretty()}
-    return {"field": repr(value)}
+        return {"*".join(_factors(*k)) or "1": c for k, c in value.terms.items()}
+    slots = [(f"dx{i}", p) for i, p in enumerate(value.even_coeffs, 1)]
+    slots += [(f"dt{j}", p) for j, p in enumerate(value.odd_coeffs, 1)]
+    return {"*".join(_factors(*k) + [d]): c for d, p in slots for k, c in p.terms.items()}
 
 
 def check_sample_args(n: int, m: int, maxdeg: int, trials: int):
@@ -608,17 +629,12 @@ def _parse_factor(tok: str, n: int, m: int):
         if kind == "x":
             if not 1 <= idx <= n:
                 raise ParseError(f"even variable out of range in {tok!r}")
-            base = SuperPolynomial.x(n, m, idx)
-        else:
-            if not 1 <= idx <= m:
-                raise ParseError(f"odd variable out of range in {tok!r}")
-            if power > 1:
-                return SuperPolynomial.zero(n, m)
-            base = SuperPolynomial.t(n, m, idx)
-        out = SuperPolynomial.const(n, m, 1)
-        for _ in range(power):
-            out = out * base
-        return out
+            exps = tuple(power if k == idx else 0 for k in range(1, n + 1))
+            return SuperPolynomial(n, m, {(exps, ()): 1})
+        if not 1 <= idx <= m:
+            raise ParseError(f"odd variable out of range in {tok!r}")
+        # t_j^0 = 1, and odd squares vanish
+        return SuperPolynomial(n, m, {((0,) * n, (idx,) * power): 1} if power < 2 else {})
     try:
         return SuperPolynomial.const(n, m, Fraction(tok))
     except ValueError as exc:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,15 +18,19 @@ from isopairs.polyfields import (
     iso_bracket_fields,
     iso_bracket_fields_operator,
     iso_bracket_functions,
+    iso_bracket_functions_operator,
     parse_field,
     parse_poly,
-    poly_mul,
     random_field,
     random_poly,
     sample_check_w_o_pair,
     super_lie_bracket,
 )
+from isopairs.cli import main
+from isopairs.exactlin import scalar_to_str
+from isopairs.pairs import VerifyReport, _orient
 from isopairs.rng import Lcg64
+from isopairs.supercore import CATALOG, Letter, eval_sign_pairs, sign_a, template
 
 F = Fraction
 P = SuperPolynomial
@@ -45,12 +50,12 @@ def small_polys(n=1, m=2, maxdeg=2):
 
 def test_grassmann_square_is_zero():
     t1 = P.t(1, 2, 1)
-    assert poly_mul(t1, t1).is_zero()
+    assert (t1 * t1).is_zero()
 
 
 def test_koszul_swap():
     t1, t2 = P.t(1, 2, 1), P.t(1, 2, 2)
-    assert poly_mul(t2, t1) == poly_mul(t1, t2).scale(-1)
+    assert t2 * t1 == (t1 * t2).scale(-1)
 
 
 def test_product_expansion():
@@ -278,6 +283,15 @@ def test_parse_field():
         parse_field("x1*x2", 2, 0)  # no derivative factor
 
 
+def test_parse_huge_exponent_at_once():
+    # the monomial is built directly, not by 10^8 multiplications
+    assert parse_poly("x1^100000000*x2", 2, 1) == P(2, 1, {((100000000, 1), ()): 1})
+    assert parse_poly("3*t1^0 + x2^0", 2, 1) == P.const(2, 1, 4)
+    assert parse_poly("t1^100000000", 2, 1).is_zero() and parse_poly("t1^1", 2, 1) == P.t(2, 1, 1)
+    field = parse_field("x1^100000000*dx1", 1, 0)
+    assert field.apply(P.x(1, 0, 1)) == P(1, 0, {((100000000,), ()): 1})
+
+
 def test_parse_round_trip_through_pretty():
     p = parse_poly("2*x1*t1 - 1/3*t2", 1, 2)
     assert parse_poly(p.pretty(), 1, 2) == p
@@ -332,26 +346,46 @@ def _oracle(n, m, contributions):
     return P(n, m, acc)
 
 
+def _mul_terms(a, b, c=1):
+    """The contributions of c * a * b, signed by _koszul."""
+    return [
+        ((tuple(x + y for x, y in zip(ea, eb)), tuple(sorted(oa + ob))),
+         c * _koszul(oa, ob) * ca * cb)
+        for (ea, oa), ca in a.terms.items() for (eb, ob), cb in b.terms.items()
+    ]
+
+
+def _d_even_terms(a, i):
+    return [((e[: i - 1] + (e[i - 1] - 1,) + e[i:], o), e[i - 1] * v)
+            for (e, o), v in a.terms.items() if e[i - 1]]
+
+
+def _d_odd_terms(a, j):
+    return [((e, tuple(t for t in o if t != j)), (-1) ** o.index(j) * v)
+            for (e, o), v in a.terms.items() if j in o]
+
+
 def _results_and_oracles(n, m, a, b, c):
     A, B = list(a.terms.items()), list(b.terms.items())
     yield a + b, _oracle(n, m, A + B)
     yield a - b, _oracle(n, m, A + [(k, -v) for k, v in B])
     yield a.scale(c), _oracle(n, m, [(k, c * v) for k, v in A])
-    yield a * b, _oracle(n, m, [
-        ((tuple(x + y for x, y in zip(ea, eb)), tuple(sorted(oa + ob))),
-         _koszul(oa, ob) * ca * cb)
-        for (ea, oa), ca in A for (eb, ob), cb in B
-    ])
+    yield a * b, _oracle(n, m, _mul_terms(a, b))
     for i in range(1, n + 1):
-        yield a.d_even(i), _oracle(n, m, [
-            ((e[: i - 1] + (e[i - 1] - 1,) + e[i:], o), e[i - 1] * v)
-            for (e, o), v in A if e[i - 1]
-        ])
+        yield a.d_even(i), _oracle(n, m, _d_even_terms(a, i))
     for j in range(1, m + 1):
-        yield a.d_odd(j), _oracle(n, m, [
-            ((e, tuple(t for t in o if t != j)), (-1) ** o.index(j) * v)
-            for (e, o), v in A if j in o
-        ])
+        yield a.d_odd(j), _oracle(n, m, _d_odd_terms(a, j))
+
+
+def _assert_canonical(r, n, m):
+    assert SuperPolynomial(n, m, r.terms) == r
+    for (exps, odd), v in r.terms.items():
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+        assert v != 0
+        assert type(exps) is tuple and len(exps) == n
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(odd) is tuple and list(odd) == sorted(set(odd))
+        assert all(1 <= j <= m for j in odd)
 
 
 @given(poly_cases())
@@ -360,14 +394,191 @@ def test_results_match_validating_constructor(case):
     n, m, a, b, c = case
     for r, expected in _results_and_oracles(n, m, a, b, c):
         assert r == expected
-        assert SuperPolynomial(n, m, r.terms) == r
-        for (exps, odd), v in r.terms.items():
-            assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
-            assert v != 0
-            assert type(exps) is tuple and len(exps) == n
-            assert all(type(e) is int and e >= 0 for e in exps)
-            assert type(odd) is tuple and list(odd) == sorted(set(odd))
-            assert all(1 <= j <= m for j in odd)
+        _assert_canonical(r, n, m)
+
+
+# -- the fused kernel against the unfused formulas -----------------------------
+#
+# Each operation by its defining formula, one step at a time: every
+# product, derivative and application is a polynomial of its own, built
+# by the validating constructor with _koszul signs, and every sum of
+# them is taken separately.
+
+
+def _o_apply(X, f):
+    """X(f) = sum over slots of coefficient * derivative of f."""
+    out = []
+    for i, p in enumerate(X.even_coeffs, start=1):
+        out += _mul_terms(p, _oracle(X.n, X.m, _d_even_terms(f, i)))
+    for j, p in enumerate(X.odd_coeffs, start=1):
+        out += _mul_terms(p, _oracle(X.n, X.m, _d_odd_terms(f, j)))
+    return _oracle(X.n, X.m, out)
+
+
+def _poly_parity(p):
+    ps = {len(odd) % 2 for _, odd in p.terms}
+    return ps.pop() if len(ps) == 1 else (None if ps else 0)
+
+
+def _o_field(n, m, slot, *args):
+    return SuperVectorField(n, m, list(map(slot, *(X.even_coeffs for X in args))),
+                            list(map(slot, *(X.odd_coeffs for X in args))))
+
+
+def _o_lie(X, Y):
+    sign = (-1) ** (_field_parity(X) * _field_parity(Y))
+
+    def slot(x, y):  # X(y) - sign Y(x)
+        return _oracle(X.n, X.m, list(_o_apply(X, y).terms.items())
+                       + [(k, -sign * v) for k, v in _o_apply(Y, x).terms.items()])
+
+    return _o_field(X.n, X.m, slot, X, Y)
+
+
+def _o_iso_fields(X, Y, f):
+    px, py, pf = _field_parity(X), _field_parity(Y), _poly_parity(f)
+    a, s = sign_a(px, pf, py), (-1) ** (px * pf)
+    xf, yf = _o_apply(X, f), _o_apply(Y, f)
+
+    def slot(x, y, z):  # X(f) y - a Y(f) x + s f z
+        return _oracle(X.n, X.m, _mul_terms(xf, y) + _mul_terms(yf, x, -a) + _mul_terms(f, z, s))
+
+    return _o_field(X.n, X.m, slot, X, Y, _o_lie(X, Y))
+
+
+def _o_iso_functions(f, g, X):
+    a = sign_a(_poly_parity(f), _field_parity(X), _poly_parity(g))
+    return _oracle(f.n, f.m, _mul_terms(f, _o_apply(X, g)) + _mul_terms(g, _o_apply(X, f), -a))
+
+
+def _o_fields_operator(X, Y, f, h):
+    """X M_f Y - A Y M_f X applied to h."""
+    a = sign_a(_field_parity(X), _poly_parity(f), _field_parity(Y))
+    fyh = _oracle(f.n, f.m, _mul_terms(f, _o_apply(Y, h)))
+    fxh = _oracle(f.n, f.m, _mul_terms(f, _o_apply(X, h)))
+    return _oracle(f.n, f.m, list(_o_apply(X, fyh).terms.items())
+                   + [(k, -a * v) for k, v in _o_apply(Y, fxh).terms.items()])
+
+
+def _o_functions_operator(f, g, X, h):
+    """M_f X M_g - A M_g X M_f applied to h."""
+    a = sign_a(_poly_parity(f), _field_parity(X), _poly_parity(g))
+    gh, fh = _oracle(f.n, f.m, _mul_terms(g, h)), _oracle(f.n, f.m, _mul_terms(f, h))
+    return _oracle(f.n, f.m, _mul_terms(f, _o_apply(X, gh)) + _mul_terms(g, _o_apply(X, fh), -a))
+
+
+def _parity_part(p, q):
+    return P(p.n, p.m, {k: v for k, v in p.terms.items() if len(k[1]) % 2 == q})
+
+
+def _field_from(p, q, slots):
+    """A field of parity q (or zero) with p's matching parity part in
+    the chosen slots."""
+    n, m = p.n, p.m
+    even = [_parity_part(p, q) if k in slots else P.zero(n, m) for k in range(n)]
+    odd = [_parity_part(p, 1 - q) if n + j in slots else P.zero(n, m) for j in range(m)]
+    return SuperVectorField(n, m, even, odd)
+
+
+@given(poly_cases(), st.tuples(*[st.integers(0, 1)] * 4),
+       st.sets(st.integers(0, 3)), st.sets(st.integers(0, 3)))
+@settings(max_examples=150, deadline=None)
+def test_fused_kernel_matches_unfused_formulas(case, parities, xslots, yslots):
+    n, m, a, b, _ = case
+    qx, qy, qf, qg = parities
+    X, Y = _field_from(a, qx, xslots), _field_from(b, qy, yslots)
+    f, g = _parity_part(b, qf), _parity_part(a, qg)
+    one = P.const(n, m, 1)
+    pairs = [(a * b, _oracle(n, m, _mul_terms(a, b))), (X.apply(f), _o_apply(X, f)),
+             (Y.apply(a), _o_apply(Y, a)), (iso_bracket_functions(f, g, X), _o_iso_functions(f, g, X))]
+    fields = [(super_lie_bracket(X, Y), _o_lie(X, Y)), (iso_bracket_fields(X, Y, f), _o_iso_fields(X, Y, f))]
+    op, op2 = iso_bracket_fields_operator(X, Y, f), iso_bracket_functions_operator(f, g, X)
+    pairs += [(op(h), _o_fields_operator(X, Y, f, h)) for h in (g, one)]
+    pairs += [(op2(h), _o_functions_operator(f, g, X, h)) for h in (b, one)]
+    for got, want in fields:
+        assert got == want
+        pairs += list(zip(got.even_coeffs + got.odd_coeffs, want.even_coeffs + want.odd_coeffs))
+    for got, want in pairs:
+        assert got == want
+        _assert_canonical(got, n, m)
+
+
+def _o_sum(n, m, scaled):
+    """sum of c * value over (c, value), polynomials or fields."""
+    if all(isinstance(v, P) for _, v in scaled):
+        return _oracle(n, m, [(k, c * x) for c, v in scaled for k, x in v.terms.items()])
+    return _o_field(n, m, lambda *slot: _o_sum(n, m, list(zip((c for c, _ in scaled), slot))),
+                    *(v for _, v in scaled))
+
+
+def _o_eval(expr, env):
+    if isinstance(expr, Letter):
+        return env[expr.name]
+    left, right, iso = (_o_eval(e, env) for e in (expr.left, expr.right, expr.iso))
+    if isinstance(left, SuperVectorField):
+        return _o_iso_fields(left, right, iso)
+    return _o_iso_functions(left, right, iso)
+
+
+def _replayed_residuals(n, m, maxdeg, trials, seed):
+    """The identity trials of sample_check_w_o_pair, drawn in its order
+    and evaluated by the unfused formulas: (identity, orientation,
+    trial) -> residual."""
+    rng, out = Lcg64(seed), {}
+    for name in ("jacobi_analog", "compatibility"):
+        ident = CATALOG[name]
+        for orientation in (1, 2):
+            sides = _orient(ident.sides, orientation)
+            for trial in range(trials):
+                env, parities = {}, {}
+                for letter in ident.letters:
+                    par = rng.below(2) if m else 0
+                    draw = random_field if sides[letter] == 1 else random_poly
+                    env[letter], parities[letter] = draw(n, m, maxdeg, par, rng), par
+                out[f"wo({n}|{m}).{name}", orientation, trial] = _o_sum(n, m, [
+                    (t.coeff * eval_sign_pairs(t.sign_pairs, parities), _o_eval(t.expr, env))
+                    for t in ident.residual_terms()])
+    return out
+
+
+def _drop_last_compatibility_term(monkeypatch):
+    ident = CATALOG["compatibility"]
+    monkeypatch.setitem(CATALOG, "compatibility",
+                        replace(ident, rhs=template(*ident.rhs.terms[:-1])))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2)])
+def test_failing_sample_check_reports_exact_residuals(monkeypatch, n, m):
+    _drop_last_compatibility_term(monkeypatch)
+    report = sample_check_w_o_pair(n, m, maxdeg=2, trials=6, seed=4)
+    assert not report.passed
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert VerifyReport.from_json(json.loads(text)).to_json() == report.to_json()
+    want = _replayed_residuals(n, m, 2, 6, 4)
+    kinds = set()
+    for r in report.reports[:4]:
+        failing = [t for t in range(6) if not want[r.identity, r.orientation, t].is_zero()]
+        assert r.failure_count == len(failing) and r.identity.endswith(("jacobi_analog", "compatibility"))
+        assert [f.where["trial"] for f in r.failures] == failing
+        for f in r.failures:
+            value = want[r.identity, r.orientation, f.where["trial"]]
+            # the labels are monomials: the residual parses back to the value
+            text = " + ".join(f"{scalar_to_str(c)}*{label}" for label, c in f.residual.items())
+            parse = parse_poly if isinstance(value, P) else parse_field
+            assert parse(text, n, m) == value
+            kinds.add(type(value))
+    assert kinds == {P, SuperVectorField}  # both orientations fail
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_failing_poly_check_exits_1(monkeypatch, capsys, json_flag):
+    _drop_last_compatibility_term(monkeypatch)
+    assert main(["poly-check", "--n", "1", "--m", "1", "--trials", "5", *json_flag]) == 1
+    out = capsys.readouterr().out
+    if json_flag:
+        assert json.loads(out)["passed"] is False
+    else:
+        assert "compatibility orientation 1: FAIL" in out and "verdict: FAIL" in out
 
 
 @pytest.mark.parametrize(
