@@ -2,11 +2,12 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
 Usage: python scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload W --seed S
-           --pairs N [--seconds 30] [--out BENCH_x.json]
+           --pairs N [--out BENCH_x.json]
 
 Runs ``bench/run.py --trace 0`` of each checkout, unchanged, N times per
-side in a fresh interpreter each: pair k runs the parent first when k is
-even and the change first when k is odd.  For every end-to-end metric of
+side in a fresh interpreter each, for the ``run_seconds`` of
+CHANGE_DIR/BENCHMARK.json: pair k runs the parent first when k is even
+and the change first when k is odd.  For every end-to-end metric of
 CHANGE_DIR/BENCHMARK.json, and for every per-operation time that
 bench/run.py prints, it prints each side's median and quartiles and the
 number of pairs the change wins (ties count for neither side), and
@@ -80,18 +81,18 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("need --pairs >= 2 for quartiles")
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    spec, seconds = bench["end_to_end"], bench["run_seconds"]
     runs = {"parent": [], "change": []}
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            run = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            run = run_once(getattr(args, side), args.workload, args.seed, seconds)
             runs[side].append(run)
             print(f"pair {k} {side}: " + ", ".join(
                 f"{m['name']} {run['metrics'][m['name']]['value']:.4f}" for m in spec), flush=True)
@@ -111,12 +112,11 @@ def main(argv=None) -> int:
     ok = (len(digests) == 1
           and all(r["correct"] and not r["failed"] for side in runs for r in runs[side]))
 
-    print(f"# {args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
-    for name, row in list(entry.items()):
-        if name in ("operations", "jobs"):
-            continue
-        rows = [(name, row)] + ([(f"  job {op}", r) for op, r in entry["jobs"].items()]
-                                if name == "norm_wall_s" else [])
+    print(f"# {args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
+    for m in spec:
+        rows = [(m["name"], entry[m["name"]])]
+        if m["name"] == "norm_wall_s":
+            rows += [(f"  job {op}", r) for op, r in entry["jobs"].items()]
         for label, r in rows:
             p, c = r["parent"], r["change"]
             print(f"{label:<26} parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}]  "
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
             "parent": runs["parent"][0].get("commit", "unknown"),
             "change": runs["change"][0].get("commit", "unknown"),
             "command": f"python3 bench/run.py --workload <workload> --seed {args.seed} "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {seconds:g} --trace 0",
             "seed": args.seed,
             "pairs": args.pairs,
             "order": "alternating: parent first on even pairs, change first on odd pairs",
