@@ -12,13 +12,17 @@ CHANGE_DIR/BENCHMARK.json, and for every per-operation time that
 bench/run.py prints, it prints each side's median and quartiles and the
 number of pairs the change wins (ties count for neither side), and
 whether a gain may be claimed: wins in at least nine tenths of the pairs
-and medians further apart than the parent's interquartile range.
+and medians further apart than the parent's interquartile range.  It
+flags a regression when an end-to-end metric's change median is worse
+than the parent's by more than the metric's ``bound`` (a fraction of the
+parent median), or when the change's share of failed operations is
+larger than the parent's.
 
 With ``--out`` the summary is written in the layout of the BENCH_*.json
 files: a file that exists keeps its other keys and workloads, and this
 workload's entry is replaced.  Exits 1 if any run fails, reports an
-incorrect result or failed operations, or the two sides' job digests
-differ.
+incorrect result or failed operations, the two sides' job digests
+differ, or a regression is flagged.
 """
 
 import argparse
@@ -63,15 +67,21 @@ def summary(values: list) -> dict:
             "q3": round(q3, 4), "runs": [round(v, 4) for v in values]}
 
 
-def compare(parent: list, change: list, lower_is_better: bool) -> dict:
+def compare(parent: list, change: list, lower_is_better: bool, bound=None) -> dict:
+    """Medians, quartiles and pair wins of two sides' runs; with a
+    ``bound``, whether the change median is worse by more than that
+    fraction of the parent median."""
     sign = 1 if lower_is_better else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     p, c = summary(parent), summary(change)
     pct = 100 * (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0
     claimable = (wins >= 0.9 * len(parent)
                  and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"])
-    return {"parent": p, "change": c, "change_better_pairs": wins,
-            "median_change_pct": round(pct, 1), "gain_claimable": claimable}
+    out = {"parent": p, "change": c, "change_better_pairs": wins,
+           "median_change_pct": round(pct, 1), "gain_claimable": claimable}
+    if bound is not None:
+        out["regression"] = sign * (c["median"] - p["median"]) > bound * abs(p["median"])
+    return out
 
 
 def main(argv=None) -> int:
@@ -101,10 +111,18 @@ def main(argv=None) -> int:
     for m in spec:
         name = m["name"]
         entry[name] = compare(*([r["metrics"][name]["value"] for r in runs[side]]
-                                for side in ("parent", "change")), m["better"] == "lower")
+                                for side in ("parent", "change")),
+                              m["better"] == "lower", m["bound"])
     entry["operations"] = {
         key: {side: sum(r[key] for r in runs[side]) for side in runs}
         for key in ("attempted", "failed")}
+    share = {side: entry["operations"]["failed"][side]
+             / max(entry["operations"]["attempted"][side], 1)
+             for side in runs}
+    entry["operations"]["failed_share_regression"] = share["change"] > share["parent"]
+    regressions = [m["name"] for m in spec if entry[m["name"]]["regression"]]
+    if entry["operations"]["failed_share_regression"]:
+        regressions.append("failed-operation share")
     ops = [op for op in runs["parent"][0]["ops"] if all(op in r["ops"] for r in runs["change"])]
     entry["jobs"] = {op: compare([r["ops"][op] for r in runs["parent"]],
                                  [r["ops"][op] for r in runs["change"]], True) for op in ops}
@@ -122,9 +140,13 @@ def main(argv=None) -> int:
             print(f"{label:<26} parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}]  "
                   f"change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]  "
                   f"{r['median_change_pct']:+.1f}%  wins {r['change_better_pairs']}/{args.pairs}"
-                  + ("  gain claimable" if r["gain_claimable"] else ""))
+                  + ("  gain claimable" if r["gain_claimable"] else "")
+                  + (f"  REGRESSION beyond the {m['bound']:.0%} bound"
+                     if r.get("regression") else ""))
     print("operations", entry["operations"], "digests identical" if len(digests) == 1
           else "DIGESTS DIFFER")
+    if entry["operations"]["failed_share_regression"]:
+        print(f"REGRESSION: failed-operation share {share['parent']:.4f} -> {share['change']:.4f}")
 
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -142,7 +164,7 @@ def main(argv=None) -> int:
         })
         doc.setdefault("workloads", {})[args.workload] = entry
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0 if ok else 1
+    return 0 if ok and not regressions else 1
 
 
 if __name__ == "__main__":

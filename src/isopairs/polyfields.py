@@ -478,25 +478,21 @@ def random_poly(n, m, maxdeg, parity, rng: Lcg64) -> SuperPolynomial:
             c = rng.choice((-2, -1, 1, 2))
             terms_key = rng.choice(monos)
             terms[terms_key] = terms.get(terms_key, 0) + c
-        p = SuperPolynomial(n, m, terms)
-        if not p.is_zero():
-            return p
+        terms = {k: c for k, c in terms.items() if c}
+        if terms:  # the monomials are normalized and the coefficients ints
+            return SuperPolynomial._make(n, m, terms)
 
 
 def random_field(n, m, maxdeg, parity, rng: Lcg64) -> SuperVectorField:
     """Random homogeneous field of the given parity."""
     while True:
-        even = [SuperPolynomial.zero(n, m) for _ in range(n)]
-        odd = [SuperPolynomial.zero(n, m) for _ in range(m)]
+        slots = [{} for _ in range(n + m)]  # the d/dx_i, then the d/dt_j terms
         for _ in range(1 + rng.below(2)):
             slot = rng.below(n + m)
-            if slot < n:
-                even[slot] = even[slot] + random_poly(n, m, maxdeg, parity, rng)
-            else:
-                odd[slot - n] = odd[slot - n] + random_poly(
-                    n, m, maxdeg, (parity + 1) % 2, rng
-                )
-        X = SuperVectorField(n, m, even, odd)
+            p = random_poly(n, m, maxdeg, parity if slot < n else (parity + 1) % 2, rng)
+            axpy(slots[slot], 1, p.terms)
+        polys = [SuperPolynomial._make(n, m, terms) for terms in slots]
+        X = SuperVectorField(n, m, polys[:n], polys[n:])
         if not X.is_zero() and X.parity == parity:
             return X
 
@@ -556,11 +552,18 @@ def sample_check_w_o_pair(
                     else:  # V2 = O(n|m)
                         env[letter] = random_poly(n, m, maxdeg, par, rng)
                     parities[letter] = par
-                total = None
+                # sum the terms into one workspace per coefficient slot
+                acc: list = []
                 for t in ident.residual_terms():
-                    c = t.coeff * eval_sign_pairs(t.sign_pairs, parities)
-                    val = _eval_tree(t.expr, env).scale(c)
-                    total = val if total is None else total + val
+                    c = _coeff(t.coeff * eval_sign_pairs(t.sign_pairs, parities))
+                    val = _eval_tree(t.expr, env)
+                    field = isinstance(val, SuperVectorField)
+                    polys = val.even_coeffs + val.odd_coeffs if field else (val,)
+                    acc = acc or [{} for _ in polys]
+                    for terms, p in zip(acc, polys):
+                        axpy(terms, c, p.terms)
+                polys = [SuperPolynomial._make(n, m, terms) for terms in acc]
+                total = SuperVectorField(n, m, polys[:n], polys[n:]) if field else polys[0]
                 return {} if total.is_zero() else _residual_repr(total)
 
             reports.append(axiom_report(

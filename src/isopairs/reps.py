@@ -46,6 +46,7 @@ from .pairs import (
     Tensors,
     VerifyReport,
     axiom_report,
+    check_symmetry,
 )
 from .supercore import CATALOG, TKK_CATALOG, Identity, SuperSpace, eval_sign_pairs
 from .tkk import PolarizedSuperalgebra, PreconditionError
@@ -126,11 +127,14 @@ class SplitData:
         return SplitData(indices("h1"), indices("h2"))
 
 
-def _instances(t: Tensors, ident: Identity):
+def _instances(t: Tensors, ident: Identity, swap: tuple = ()):
     """The basis instances over ``t`` of an identity whose one left node
     equals a signed sum of operator words, as ``(where, comps, words)``:
     the letters' basis indices in the node's key order, the node's
-    tensor output, and each word as (coefficient, ((side, index), ...))."""
+    tensor output, and each word as (coefficient, ((side, index), ...)).
+    With ``swap``, the letters (x, y) of :func:`_swapped_letters`, only
+    x < y, and x = y on odd elements, are listed: on a graded-antisymmetric
+    tensor the instance at (y, x) is -A times that at (x, y), or zero."""
     (lhs,), terms = ident.lhs.terms, ident.rhs.terms
     if lhs.coeff != 1 or lhs.sign_pairs or any(tm.coeff.denominator > 1 for tm in terms):
         raise TypeError("a representation identity equates one node to integer words")
@@ -138,8 +142,11 @@ def _instances(t: Tensors, ident: Identity):
     letters = tuple(e.name for e in node.slots)
     tensor = t.tensors[sides[node.left.name]]
     spaces = [t.spaces[sides[l]] for l in letters]
+    x, y = map(letters.index, swap) if swap else (0, 0)
     signed: dict = {}  # the words' coefficients, by the letters' parities
     for key in itertools.product(*(range(s.dim) for s in spaces)):
+        if swap and (key[x] > key[y] or key[x] == key[y] and not spaces[x].parities[key[x]]):
+            continue
         where = dict(zip(letters, key))
         bits = tuple(s.parities[i] for s, i in zip(spaces, key))
         if bits not in signed:
@@ -149,6 +156,19 @@ def _instances(t: Tensors, ident: Identity):
         words = [(c, tuple((sides[l], where[l]) for l in tm.expr.letters))
                  for c, tm in zip(signed[bits], terms)]
         yield where, tensor.get(key, {}), words
+
+
+def _swapped_letters(ident: Identity) -> tuple:
+    """The two letters of ``ident``'s left node that graded antisymmetry
+    exchanges: those where the nodes of ``antisymmetry.isotopic`` differ,
+    renamed slot by slot onto ``ident``'s node."""
+    sym = CATALOG["antisymmetry.isotopic"]
+    (src,), (dst,) = sym.lhs.terms, sym.rhs.terms
+    node = ident.lhs.terms[0].expr
+    if type(node) is not type(src.expr) or node.op != src.expr.op:
+        raise TypeError(f"{ident.name} does not equate an isocommutator")
+    rename = {a.name: b.name for a, b in zip(src.expr.slots, node.slots)}
+    return tuple(rename[a.name] for a, b in zip(src.expr.slots, dst.expr.slots) if a != b)
 
 
 def _residuals(t: Tensors, ident: Identity, own: Sequence[Matrix], mix, tag=()):
@@ -167,8 +187,15 @@ def _residuals(t: Tensors, ident: Identity, own: Sequence[Matrix], mix, tag=()):
         yield dict(tag, **where), res
 
 
-# the Definition-2 identities, by the side whose operators they constrain
+# the Definition-2 identities, by the side whose operators they constrain,
+# and the letter pair in which each is graded-antisymmetric
 _REP = {1: CATALOG["rep.T1"], 2: CATALOG["rep.T2"]}
+_SWAPS = {side: _swapped_letters(ident) for side, ident in _REP.items()}
+
+
+def _integral(vec: dict) -> dict:
+    """``vec`` with each integral coefficient as a Python int."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in vec.items()}
 
 
 def check_rep(r: PairRep, cap: int = FAILURE_CAP) -> VerifyReport:
@@ -333,7 +360,7 @@ class _WordEngine:
         # child of wid under op is first_child[wid] + op (None at the cap)
         self.first_child: list = []
         for k, (sector, _, _) in enumerate(seeds):
-            self._add(Word(k, ()))
+            self._add(Word(k, ()), sector)
         frontier = list(range(len(self.words)))
         for _ in range(cap):
             nxt = []
@@ -341,21 +368,17 @@ class _WordEngine:
                 w = self.words[wid]
                 side = self.sector[wid]
                 self.first_child[wid] = len(self.words)
+                # acting with side s requires sector s and flips it
                 for op in range(pair.space(side).dim):
-                    nxt.append(self._add(Word(w.seed, w.chain + ((side, op),))))
+                    nxt.append(self._add(Word(w.seed, w.chain + ((side, op),)), 3 - side))
             frontier = nxt
         self.relations = IncrementalSpan(pivot="max")
         self._collect(seed_relations)
 
-    def _add(self, w: Word) -> int:
+    def _add(self, w: Word, sector: int) -> int:
         wid = len(self.words)
         self.words.append(w)
         self.first_child.append(None)
-        sector = self.seeds[w.seed][0]
-        for side, _ in w.chain:
-            # acting with side s requires sector s and flips it
-            assert side == sector
-            sector = 3 - sector
         self.sector.append(sector)
         return wid
 
@@ -403,15 +426,20 @@ class _WordEngine:
             if self.seeds[rel.seed][0] == rel.side:  # else structurally zero
                 first = first_child[rel.seed]
                 vec = {first + op: c for op, c in rel.combo.items() if c}
-            push(axpy(vec, -1, rel.rhs))
+            push(_integral(axpy(vec, -1, rel.rhs)))
 
         # every instance of the identity of a word's sector, applied to
         # the word: T_s(node) w minus each operator word times w, the
         # word's last operator acting first, walked down first_child (a
-        # word on the wrong sector is killed, and none reaches the cap)
+        # word on the wrong sector is killed, and none reaches the cap);
+        # on a graded-antisymmetric pair (the engine's callers take
+        # isotopic pairs only), each exchanged pair of instances spans one
+        # line, so only one of them is listed
         t = self.pair.tensors()
-        instances = {side: [(comps, [(Fraction(-c), word[::-1]) for c, word in words])
-                            for _, comps, words in _instances(t, ident)]
+        antisymmetric = all(r.passed for r in check_symmetry(self.pair))
+        instances = {side: [(_integral(comps), [(-c, word[::-1]) for c, word in words])
+                            for _, comps, words in _instances(
+                                t, ident, _SWAPS[side] if antisymmetric else ())]
                      for side, ident in _REP.items()}
         for wid in range(len(self.words)):
             if len(self.words[wid]) > self.cap - 3:

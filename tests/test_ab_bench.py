@@ -1,0 +1,69 @@
+"""scripts/ab_bench.py: gain claims and regression flags, on stub runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ab_bench.py"
+SPEC = [{"name": "norm_wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}]
+
+
+@pytest.fixture
+def ab():
+    spec = importlib.util.spec_from_file_location("ab_bench", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stub(ab, monkeypatch, tmp_path, values, failed=None):
+    """Point ab_bench at two empty checkouts whose runs report ``values``
+    (side -> metric -> value) and ``failed`` (side -> failed count)."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "end_to_end": SPEC}))
+    failed = failed or {}
+
+    def run_once(checkout, workload, seed, seconds):
+        side = checkout.name
+        bad = failed.get(side, 0)
+        return {"correct": not bad, "attempted": 10, "failed": bad, "ops": {}, "digests": {},
+                "metrics": {m: {"value": v} for m, v in values[side].items()}}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    code = ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                    "--workload", "w", "--seed", "0", "--pairs", "3", "--out", str(out)])
+    return code, json.loads(out.read_text())["workloads"]["w"]
+
+
+def test_a_gain_within_every_bound_passes(ab, monkeypatch, tmp_path, capsys):
+    code, entry = _stub(ab, monkeypatch, tmp_path, {
+        "parent": {"norm_wall_s": 1.0, "peak_rss_mb": 40.0},
+        "change": {"norm_wall_s": 0.8, "peak_rss_mb": 41.0}})
+    assert code == 0
+    assert entry["norm_wall_s"]["gain_claimable"] and not entry["norm_wall_s"]["regression"]
+    assert not entry["peak_rss_mb"]["regression"]  # +2.5% is inside the 5% bound
+    assert "REGRESSION" not in capsys.readouterr().out
+
+
+def test_a_metric_worse_than_its_bound_is_flagged(ab, monkeypatch, tmp_path, capsys):
+    code, entry = _stub(ab, monkeypatch, tmp_path, {
+        "parent": {"norm_wall_s": 1.0, "peak_rss_mb": 40.0},
+        "change": {"norm_wall_s": 0.9, "peak_rss_mb": 42.5}})
+    assert code == 1
+    assert entry["peak_rss_mb"]["regression"] and not entry["norm_wall_s"]["regression"]
+    flagged = [line for line in capsys.readouterr().out.splitlines() if "REGRESSION" in line]
+    assert len(flagged) == 1 and flagged[0].startswith("peak_rss_mb")
+
+
+def test_a_larger_failed_share_is_flagged(ab, monkeypatch, tmp_path, capsys):
+    same = {"norm_wall_s": 1.0, "peak_rss_mb": 40.0}
+    code, entry = _stub(ab, monkeypatch, tmp_path, {"parent": same, "change": same},
+                        failed={"change": 1})
+    assert code == 1 and entry["operations"]["failed_share_regression"]
+    assert "REGRESSION: failed-operation share 0.0000 -> 0.1000" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Command-line interface and catalog persistence."""
 
 import copy
+import hashlib
 import json
 from dataclasses import replace
 
@@ -205,6 +206,51 @@ def test_rep_hw_fundamental(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "total dim 4" in out and "pass" in out
+
+
+# SHA-256 of the stdout and of the -o JSON of `isopair rep ...`, recorded
+# before the word engine listed each antisymmetric instance pair once
+_STDOUT_DIM4 = "bbfcfc63f3b7e31aaad713fd6dc15f6f767a3669b671e8ef4362d8ab432d6f6f"
+_STDOUT_DIM1 = "7ca08ec97dcb56150aa37b94e8c601f9622ce60eda27322ce593c005ce82601e"
+_STDOUT_DIM0 = "bed00c97bef3038f1c88c89d4895a7092877ac79a09bab51d82ba3f473691c38"
+_STDOUT_DIM6 = "af61a7cf13535151d93dd27d3a616c015152034ee7dd024c13d5d9429da8d5f6"
+
+
+_REP_PINS = [
+    (["hw", "--pair", "gl:2,0", "--weights", "1/2,1/2", "--cap", "7"], _STDOUT_DIM4,
+     "278b4d59c42cdbcbd10c6a0449678f6cd5ecfcd24bad3cf1d79a883415d26baf"),
+    (["hw", "--pair", "gl:2,0", "--weights", "1,0"], _STDOUT_DIM1,
+     "c7a744378943d2943e63105e8a446f1382a18521691448bc35d5671e2a1b0c24"),
+    (["hw", "--pair", "gl:2,0", "--weights", "0,0"],
+     "21497ccc90b5fa8df7ed941f0bab82a3249701d2abb25fda57b5a008f60d92df",
+     "e4be81b6d5b8c320b2b23e160df731ca52a532670d0d4699a28f99b9d1e463bc"),
+    (["hw", "--pair", "gl:2,0", "--weights", "3/2,-1/2"], _STDOUT_DIM0,
+     "348c8855cfa24ecfc59412c65d41b87b17db0b4ef8ae1a4661ae0da6fbed58e7"),
+    (["hw", "--pair", "gl:1,1", "--weights", "1/2,1/2"], _STDOUT_DIM4,
+     "bb3a488e1de827f9a0b7c8c5065e2eae0bdbc71f7916f90c03116ff455a6ab92"),
+    (["hw", "--pair", "gl:1,1", "--weights", "1,-1"], _STDOUT_DIM0,
+     "03eae49e6b58e5f0733844182e7cea115e45da81ef5eaa984f3d0c2ed9a4ba59"),
+    (["hw", "--pair", "gl:2,1", "--weights", "1/2,1/2", "--cap", "4"], _STDOUT_DIM6,
+     "888a9aeff90fdd5affe874b64fa18b99a4515e8f7429de3d3323fec1476a0ce6"),
+    (["hw", "--pair", "gl:2,1", "--weights", "1,0", "--cap", "4"], _STDOUT_DIM1,
+     "4de82fa051fc5e3d64c4213bd0d1b65477d04c9a22acd08c2b6a64f201c588ec"),
+    (["hw", "--pair", "gl:3,0", "--weights", "1,0", "--cap", "4"], _STDOUT_DIM1,
+     "67b9354b7674c8f0e2a442a6fb50cec0bce57b2707c3290b5ad8c6911b68f2ef"),
+    (["hw", "--pair", "gl:1,2", "--weights", "1/2,1/2", "--cap", "4"], _STDOUT_DIM6,
+     "987fe5c245e943add2fa6487a1b56d2a7ff41ef15691e531a7199a8efed699d8"),
+    (["induce", "--pair", "gl:2,0", "--chi", "1,0", "--cap", "6"],
+     "0d7b2b2389c0d2a4cdd0aa3ede5a02ca9452deaa15cc3018714afc9fc0da676f",
+     "57eec379d0ae5dfbc69b41cb45d35c129d73fa4af6e82709c0fe41c376575c6a"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha, json_sha", _REP_PINS,
+                         ids=[" ".join(argv) for argv, _, _ in _REP_PINS])
+def test_rep_outputs_are_pinned(tmp_path, capsys, argv, stdout_sha, json_sha):
+    out = tmp_path / "module.json"
+    assert run(["rep", *argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
 
 
 def test_rep_check_command(tmp_path, capsys):

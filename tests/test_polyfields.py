@@ -227,6 +227,26 @@ def test_random_poly_draws_from_the_ordered_monomials(n, m, maxdeg):
             assert p.terms == want and a.state == b.state
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (0, 3), (2, 0)])
+def test_random_field_adds_its_draws_slot_by_slot(n, m):
+    for parity in (0, 1) if m else (0,):
+        a, b = Lcg64(9), Lcg64(9)
+        for _ in range(20):
+            X = random_field(n, m, 2, parity, a)
+            while True:  # the field random_field built with + per draw
+                even, odd = [P.zero(n, m)] * n, [P.zero(n, m)] * m
+                for _ in range(1 + b.below(2)):
+                    slot = b.below(n + m)
+                    if slot < n:
+                        even[slot] = even[slot] + random_poly(n, m, 2, parity, b)
+                    else:
+                        odd[slot - n] = odd[slot - n] + random_poly(n, m, 2, 1 - parity, b)
+                want = SuperVectorField(n, m, even, odd)
+                if not want.is_zero() and want.parity == parity:
+                    break
+            assert X == want and X.parity == parity and a.state == b.state
+
+
 def test_degree_bound():
     rng = Lcg64(17)
     for _ in range(20):

@@ -18,9 +18,9 @@ from isopairs.constructions import (
     sl2,
 )
 from isopairs.exactlin import IncrementalSpan, Matrix, axpy
-from isopairs.pairs import PairStructure, SpaceMismatch
+from isopairs.pairs import PairStructure, SpaceMismatch, check_symmetry
 from isopairs.rng import Lcg64
-from isopairs.supercore import SuperSpace, sign_a
+from isopairs.supercore import SuperSpace, expand_template, sign_a
 from isopairs.tkk import superalgebra_from_pair
 
 from dense_oracle import kernel_basis, rref
@@ -702,6 +702,25 @@ def test_induced_radical_matches_the_fixed_point_oracle(monkeypatch):
     assert R.check_rep(result.rep).passed and R.check_split(result.rep, result.split).passed
 
 
+def _antisymmetry_broken(pair):
+    """``pair`` with its first m1 entry at x != y doubled, so that
+    m1(u, x, y) no longer equals -A m1(u, y, x).  A gl pair keeps its
+    grading."""
+    key = min(k for k in pair.m1 if k[1] != k[2])
+    m1 = dict(pair.m1)
+    m1[key] = {o: 2 * c for o, c in m1[key].items()}
+    return PairStructure(pair.v1, pair.v2, pair.kind, m1, pair.m2)
+
+
+def _broken_hw_module(n, m, cap):
+    """The weight-(1/2, 1/2) word module of gl(n, m) with graded
+    antisymmetry broken, without the radical (the pair has no module)."""
+    graded = _gl_grading(n, m)
+    graded = R.GradedPairData(_antisymmetry_broken(graded.pair), graded.deg1, graded.deg2)
+    lo = graded.pair.v1.labels.index(f"E{n + m - 1},{n + m - 1}")
+    return R.hw_split_module(graded, {lo: F(1)}, {lo: F(1)}, cap=cap, radical=False)
+
+
 def _collect_oracle(eng, seed_relations):
     """The relation closure with every operator applied through ``act``:
     seed rules, every Definition-2 instance on every short-enough word,
@@ -750,6 +769,8 @@ def _collect_oracle(eng, seed_relations):
     pytest.param(lambda: _hw_module(2, 1, (F(1, 2), F(1, 2)), 4, radical=False),
                  id="gl21-cap4"),
     pytest.param(lambda: _induced_diagonal((1, 0), 4)[0], id="induced-gl20-cap4"),
+    *[pytest.param(lambda n=n, m=m: _broken_hw_module(n, m, 4),
+                   id=f"gl{n}{m}-antisymmetry-broken-cap4") for n, m in ((2, 0), (2, 1))],
 ])
 def test_relation_closure_matches_the_act_oracle(monkeypatch, build):
     collect = R._WordEngine._collect
@@ -769,3 +790,54 @@ def test_relation_closure_matches_the_act_oracle(monkeypatch, build):
     (rank, closure_dims), = seen
     assert rank > 0 and result.relation_rank == rank
     assert result.closure_dims == closure_dims
+
+
+def test_swapped_letters_are_derived_from_the_antisymmetry_template():
+    assert R._SWAPS == {1: ("X", "Y"), 2: ("U", "V")}
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_swapped_letters_map_each_rep_rhs_to_plus_or_minus_itself(side):
+    # exchanging the letters, parities included, maps the identity's
+    # right-hand side, in the free envelope, to +- itself for every
+    # parity assignment; so on a graded-antisymmetric tensor the
+    # exchanged instance is a multiple of the listed one
+    ident = R._REP[side]
+    a, b = R._SWAPS[side]
+    assert ident.sides[a] == ident.sides[b]
+    exchange = {a: b, b: a}
+    letters = ident.letters
+    for bits in itertools.product((0, 1), repeat=len(letters)):
+        parities = dict(zip(letters, bits))
+        exchanged = {l: parities[exchange.get(l, l)] for l in letters}
+        got = {tuple(exchange.get(l, l) for l in word): c
+               for word, c in expand_template(ident.rhs, exchanged).items()}
+        want = expand_template(ident.rhs, parities)
+        assert want and got in (want, {w: -c for w, c in want.items()})
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["antisymmetric", "broken"])
+@pytest.mark.parametrize("n, m", [(2, 0), (2, 1)])
+def test_the_symmetric_listing_needs_graded_antisymmetry(monkeypatch, n, m, broken):
+    pair = series_gl(n, m).pair
+    if broken:
+        pair = _antisymmetry_broken(pair)
+    assert all(r.passed for r in check_symmetry(pair)) != broken
+    instances = R._instances
+    listed = {}
+
+    def recorded(t, ident, swap=()):
+        listed[ident.name] = [where for where, _, _ in instances(t, ident, swap)]
+        return instances(t, ident, swap)
+
+    monkeypatch.setattr(R, "_instances", recorded)
+    R._WordEngine(pair, [(1, "s1", 0), (2, "s2", 0)], [], 3)
+    t = pair.tensors()
+    for side, ident in R._REP.items():
+        want = [where for where, _, _ in instances(t, ident)]
+        if not broken:
+            # one of each exchanged pair, and the diagonal on odd letters
+            a, b = R._SWAPS[side]
+            odd = pair.space(side).parities
+            want = [w for w in want if w[a] < w[b] or w[a] == w[b] and odd[w[a]]]
+        assert listed[ident.name] == want
