@@ -25,7 +25,7 @@ from . import polyfields as PF
 from . import reps as R
 from . import tkk as TK
 from .acceptance import canonical_json, format_table, run_all
-from .exactlin import Matrix, scalar_from_str, unit_vec
+from .exactlin import Matrix, scalar_from_str
 from .pairs import PairStructure, VerifyReport, verify
 from .supercore import SuperSpace
 
@@ -316,28 +316,32 @@ def cmd_rep_induce(args) -> int:
     pair, _ = build_from_spec(args.pair)
     if pair is None:
         raise UsageError("rep induce needs a finite matrix pair")
-    labels = list(pair.v1.labels)
-    indices = [l[1:].split(",") for l in labels]
-    if any(len(ij) < 2 for ij in indices):
-        raise UsageError("rep induce needs a matrix pair with labels <letter>i,j")
-    # the even diagonal elements: odd ones (q:n's oi,i, every one of a
-    # flipped pair's) cannot sit in the even diagonal subpair
-    diag = [k for k, ij in enumerate(indices) if ij[0] == ij[1] and not pair.v1.parities[k]]
-    if not diag:
-        raise UsageError("rep induce needs even diagonal elements <letter>i,i; this pair has none")
-    chi = _parse_weights(args.chi) if args.chi else [Fraction(0)] * len(diag)
-    if len(chi) != len(diag):
-        raise UsageError(f"--chi takes {len(diag)} rationals for this pair")
-    sub = [unit_vec(pair.v1.dim, k) for k in diag]
-    dspace = SuperSpace.make([labels[k] for k in diag], [0] * len(diag))
-    subpair = PairStructure(dspace, dspace, "isotopic", {}, {})
+    # each side's even diagonal elements, read off its own labels: odd
+    # ones (q:n's oi,i, every one of a flipped pair's) cannot sit in the
+    # even diagonal subpair
+    subs, dspaces = [], []
+    for space in (pair.v1, pair.v2):
+        indices = [l[1:].split(",") for l in space.labels]
+        if any(len(ij) < 2 for ij in indices):
+            raise UsageError("rep induce needs a matrix pair with labels <letter>i,j")
+        diag = [k for k, ij in enumerate(indices) if ij[0] == ij[1] and not space.parities[k]]
+        subs.append([[int(k == d) for k in range(space.dim)] for d in diag])
+        dspaces.append(SuperSpace.make([space.labels[k] for k in diag], [0] * len(diag)))
+    n, n2 = (d.dim for d in dspaces)
+    if not n or n2 != n:
+        raise UsageError("rep induce needs as many even diagonal elements <letter>i,i on each "
+                         f"side, at least one; this pair has {n} and {n2}")
+    chi = _parse_weights(args.chi) if args.chi else [Fraction(0)] * n
+    if len(chi) != n:
+        raise UsageError(f"--chi takes {n} rationals for this pair")
+    subpair = PairStructure(*dspaces, "isotopic", {}, {})
     H0 = SuperSpace.make(["w1", "w2"], [0, 0])
     T1 = [Matrix.from_rows([[0, 0], [c, 0]]) for c in chi]
     T2 = [Matrix.from_rows([[0, c], [0, 0]]) for c in chi]
     subrep = R.PairRep(subpair, H0, T1, T2)
     split0 = R.SplitData((0,), (1,))
     result, containment = R.induced_split_module(
-        pair, sub, sub, subrep, split0, cap=args.cap
+        pair, *subs, subrep, split0, cap=args.cap
     )
     print(
         f"induced from the diagonal subpair: total dim {result.total_dim}, "

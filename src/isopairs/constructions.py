@@ -21,11 +21,9 @@ from .exactlin import (
     IncrementalSpan,
     Matrix,
     axpy,
-    intersect_spans,
     kernel_basis,
     scalar_to_str,
-    unit_vec,
-    vec,
+    span_basis,
 )
 from .pairs import (
     FAILURE_CAP,
@@ -90,12 +88,12 @@ class EnvelopePair:
     convention: str = ""
     attempts: list = field(default_factory=list)
 
-    def matrix_of(self, side: int, coords: Sequence[Fraction]) -> Matrix:
+    def matrix_of(self, side: int, coords: dict) -> Matrix:
+        """The side's element with sparse coordinates basis index -> scalar."""
         basis = self.basis1 if side == 1 else self.basis2
         out = Matrix.zeros(self.space.size, self.space.size)
-        for c, b in zip(coords, basis):
-            if c:
-                out = out + b.scale(c)
+        for k, c in coords.items():
+            out = out + basis[k].scale(c)
         return out
 
 
@@ -338,16 +336,14 @@ def centralizer_subpair(
     Closure is checked, not assumed.
     """
     pair = ep.pair
-    a = vec(a)
-    b = vec(b)
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
     if len(a) != pair.v1.dim or len(b) != pair.v2.dim:
         raise SpaceMismatch("vector length does not match the pair's spaces")
 
     def kernel(side, iso, first):
         """The kernel of Y -> [first, Y]_iso, column k the image of e_k."""
         dim = pair.space(side).dim
-        if dim == 0:
-            return []
         tensor = pair.m1 if side == 1 else pair.m2
         return kernel_basis(Matrix(dim, dim, [
             (o, k, iso[i] * first[l] * c)
@@ -355,11 +351,12 @@ def centralizer_subpair(
         ]))
 
     def graded_split(vectors, parities):
-        if not vectors:
-            return []
-        dim = len(parities)
-        units = [[unit_vec(dim, k) for k in range(dim) if parities[k] == p] for p in (0, 1)]
-        graded = [v for part in units if part for v in intersect_spans(vectors, part)]
+        """The RREF bases of the projections of span(vectors) onto each
+        parity.  The span lies in the sum of its projections, so it is
+        graded iff their dimensions add up to its own, and then each
+        projection is its intersection with that parity."""
+        graded = [v for p in (0, 1) for v in span_basis(
+            {k: c for k, c in u.items() if parities[k] == p} for u in vectors)]
         if len(graded) != len(vectors):
             raise ValueError("centralizer kernel is not parity graded")
         return graded
@@ -476,21 +473,15 @@ def magnetic_pair(g: LieData, form: Matrix, sign: int = 1) -> PairStructure:
         raise ValueError("sign must be +-1")
     if form != form.transpose():
         raise ValueError("form must be symmetric")
-    if len(kernel_basis(form)) > 0:
+    if kernel_basis(form):
         raise ValueError("degenerate form rejected")
     n = g.dim
 
     def tensor(s):
         t = {}
         for u, x, y in itertools.product(range(n), repeat=3):
-            comps = {}
-            cxy = s * form[x, u]
-            if cxy:
-                comps[y] = comps.get(y, 0) + cxy
-            cuy = s * form[u, y]
-            if cuy:
-                comps[x] = comps.get(x, 0) - cuy
-            comps = {k: v for k, v in comps.items() if v}
+            # s ((X, U) Y - (U, Y) X)
+            comps = axpy(axpy({}, s, {y: form[x, u]}), -s, {x: form[u, y]})
             if comps:
                 t[(u, x, y)] = comps
         return t
@@ -609,7 +600,7 @@ def sym2_pair(g: LieData, eta: Matrix):
     if invariants:
         inv_span = IncrementalSpan()
         for kv in invariants:
-            inv_span.insert({i: c for i, c in enumerate(kv) if c})
+            inv_span.insert(kv)
         complement = [i for i in range(D) if i not in inv_span.pivots]
         qpos = {c: i for i, c in enumerate(complement)}
 
@@ -617,7 +608,7 @@ def sym2_pair(g: LieData, eta: Matrix):
             """``tensor`` with ``kv`` in ``slot``: one vector per rest of the key."""
             out: dict = {}
             for key, comps in tensor.items():
-                axpy(out.setdefault(key[:slot] + key[slot + 1:], {}), kv[key[slot]], comps)
+                axpy(out.setdefault(key[:slot] + key[slot + 1:], {}), kv.get(key[slot], 0), comps)
             return out.values()
 
         # well-definedness: the e-bracket must kill invariant isotopes and
@@ -629,7 +620,7 @@ def sym2_pair(g: LieData, eta: Matrix):
         q_m1 = {(qpos[u], x, y): comps for (u, x, y), comps in sorted(pair.m1.items()) if u in qpos}
         q_m2 = {}
         for (z, a, b), comps in sorted(pair.m2.items()):
-            r = inv_span.reduce(comps)[0] if a in qpos and b in qpos else {}
+            r = inv_span.reduce(comps) if a in qpos and b in qpos else {}
             if r:  # the projection to the complement
                 q_m2[(z, qpos[a], qpos[b])] = {qpos[i]: c for i, c in r.items()}
         qv2 = SuperSpace.make([f"q{i}" for i in range(len(complement))], [0] * len(complement))

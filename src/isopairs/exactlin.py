@@ -2,15 +2,18 @@
 
 Everything in the package runs over the rationals: scalars are
 ``fractions.Fraction`` (arbitrary precision, always reduced, positive
-denominator).  Dense vectors are tuples of scalars; sparse vectors are
-dicts column -> scalar, combined with ``axpy``.  ``Matrix`` keeps its
-rows as sparse vectors.  No floating point anywhere.
+denominator).  Vectors are sparse dicts column -> scalar, holding only
+nonzero entries and combined with ``axpy``; dense lists appear only at
+the wire formats and in public signatures that take coordinates.
+``Matrix`` keeps its rows as sparse vectors.  No floating point
+anywhere.
 
 There is one elimination engine, ``IncrementalSpan``: a fraction-free
 integer echelon for span membership and solving, whose ``reduced``
-read-out is the reduced row-echelon form.  Kernels, canonical span
-bases, span intersections and inverses are read off it; the dense
-Gauss-Jordan elimination they are checked against lives in the tests.
+read-out is the reduced row-echelon form and whose ``kernel`` read-out
+is the annihilator of the span.  Kernels, canonical span bases and
+inverses are read off it; the dense Gauss-Jordan elimination they are
+checked against lives in the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 Scalar = Fraction
 
@@ -44,14 +47,6 @@ def scalar_from_str(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {s!r}") from None
-
-
-def vec(entries: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(e) for e in entries)
-
-
-def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def axpy(acc: dict, f, v: dict) -> dict:
@@ -113,7 +108,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Matrix":
-        rows = [vec(r) for r in rows]
+        rows = [[Fraction(x) for x in r] for r in rows]
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise DimensionMismatch("ragged rows")
@@ -254,7 +249,8 @@ class IncrementalSpan:
 
     def _reduce(self, v: dict) -> tuple[dict, int, dict]:
         """(r, D, combo): the residual of v is r / D, with r an integer
-        dict; the combo is as in ``reduce``."""
+        dict, and v minus the residual is the combination ``combo`` of
+        inserted vectors (``{}`` unless combos are tracked)."""
         D = math.lcm(*(x.denominator for x in v.values()))
         r = {c: x.numerator * (D // x.denominator) for c, x in v.items() if x}
         combo: dict = {}
@@ -283,17 +279,17 @@ class IncrementalSpan:
             r, D = {c: x // g for c, x in r.items()}, D // g
         return r, D, combo
 
-    def reduce(self, v: dict) -> tuple[dict, dict]:
-        """Residual of v modulo the span, and the combination of inserted
-        vectors it subtracts (``{}`` unless combos are tracked).
+    def reduce(self, v: dict) -> dict:
+        """Residual of v modulo the span (``solve`` gives the combination
+        of inserted vectors instead).
 
         The residual is the normal form of v: the only vector congruent
         to v modulo the span with no entries at pivot columns, since a
         nonzero span element has an entry at the pivot of the first row,
         in pivot order, that it uses.
         """
-        r, D, combo = self._reduce(v)
-        return {c: Fraction(x, D) for c, x in r.items()}, combo
+        r, D, _ = self._reduce(v)
+        return {c: Fraction(x, D) for c, x in r.items()}
 
     def insert(self, v: dict) -> bool:
         """Add v to the span; returns True iff the rank grew.  Only
@@ -347,54 +343,33 @@ class IncrementalSpan:
         pivots = sorted(red)
         return pivots, [red[p] for p in pivots]
 
+    def kernel(self, cols: Iterable[int]) -> list[dict]:
+        """Basis of the annihilator of the span, {x : sum_c row[c] x[c]
+        = 0 for every span vector}, among the vectors supported on
+        ``cols``, which must hold every column the span uses: for each
+        free column f of ``cols``, in their order, the vector e_f - sum_r
+        red[r][f] e_(pivot r) of the reduced form, keys ascending."""
+        pivots, red = self.reduced()
+        return [dict(sorted([(p, -r[f]) for p, r in zip(pivots, red) if f in r] + [(f, ONE)]))
+                for f in cols if f not in self.row_by_pivot]
 
-def _reduced_rows(rows: Iterable[dict]) -> tuple[list[int], list[dict]]:
-    """``IncrementalSpan.reduced`` of the span of the sparse rows."""
+
+def _span_of(rows: Iterable[dict]) -> IncrementalSpan:
     span = IncrementalSpan()
     for row in rows:
         span.insert(row)
-    return span.reduced()
+    return span
 
 
-def span_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Canonical (RREF-row) basis of the span of the given vectors."""
-    m = Matrix.from_rows(vectors)
-    _, red = _reduced_rows(m._data.values())
-    return [tuple(row.get(j, ZERO) for j in range(m.cols)) for row in red]
+def span_basis(vectors: Iterable[dict]) -> list[dict]:
+    """Canonical (RREF-row) basis of the span of the sparse vectors."""
+    return _span_of(vectors).reduced()[1]
 
 
-def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {x : m x = 0}: for each free column f
-    of the RREF, e_f - sum_r red[r][f] e_(pivot r)."""
-    pivots, red = _reduced_rows(m._data.values())
-    out = []
-    for f in sorted(set(range(m.cols)) - set(pivots)):
-        x = [ZERO] * m.cols
-        x[f] = ONE
-        for p, row in zip(pivots, red):
-            x[p] = -row.get(f, ZERO)
-        out.append(tuple(x))
-    return out
-
-
-def intersect_spans(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
-) -> list[tuple[Fraction, ...]]:
-    """Canonical (RREF-row) basis of span(a) ∩ span(b), both inside the
-    same ambient space.  Zassenhaus: the rows (a_i | a_i) and (b_j | 0)
-    span {(u + w | u) : u in span(a), w in span(b)}, whose vectors with
-    left half zero are the (0 | u) with u in both spans; the RREF rows
-    pivoting in the right half are those vectors' RREF."""
-    a = [vec(v) for v in a]
-    b = [vec(v) for v in b]
-    dims = {len(v) for v in a + b}
-    if len(dims) > 1:
-        raise DimensionMismatch("ambient dimension mismatch")
-    n = dims.pop() if dims else 0
-    rows = [{j: x for j, x in enumerate(v + v) if x} for v in a]
-    rows += [{j: x for j, x in enumerate(v) if x} for v in b]
-    pivots, red = _reduced_rows(rows)
-    return [tuple(row.get(n + j, ZERO) for j in range(n)) for p, row in zip(pivots, red) if p >= n]
+def kernel_basis(m: Matrix) -> list[dict]:
+    """Basis of the right kernel {x : m x = 0}, as sparse vectors: the
+    annihilator of m's row span."""
+    return _span_of(m._data.values()).kernel(range(m.cols))
 
 
 def invert(m: Matrix) -> Matrix:
@@ -403,7 +378,7 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    pivots, red = _reduced_rows({**m._data.get(i, {}), n + i: ONE} for i in range(n))
+    pivots, red = _span_of({**m._data.get(i, {}), n + i: ONE} for i in range(n)).reduced()
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return Matrix._make(n, n, {i: {j - n: x for j, x in row.items() if j >= n}

@@ -934,18 +934,6 @@ def check_symmetry(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
     return _check(pair, [_kind_symmetry(pair).name], cap)
 
 
-def check_jacobi_analog(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
-    if pair.kind != ISOTOPIC:
-        raise ValueError("jacobi analog applies to isotopic pairs")
-    return _check(pair, ["jacobi_analog"], cap)
-
-
-def check_compatibility(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
-    if pair.kind != ISOTOPIC:
-        raise ValueError("compatibility applies to isotopic pairs")
-    return _check(pair, ["compatibility"], cap)
-
-
 def check_super_jordan(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
     if pair.kind != SUPER_JORDAN:
         raise ValueError("the super-Jordan identity applies to superJordan pairs")

@@ -498,9 +498,8 @@ class _WordEngine:
         under the maps psi_h, i.e. the common kernel of every
         sigma_g psi_h1 ... psi_hk (Wonham, "Linear Multivariable
         Control: a Geometric Approach", ch. 3).  The sigma_g rows are
-        closed under the transposed psi_h in one span, and W is read
-        off its reduced form: for each free window class f, the vector
-        e_f - sum_r red[r][f] e_(pivot r), in word coordinates.
+        closed under the transposed psi_h in one span, and W is its
+        kernel over the window classes, in word coordinates.
         """
         words = self.words
         window = [wid for wid in self._classes() if 0 < len(words[wid]) < self.cap]
@@ -512,7 +511,7 @@ class _WordEngine:
         outputs: dict = {}  # (g, seed class) -> that row of sigma_g
         for k in window:
             for g in gens:
-                residual, _ = self.relations.reduce(self.act(g[0], g[1], {k: ONE}))
+                residual = self.relations.reduce(self.act(g[0], g[1], {k: ONE}))
                 for j, c in residual.items():
                     if j in inside:
                         psi_t[g].setdefault(j, {})[k] = c
@@ -528,9 +527,7 @@ class _WordEngine:
                     for j, c in row.items():
                         axpy(img, c, rows.get(j, {}))
                     queue.append(img)
-        obs, red = observed.reduced()
-        return [dict(sorted([(p, -r[f]) for p, r in zip(obs, red) if f in r] + [(f, ONE)]))
-                for f in window if f not in observed.row_by_pivot]
+        return observed.kernel(window)
 
     def quotient(self, radical: bool = True) -> WordModuleResult:
         """Relation-closure quotient, then the radical quotient, then the
@@ -561,7 +558,7 @@ class _WordEngine:
             return (label, sector.pop(), parity.pop(), deg)
 
         for k, (sector, lab, par) in enumerate(self.seeds):
-            r, _ = self.relations.reduce({k: Fraction(1)})
+            r = self.relations.reduce({k: Fraction(1)})
             if r and G.insert(r):
                 basis_vecs.append(r)
                 meta.append(vec_meta(r, lab))
@@ -577,8 +574,7 @@ class _WordEngine:
                 if any(len(self.words[w]) + 1 > self.cap for w in v):
                     stabilized = False
                     break
-                img = self.act(side, op, v)
-                img, _ = self.relations.reduce(img)
+                img = self.relations.reduce(self.act(side, op, v))
                 if img and G.insert(img):
                     basis_vecs.append(img)
                     lab = self.pair.space(side).labels[op] + (
@@ -604,8 +600,7 @@ class _WordEngine:
             for col, v in enumerate(basis_vecs):
                 if meta[col][1] != side:
                     continue
-                img = self.act(side, op, v)
-                img, _ = self.relations.reduce(img)
+                img = self.relations.reduce(self.act(side, op, v))
                 coords = G.solve(img)
                 if coords is None:
                     raise RuntimeError("generated submodule not closed")
@@ -688,15 +683,19 @@ def induced_split_module(
     ``sub_basis_i`` embed the subpair's basis into the ambient pair's
     coordinates; the subrep's action supplies the seed rules.  Returns
     the module and a report that its restriction to the subpair
-    reproduces the subrepresentation.  An embedding vector whose support
-    leaves the parity of its subpair basis element raises SpaceMismatch;
-    a pair that is not isotopic raises PreconditionError.
+    reproduces the subrepresentation.  An embedding vector whose length
+    is not its side's dimension, or whose support leaves the parity of
+    its subpair basis element, raises SpaceMismatch; a pair that is not
+    isotopic raises PreconditionError.
     """
     if pair.kind != ISOTOPIC:
         raise PreconditionError("induced_split_module needs an isotopic pair")
     for side, basis in ((1, sub_basis_1), (2, sub_basis_2)):
         ambient, sub = pair.space(side), subrep.pair.space(side)
         for si, emb in enumerate(basis):
+            if len(emb) != ambient.dim:
+                raise SpaceMismatch(f"side {side} embedding of {sub.labels[si]} has length "
+                                    f"{len(emb)}, not {ambient.dim}")
             if any(c and ambient.parities[i] != sub.parities[si] for i, c in enumerate(emb)):
                 raise SpaceMismatch(f"side {side} embedding of {sub.labels[si]} leaves its parity")
     if not verified:
@@ -734,9 +733,7 @@ def induced_split_module(
             for i, c in enumerate(emb):
                 if c:
                     axpy(got, 1, engine.act(1, i, {v: Fraction(c)}))
-        residual, _ = engine.relations.reduce(got)
-        want_red, _ = engine.relations.reduce(want)
-        return axpy(dict(residual), -1, want_red)
+        return axpy(engine.relations.reduce(got), -1, engine.relations.reduce(want))
 
     entries = (
         ({"sub_op": si, "seed": v}, diff(si, emb, v))

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .exactlin import axpy
+
 LETTERS = ("X", "Y", "Z", "U", "V")
 
 
@@ -192,24 +194,7 @@ def expr_parity(e: Expr, parities: dict) -> int:
 def _word_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            c = out.get(w, 0) + ca * cb
-            if c:
-                out[w] = c
-            elif w in out:
-                del out[w]
-    return out
-
-
-def _word_add(a: dict, b: dict, scale=1) -> dict:
-    out = dict(a)
-    for w, c in b.items():
-        s = out.get(w, 0) + scale * c
-        if s:
-            out[w] = s
-        elif w in out:
-            del out[w]
+        axpy(out, ca, {wa + wb: cb for wb, cb in b.items()})
     return out
 
 
@@ -235,7 +220,7 @@ def expand_expr(e: Expr, parities: dict) -> dict:
         sgn = -sgn
     lir = _word_mul(_word_mul(left, iso), right)
     ril = _word_mul(_word_mul(right, iso), left)
-    return _word_add(lir, ril, -sgn)
+    return axpy(lir, -sgn, ril)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +296,7 @@ def expand_template(t: IdentityTemplate, parities: dict) -> dict:
     out: dict = {}
     for tm in t.terms:
         scale = tm.coeff * eval_sign_pairs(tm.sign_pairs, parities)
-        out = _word_add(out, expand_expr(tm.expr, parities), scale)
+        axpy(out, scale, expand_expr(tm.expr, parities))
     return out
 
 
@@ -403,15 +388,14 @@ class Identity:
     m2); the mirrored orientation swaps sides 1 and 2.  It keeps side 0:
     the one space of a superalgebra or triple system, whose identities
     put every letter there, or the operators of a derivation identity.
-    ``printed_rhs``/``printed_lhs`` retain the source form when it
-    differs from the adopted one.
+    ``printed_rhs`` retains the source form of the right-hand side when
+    it differs from the adopted one.
     """
 
     name: str
     lhs: IdentityTemplate
     rhs: IdentityTemplate
     sides: dict
-    printed_lhs: Optional[IdentityTemplate] = None
     printed_rhs: Optional[IdentityTemplate] = None
     correction: Optional[str] = None
 
@@ -428,7 +412,7 @@ class Identity:
 
     def validate_printed(self) -> ValidationReport:
         return validate_identity(
-            self.printed_lhs if self.printed_lhs is not None else self.lhs,
+            self.lhs,
             self.printed_rhs if self.printed_rhs is not None else self.rhs,
             self.name + ".printed",
         )

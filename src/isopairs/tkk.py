@@ -298,9 +298,6 @@ class PolarizedLTS:
     def dim(self) -> int:
         return self.space.dim
 
-    def product_basis(self, i: int, j: int, k: int) -> dict:
-        return self.tensor.get((i, j, k), {})
-
     def summand(self, idx: int) -> int:
         return 1 if idx < self.split else 2
 

@@ -1,17 +1,37 @@
 """Dense Fraction oracles for the exact linear algebra.
 
 ``exactlin`` eliminates in one engine, ``IncrementalSpan``, and reads
-kernels, span bases, intersections and inverses off its reduced form.
-The tests check it against this independent Gauss-Jordan elimination
-over Fractions, and the functions built on it the way they were built
-before, so that no oracle runs on the engine it checks.  ``apply`` and
-``col`` are the dense matrix read-outs the tests' loop oracles use.
+kernels, span bases and inverses off its reduced form.  The tests check
+it against this independent Gauss-Jordan elimination over Fractions, and
+the functions built on it the way they were built before, so that no
+oracle runs on the engine it checks; ``intersect_spans`` is the
+reference for the centralizer's graded split.  Vectors here are dense
+tuples: ``vec``, ``unit_vec``, ``sparse`` and ``dense`` convert, and
+``apply`` and ``col`` are the dense matrix read-outs the tests' loop
+oracles use.
 """
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from isopairs.exactlin import ONE, ZERO, DimensionMismatch, Matrix, axpy, vec
+from isopairs.exactlin import ONE, ZERO, DimensionMismatch, Matrix, axpy
+
+
+def vec(entries: Iterable) -> tuple[Fraction, ...]:
+    return tuple(Fraction(e) for e in entries)
+
+
+def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def sparse(v: Sequence[Fraction]) -> dict:
+    """The nonzero entries of a dense vector, by index."""
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def dense(u: dict, n: int) -> tuple[Fraction, ...]:
+    return tuple(u.get(j, ZERO) for j in range(n))
 
 
 def rref(m: Matrix) -> tuple[int, Matrix, tuple[int, ...]]:

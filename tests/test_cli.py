@@ -10,7 +10,7 @@ import pytest
 from isopairs import reps as R
 from isopairs.acceptance import canonical_json
 from isopairs.cli import build_from_spec, main
-from isopairs.exactlin import Matrix, unit_vec
+from isopairs.exactlin import Matrix
 from isopairs.pairs import PairStructure
 from isopairs.rng import Lcg64
 from isopairs.supercore import SuperSpace
@@ -558,7 +558,7 @@ def test_rep_induce_embeds_only_the_even_diagonal(capsys):
     assert run(["rep", "induce", "--pair", "q:1", "--chi", "1", "--cap", "5"]) == 0
     out = capsys.readouterr().out
     pair, _ = build_from_spec("q:1")
-    sub = [unit_vec(pair.v1.dim, pair.v1.labels.index("e0,0"))]
+    sub = [[int(label == "e0,0") for label in pair.v1.labels]]
     dspace = SuperSpace.make(["e0,0"], [0])
     subrep = R.PairRep(PairStructure(dspace, dspace, "isotopic", {}, {}),
                        SuperSpace.make(["w1", "w2"], [0, 0]),
@@ -607,12 +607,33 @@ def test_rep_induce_exits_1_when_containment_fails(capsys, monkeypatch):
     assert "check_rep + check_split: pass" in out
 
 
-@pytest.mark.parametrize("spec", ["flip:gl:1,1", "flip:gl:2,1"])
+@pytest.mark.parametrize("spec", ["flip:gl:1,1", "flip:gl:2,1", "osq:2", "osp+:0,2"])
 def test_rep_induce_without_even_diagonal_exit_2(capsys, spec):
-    # every diagonal element of a flipped gl pair is odd
+    # every diagonal element of a flipped gl pair is odd; osq:2's V2
+    # (k0,1) and osp+:0,2's (w0,1) hold no diagonal element at all
     assert run(["rep", "induce", "--pair", spec]) == 2
     err = capsys.readouterr().err
     assert _single_error_line(err) and "even diagonal" in err
+
+
+def test_rep_induce_embeds_each_side_by_its_own_labels(monkeypatch):
+    # osp+:2,2's even diagonal is d2,2 and d3,3 on V1 but s0,0 and s1,1
+    # on V2, at other indices
+    seen = {}
+    real = R.induced_split_module
+
+    def spy(pair, sub1, sub2, subrep, *args, **kwargs):
+        seen.update({1: sub1, 2: sub2, "subrep": subrep})
+        return real(pair, sub1, sub2, subrep, *args, **kwargs)
+
+    monkeypatch.setattr(R, "induced_split_module", spy)
+    run(["rep", "induce", "--pair", "osp+:2,2", "--cap", "2"])
+    pair, _ = build_from_spec("osp+:2,2")
+    for side, want in ((1, ["d2,2", "d3,3"]), (2, ["s0,0", "s1,1"])):
+        labels = pair.space(side).labels
+        assert [[labels[k] for k, c in enumerate(e) if c] for e in seen[side]] == [[l] for l in want]
+        assert all(sum(e) == 1 for e in seen[side])
+        assert list(seen["subrep"].pair.space(side).labels) == want
 
 
 @pytest.mark.parametrize("spec", ["magnetic:sl2", "magnetic:so3", "sym2:so3"])

@@ -1,11 +1,13 @@
 """Series builders, envelopes, Killing forms, magnetic and S^2 pairs."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from isopairs import constructions as C
+from isopairs.acceptance import canonical_json
 from isopairs.exactlin import IncrementalSpan, Matrix
 from isopairs.pairs import (
     AxiomReport,
@@ -17,7 +19,7 @@ from isopairs.pairs import (
 )
 from isopairs.rng import Lcg64
 
-from dense_oracle import apply, kernel_basis
+from dense_oracle import apply, intersect_spans, kernel_basis, sparse
 
 F = Fraction
 
@@ -133,7 +135,7 @@ def test_osp_is_subtensor_of_gl():
 
         a = sign_a(p.v1.parities[i], p.v2.parities[j], p.v1.parities[k])
         direct = x @ u @ y - (y @ u @ x).scale(a)
-        recomposed = ep.matrix_of(1, [comps.get(t, F(0)) for t in range(p.v1.dim)])
+        recomposed = ep.matrix_of(1, comps)
         assert direct == recomposed
 
 
@@ -401,11 +403,8 @@ def _sym2_quotient_oracle(pair, invariants):
     qpos = {c: i for i, c in enumerate(complement)}
     eD, en = [unit_vec(k, D) for k in range(D)], [unit_vec(k, n) for k in range(n)]
 
-    def sparse(v):
-        return {i: c for i, c in enumerate(v) if c}
-
     def inside(v):
-        return not span.reduce(sparse(v))[0]
+        return not span.reduce(sparse(v))
 
     iso_ok = all(not any(pair.bracket(1, tuple(kv), x, y))
                  for kv in invariants for x in en for y in en)
@@ -418,7 +417,7 @@ def _sym2_quotient_oracle(pair, invariants):
             q_m1[(qi, a, b)] = comps
     for z, (qi, ci), (qj, cj) in itertools.product(range(n), enumerate(complement),
                                                    enumerate(complement)):
-        r, _ = span.reduce(sparse(pair.bracket(2, en[z], eD[ci], eD[cj])))
+        r = span.reduce(sparse(pair.bracket(2, en[z], eD[ci], eD[cj])))
         if r:
             q_m2[(z, qi, qj)] = {qpos[i]: c for i, c in r.items()}
     return iso_ok, m2_ok, q_m1, q_m2
@@ -482,7 +481,7 @@ def test_centralizer_subpairs_match_bracket_kernels(build):
         sub = C.centralizer_subpair(ep, a, b)
         for side, iso, first, basis in ((1, b, a, sub.basis1), (2, a, b, sub.basis2)):
             kernel = _centralizer_kernel_oracle(pair, side, tuple(iso), tuple(first))
-            got = [ep.matrix_of(side, v) for v in kernel]
+            got = [ep.matrix_of(side, sparse(v)) for v in kernel]
             # the subpair's basis spans the bracket kernel, parity by parity
             assert len(basis) == len(got)
             span = C._span_solver(ep.space, got)
@@ -492,3 +491,79 @@ def test_centralizer_subpairs_match_bracket_kernels(build):
 def test_centralizer_rejects_vectors_of_the_wrong_length():
     with pytest.raises(SpaceMismatch):
         C.centralizer_subpair(C.series_gl(1, 1), (F(1),) * 3, (F(1),) * 4)
+
+
+# SHA-256 of the outputs below, recorded before the vector form inside
+# exactlin changed from dense tuples to sparse dicts; each must stay
+# byte-identical.
+CENTRALIZER_PINS = {
+    "gl11": (lambda: C.series_gl(1, 1), "f9d1d07ca649f5b7bfd514d35b820d08e8e14e50036f94527b030c21da9cb0dd"),
+    "gl21": (lambda: C.series_gl(2, 1), "1da1cc8d4e5aadb7ccd84bfb67fb46d6fa403855ba361724b743a949b52a6cd6"),
+    "osp+21": (lambda: C.series_osp(2, 1, 1), "bae09b8aa79e8eb2c82e91440a789af68ead277cb85b3b0d982f1d50abdd7bcf"),
+    "q2": (lambda: C.series_q(2), "2808bc7f46450881d6f65ba01176a462e15a5e3c7d95872e9542c3dfc64be426"),
+    "isoq": (C.isoquaternionic_pair, "3f177af90ca1e7e019ce55e6284739518c8a88743d48ce7847183b0c453632e7"),
+}
+
+
+def _pin_cases(pair, rng):
+    """Eight seeded (a, b): four homogeneous of parities (k % 2, k // 2),
+    then four of mixed parity, whose kernels are often not graded."""
+    for k in range(8):
+        pa, pb = (k % 2, k // 2) if k < 4 else (None, None)
+        a = [F(rng.choice((0, 0, 1, -1, 2))) if pa in (None, p) else F(0) for p in pair.v1.parities]
+        b = [F(rng.choice((0, 0, 1, -1, 3))) if pb in (None, p) else F(0) for p in pair.v2.parities]
+        yield a, b
+
+
+@pytest.mark.parametrize("name", sorted(CENTRALIZER_PINS))
+def test_centralizer_outputs_keep_their_pinned_digest(name):
+    build, digest = CENTRALIZER_PINS[name]
+    ep = build()
+    outs = []
+    for a, b in _pin_cases(ep.pair, Lcg64(11)):
+        try:
+            outs.append(canonical_json(C.centralizer_subpair(ep, a, b).pair.to_json()))
+        except ValueError as exc:
+            outs.append(f"{type(exc).__name__}: {exc}")
+    # isoq is all even, so its kernels are always graded; each other
+    # build meets a kernel that is not
+    assert any(o.startswith("ValueError") for o in outs) == (name != "isoq")
+    assert hashlib.sha256("\n".join(outs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build, digest", [
+    (C.so3, "f2f4bbbb4ca11f181d0a28ba87ee685a44bef49b55ca19ef61ce611ae54a0088"),
+    (C.sl2, "2668570621929b3dbfd527166557850a68bbe99b465d6b6f9ab13700e779e6e7"),
+], ids=["so3", "sl2"])
+def test_sym2_quotient_pair_keeps_its_pinned_digest(build, digest):
+    g = build()
+    _, report = C.sym2_pair(g, C.killing_form(g).scale(F(-1, 2)))
+    text = canonical_json(report["quotient"]["pair"].to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["gl11", "gl21", "osp+21", "q2"])
+def test_centralizer_graded_split_matches_zassenhaus_oracle(name):
+    """Each side's subpair basis is the RREF of the bracket kernel's
+    intersection with each parity, even part first, as the dense
+    oracle's Zassenhaus intersection gives it; a kernel whose two
+    intersections fall short of its dimension is not graded and raises."""
+    ep = CENTRALIZER_PINS[name][0]()
+    pair, raised = ep.pair, 0
+    for a, b in _pin_cases(pair, Lcg64(11)):
+        want = []
+        for side, iso, first in ((1, b, a), (2, a, b)):
+            kernel = _centralizer_kernel_oracle(pair, side, tuple(iso), tuple(first))
+            ps = pair.space(side).parities
+            units = [[unit_vec(k, len(ps)) for k in range(len(ps)) if ps[k] == p] for p in (0, 1)]
+            parts = [v for u in units for v in intersect_spans(kernel, u)]
+            want.append([ep.matrix_of(side, sparse(v)) for v in parts]
+                        if len(parts) == len(kernel) else None)
+        if None in want:
+            with pytest.raises(ValueError, match="not parity graded"):
+                C.centralizer_subpair(ep, a, b)
+            raised += 1
+        else:
+            sub = C.centralizer_subpair(ep, a, b)
+            assert [sub.basis1, sub.basis2] == want
+    assert raised

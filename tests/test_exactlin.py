@@ -11,18 +11,26 @@ from isopairs.exactlin import (
     IncrementalSpan,
     Matrix,
     axpy,
-    intersect_spans,
     invert,
     kernel_basis,
     scalar_from_str,
     scalar_to_str,
     span_basis,
-    unit_vec,
-    vec,
 )
 
 import dense_oracle as oracle
-from dense_oracle import apply, col, rank_of, rref, solve_in_span
+from dense_oracle import (
+    apply,
+    col,
+    dense,
+    intersect_spans,
+    rank_of,
+    rref,
+    solve_in_span,
+    sparse,
+    unit_vec,
+    vec,
+)
 
 F = Fraction
 
@@ -89,6 +97,10 @@ def test_solve_in_span_dimension_mismatch():
         solve_in_span([vec([1, 0])], [1, 0, 0])
 
 
+# the dense oracle's intersection, the reference for the centralizer's
+# graded split
+
+
 def test_intersect_spans_trivial():
     e1, e2 = unit_vec(2, 0), unit_vec(2, 1)
     assert intersect_spans([e1], [e1]) == [e1]
@@ -122,7 +134,7 @@ def test_kernel_basis():
     ker = kernel_basis(m)
     assert len(ker) == 2
     for k in ker:
-        assert all(x == 0 for x in apply(m, k))
+        assert all(x == 0 for x in apply(m, dense(k, 3)))
 
 
 def test_invert_round_trip():
@@ -145,8 +157,8 @@ def test_scalar_round_trip(x):
 
 
 def test_span_basis_canonical():
-    b1 = span_basis([vec([2, 4]), vec([1, 2])])
-    b2 = span_basis([vec([1, 2])])
+    b1 = span_basis([sparse(vec([2, 4])), sparse(vec([1, 2]))])
+    b2 = span_basis([sparse(vec([1, 2]))])
     assert b1 == b2
 
 
@@ -264,14 +276,11 @@ def _check_span(n, inserted, probes, pivot, track):
     """IncrementalSpan against a dense rref: rank, pivots, residuals,
     membership and solve coefficients, all returned as Fractions."""
 
-    def dense(u):
-        return vec(u.get(c, 0) for c in range(n))
-
     span = IncrementalSpan(track_combos=track, pivot=pivot)
     kept = []
     for u in inserted:
         grew = span.insert(u)
-        assert grew == (rank_of([*map(dense, kept), dense(u)]) > len(kept))
+        assert grew == (rank_of([*(dense(k, n) for k in kept), dense(u, n)]) > len(kept))
         if grew:
             kept.append(u)
     pivots, _ = _normal_form(inserted, {}, n, pivot)
@@ -286,10 +295,10 @@ def _check_span(n, inserted, probes, pivot, track):
         assert all(type(x) is F and x for x in row.values())
         assert _normal_form(inserted, row, n, pivot)[1] == {}
     for v in inserted + probes:
-        residual, _ = span.reduce(v)
+        residual = span.reduce(v)
         assert residual == _normal_form(inserted, v, n, pivot)[1]
         assert all(type(x) is F for x in residual.values())
-        in_span = solve_in_span([dense(u) for u in kept], dense(v)) is not None
+        in_span = solve_in_span([dense(u, n) for u in kept], dense(v, n)) is not None
         assert span.contains(v) == in_span
         if not track:
             continue
@@ -382,9 +391,9 @@ def sparse_matrices(draw):
     return Matrix(r, c, [(i, j, x) for i, row in enumerate(grid) for j, x in enumerate(row)])
 
 
-@given(sparse_matrices(), st.data())
+@given(sparse_matrices())
 @settings(max_examples=150, deadline=None)
-def test_sparse_rref_kernel_invert_match_span_oracles(m, data):
+def test_sparse_rref_kernel_invert_match_span_oracles(m):
     rows, cols = _grid(m), [list(c) for c in zip(*_grid(m))]
     rank, red, pivots = rref(m)
     assert rank == len(pivots) == rank_of(rows)
@@ -407,15 +416,13 @@ def test_sparse_rref_kernel_invert_match_span_oracles(m, data):
     assert got_pivots == list(pivots)
     assert got_red == [{j: x for j, x in enumerate(row) if x} for row in basis]
     assert all(type(x) is F for row in got_red for x in row.values())
-    assert span_basis(rows) == oracle.span_basis(rows)
+    assert span_basis(map(sparse, rows)) == list(map(sparse, oracle.span_basis(rows)))
     ker = kernel_basis(m)
-    assert ker == oracle.kernel_basis(m)
+    assert ker == list(map(sparse, oracle.kernel_basis(m)))
+    ker = [dense(k, m.cols) for k in ker]
     assert len(ker) == m.cols - rank
     assert not ker or rank_of(ker) == len(ker)
     assert all(not any(apply(m, k)) for k in ker)
-    other = data.draw(st.lists(st.lists(big_sparse_entries, min_size=m.cols, max_size=m.cols),
-                               max_size=4))
-    assert intersect_spans(rows, other) == oracle.intersect_spans(rows, other)
     if m.rows != m.cols:
         with pytest.raises(DimensionMismatch):
             invert(m)
@@ -431,3 +438,28 @@ def test_sparse_rref_kernel_invert_match_span_oracles(m, data):
     # columns of m
     for j in range(m.cols):
         assert col(inv, j) == solve_in_span(cols, unit_vec(m.rows, j))
+
+
+@given(sparse_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_span_kernel_over_a_column_subset_matches_dense_oracle(m, data):
+    """IncrementalSpan.kernel(cols) the way the word engine's radical
+    reads it: the span's vectors live on a subset ``cols`` of a wider
+    coordinate range, and its kernel over ``cols`` is m's kernel with
+    column j renamed cols[j], vector for vector, keys ascending."""
+    extra = data.draw(st.integers(0, 3))
+    cols = sorted(data.draw(st.permutations(range(m.cols + extra)))[:m.cols])
+    for pivot in ("min", "max"):
+        span = IncrementalSpan(pivot=pivot)
+        for row in m._data.values():
+            span.insert({cols[j]: x for j, x in row.items()})
+        got = span.kernel(cols)
+        assert all(list(k) == sorted(k) for k in got)
+        if pivot == "min":
+            want = [{cols[j]: x for j, x in sparse(k).items()} for k in oracle.kernel_basis(m)]
+            assert got == want
+        # any pivot order: a basis of the same kernel
+        assert len(got) == m.cols - span.rank
+        assert not got or rank_of([dense(k, m.cols + extra) for k in got]) == len(got)
+        assert all(not sum((x * k.get(c, 0) for c, x in row.items()), F(0))
+                   for k in got for row in span.rows)

@@ -81,10 +81,10 @@ def test_check_symmetry_constructed_violation():
 
 
 def test_jacobi_envelope_pass_and_zero():
-    rs = P.check_jacobi_analog(series_gl(1, 1).pair)
+    rs = P._check(series_gl(1, 1).pair, ["jacobi_analog"], P.FAILURE_CAP)
     assert all(r.passed for r in rs)
     assert rs[0].total == 4**5
-    assert all(r.passed for r in P.check_jacobi_analog(zero_pair()))
+    assert all(r.passed for r in P._check(zero_pair(), ["jacobi_analog"], P.FAILURE_CAP))
 
 
 def test_jacobi_random_tensor_fails():
@@ -94,7 +94,7 @@ def test_jacobi_random_tensor_fails():
 
 
 def test_compatibility_envelope_pass():
-    assert all(r.passed for r in P.check_compatibility(series_q(1).pair))
+    assert all(r.passed for r in P._check(series_q(1).pair, ["compatibility"], P.FAILURE_CAP))
 
 
 def test_super_jordan_plus_envelope():

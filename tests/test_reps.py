@@ -428,6 +428,22 @@ def test_induced_rejects_an_embedding_of_another_parity(side):
     assert ind.total_dim > 0
 
 
+@pytest.mark.parametrize("side", [1, 2])
+@pytest.mark.parametrize("length", [1, 3])
+def test_induced_rejects_an_embedding_of_the_wrong_length(side, length):
+    # q(1)'s sides have dimension 2
+    pair = series_q(1).pair
+    even = unit(pair.v1.labels.index("e0,0"), 2)
+    wrong = (even + (F(1),))[:length]
+    dspace = SuperSpace.make(["d0"], [0])
+    subrep = R.PairRep(PairStructure(dspace, dspace, "isotopic", {}, {}),
+                       SuperSpace.make(["w1", "w2"], [0, 0]), [Matrix.zeros(2, 2)],
+                       [Matrix.zeros(2, 2)])
+    subs = ([wrong], [even]) if side == 1 else ([even], [wrong])
+    with pytest.raises(SpaceMismatch, match=f"side {side} embedding of d0 has length {length}"):
+        R.induced_split_module(pair, *subs, subrep, R.SplitData((0,), (1,)), cap=2)
+
+
 def test_module_builders_reject_super_jordan_pairs():
     # Definition 2 (rep.T1 / rep.T2) is imposed on isotopic pairs only
     pair = series_gl(2, 0).pair.parity_flip()
@@ -554,7 +570,7 @@ def _dense_radical(eng):
     images = {}
     for wid in window:
         for g in gens:
-            residual, _ = eng.relations.reduce(eng.act(g[0], g[1], {wid: F(1)}))
+            residual = eng.relations.reduce(eng.act(g[0], g[1], {wid: F(1)}))
             images[wid, g] = {pos[w]: c for w, c in residual.items()}
     S = [{pos[wid]: F(1)} for wid in window]
     while S:
@@ -568,7 +584,7 @@ def _dense_radical(eng):
                 img = {}
                 for cls, c in v.items():
                     axpy(img, c, images[basis[cls], g])
-                block.append(span.reduce(img)[0])
+                block.append(span.reduce(img))
             for coord in sorted({k for r in block for k in r}):
                 rows.append([r.get(coord, F(0)) for r in block])
         if not rows:
@@ -781,7 +797,7 @@ def test_relation_closure_matches_the_act_oracle(monkeypatch, build):
         ref = _collect_oracle(eng, seed_relations)
         assert eng.relations.pivots == ref.pivots
         assert eng.relations.rank == ref.rank
-        assert not any(eng.relations.reduce(row)[0] for row in ref.rows)  # same span
+        assert not any(eng.relations.reduce(row) for row in ref.rows)  # same span
         classes = [wid for wid in range(len(eng.words)) if wid not in ref.pivots]
         seen.append((ref.rank, eng._dims_of(classes)))
 

@@ -1,14 +1,20 @@
 """Sign kernel and free-envelope validator."""
 
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from isopairs import supercore as sc
+from isopairs.exactlin import axpy
 
 bits = st.integers(0, 1)
 
@@ -76,7 +82,7 @@ def test_expansion_linear_in_terms():
         parities = dict(zip(("X", "Y", "U"), bitsv))
         a = sc.expand_template(t1, parities)
         b = sc.expand_template(t2, parities)
-        merged = sc._word_add(a, b)
+        merged = axpy(dict(a), 1, b)
         assert merged == sc.expand_template(both, parities)
 
 
@@ -214,3 +220,14 @@ def test_derivation_templates_stay_out_of_the_other_catalogs():
     # every other identity enumerates its letters in letter_key order
     for ident in [*sc.CATALOG.values(), *sc.TKK_CATALOG.values()]:
         assert ident.letters == tuple(sorted(ident.sides, key=sc.letter_key)), ident.name
+
+
+def test_validate_identities_stdout_keeps_its_pinned_digest():
+    """scripts/validate_identities.py prints the catalog's validation
+    report; its stdout is pinned byte for byte."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, str(root / "scripts" / "validate_identities.py")],
+                         capture_output=True, env=env, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == (
+        "7723aaab488bd9a6d99b535efc72b0ac6505c38b8b4a9246f0165c7948d5249d")

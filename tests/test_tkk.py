@@ -252,7 +252,7 @@ def _derivation_oracle(l, cap=tkk.FAILURE_CAP):
     reference for the sparse join in check_lts_axioms."""
     N = l.dim
     p = l.space.parities
-    T = l.product_basis
+    T = lambda i, j, k: l.tensor.get((i, j, k), {})
     combine = _combine
 
     failures, count = [], 0
@@ -333,7 +333,8 @@ def _loop_report(name, letters, tuples, residual, cap=tkk.FAILURE_CAP):
 
 
 def _lts_oracle(l):
-    N, p, T = l.dim, l.space.parities, l.product_basis
+    N, p = l.dim, l.space.parities
+    T = lambda i, j, k: l.tensor.get((i, j, k), {})
 
     def sign(x, y):
         return -1 if p[x] * p[y] % 2 else 1
