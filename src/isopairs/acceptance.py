@@ -207,7 +207,7 @@ def criterion_7(artifacts: Artifacts, state: dict) -> tuple[bool, str]:
         ("gl(1,1)", C.series_gl(1, 1).pair),
         ("isoq", C.isoquaternionic_pair().pair),
     ):
-        alg = TK.superalgebra_from_pair(pair, verified=True)
+        alg = TK.superalgebra_from_pair(pair)
         rep = TK.check_superalgebra(alg)
         ok = ok and rep.passed
         ok = ok and alg.g0_dim <= pair.v1.dim**2 + pair.v2.dim**2
@@ -233,9 +233,7 @@ def criterion_9(artifacts: Artifacts, state: dict) -> tuple[bool, str]:
     crep = R.check_rep(result.rep)
     csplit = R.check_split(result.rep, result.split)
     ok = ok and crep.passed and csplit.passed
-    alg = state.get("alg:isoq") or TK.superalgebra_from_pair(
-        C.isoquaternionic_pair().pair, verified=True
-    )
+    alg = state.get("alg:isoq") or TK.superalgebra_from_pair(C.isoquaternionic_pair().pair)
     hom = R.tkk_rep_from_split(result.rep, result.split, alg)
     ok = ok and hom.passed
     artifacts.add("fundamental_rep", result.rep.to_json(), R.PairRep.from_json)

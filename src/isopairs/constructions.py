@@ -640,9 +640,10 @@ def sym2_pair(g: LieData, eta: Matrix):
 
 
 def _random_homogeneous(space: SuperMatrixSpace, rng: Lcg64, parity: int) -> Matrix:
+    # a purely even space has no odd cells: an odd draw gives an even matrix
     cells = [
         (i, j) for i, j in space.units() if space.parity_of_index(i, j) == parity
-    ]
+    ] or space.units()
     while True:
         out = Matrix.zeros(space.size, space.size)
         for _ in range(1 + rng.below(2)):

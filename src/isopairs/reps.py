@@ -674,7 +674,6 @@ def induced_split_module(
     subrep: PairRep,
     subsplit: SplitData,
     cap: int = 4,
-    verified: bool = False,
     radical: bool = False,
 ) -> tuple[WordModuleResult, Optional[AxiomReport]]:
     """Induction from a subpair: the word engine seeded with the basis
@@ -683,25 +682,28 @@ def induced_split_module(
     ``sub_basis_i`` embed the subpair's basis into the ambient pair's
     coordinates; the subrep's action supplies the seed rules.  Returns
     the module and a report that its restriction to the subpair
-    reproduces the subrepresentation.  An embedding vector whose length
-    is not its side's dimension, or whose support leaves the parity of
-    its subpair basis element, raises SpaceMismatch; a pair that is not
-    isotopic raises PreconditionError.
+    reproduces the subrepresentation.  A side with more embeddings than
+    its subpair side has basis elements, an embedding vector whose
+    length is not its side's dimension, or one whose support leaves the
+    parity of its subpair basis element raises SpaceMismatch; a pair
+    that is not isotopic, or a subrep that fails check_rep or
+    check_split, raises PreconditionError.
     """
     if pair.kind != ISOTOPIC:
         raise PreconditionError("induced_split_module needs an isotopic pair")
     for side, basis in ((1, sub_basis_1), (2, sub_basis_2)):
         ambient, sub = pair.space(side), subrep.pair.space(side)
+        if len(basis) > sub.dim:
+            raise SpaceMismatch(f"side {side} has {len(basis)} embeddings for a "
+                                f"{sub.dim}-dimensional subpair side")
         for si, emb in enumerate(basis):
             if len(emb) != ambient.dim:
                 raise SpaceMismatch(f"side {side} embedding of {sub.labels[si]} has length "
                                     f"{len(emb)}, not {ambient.dim}")
             if any(c and ambient.parities[i] != sub.parities[si] for i, c in enumerate(emb)):
                 raise SpaceMismatch(f"side {side} embedding of {sub.labels[si]} leaves its parity")
-    if not verified:
-        ok = check_rep(subrep).passed and check_split(subrep, subsplit).passed
-        if not ok:
-            raise PreconditionError("subrep fails check_rep/check_split")
+    if not (check_rep(subrep).passed and check_split(subrep, subsplit).passed):
+        raise PreconditionError("subrep fails check_rep/check_split")
     sector_of = {}
     for k in subsplit.h1:
         sector_of[k] = 1
@@ -792,7 +794,7 @@ def tkk_rep_from_split(
     r: PairRep, s: SplitData, a: PolarizedSuperalgebra, cap: int = FAILURE_CAP
 ) -> AxiomReport:
     """rho(x) = T1(x), rho(u) = T2(u), rho(D(x,u)) = graded commutator
-    [T1(x), T2(u)]; closure elements follow their construction recipes.
+    [T1(x), T2(u)] for each g0 element D(x, u) of its recipes.
 
     The raw assignment can miss by central terms only (the inner g0
     identifies operator pairs up to relations a module need not kill
@@ -808,9 +810,8 @@ def tkk_rep_from_split(
         raise PreconditionError("superalgebra was built from a different pair")
     n0, d1 = a.g0_dim, a.pair.v1.dim
     rho = [None] * n0 + list(r.T1) + list(r.T2)
-    for idx, (kind, x, y) in enumerate(a.g0_recipes):
-        if kind == "gen":  # D(x, u): x in V1, u in V2
-            x, y = n0 + x, n0 + d1 + y
+    for idx, (_, i, j) in enumerate(a.g0_recipes):
+        x, y = n0 + i, n0 + d1 + j  # D(x_i, u_j): x_i in V1, u_j in V2
         sign = -1 if a.parities[x] * a.parities[y] % 2 else 1
         rho[idx] = rho[x] @ rho[y] - (rho[y] @ rho[x]).scale(sign)
 

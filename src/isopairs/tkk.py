@@ -2,27 +2,31 @@
 
 An isotopic pair (V1, V2) yields a Z2-graded Lie superalgebra
 g = g0 + (g1+ + g1-) with g1+ = V1, g1- = V2 carrying the twisted
-parity (bit flipped), and g0 the closure, under the graded operator
-commutator, of the maps
+parity (bit flipped), and g0 the span of the maps
 
     D(x, u) = ( y |-> [x, y]_u  on V1,
                 v |-> sigma(x, u, v) [u, v]_x  on V2 ).
 
-Each D(x, u), and each element of g0, is one block-diagonal matrix on
-V1 + V2, the V1 block before the V2 block.  The Koszul factor sigma is
-not printed in the source construction.  It is pinned (``_sigma``,
-printed as ``SIGMA``) as the one sign form, of the 128 forms
+This span is closed under the graded operator commutator, as the
+inner structure algebra of a Jordan pair is spanned by its D(x, u)
+(Loos, Jordan Pairs, LNM 460): super-Jacobi gives [D, D(x, u)] =
+D(Dx, u) +- D(x, Du).  Each D(x, u), and each element of g0, is one
+block-diagonal matrix on V1 + V2, the V1 block before the V2 block.
+The Koszul factor sigma is not printed in the source construction.  It
+is pinned (``_sigma``, printed as ``SIGMA``) as the one sign form, of
+the 128 forms
 eps (-1)^(quadratic + linear form in p(x), p(u), p(v)), for which the
 full super-Jacobi check passes on gl(2,0) and gl(1,1); the scan that
 finds it lives in tests/test_tkk.py.
 
 A super-Jordan pair yields a polarized super Lie triple system on
-V = V1 + V2 via the same machinery: the pair is parity-flipped into an
-isotopic pair, and the triple product is the double bracket
-[[a, b], c] of the associated superalgebra.  The ambient parities of
-the triple system equal the input super-Jordan parities, which are
-exactly the twisted parities of the flipped isotopic pair.  The
-implemented (graded) triple-system axiom set is:
+V = V1 + V2 from the same generators: the pair is parity-flipped into
+an isotopic pair, and the triple product is the double bracket
+[[a, b], c] of the associated superalgebra, which for a in V1 and b in
+V2 is D(a, b) c.  The ambient parities of the triple system equal the
+input super-Jordan parities, which are exactly the twisted parities of
+the flipped isotopic pair.  The implemented (graded) triple-system
+axiom set is:
 
     (i)   [a b c] = -(-1)^(p(a)p(b)) [b a c]
     (ii)  (-1)^(p(a)p(c)) [a b c] + (-1)^(p(b)p(a)) [b c a]
@@ -44,11 +48,10 @@ orientations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exactlin import IncrementalSpan, Matrix, axpy
+from .exactlin import IncrementalSpan, Matrix
 from .pairs import (
     FAILURE_CAP,
     ISOTOPIC,
@@ -92,7 +95,7 @@ class PolarizedSuperalgebra:
     grading: tuple
     table: dict  # (i, j) -> {k: Fraction}
     g0_ops: list  # block-diagonal Matrix on V1 + V2 per g0 basis element
-    g0_recipes: list  # ("gen", i, j) or ("comm", a, b)
+    g0_recipes: list  # ("gen", i, j): g0 element k is D(x_i, u_j)
 
     @property
     def dim(self) -> int:
@@ -101,9 +104,6 @@ class PolarizedSuperalgebra:
     @property
     def g0_dim(self) -> int:
         return len(self.g0_ops)
-
-    def bracket_basis(self, i: int, j: int) -> dict:
-        return self.table.get((i, j), {})
 
     def tensors(self) -> Tensors:
         return Tensors({0: SuperSpace.make(self.labels, self.parities)}, {0: self.table})
@@ -144,52 +144,33 @@ def _d_operator(pair: PairStructure, i: int, j: int) -> Matrix:
     return Matrix(d1 + d2, d1 + d2, P + Q)
 
 
-def superalgebra_from_pair(pair: PairStructure, verified: bool = False) -> PolarizedSuperalgebra:
+def superalgebra_from_pair(pair: PairStructure) -> PolarizedSuperalgebra:
     """Theorem-2B construction: the polarized Z2-graded superalgebra of
-    an isotopic pair.  ``verified=True`` skips the (possibly expensive)
-    precondition run of the full verify suite."""
+    an isotopic pair that passes its verify suite, with the independent
+    generators D(x, u), in (x, u) order, as the basis of g0.  A
+    commutator of two of them that leaves their span raises
+    PreconditionError."""
     if pair.kind != ISOTOPIC:
         raise PreconditionError("superalgebra_from_pair needs an isotopic pair")
-    if not verified and not verify(pair).passed:
+    if not verify(pair).passed:
         raise PreconditionError("pair fails its verify suite")
     d1, d2 = pair.v1.dim, pair.v2.dim
 
-    spans = {0: IncrementalSpan(track_combos=True), 1: IncrementalSpan(track_combos=True)}
+    # even and odd operators have disjoint supports, so one span keeps
+    # them apart and its solve coefficients index the kept generators
+    span = IncrementalSpan(track_combos=True)
     ops: list = []
     parities: list = []
     recipes: list = []
-    kept_by_parity: dict = {0: [], 1: []}
-    gen_flat: dict = {}  # (i, j) -> (flattened D(x_i, u_j), parity)
-    comm_flat: dict = {}  # (a, b) -> (flattened [D_a, D_b], parity)
-
-    def adjoin(op, flat, parity, recipe):
-        if flat and spans[parity].insert(flat):
-            ops.append(op)
-            parities.append(parity)
-            recipes.append(recipe)
-            kept_by_parity[parity].append(len(ops) - 1)
-
+    gen_flat: dict = {}  # (i, j) -> flattened D(x_i, u_j)
     for i in range(d1):
         for j in range(d2):
             op = _d_operator(pair, i, j)
-            gen_flat[(i, j)] = (op.flat(), (pair.v1.parities[i] + pair.v2.parities[j]) % 2)
-            adjoin(op, *gen_flat[(i, j)], ("gen", i, j))
-
-    # closure under the graded operator commutator; the span inside
-    # End(V1) + End(V2) is finite so this terminates, and its last pass
-    # brackets every pair of kept elements, so the table below reads
-    # each commutator from comm_flat
-    changed = True
-    while changed:
-        size = len(ops)
-        for a in range(size):
-            for b in range(a, size):
-                if (a, b) not in comm_flat:
-                    sign = -1 if parities[a] * parities[b] % 2 else 1
-                    comm = ops[a] @ ops[b] - (ops[b] @ ops[a]).scale(sign)
-                    comm_flat[(a, b)] = (comm.flat(), (parities[a] + parities[b]) % 2)
-                    adjoin(comm, *comm_flat[(a, b)], ("comm", a, b))
-        changed = len(ops) > size
+            gen_flat[(i, j)] = op.flat()
+            if span.insert(gen_flat[(i, j)]):
+                ops.append(op)
+                parities.append((pair.v1.parities[i] + pair.v2.parities[j]) % 2)
+                recipes.append(("gen", i, j))
 
     n0 = len(ops)
     labels = (
@@ -203,15 +184,6 @@ def superalgebra_from_pair(pair: PairStructure, verified: bool = False) -> Polar
         + tuple((p + 1) % 2 for p in pair.v2.parities)
     )
     grading = ("0",) * n0 + ("+",) * d1 + ("-",) * d2
-
-    def g0_coords(flat, parity) -> dict:
-        if not flat:
-            return {}
-        combo = spans[parity].solve(flat)
-        if combo is None:
-            raise RuntimeError("g0 closure violated")
-        return {kept_by_parity[parity][k]: c for k, c in combo.items() if c}
-
     table: dict = {}
 
     def put(i, j, comps: dict):
@@ -223,7 +195,12 @@ def superalgebra_from_pair(pair: PairStructure, verified: bool = False) -> Polar
 
     for a in range(n0):
         for b in range(a, n0):
-            put(a, b, g0_coords(*comm_flat[(a, b)]))
+            sign = -1 if parities[a] * parities[b] % 2 else 1
+            comm = span.solve((ops[a] @ ops[b] - (ops[b] @ ops[a]).scale(sign)).flat())
+            if comm is None:
+                raise PreconditionError(
+                    f"[D{a}, D{b}] leaves the span of the generators D(x, u)")
+            put(a, b, comm)
         cols: dict = {}  # column k of D_a: the image of basis vector k of V1 + V2
         for o, k, c in ops[a].nonzeros():
             cols.setdefault(k, {})[n0 + o] = c
@@ -231,7 +208,7 @@ def superalgebra_from_pair(pair: PairStructure, verified: bool = False) -> Polar
             put(a, n0 + k, cols[k])
     for i in range(d1):
         for j in range(d2):
-            put(n0 + i, n0 + d1 + j, g0_coords(*gen_flat[(i, j)]))
+            put(n0 + i, n0 + d1 + j, span.solve(gen_flat[(i, j)]))
 
     return PolarizedSuperalgebra(pair, labels, hat, grading, table, ops, recipes)
 
@@ -264,10 +241,10 @@ def g0_equivariance_report(a: PolarizedSuperalgebra, cap: int = FAILURE_CAP) -> 
     in the hat parities: ``EQUIVARIANCE["g0_equivariance"]`` over their
     actions on V1 and V2, on every basis tuple (D, u, x, y), for m1
     (orientation 1, x and y in V1) and m2 (orientation 2, x and y in V2)."""
-    pair, n = a.pair, [rec[0] for rec in a.g0_recipes].count("gen")
+    pair, n = a.pair, a.g0_dim
     d1 = pair.v1.dim
     acts = ({}, {})  # (D, k) -> D(e_k), on V1 and on V2
-    for d, op in enumerate(a.g0_ops[:n]):  # the generators are adjoined first
+    for d, op in enumerate(a.g0_ops):
         for o, k, c in op.nonzeros():  # the V1 block, then the V2 block
             side, base = (0, 0) if k < d1 else (1, d1)
             acts[side].setdefault((d, k - base), {})[o - base] = c
@@ -305,36 +282,30 @@ class PolarizedLTS:
         return Tensors({0: self.space}, {0: self.tensor})
 
 
-def lts_from_pair(pair: PairStructure, verified: bool = False) -> PolarizedLTS:
-    """Theorem-2A construction.  The super-Jordan pair is parity-flipped
-    into an isotopic pair and the triple product is the double bracket
-    [[a, b], c] in its polarized superalgebra; the ambient parities are
-    the input pair's own parities (= the twisted parities of the flip)."""
+def lts_from_pair(pair: PairStructure) -> PolarizedLTS:
+    """Theorem-2A construction on a super-Jordan pair that passes
+    check_super_jordan: the double bracket of its flip's superalgebra,
+    [[x, u], c] = D(x, u) c and [[u, x], c] = -(-1)^(p(x)p(u)) D(x, u) c,
+    with [g1+, g1+] = [g1-, g1-] = 0.  The ambient parities are the
+    input pair's own (= the twisted parities of the flip)."""
     if pair.kind != SUPER_JORDAN:
         raise PreconditionError("lts_from_pair needs a superJordan pair")
-    if not verified and not all(r.passed for r in check_super_jordan(pair)):
+    if not all(r.passed for r in check_super_jordan(pair)):
         raise PreconditionError("pair fails check_super_jordan")
     flip = pair.parity_flip()
-    alg = superalgebra_from_pair(flip, verified=True)
-    n0 = alg.g0_dim
     d1, d2 = pair.v1.dim, pair.v2.dim
-    N = d1 + d2
     tensor: dict = {}
-    for i, j, k in itertools.product(range(N), repeat=3):
-        ai, aj, ak = n0 + i, n0 + j, n0 + k
-        out: dict = {}
-        for m, c in alg.bracket_basis(ai, aj).items():
-            axpy(out, c, alg.bracket_basis(m, ak))
-        out = {o - n0: c for o, c in out.items()}
-        if any(o < 0 or o >= N for o in out):
-            raise RuntimeError("triple product escaped g1")
-        if out:
-            tensor[(i, j, k)] = out
+    for i in range(d1):
+        for j in range(d2):
+            s = -1 if pair.v1.parities[i] * pair.v2.parities[j] % 2 else 1
+            for o, k, c in _d_operator(flip, i, j).nonzeros():
+                tensor.setdefault((i, d1 + j, k), {})[o] = c
+                tensor.setdefault((d1 + j, i, k), {})[o] = -s * c
     labels = tuple(f"{l}+" for l in pair.v1.labels) + tuple(
         f"{l}-" for l in pair.v2.labels
     )
     space = SuperSpace.make(labels, list(pair.v1.parities) + list(pair.v2.parities))
-    return PolarizedLTS(space, d1, tensor)
+    return PolarizedLTS(space, d1, dict(sorted(tensor.items())))
 
 
 def check_lts_axioms(l: PolarizedLTS, cap: int = FAILURE_CAP) -> VerifyReport:

@@ -191,6 +191,135 @@ def test_lts_on_isotopic_pair_fails_precondition(tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
+# SHA-256 of [exit code, stdout, stderr, the -o file or None] for
+# ``isopair tkk FILE -o OUT`` and ``isopair lts FILE --json`` on each spec's
+# pair file, recorded before the hull and the triple system were read off
+# the generators D(x, u); the first is the tkk run, the second the lts run
+TKK_LTS_DIGESTS = {
+    "flip:gl:1,0": (
+        "16d3b61208e0bd0368137fa3ade0f1c959a3578eb5394834c3b4c126ae089a5e",
+        "a1032b126ee4db789022d0ad8d8d18d1e43c7abc173d74df25ba6be112e5909d",
+    ),
+    "flip:gl:1,1": (
+        "16d3b61208e0bd0368137fa3ade0f1c959a3578eb5394834c3b4c126ae089a5e",
+        "e9d3a22a017b1fada86cd28c2f613208303921bd6a8d1e6a6a0ee7d3c81d7b0f",
+    ),
+    "flip:gl:2,1": (
+        "16d3b61208e0bd0368137fa3ade0f1c959a3578eb5394834c3b4c126ae089a5e",
+        "f9cd7a3d034e602ab9268c451ddae15f05e8cb9a45c9ca1f48673ae3a67f8a2a",
+    ),
+    "flip:gl:2,2": (
+        "16d3b61208e0bd0368137fa3ade0f1c959a3578eb5394834c3b4c126ae089a5e",
+        "90a3fcb5a8448b2cca45f344d447a035323f255c219948be7ed711ca05ad19c0",
+    ),
+    "flip:isoq": (
+        "16d3b61208e0bd0368137fa3ade0f1c959a3578eb5394834c3b4c126ae089a5e",
+        "e9d3a22a017b1fada86cd28c2f613208303921bd6a8d1e6a6a0ee7d3c81d7b0f",
+    ),
+    "flip:magnetic:sl2": (
+        "16d3b61208e0bd0368137fa3ade0f1c959a3578eb5394834c3b4c126ae089a5e",
+        "9a3b299bd4f8a6e20cecbbe0bf3e2de4d847e09d7a18c138a0d702a01ade9f36",
+    ),
+    "flip:osp+:2,2": (
+        "16d3b61208e0bd0368137fa3ade0f1c959a3578eb5394834c3b4c126ae089a5e",
+        "58456a7009433eb69e4576b28c82e83bb974b8b89fdae697da090a6b7c859be3",
+    ),
+    "flip:osp-:2,2": (
+        "16d3b61208e0bd0368137fa3ade0f1c959a3578eb5394834c3b4c126ae089a5e",
+        "58456a7009433eb69e4576b28c82e83bb974b8b89fdae697da090a6b7c859be3",
+    ),
+    "flip:osq:2": (
+        "16d3b61208e0bd0368137fa3ade0f1c959a3578eb5394834c3b4c126ae089a5e",
+        "2b42d4a0daed38b66a124f4d34abba4a0b38d65f6ebe65920f3d95a5994996a6",
+    ),
+    "flip:q:1": (
+        "16d3b61208e0bd0368137fa3ade0f1c959a3578eb5394834c3b4c126ae089a5e",
+        "8d833e611ce19c0ea482d91b3213829434633f436bfa80725954b41e9ba2100b",
+    ),
+    "flip:q:2": (
+        "16d3b61208e0bd0368137fa3ade0f1c959a3578eb5394834c3b4c126ae089a5e",
+        "58456a7009433eb69e4576b28c82e83bb974b8b89fdae697da090a6b7c859be3",
+    ),
+    "gl:1,0": (
+        "167483f364e6cc7bd40d2fe9c129e8b904e73417f2c665ac6ebd3aae84e224c1",
+        "6f93a4fec7d3626c46f80fdebe5088450924c42681c89b444b8fdb8fc32ba81a",
+    ),
+    "gl:1,1": (
+        "ae65a285e46b0d1bddb19a00a2aab6e0fee9ef5475134966caf6c70c14e4c808",
+        "6f93a4fec7d3626c46f80fdebe5088450924c42681c89b444b8fdb8fc32ba81a",
+    ),
+    "gl:2,1": (
+        "e90826b975d3450623a4d11b258f3e5aa6f776a1efa81c19d2821040065280a3",
+        "6f93a4fec7d3626c46f80fdebe5088450924c42681c89b444b8fdb8fc32ba81a",
+    ),
+    "gl:2,2": (
+        "101b889b11b7d237bc7d7ae31e169910a2b9e1f20182b548ed7a4ee265359721",
+        "6f93a4fec7d3626c46f80fdebe5088450924c42681c89b444b8fdb8fc32ba81a",
+    ),
+    "isoq": (
+        "698de688276bfe4e8ee4a90439a93d929f82ec3af529514dae9a061805dc0e7e",
+        "6f93a4fec7d3626c46f80fdebe5088450924c42681c89b444b8fdb8fc32ba81a",
+    ),
+    "magnetic:sl2": (
+        "86c5c3163bd0869f90604771c4bb3187e1c72a17785304fbb8a975689432c840",
+        "6f93a4fec7d3626c46f80fdebe5088450924c42681c89b444b8fdb8fc32ba81a",
+    ),
+    "osp+:2,2": (
+        "cbf1459e0bd3cd7456d850d84285d56c9304eb51e215dd93682f266800d172b7",
+        "6f93a4fec7d3626c46f80fdebe5088450924c42681c89b444b8fdb8fc32ba81a",
+    ),
+    "osp-:2,2": (
+        "076a651239514f5a5a642df95b5501c981c197830c9484e625889788fa86122d",
+        "6f93a4fec7d3626c46f80fdebe5088450924c42681c89b444b8fdb8fc32ba81a",
+    ),
+    "osq:2": (
+        "6f369828fbcd0d6775f1d543356fbe276251b4b79017335dd6ce8c7320d38498",
+        "6f93a4fec7d3626c46f80fdebe5088450924c42681c89b444b8fdb8fc32ba81a",
+    ),
+    "q:1": (
+        "b4e87b60b4a88ebd620577b49ba5cc0412b0326f99044919bc62842b0d13a8c3",
+        "6f93a4fec7d3626c46f80fdebe5088450924c42681c89b444b8fdb8fc32ba81a",
+    ),
+    "q:2": (
+        "6b4a9cc00a2458cb3ab62bb38e6143dd873edbf7c7606177fef81950380eab3e",
+        "6f93a4fec7d3626c46f80fdebe5088450924c42681c89b444b8fdb8fc32ba81a",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TKK_LTS_DIGESTS))
+def test_tkk_and_lts_outputs_pinned(spec, tmp_path, capsys):
+    pair_file, alg_file = tmp_path / "pair.json", tmp_path / "alg.json"
+    assert run(["make", spec, "-o", str(pair_file)]) == 0
+    capsys.readouterr()
+    got = []
+    for argv in (["tkk", str(pair_file), "-o", str(alg_file)], ["lts", str(pair_file), "--json"]):
+        alg_file.unlink(missing_ok=True)
+        code = run(argv)
+        captured = capsys.readouterr()
+        written = alg_file.read_text() if alg_file.exists() else None
+        record = [code, captured.out, captured.err, written]
+        got.append(hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest())
+    assert tuple(got) == TKK_LTS_DIGESTS[spec]
+
+
+def test_tkk_with_a_wrong_sigma_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # under this sign form a commutator of two generators leaves their
+    # span, which is a precondition failure, not a traceback
+    from isopairs import tkk
+
+    pair_file = tmp_path / "gl11.json"
+    run(["make", "gl:1,1", "-o", str(pair_file)])
+    capsys.readouterr()
+    monkeypatch.setattr(tkk, "_sigma", lambda px, pu, pv: 1)
+    assert run(["tkk", str(pair_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precondition violated: ")
+    assert "span" in lines[0] and "Traceback" not in captured.err
+
+
 def test_rep_hw_on_super_jordan_pair_fails_precondition(capsys):
     # Definition 2 is imposed on isotopic pairs only: a super-Jordan pair
     # is a precondition failure, not an empty module that passes its checks

@@ -248,6 +248,14 @@ def test_random_closed_subpairs_verify():
         assert verify(ep.pair).passed
 
 
+@pytest.mark.parametrize("n, m", [(2, 0), (0, 2)])
+def test_random_closed_subpairs_of_purely_even_spaces_verify(n, m):
+    # no odd cells: an odd draw falls back to an even matrix
+    space = C.SuperMatrixSpace(n, m)
+    for seed in range(20):
+        assert verify(C.random_closed_subpair(space, Lcg64(seed)).pair).passed
+
+
 def test_random_perturbation_fails():
     rng = Lcg64(101)
     base = C.series_gl(1, 1).pair

@@ -125,7 +125,7 @@ def test_isoquaternion_fundamental():
 
 def test_fundamental_tkk_lift():
     res = R.isoquaternion_fundamental()
-    alg = superalgebra_from_pair(isoquaternionic_pair().pair, verified=True)
+    alg = superalgebra_from_pair(isoquaternionic_pair().pair)
     rep = R.tkk_rep_from_split(res.rep, res.split, alg)
     assert rep.passed
     assert rep.adopted_form.startswith("central extension")
@@ -133,7 +133,7 @@ def test_fundamental_tkk_lift():
 
 def test_tkk_lift_zero_rep():
     pair = series_gl(1, 1).pair
-    alg = superalgebra_from_pair(pair, verified=True)
+    alg = superalgebra_from_pair(pair)
     r0 = zero_rep(pair)
     rep = R.tkk_rep_from_split(r0, R.SplitData((0,), (1,)), alg)
     assert rep.passed and rep.adopted_form == "printed"
@@ -141,7 +141,7 @@ def test_tkk_lift_zero_rep():
 
 def test_tkk_lift_precondition():
     pair = series_gl(1, 1).pair
-    alg = superalgebra_from_pair(pair, verified=True)
+    alg = superalgebra_from_pair(pair)
     rng = Lcg64(77)
     bad = random_rep(pair, rng, hdim=2)
     with pytest.raises(R.PreconditionError):
@@ -386,7 +386,7 @@ def test_induced_from_zero_subpair_is_free():
         PairStructure(empty, empty, "isotopic", {}, {}), H0, [], []
     )
     ind, _ = R.induced_split_module(
-        pair, [], [], subrep, R.SplitData((0,), (1,)), cap=2, verified=True
+        pair, [], [], subrep, R.SplitData((0,), (1,)), cap=2
     )
     # free alternating words: 2 seeds + 8 length-1 + 32 length-2
     assert ind.total_dim == 42
@@ -441,6 +441,21 @@ def test_induced_rejects_an_embedding_of_the_wrong_length(side, length):
                        [Matrix.zeros(2, 2)])
     subs = ([wrong], [even]) if side == 1 else ([even], [wrong])
     with pytest.raises(SpaceMismatch, match=f"side {side} embedding of d0 has length {length}"):
+        R.induced_split_module(pair, *subs, subrep, R.SplitData((0,), (1,)), cap=2)
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_induced_rejects_more_embeddings_than_subpair_elements(side):
+    # the subpair's sides are one-dimensional; two embeddings on one side
+    # are a SpaceMismatch, not an IndexError
+    pair = series_q(1).pair
+    even = unit(pair.v1.labels.index("e0,0"), 2)
+    dspace = SuperSpace.make(["d0"], [0])
+    subrep = R.PairRep(PairStructure(dspace, dspace, "isotopic", {}, {}),
+                       SuperSpace.make(["w1", "w2"], [0, 0]), [Matrix.zeros(2, 2)],
+                       [Matrix.zeros(2, 2)])
+    subs = ([even, even], [even]) if side == 1 else ([even], [even, even])
+    with pytest.raises(SpaceMismatch, match=f"side {side} has 2 embeddings for a 1-dimensional"):
         R.induced_split_module(pair, *subs, subrep, R.SplitData((0,), (1,)), cap=2)
 
 

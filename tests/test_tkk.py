@@ -4,26 +4,38 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isopairs import tkk
 from isopairs.constructions import (
+    SuperMatrixSpace,
     isoquaternionic_pair,
+    killing_form,
+    magnetic_pair,
+    random_closed_subpair,
     random_even_perturbation,
     series_gl,
     series_osp,
+    series_osq,
     series_q,
+    sl2,
+    so3,
 )
-from isopairs.exactlin import Matrix
+from isopairs.exactlin import IncrementalSpan, Matrix, axpy, scalar_to_str
 from isopairs.pairs import AxiomReport, Failure, PairStructure, VerifyReport
 from isopairs.rng import Lcg64
 from isopairs.supercore import SuperSpace
 
 from dense_oracle import apply
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import inputs  # noqa: E402
 
 F = Fraction
 
@@ -34,14 +46,14 @@ def zero_pair(kind="isotopic"):
 
 
 def test_zero_pair_gives_abelian_superalgebra():
-    alg = tkk.superalgebra_from_pair(zero_pair(), verified=True)
+    alg = tkk.superalgebra_from_pair(zero_pair())
     assert alg.g0_dim == 0
     assert alg.table == {}
     assert tkk.check_superalgebra(alg).passed
 
 
 def test_gl11_superalgebra_passes():
-    alg = tkk.superalgebra_from_pair(series_gl(1, 1).pair, verified=True)
+    alg = tkk.superalgebra_from_pair(series_gl(1, 1).pair)
     assert tkk.check_superalgebra(alg).passed
     d1, d2 = 4, 4
     assert alg.g0_dim <= d1 * d1 + d2 * d2  # closure bound
@@ -53,7 +65,7 @@ def test_gl11_superalgebra_passes():
 
 
 def test_isoquaternionic_superalgebra_passes():
-    alg = tkk.superalgebra_from_pair(isoquaternionic_pair().pair, verified=True)
+    alg = tkk.superalgebra_from_pair(isoquaternionic_pair().pair)
     rep = tkk.check_superalgebra(alg)
     assert rep.passed
     names = {r.identity for r in rep.reports}
@@ -67,7 +79,7 @@ def test_isoquaternionic_superalgebra_passes():
 
 def test_superalgebra_precondition_errors():
     with pytest.raises(tkk.PreconditionError):
-        tkk.superalgebra_from_pair(zero_pair("superJordan"), verified=True)
+        tkk.superalgebra_from_pair(zero_pair("superJordan"))
     v = SuperSpace.make(["a"], [0])
     broken = PairStructure(v, v, "isotopic", {(0, 0, 0): {0: F(1)}}, {})
     with pytest.raises(tkk.PreconditionError):
@@ -91,22 +103,31 @@ def _sign_form(eps, l_xu, l_xv, l_uv, m_x, m_u, m_v):
     return sigma
 
 
+def _hull_passes(pair):
+    """Whether the hull of the pair is built and passes
+    check_superalgebra; a commutator leaving g0 fails it."""
+    try:
+        return tkk.check_superalgebra(tkk.superalgebra_from_pair(pair)).passed
+    except tkk.PreconditionError:
+        return False
+
+
 def _passing_forms(monkeypatch, pairs):
     """Every sign form under which the hull of each pair passes
     check_superalgebra, substituted for tkk._sigma in turn."""
     passing = []
     for form in SIGN_FORMS:
         monkeypatch.setattr(tkk, "_sigma", _sign_form(*form))
-        algs = (tkk.superalgebra_from_pair(pair, verified=True) for pair in pairs)
-        if all(tkk.check_superalgebra(alg).passed for alg in algs):
+        if all(_hull_passes(pair) for pair in pairs):
             passing.append(form)
     return passing
 
 
 def test_wrong_sigma_fails_on_odd_pair(monkeypatch):
+    # under this form a commutator of two generators leaves their span
     monkeypatch.setattr(tkk, "_sigma", _sign_form(1, 0, 0, 0, 0, 0, 0))
-    alg = tkk.superalgebra_from_pair(series_gl(1, 1).pair, verified=True)
-    assert not tkk.check_superalgebra(alg).passed
+    with pytest.raises(tkk.PreconditionError, match=r"^\[D1, D4\] leaves the span"):
+        tkk.superalgebra_from_pair(series_gl(1, 1).pair)
 
 
 def test_sigma_scan_on_q1_contains_pinned(monkeypatch):
@@ -135,7 +156,7 @@ def _blocks(alg, g):
 
 def test_g0_elements_are_block_diagonal_matrices():
     for pair in (series_gl(1, 1).pair, series_q(1).pair, isoquaternionic_pair().pair):
-        alg = tkk.superalgebra_from_pair(pair, verified=True)
+        alg = tkk.superalgebra_from_pair(pair)
         n = pair.v1.dim + pair.v2.dim
         for g, op in enumerate(alg.g0_ops):
             assert isinstance(op, Matrix) and (op.rows, op.cols) == (n, n)
@@ -143,7 +164,7 @@ def test_g0_elements_are_block_diagonal_matrices():
 
 
 def test_perturbed_table_fails():
-    alg = tkk.superalgebra_from_pair(series_gl(1, 1).pair, verified=True)
+    alg = tkk.superalgebra_from_pair(series_gl(1, 1).pair)
     key = next(iter(alg.table))
     tampered = dict(alg.table)
     comps = dict(tampered[key])
@@ -164,7 +185,7 @@ def test_perturbed_table_fails():
 
 def test_g0_equivariance():
     for pair in (series_gl(1, 1).pair, isoquaternionic_pair().pair):
-        alg = tkk.superalgebra_from_pair(pair, verified=True)
+        alg = tkk.superalgebra_from_pair(pair)
         reports = tkk.g0_equivariance_report(alg)
         assert [(r.identity, r.orientation) for r in reports] == [
             ("g0_equivariance[m1]", 1), ("g0_equivariance[m2]", 2)]
@@ -175,12 +196,12 @@ def test_small_series_superalgebras_pass():
     from isopairs.constructions import series_osp, series_osq
 
     for pair in (series_q(1).pair, series_osp(1, 1, 1).pair, series_osq(2).pair):
-        alg = tkk.superalgebra_from_pair(pair, verified=True)
+        alg = tkk.superalgebra_from_pair(pair)
         assert tkk.check_superalgebra(alg).passed
 
 
 def test_superalgebra_json_dump():
-    alg = tkk.superalgebra_from_pair(series_gl(1, 0).pair, verified=True)
+    alg = tkk.superalgebra_from_pair(series_gl(1, 0).pair)
     data = alg.to_json()
     s = json.dumps(data, sort_keys=True)
     assert json.loads(s) == data
@@ -188,7 +209,7 @@ def test_superalgebra_json_dump():
 
 
 def test_zero_pair_lts():
-    lts = tkk.lts_from_pair(zero_pair("superJordan"), verified=True)
+    lts = tkk.lts_from_pair(zero_pair("superJordan"))
     assert lts.tensor == {}
     assert tkk.check_lts_axioms(lts).passed
 
@@ -279,7 +300,7 @@ def _derivation_oracle(l, cap=tkk.FAILURE_CAP):
 def _perturbed_lts(pair, seed, edits):
     """The triple system of the flipped pair with ``edits`` random
     changes to its tensor: bumped, new and deleted components."""
-    lts = tkk.lts_from_pair(pair.parity_flip(), verified=True)
+    lts = tkk.lts_from_pair(pair.parity_flip())
     rng = random.Random(seed)
     tensor = {k: dict(v) for k, v in lts.tensor.items()}
     N = lts.dim
@@ -368,7 +389,8 @@ def _lts_oracle(l):
 
 
 def _superalgebra_oracle(alg):
-    N, hat, B = alg.dim, alg.parities, alg.bracket_basis
+    N, hat = alg.dim, alg.parities
+    B = lambda i, j: alg.table.get((i, j), {})
     grading = alg.grading
     plus = [i for i in range(N) if grading[i] == "+"]
     minus = [i for i in range(N) if grading[i] == "-"]
@@ -429,7 +451,7 @@ def _perturbed_superalgebra(pair, seed, edits):
     table: bumped, new and deleted components, plus a bracket inside g1+
     and a g0 element moving g1+ into g1- (polarization and submodule
     failures)."""
-    alg = tkk.superalgebra_from_pair(pair, verified=True)
+    alg = tkk.superalgebra_from_pair(pair)
     rng = random.Random(seed)
     table = {k: dict(v) for k, v in alg.table.items()}
     N = alg.dim
@@ -512,9 +534,171 @@ HULL_DIGESTS = {
 
 @pytest.mark.parametrize("n, m", sorted(HULL_DIGESTS), ids=["gl22", "gl32"])
 def test_hull_pinned_byte_for_byte(n, m):
-    alg = tkk.superalgebra_from_pair(series_gl(n, m).pair, verified=True)
+    alg = tkk.superalgebra_from_pair(series_gl(n, m).pair)
     digest = lambda obj: hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
     assert (digest(alg.to_json()), digest(alg.g0_recipes)) == HULL_DIGESTS[(n, m)]
+
+
+# SHA-256 of the sorted triple-system tensor, recorded before the triple
+# system was read off the generators D(x, u) instead of a hull
+
+
+def _tensor_digest(tensor):
+    rows = [[list(key), [[o, scalar_to_str(c)] for o, c in sorted(tensor[key].items())]]
+            for key in sorted(tensor)]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+LTS_TENSOR_DIGESTS = {
+    "flip gl(1,1)": "b5fdecd61cab9f9eeb255e25b8468a188becce73b59ba5dbc333188256e895b2",
+    "flip gl(2,2)": "2bc2de4cd5bc3f5749dcbe3dddac0158999a4c472c3917486239ca2ed0e76f51",
+    "flip osp+(2,2)": "31a2424b274500bb2c42c2659f337cf9d4249e413bcffc5ef682f5b096650ff6",
+    "flip q(2)": "2afb7c6e6c4b28657dcca94715c9e5872a4abaa52680f2e1a2c0df275e20ff8a",
+    "transported flip gl(2,1)": "bbfb0de0a8fd5df1ac296158106582d051d466bf4f97ea5a942a3893b70ccd20",
+}
+
+LTS_PAIRS = {
+    "flip gl(1,1)": lambda: series_gl(1, 1).pair.parity_flip(),
+    "flip gl(2,2)": lambda: series_gl(2, 2).pair.parity_flip(),
+    "flip osp+(2,2)": lambda: series_osp(2, 2, 1).pair.parity_flip(),
+    "flip q(2)": lambda: series_q(2).pair.parity_flip(),
+    "transported flip gl(2,1)": lambda: inputs.change_basis(
+        series_gl(2, 1).pair.parity_flip(), random.Random(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LTS_TENSOR_DIGESTS))
+def test_triple_system_tensor_pinned_byte_for_byte(name):
+    lts = tkk.lts_from_pair(LTS_PAIRS[name]())
+    assert _tensor_digest(lts.tensor) == LTS_TENSOR_DIGESTS[name]
+
+
+# The constructions before they were read off the generators, kept as
+# oracles: g0 as the closure of the generators under the graded
+# commutator, over one span per parity, and the triple system as double
+# brackets read back out of the flipped pair's hull
+
+
+def _closure_hull(pair):
+    d1, d2 = pair.v1.dim, pair.v2.dim
+    spans = {0: IncrementalSpan(track_combos=True), 1: IncrementalSpan(track_combos=True)}
+    ops, parities, recipes = [], [], []
+    kept_by_parity = {0: [], 1: []}
+    gen_flat, comm_flat = {}, {}  # (i, j) or (a, b) -> (flattened operator, parity)
+
+    def adjoin(op, flat, parity, recipe):
+        if flat and spans[parity].insert(flat):
+            ops.append(op)
+            parities.append(parity)
+            recipes.append(recipe)
+            kept_by_parity[parity].append(len(ops) - 1)
+
+    for i in range(d1):
+        for j in range(d2):
+            op = tkk._d_operator(pair, i, j)
+            gen_flat[(i, j)] = (op.flat(), (pair.v1.parities[i] + pair.v2.parities[j]) % 2)
+            adjoin(op, *gen_flat[(i, j)], ("gen", i, j))
+    changed = True
+    while changed:
+        size = len(ops)
+        for a in range(size):
+            for b in range(a, size):
+                if (a, b) not in comm_flat:
+                    sign = -1 if parities[a] * parities[b] % 2 else 1
+                    comm = ops[a] @ ops[b] - (ops[b] @ ops[a]).scale(sign)
+                    comm_flat[(a, b)] = (comm.flat(), (parities[a] + parities[b]) % 2)
+                    adjoin(comm, *comm_flat[(a, b)], ("comm", a, b))
+        changed = len(ops) > size
+
+    n0 = len(ops)
+    labels = (tuple(f"D{k}" for k in range(n0)) + tuple(f"{l}+" for l in pair.v1.labels)
+              + tuple(f"{l}-" for l in pair.v2.labels))
+    hat = (tuple(parities) + tuple((p + 1) % 2 for p in pair.v1.parities)
+           + tuple((p + 1) % 2 for p in pair.v2.parities))
+    grading = ("0",) * n0 + ("+",) * d1 + ("-",) * d2
+
+    def g0_coords(flat, parity):
+        combo = spans[parity].solve(flat) if flat else {}
+        assert combo is not None
+        return {kept_by_parity[parity][k]: c for k, c in combo.items() if c}
+
+    table = {}
+
+    def put(i, j, comps):
+        comps = {k: F(c) for k, c in comps.items() if c}
+        if comps:
+            table[(i, j)] = comps
+            s = -1 if hat[i] * hat[j] % 2 else 1
+            table[(j, i)] = {k: -s * c for k, c in comps.items()}
+
+    for a in range(n0):
+        for b in range(a, n0):
+            put(a, b, g0_coords(*comm_flat[(a, b)]))
+        cols = {}
+        for o, k, c in ops[a].nonzeros():
+            cols.setdefault(k, {})[n0 + o] = c
+        for k in sorted(cols):
+            put(a, n0 + k, cols[k])
+    for i in range(d1):
+        for j in range(d2):
+            put(n0 + i, n0 + d1 + j, g0_coords(*gen_flat[(i, j)]))
+    return tkk.PolarizedSuperalgebra(pair, labels, hat, grading, table, ops, recipes)
+
+
+def _hull_route_lts(pair):
+    alg = _closure_hull(pair.parity_flip())
+    n0, d1, N = alg.g0_dim, pair.v1.dim, pair.v1.dim + pair.v2.dim
+    B = lambda i, j: alg.table.get((i, j), {})
+    tensor = {}
+    for i, j, k in itertools.product(range(N), repeat=3):
+        out = {}
+        for m, c in B(n0 + i, n0 + j).items():
+            axpy(out, c, B(m, n0 + k))
+        assert all(n0 <= o < n0 + N for o in out)  # the product stays in g1
+        if out:
+            tensor[(i, j, k)] = {o - n0: c for o, c in out.items()}
+    return tkk.PolarizedLTS(SuperSpace.make(alg.labels[n0:], pair.v1.parities + pair.v2.parities),
+                            d1, tensor)
+
+
+def _series():
+    return [series_gl(1, 0), series_gl(1, 1), series_gl(2, 0), series_gl(2, 1), series_gl(1, 2),
+            series_gl(2, 2), series_osp(1, 1, 1), series_osp(2, 1, 1), series_osp(2, 2, -1),
+            series_q(1), series_q(2), series_osq(2), isoquaternionic_pair()]
+
+
+def _subpairs(n, m):
+    return lambda: [random_closed_subpair(SuperMatrixSpace(n, m), Lcg64(seed)).pair
+                    for seed in range(40)]
+
+
+ORACLE_PAIRS = {
+    "series": lambda: [ep.pair for ep in _series()],
+    "relabelled": lambda: [inputs.relabel(ep.pair, random.Random(k))
+                           for k, ep in enumerate(_series())],
+    "transported": lambda: [inputs.change_basis(ep.pair, random.Random(k))
+                            for k, ep in enumerate(_series()) if ep.pair.v1.dim <= 9],
+    "magnetic": lambda: [magnetic_pair(g, killing_form(g), 1) for g in (sl2(), so3())],
+    "subpairs Mat(2|1)": _subpairs(2, 1),
+    "subpairs Mat(1|1)": _subpairs(1, 1),
+    "subpairs Mat(1|2)": _subpairs(1, 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_PAIRS))
+def test_hull_and_triple_system_match_the_closure_oracles(family):
+    for pair in ORACLE_PAIRS[family]():
+        got, want = tkk.superalgebra_from_pair(pair), _closure_hull(pair)
+        assert got.g0_recipes == want.g0_recipes  # the closure adds no element
+        assert (got.labels, got.parities, got.grading) == (want.labels, want.parities,
+                                                            want.grading)
+        assert got.g0_ops == want.g0_ops and got.table == want.table
+        assert list(got.table) == list(want.table)
+        flip = pair.parity_flip()
+        lts, lts_want = tkk.lts_from_pair(flip), _hull_route_lts(flip)
+        assert (lts.space, lts.split, lts.tensor) == (lts_want.space, lts_want.split,
+                                                      lts_want.tensor)
+        assert list(lts.tensor) == list(lts_want.tensor)
 
 
 def test_hull_and_triple_system_checks_in_many_runs(monkeypatch):
@@ -582,17 +766,18 @@ def _m2_perturbed(pair, seed):
 
 
 def _g0_cases(pair, seed):
-    """The hull of ``pair``; the hull of a perturbed pair; the plain
-    hull's generators acting on that perturbed pair, and on the pair with
-    its m2 perturbed; and the plain hull with one generator's action on
-    V1 bumped."""
-    alg = tkk.superalgebra_from_pair(pair, verified=True)
+    """The hull of ``pair``; a perturbed pair's own generators in the
+    plain hull's kept places (its hull cannot be built: it fails verify);
+    the plain hull's generators acting on that perturbed pair, and on the
+    pair with its m2 perturbed; and the plain hull with one generator's
+    action on V1 bumped."""
+    alg = tkk.superalgebra_from_pair(pair)
     pert = random_even_perturbation(pair, Lcg64(seed))
     op, d1 = alg.g0_ops[0], pair.v1.dim
     bumped = op + Matrix(op.rows, op.cols, [(0, d1 - 1, F(3, 2))])  # inside the V1 block
     return [
         alg,
-        tkk.superalgebra_from_pair(pert, verified=True),
+        replace(alg, pair=pert, g0_ops=[tkk._d_operator(pert, i, j) for _, i, j in alg.g0_recipes]),
         replace(alg, pair=pert),
         replace(alg, pair=_m2_perturbed(pair, seed)),
         replace(alg, g0_ops=[bumped] + alg.g0_ops[1:]),
@@ -623,7 +808,7 @@ def test_g0_equivariance_matches_loop_oracle(build, seed):
 def test_g0_equivariance_checks_the_m2_half():
     # the gl(1,1) hull's generators on a pair whose m2 alone is perturbed:
     # the m1 half passes, the m2 half fails
-    alg = tkk.superalgebra_from_pair(series_gl(1, 1).pair, verified=True)
+    alg = tkk.superalgebra_from_pair(series_gl(1, 1).pair)
     alg = replace(alg, pair=_m2_perturbed(alg.pair, 3))
     m1, m2 = tkk.g0_equivariance_report(alg, cap=10**6)
     assert (m1.failure_count, m2.failure_count) == (0, 8)
@@ -645,7 +830,7 @@ def test_g0_equivariance_in_every_evaluator_form(monkeypatch):
 
 
 def test_g0_equivariance_of_the_zero_pair_is_vacuous():
-    alg = tkk.superalgebra_from_pair(zero_pair(), verified=True)
+    alg = tkk.superalgebra_from_pair(zero_pair())
     reports = tkk.g0_equivariance_report(alg)
     assert _json(reports) == _json(_g0_equivariance_oracle(alg))
     assert all(r.total == 0 and r.passed for r in reports)
