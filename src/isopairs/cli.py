@@ -265,25 +265,14 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
-def _diagonal_grading(pair: PairStructure):
-    """deg E_{i,j} = j - i on matrix-unit labels 'Ei,j'."""
-    def degs(space: SuperSpace):
-        out = []
-        for label in space.labels:
-            if not label.startswith("E"):
-                raise UsageError("hw grading needs a matrix-unit pair (gl series)")
-            i, j = label[1:].split(",")
-            out.append(int(j) - int(i))
-        return tuple(out)
-
-    return R.GradedPairData(pair, degs(pair.v1), degs(pair.v2))
-
-
 def cmd_rep_hw(args) -> int:
     pair, _ = build_from_spec(args.pair)
     if pair is None:
         raise UsageError("rep hw needs a finite matrix pair")
-    graded = _diagonal_grading(pair)
+    try:
+        graded = R.diagonal_grading(pair)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     weights = _parse_weights(args.weights)
     if len(weights) != 2:
         raise UsageError("--weights takes two rationals, e.g. 1/2,1/2")

@@ -271,14 +271,17 @@ def series_osq(n: int) -> EnvelopePair:
     e = space.unit
     attempts = []
 
-    # literal reading
-    b1, l1 = [], []
+    # the symmetric even part of V1, shared by both readings
+    s_basis, s_labels = [], []
     for i in range(n):
-        b1.append(_q_even(space, e(i, i)))
-        l1.append(f"s{i},{i}")
+        s_basis.append(_q_even(space, e(i, i)))
+        s_labels.append(f"s{i},{i}")
         for j in range(i + 1, n):
-            b1.append(_q_even(space, e(i, j) + e(j, i)))
-            l1.append(f"s{i},{j}")
+            s_basis.append(_q_even(space, e(i, j) + e(j, i)))
+            s_labels.append(f"s{i},{j}")
+
+    # literal reading
+    b1, l1 = list(s_basis), list(s_labels)
     for i in range(n):
         for j in range(i + 1, n):
             b1.append(_q_odd(space, e(i, j) + e(j, i, -1)))
@@ -291,25 +294,16 @@ def series_osq(n: int) -> EnvelopePair:
         ep.convention = "literal"
         ep.attempts = attempts
         return ep
-    except NotClosed as exc:
-        attempts.append({"reading": "literal", "closed": False, "detail": str(exc)})
-    except ValueError as exc:  # empty/degenerate span
+    except (NotClosed, ValueError) as exc:  # ValueError: an empty/degenerate span
         attempts.append({"reading": "literal", "closed": False, "detail": str(exc)})
 
     # supertranspose reading: fixed / anti-fixed spaces of M -> M^st in q(n)
-    b1, l1 = [], []
-    for i in range(n):
-        b1.append(_q_even(space, e(i, i)))
-        l1.append(f"s{i},{i}")
-        for j in range(i + 1, n):
-            b1.append(_q_even(space, e(i, j) + e(j, i)))
-            l1.append(f"s{i},{j}")
     b2, l2 = [], []
     for i in range(n):
         for j in range(i + 1, n):
             b2.append(_q_even(space, e(i, j) + e(j, i, -1)))
             l2.append(f"k{i},{j}")
-    ep = envelope_pair(space, b1, b2, ISOTOPIC, l1, l2)
+    ep = envelope_pair(space, s_basis, b2, ISOTOPIC, s_labels, l2)
     attempts.append({"reading": "supertranspose", "closed": True})
     ep.convention = "supertranspose"
     ep.attempts = attempts
@@ -531,11 +525,6 @@ def sym2_pair(g: LieData, eta: Matrix):
     def sym_index(a, b):
         return index[(a, b) if a <= b else (b, a)]
 
-    def c_lower(a, b, z) -> Fraction:
-        return sum(
-            (cc * eta[z, k] for k, cc in g.c.get((a, b), {}).items()), Fraction(0)
-        )
-
     # m1 (c-substituted): [e_a, e_b]_{m_{gd}} = eta_{ag} c^r_{bd} - eta_{ad} c^r_{bg}
     m1 = {}
     for (gm, dl) in pairs_idx:
@@ -554,10 +543,10 @@ def sym2_pair(g: LieData, eta: Matrix):
         for (a, b), (gm, dl) in itertools.product(pairs_idx, repeat=2):
             comps = {}
             for coeff, pr in (
-                (c_lower(b, gm, z), (a, dl)),
-                (c_lower(a, gm, z), (b, dl)),
-                (c_lower(b, dl, z), (a, gm)),
-                (c_lower(a, dl, z), (b, gm)),
+                (g2._eta_bracket(b, gm, z), (a, dl)),
+                (g2._eta_bracket(a, gm, z), (b, dl)),
+                (g2._eta_bracket(b, dl, z), (a, gm)),
+                (g2._eta_bracket(a, dl, z), (b, gm)),
             ):
                 axpy(comps, 1, {sym_index(*pr): coeff})
             if comps:

@@ -38,7 +38,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exactlin import axpy
+from .exactlin import axpy, scalar_from_str
 from .pairs import VerifyReport, _orient, axiom_report
 from .rng import Lcg64
 from .supercore import CATALOG, Letter, eval_sign_pairs, sign_a
@@ -639,7 +639,7 @@ def _parse_factor(tok: str, n: int, m: int):
         # t_j^0 = 1, and odd squares vanish
         return SuperPolynomial(n, m, {((0,) * n, (idx,) * power): 1} if power < 2 else {})
     try:
-        return SuperPolynomial.const(n, m, Fraction(tok))
+        return SuperPolynomial.const(n, m, scalar_from_str(tok))
     except ValueError as exc:
         raise ParseError(f"bad factor {tok!r}") from exc
 

@@ -12,13 +12,18 @@ templates (``rep.T1``, ``rep.T2`` and ``rep.superalgebra``), whose basis
 instances :func:`_instances` lists; no sign is written by hand here.
 
 The word-module engine represents candidate vectors as formal
-alternating operator words on seed vectors; relations (seed rules plus
-every Definition-2 instance applied to every short-enough word) are
-collected, closed under left multiplication by generators, and
-row-reduced to define the quotient.  Longest words are eliminated
-first, so the surviving basis consists of the shortest coset
-representatives and the induced action matrices can be read off by one
-more reduction.  The radical step then divides out the largest
+alternating operator words on seed vectors.  A word is only its id: the
+engine keeps its length, sector, parity and degree in lists by id, each
+read off the word's parent, and its children by index arithmetic.
+Relations (seed rules plus every Definition-2 instance applied to every
+short-enough word) are collected, closed under left multiplication by
+generators, and row-reduced to define the quotient.  Longest words are
+eliminated first, so the surviving basis consists of the shortest coset
+representatives.  The pass that generates the module from the seeds
+reads the action matrices off as it goes: each generator image is a new
+basis vector or is solved over the ones already kept.  Highest-weight
+modules take the gl grading deg E_{i,j} = j - i of
+:func:`diagonal_grading`.  The radical step divides out the largest
 action-invariant subspace of in-window classes that avoids the seeds:
 the unobservable subspace of the seed coordinates under the generators'
 action (Wonham, "Linear Multivariable Control: a Geometric Approach",
@@ -296,17 +301,23 @@ class GradedPairData:
         return VerifyReport("grading", reports)
 
 
+def diagonal_grading(pair: PairStructure) -> GradedPairData:
+    """deg E_{i,j} = j - i on matrix-unit labels 'Ei,j'; a pair with
+    other labels raises ValueError."""
+    def degs(space: SuperSpace) -> tuple:
+        out = []
+        for label in space.labels:
+            if not label.startswith("E"):
+                raise ValueError("hw grading needs a matrix-unit pair (gl series)")
+            i, j = label[1:].split(",")
+            out.append(int(j) - int(i))
+        return tuple(out)
+
+    return GradedPairData(pair, degs(pair.v1), degs(pair.v2))
+
+
 # ---------------------------------------------------------------------------
 # the word-module engine
-
-
-@dataclass(frozen=True)
-class Word:
-    seed: int
-    chain: tuple  # ((side, op_index), ...) applied left to right in time
-
-    def __len__(self):
-        return len(self.chain)
 
 
 @dataclass
@@ -324,7 +335,7 @@ class SeedRelation:
 class WordModuleResult:
     rep: Optional[PairRep]
     split: Optional[SplitData]
-    dims: dict  # (sector, degree-or-length) -> dimension
+    dims: dict  # (sector, degree or None when ungraded) -> dimension
     total_dim: int
     stabilized: bool
     basis_labels: list
@@ -348,55 +359,43 @@ class WordModuleResult:
 
 class _WordEngine:
     def __init__(self, pair, seeds, seed_relations, cap, degrees=None):
-        # seeds: list of (sector, label, parity)
+        # seeds: list of (sector, label, parity); degrees: (deg1, deg2) or None
         self.pair = pair
         self.cap = cap
         self.seeds = seeds
-        self.degrees = degrees  # (deg1, deg2) or None
-        self.words: list[Word] = []
-        self.sector: list = []
-        # breadth-first by length so longer words get larger ids; the
-        # children of a word are added together in op order, so the
-        # child of wid under op is first_child[wid] + op (None at the cap)
-        self.first_child: list = []
-        for k, (sector, _, _) in enumerate(seeds):
-            self._add(Word(k, ()), sector)
-        frontier = list(range(len(self.words)))
+        self.degrees = degrees
+        self.gens = [(1, i) for i in range(pair.v1.dim)] + [(2, j) for j in range(pair.v2.dim)]
+        # a word is its id: the seeds first, then breadth-first by length,
+        # the children of a word together in op order, so the child of wid
+        # under op is first_child[wid] + op (None at the cap).  Its length,
+        # sector, parity and degree (None when ungraded) are kept by id.
+        n = len(seeds)
+        self.length = [0] * n
+        self.sector = [sector for sector, _, _ in seeds]
+        self.parity = [parity for _, _, parity in seeds]
+        self.degree = [None if degrees is None else 0] * n
+        self.first_child: list = [None] * n
+        frontier = range(n)
         for _ in range(cap):
-            nxt = []
+            start = len(self.length)
             for wid in frontier:
-                w = self.words[wid]
-                side = self.sector[wid]
-                self.first_child[wid] = len(self.words)
+                self.first_child[wid] = len(self.length)
                 # acting with side s requires sector s and flips it
+                side = self.sector[wid]
                 for op in range(pair.space(side).dim):
-                    nxt.append(self._add(Word(w.seed, w.chain + ((side, op),)), 3 - side))
-            frontier = nxt
+                    self._add(wid, side, op)
+            frontier = range(start, len(self.length))
         self.relations = IncrementalSpan(pivot="max")
         self._collect(seed_relations)
 
-    def _add(self, w: Word, sector: int) -> int:
-        wid = len(self.words)
-        self.words.append(w)
+    def _add(self, parent: int, side: int, op: int):
+        """Add the child of word ``parent`` under generator (side, op)."""
+        self.length.append(self.length[parent] + 1)
+        self.sector.append(3 - side)
+        self.parity.append(self.parity[parent] ^ self.pair.space(side).parities[op])
+        degree = self.degree[parent]
+        self.degree.append(None if degree is None else degree + self.degrees[side - 1][op])
         self.first_child.append(None)
-        self.sector.append(sector)
-        return wid
-
-    def word_parity(self, wid: int) -> int:
-        w = self.words[wid]
-        p = self.seeds[w.seed][2]
-        for side, op in w.chain:
-            p = (p + self.pair.space(side).parities[op]) % 2
-        return p
-
-    def word_degree(self, wid: int):
-        if self.degrees is None:
-            return None
-        w = self.words[wid]
-        d = 0
-        for side, op in w.chain:
-            d += self.degrees[side - 1][op]
-        return d
 
     def act(self, side: int, op: int, vec: dict) -> Optional[dict]:
         """Apply a generator to a word vector; wrong-sector words are
@@ -441,8 +440,8 @@ class _WordEngine:
                             for _, comps, words in _instances(
                                 t, ident, _SWAPS[side] if antisymmetric else ())]
                      for side, ident in _REP.items()}
-        for wid in range(len(self.words)):
-            if len(self.words[wid]) > self.cap - 3:
+        for wid, length in enumerate(self.length):
+            if length > self.cap - 3:
                 continue
             child = first_child[wid]
             for comps, words in instances[sector[wid]]:
@@ -471,12 +470,12 @@ class _WordEngine:
 
     def _classes(self) -> list:
         pivots = self.relations.pivots
-        return [wid for wid in range(len(self.words)) if wid not in pivots]
+        return [wid for wid in range(len(self.length)) if wid not in pivots]
 
     def _dims_of(self, basis) -> dict:
         dims: dict = {}
         for wid in basis:
-            key = (self.sector[wid], self.word_degree(wid))
+            key = (self.sector[wid], self.degree[wid])
             dims[key] = dims.get(key, 0) + 1
         return dims
 
@@ -501,21 +500,18 @@ class _WordEngine:
         closed under the transposed psi_h in one span, and W is its
         kernel over the window classes, in word coordinates.
         """
-        words = self.words
-        window = [wid for wid in self._classes() if 0 < len(words[wid]) < self.cap]
+        length = self.length
+        window = [wid for wid in self._classes() if 0 < length[wid] < self.cap]
         inside = set(window)
-        gens = [(1, i) for i in range(self.pair.v1.dim)] + [
-            (2, j) for j in range(self.pair.v2.dim)
-        ]
-        psi_t = {g: {} for g in gens}  # g -> window class j -> row j of psi_g
+        psi_t = {g: {} for g in self.gens}  # g -> window class j -> row j of psi_g
         outputs: dict = {}  # (g, seed class) -> that row of sigma_g
         for k in window:
-            for g in gens:
+            for g in self.gens:
                 residual = self.relations.reduce(self.act(g[0], g[1], {k: ONE}))
                 for j, c in residual.items():
                     if j in inside:
                         psi_t[g].setdefault(j, {})[k] = c
-                    elif len(words[j]) == 0:  # a seed; full-length classes drop out
+                    elif length[j] == 0:  # a seed; full-length classes drop out
                         outputs.setdefault((g, j), {})[k] = c
         observed = IncrementalSpan()
         queue = list(outputs.values())
@@ -529,9 +525,13 @@ class _WordEngine:
                     queue.append(img)
         return observed.kernel(window)
 
-    def quotient(self, radical: bool = True) -> WordModuleResult:
-        """Relation-closure quotient, then the radical quotient, then the
-        submodule generated by the seeds (the module the vacua span)."""
+    def quotient(self, radical: bool) -> WordModuleResult:
+        """Relation-closure quotient, then (with ``radical``) the radical
+        quotient, then the submodule generated by the seeds (the module
+        the vacua span), breadth-first.  Each generator image gets its
+        coordinates when the pass meets it: a new image is the next basis
+        vector, a dependent one is solved over the basis kept so far,
+        which is unique, so the action matrices are read off the pass."""
         closure_dims = self._dims_of(self._classes())
         radical_dim = 0
         if radical:
@@ -539,88 +539,61 @@ class _WordEngine:
                 if self.relations.insert(v):
                     radical_dim += 1
 
-        gens = [(1, i) for i in range(self.pair.v1.dim)] + [
-            (2, j) for j in range(self.pair.v2.dim)
-        ]
         G = IncrementalSpan(track_combos=True)
-        basis_vecs: list = []
-        meta: list = []  # (label, sector, parity, degree)
-        queue: list = []
-        stabilized = True
+        basis: list = []  # reduced word vectors, in insertion order
+        meta: list = []  # (label, sector, parity, degree) per basis vector
+        entries: dict = {g: [] for g in self.gens}  # (row, col, coefficient)
 
-        def vec_meta(vec: dict, label: str):
-            wids = list(vec)
-            sector = {self.sector[w] for w in wids}
-            parity = {self.word_parity(w) for w in wids}
+        def keep(vec: dict, label: str):
+            sector = {self.sector[w] for w in vec}
+            parity = {self.parity[w] for w in vec}
             assert len(sector) == 1 and len(parity) == 1
-            degree = {self.word_degree(w) for w in wids}
-            deg = degree.pop() if len(degree) == 1 else None
-            return (label, sector.pop(), parity.pop(), deg)
+            degree = {self.degree[w] for w in vec}
+            basis.append(vec)
+            meta.append((label, sector.pop(), parity.pop(),
+                         degree.pop() if len(degree) == 1 else None))
 
-        for k, (sector, lab, par) in enumerate(self.seeds):
-            r = self.relations.reduce({k: Fraction(1)})
+        for k, (_, lab, _) in enumerate(self.seeds):
+            r = self.relations.reduce({k: ONE})
             if r and G.insert(r):
-                basis_vecs.append(r)
-                meta.append(vec_meta(r, lab))
-                queue.append(len(basis_vecs) - 1)
+                keep(r, lab)
 
-        while queue and stabilized:
-            j = queue.pop(0)
-            v = basis_vecs[j]
-            label_j, sector_j, _, _ = meta[j]
-            for side, op in gens:
+        stabilized, j = True, 0
+        while j < len(basis) and stabilized:
+            label_j, sector_j = meta[j][:2]
+            for side, op in self.gens:
                 if sector_j != side:
                     continue
-                if any(len(self.words[w]) + 1 > self.cap for w in v):
+                img = self.act(side, op, basis[j])
+                if img is None:  # a word at the cap
                     stabilized = False
                     break
-                img = self.relations.reduce(self.act(side, op, v))
-                if img and G.insert(img):
-                    basis_vecs.append(img)
-                    lab = self.pair.space(side).labels[op] + (
-                        "+" if side == 1 else "-"
-                    )
-                    meta.append(vec_meta(img, f"{lab} {label_j}"))
-                    queue.append(len(basis_vecs) - 1)
+                img = self.relations.reduce(img)
+                if not img:
+                    continue
+                if G.insert(img):
+                    coords = {len(basis): ONE}
+                    lab = self.pair.space(side).labels[op] + ("+" if side == 1 else "-")
+                    keep(img, f"{lab} {label_j}")
+                else:
+                    coords = G.solve(img)
+                entries[side, op] += [(k, j, c) for k, c in coords.items()]
+            j += 1
 
         dims: dict = {}
         for _, sector, _, degree in meta:
             dims[(sector, degree)] = dims.get((sector, degree), 0) + 1
-        labels = [m[0] for m in meta]
-        if not stabilized:
-            return WordModuleResult(
-                None, None, dims, len(basis_vecs), False, labels,
-                self.relations.rank, len(self.words), closure_dims, radical_dim,
-            )
-
-        n = len(basis_vecs)
-
-        def op_matrix(side, op) -> Matrix:
-            entries = []
-            for col, v in enumerate(basis_vecs):
-                if meta[col][1] != side:
-                    continue
-                img = self.relations.reduce(self.act(side, op, v))
-                coords = G.solve(img)
-                if coords is None:
-                    raise RuntimeError("generated submodule not closed")
-                entries += [(k, col, c) for k, c in coords.items()]
-            return Matrix(n, n, entries)
-
-        H = SuperSpace.make(labels, [m[2] for m in meta])
-        rep = PairRep(
-            self.pair,
-            H,
-            [op_matrix(1, i) for i in range(self.pair.v1.dim)],
-            [op_matrix(2, j) for j in range(self.pair.v2.dim)],
-        )
-        split = SplitData(
-            tuple(k for k, m in enumerate(meta) if m[1] == 1),
-            tuple(k for k, m in enumerate(meta) if m[1] == 2),
-        )
+        n, labels = len(basis), [m[0] for m in meta]
+        rep = split = None
+        if stabilized:
+            H = SuperSpace.make(labels, [m[2] for m in meta])
+            ops, d1 = [Matrix(n, n, entries[g]) for g in self.gens], self.pair.v1.dim
+            rep = PairRep(self.pair, H, ops[:d1], ops[d1:])
+            split = SplitData(*(tuple(k for k, m in enumerate(meta) if m[1] == side)
+                                for side in (1, 2)))
         return WordModuleResult(
-            rep, split, dims, n, True, labels,
-            self.relations.rank, len(self.words), closure_dims, radical_dim,
+            rep, split, dims, n, stabilized, labels,
+            self.relations.rank, len(self.length), closure_dims, radical_dim,
         )
 
 
@@ -629,7 +602,6 @@ def hw_split_module(
     chi1: dict,
     chi2: dict,
     cap: int = 4,
-    radical: bool = True,
 ) -> WordModuleResult:
     """Highest-weight split module of a graded pair.
 
@@ -648,23 +620,14 @@ def hw_split_module(
         raise PreconditionError("grading invalid: " + rep_errors.failing()[0].identity)
     pair = graded.pair
     seeds = [(1, "|0>1", 0), (2, "|0>2", 0)]
-    rels = []
-    for i, d in enumerate(graded.deg1):
-        if d < 0:
-            rels.append(SeedRelation(1, {i: Fraction(1)}, 0, {}))
-        elif d == 0:
-            rels.append(
-                SeedRelation(1, {i: Fraction(1)}, 0, {1: Fraction(chi1.get(i, 0))})
-            )
-    for j, d in enumerate(graded.deg2):
-        if d < 0:
-            rels.append(SeedRelation(2, {j: Fraction(1)}, 1, {}))
-        elif d == 0:
-            rels.append(
-                SeedRelation(2, {j: Fraction(1)}, 1, {0: Fraction(chi2.get(j, 0))})
-            )
+    # a negative generator of side s kills vacuum s (seed s - 1), a
+    # degree-0 one sends it to chi times the other vacuum
+    rels = [SeedRelation(side, {i: ONE}, side - 1,
+                         {} if d < 0 else {2 - side: Fraction(chi.get(i, 0))})
+            for side, degs, chi in ((1, graded.deg1, chi1), (2, graded.deg2, chi2))
+            for i, d in enumerate(degs) if d <= 0]
     engine = _WordEngine(pair, seeds, rels, cap, (graded.deg1, graded.deg2))
-    return engine.quotient(radical=radical)
+    return engine.quotient(radical=True)
 
 
 def induced_split_module(
@@ -674,7 +637,6 @@ def induced_split_module(
     subrep: PairRep,
     subsplit: SplitData,
     cap: int = 4,
-    radical: bool = False,
 ) -> tuple[WordModuleResult, Optional[AxiomReport]]:
     """Induction from a subpair: the word engine seeded with the basis
     of the subrepresentation space instead of two vacua.
@@ -723,7 +685,7 @@ def induced_split_module(
                 rhs = {w: ops[si][w, v] for w in range(subrep.H.dim) if ops[si][w, v]}
                 rels.append(SeedRelation(side, combo, v, rhs))
     engine = _WordEngine(pair, seeds, rels, cap)
-    result = engine.quotient(radical=radical)
+    result = engine.quotient(radical=False)
 
     if not result.stabilized:
         return result, None
@@ -956,18 +918,8 @@ def isoquaternion_fundamental(cap: int = 4):
 
     ep = isoquaternionic_pair()
     pair = ep.pair
-    labels = list(pair.v1.labels)
-    e00, e01, e10, e11 = (
-        labels.index("E0,0"),
-        labels.index("E0,1"),
-        labels.index("E1,0"),
-        labels.index("E1,1"),
-    )
-    deg = [0] * 4
-    deg[e01] = 1
-    deg[e10] = -1
-    graded = GradedPairData(pair, tuple(deg), tuple(deg))
-    chi = {e11: Fraction(1)}
+    graded = diagonal_grading(pair)
+    chi = {pair.v1.labels.index("E1,1"): ONE}
     result = hw_split_module(graded, chi, dict(chi), cap)
     if not result.stabilized:
         raise RuntimeError("fundamental module did not stabilize within the cap")

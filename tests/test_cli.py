@@ -48,6 +48,24 @@ def test_make_osq_notes_dimensions(tmp_path):
     assert entry["notes"]["dimensions"]["v1"] == "3|0"
 
 
+# SHA-256 of the canonical `isopair make osq:n -o` entry without its
+# `created` timestamp
+OSQ_DIGESTS = {
+    "osq:1": "ddb0ed35698e979adf044e64e89eb589fa02f71d25cdfa3d0eea2765ae55f0e2",
+    "osq:2": "3a366384bce86ddff3d78becafee6565247c303eb23908171ac8ef09343d5e64",
+    "osq:3": "812398d93a4b6e5e72e7bd0a0771c4b9407cc5585d2ac477882fb1f2f74c71df",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(OSQ_DIGESTS))
+def test_make_osq_entries_pinned(spec, tmp_path):
+    out = tmp_path / "osq.json"
+    assert run(["make", spec, "-o", str(out)]) == 0
+    entry = json.loads(out.read_text())
+    del entry["created"]
+    assert hashlib.sha256(canonical_json(entry).encode()).hexdigest() == OSQ_DIGESTS[spec]
+
+
 def test_verify_detects_corruption(tmp_path, capsys):
     out = tmp_path / "gl11.json"
     run(["make", "gl:1,1", "-o", str(out)])
@@ -330,6 +348,13 @@ def test_rep_hw_on_super_jordan_pair_fails_precondition(capsys):
     assert len(lines) == 1 and lines[0].startswith("precondition violated:")
 
 
+def test_rep_hw_without_matrix_units_is_a_usage_error(capsys):
+    assert run(["rep", "hw", "--pair", "osp+:2,2", "--weights", "1/2,1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hw grading needs a matrix-unit pair (gl series)\n"
+
+
 def test_rep_hw_fundamental(capsys):
     code = run(["rep", "hw", "--pair", "gl:2,0", "--weights", "1/2,1/2", "--cap", "6"])
     out = capsys.readouterr().out
@@ -424,6 +449,17 @@ def test_poly_bracket_evaluation(capsys):
     assert run(
         ["poly-check", "--n", "1", "--m", "0", "--bracket-functions", "x7", "1", "dx1"]
     ) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bracket-functions", "1/0", "1", "dx1"],
+    ["--bracket-fields", "1/0*dx1", "dx1", "1"],
+], ids=["functions", "fields"])
+def test_poly_zero_denominator_exits_2_with_one_line(capsys, argv):
+    assert run(["poly-check", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad factor '1/0'\n"
 
 
 @pytest.mark.parametrize("argv, out", [

@@ -504,35 +504,63 @@ def test_engine_deterministic():
     assert a.basis_labels == b.basis_labels
 
 
-def _bare_engine(cap=3):
-    """A word engine on a zero pair with dim V1 != dim V2 and a seed in
-    each sector, so child ids of the two sectors are not interchangeable."""
+def _bare_engine(cap=3, degrees=None):
+    """A word engine on a zero pair with dim V1 != dim V2, odd elements on
+    both sides and a seed in each sector, so child ids of the two sectors
+    are not interchangeable."""
     v1 = SuperSpace.make(["a0", "a1"], [0, 1])
     v2 = SuperSpace.make(["b0", "b1", "b2"], [0, 0, 1])
     pair = PairStructure(v1, v2, "isotopic", {}, {})
     seeds = [(1, "s1", 0), (2, "s2", 0), (1, "s3", 1)]
-    return R._WordEngine(pair, seeds, [], cap)
+    return R._WordEngine(pair, seeds, [], cap, degrees)
 
 
 ENGINE = _bare_engine()
+GRADED = _bare_engine(degrees=((1, -2), (0, 3, -1)))
 
 
-def _sector(engine, w):
-    start = engine.seeds[w.seed][0]
-    return start if len(w.chain) % 2 == 0 else 3 - start
+def _sector(engine, seed, chain):
+    start = engine.seeds[seed][0]
+    return start if len(chain) % 2 == 0 else 3 - start
+
+
+def _chains(engine):
+    """Every word of ``engine`` as (seed, chain), chain the ((side, op),
+    ...) applied left to right in time, listed in id order: the seeds,
+    then breadth-first by length, the children of a word in op order."""
+    level = [(k, ()) for k in range(len(engine.seeds))]
+    chains = list(level)
+    for _ in range(engine.cap):
+        level = [(seed, chain + ((side, op),)) for seed, chain in level
+                 for side in (_sector(engine, seed, chain),)
+                 for op in range(engine.pair.space(side).dim)]
+        chains += level
+    return chains
+
+
+CHAINS = _chains(ENGINE)
 
 
 def test_word_engine_child_ids():
-    eng = ENGINE
-    for wid, w in enumerate(eng.words):
-        assert eng.sector[wid] == _sector(eng, w)
-        if len(w) == eng.cap:
-            assert eng.first_child[wid] is None
-            continue
-        side = eng.sector[wid]
-        for op in range(eng.pair.space(side).dim):
-            child = eng.words[eng.first_child[wid] + op]
-            assert child == R.Word(w.seed, w.chain + ((side, op),))
+    for eng in (ENGINE, GRADED):
+        chains = _chains(eng)
+        index = {w: wid for wid, w in enumerate(chains)}
+        assert len(eng.length) == len(chains)
+        for wid, (seed, chain) in enumerate(chains):
+            assert eng.length[wid] == len(chain)
+            assert eng.sector[wid] == _sector(eng, seed, chain)
+            parity = eng.seeds[seed][2] + sum(eng.pair.space(s).parities[op] for s, op in chain)
+            assert eng.parity[wid] == parity % 2
+            if eng.degrees is None:
+                assert eng.degree[wid] is None
+            else:
+                assert eng.degree[wid] == sum(eng.degrees[s - 1][op] for s, op in chain)
+            if len(chain) == eng.cap:
+                assert eng.first_child[wid] is None
+                continue
+            side = eng.sector[wid]
+            for op in range(eng.pair.space(side).dim):
+                assert eng.first_child[wid] + op == index[seed, chain + ((side, op),)]
 
 
 @st.composite
@@ -540,7 +568,7 @@ def word_vectors(draw):
     eng = ENGINE
     side = draw(st.sampled_from([1, 2]))
     op = draw(st.integers(0, eng.pair.space(side).dim - 1))
-    wids = draw(st.lists(st.integers(0, len(eng.words) - 1), max_size=6, unique=True))
+    wids = draw(st.lists(st.integers(0, len(CHAINS) - 1), max_size=6, unique=True))
     coeffs = st.fractions(min_value=-3, max_value=3).filter(lambda x: x != 0)
     return side, op, {wid: draw(coeffs) for wid in wids}
 
@@ -550,25 +578,25 @@ def word_vectors(draw):
 def test_word_engine_act_matches_chain_oracle(case):
     side, op, vec = case
     eng = ENGINE
-    index = {w: wid for wid, w in enumerate(eng.words)}
-    moved = {wid: c for wid, c in vec.items() if _sector(eng, eng.words[wid]) == side}
+    index = {w: wid for wid, w in enumerate(CHAINS)}
+    moved = {wid: c for wid, c in vec.items() if _sector(eng, *CHAINS[wid]) == side}
     got = eng.act(side, op, vec)
-    if any(len(eng.words[wid]) == eng.cap for wid in moved):
+    if any(len(CHAINS[wid][1]) == eng.cap for wid in moved):
         assert got is None
         return
     want = {}
     for wid, c in moved.items():
-        w = eng.words[wid]
-        key = index[R.Word(w.seed, w.chain + ((side, op),))]
+        seed, chain = CHAINS[wid]
+        key = index[seed, chain + ((side, op),)]
         want[key] = want.get(key, 0) + c
     assert got == want
 
 
 def test_word_engine_act_at_the_cap():
     eng = ENGINE
-    last = len(eng.words) - 1
+    last = len(eng.length) - 1
     side = eng.sector[last]
-    assert len(eng.words[last]) == eng.cap
+    assert eng.length[last] == eng.cap
     assert eng.act(side, 0, {last: F(1)}) is None
     assert eng.act(3 - side, 0, {last: F(1)}) == {}
 
@@ -579,8 +607,8 @@ def _dense_radical(eng):
     matrix, sum lam_i * S_i over every i."""
     basis = eng._classes()
     pos = {wid: k for k, wid in enumerate(basis)}
-    window = [wid for wid in basis if 0 < len(eng.words[wid]) < eng.cap]
-    boundary = [{pos[wid]: F(1)} for wid in basis if len(eng.words[wid]) == eng.cap]
+    window = [wid for wid in basis if 0 < eng.length[wid] < eng.cap]
+    boundary = [{pos[wid]: F(1)} for wid in basis if eng.length[wid] == eng.cap]
     gens = [(1, i) for i in range(eng.pair.v1.dim)] + [(2, j) for j in range(eng.pair.v2.dim)]
     images = {}
     for wid in window:
@@ -629,13 +657,36 @@ def _gl_grading(n=2, m=0):
     return R.GradedPairData(pair, degs(pair.v1), degs(pair.v2))
 
 
+@pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (1, 1), (2, 1), (1, 2)])
+def test_diagonal_grading_is_j_minus_i(n, m):
+    want, got = _gl_grading(n, m), R.diagonal_grading(series_gl(n, m).pair)
+    assert (got.deg1, got.deg2) == (want.deg1, want.deg2)
+    assert got.validate().passed
+
+
+def test_diagonal_grading_rejects_other_labels():
+    with pytest.raises(ValueError, match="matrix-unit pair"):
+        R.diagonal_grading(series_q(1).pair)
+
+
+def _with_radical(on, build):
+    """``build()`` with the word engine's quotient told to divide the
+    radical out (``on``) or not, whatever its caller passes: highest-
+    weight modules divide it out and induced ones do not."""
+    quotient = R._WordEngine.quotient
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(R._WordEngine, "quotient", lambda eng, radical: quotient(eng, on))
+        return build()
+
+
 def _hw_module(n, m, weights, cap, radical=True):
     """``rep hw --pair gl:n,m --weights w1,w2 --cap cap``: weight s pins
     chi(E_{k,k}) = 2 s on the last diagonal unit k."""
     graded = _gl_grading(n, m)
     lo = graded.pair.v1.labels.index(f"E{n + m - 1},{n + m - 1}")
     w1, w2 = (F(w) for w in weights)
-    return R.hw_split_module(graded, {lo: 2 * w1}, {lo: 2 * w2}, cap=cap, radical=radical)
+    return _with_radical(
+        radical, lambda: R.hw_split_module(graded, {lo: 2 * w1}, {lo: 2 * w2}, cap=cap))
 
 
 def _induced_diagonal(chi, cap, radical=False):
@@ -650,8 +701,8 @@ def _induced_diagonal(chi, cap, radical=False):
     T1 = [Matrix.from_rows([[0, 0], [c, 0]]) for c in chi]
     T2 = [Matrix.from_rows([[0, c], [0, 0]]) for c in chi]
     subrep = R.PairRep(subpair, H0, T1, T2)
-    return R.induced_split_module(pair, sub, sub, subrep, R.SplitData((0,), (1,)),
-                                  cap=cap, radical=radical)
+    return _with_radical(radical, lambda: R.induced_split_module(
+        pair, sub, sub, subrep, R.SplitData((0,), (1,)), cap=cap))
 
 
 def test_radical_matches_dense_kernel_recombination(monkeypatch):
@@ -749,7 +800,7 @@ def _broken_hw_module(n, m, cap):
     graded = _gl_grading(n, m)
     graded = R.GradedPairData(_antisymmetry_broken(graded.pair), graded.deg1, graded.deg2)
     lo = graded.pair.v1.labels.index(f"E{n + m - 1},{n + m - 1}")
-    return R.hw_split_module(graded, {lo: F(1)}, {lo: F(1)}, cap=cap, radical=False)
+    return _with_radical(False, lambda: R.hw_split_module(graded, {lo: F(1)}, {lo: F(1)}, cap=cap))
 
 
 def _collect_oracle(eng, seed_relations):
@@ -771,8 +822,8 @@ def _collect_oracle(eng, seed_relations):
         push(axpy(vec, -1, rel.rhs))
     t = eng.pair.tensors()
     instances = {side: list(R._instances(t, ident)) for side, ident in R._REP.items()}
-    for wid in range(len(eng.words)):
-        if len(eng.words[wid]) > eng.cap - 3:
+    for wid in range(len(eng.length)):
+        if eng.length[wid] > eng.cap - 3:
             continue
         base = {wid: F(1)}
         child = eng.first_child[wid]
@@ -813,7 +864,7 @@ def test_relation_closure_matches_the_act_oracle(monkeypatch, build):
         assert eng.relations.pivots == ref.pivots
         assert eng.relations.rank == ref.rank
         assert not any(eng.relations.reduce(row) for row in ref.rows)  # same span
-        classes = [wid for wid in range(len(eng.words)) if wid not in ref.pivots]
+        classes = [wid for wid in range(len(eng.length)) if wid not in ref.pivots]
         seen.append((ref.rank, eng._dims_of(classes)))
 
     monkeypatch.setattr(R._WordEngine, "_collect", checked)
