@@ -20,7 +20,9 @@ larger than the parent's.
 
 With ``--out`` the summary is written in the layout of the BENCH_*.json
 files: a file that exists keeps its other keys and workloads, and this
-workload's entry is replaced.  Exits 1 if any run fails, reports an
+workload's entry is replaced.  Each side is labelled by the commit
+bench/run.py reports, or by the checkout's resolved path when it reports
+none (a checkout that is not a git work tree).  Exits 1 if any run fails, reports an
 incorrect result or failed operations, the two sides' job digests
 differ, or a regression is flagged.
 """
@@ -59,6 +61,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             if len(parts) == 3 and parts[0].endswith("_s") and parts[2] == "s":
                 run["ops"][parts[0]] = float(parts[1])
     return run
+
+
+def checkout_label(run: dict, checkout: Path) -> str:
+    """The commit of a run, or its checkout's resolved path without one."""
+    commit = run.get("commit", "unknown")
+    return str(checkout.resolve()) if commit == "unknown" else commit
 
 
 def summary(values: list) -> dict:
@@ -151,8 +159,8 @@ def main(argv=None) -> int:
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc.update({
-            "parent": runs["parent"][0].get("commit", "unknown"),
-            "change": runs["change"][0].get("commit", "unknown"),
+            "parent": checkout_label(runs["parent"][0], args.parent),
+            "change": checkout_label(runs["change"][0], args.change),
             "command": f"python3 bench/run.py --workload <workload> --seed {args.seed} "
                        f"--seconds {seconds:g} --trace 0",
             "seed": args.seed,

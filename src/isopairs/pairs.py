@@ -21,8 +21,11 @@ action tensor, keyed (op, arg), of operators on side 0 (which mirroring
 keeps) on the side of its argument.  So ``supercore.EQUIVARIANCE``
 checks that ad of a Lie algebra, or a hull's generators D(x, u), are
 derivations of a pair.  Tensors are scaled by the lcm of their
-denominators, and each template term is read from the nonzero entries
-of its two nodes in one of two forms:
+denominators and divided by their content, the gcd of all the scaled
+entries: every identity term has one degree in the tensors, so this
+scales the residual by one power of one factor (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 6).  Each template term is read
+from the nonzero entries of its two nodes in one of two forms:
 
 * the sparse join: every pair of entries that meet on the contracted
   index is one contribution, keyed by its place in the residual; all
@@ -33,18 +36,18 @@ of its two nodes in one of two forms:
   the rows, each term's Koszul signs folded into a signed copy of ``b``;
   all terms add their blocks into one residual buffer.
 
-A checked bound on every partial sum fixes the arithmetic in three
-bands, and the reports are exact in each.  Below 2^53 every partial sum
-is an integer that float64 holds exactly, in any order of summation, so
-the dense form runs on float64 BLAS (the premise of FFLAS: Dumas,
-Giorgi and Pernet, ACM TOMS 35(3), 2008); there the int64 join runs
-instead when it has fewer contributions than the dense blocks have
-cells, as on sparse pairs.  From 2^53 to 2^62 the int64 join runs, and
-from 2^62 on Python ints in the dense form.  A sparse ``Fraction``
-evaluation on arbitrary vectors, :func:`residual_on_vectors`, is kept
-apart as the independent reference the tests compare against.  Checks
-that are not identities (evenness here, and the support and
-representation checks elsewhere) build their reports with
+A checked bound on every partial sum of the primitive residual fixes
+the arithmetic in three bands, and the reports are exact in each.
+Below 2^53 every partial sum is an integer that float64 holds exactly,
+in any order of summation, so the dense form runs on float64 BLAS (the
+premise of FFLAS: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008);
+there the int64 join runs instead when it has fewer contributions than
+the dense blocks have cells, as on sparse pairs.  From 2^53 to 2^62 the
+int64 join runs, and from 2^62 on the dense form in float64 over the
+residues modulo primes small enough for 2^53: a tuple fails iff some
+prime leaves a nonzero residue, and Chinese remaindering gives its
+values.  Checks that are not identities (evenness here, and the support
+and representation checks elsewhere) build their reports with
 :func:`axiom_report`.
 """
 
@@ -387,48 +390,81 @@ def _degree(terms) -> int:
 
 def _read(t: Tensors) -> None:
     """Read every tensor ``Fraction`` once, into the memo entries that
-    :func:`_scale` and :func:`_coo` return."""
+    :func:`_scale` and :func:`_coo` read: scaled to integers by the lcm
+    of all denominators, then divided by their gcd, the content."""
     read = {table: [(key, o, c.numerator, c.denominator)
                     for key, comps in tensor.items() for o, c in comps.items()]
             for table, tensor in t.tensors.items()}
-    scale = math.lcm(*{d for entries in read.values() for *_, d in entries})
-    values = {table: [n * (scale // d) for *_, n, d in entries] for table, entries in read.items()}
-    biggest = max((abs(v) for vs in values.values() for v in vs), default=1)
-    t.memo[("scale",)] = scale, biggest
+    lcm = math.lcm(*{d for entries in read.values() for *_, d in entries})
+    values = {table: [n * (lcm // d) for *_, n, d in entries] for table, entries in read.items()}
+    content = math.gcd(*(v for vs in values.values() for v in vs)) or 1
+    biggest = max((abs(v) for vs in values.values() for v in vs), default=1) // content
+    t.memo[("scale",)] = Fraction(lcm, content), biggest
     for table, entries in read.items():
         t.memo[("coo", table)] = (
             np.array([key for key, *_ in entries], dtype=np.int64),
             np.array([o for _, o, *_ in entries], dtype=np.int64),
-            np.array(values[table], dtype=np.int64 if biggest < 2**63 else object),
+            [v // content for v in values[table]],
         )
 
 
-def _scale(s) -> tuple[int, int]:
-    """(lcm of the tensors' denominators, largest scaled |entry|, at least 1)."""
+def _scale(s) -> tuple[Fraction, int]:
+    """(the lcm of the tensors' denominators over their content, which
+    makes them primitive integers; the largest primitive |entry|)."""
     t = _tensors(s)
     if ("scale",) not in t.memo:
         _read(t)
     return t.memo[("scale",)]
 
 
-def _coo(t: Tensors, table, arity: int):
-    """The tensor under key ``table`` scaled to integers, as coordinates:
-    keys (n, arity), outputs (n,) and values (n,), int64 where they fit."""
+def _coo(t: Tensors, table, arity: int, primes: tuple = ()):
+    """The primitive tensor under key ``table`` as keys (n, arity), outputs
+    (n,) and int64 values (n,), or with ``primes`` their residues modulo
+    each p, at most (p - 1) / 2 in size, as (len(primes), n)."""
     _scale(t)
-    keys, outs, values = t.memo[("coo", table)]
+    keys, outs, ints = t.memo[("coo", table)]
+    values = t.cached(("values", table, primes), lambda: np.array(
+        [[(v + p // 2) % p - p // 2 for v in ints] for p in primes] if primes else ints,
+        np.int64))
     return keys.reshape(-1, arity), outs, values
 
 
-def _checked_bound(s, ident: Identity) -> int:
-    """Bound on every partial sum of the scaled residual: the summed
-    integer coefficient magnitudes times max|m|^degree times the
-    contracted volume.  float64 arithmetic is exact while it stays below
-    2^53, and int64 arithmetic below 2^62 (``_EXACT_BELOW``)."""
+def _checked_bound(s, ident: Identity, biggest: int = 0) -> int:
+    """Bound on every partial sum of the primitive residual: the summed
+    integer coefficient magnitudes times max|m| (or ``biggest``) to the
+    degree times the contracted volume.  float64 arithmetic is exact
+    below 2^53, and int64 arithmetic below 2^62 (``_EXACT_BELOW``)."""
     t = _tensors(s)
     terms, _, coeffs = _int_coeffs(ident)
     degree = _degree(terms)
     dim = max(max(space.dim for space in t.spaces.values()), 1)
-    return sum(map(abs, coeffs)) * _scale(t)[1] ** degree * dim ** (2 * degree)
+    return sum(map(abs, coeffs)) * (biggest or _scale(t)[1]) ** degree * dim ** (2 * degree)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases up to 37: exact below 3.1 * 10^23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    powers = ([pow(a, (n - 1) >> s << r, n) for r in range(s)] for a in bases)
+    return all(xs[0] == 1 or n - 1 in xs for xs in powers)
+
+
+def _primes(t: Tensors, ident: Identity) -> tuple:
+    """The largest primes p whose residues, at most (p - 1) / 2 in size,
+    keep the checked bound below 2^53, as many as make their product
+    exceed twice the checked bound, taken with its coefficient sum rounded
+    up to a power of two so that jacobi_analog and compatibility share
+    their primes, and so their dense forms."""
+    degree, coeffs = _degree(ident.residual_terms()), sum(map(abs, _int_coeffs(ident)[2]))
+    unit = _checked_bound(t, ident, 1) // coeffs << (coeffs - 1).bit_length()
+    room = (2**53 - 1) // unit
+    p, primes = 2 * (math.isqrt(room) if degree == 2 else room) + 1, []
+    while math.prod(primes) <= 2 * unit * _scale(t)[1] ** degree:
+        primes.append(next(q for q in range(p, 2, -2) if _is_prime(q)))
+        p = primes[-1] - 2
+    return tuple(primes)
 
 
 def _distinct(x, flat, bits, size):
@@ -484,11 +520,11 @@ class _Dense:
         return out
 
 
-def _nodes(t: Tensors, expr, sides: dict, letters: tuple):
+def _nodes(t: Tensors, expr, sides: dict, letters: tuple, primes: tuple = ()):
     """One residual term as the nonzero entries of its two nodes:
     (size, width, x_in_rows, rows, cols), from which either form of the
-    term is built.  X is the first of the identity's ``letters``, a
-    letter of every term.
+    term is built, with the values :func:`_coo` gives for ``primes``.  X
+    is the first of the identity's ``letters``, a letter of every term.
 
     ``rows`` are the nested node's entries (a single unit entry for a
     lone node) and ``cols`` the outer node's, each as (X index, flat
@@ -512,7 +548,7 @@ def _nodes(t: Tensors, expr, sides: dict, letters: tuple):
     def node(bracket):
         """(X index, flat offset, parity bits, nested-slot index,
         output, value) of every nonzero entry of one node."""
-        keys, outs, values = _coo(t, _table(bracket, sides), len(bracket.slots))
+        keys, outs, values = _coo(t, _table(bracket, sides), len(bracket.slots), primes)
         x = flat = nested = np.zeros(len(outs), np.int64)
         bits = np.zeros(len(outs), np.uint8)
         for j, e in enumerate(bracket.slots):
@@ -528,14 +564,14 @@ def _nodes(t: Tensors, expr, sides: dict, letters: tuple):
     _, inner = _nested(expr)
     if inner is None:
         zero = np.zeros(1, np.int64)
-        rows, width = (zero, zero, np.zeros(1, np.uint8), zero, np.ones(1, object)), 1
+        rows, width = (zero, zero, np.zeros(1, np.uint8), zero, np.ones(1, np.int64)), 1
     else:
         x, flat, bits, _, c, values = node(inner)
         rows, width = (x, flat, bits, c, values), t.spaces[_value_side(inner, sides)].dim
     x, flat, bits, c, o, values = node(expr)
     cols = (x, flat + o, bits, c, values)
     x_in_rows = inner is not None and first in expr_letters(inner)
-    by_x = lambda part: tuple(a[np.argsort(part[0], kind="stable")] for a in part)
+    by_x = lambda part: tuple(a[..., np.argsort(part[0], kind="stable")] for a in part)
     rows, cols = (by_x(rows), cols) if x_in_rows else (rows, by_x(cols))
     return size, width, x_in_rows, rows, cols
 
@@ -588,7 +624,7 @@ def _join_term(t: Tensors, expr, sides: dict, letters: tuple, run: tuple):
     return (
         (x_r[r] + x_c[c]) * size + flat_r[r] + flat_c[c],
         bits_r[r] | bits_c[c],
-        np.asarray(v_r, np.int64)[r] * np.asarray(v_c, np.int64)[c],
+        v_r[r] * v_c[c],
     )
 
 
@@ -598,29 +634,35 @@ def _equal_runs(keys) -> tuple:
     return np.append(0, change)[:len(keys)], np.append(change, len(keys))[:len(keys)]
 
 
-def _dense_term(t: Tensors, expr, sides: dict, letters: tuple, dtype) -> _Dense:
-    """The term's dense form in ``dtype``."""
+def _dense_term(t: Tensors, expr, sides: dict, letters: tuple, primes: tuple) -> _Dense:
+    """The term's dense form in float64: over the primitive integers, or
+    with ``primes`` over their residues modulo each, stacked on a leading
+    axis of ``a`` and ``b``."""
     def build():
-        size, width, x_in_rows, rows, cols = _nodes(t, expr, sides, letters)
+        size, width, x_in_rows, rows, cols = _nodes(t, expr, sides, letters, primes)
         # the contracted index, even values first, to the places ``place``
         _, inner = _nested(expr)
         parity = np.array(t.spaces[_value_side(inner, sides)].parities if inner else [0])
         place, split = np.argsort(np.argsort(parity, kind="stable")), np.count_nonzero(parity == 0)
+        lead = (len(primes),) if primes else ()
         x, flat, bits, c, values = rows
         rows, row_x, row_flat, row_bits = _distinct(x, flat, bits, size)
-        a = np.zeros((len(row_x), width), dtype)
-        a[rows, place[c]] = values.astype(dtype)
+        if primes:  # a residual of ``size`` per prime
+            row_flat = row_flat + size * np.arange(len(primes))[:, None]
+        a = np.zeros((*lead, len(row_x), width))
+        a[..., rows, place[c]] = values
         x, flat, bits, c, values = cols
         cols, col_x, col_flat, col_bits = _distinct(x, flat, bits, size)
-        b = np.zeros((width, len(col_x)), dtype)
-        b[place[c], cols] = values.astype(dtype)
+        b = np.zeros((*lead, width, len(col_x)))
+        b[..., place[c], cols] = values
         # the parities of the contracted index each row and column meets,
         # as bits (1 even, 2 odd); the columns sorted by X, then by them
-        row_meets = (a[:, :split] != 0).any(1) | 2 * (a[:, split:] != 0).any(1)
-        col_meets = (b[:split] != 0).any(0) | 2 * (b[split:] != 0).any(0)
+        on_a, on_b = ((m != 0).any(tuple(range(len(lead)))) for m in (a, b))
+        row_meets = on_a[:, :split].any(1) | 2 * on_a[:, split:].any(1)
+        col_meets = on_b[:split].any(0) | 2 * on_b[split:].any(0)
         order = np.lexsort((col_meets, col_x))
         b, col_x, col_flat, col_bits, col_meets = (
-            b[:, order], col_x[order], col_flat[order], col_bits[order], col_meets[order])
+            b[..., order], col_x[order], col_flat[order], col_bits[order], col_meets[order])
         # row groups of one X and one parity pattern, column groups of one
         # X and one meets; a block pairs a row and a column group of the
         # same X that meet on some parity, over the contracted values of
@@ -645,7 +687,7 @@ def _dense_term(t: Tensors, expr, sides: dict, letters: tuple, dtype) -> _Dense:
                    if rm & cm] for rs, cs in zip(rows_of, cols_of)]
         return _Dense(size, a, b, row_flat, col_flat, col_bits, blocks)
 
-    return t.cached(("dense", expr, frozenset(sides.items()), letters, dtype), build)
+    return t.cached(("dense", expr, frozenset(sides.items()), letters, primes), build)
 
 
 def _sign_table(sign_pairs, coeff: int, dtype, letters: tuple) -> np.ndarray:
@@ -658,8 +700,8 @@ def _sign_table(sign_pairs, coeff: int, dtype, letters: tuple) -> np.ndarray:
 
 # the evaluator's forms, each with the checked bound below which its
 # sums are exact in any order
-_JOIN, _FLOAT, _PYINT = ("join", np.int64), ("dense", np.float64), ("dense", object)
-_EXACT_BELOW = {_JOIN: 2**62, _FLOAT: 2**53, _PYINT: math.inf}
+_JOIN, _FLOAT, _MODULAR = ("join", np.int64), ("dense", np.float64), ("multimodular", np.float64)
+_EXACT_BELOW = {_JOIN: 2**62, _FLOAT: 2**53, _MODULAR: math.inf}
 
 
 def _form(s, ident: Identity, orientation: int) -> tuple:
@@ -671,13 +713,12 @@ def _form(s, ident: Identity, orientation: int) -> tuple:
     when it has fewer contributions than the dense blocks have cells,
     which is the case on sparse structures (on dense ones the join would
     have more).  From 2^53 to 2^62 the int64 join runs.  At 2^62 and
-    above the arithmetic is Python ints, and only the dense form keeps
-    it affordable: the join would box one int per contribution.
+    above the dense form runs modulo the primes of :func:`_primes`.
     """
     t = _tensors(s)
     bound = _checked_bound(t, ident)
     if bound >= _EXACT_BELOW[_JOIN]:
-        return _PYINT
+        return _MODULAR
     if bound >= _EXACT_BELOW[_FLOAT]:
         return _JOIN
     sides = _orient(ident.sides, orientation)
@@ -716,6 +757,9 @@ class _Evaluation:
         self.form = form or (None if 0 in self.dims else _form(t, ident, orientation))
         if form and not _checked_bound(t, ident) < _EXACT_BELOW.get(form, 0):
             raise ValueError(f"{ident.name} is not exact in the evaluator form {form}")
+        self.primes = _primes(t, ident) if self.form == _MODULAR else ()
+        m = math.prod(self.primes)
+        self.crt = [m // p * pow(m // p, -1, p) for p in self.primes]
         self.terms = []  # (expression, sign table), or (dense form, its signed b's)
         for term, c in zip(terms, coeffs) if self.form else ():
             key = (term.sign_pairs, c, self.form[1], ident.letters)
@@ -723,22 +767,22 @@ class _Evaluation:
             if self.form == _JOIN:
                 self.terms.append((term.expr, table))
             else:
-                dense = _dense_term(t, term.expr, sides, ident.letters, self.form[1])
+                dense = _dense_term(t, term.expr, sides, ident.letters, self.primes)
                 self.terms.append((dense, dense.signed(table)))
         self.failures: list[Failure] = []
         self.count = 0
 
     def residual(self, run: tuple, joins: dict):
-        """The nonzero entries of the scaled residual over the X indices
-        ``lo <= X < hi``, as chunks (keys ``X * size + flat``, values) in
-        increasing key order, the lexicographic order of (basis tuple,
-        output index).  The join form sorts all terms' contributions by
-        key and sums repeats, exact in int64 in any order under the
-        checked bound; ``joins`` keeps the run's term joins for the
-        identities evaluated in lockstep.  The dense form adds every
-        term's products, signed through ``b``, into one residual buffer,
-        reused from X index to X index: only its nonzeros are read out
-        (and, in float64, cast to int64) and reset."""
+        """The nonzero entries of the primitive residual over the X
+        indices ``lo <= X < hi``, as chunks (keys ``X * size + flat``,
+        int64 rows that :meth:`value` reads) in increasing key order, the
+        lexicographic order of (basis tuple, output index).  The join
+        form sorts all terms' contributions by key and sums repeats, exact
+        in int64 under the checked bound; ``joins`` keeps the run's term
+        joins for the identities evaluated in lockstep.  The dense form
+        adds every term's products, signed through ``b``, into one buffer
+        of a stretch per prime, reused from X index to X index, and reads
+        out its nonzeros: residues modulo each prime if multimodular."""
         t, sides, letters = self.t, self.sides, self.ident.letters
         if self.form == _JOIN:
             key = (frozenset(sides.items()), letters)
@@ -756,20 +800,35 @@ class _Evaluation:
                 starts = np.flatnonzero(np.diff(keys, prepend=-1))
                 sums = np.add.reduceat(values, starts)
                 kept = np.flatnonzero(sums)
-                yield keys[starts[kept]], sums[kept]
+                yield keys[starts[kept]], sums[kept, None]
             return
         size = self.terms[0][0].size
-        residual = np.zeros(size, self.form[1])
+        residual = np.zeros(max(len(self.primes), 1) * size)
+        stacked, primes = residual.reshape(-1, size), np.array(self.primes, np.int64)[:, None]
         for xi in range(*run):
             for term, signed in self.terms:
-                for pattern, rows, cols, contracted in term.blocks[xi]:
+                for pattern, rows, cols, c in term.blocks[xi]:
                     b, factor = signed[pattern]
-                    flat = term.row_flat[rows, None] + term.col_flat[cols]
-                    residual[flat] += (factor * term.a[rows, contracted]) @ b[contracted, cols]
+                    flat = term.row_flat[..., rows, None] + term.col_flat[cols]
+                    residual[flat] += (factor * term.a[..., rows, c]) @ b[..., c, cols]
+            if self.primes:  # a cell whose residual is 0 may hold any multiple of p
+                residues = np.fmod(stacked.astype(np.int64), primes)
+                stacked.fill(0)
+                nz = np.flatnonzero(residues.any(0))
+                yield xi * size + nz, residues[:, nz].T
+                continue
             nz = np.flatnonzero(residual)
-            values = residual[nz]
+            values = residual[nz, None]
             residual[nz] = 0
-            yield xi * size + nz, values.astype(np.int64) if self.form == _FLOAT else values
+            yield xi * size + nz, values.astype(np.int64)
+
+    def value(self, v) -> int:
+        """The integer of a value of :meth:`residual`, by CRT if multimodular."""
+        if not self.primes:
+            return int(v[0])
+        m = math.prod(self.primes)
+        x = sum(map(operator.mul, v.tolist(), self.crt)) % m
+        return x - m if 2 * x > m else x
 
     def add(self, keys, values, cap: int):
         """Count the failing tuples, the distinct ``key // d_out``; keep ``cap``."""
@@ -779,20 +838,13 @@ class _Evaluation:
         for tup, lo, hi in zip(tuples[: cap - len(self.failures)], starts, ends):
             where = dict(zip(self.ident.letters, map(int, np.unravel_index(tup, self.dims))))
             self.failures.append(Failure(where, {
-                int(k % self.d_out): Fraction(int(v), self.denom)
+                int(k % self.d_out): Fraction(self.value(v), self.denom)
                 for k, v in zip(keys[lo:hi], values[lo:hi])
             }))
 
     def report(self) -> AxiomReport:
         return AxiomReport(self.ident.name, self.orientation, math.prod(self.dims), self.count,
                            self.failures, _adopted_form_id(self.ident))
-
-
-def _residual(s, ident: Identity, orientation: int, form: tuple):
-    """The residual of one identity, orientation and form, run by run."""
-    e = _Evaluation(_tensors(s), ident, orientation, form)
-    for run in _runs(e.t, [e]):
-        yield from e.residual(run, {})
 
 
 def _eval_identities(s, idents: Sequence[Identity], orientation: int, cap: int) -> list:
@@ -815,60 +867,6 @@ def _eval_identities(s, idents: Sequence[Identity], orientation: int, cap: int) 
 def _eval_identity(s, ident, orientation, cap=FAILURE_CAP):
     """Check ``ident`` on every basis tuple of one orientation of ``s``."""
     return _eval_identities(s, [ident], orientation, cap)[0]
-
-
-# ---------------------------------------------------------------------------
-# the independent Fraction oracle (tests compare the evaluator against it)
-
-
-def _eval_expr_sparse(expr, env: dict, pair: PairStructure, sides: dict):
-    """Evaluate a bracket tree to a sparse vector; env maps letters to
-    sparse coordinate dicts on their side."""
-    if isinstance(expr, Letter):
-        return env[expr.name]
-    L = _eval_expr_sparse(expr.left, env, pair, sides)
-    R = _eval_expr_sparse(expr.right, env, pair, sides)
-    I = _eval_expr_sparse(expr.iso, env, pair, sides)
-    tensor = pair.m1 if _value_side(expr.left, sides) == 1 else pair.m2
-    out: dict = {}
-    for i, ci in I.items():
-        for l, cl in L.items():
-            cil = ci * cl
-            for r, cr in R.items():
-                comps = tensor.get((i, l, r))
-                if comps:
-                    c = cil * cr
-                    for o, s in comps.items():
-                        v = out.get(o, 0) + c * s
-                        if v:
-                            out[o] = v
-                        elif o in out:
-                            del out[o]
-    return out
-
-
-def residual_on_vectors(
-    pair: PairStructure, ident: Identity, orientation: int, vectors: dict, parities: dict
-) -> dict:
-    """Exact identity residual on arbitrary homogeneous vectors.
-
-    ``vectors`` maps letters to coordinate sequences on their side and
-    ``parities`` to the parity bit of each (homogeneous) vector.
-    """
-    sides = _orient(ident.sides, orientation)
-    env = {
-        l: {i: Fraction(c) for i, c in enumerate(v) if c} for l, v in vectors.items()
-    }
-    residual: dict = {}
-    for t in ident.residual_terms():
-        c = t.coeff * eval_sign_pairs(t.sign_pairs, parities)
-        for o, s in _eval_expr_sparse(t.expr, env, pair, sides).items():
-            v = residual.get(o, 0) + c * s
-            if v:
-                residual[o] = v
-            elif o in residual:
-                del residual[o]
-    return residual
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,24 @@ def ab():
     return module
 
 
-def _stub(ab, monkeypatch, tmp_path, values, failed=None):
+def _stub(ab, monkeypatch, tmp_path, values, failed=None, commits=None):
     """Point ab_bench at two empty checkouts whose runs report ``values``
-    (side -> metric -> value) and ``failed`` (side -> failed count)."""
+    (side -> metric -> value), ``failed`` (side -> failed count) and
+    ``commits`` (side -> commit; none where absent)."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(
         json.dumps({"run_seconds": 1, "end_to_end": SPEC}))
-    failed = failed or {}
+    failed, commits = failed or {}, commits or {}
 
     def run_once(checkout, workload, seed, seconds):
         side = checkout.name
         bad = failed.get(side, 0)
-        return {"correct": not bad, "attempted": 10, "failed": bad, "ops": {}, "digests": {},
-                "metrics": {m: {"value": v} for m, v in values[side].items()}}
+        run = {"correct": not bad, "attempted": 10, "failed": bad, "ops": {}, "digests": {},
+               "metrics": {m: {"value": v} for m, v in values[side].items()}}
+        if side in commits:
+            run["commit"] = commits[side]
+        return run
 
     monkeypatch.setattr(ab, "run_once", run_once)
     out = tmp_path / "bench.json"
@@ -67,3 +71,12 @@ def test_a_larger_failed_share_is_flagged(ab, monkeypatch, tmp_path, capsys):
                         failed={"change": 1})
     assert code == 1 and entry["operations"]["failed_share_regression"]
     assert "REGRESSION: failed-operation share 0.0000 -> 0.1000" in capsys.readouterr().out
+
+
+def test_a_checkout_without_a_commit_is_labelled_by_its_path(ab, monkeypatch, tmp_path):
+    same = {"norm_wall_s": 1.0, "peak_rss_mb": 40.0}
+    _stub(ab, monkeypatch, tmp_path, {"parent": same, "change": same},
+          commits={"change": "3e889e60c721e9fb6ae6e1fcea9585096b571dc3"})
+    doc = json.loads((tmp_path / "bench.json").read_text())
+    assert doc["parent"] == str((tmp_path / "parent").resolve())
+    assert doc["change"] == "3e889e60c721e9fb6ae6e1fcea9585096b571dc3"

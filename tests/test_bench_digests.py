@@ -43,14 +43,20 @@ def test_verify_reports_match_recorded_digests(workload):
 @pytest.mark.parametrize("workload, job, form", [
     ("verify-sparse", "verify gl(2,2) relabelled", ("join", np.int64)),
     ("verify-dense", "verify gl(2,1) transported", ("dense", np.float64)),
-    ("verify-dense", "verify osp+(2,1) transported scaled", ("dense", object)),
+    ("verify-dense", "verify osp+(2,1) transported scaled", ("join", np.int64)),
+    ("verify-dense", "verify perturbed osp+(2,1) transported scaled",
+     ("multimodular", np.float64)),
 ])
 def test_bench_jobs_pin_the_evaluator_form(workload, job, form):
-    # the sparse pair takes the join, the basis-changed dense pair the
-    # float64 dense form, and the pair scaled past 2^62 the Python-int
-    # one; the degree-1 symmetry stays far below 2^53 and its join has as
-    # many contributions as its dense form has cells, so it takes the
-    # float64 dense form on all three
+    # the sparse pair takes the join and the basis-changed dense pair the
+    # float64 dense form.  Scaling by one odd factor past 2^31 is content
+    # that the evaluator divides out, so the scaled pair is as far below
+    # 2^53 as it was before scaling, where its join has fewer
+    # contributions than its dense form has cells; perturbed after
+    # scaling, it has content 1 and a checked bound past 2^62, and takes
+    # the multimodular form.  The degree-1 symmetry stays far below 2^53
+    # and its join has as many contributions as its dense form has
+    # cells, so it takes the float64 dense form on all four
     (pair,) = _jobs(workload)[job].args()
     if pair.kind == P.ISOTOPIC:
         symmetry, deep = "antisymmetry.isotopic", ("jacobi_analog", "compatibility")

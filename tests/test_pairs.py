@@ -24,8 +24,12 @@ from isopairs.rng import Lcg64
 from isopairs.supercore import CATALOG, EQUIVARIANCE, Act, SuperSpace
 
 from dense_oracle import apply, col
+from identity_oracle import residual_on_vectors
 
 F = Fraction
+
+# the evaluator's forms: the int64 join, float64 dense and multimodular
+JOIN, FLOAT, MODULAR = ("join", np.int64), ("dense", np.float64), ("multimodular", np.float64)
 
 
 def unit(k, d):
@@ -156,7 +160,7 @@ def _oracle_report(pair, ident, orientation):
     for combo in itertools.product(*(range(s.dim) for s in spaces)):
         vectors = {l: unit(i, s.dim) for l, i, s in zip(letters, combo, spaces)}
         parities = {l: s.parities[i] for l, i, s in zip(letters, combo, spaces)}
-        residual = P.residual_on_vectors(pair, ident, orientation, vectors, parities)
+        residual = residual_on_vectors(pair, ident, orientation, vectors, parities)
         if residual:
             count += 1
             if len(failures) < P.FAILURE_CAP:
@@ -205,20 +209,71 @@ def test_fractional_constants_scale_exactly():
     assert not fast.passed
 
 
+def _change_basis(pair, entry):
+    """The pair in the basis f_k = sum_i entry(i, k) e_i, over the e_i of
+    e_k's parity, which preserves parity; ``entry`` must make the change
+    invertible."""
+    def change(space):
+        par = space.parities
+        p = Matrix(space.dim, space.dim, [
+            (i, k, F(entry(i, k))) for k in range(space.dim) for i in range(space.dim)
+            if par[i] == par[k] and entry(i, k)])
+        return p, invert(p)
+
+    def tensor(side, p_iso, p_own, q_own):
+        out = {}
+        for u, x, y in itertools.product(range(p_iso.cols), range(p_own.cols), range(p_own.cols)):
+            v = apply(q_own, pair.bracket(side, col(p_iso, u), col(p_own, x), col(p_own, y)))
+            if any(v):
+                out[u, x, y] = {o: c for o, c in enumerate(v) if c}
+        return out
+
+    (p1, q1), (p2, q2) = change(pair.v1), change(pair.v2)
+    return P.PairStructure(
+        pair.v1, pair.v2, pair.kind, tensor(1, p2, p1, q1), tensor(2, p1, p2, q2))
+
+
+def _dense_basis(pair):
+    """The pair in the basis f_k = e_k + (the sum of the e_j of e_k's
+    parity): the sparse catalog constants fill in, so the deep
+    identities take the dense form."""
+    return _change_basis(pair, lambda i, k: 1 + (i == k))
+
+
+def _unimodular_basis(pair, n):
+    """The pair in the basis f_k = e_k + n (the sum of the e_j, j < k, of
+    e_k's parity): an integer change with an integer inverse, so the
+    content stays what it was while the entries grow like n^3."""
+    return _change_basis(pair, lambda i, k: (i == k) + n * (i < k))
+
+
 def test_evaluator_matches_fraction_oracle():
     # every identity is homogeneous in m, so scaling keeps a valid pair
-    # valid; 1/3 exercises the integer scaling, and an odd factor above
-    # 2^31 pushes the degree-2 identities past the int64 bound (the last
-    # case, perturbed before scaling, has residuals beyond 2^63)
+    # valid.  1/3 exercises the integer scaling, and an odd factor above
+    # 2^31 the content that the evaluator divides out; the last case,
+    # perturbed before scaling, has content 2^31 + 11, which enters its
+    # residuals at the identity's degree.  A unimodular change of gl(1,1) keeps content 1 and takes
+    # both deep identities past 2^62, into the multimodular form; once
+    # perturbed it fails with residuals past its largest prime, so only
+    # Chinese remaindering gives them back
     rng = Lcg64(23)
     gl11 = series_gl(1, 1).pair
     big = F(2**31 + 11)
+    wide = _unimodular_basis(gl11, 2**10)
     valid = [gl11, series_q(1).pair, gl11.parity_flip()]
-    valid += [_scaled(gl11, F(1, 3)), _scaled(gl11, big)]
+    valid += [_scaled(gl11, F(1, 3)), _scaled(gl11, big), wide, wide.parity_flip()]
     broken = [random_even_perturbation(p, rng) for p in valid]
     broken.append(_scaled(random_even_perturbation(gl11, rng), big))
-    for name in ("jacobi_analog", "compatibility"):
-        assert P._checked_bound(valid[-1], CATALOG[name]) >= 2**62
+    assert P._scale(valid[4])[0] == 1 / big == P._scale(broken[-1])[0]
+    for pair in (wide, broken[5]):
+        assert P._scale(pair)[0] == 1
+        for name in ("jacobi_analog", "compatibility"):
+            assert P._checked_bound(pair, CATALOG[name]) >= 2**62
+            assert P._form(pair, CATALOG[name], 1) == MODULAR
+    e = P._Evaluation(broken[5].tensors(), CATALOG["jacobi_analog"], 1)
+    assert len(e.primes) > 1 and e.denom == 1
+    failures = P._eval_identity(broken[5], CATALOG["jacobi_analog"], 1).failures
+    assert max(abs(c) for f in failures for c in f.residual.values()) > max(e.primes)
     cases = [(p, True) for p in valid] + [(p, False) for p in broken]
     for k, (pair, passes) in enumerate(cases):
         if pair.kind == "isotopic":
@@ -235,7 +290,7 @@ def test_evaluator_matches_fraction_oracle():
         assert all(r.passed for r in reports) == passes
 
 
-FORMS = (("join", np.int64), ("dense", np.float64), ("dense", object))
+FORMS = (JOIN, FLOAT, MODULAR)
 
 
 def _form_residuals(pair, ident, orientation, form):
@@ -246,12 +301,14 @@ def _form_residuals(pair, ident, orientation, form):
     terms, coeff_scale, _ = P._int_coeffs(ident)
     d_out = pair.space(P._value_side(terms[0].expr, sides)).dim
     denom = coeff_scale * P._scale(pair)[0] ** P._degree(terms)
+    e = P._Evaluation(pair.tensors(), ident, orientation, form)
     out = {}
-    for keys, values in P._residual(pair, ident, orientation, form):
-        for k, v in zip(keys.tolist(), values):
-            where = tuple(int(i) for i in np.unravel_index(k // d_out, dims))
-            assert k % d_out not in out.get(where, {})  # keys are distinct
-            out.setdefault(where, {})[k % d_out] = F(int(v), denom)
+    for run in P._runs(e.t, [e]):
+        for keys, values in e.residual(run, {}):
+            for k, v in zip(keys.tolist(), values):
+                where = tuple(int(i) for i in np.unravel_index(k // d_out, dims))
+                assert k % d_out not in out.get(where, {})  # keys are distinct
+                out.setdefault(where, {})[k % d_out] = F(e.value(v), denom)
     return out
 
 
@@ -261,7 +318,7 @@ def _oracle_residual(pair, ident, orientation, where):
     spaces = [pair.space(sides[l]) for l in letters]
     vectors = {l: unit(i, s.dim) for l, i, s in zip(letters, where, spaces)}
     parities = {l: s.parities[i] for l, i, s in zip(letters, where, spaces)}
-    return P.residual_on_vectors(pair, ident, orientation, vectors, parities)
+    return residual_on_vectors(pair, ident, orientation, vectors, parities)
 
 
 _VALUES = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 3)])
@@ -320,58 +377,68 @@ def test_both_forms_match_fraction_oracle_on_random_sparse_pairs(pair, rng):
                 assert _form_residuals(pair, ident, orientation, form) == got, form
 
 
-def test_join_form_just_under_the_int64_bound():
-    # the largest integer scale that keeps both deep identities of a
-    # perturbed gl(2,1) under 2^62: still the int64 join, and its report
-    # equals the Python-int dense form's and the oracle's
-    pert = random_even_perturbation(series_gl(2, 1).pair, Lcg64(5))
-    idents = [CATALOG[n] for n in ("jacobi_analog", "compatibility")]
+def _plus_one(pair):
+    """``pair`` with 1 added to an m1 entry of least size.  On k times a
+    primitive integer pair this leaves content 1 (as the callers assert),
+    so the evaluator cannot divide k out, and the largest entry within 1
+    of k times the old one."""
+    key, o = min(((key, o) for key, comps in pair.m1.items() for o in comps),
+                 key=lambda ko: abs(pair.m1[ko[0]][ko[1]]))
+    m1 = {**pair.m1, key: {**pair.m1[key], o: pair.m1[key][o] + 1}}
+    return P.PairStructure(pair.v1, pair.v2, pair.kind, m1, pair.m2)
 
+
+def _band_edge(base, idents, limit):
+    """The largest integer k for which every identity's checked bound on
+    ``_plus_one(k * base)`` stays below ``limit``.  The bound grows like
+    k^2, so k is a step or two from its estimate off ``base``."""
     def worst(k):
-        return max(P._checked_bound(_scaled(pert, F(k)), i) for i in idents)
+        return max(P._checked_bound(_plus_one(_scaled(base, F(k))), i) for i in idents)
 
-    k = math.isqrt((2**62 - 1) // worst(1))
-    while worst(k + 1) < 2**62:
+    k = start = math.isqrt((limit - 1) // max(P._checked_bound(base, i) for i in idents))
+    while worst(k) >= limit:
+        k -= 1
+        assert k > start - 4, "the checked bound does not grow like k^2"
+    while worst(k + 1) < limit:
         k += 1
-    big = _scaled(pert, F(k))
-    assert 2**61 <= worst(k) < 2**62 <= worst(k + 1)
-    failing = 0
-    for ident in idents:
-        for orientation in (1, 2):
-            assert P._form(big, ident, orientation) == ("join", np.int64)
-            residuals = _form_residuals(big, ident, orientation, ("join", np.int64))
-            assert residuals == _form_residuals(big, ident, orientation, ("dense", object))
-            report = P._eval_identity(big, ident, orientation)
-            failing += report.failure_count
-            for f in report.failures:
-                where = tuple(f.where.values())
-                assert f.residual == residuals[where]
-                assert f.residual == _oracle_residual(big, ident, orientation, where)
+        assert k < start + 4, "the checked bound does not grow like k^2"
+    assert limit // 2 <= worst(k) < limit <= worst(k + 1)
+    return k
+
+
+def test_join_form_just_under_the_int64_bound():
+    # content-1 multiples of a perturbed gl(2,1): at the largest one that
+    # keeps both deep identities under 2^62 they take the int64 join,
+    # which equals the multimodular form; at the next one some identity
+    # passes 2^62 and takes the multimodular form, where the join
+    # refuses.  Every failure equals the oracle
+    base = random_even_perturbation(series_gl(2, 1).pair, Lcg64(5))
+    idents = [CATALOG[n] for n in ("jacobi_analog", "compatibility")]
+    k = _band_edge(base, idents, 2**62)
+    failing, forms = 0, set()
+    for scale in (k, k + 1):
+        big = _plus_one(_scaled(base, F(scale)))
+        assert P._scale(big)[0] == 1
+        for ident in idents:
+            past = P._checked_bound(big, ident) >= 2**62
+            form = MODULAR if past else JOIN
+            forms.add((scale, form))
+            for orientation in (1, 2):
+                assert P._form(big, ident, orientation) == form
+                residuals = _form_residuals(big, ident, orientation, form)
+                if not past:
+                    assert residuals == _form_residuals(big, ident, orientation, MODULAR)
+                report = P._eval_identity(big, ident, orientation)
+                failing += report.failure_count
+                for f in report.failures:
+                    where = tuple(f.where.values())
+                    assert f.residual == residuals[where]
+                    assert f.residual == _oracle_residual(big, ident, orientation, where)
+                if past:
+                    with pytest.raises(ValueError, match="not exact"):
+                        P._Evaluation(big.tensors(), ident, orientation, JOIN)
     assert failing
-
-
-def _dense_basis(pair):
-    """The pair in the basis f_k = e_k + (the sum of the e_j of e_k's
-    parity), which preserves parity: the sparse catalog constants fill
-    in, so the deep identities take the dense form."""
-    def change(space):
-        par = space.parities
-        p = Matrix(space.dim, space.dim, [
-            (i, k, F(1 + (i == k))) for k in range(space.dim) for i in range(space.dim)
-            if par[i] == par[k]])
-        return p, invert(p)
-
-    def tensor(side, p_iso, p_own, q_own):
-        out = {}
-        for u, x, y in itertools.product(range(p_iso.cols), range(p_own.cols), range(p_own.cols)):
-            v = apply(q_own, pair.bracket(side, col(p_iso, u), col(p_own, x), col(p_own, y)))
-            if any(v):
-                out[u, x, y] = {o: c for o, c in enumerate(v) if c}
-        return out
-
-    (p1, q1), (p2, q2) = change(pair.v1), change(pair.v2)
-    return P.PairStructure(
-        pair.v1, pair.v2, pair.kind, tensor(1, p2, p1, q1), tensor(2, p1, p2, q2))
+    assert {(k, JOIN), (k + 1, MODULAR)} <= forms and (k, MODULAR) not in forms
 
 
 def test_check_drops_each_orientations_dense_forms(monkeypatch):
@@ -405,32 +472,26 @@ def test_check_drops_each_orientations_dense_forms(monkeypatch):
 @pytest.mark.parametrize("osp, orientation", [((2, 1, 1), 2), ((1, 2, 1), 1)])
 def test_float_form_just_under_the_float64_bound(osp, orientation):
     # the orientation in which both deep identities of a perturbed osp+
-    # pair in a dense basis take the dense form: the largest integer
-    # scale that keeps both under 2^53 takes the float64 dense form, and
-    # at the next one the identity past 2^53 takes the int64 join.  Both
-    # equal the Python-int dense form and the oracle; the float64 form,
+    # pair in a dense basis take the dense form: the largest content-1
+    # multiple that keeps both under 2^53 takes the float64 dense form,
+    # and at the next one the identity past 2^53 takes the int64 join.
+    # Both equal the multimodular form and the oracle; the float64 form,
     # forced past 2^53, refuses
     pert = random_even_perturbation(_dense_basis(series_osp(*osp).pair), Lcg64(5))
-    pert = _scaled(pert, F(P._scale(pert)[0]))  # integer entries: the bound grows as k^2
+    base = _scaled(pert, P._scale(pert)[0])  # primitive integer entries
     idents = [CATALOG[n] for n in ("jacobi_analog", "compatibility")]
-
-    def worst(k):
-        return max(P._checked_bound(_scaled(pert, F(k)), i) for i in idents)
-
-    k = math.isqrt((2**53 - 1) // worst(1))
-    while worst(k + 1) < 2**53:
-        k += 1
-    assert 2**52 <= worst(k) < 2**53 <= worst(k + 1)
+    k = _band_edge(base, idents, 2**53)
     failing, forms = 0, set()
     for scale in (k, k + 1):
-        big = _scaled(pert, F(scale))
+        big = _plus_one(_scaled(base, F(scale)))
+        assert P._scale(big)[0] == 1
         for ident in idents:
             past = P._checked_bound(big, ident) >= 2**53
-            form = ("join", np.int64) if past else ("dense", np.float64)
+            form = JOIN if past else FLOAT
             forms.add((scale, form))
             assert P._form(big, ident, orientation) == form
             residuals = _form_residuals(big, ident, orientation, form)
-            assert residuals == _form_residuals(big, ident, orientation, ("dense", object))
+            assert residuals == _form_residuals(big, ident, orientation, MODULAR)
             report = P._eval_identity(big, ident, orientation)
             failing += report.failure_count
             for f in report.failures:
@@ -439,10 +500,76 @@ def test_float_form_just_under_the_float64_bound(osp, orientation):
                 assert f.residual == _oracle_residual(big, ident, orientation, where)
             if past:
                 with pytest.raises(ValueError, match="not exact"):
-                    next(P._residual(big, ident, orientation, ("dense", np.float64)))
+                    P._Evaluation(big.tensors(), ident, orientation, FLOAT)
     assert failing
-    assert forms == {(k, ("dense", np.float64)), (k + 1, ("dense", np.float64)),
-                     (k + 1, ("join", np.int64))}
+    assert forms == {(k, FLOAT), (k + 1, FLOAT), (k + 1, JOIN)}
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if P._is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # 2^61 - 1 and 2^53 - 111 (the largest prime below 2^53) are prime;
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert P._is_prime(2**61 - 1) and P._is_prime(2**53 - 111)
+    assert not any(map(P._is_prime, (3215031751, 2**53 - 109, 561 * 1105)))
+
+
+def _line_pairs():
+    """A pair on one-dimensional even spaces whose two entries, M and
+    M - 2 for M = 2^61 + 1, have content 1, and its parity flip: the
+    graded antisymmetry residual 2M meets its checked bound."""
+    v = SuperSpace.make(["a"], [0])
+    m = 2**61 + 1
+    line = P.PairStructure(v, v, "isotopic", {(0, 0, 0): {0: F(m)}}, {(0, 0, 0): {0: F(m - 2)}})
+    return [line, line.parity_flip()]
+
+
+def test_primes_keep_float64_exact_and_cover_the_checked_bound():
+    # the largest residue of every prime keeps the checked bound below
+    # 2^53, so float64 sums the residues exactly over any contraction
+    # length; the product of the primes exceeds twice the checked bound,
+    # so the residual is the one integer of least size with its residues
+    wide = _unimodular_basis(series_gl(1, 1).pair, 2**10)
+    for pair in [*_line_pairs(), wide, random_even_perturbation(wide, Lcg64(3))]:
+        t = pair.tensors()
+        names = ("antisymmetry.isotopic", "jacobi_analog", "compatibility")
+        if pair.kind != "isotopic":
+            names = ("symmetry.superJordan", "super_jordan")
+        for ident in map(CATALOG.get, names):
+            primes = P._primes(t, ident)
+            assert list(primes) == sorted(set(primes), reverse=True)
+            assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(primes, 2))
+            assert all(P._checked_bound(t, ident, (p - 1) // 2) < 2**53 for p in primes)
+            assert math.prod(primes) > 2 * P._checked_bound(t, ident)
+            # and no smaller than they need be: at the next prime up,
+            # residues twice as large would pass 2^53
+            bigger = next(q for q in itertools.count(primes[0] + 2, 2) if P._is_prime(q))
+            assert P._checked_bound(t, ident, bigger - 1) >= 2**53
+
+
+def test_multimodular_residuals_that_need_every_prime():
+    # the one-dimensional pair fails graded antisymmetry with residual
+    # 2M past 2^62, at the checked bound: each of the two primes of about
+    # 2^53 is needed to give it back.  Every identity runs multimodular
+    # and equals the oracle
+    for pair in _line_pairs():
+        names = ("antisymmetry.isotopic", "jacobi_analog", "compatibility")
+        if pair.kind != "isotopic":
+            names = ("symmetry.superJordan", "super_jordan")
+        for name in names:
+            for orientation in (1, 2):
+                ident = CATALOG[name]
+                assert P._form(pair, ident, orientation) == MODULAR
+                got = P._eval_identity(pair, ident, orientation)
+                assert got.to_json() == _oracle_report(pair, ident, orientation).to_json()
+    line = _line_pairs()[0]
+    ident = CATALOG["antisymmetry.isotopic"]
+    e = P._Evaluation(line.tensors(), ident, 1)
+    assert len(e.primes) == 2 and max(e.primes) < 2**53
+    report = P._eval_identity(line, ident, 1)
+    assert [f.residual for f in report.failures] == [{0: 2 * (2**61 + 1)}]
 
 
 def test_float_form_on_an_uneven_dense_pair():
@@ -457,7 +584,7 @@ def test_float_form_on_an_uneven_dense_pair():
     assert [r.failure_count for r in P.check_evenness(pair)] == [1, 1]
     for name in ("jacobi_analog", "compatibility"):
         ident = CATALOG[name]
-        assert P._form(pair, ident, 2) == ("dense", np.float64)
+        assert P._form(pair, ident, 2) == FLOAT
         report = P._eval_identity(pair, ident, 2)
         assert report.to_json() == _oracle_report(pair, ident, 2).to_json()
         assert not report.passed
@@ -465,23 +592,28 @@ def test_float_form_on_an_uneven_dense_pair():
 
 def test_float_form_stops_short_of_2_to_the_53():
     # graded antisymmetry (coefficients 1, 1) on two-dimensional spaces
-    # with largest entry 2^50 has a checked bound of exactly 2 * 2^50 * 2^2
-    # = 2^53: the int64 join, while half of it takes the float64 form
+    # with largest entry 2^50 and content 1 has a checked bound of exactly
+    # 2 * 2^50 * 2^2 = 2^53: the int64 join, while largest entry 2^49
+    # takes the float64 form
     v = SuperSpace.make(["a", "b"], [0, 1])
-    pair = P.PairStructure(v, v, "isotopic", {(0, 0, 1): {1: F(2**50)}}, {(1, 0, 1): {0: F(4)}})
-    half = _scaled(pair, F(1, 2))
+
+    def pair(biggest):
+        m1, m2 = {(0, 0, 1): {1: F(biggest)}}, {(1, 0, 1): {0: F(1)}}
+        return P.PairStructure(v, v, "isotopic", m1, m2)
+
+    edge, half = pair(2**50), pair(2**49)
     ident = CATALOG["antisymmetry.isotopic"]
-    assert P._checked_bound(pair, ident) == 2**53 == 2 * P._checked_bound(half, ident)
+    assert P._checked_bound(edge, ident) == 2**53 == 2 * P._checked_bound(half, ident)
     for orientation in (1, 2):
-        assert P._form(pair, ident, orientation) == ("join", np.int64)
-        assert P._form(half, ident, orientation) == ("dense", np.float64)
-        for p in (pair, half):
+        assert P._form(edge, ident, orientation) == JOIN
+        assert P._form(half, ident, orientation) == FLOAT
+        for p in (edge, half):
             assert P._eval_identity(p, ident, orientation).to_json() == (
                 _oracle_report(p, ident, orientation).to_json())
     with pytest.raises(ValueError, match="not exact"):
-        next(P._residual(pair, ident, 1, ("dense", np.float64)))
+        P._Evaluation(edge.tensors(), ident, 1, FLOAT)
     with pytest.raises(ValueError, match="not exact"):
-        next(P._residual(half, ident, 1, ("dense", np.int64)))
+        P._Evaluation(half.tensors(), ident, 1, ("dense", np.int64))
 
 
 def test_negative_indices_rejected():
@@ -531,7 +663,7 @@ def test_basis_checking_matches_element_checking():
                 v[i] = rng.coefficient()
             vectors[letter] = tuple(v)
             parities[letter] = par
-        assert P.residual_on_vectors(pair, ident, 1, vectors, parities) == {}
+        assert residual_on_vectors(pair, ident, 1, vectors, parities) == {}
 
     pert = random_even_perturbation(pair, rng)
     letters = sorted(sides, key="XYZUV".index)
@@ -545,7 +677,7 @@ def test_basis_checking_matches_element_checking():
             v[i] = rng.coefficient()
         vectors[letter] = tuple(v)
         parities[letter] = 0
-    got = P.residual_on_vectors(pert, ident, 1, vectors, parities)
+    got = residual_on_vectors(pert, ident, 1, vectors, parities)
     # basis-derived prediction
     dims = [pert.space(sides[l]).dim for l in letters]
     predicted = {}
@@ -559,7 +691,7 @@ def test_basis_checking_matches_element_checking():
             l: unit(i, pert.space(sides[l]).dim) for l, i in zip(letters, combo)
         }
         basis_par = {l: pert.space(sides[l]).parities[i] for l, i in zip(letters, combo)}
-        res = P.residual_on_vectors(pert, ident, 1, basis_vecs, basis_par)
+        res = residual_on_vectors(pert, ident, 1, basis_vecs, basis_par)
         for o, c in res.items():
             v = predicted.get(o, 0) + coeff * c
             if v:

@@ -816,7 +816,7 @@ def test_g0_equivariance_checks_the_m2_half():
 
 
 def test_g0_equivariance_in_every_evaluator_form(monkeypatch):
-    # the sparse join, float64 dense and Python-int dense forms give the
+    # the sparse join, float64 dense and multimodular forms give the
     # oracle's reports on the hull's generators acting on a pair with m1,
     # and on one with m2, perturbed, also run by run
     from isopairs import pairs
@@ -824,7 +824,7 @@ def test_g0_equivariance_in_every_evaluator_form(monkeypatch):
     monkeypatch.setattr(pairs, "_RUN", 4)
     for alg in _g0_cases(series_gl(1, 1).pair, 11)[2:4]:
         want = _json(_g0_equivariance_oracle(alg, cap=10**6))
-        for form in (("join", np.int64), ("dense", np.float64), ("dense", object)):
+        for form in (("join", np.int64), ("dense", np.float64), ("multimodular", np.float64)):
             monkeypatch.setattr(pairs, "_form", lambda *args, form=form: form)
             assert _json(tkk.g0_equivariance_report(alg, 10**6)) == want, form
 
