@@ -111,8 +111,11 @@ def build_from_spec(spec: str):
 
 
 def _write(path: str, payload: dict):
-    with open(path, "w") as fh:
-        fh.write(canonical_json(payload))
+    try:
+        with open(path, "w") as fh:
+            fh.write(canonical_json(payload))
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load(path: str, parse, what: str):

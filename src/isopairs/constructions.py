@@ -97,28 +97,46 @@ class EnvelopePair:
         return out
 
 
-def _envelope_bracket(x: Matrix, u: Matrix, y: Matrix, s: int) -> Matrix:
-    """x u y + s y u x for s = +-1: no copy is scaled by -1."""
-    xuy, yux = x @ u @ y, y @ u @ x
-    return xuy + yux if s == 1 else xuy - yux
+def _brackets(space: SuperMatrixSpace, iso: list, args: list, sgn: int) -> dict:
+    """Every nonzero bracket x_i u_j x_k + sgn A x_k u_j x_i of u_j in
+    ``iso`` and x_i, x_k in ``args``, A the ``sign_a`` of their parities,
+    as ``Matrix.flat`` dicts keyed (j, i, k) in sorted order.  Block
+    (i, k) of (x_0; x_1; ...) u_j (x_0 x_1 ...) is the word x_i u_j x_k:
+    the first word of bracket (j, i, k) and the second of (j, k, i)."""
+    n, d = space.size, len(args)
+    pu = [space.parity_of(u) for u in iso]
+    px = [space.parity_of(x) for x in args]
+    stacked = Matrix(d * n, n, [(i * n + r, c, v) for i, x in enumerate(args)
+                                for r, c, v in x.nonzeros()])
+    joined = Matrix(n, d * n, [(r, k * n + c, v) for k, x in enumerate(args)
+                               for r, c, v in x.nonzeros()])
+    out: dict = {}
+    for j, u in enumerate(iso):
+        words: dict = {}
+        for row, col, v in (stacked @ u @ joined).nonzeros():
+            (i, r), (k, c) = divmod(row, n), divmod(col, n)
+            words.setdefault((i, k), {})[r * n + c] = v
+        for (i, k), w in words.items():
+            axpy(out.setdefault((j, i, k), {}), 1, w)
+            axpy(out.setdefault((j, k, i), {}), sgn * sign_a(px[k], pu[j], px[i]), w)
+    return {key: v for key, v in sorted(out.items()) if v}
 
 
-def _span_solver(space: SuperMatrixSpace, basis: list) -> IncrementalSpan:
-    span = IncrementalSpan(track_combos=True)
-    for b in basis:
+def _unflat(space: SuperMatrixSpace, v: dict) -> Matrix:
+    """The matrix whose ``flat`` is v."""
+    return Matrix(space.size, space.size, [(*divmod(f, space.size), c) for f, c in v.items()])
+
+
+def _side(space: SuperMatrixSpace, basis: list, side: int) -> tuple[list, IncrementalSpan]:
+    """The parities of a side's basis and the span that solves over it."""
+    ps, span = [], IncrementalSpan(track_combos=True)
+    for k, b in enumerate(basis):
+        ps.append(space.parity_of(b))
+        if ps[-1] is None:
+            raise ValueError(f"basis element {k} of side {side} is not homogeneous")
         if not span.insert(b.flat()):
             raise ValueError("envelope basis is linearly dependent")
-    return span
-
-
-def _basis_parities(space: SuperMatrixSpace, basis: list, side: int) -> list[int]:
-    ps = []
-    for k, b in enumerate(basis):
-        p = space.parity_of(b)
-        if p is None:
-            raise ValueError(f"basis element {k} of side {side} is not homogeneous")
-        ps.append(p)
-    return ps
+    return ps, span
 
 
 def envelope_pair(
@@ -135,34 +153,22 @@ def envelope_pair(
     model; membership is solved exactly and NotClosed carries the first
     escaping product.
     """
-    p1 = _basis_parities(space, basis1, 1)
-    p2 = _basis_parities(space, basis2, 2)
+    (p1, span1), (p2, span2) = _side(space, basis1, 1), _side(space, basis2, 2)
     sgn = -1 if kind == ISOTOPIC else 1
-    span1 = _span_solver(space, basis1)
-    span2 = _span_solver(space, basis2)
     labels1 = list(labels1) if labels1 else [f"x{i}" for i in range(len(basis1))]
     labels2 = list(labels2) if labels2 else [f"u{i}" for i in range(len(basis2))]
 
-    def build(iso_basis, iso_par, arg_basis, arg_par, arg_span, side):
+    def build(iso, args, span, side):
+        # a nonzero bracket in the span has nonzero coordinates
         tensor = {}
-        for (j, u), (i, x), (k, y) in itertools.product(
-            enumerate(iso_basis), enumerate(arg_basis), enumerate(arg_basis)
-        ):
-            a = sign_a(arg_par[i], iso_par[j], arg_par[k])
-            prod = _envelope_bracket(x, u, y, sgn * a)
-            if prod.is_zero():
-                continue
-            coeffs = arg_span.solve(prod.flat())
-            if coeffs is None:
-                trip = (j, i, k)
-                raise NotClosed(side, trip, prod)
-            comps = {o: c for o, c in coeffs.items() if c}
-            if comps:
-                tensor[(j, i, k)] = comps
+        for key, prod in _brackets(space, iso, args, sgn).items():
+            tensor[key] = span.solve(prod)
+            if tensor[key] is None:
+                raise NotClosed(side, key, _unflat(space, prod))
         return tensor
 
-    m1 = build(basis2, p2, basis1, p1, span1, 1)
-    m2 = build(basis1, p1, basis2, p2, span2, 2)
+    m1 = build(basis2, basis1, span1, 1)
+    m2 = build(basis1, basis2, span2, 2)
     pair = PairStructure(
         SuperSpace.make(labels1, p1), SuperSpace.make(labels2, p2), kind, m1, m2
     )
@@ -173,14 +179,14 @@ def envelope_pair(
 # the five series
 
 
-def series_gl(n: int, m: int, kind: str = ISOTOPIC) -> EnvelopePair:
+def series_gl(n: int, m: int) -> EnvelopePair:
     """Full Mat(n|m) on both sides; dimensions (n^2+m^2 | 2nm) each."""
     if n + m < 1:
         raise ValueError("need n + m >= 1")
     space = SuperMatrixSpace(n, m)
     units_ = [space.unit(i, j) for i, j in space.units()]
     labels = [f"E{i},{j}" for i, j in space.units()]
-    return envelope_pair(space, units_, units_, kind, labels, labels)
+    return envelope_pair(space, units_, units_, ISOTOPIC, labels, labels)
 
 
 def series_osp(n: int, m: int, eps: int) -> EnvelopePair:
@@ -223,17 +229,11 @@ def series_osp(n: int, m: int, eps: int) -> EnvelopePair:
     return envelope_pair(space, b1, b2, ISOTOPIC, l1, l2)
 
 
-def _q_even(space: SuperMatrixSpace, a: Matrix) -> Matrix:
-    """diag(A, A) inside Mat(n|n), A the upper-left n x n block of a."""
+def _q_block(space: SuperMatrixSpace, odd: int, a: Matrix) -> Matrix:
+    """diag(A, A), or antidiag(A, A) if ``odd``, inside Mat(n|n), A the
+    upper-left n x n block of a."""
     n = space.n
-    entries = [(i + s, j + s, c) for i, j, c in a.nonzeros() for s in (0, n)]
-    return Matrix(space.size, space.size, entries)
-
-
-def _q_odd(space: SuperMatrixSpace, a: Matrix) -> Matrix:
-    """antidiag(A, A) inside Mat(n|n), A the upper-left n x n block of a."""
-    n = space.n
-    entries = [(i + s, j + n - s, c) for i, j, c in a.nonzeros() for s in (0, n)]
+    entries = [(i + s, j + (n - s if odd else s), c) for i, j, c in a.nonzeros() for s in (0, n)]
     return Matrix(space.size, space.size, entries)
 
 
@@ -246,11 +246,11 @@ def series_q(n: int) -> EnvelopePair:
     basis, labels = [], []
     for i in range(n):
         for j in range(n):
-            basis.append(_q_even(space, e(i, j)))
+            basis.append(_q_block(space, 0, e(i, j)))
             labels.append(f"e{i},{j}")
     for i in range(n):
         for j in range(n):
-            basis.append(_q_odd(space, e(i, j)))
+            basis.append(_q_block(space, 1, e(i, j)))
             labels.append(f"o{i},{j}")
     return envelope_pair(space, basis, basis, ISOTOPIC, labels, list(labels))
 
@@ -274,19 +274,19 @@ def series_osq(n: int) -> EnvelopePair:
     # the symmetric even part of V1, shared by both readings
     s_basis, s_labels = [], []
     for i in range(n):
-        s_basis.append(_q_even(space, e(i, i)))
+        s_basis.append(_q_block(space, 0, e(i, i)))
         s_labels.append(f"s{i},{i}")
         for j in range(i + 1, n):
-            s_basis.append(_q_even(space, e(i, j) + e(j, i)))
+            s_basis.append(_q_block(space, 0, e(i, j) + e(j, i)))
             s_labels.append(f"s{i},{j}")
 
     # literal reading
     b1, l1 = list(s_basis), list(s_labels)
     for i in range(n):
         for j in range(i + 1, n):
-            b1.append(_q_odd(space, e(i, j) + e(j, i, -1)))
+            b1.append(_q_block(space, 1, e(i, j) + e(j, i, -1)))
             l1.append(f"k{i},{j}")
-    b2 = [_q_odd(space, e(i, j)) for i in range(n) for j in range(n)]
+    b2 = [_q_block(space, 1, e(i, j)) for i in range(n) for j in range(n)]
     l2 = [f"y{i},{j}" for i in range(n) for j in range(n)]
     try:
         ep = envelope_pair(space, b1, b2, ISOTOPIC, l1, l2)
@@ -301,7 +301,7 @@ def series_osq(n: int) -> EnvelopePair:
     b2, l2 = [], []
     for i in range(n):
         for j in range(i + 1, n):
-            b2.append(_q_even(space, e(i, j) + e(j, i, -1)))
+            b2.append(_q_block(space, 0, e(i, j) + e(j, i, -1)))
             l2.append(f"k{i},{j}")
     ep = envelope_pair(space, s_basis, b2, ISOTOPIC, s_labels, l2)
     attempts.append({"reading": "supertranspose", "closed": True})
@@ -368,6 +368,14 @@ def centralizer_subpair(
 # Lie data, Killing forms, magnetic pairs
 
 
+def _check_form(form: Matrix, dim: int, what: str):
+    """A bilinear form on a dim-dimensional algebra is dim x dim and symmetric."""
+    if (form.rows, form.cols) != (dim, dim):
+        raise ValueError(f"{what} is {form.rows} x {form.cols}, the algebra needs {dim} x {dim}")
+    if form != form.transpose():
+        raise ValueError(f"{what} is not symmetric")
+
+
 @dataclass
 class LieData:
     """A Lie algebra by structure constants, with optional invariant form.
@@ -395,8 +403,7 @@ class LieData:
             if not report.passed:
                 raise ValueError(f"{what} at {tuple(report.failures[0].where.values())}")
         if self.eta is not None:
-            if self.eta != self.eta.transpose():
-                raise ValueError("eta is not symmetric")
+            _check_form(self.eta, n, "eta")
             for i, j, k in itertools.product(range(n), repeat=3):
                 s = self._eta_bracket(i, j, k) + self._eta_bracket(i, k, j)
                 if s != 0:
@@ -465,8 +472,7 @@ def magnetic_pair(g: LieData, form: Matrix, sign: int = 1) -> PairStructure:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    if form != form.transpose():
-        raise ValueError("form must be symmetric")
+    _check_form(form, g.dim, "form")
     if kernel_basis(form):
         raise ValueError("degenerate form rejected")
     n = g.dim
@@ -642,12 +648,9 @@ def _random_homogeneous(space: SuperMatrixSpace, rng: Lcg64, parity: int) -> Mat
             return out
 
 
-def random_closed_subpair(
-    space: SuperMatrixSpace, rng: Lcg64, kind: str = ISOTOPIC
-) -> EnvelopePair:
+def random_closed_subpair(space: SuperMatrixSpace, rng: Lcg64) -> EnvelopePair:
     """Start from one or two random homogeneous matrices per side and
     alternately adjoin bracket images until the spans stabilize."""
-    sgn = -1 if kind == ISOTOPIC else 1
     sides = []
     for _ in range(2):
         basis = [_random_homogeneous(space, rng, rng.below(2)) for _ in range(1 + rng.below(2))]
@@ -663,18 +666,13 @@ def random_closed_subpair(
     while changed and (len(b1) < cap or len(b2) < cap):
         changed = False
         for iso_b, arg_b, arg_span in ((b2, b1, s1), (b1, b2, s2)):
-            # product() copies arg_b first: what this pass adjoins is
+            # the brackets of this pass's bases: what it adjoins is
             # bracketed from the next pass on
-            for u, x, y in itertools.product(iso_b, arg_b, arg_b):
-                pu = space.parity_of(u)
-                px = space.parity_of(x)
-                py = space.parity_of(y)
-                a = sign_a(px, pu, py)
-                prod = _envelope_bracket(x, u, y, sgn * a)
-                if not prod.is_zero() and arg_span.insert(prod.flat()):
-                    arg_b.append(prod)
+            for prod in _brackets(space, iso_b, arg_b, -1).values():
+                if arg_span.insert(prod):
+                    arg_b.append(_unflat(space, prod))
                     changed = True
-    return envelope_pair(space, b1, b2, kind)
+    return envelope_pair(space, b1, b2)
 
 
 def random_even_perturbation(pair: PairStructure, rng: Lcg64) -> PairStructure:

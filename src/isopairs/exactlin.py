@@ -236,7 +236,6 @@ class IncrementalSpan:
         self.combos: list[dict] = []
         self.row_by_pivot: dict[int, int] = {}
         self.track_combos = track_combos
-        self.inserted = 0
         self._pick = min if pivot == "min" else max
 
     @property
@@ -298,13 +297,11 @@ class IncrementalSpan:
         r, D, combo = self._reduce(v)
         if not r:
             return False
-        idx = self.inserted
-        self.inserted += 1
         pivot = self._pick(r)
         if self.track_combos:
             inv = Fraction(D, r[pivot])
             combo = {j: -x * inv for j, x in combo.items()}
-            combo[idx] = inv
+            combo[len(self.rows)] = inv
         g = math.gcd(*r.values()) if r[pivot] > 0 else -math.gcd(*r.values())
         self.row_by_pivot[pivot] = len(self.rows)
         self.rows.append({c: x // g for c, x in r.items()})

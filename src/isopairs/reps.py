@@ -760,11 +760,12 @@ def tkk_rep_from_split(
 
     The raw assignment can miss by central terms only (the inner g0
     identifies operator pairs up to relations a module need not kill
-    exactly, e.g. left and right multiplication by the identity); since
-    scalars drop out of every commutator, the lift exists iff the linear
-    system rho(D_k) -> rho(D_k) + c_k Id closes the bracket table, which
-    is solved exactly here.  Verifies rho[a, b] = [rho a, rho b] on
-    every basis pair and records any central correction used.
+    exactly, e.g. left and right multiplication by the identity).  If
+    every residual of rho[a, b] = [rho a, rho b] is a multiple of Id,
+    those multiples are a 2-cocycle measured from the module; when the
+    table extended by a central even z with rho(z) = Id passes
+    ``check_superalgebra``, rho is verified over it instead, and the
+    report's form reads "central extension: cocycle measured...".
     """
     if not check_rep(r).passed or not check_split(r, s).passed:
         raise PreconditionError("representation fails check_rep/check_split")

@@ -576,6 +576,21 @@ def test_make_bad_sizes_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["make", "gl:1,1"], ["tkk", "PAIR"], ["rep", "hw", "--pair", "gl:2,0", "--weights", "1/2,1/2"],
+    ["rep", "induce", "--pair", "gl:2,0", "--chi", "1,0"],
+], ids=["make", "tkk", "rep hw", "rep induce"])
+def test_output_into_a_missing_directory_exit_2(tmp_path, capsys, argv):
+    pair_file = tmp_path / "gl11.json"
+    run(["make", "gl:1,1", "-o", str(pair_file)])
+    capsys.readouterr()
+    out = tmp_path / "missing" / "x.json"
+    argv = [str(pair_file) if a == "PAIR" else a for a in argv]
+    assert run([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and str(out) in err
+
+
 def _gl11_rep_json():
     from isopairs.constructions import series_gl
     from isopairs.reps import tautological_rep

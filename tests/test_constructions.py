@@ -18,6 +18,7 @@ from isopairs.pairs import (
     verify,
 )
 from isopairs.rng import Lcg64
+from isopairs.supercore import sign_a
 
 from dense_oracle import apply, intersect_spans, kernel_basis, sparse
 
@@ -131,8 +132,6 @@ def test_osp_is_subtensor_of_gl():
     p = ep.pair
     for (j, i, k), comps in p.m1.items():
         u, x, y = ep.basis2[j], ep.basis1[i], ep.basis1[k]
-        from isopairs.supercore import sign_a
-
         a = sign_a(p.v1.parities[i], p.v2.parities[j], p.v1.parities[k])
         direct = x @ u @ y - (y @ u @ x).scale(a)
         recomposed = ep.matrix_of(1, comps)
@@ -492,7 +491,9 @@ def test_centralizer_subpairs_match_bracket_kernels(build):
             got = [ep.matrix_of(side, sparse(v)) for v in kernel]
             # the subpair's basis spans the bracket kernel, parity by parity
             assert len(basis) == len(got)
-            span = C._span_solver(ep.space, got)
+            span = IncrementalSpan()
+            for m in got:
+                span.insert(m.flat())
             assert all(span.contains(m.flat()) for m in basis)
 
 
@@ -575,3 +576,179 @@ def test_centralizer_graded_split_matches_zassenhaus_oracle(name):
             sub = C.centralizer_subpair(ep, a, b)
             assert [sub.basis1, sub.basis2] == want
     assert raised
+
+
+# SHA-256 of canonical pair JSON of the larger series builds, recorded
+# before the envelope brackets were read off block products; each must
+# stay byte-identical.
+SERIES_PINS = {
+    "gl32": (lambda: C.series_gl(3, 2), "2e72034cb2d5b50d71680711b59ca6a470ba36ba6cd792040c881d1298509346"),
+    "gl44": (lambda: C.series_gl(4, 4), "83ed5917bf48ee8ea957371a15d5899cf4eb905dc94c6cad4098f7711b3dcbff"),
+    "osp+64": (lambda: C.series_osp(6, 4, 1), "6e0acedc450ff83f1230da3b4599d6677068b04119b10e3aed36212b5d2ba40f"),
+    "osp-42": (lambda: C.series_osp(4, 2, -1), "12e31c67494c41cb576eee5517628fc722e540a82138ded537e31ceef895b94a"),
+    "q3": (lambda: C.series_q(3), "9aacd7c5cd3050d1c6858f5a2173fb91c9f207bbd9240dcd9a709e17e4f24ca4"),
+    "q4": (lambda: C.series_q(4), "101353abc7d41cb6a7f1a48a79995abeb770b3fddc9fbca7b1d14b5f52113016"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_PINS))
+def test_series_builds_keep_their_pinned_digest(name):
+    build, digest = SERIES_PINS[name]
+    text = canonical_json(build().pair.to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The loop over (u, x, y) basis triples that computed the envelope
+# brackets before they were read off block products, kept as the oracle.
+
+
+def _oracle_bracket(x, u, y, s):
+    return x @ u @ y + (y @ u @ x).scale(s)
+
+
+def _envelope_oracle(space, basis1, basis2, kind="isotopic"):
+    """(m1, m2) in the order the triple loop built them, or the
+    (side, triple, offending matrix) of the first bracket that escapes."""
+    sgn = -1 if kind == "isotopic" else 1
+    p1 = [space.parity_of(b) for b in basis1]
+    p2 = [space.parity_of(b) for b in basis2]
+
+    def build(iso, iso_par, args, arg_par, side):
+        span = IncrementalSpan(track_combos=True)
+        for b in args:
+            span.insert(b.flat())
+        tensor = {}
+        for (j, u), (i, x), (k, y) in itertools.product(enumerate(iso), enumerate(args),
+                                                        enumerate(args)):
+            prod = _oracle_bracket(x, u, y, sgn * sign_a(arg_par[i], iso_par[j], arg_par[k]))
+            if prod.is_zero():
+                continue
+            coeffs = span.solve(prod.flat())
+            if coeffs is None:
+                return side, (j, i, k), prod
+            comps = {o: c for o, c in coeffs.items() if c}
+            if comps:
+                tensor[(j, i, k)] = comps
+        return tensor
+
+    m1 = build(basis2, p2, basis1, p1, 1)
+    if isinstance(m1, tuple):
+        return m1
+    m2 = build(basis1, p1, basis2, p2, 2)
+    return m2 if isinstance(m2, tuple) else (m1, m2)
+
+
+def _ordered(tensor):
+    """A tensor with the order of its keys and of each key's components."""
+    return [(key, list(comps.items())) for key, comps in tensor.items()]
+
+
+def _assert_matches_envelope_oracle(ep, kind="isotopic"):
+    m1, m2 = _envelope_oracle(ep.space, ep.basis1, ep.basis2, kind)
+    assert _ordered(ep.pair.m1) == _ordered(m1)
+    assert _ordered(ep.pair.m2) == _ordered(m2)
+
+
+ORACLE_SERIES = [
+    ("gl11", lambda: C.series_gl(1, 1)), ("gl21", lambda: C.series_gl(2, 1)),
+    ("gl22", lambda: C.series_gl(2, 2)), ("osp+22", lambda: C.series_osp(2, 2, 1)),
+    ("osp-22", lambda: C.series_osp(2, 2, -1)), ("osp+11", lambda: C.series_osp(1, 1, 1)),
+    ("osp-11", lambda: C.series_osp(1, 1, -1)), ("q2", lambda: C.series_q(2)),
+    ("osq1", lambda: C.series_osq(1)), ("osq2", lambda: C.series_osq(2)),
+    ("osq3", lambda: C.series_osq(3)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in ORACLE_SERIES], ids=[n for n, _ in ORACLE_SERIES])
+def test_series_brackets_match_triple_loop_oracle(build):
+    _assert_matches_envelope_oracle(build())
+
+
+def test_plus_model_brackets_match_triple_loop_oracle():
+    space = C.SuperMatrixSpace(1, 1)
+    units = [space.unit(i, j) for i, j in space.units()]
+    _assert_matches_envelope_oracle(C.envelope_pair(space, units, units, "superJordan"),
+                                    "superJordan")
+
+
+@pytest.mark.parametrize("name", sorted(CENTRALIZER_PINS))
+def test_centralizer_brackets_match_triple_loop_oracle(name):
+    ep = CENTRALIZER_PINS[name][0]()
+    built = 0
+    for a, b in _pin_cases(ep.pair, Lcg64(11)):
+        try:
+            sub = C.centralizer_subpair(ep, a, b)
+        except ValueError:
+            continue
+        _assert_matches_envelope_oracle(sub)
+        built += 1
+    assert built
+
+
+def _osq_literal_bases(n):
+    """The bases of series_osq's literal reading, which does not close."""
+    space = C.SuperMatrixSpace(n, n)
+    e = space.unit
+    b1 = [C._q_block(space, 0, e(i, i)) for i in range(n)]
+    b1 += [C._q_block(space, 0, e(i, j) + e(j, i)) for i in range(n) for j in range(i + 1, n)]
+    b1 += [C._q_block(space, 1, e(i, j) + e(j, i, -1)) for i in range(n) for j in range(i + 1, n)]
+    b2 = [C._q_block(space, 1, e(i, j)) for i in range(n) for j in range(n)]
+    return space, b1, b2
+
+
+@pytest.mark.parametrize("case", ["osq1", "osq2", "osq3", "upper"])
+def test_not_closed_matches_triple_loop_oracle(case):
+    if case == "upper":  # the spans of test_envelope_not_closed
+        space = C.SuperMatrixSpace(2, 0)
+        b1, b2 = [space.unit(0, 0), space.unit(1, 1)], [space.unit(0, 1)]
+    else:
+        space, b1, b2 = _osq_literal_bases(int(case[-1]))
+    want = _envelope_oracle(space, b1, b2)
+    with pytest.raises(C.NotClosed) as exc:
+        C.envelope_pair(space, b1, b2)
+    assert (exc.value.side, exc.value.triple, exc.value.offending) == want
+
+
+def _random_closed_oracle(space, rng):
+    """The bases random_closed_subpair grew by the triple loop."""
+    sides = []
+    for _ in range(2):
+        span, kept = IncrementalSpan(), []
+        for _ in range(1 + rng.below(2)):
+            b = C._random_homogeneous(space, rng, rng.below(2))
+            if span.insert(b.flat()):
+                kept.append(b)
+        sides.append((kept, span))
+    (b1, s1), (b2, s2) = sides
+    cap = space.size**2
+    changed = True
+    while changed and (len(b1) < cap or len(b2) < cap):
+        changed = False
+        for iso_b, arg_b, arg_span in ((b2, b1, s1), (b1, b2, s2)):
+            for u, x, y in itertools.product(iso_b, arg_b, arg_b):
+                a = sign_a(space.parity_of(x), space.parity_of(u), space.parity_of(y))
+                prod = _oracle_bracket(x, u, y, -a)
+                if not prod.is_zero() and arg_span.insert(prod.flat()):
+                    arg_b.append(prod)
+                    changed = True
+    return b1, b2
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (1, 1), (1, 2), (2, 0), (0, 2)])
+def test_random_closed_subpair_bases_match_triple_loop_oracle(n, m):
+    space = C.SuperMatrixSpace(n, m)
+    for seed in range(40):
+        ep = C.random_closed_subpair(space, Lcg64(seed))
+        assert (ep.basis1, ep.basis2) == _random_closed_oracle(space, Lcg64(seed)), seed
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (4, 4), (3, 2), (1, 3)])
+def test_forms_of_the_wrong_shape_are_rejected(rows, cols):
+    # a smaller form used to read its missing entries as 0
+    g = C.sl2()
+    form = Matrix(rows, cols, [(i, i, 1) for i in range(min(rows, cols))])
+    shapes = f"{rows} x {cols}, the algebra needs 3 x 3"
+    with pytest.raises(ValueError, match=f"form is {shapes}"):
+        C.magnetic_pair(g, form)
+    with pytest.raises(ValueError, match=f"eta is {shapes}"):
+        C.LieData(g.labels, g.c, form)
