@@ -33,8 +33,11 @@ from the nonzero entries of its two nodes in one of two forms:
   work grows with the nonzero contributions;
 * the dense form: products ``a @ b`` over the distinct rows and columns
   of the two nodes, in blocks of one X index and one parity pattern of
-  the rows, each term's Koszul signs folded into a signed copy of ``b``;
-  all terms add their blocks into one residual buffer.
+  the rows, each term's Koszul signs folded into a signed copy of ``b``.
+  Identities evaluated in lockstep group their terms by proportional
+  integer coefficients (J1..J6 of jacobi_analog and compatibility): a
+  group adds its blocks into one buffer, and each residual is an integer
+  combination of the group buffers.
 
 A checked bound on every partial sum of the primitive residual fixes
 the arithmetic in three bands, and the reports are exact in each.
@@ -44,11 +47,11 @@ premise of FFLAS: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008);
 there the int64 join runs instead when it has fewer contributions than
 the dense blocks have cells, as on sparse pairs.  From 2^53 to 2^62 the
 int64 join runs, and from 2^62 on the dense form in float64 over the
-residues modulo primes small enough for 2^53: a tuple fails iff some
-prime leaves a nonzero residue, and Chinese remaindering gives its
-values.  Checks that are not identities (evenness here, and the support
-and representation checks elsewhere) build their reports with
-:func:`axiom_report`.
+residues modulo primes small enough that what one residual cell sums
+stays below 2^53: a tuple fails iff some prime leaves a nonzero
+residue, and Chinese remaindering gives its values.  Checks that are
+not identities (evenness here, and the support and representation
+checks elsewhere) build their reports with :func:`axiom_report`.
 """
 
 from __future__ import annotations
@@ -429,16 +432,16 @@ def _coo(t: Tensors, table, arity: int, primes: tuple = ()):
     return keys.reshape(-1, arity), outs, values
 
 
-def _checked_bound(s, ident: Identity, biggest: int = 0) -> int:
+def _checked_bound(s, ident: Identity) -> int:
     """Bound on every partial sum of the primitive residual: the summed
-    integer coefficient magnitudes times max|m| (or ``biggest``) to the
-    degree times the contracted volume.  float64 arithmetic is exact
-    below 2^53, and int64 arithmetic below 2^62 (``_EXACT_BELOW``)."""
+    integer coefficient magnitudes times max|m| to the degree times the
+    contracted volume.  float64 arithmetic is exact below 2^53, and int64
+    arithmetic below 2^62 (``_EXACT_BELOW``)."""
     t = _tensors(s)
     terms, _, coeffs = _int_coeffs(ident)
     degree = _degree(terms)
     dim = max(max(space.dim for space in t.spaces.values()), 1)
-    return sum(map(abs, coeffs)) * (biggest or _scale(t)[1]) ** degree * dim ** (2 * degree)
+    return sum(map(abs, coeffs)) * _scale(t)[1] ** degree * dim ** (2 * degree)
 
 
 def _is_prime(n: int) -> bool:
@@ -452,15 +455,19 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes(t: Tensors, ident: Identity) -> tuple:
-    """The largest primes p whose residues, at most (p - 1) / 2 in size,
-    keep the checked bound below 2^53, as many as make their product
-    exceed twice the checked bound, taken with its coefficient sum rounded
-    up to a power of two so that jacobi_analog and compatibility share
-    their primes, and so their dense forms."""
-    degree, coeffs = _degree(ident.residual_terms()), sum(map(abs, _int_coeffs(ident)[2]))
-    unit = _checked_bound(t, ident, 1) // coeffs << (coeffs - 1).bit_length()
-    room = (2**53 - 1) // unit
-    p, primes = 2 * (math.isqrt(room) if degree == 2 else room) + 1, []
+    """The largest primes p, as many as make their product exceed twice
+    what a residual cell sums: at most the coefficient sum (rounded up to
+    a power of two, so that jacobi_analog and compatibility share primes)
+    times max|m|^degree times width^(degree - 1), width <= the largest dim
+    being the contracted length.  With h = (p - 1) / 2 for max|m|, that
+    plus p stays within 2^53, so float64 sums and :func:`_residues`
+    reduces exactly: at degree 2, (unit h + 1)^2 <= unit (2^53 - 1) + 1."""
+    terms, _, coeffs = _int_coeffs(ident)
+    degree, dim = _degree(terms), max(max(space.dim for space in t.spaces.values()), 1)
+    unit = dim ** (degree - 1) << (sum(map(abs, coeffs)) - 1).bit_length()
+    h = (2**53 - 1) // (unit + 2) if degree == 1 else (
+        math.isqrt(unit * (2**53 - 1) + 1) - 1) // unit
+    p, primes = 2 * h + 1, []
     while math.prod(primes) <= 2 * unit * _scale(t)[1] ** degree:
         primes.append(next(q for q in range(p, 2, -2) if _is_prime(q)))
         p = primes[-1] - 2
@@ -490,8 +497,7 @@ class _Dense:
     folded into a copy of ``b`` (see :meth:`signed`).  The contracted
     slice keeps the parities that both its rows and its columns meet, so
     on even tensors a block skips the half of ``a @ b`` that parity makes
-    zero.
-    """
+    zero."""
 
     size: int
     a: np.ndarray
@@ -500,23 +506,21 @@ class _Dense:
     col_flat: np.ndarray
     col_bits: np.ndarray
     blocks: list
-    copies: dict = field(default_factory=dict)
 
     def signed(self, table: np.ndarray) -> dict:
         """{row parity pattern: (copy of ``b``, factor)}: the factor times
         the copy is ``b`` with every column times ``table[pattern | column
-        bits]``, the term's signed coefficient.  The copy flips the
-        columns whose coefficient differs from the factor; every table and
-        pattern that flips the same columns shares it."""
-        columns = np.flatnonzero(np.bincount(self.col_bits))
-        out = {}
+        bits]``, the term's signed coefficient.  The patterns that flip the
+        same columns, those whose coefficient differs from the factor,
+        share a copy."""
+        columns, copies, out = np.flatnonzero(np.bincount(self.col_bits)), {}, {}
         for pattern in {pattern for block in self.blocks for pattern, *_ in block}:
             factor, entries = table[pattern | columns[0]], table[pattern | columns]
             key = tuple(entries != factor)
-            if key not in self.copies:
+            if key not in copies:
                 flips = table[pattern | self.col_bits] != factor
-                self.copies[key] = np.where(flips, -self.b, self.b) if any(key) else self.b
-            out[pattern] = self.copies[key], factor
+                copies[key] = np.where(flips, -self.b, self.b) if any(key) else self.b
+            out[pattern] = copies[key], factor
         return out
 
 
@@ -690,12 +694,11 @@ def _dense_term(t: Tensors, expr, sides: dict, letters: tuple, primes: tuple) ->
     return t.cached(("dense", expr, frozenset(sides.items()), letters, primes), build)
 
 
-def _sign_table(sign_pairs, coeff: int, dtype, letters: tuple) -> np.ndarray:
+def _sign_table(t: Tensors, sign_pairs, coeff: int, dtype, letters: tuple) -> np.ndarray:
     """coeff times a term's Koszul sign, indexed by the parity bits."""
-    parities = [
-        {l: bits >> k & 1 for k, l in enumerate(letters)} for bits in range(2 ** len(letters))
-    ]
-    return np.array([coeff * eval_sign_pairs(sign_pairs, p) for p in parities], dtype)
+    return t.cached(("signs", sign_pairs, coeff, dtype, letters), lambda: np.array([
+        coeff * eval_sign_pairs(sign_pairs, {l: bits >> k & 1 for k, l in enumerate(letters)})
+        for bits in range(2 ** len(letters))], dtype))
 
 
 # the evaluator's forms, each with the checked bound below which its
@@ -733,12 +736,9 @@ _RUN = 2**15
 
 
 def _runs(t: Tensors, evals: list) -> list:
-    """The runs ``(lo, hi)`` of X indices for evaluations that share
-    their X: one run unless some take the sparse join."""
-    joins = max((sum(_term_counts(t, expr, e.sides)[0] for expr, _ in e.terms)
-                 for e in evals if e.form == _JOIN), default=0)
-    dim = t.spaces[evals[0].sides[evals[0].ident.letters[0]]].dim
-    n = 1 + joins // _RUN
+    """The runs ``(lo, hi)`` of X indices of sparse joins that share X."""
+    joins = max(sum(_term_counts(t, expr, e.sides)[0] for expr, _ in e.terms) for e in evals)
+    n, dim = 1 + joins // _RUN, evals[0].dims[0]
     bounds = sorted({dim * k // n for k in range(n + 1)})
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -760,70 +760,36 @@ class _Evaluation:
         self.primes = _primes(t, ident) if self.form == _MODULAR else ()
         m = math.prod(self.primes)
         self.crt = [m // p * pow(m // p, -1, p) for p in self.primes]
-        self.terms = []  # (expression, sign table), or (dense form, its signed b's)
-        for term, c in zip(terms, coeffs) if self.form else ():
-            key = (term.sign_pairs, c, self.form[1], ident.letters)
-            table = t.cached(("signs", *key), lambda: _sign_table(*key))
-            if self.form == _JOIN:
-                self.terms.append((term.expr, table))
-            else:
-                dense = _dense_term(t, term.expr, sides, ident.letters, self.primes)
-                self.terms.append((dense, dense.signed(table)))
+        self.terms = [(term.expr, _sign_table(t, term.sign_pairs, c, np.int64, ident.letters))
+                      for term, c in zip(terms, coeffs) if self.form == _JOIN]
         self.failures: list[Failure] = []
         self.count = 0
 
     def residual(self, run: tuple, joins: dict):
-        """The nonzero entries of the primitive residual over the X
-        indices ``lo <= X < hi``, as chunks (keys ``X * size + flat``,
-        int64 rows that :meth:`value` reads) in increasing key order, the
-        lexicographic order of (basis tuple, output index).  The join
-        form sorts all terms' contributions by key and sums repeats, exact
-        in int64 under the checked bound; ``joins`` keeps the run's term
-        joins for the identities evaluated in lockstep.  The dense form
-        adds every term's products, signed through ``b``, into one buffer
-        of a stretch per prime, reused from X index to X index, and reads
-        out its nonzeros: residues modulo each prime if multimodular."""
+        """The join form's nonzero primitive residual for ``lo <= X < hi``:
+        (keys ``X * size + flat`` in the order of (basis tuple, output),
+        int64 rows that :meth:`value` reads), all terms' contributions
+        sorted and summed by key; ``joins`` keeps the run's term joins."""
         t, sides, letters = self.t, self.sides, self.ident.letters
-        if self.form == _JOIN:
-            key = (frozenset(sides.items()), letters)
-            for expr, _ in self.terms:
-                if (expr, key) not in joins:
-                    joins[expr, key] = _join_term(t, expr, sides, letters, run)
-            terms = [(joins[expr, key], table) for expr, table in self.terms]
-            keys = np.concatenate([k for (k, _, _), _ in terms])
-            values = np.concatenate([v * table[bits] for (_, bits, v), table in terms])
-            if keys.size:
-                # one sorted copy at a time keeps the peak at four arrays
-                order = np.argsort(keys)
-                keys = keys[order]
-                values = values[order]
-                starts = np.flatnonzero(np.diff(keys, prepend=-1))
-                sums = np.add.reduceat(values, starts)
-                kept = np.flatnonzero(sums)
-                yield keys[starts[kept]], sums[kept, None]
-            return
-        size = self.terms[0][0].size
-        residual = np.zeros(max(len(self.primes), 1) * size)
-        stacked, primes = residual.reshape(-1, size), np.array(self.primes, np.int64)[:, None]
-        for xi in range(*run):
-            for term, signed in self.terms:
-                for pattern, rows, cols, c in term.blocks[xi]:
-                    b, factor = signed[pattern]
-                    flat = term.row_flat[..., rows, None] + term.col_flat[cols]
-                    residual[flat] += (factor * term.a[..., rows, c]) @ b[..., c, cols]
-            if self.primes:  # a cell whose residual is 0 may hold any multiple of p
-                residues = np.fmod(stacked.astype(np.int64), primes)
-                stacked.fill(0)
-                nz = np.flatnonzero(residues.any(0))
-                yield xi * size + nz, residues[:, nz].T
-                continue
-            nz = np.flatnonzero(residual)
-            values = residual[nz, None]
-            residual[nz] = 0
-            yield xi * size + nz, values.astype(np.int64)
+        key = (frozenset(sides.items()), letters)
+        for expr, _ in self.terms:
+            if (expr, key) not in joins:
+                joins[expr, key] = _join_term(t, expr, sides, letters, run)
+        terms = [(joins[expr, key], table) for expr, table in self.terms]
+        keys = np.concatenate([k for (k, _, _), _ in terms])
+        values = np.concatenate([v * table[bits] for (_, bits, v), table in terms])
+        if keys.size:
+            # one sorted copy at a time keeps the peak at four arrays
+            order = np.argsort(keys)
+            keys = keys[order]
+            values = values[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            sums = np.add.reduceat(values, starts)
+            kept = np.flatnonzero(sums)
+            yield keys[starts[kept]], sums[kept, None]
 
     def value(self, v) -> int:
-        """The integer of a value of :meth:`residual`, by CRT if multimodular."""
+        """The integer of a residual value, by CRT if multimodular."""
         if not self.primes:
             return int(v[0])
         m = math.prod(self.primes)
@@ -847,20 +813,94 @@ class _Evaluation:
                            self.failures, _adopted_form_id(self.ident))
 
 
+def _residues(stacked: np.ndarray, primes: tuple) -> np.ndarray:
+    """Row k of float64 integers x modulo ``primes[k]``, in place: x - p
+    rint(x / p) in (-p, p), exact while |x| + p <= 2^53, and 0 iff p | x."""
+    tmp = np.empty(stacked.shape[1:])
+    for row, p in zip(stacked, primes):
+        row -= np.multiply(np.rint(np.divide(row, p, out=tmp), out=tmp), p, out=tmp)
+    return stacked
+
+
+def _term_groups(evals: list) -> dict:
+    """{direction: [(expression, sign pairs, multiple)]}: the identities'
+    residual terms, a term's coefficient in identity i its multiple times
+    direction[i], a direction of gcd 1 with a positive first nonzero."""
+    columns: dict = {}
+    for i, ident in enumerate(e.ident for e in evals):
+        for term, c in zip(*_int_coeffs(ident)[::2]):
+            columns.setdefault((term.expr, term.sign_pairs), [0] * len(evals))[i] += c
+    groups: dict = {}
+    for (expr, sign_pairs), column in columns.items():
+        if any(column):
+            k = math.gcd(*column) * (1 if next(filter(None, column)) > 0 else -1)
+            groups.setdefault(tuple(c // k for c in column), []).append((expr, sign_pairs, k))
+    return groups
+
+
+def _lockstep(t: Tensors, evals: list):
+    """(evaluation, keys ``X * size + flat``, int64 rows that
+    :meth:`_Evaluation.value` reads) of the nonzero primitive residuals of
+    dense forms that share sides, output side and form (primes), X index
+    by X index.  Each group of :func:`_term_groups` adds its blocks,
+    signed by their multiples, into one buffer; the identities then sum
+    the group buffers by their directions, last to first, each in the
+    buffer of a group it takes once and no earlier identity takes, if
+    any.  A group's multiples divide its members' coefficients, so every
+    partial sum is within the bound of an exact member."""
+    first, letters, primes = evals[0], evals[0].ident.letters, evals[0].primes
+    size = first.d_out * math.prod(first.dims[1:])
+    groups = [(d, [(dense, dense.signed(_sign_table(t, sign_pairs, k, np.float64, letters)))
+                   for expr, sign_pairs, k in members
+                   for dense in [_dense_term(t, expr, first.sides, letters, primes)]])
+              for d, members in _term_groups(evals).items()]
+    buffers = [np.zeros(max(len(primes), 1) * size) for _ in groups]
+    outs = [next((b for (d, _), b in zip(groups, buffers) if d[i] == 1 and not any(d[:i])),
+                 None) for i in range(len(evals))]
+    outs = [np.zeros_like(buffers[0]) if out is None else out for out in outs]
+    shared = [b for b in buffers if all(b is not out for out in outs)]
+    for xi in range(first.dims[0]):
+        for buffer, (_, terms) in zip(buffers, groups):
+            for term, signed in terms:
+                for pattern, rows, cols, c in term.blocks[xi]:
+                    b, factor = signed[pattern]
+                    flat = term.row_flat[..., rows, None] + term.col_flat[cols]
+                    buffer[flat] += (factor * term.a[..., rows, c]) @ b[..., c, cols]
+        for i, (e, out) in reversed(list(enumerate(zip(evals, outs)))):
+            for (d, _), buffer in zip(groups, buffers):
+                if d[i] and buffer is not out:  # no temporary for d[i] = -1
+                    (np.add if d[i] > 0 else np.subtract)(
+                        out, buffer if abs(d[i]) == 1 else abs(d[i]) * buffer, out=out)
+            stacked = _residues(out.reshape(-1, size), primes) if primes else out[None]
+            nz = np.flatnonzero(stacked.any(0))
+            yield e, xi * size + nz, stacked[:, nz].T.astype(np.int64)
+            stacked[:, nz] = 0  # the other cells are 0 already
+        for buffer in shared:
+            buffer.fill(0)
+
+
+def _residuals(t: Tensors, evals: list):
+    """(evaluation, keys, values) chunks of the nonzero primitive residuals
+    of evaluations that share their X, each in key order: the joins run by
+    run, so shared terms join once per run, then the dense batches."""
+    joined, batches = [e for e in evals if e.form == _JOIN], {}
+    for run in _runs(t, joined) if joined else ():
+        joins: dict = {}
+        for e in joined:
+            yield from ((e, *chunk) for chunk in e.residual(run, joins))
+    for e in (e for e in evals if e.form not in (None, _JOIN)):
+        batches.setdefault((e.form, e.primes, tuple(e.sides.items()), e.d_out), []).append(e)
+    for batch in batches.values():
+        yield from _lockstep(t, batch)
+
+
 def _eval_identities(s, idents: Sequence[Identity], orientation: int, cap: int) -> list:
-    """Check identities that share their X side on every basis tuple of
-    one orientation of ``s``: a pair, superalgebra, triple system or
-    :class:`Tensors`.  They go run by run in lockstep, so the joins of
-    shared terms (J1..J6 of jacobi_analog and compatibility) are built
-    once per run, and no join outlives its run."""
+    """Check identities that share their X side on every basis tuple of one
+    orientation of a pair, superalgebra, triple system or :class:`Tensors`."""
     t = _tensors(s)
     evals = [_Evaluation(t, ident, orientation) for ident in idents]
-    live = [e for e in evals if e.form is not None]
-    for run in _runs(t, live) if live else ():
-        joins: dict = {}
-        for e in live:
-            for keys, values in e.residual(run, joins):
-                e.add(keys, values, cap)
+    for e, keys, values in _residuals(t, evals):
+        e.add(keys, values, cap)
     return [e.report() for e in evals]
 
 

@@ -293,23 +293,29 @@ def test_evaluator_matches_fraction_oracle():
 FORMS = (JOIN, FLOAT, MODULAR)
 
 
-def _form_residuals(pair, ident, orientation, form):
-    """Every nonzero residual of one evaluator form, decoded from its
-    keys: {basis tuple: {output index: Fraction}}."""
-    sides = P._orient(ident.sides, orientation)
-    dims = [pair.space(sides[l]).dim for l in sorted(sides, key="XYZUV".index)]
-    terms, coeff_scale, _ = P._int_coeffs(ident)
-    d_out = pair.space(P._value_side(terms[0].expr, sides)).dim
-    denom = coeff_scale * P._scale(pair)[0] ** P._degree(terms)
-    e = P._Evaluation(pair.tensors(), ident, orientation, form)
-    out = {}
-    for run in P._runs(e.t, [e]):
-        for keys, values in e.residual(run, {}):
-            for k, v in zip(keys.tolist(), values):
-                where = tuple(int(i) for i in np.unravel_index(k // d_out, dims))
-                assert k % d_out not in out.get(where, {})  # keys are distinct
-                out.setdefault(where, {})[k % d_out] = F(e.value(v), denom)
-    return out
+def _form_residuals(pair, idents, orientation, form):
+    """Every nonzero residual of identities evaluated in lockstep in one
+    evaluator form, decoded from their keys: for each identity
+    {basis tuple: {output index: Fraction}}."""
+    t = pair.tensors()
+    evals = [P._Evaluation(t, ident, orientation, form) for ident in idents]
+    decode = {}
+    for e, ident in zip(evals, idents):
+        sides = P._orient(ident.sides, orientation)
+        dims = [pair.space(sides[l]).dim for l in sorted(sides, key="XYZUV".index)]
+        terms, coeff_scale, _ = P._int_coeffs(ident)
+        d_out = pair.space(P._value_side(terms[0].expr, sides)).dim
+        denom = coeff_scale * P._scale(pair)[0] ** P._degree(terms)
+        decode[e] = dims, d_out, denom, {}, []
+    for e, keys, values in P._residuals(t, evals):
+        dims, d_out, denom, out, seen = decode[e]
+        seen += keys.tolist()
+        for k, v in zip(keys.tolist(), values):
+            where = tuple(int(i) for i in np.unravel_index(k // d_out, dims))
+            out.setdefault(where, {})[k % d_out] = F(e.value(v), denom)
+    # each identity's keys come distinct and in increasing order
+    assert all(seen == sorted(set(seen)) for *_, seen in decode.values())
+    return [out for *_, out, _ in decode.values()]
 
 
 def _oracle_residual(pair, ident, orientation, where):
@@ -358,9 +364,12 @@ def test_both_forms_match_fraction_oracle_on_random_sparse_pairs(pair, rng):
         names = ("antisymmetry.isotopic", "jacobi_analog", "compatibility")
     else:
         names = ("symmetry.superJordan", "super_jordan")
-    for name in names:
-        ident = CATALOG[name]
-        for orientation in (1, 2):
+    # each form, forced on all of them at once, evaluates them in lockstep
+    # as verify does: jacobi_analog and compatibility share their terms
+    idents = [CATALOG[name] for name in names]
+    for orientation in (1, 2):
+        want = []
+        for ident in idents:
             sides = P._orient(ident.sides, orientation)
             dims = [pair.space(sides[l]).dim for l in sorted(sides, key="XYZUV".index)]
             total = math.prod(dims)
@@ -373,8 +382,9 @@ def test_both_forms_match_fraction_oracle_on_random_sparse_pairs(pair, rng):
             passing = [w for w in itertools.product(*map(range, dims)) if w not in got]
             for where in rng.sample(passing, min(len(passing), 8)):
                 assert _oracle_residual(pair, ident, orientation, where) == {}
-            for form in FORMS:
-                assert _form_residuals(pair, ident, orientation, form) == got, form
+            want.append(got)
+        for form in FORMS:
+            assert _form_residuals(pair, idents, orientation, form) == want, form
 
 
 def _plus_one(pair):
@@ -425,9 +435,9 @@ def test_join_form_just_under_the_int64_bound():
             forms.add((scale, form))
             for orientation in (1, 2):
                 assert P._form(big, ident, orientation) == form
-                residuals = _form_residuals(big, ident, orientation, form)
+                [residuals] = _form_residuals(big, [ident], orientation, form)
                 if not past:
-                    assert residuals == _form_residuals(big, ident, orientation, MODULAR)
+                    assert [residuals] == _form_residuals(big, [ident], orientation, MODULAR)
                 report = P._eval_identity(big, ident, orientation)
                 failing += report.failure_count
                 for f in report.failures:
@@ -490,8 +500,8 @@ def test_float_form_just_under_the_float64_bound(osp, orientation):
             form = JOIN if past else FLOAT
             forms.add((scale, form))
             assert P._form(big, ident, orientation) == form
-            residuals = _form_residuals(big, ident, orientation, form)
-            assert residuals == _form_residuals(big, ident, orientation, MODULAR)
+            [residuals] = _form_residuals(big, [ident], orientation, form)
+            assert [residuals] == _form_residuals(big, [ident], orientation, MODULAR)
             report = P._eval_identity(big, ident, orientation)
             failing += report.failure_count
             for f in report.failures:
@@ -526,13 +536,28 @@ def _line_pairs():
     return [line, line.parity_flip()]
 
 
+def _cell_bound(t, ident, biggest):
+    """What one residual cell of the dense form sums at most: each term's
+    cell sums at most ``width`` products (one at degree 1), ``width`` the
+    contracted length, at most the largest dimension; times the
+    identity's coefficient sum, rounded up to a power of two."""
+    terms, _, coeffs = P._int_coeffs(ident)
+    degree, width = P._degree(terms), max(s.dim for s in t.spaces.values())
+    power = next(2**k for k in itertools.count() if 2**k >= sum(map(abs, coeffs)))
+    return power * biggest**degree * width ** (degree - 1)
+
+
 def test_primes_keep_float64_exact_and_cover_the_checked_bound():
-    # the largest residue of every prime keeps the checked bound below
-    # 2^53, so float64 sums the residues exactly over any contraction
-    # length; the product of the primes exceeds twice the checked bound,
-    # so the residual is the one integer of least size with its residues
+    # the largest residue of every prime keeps the cell bound plus the
+    # prime within 2^53, so float64 sums the residues exactly over any
+    # contraction length and reduces them exactly; the product of the
+    # primes exceeds twice the cell bound on the primitive tensors, so the
+    # residual is the one integer of least size with its residues.
+    # jacobi_analog and compatibility share their primes
     wide = _unimodular_basis(series_gl(1, 1).pair, 2**10)
-    for pair in [*_line_pairs(), wide, random_even_perturbation(wide, Lcg64(3))]:
+    osp = _change_basis(series_osp(2, 1, 1).pair, lambda i, k: 1 + 2**40 * (i == k))
+    cases = [*_line_pairs(), wide, random_even_perturbation(wide, Lcg64(3)), osp]
+    for pair in cases:
         t = pair.tensors()
         names = ("antisymmetry.isotopic", "jacobi_analog", "compatibility")
         if pair.kind != "isotopic":
@@ -541,12 +566,34 @@ def test_primes_keep_float64_exact_and_cover_the_checked_bound():
             primes = P._primes(t, ident)
             assert list(primes) == sorted(set(primes), reverse=True)
             assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(primes, 2))
-            assert all(P._checked_bound(t, ident, (p - 1) // 2) < 2**53 for p in primes)
-            assert math.prod(primes) > 2 * P._checked_bound(t, ident)
-            # and no smaller than they need be: at the next prime up,
-            # residues twice as large would pass 2^53
+            assert all(_cell_bound(t, ident, (p - 1) // 2) + p <= 2**53 for p in primes)
+            assert math.prod(primes) > 2 * _cell_bound(t, ident, P._scale(t)[1])
+            # and no smaller than they need be: at the next prime up, the
+            # cell bound plus the prime would pass 2^53
             bigger = next(q for q in itertools.count(primes[0] + 2, 2) if P._is_prime(q))
-            assert P._checked_bound(t, ident, bigger - 1) >= 2**53
+            assert _cell_bound(t, ident, (bigger - 1) // 2) + bigger > 2**53
+        if pair.kind == "isotopic":
+            assert P._primes(t, CATALOG["jacobi_analog"]) == P._primes(t, CATALOG["compatibility"])
+
+
+def test_residues_are_exact_within_2_to_the_53():
+    # x - p rint(x / p) on float64 integers with |x| + p <= 2^53: a
+    # residue in (-p, p), congruent to x, and 0 exactly at the multiples
+    # of p, at the largest primes of 2, 20 and 26 bits
+    rng = np.random.default_rng(5)
+    for p in (3, 1048573, 67108859):
+        top = (2**53 - p) // p
+        near = [top, top - 1, top // 2, 1, 0]
+        xs = [s * (q * p + r) for q in near for r in (0, (p - 1) // 2, -(p - 1) // 2, 1, -1)
+              for s in (1, -1) if abs(q * p + r) + p <= 2**53]
+        xs += [int(x) for x in rng.integers(-(2**53 - p), 2**53 - p, 200, endpoint=True)]
+        stacked = np.array([xs, xs[::-1]], dtype=np.float64)
+        assert stacked.tolist() == [xs, xs[::-1]]  # float64 holds them
+        got = P._residues(stacked, (p, 3)).tolist()
+        for x, r in zip(xs, got[0]):
+            assert r == int(r) and abs(r) < p and (x - int(r)) % p == 0
+            assert (r == 0) == (x % p == 0)
+        assert all((x - int(r)) % 3 == 0 and abs(r) < 3 for x, r in zip(xs[::-1], got[1]))
 
 
 def test_multimodular_residuals_that_need_every_prime():
@@ -572,15 +619,19 @@ def test_multimodular_residuals_that_need_every_prime():
     assert [f.residual for f in report.failures] == [{0: 2 * (2**61 + 1)}]
 
 
+def _uneven(pair):
+    """``pair`` with an entry of the wrong parity added to m1 and to m2."""
+    p1, p2 = pair.v1.parities, pair.v2.parities
+    m1 = {**pair.m1, (0, 0, 0): {p1.index(1 - p2[0]): F(5)}}
+    m2 = {**pair.m2, (0, 0, 0): {p2.index(1 - p1[0]): F(-3)}}
+    return P.PairStructure(pair.v1, pair.v2, pair.kind, m1, m2)
+
+
 def test_float_form_on_an_uneven_dense_pair():
     # entries of the wrong parity make rows and columns of the dense
     # blocks meet contracted values of both parities; the float64 form
     # still equals the oracle
-    pair = _dense_basis(series_osp(2, 1, 1).pair)
-    p1, p2 = pair.v1.parities, pair.v2.parities
-    m1 = {**pair.m1, (0, 0, 0): {p1.index(1 - p2[0]): F(5)}}
-    m2 = {**pair.m2, (0, 0, 0): {p2.index(1 - p1[0]): F(-3)}}
-    pair = P.PairStructure(pair.v1, pair.v2, pair.kind, m1, m2)
+    pair = _uneven(_dense_basis(series_osp(2, 1, 1).pair))
     assert [r.failure_count for r in P.check_evenness(pair)] == [1, 1]
     for name in ("jacobi_analog", "compatibility"):
         ident = CATALOG[name]
@@ -588,6 +639,63 @@ def test_float_form_on_an_uneven_dense_pair():
         report = P._eval_identity(pair, ident, 2)
         assert report.to_json() == _oracle_report(pair, ident, 2).to_json()
         assert not report.passed
+
+
+def test_jacobi_and_compatibility_share_their_terms_in_groups():
+    # compatibility's J1..J6 are -1/2 or 1/2 times jacobi's: in integer
+    # coefficients (1, -1) for J1, J5, J6 and (1, 1) for J2, J3, J4, and
+    # [X, Y, [U, V, Z]] is compatibility's own, with coefficient 2
+    idents = [CATALOG["jacobi_analog"], CATALOG["compatibility"]]
+    evals = [P._Evaluation(series_gl(1, 1).pair.tensors(), i, 1, FLOAT) for i in idents]
+    groups = P._term_groups(evals)
+    exprs = [t.expr for t in idents[0].residual_terms()]
+    own = idents[1].residual_terms()[0].expr
+    assert {d: [(expr, k) for expr, _, k in members] for d, members in groups.items()} == {
+        (1, -1): [(exprs[i], 1) for i in (0, 4, 5)],
+        (1, 1): [(exprs[i], 1) for i in (1, 2, 3)],
+        (0, 1): [(own, 2)],
+    }
+    # a lone identity is one group, its residual
+    alone = P._term_groups(evals[1:])
+    assert list(alone) == [(1,)] and [k for *_, k in alone[1,]] == [2, -1, -1, -1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("case", ["float", "multimodular"])
+def test_lockstep_batch_matches_fraction_oracle(monkeypatch, case):
+    # jacobi_analog and compatibility evaluated together, in one batch of
+    # the dense form, give the oracle's reports in both orientations, on
+    # passing and failing pairs: in float64 on osp+(2,1) in a dense basis
+    # and on its uneven change; multimodular on the unimodular change of
+    # gl(1,1) and its perturbation whose residuals need every prime
+    idents = [CATALOG["jacobi_analog"], CATALOG["compatibility"]]
+    if case == "float":
+        dense = _dense_basis(series_osp(2, 1, 1).pair)
+        pairs, form = [dense, _uneven(dense)], FLOAT
+        assert all(P._checked_bound(p, i) < 2**53 for p in pairs for i in idents)
+        monkeypatch.setattr(P, "_form", lambda *args: FLOAT)  # orientation 1 takes the join
+    else:
+        rng = Lcg64(23)
+        gl11 = series_gl(1, 1).pair
+        wide = _unimodular_basis(gl11, 2**10)
+        earlier = [gl11, series_q(1).pair, gl11.parity_flip(), _scaled(gl11, F(1, 3)),
+                   _scaled(gl11, F(2**31 + 11))]
+        for p in earlier:  # so the next is broken[5] of the evaluator oracle test
+            random_even_perturbation(p, rng)
+        pairs, form = [wide, random_even_perturbation(wide, rng)], MODULAR
+        primes = P._primes(pairs[1].tensors(), idents[0])
+        failures = P._eval_identity(pairs[1], idents[0], 1).failures
+        assert max(abs(c) for f in failures for c in f.residual.values()) > max(primes)
+    batches = []
+    monkeypatch.setattr(P, "_lockstep", lambda t, evals, real=P._lockstep: (
+        batches.append([e.ident.name for e in evals]) or real(t, evals)))
+    for k, pair in enumerate(pairs):
+        for orientation in (1, 2):
+            got = P._eval_identities(pair, idents, orientation, P.FAILURE_CAP)
+            want = [_oracle_report(pair, ident, orientation) for ident in idents]
+            assert [r.to_json() for r in got] == [r.to_json() for r in want], (k, orientation)
+            assert [P._form(pair, ident, orientation) for ident in idents] == [form, form]
+            assert all(r.passed for r in got) == (k == 0)
+    assert batches == [["jacobi_analog", "compatibility"]] * 4
 
 
 def test_float_form_stops_short_of_2_to_the_53():
