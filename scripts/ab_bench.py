@@ -20,9 +20,10 @@ larger than the parent's.
 
 With ``--out`` the summary is written in the layout of the BENCH_*.json
 files: a file that exists keeps its other keys and workloads, and this
-workload's entry is replaced.  Each side is labelled by the commit
-bench/run.py reports, or by the checkout's resolved path when it reports
-none (a checkout that is not a git work tree).  Exits 1 if any run fails, reports an
+workload's entry, which holds its own seed, pair count and command, is
+replaced.  Each side is labelled by the commit bench/run.py reports, or
+by the checkout's resolved path when it reports none (a checkout that
+is not a git work tree).  Exits 1 if any run fails, reports an
 incorrect result or failed operations, the two sides' job digests
 differ, or a regression is flagged.
 """
@@ -115,7 +116,9 @@ def main(argv=None) -> int:
             print(f"pair {k} {side}: " + ", ".join(
                 f"{m['name']} {run['metrics'][m['name']]['value']:.4f}" for m in spec), flush=True)
 
-    entry = {}
+    entry = {"command": f"python3 bench/run.py --workload {args.workload} --seed {args.seed} "
+                        f"--seconds {seconds:g} --trace 0",
+             "seed": args.seed, "pairs": args.pairs}
     for m in spec:
         name = m["name"]
         entry[name] = compare(*([r["metrics"][name]["value"] for r in runs[side]]
@@ -161,10 +164,6 @@ def main(argv=None) -> int:
         doc.update({
             "parent": checkout_label(runs["parent"][0], args.parent),
             "change": checkout_label(runs["change"][0], args.change),
-            "command": f"python3 bench/run.py --workload <workload> --seed {args.seed} "
-                       f"--seconds {seconds:g} --trace 0",
-            "seed": args.seed,
-            "pairs": args.pairs,
             "order": "alternating: parent first on even pairs, change first on odd pairs",
             "metrics_note": "medians and quartiles (inclusive method) over each side's runs, "
                             "listed in pair order; jobs are the per-operation times "

@@ -39,14 +39,14 @@ from the nonzero entries of its two nodes in one of two forms:
   group adds its blocks into one buffer, and each residual is an integer
   combination of the group buffers.
 
-A checked bound on every partial sum of the primitive residual fixes
-the arithmetic in three bands, and the reports are exact in each.
-Below 2^53 every partial sum is an integer that float64 holds exactly,
-in any order of summation, so the dense form runs on float64 BLAS (the
-premise of FFLAS: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008);
-there the int64 join runs instead when it has fewer contributions than
-the dense blocks have cells, as on sparse pairs.  From 2^53 to 2^62 the
-int64 join runs, and from 2^62 on the dense form in float64 over the
+One checked bound on what a cell of the primitive residual sums, every
+partial sum included, fixes the arithmetic, and the reports are exact
+in each form.  Below 2^62 the int64 join runs when it has fewer
+contributions than the dense blocks have cells, as on sparse pairs.
+Otherwise the dense form runs: below 2^53 every partial sum is an
+integer that float64 holds exactly, in any order of summation, so it
+runs on float64 BLAS (the premise of FFLAS: Dumas, Giorgi and Pernet,
+ACM TOMS 35(3), 2008); from 2^53 on it runs in float64 over the
 residues modulo primes small enough that what one residual cell sums
 stays below 2^53: a tuple fails iff some prime leaves a nonzero
 residue, and Chinese remaindering gives its values.  Checks that are
@@ -433,15 +433,21 @@ def _coo(t: Tensors, table, arity: int, primes: tuple = ()):
 
 
 def _checked_bound(s, ident: Identity) -> int:
-    """Bound on every partial sum of the primitive residual: the summed
-    integer coefficient magnitudes times max|m| to the degree times the
-    contracted volume.  float64 arithmetic is exact below 2^53, and int64
-    arithmetic below 2^62 (``_EXACT_BELOW``)."""
+    """Bound on what a cell of the primitive residual sums, every partial
+    sum included: the integer coefficient magnitudes summed, rounded up to
+    a power of two (which jacobi_analog and compatibility share), times
+    max|m|^degree times width^(degree - 1), width <= the largest dim being
+    the contracted length.  It covers every form, as each term adds at
+    most ``width`` products to a cell, be it a key of the join, a dense
+    block's cell, a group buffer of :func:`_lockstep` or an identity's
+    combination of those.  float64 is exact below 2^53 and int64 below
+    2^62 (``_EXACT_BELOW``)."""
     t = _tensors(s)
     terms, _, coeffs = _int_coeffs(ident)
     degree = _degree(terms)
-    dim = max(max(space.dim for space in t.spaces.values()), 1)
-    return sum(map(abs, coeffs)) * _scale(t)[1] ** degree * dim ** (2 * degree)
+    width = max(max(space.dim for space in t.spaces.values()), 1)
+    unit = width ** (degree - 1) << (sum(map(abs, coeffs)) - 1).bit_length()
+    return unit * _scale(t)[1] ** degree
 
 
 def _is_prime(n: int) -> bool:
@@ -456,19 +462,16 @@ def _is_prime(n: int) -> bool:
 
 def _primes(t: Tensors, ident: Identity) -> tuple:
     """The largest primes p, as many as make their product exceed twice
-    what a residual cell sums: at most the coefficient sum (rounded up to
-    a power of two, so that jacobi_analog and compatibility share primes)
-    times max|m|^degree times width^(degree - 1), width <= the largest dim
-    being the contracted length.  With h = (p - 1) / 2 for max|m|, that
-    plus p stays within 2^53, so float64 sums and :func:`_residues`
-    reduces exactly: at degree 2, (unit h + 1)^2 <= unit (2^53 - 1) + 1."""
-    terms, _, coeffs = _int_coeffs(ident)
-    degree, dim = _degree(terms), max(max(space.dim for space in t.spaces.values()), 1)
-    unit = dim ** (degree - 1) << (sum(map(abs, coeffs)) - 1).bit_length()
+    the checked bound.  That bound with h = (p - 1) / 2 for max|m|, plus
+    p, stays within 2^53, so float64 sums and :func:`_residues` reduces
+    exactly: at degree 2, with ``unit`` the bound over max|m|^2,
+    (unit h + 1)^2 <= unit (2^53 - 1) + 1."""
+    bound, degree = _checked_bound(t, ident), _degree(ident.residual_terms())
+    unit = bound // _scale(t)[1] ** degree
     h = (2**53 - 1) // (unit + 2) if degree == 1 else (
         math.isqrt(unit * (2**53 - 1) + 1) - 1) // unit
     p, primes = 2 * h + 1, []
-    while math.prod(primes) <= 2 * unit * _scale(t)[1] ** degree:
+    while math.prod(primes) <= 2 * bound:
         primes.append(next(q for q in range(p, 2, -2) if _is_prime(q)))
         p = primes[-1] - 2
     return tuple(primes)
@@ -591,11 +594,13 @@ def _term_counts(t: Tensors, expr, sides: dict) -> tuple[int, int]:
     inner = None if j is None else _table(inner_node, sides)
 
     def build():
-        keys, outs, _ = _coo(t, outer, len(expr.slots))
+        _scale(t)  # keys and outputs only, so counting never reads a value
+        keys, outs, _ = t.memo[("coo", outer)]
+        keys = keys.reshape(-1, len(expr.slots))
         if inner is None:
             return len(outs), len(outs)
         width = t.spaces[_value_side(inner_node, sides)].dim
-        joins = np.bincount(_coo(t, inner, len(inner_node.slots))[1], minlength=width) @ (
+        joins = np.bincount(t.memo[("coo", inner)][1], minlength=width) @ (
             np.bincount(keys[:, j], minlength=width))
         d = max(space.dim for space in t.spaces.values())
         cols = np.sort(reduce(lambda acc, col: acc * d + col, [*np.delete(keys, j, axis=1).T, outs]))
@@ -708,26 +713,20 @@ _EXACT_BELOW = {_JOIN: 2**62, _FLOAT: 2**53, _MODULAR: math.inf}
 
 
 def _form(s, ident: Identity, orientation: int) -> tuple:
-    """The evaluator form of one identity and orientation, as (name, dtype).
-
-    Three bands of the checked bound fix the arithmetic.  Below 2^53
-    every partial sum is an integer that float64 holds exactly, so the
-    dense form runs on float64 BLAS; there the sparse join runs in int64
+    """The evaluator form of one identity and orientation, as (name, dtype),
+    read off the checked bound.  Below 2^62 the sparse join runs in int64
     when it has fewer contributions than the dense blocks have cells,
     which is the case on sparse structures (on dense ones the join would
-    have more).  From 2^53 to 2^62 the int64 join runs.  At 2^62 and
-    above the dense form runs modulo the primes of :func:`_primes`.
-    """
+    have more).  Otherwise the dense form runs on float64 BLAS below 2^53,
+    and at 2^53 and above modulo the primes of :func:`_primes`."""
     t = _tensors(s)
-    bound = _checked_bound(t, ident)
-    if bound >= _EXACT_BELOW[_JOIN]:
-        return _MODULAR
-    if bound >= _EXACT_BELOW[_FLOAT]:
-        return _JOIN
-    sides = _orient(ident.sides, orientation)
-    counts = [_term_counts(t, term.expr, sides) for term in ident.residual_terms()]
-    joins, cells = map(sum, zip(*counts))
-    return _JOIN if joins < cells else _FLOAT
+    bound, sides = _checked_bound(t, ident), _orient(ident.sides, orientation)
+    if bound < _EXACT_BELOW[_JOIN]:
+        joins, cells = map(sum, zip(*(_term_counts(t, term.expr, sides)
+                                      for term in ident.residual_terms())))
+        if joins < cells:
+            return _JOIN
+    return _FLOAT if bound < _EXACT_BELOW[_FLOAT] else _MODULAR
 
 
 # sparse-join contributions per run of X indices: the joins and the

@@ -80,3 +80,19 @@ def test_a_checkout_without_a_commit_is_labelled_by_its_path(ab, monkeypatch, tm
     doc = json.loads((tmp_path / "bench.json").read_text())
     assert doc["parent"] == str((tmp_path / "parent").resolve())
     assert doc["change"] == "3e889e60c721e9fb6ae6e1fcea9585096b571dc3"
+
+
+def test_each_workload_keeps_its_own_seed_pairs_and_command(ab, monkeypatch, tmp_path):
+    # two runs with different seeds and pair counts, written into one file
+    same = {"norm_wall_s": 1.0, "peak_rss_mb": 40.0}
+    _stub(ab, monkeypatch, tmp_path, {"parent": same, "change": same})  # w: seed 0, 3 pairs
+    out = tmp_path / "bench.json"
+    ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+             "--workload", "v", "--seed", "7", "--pairs", "2", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert {name: (entry["seed"], entry["pairs"], entry["command"])
+            for name, entry in doc["workloads"].items()} == {
+        "w": (0, 3, "python3 bench/run.py --workload w --seed 0 --seconds 1 --trace 0"),
+        "v": (7, 2, "python3 bench/run.py --workload v --seed 7 --seconds 1 --trace 0"),
+    }
+    assert not {"seed", "pairs", "command"} & set(doc)

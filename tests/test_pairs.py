@@ -4,8 +4,11 @@ import gc
 import itertools
 import json
 import math
+import random
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,9 @@ from isopairs.supercore import CATALOG, EQUIVARIANCE, Act, SuperSpace
 
 from dense_oracle import apply, col
 from identity_oracle import residual_on_vectors
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import inputs as bench_inputs  # noqa: E402
 
 F = Fraction
 
@@ -484,9 +490,10 @@ def test_float_form_just_under_the_float64_bound(osp, orientation):
     # the orientation in which both deep identities of a perturbed osp+
     # pair in a dense basis take the dense form: the largest content-1
     # multiple that keeps both under 2^53 takes the float64 dense form,
-    # and at the next one the identity past 2^53 takes the int64 join.
-    # Both equal the multimodular form and the oracle; the float64 form,
-    # forced past 2^53, refuses
+    # and at the next one both, which share their checked bound, pass
+    # 2^53 and take the multimodular form.  Each equals another exact form
+    # (the multimodular one under 2^53, the int64 join past it) and the
+    # oracle; the float64 form, forced past 2^53, refuses
     pert = random_even_perturbation(_dense_basis(series_osp(*osp).pair), Lcg64(5))
     base = _scaled(pert, P._scale(pert)[0])  # primitive integer entries
     idents = [CATALOG[n] for n in ("jacobi_analog", "compatibility")]
@@ -497,11 +504,12 @@ def test_float_form_just_under_the_float64_bound(osp, orientation):
         assert P._scale(big)[0] == 1
         for ident in idents:
             past = P._checked_bound(big, ident) >= 2**53
-            form = JOIN if past else FLOAT
+            form = MODULAR if past else FLOAT
             forms.add((scale, form))
             assert P._form(big, ident, orientation) == form
             [residuals] = _form_residuals(big, [ident], orientation, form)
-            assert [residuals] == _form_residuals(big, [ident], orientation, MODULAR)
+            other = JOIN if past else MODULAR
+            assert [residuals] == _form_residuals(big, [ident], orientation, other)
             report = P._eval_identity(big, ident, orientation)
             failing += report.failure_count
             for f in report.failures:
@@ -512,7 +520,7 @@ def test_float_form_just_under_the_float64_bound(osp, orientation):
                 with pytest.raises(ValueError, match="not exact"):
                     P._Evaluation(big.tensors(), ident, orientation, FLOAT)
     assert failing
-    assert forms == {(k, FLOAT), (k + 1, FLOAT), (k + 1, JOIN)}
+    assert forms == {(k, FLOAT), (k + 1, MODULAR)}
 
 
 def test_is_prime_matches_trial_division():
@@ -563,6 +571,7 @@ def test_primes_keep_float64_exact_and_cover_the_checked_bound():
         if pair.kind != "isotopic":
             names = ("symmetry.superJordan", "super_jordan")
         for ident in map(CATALOG.get, names):
+            assert P._checked_bound(t, ident) == _cell_bound(t, ident, P._scale(t)[1])
             primes = P._primes(t, ident)
             assert list(primes) == sorted(set(primes), reverse=True)
             assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(primes, 2))
@@ -698,22 +707,26 @@ def test_lockstep_batch_matches_fraction_oracle(monkeypatch, case):
     assert batches == [["jacobi_analog", "compatibility"]] * 4
 
 
-def test_float_form_stops_short_of_2_to_the_53():
-    # graded antisymmetry (coefficients 1, 1) on two-dimensional spaces
-    # with largest entry 2^50 and content 1 has a checked bound of exactly
-    # 2 * 2^50 * 2^2 = 2^53: the int64 join, while largest entry 2^49
-    # takes the float64 form
+def _corner_pair(biggest):
+    """An isotopic pair on two-dimensional spaces of parities (0, 1) with
+    one m1 entry ``biggest`` and one m2 entry 1: content 1, and largest
+    entry ``biggest``."""
     v = SuperSpace.make(["a", "b"], [0, 1])
+    m1, m2 = {(0, 0, 1): {1: F(biggest)}}, {(1, 0, 1): {0: F(1)}}
+    return P.PairStructure(v, v, "isotopic", m1, m2)
 
-    def pair(biggest):
-        m1, m2 = {(0, 0, 1): {1: F(biggest)}}, {(1, 0, 1): {0: F(1)}}
-        return P.PairStructure(v, v, "isotopic", m1, m2)
 
-    edge, half = pair(2**50), pair(2**49)
+def test_float_form_stops_short_of_2_to_the_53():
+    # graded antisymmetry (coefficients 1, 1 and degree 1, so no
+    # contracted index) with largest entry 2^52 and content 1 has a
+    # checked bound of exactly 2 * 2^52 = 2^53: the multimodular form,
+    # while largest entry 2^51 takes the float64 form.  Its join has as
+    # many contributions as its dense form has cells, so it never runs
+    edge, half = _corner_pair(2**52), _corner_pair(2**51)
     ident = CATALOG["antisymmetry.isotopic"]
     assert P._checked_bound(edge, ident) == 2**53 == 2 * P._checked_bound(half, ident)
     for orientation in (1, 2):
-        assert P._form(edge, ident, orientation) == JOIN
+        assert P._form(edge, ident, orientation) == MODULAR
         assert P._form(half, ident, orientation) == FLOAT
         for p in (edge, half):
             assert P._eval_identity(p, ident, orientation).to_json() == (
@@ -722,6 +735,74 @@ def test_float_form_stops_short_of_2_to_the_53():
         P._Evaluation(edge.tensors(), ident, 1, FLOAT)
     with pytest.raises(ValueError, match="not exact"):
         P._Evaluation(half.tensors(), ident, 1, ("dense", np.int64))
+
+
+def test_join_form_stops_short_of_2_to_the_62():
+    # jacobi_analog and compatibility (coefficient sums 6 and 8, both
+    # rounded to 8) on the same pair have a checked bound of 8 M^2 2 at
+    # largest entry M: exactly 2^62 at M = 2^29, where the multimodular
+    # form runs and the join refuses, and under 2^62 but past 2^53 at
+    # M = 2^29 - 1, where the join, with fewer contributions than the
+    # dense form has cells, runs and the float64 form refuses
+    edge, under = _corner_pair(2**29), _corner_pair(2**29 - 1)
+    for name in ("jacobi_analog", "compatibility"):
+        ident = CATALOG[name]
+        assert P._checked_bound(edge, ident) == 2**62 > P._checked_bound(under, ident) >= 2**53
+        for orientation in (1, 2):
+            assert P._form(edge, ident, orientation) == MODULAR
+            assert P._form(under, ident, orientation) == JOIN
+            for p in (edge, under):
+                assert P._eval_identity(p, ident, orientation).to_json() == (
+                    _oracle_report(p, ident, orientation).to_json())
+        with pytest.raises(ValueError, match="not exact"):
+            P._Evaluation(edge.tensors(), ident, 1, JOIN)
+        with pytest.raises(ValueError, match="not exact"):
+            P._Evaluation(under.tensors(), ident, 1, FLOAT)
+
+
+def test_term_counts_read_no_tensor_value():
+    # the join and dense counts read only the keys and outputs of the
+    # tensors: an entry of 2^70 + 1, past int64, counts as the 1 in its
+    # place, and the pair, past 2^62, runs multimodular to the oracle
+    small = series_gl(1, 1).pair
+    big = _plus_one(_scaled(small, F(2**70)))
+    assert P._scale(big)[0] == 1
+    assert 2**70 + 1 in (c for comps in big.m1.values() for c in comps.values())
+    t_small, t_big = small.tensors(), big.tensors()
+    for ident in (CATALOG["jacobi_analog"], CATALOG["compatibility"]):
+        for orientation in (1, 2):
+            sides = P._orient(ident.sides, orientation)
+            for term in ident.residual_terms():
+                assert P._term_counts(t_big, term.expr, sides) == (
+                    P._term_counts(t_small, term.expr, sides))
+            assert P._form(big, ident, orientation) == MODULAR
+            assert P._eval_identity(big, ident, orientation).to_json() == (
+                _oracle_report(big, ident, orientation).to_json())
+
+
+def test_dense_pair_under_2_to_the_53_per_cell_takes_the_float_form():
+    # the three-fold bench change of basis of gl(2,1), times 16 plus one:
+    # content 1 and a cell bound of 2^47.7 (a bound charging dim^4 put
+    # it near 2^57, where the join ran, 25 times slower).  Both deep
+    # identities take the float64 dense form in both orientations, and
+    # every failure of verify equals the oracle
+    pair = series_gl(2, 1).pair
+    for seed in (11, 12, 13):
+        pair = bench_inputs.change_basis(pair, random.Random(seed))
+    pair = _plus_one(_scaled(pair, F(16)))
+    assert P._scale(pair)[0] == 1
+    for name in ("jacobi_analog", "compatibility"):
+        assert 2**47 < P._checked_bound(pair, CATALOG[name]) < 2**48
+        for orientation in (1, 2):
+            assert P._form(pair, CATALOG[name], orientation) == FLOAT
+    reports = P.verify(pair).reports[2:]  # after the two evenness reports
+    assert [r.identity for r in reports[::2]] == [
+        "antisymmetry.isotopic", "jacobi_analog", "compatibility"]
+    assert not all(r.passed for r in reports[2:])
+    for r in reports:
+        for f in r.failures:
+            assert f.residual == _oracle_residual(
+                pair, CATALOG[r.identity], r.orientation, tuple(f.where.values()))
 
 
 def test_negative_indices_rejected():
