@@ -1,31 +1,32 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
-Usage: python scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload W --seed S
-           --pairs N [--out BENCH_x.json]
+Usage: python scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload W [W ...]
+           --seed S --pairs N [--out BENCH_x.json]
 
-Runs ``bench/run.py --trace 0`` of each checkout, unchanged, N times per
-side in a fresh interpreter each, for the ``run_seconds`` of
-CHANGE_DIR/BENCHMARK.json: pair k runs the parent first when k is even
-and the change first when k is odd.  For every end-to-end metric of
-CHANGE_DIR/BENCHMARK.json, and for every per-operation time that
-bench/run.py prints, it prints each side's median and quartiles and the
-number of pairs the change wins (ties count for neither side), and
-whether a gain may be claimed: wins in at least nine tenths of the pairs
-and medians further apart than the parent's interquartile range.  It
-flags a regression when an end-to-end metric's change median is worse
-than the parent's by more than the metric's ``bound`` (a fraction of the
-parent median), or when the change's share of failed operations is
-larger than the parent's.
+For each workload in turn, runs ``bench/run.py --trace 0`` of each
+checkout, unchanged, N times per side in a fresh interpreter each, for
+the ``run_seconds`` of CHANGE_DIR/BENCHMARK.json: pair k runs the parent
+first when k is even and the change first when k is odd.  For every
+end-to-end metric of CHANGE_DIR/BENCHMARK.json, and for every
+per-operation time that bench/run.py prints, it prints each side's
+median and quartiles and the number of pairs the change wins (ties
+count for neither side), and whether a gain may be claimed: wins in at
+least nine tenths of the pairs and medians further apart than the
+parent's interquartile range.  It flags a regression when an end-to-end
+metric's change median is worse than the parent's by more than the
+metric's ``bound`` (a fraction of the parent median), or when the
+change's share of failed operations is larger than the parent's.
 
 With ``--out`` the summary is written in the layout of the BENCH_*.json
-files: a file that exists keeps its other keys and workloads, and this
-workload's entry, which holds its own seed, pair count and command, is
-replaced.  Each side is labelled by the commit bench/run.py reports, or
-by the checkout's resolved path when it reports none (a checkout that
-is not a git work tree).  Exits 1 if any run fails, reports an
-incorrect result or failed operations, the two sides' job digests
-differ, or a regression is flagged.
+files, after each workload: a file that exists keeps its other keys and
+workloads, and each workload's entry, which holds its own seed, pair
+count and command, is replaced.  Each side is labelled by the commit
+bench/run.py reports, or by the checkout's resolved path when it
+reports none (a checkout that is not a git work tree).  Exits 1 if, on
+any workload, a run fails, reports an incorrect result or failed
+operations, the two sides' job digests differ, or a regression is
+flagged.
 """
 
 import argparse
@@ -93,30 +94,18 @@ def compare(parent: list, change: list, lower_is_better: bool, bound=None) -> di
     return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--out", type=Path)
-    args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("need --pairs >= 2 for quartiles")
-
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    spec, seconds = bench["end_to_end"], bench["run_seconds"]
+def ab_workload(args, workload: str, spec: list, seconds: float) -> tuple:
+    """(entry, ok, runs) of one workload's alternating pairs."""
     runs = {"parent": [], "change": []}
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            run = run_once(getattr(args, side), args.workload, args.seed, seconds)
+            run = run_once(getattr(args, side), workload, args.seed, seconds)
             runs[side].append(run)
-            print(f"pair {k} {side}: " + ", ".join(
+            print(f"{workload} pair {k} {side}: " + ", ".join(
                 f"{m['name']} {run['metrics'][m['name']]['value']:.4f}" for m in spec), flush=True)
 
-    entry = {"command": f"python3 bench/run.py --workload {args.workload} --seed {args.seed} "
+    entry = {"command": f"python3 bench/run.py --workload {workload} --seed {args.seed} "
                         f"--seconds {seconds:g} --trace 0",
              "seed": args.seed, "pairs": args.pairs}
     for m in spec:
@@ -141,7 +130,7 @@ def main(argv=None) -> int:
     ok = (len(digests) == 1
           and all(r["correct"] and not r["failed"] for side in runs for r in runs[side]))
 
-    print(f"# {args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
+    print(f"# {workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
     for m in spec:
         rows = [(m["name"], entry[m["name"]])]
         if m["name"] == "norm_wall_s":
@@ -159,19 +148,40 @@ def main(argv=None) -> int:
     if entry["operations"]["failed_share_regression"]:
         print(f"REGRESSION: failed-operation share {share['parent']:.4f} -> {share['change']:.4f}")
 
-    if args.out:
-        doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-        doc.update({
-            "parent": checkout_label(runs["parent"][0], args.parent),
-            "change": checkout_label(runs["change"][0], args.change),
-            "order": "alternating: parent first on even pairs, change first on odd pairs",
-            "metrics_note": "medians and quartiles (inclusive method) over each side's runs, "
-                            "listed in pair order; jobs are the per-operation times "
-                            "bench/run.py prints (medians over passes at nominal speed)",
-        })
-        doc.setdefault("workloads", {})[args.workload] = entry
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0 if ok and not regressions else 1
+    return entry, ok and not regressions, runs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True, nargs="+")
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--out", type=Path)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("need --pairs >= 2 for quartiles")
+
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    spec, seconds = bench["end_to_end"], bench["run_seconds"]
+    passed = True
+    for workload in args.workload:
+        entry, ok, runs = ab_workload(args, workload, spec, seconds)
+        passed &= ok
+        if args.out:
+            doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+            doc.update({
+                "parent": checkout_label(runs["parent"][0], args.parent),
+                "change": checkout_label(runs["change"][0], args.change),
+                "order": "alternating: parent first on even pairs, change first on odd pairs",
+                "metrics_note": "medians and quartiles (inclusive method) over each side's runs, "
+                                "listed in pair order; jobs are the per-operation times "
+                                "bench/run.py prints (medians over passes at nominal speed)",
+            })
+            doc.setdefault("workloads", {})[workload] = entry
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -250,8 +250,11 @@ class IncrementalSpan:
         """(r, D, combo): the residual of v is r / D, with r an integer
         dict, and v minus the residual is the combination ``combo`` of
         inserted vectors (``{}`` unless combos are tracked)."""
-        D = math.lcm(*(x.denominator for x in v.values()))
-        r = {c: x.numerator * (D // x.denominator) for c, x in v.items() if x}
+        if all(type(x) is int and x for x in v.values()):  # already integers
+            D, r = 1, dict(v)
+        else:
+            D = math.lcm(*(x.denominator for x in v.values()))
+            r = {c: x.numerator * (D // x.denominator) for c, x in v.items() if x}
         combo: dict = {}
         # clear reducible columns in pivot order: a row's entries lie at
         # or after its pivot in that order, so each step writes only to
@@ -273,7 +276,7 @@ class IncrementalSpan:
                     r[c] *= p
                 D *= p
             axpy(r, -a, row)
-        g = math.gcd(D, *r.values())
+        g = math.gcd(D, *r.values()) if D > 1 else 1
         if g != 1:
             r, D = {c: x // g for c, x in r.items()}, D // g
         return r, D, combo

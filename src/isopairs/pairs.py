@@ -51,7 +51,9 @@ residues modulo primes small enough that what one residual cell sums
 stays below 2^53: a tuple fails iff some prime leaves a nonzero
 residue, and Chinese remaindering gives its values.  Checks that are
 not identities (evenness here, and the support and representation
-checks elsewhere) build their reports with :func:`axiom_report`.
+checks elsewhere) build their reports with :func:`axiom_report`.  A
+check reads each tensor once, evenness included: :func:`verify` shares
+one :class:`Tensors`, and evenness tests the parities of its keys.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -101,7 +104,8 @@ def _index(i) -> int:
 def _canon_tensor(t: TensorMap) -> TensorMap:
     out = {}
     for key, comps in t.items():
-        kept = {_index(i): Fraction(c) for i, c in comps.items() if c != 0}
+        kept = {_index(i): f for i, c in comps.items()
+                if (f := c if type(c) is Fraction else Fraction(c))}
         if kept:
             out[tuple(_index(k) for k in key)] = kept
     return out
@@ -395,19 +399,21 @@ def _read(t: Tensors) -> None:
     """Read every tensor ``Fraction`` once, into the memo entries that
     :func:`_scale` and :func:`_coo` read: scaled to integers by the lcm
     of all denominators, then divided by their gcd, the content."""
-    read = {table: [(key, o, c.numerator, c.denominator)
-                    for key, comps in tensor.items() for o, c in comps.items()]
-            for table, tensor in t.tensors.items()}
-    lcm = math.lcm(*{d for entries in read.values() for *_, d in entries})
-    values = {table: [n * (lcm // d) for *_, n, d in entries] for table, entries in read.items()}
-    content = math.gcd(*(v for vs in values.values() for v in vs)) or 1
-    biggest = max((abs(v) for vs in values.values() for v in vs), default=1) // content
+    flat = chain.from_iterable
+    values = {table: list(flat(map(dict.values, tensor.values())))
+              for table, tensor in t.tensors.items()}
+    lcm = math.lcm(*{c.denominator for cs in values.values() for c in cs})
+    for cs in values.values():
+        cs[:] = [c.numerator * (lcm // c.denominator) for c in cs] if lcm > 1 else (
+            [c.numerator for c in cs])
+    content = math.gcd(*flat(values.values())) or 1
+    biggest = max(map(abs, flat(values.values())), default=1) // content
     t.memo[("scale",)] = Fraction(lcm, content), biggest
-    for table, entries in read.items():
+    for table, tensor in t.tensors.items():
         t.memo[("coo", table)] = (
-            np.array([key for key, *_ in entries], dtype=np.int64),
-            np.array([o for _, o, *_ in entries], dtype=np.int64),
-            [v // content for v in values[table]],
+            np.fromiter(flat(key * len(comps) for key, comps in tensor.items()), np.int64),
+            np.fromiter(flat(tensor.values()), np.int64),
+            [v // content for v in values[table]] if content > 1 else values[table],
         )
 
 
@@ -481,8 +487,12 @@ def _distinct(x, flat, bits, size):
     """Merge repeated (x, flat) keys, sorted by (x, bits, flat):
     (inverse, x, flat, bits)."""
     span = int(bits.max()) + 1 if bits.size else 1
-    _, first, inverse = np.unique((x * span + bits) * size + flat,
-                                  return_index=True, return_inverse=True)
+    keys = (x * span + bits) * size + flat
+    order = np.argsort(keys)
+    new = np.diff(keys[order], prepend=-1) != 0  # the first of each run of a key
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    first = order[new]
     return inverse, x[first], flat[first], bits[first]
 
 
@@ -540,9 +550,8 @@ def _nodes(t: Tensors, expr, sides: dict, letters: tuple, primes: tuple = ()):
     output included for ``cols``; bit k of the parity bits belongs to
     ``letters[k]``.  A row and a column that agree on the contracted
     index (``width`` values: the nested node's output, the outer node's
-    nested slot) make one contribution to the residual.  The entries of
-    the node that holds X, the nested one when ``x_in_rows``, are sorted
-    by X."""
+    nested slot) make one contribution to the residual.  The node that
+    holds X is the nested one when ``x_in_rows``."""
     first, named = letters[0], expr_letters(expr)
     own = [l for l in letters if l in named]
     if own[0] != first:
@@ -577,10 +586,7 @@ def _nodes(t: Tensors, expr, sides: dict, letters: tuple, primes: tuple = ()):
         rows, width = (x, flat, bits, c, values), t.spaces[_value_side(inner, sides)].dim
     x, flat, bits, c, o, values = node(expr)
     cols = (x, flat + o, bits, c, values)
-    x_in_rows = inner is not None and first in expr_letters(inner)
-    by_x = lambda part: tuple(a[..., np.argsort(part[0], kind="stable")] for a in part)
-    rows, cols = (by_x(rows), cols) if x_in_rows else (rows, by_x(cols))
-    return size, width, x_in_rows, rows, cols
+    return size, width, inner is not None and first in expr_letters(inner), rows, cols
 
 
 def _term_counts(t: Tensors, expr, sides: dict) -> tuple[int, int]:
@@ -615,8 +621,15 @@ def _join_term(t: Tensors, expr, sides: dict, letters: tuple, run: tuple):
     ``run``: (global keys ``X * size + flat``, parity bits, int64
     values) of every contribution, each row times each column that
     shares its contracted index."""
+    def build():  # the nodes, the entries of the one that holds X sorted by X
+        size, width, x_in_rows, *parts = _nodes(t, expr, sides, letters)
+        k = 0 if x_in_rows else 1
+        order = np.argsort(parts[k][0], kind="stable")
+        parts[k] = tuple(a[order] for a in parts[k])
+        return size, width, x_in_rows, *parts
+
     size, width, x_in_rows, rows, cols = t.cached(
-        ("nodes", expr, frozenset(sides.items()), letters), lambda: _nodes(t, expr, sides, letters))
+        ("nodes", expr, frozenset(sides.items()), letters), build)
     part = slice(*np.searchsorted((rows if x_in_rows else cols)[0], run))
     if x_in_rows:
         rows = tuple(a[part] for a in rows)
@@ -927,22 +940,24 @@ def axiom_report(
     return AxiomReport(name, orientation, total, count, failures, adopted_form)
 
 
-def check_evenness(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
+def check_evenness(pair: PairStructure | Tensors, cap: int = FAILURE_CAP) -> list:
     """Parity of every nonzero component must equal the sum of the input
-    parities; one report per tensor."""
-    specs = [
-        ("evenness[m1]", pair.m1, (pair.v2, pair.v1, pair.v1), pair.v1, ("u", "x", "y")),
-        ("evenness[m2]", pair.m2, (pair.v1, pair.v2, pair.v2), pair.v2, ("x", "u", "v")),
-    ]
-    reports = []
-    for name, tensor, in_spaces, out_space, names in specs:
-        def odd_part(key):
-            expected = sum(s.parities[i] for s, i in zip(in_spaces, key)) % 2
-            return {o: c for o, c in tensor[key].items() if out_space.parities[o] != expected}
-
-        entries = ((dict(zip(names, key)), odd_part(key)) for key in sorted(tensor))
-        total = math.prod(s.dim for s in in_spaces)
-        reports.append(axiom_report(name, 0, total, entries, cap))
+    parities; one report per tensor.  The parities are tested on the keys
+    and outputs that the identity checks read, from ``pair`` or its
+    :class:`Tensors`, and only the failing entries are read again."""
+    t, reports = _tensors(pair), []
+    _scale(t)
+    for side, names in ((1, ("u", "x", "y")), (2, ("x", "u", "v"))):
+        own, other = (np.array(t.spaces[s].parities, np.int64) for s in (side, 3 - side))
+        keys, outs, _ = t.memo[("coo", side)]
+        keys = keys.reshape(-1, 3)
+        odd = (other[keys[:, 0]] + own[keys[:, 1]] + own[keys[:, 2]] + own[outs]) % 2 != 0
+        failing: dict = {}
+        for key, o in zip(map(tuple, keys[odd].tolist()), outs[odd].tolist()):
+            failing.setdefault(key, {})[o] = t.tensors[side][key][o]
+        entries = ((dict(zip(names, key)), failing[key]) for key in sorted(failing))
+        total = len(other) * len(own) ** 2
+        reports.append(axiom_report(f"evenness[m{side}]", 0, total, entries, cap))
     return reports
 
 
@@ -952,12 +967,13 @@ def _kind_symmetry(pair: PairStructure) -> Identity:
     ]
 
 
-def _check(pair: PairStructure, names: Sequence[str], cap: int) -> list:
+def _check(s, names: Sequence[str], cap: int) -> list:
     """The reports of the named identities, each in both orientations,
-    evaluated together over one :class:`Tensors`.  The orientations share
-    the scale, the integer tensors and the sign tables, but no dense
-    form, so each orientation's dense forms are dropped once it is done."""
-    t = pair.tensors()
+    evaluated together over one :class:`Tensors` (``s`` or a pair's).
+    The orientations share the scale, the integer tensors and the sign
+    tables, but no dense form, so each orientation's dense forms are
+    dropped once it is done."""
+    t = _tensors(s)
     idents = [CATALOG[n] for n in names]
     by_orientation = []
     for o in (1, 2):
@@ -979,8 +995,9 @@ def check_super_jordan(pair: PairStructure, cap: int = FAILURE_CAP) -> list:
 
 def verify(pair: PairStructure, cap: int = FAILURE_CAP) -> VerifyReport:
     """Evenness, graded (anti)symmetry, and the kind-appropriate identity
-    suite, both orientations, aggregated.  The identities are evaluated
-    together, so that jacobi_analog and compatibility share J1..J6."""
+    suite, both orientations, aggregated.  Every check reads the pair's
+    one :class:`Tensors`, and the identities are evaluated together, so
+    that jacobi_analog and compatibility share J1..J6."""
     deep = ["jacobi_analog", "compatibility"] if pair.kind == ISOTOPIC else ["super_jordan"]
-    names = [_kind_symmetry(pair).name, *deep]
-    return VerifyReport(pair.kind, check_evenness(pair, cap) + _check(pair, names, cap))
+    names, t = [_kind_symmetry(pair).name, *deep], pair.tensors()
+    return VerifyReport(pair.kind, check_evenness(t, cap) + _check(t, names, cap))

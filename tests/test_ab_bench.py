@@ -96,3 +96,33 @@ def test_each_workload_keeps_its_own_seed_pairs_and_command(ab, monkeypatch, tmp
         "v": (7, 2, "python3 bench/run.py --workload v --seed 7 --seconds 1 --trace 0"),
     }
     assert not {"seed", "pairs", "command"} & set(doc)
+
+
+def test_several_workloads_run_in_one_command(ab, monkeypatch, tmp_path, capsys):
+    # each workload gets its own pairs and entry; one flagged workload
+    # fails the command
+    values = {"parent": {"norm_wall_s": 1.0, "peak_rss_mb": 40.0},
+              "change": {"norm_wall_s": 0.8, "peak_rss_mb": 40.0}}
+    assert _stub(ab, monkeypatch, tmp_path, values)[0] == 0  # w alone passes
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((workload, checkout.name))
+        v = dict(values[checkout.name], peak_rss_mb=45.0 if (
+            workload == "v" and checkout.name == "change") else 40.0)
+        return {"correct": True, "attempted": 10, "failed": 0, "ops": {}, "digests": {},
+                "metrics": {m: {"value": x} for m, x in v.items()}}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "both.json"
+    code = ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                    "--workload", "w", "v", "--seed", "0", "--pairs", "2", "--out", str(out)])
+    assert code == 1
+    assert calls == [("w", "parent"), ("w", "change"), ("w", "change"), ("w", "parent"),
+                     ("v", "parent"), ("v", "change"), ("v", "change"), ("v", "parent")]
+    doc = json.loads(out.read_text())["workloads"]
+    assert list(doc) == ["w", "v"] and all(e["pairs"] == 2 for e in doc.values())
+    assert not doc["w"]["peak_rss_mb"]["regression"] and doc["v"]["peak_rss_mb"]["regression"]
+    assert doc["w"]["norm_wall_s"]["change"]["runs"] == [0.8, 0.8]
+    flagged = [line for line in capsys.readouterr().out.splitlines() if "REGRESSION" in line]
+    assert len(flagged) == 1 and flagged[0].startswith("peak_rss_mb")

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -347,6 +348,26 @@ def test_incremental_span_non_unit_pivots(pivot, track):
     probes = [{0: F(1)}, {1: F(1)}, {2: F(1)}, {0: big, 1: -big, 2: big}]
     _check_span(3, inserted[:2], probes, pivot, track)
     _check_span(3, inserted, probes, pivot, track)
+
+
+@given(span_cases(big_entries), st.sampled_from(["min", "max"]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_reduce_reads_an_int_vector_as_its_fractions(case, pivot, track):
+    # an int vector, with and without a zero at column n (which no
+    # inserted vector touches), reduces as the same vector of Fractions
+    n, inserted, probes = case
+    span = IncrementalSpan(track_combos=track, pivot=pivot)
+    for u in inserted:
+        span.insert(u)
+    for v in inserted + probes + [{}]:
+        scale = math.lcm(*(x.denominator for x in v.values()))
+        ints = {c: int(x * scale) for c, x in v.items()}
+        for w in (ints, {**ints, n: 0}):
+            before = dict(w)
+            got = span._reduce(w)
+            assert w == before
+            assert got == span._reduce({c: F(x) for c, x in w.items()})
+            assert all(type(x) is int and x for x in got[0].values())
 
 
 NKEYS = 6

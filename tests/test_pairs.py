@@ -999,3 +999,166 @@ def test_act_and_bracket_nodes_read_their_own_tables():
         assert {(w["U"], w["X"], w["Y"]): r for w, r in (
             (f.where, f.residual) for f in report.failures)} == {
             key: {o: -2 * c for o, c in comps.items()} for key, comps in m.items()}
+
+
+def test_canon_tensor_keeps_fractions_and_converts_the_rest():
+    half, kept = F(1, 2), F(-7, 3)
+    t = P._canon_tensor({(0, 1, 2): {0: 3, 1: "1/2", 2: np.int64(-4), 3: kept, 4: 0},
+                         (1, 0, 0): {0: F(0), 1: np.int32(0), 2: "0"}})
+    assert t == {(0, 1, 2): {0: F(3), 1: half, 2: F(-4), 3: kept}}
+    assert all(type(c) is F for c in t[0, 1, 2].values())
+    assert t[0, 1, 2][3] is kept
+
+
+def _evenness_oracle(pair, cap=P.FAILURE_CAP):
+    """The per-entry evenness check: each key in sorted order, its
+    entries whose output parity is not the sum of its input parities."""
+    specs = [
+        ("evenness[m1]", pair.m1, (pair.v2, pair.v1, pair.v1), pair.v1, ("u", "x", "y")),
+        ("evenness[m2]", pair.m2, (pair.v1, pair.v2, pair.v2), pair.v2, ("x", "u", "v")),
+    ]
+    reports = []
+    for name, tensor, in_spaces, out_space, names in specs:
+        def odd_part(key):
+            expected = sum(s.parities[i] for s, i in zip(in_spaces, key)) % 2
+            return {o: c for o, c in tensor[key].items() if out_space.parities[o] != expected}
+
+        entries = ((dict(zip(names, key)), odd_part(key)) for key in sorted(tensor))
+        total = math.prod(s.dim for s in in_spaces)
+        reports.append(P.axiom_report(name, 0, total, entries, cap))
+    return reports
+
+
+def _random_uneven_pair(kind, seed, entries=150):
+    """Spaces of different dimensions and parities, and tensors with
+    random entries of either parity, inserted in random key order."""
+    rng = random.Random(seed)
+    v1 = SuperSpace.make(["a", "b", "c"], [0, 1, 1])
+    v2 = SuperSpace.make(["p", "q", "r", "s"], [1, 0, 1, 0])
+    tensors = []
+    for d_in, d_out in ((v2.dim, v1.dim), (v1.dim, v2.dim)):
+        m: dict = {}
+        for _ in range(entries):
+            key = (rng.randrange(d_in), rng.randrange(d_out), rng.randrange(d_out))
+            m.setdefault(key, {})[rng.randrange(d_out)] = F(rng.randint(-9, 9) or 1,
+                                                             rng.randint(1, 4))
+        tensors.append(m)
+    return P.PairStructure(v1, v2, kind, *tensors)
+
+
+def _with_wrong_parities(pair, count=3):
+    """``pair`` with an entry of the wrong output parity at each of the
+    ``count`` smallest keys that m1 and m2 lack, inserted last, largest
+    first, so that the dicts are out of key order."""
+    v1, v2 = pair.v1.parities, pair.v2.parities
+    tensors = []
+    for m, ins, out in ((pair.m1, (v2, v1, v1), v1), (pair.m2, (v1, v2, v2), v2)):
+        free = [key for key in itertools.product(*map(range, map(len, ins))) if key not in m]
+        m = dict(m)
+        for k, key in enumerate(reversed(free[:count])):
+            m[key] = {out.index(1 - sum(p[i] for p, i in zip(ins, key)) % 2): F(k - 5, 3)}
+        tensors.append(m)
+    return P.PairStructure(pair.v1, pair.v2, pair.kind, *tensors)
+
+
+def _evenness_cases():
+    yield _with_wrong_parities(series_osp(2, 1, 1).pair)
+    # more than FAILURE_CAP failing keys in each tensor, and superJordan
+    yield _random_uneven_pair("isotopic", 3)
+    yield _random_uneven_pair("superJordan", 4)
+    yield _with_wrong_parities(series_gl(2, 1).pair.parity_flip())
+    yield series_gl(2, 1).pair.parity_flip()
+
+
+@pytest.mark.parametrize("pair", list(_evenness_cases()))
+def test_evenness_matches_the_per_entry_oracle(pair):
+    expected = [r.to_json() for r in _evenness_oracle(pair)]
+    assert [r.to_json() for r in P.check_evenness(pair)] == expected
+    assert [r.to_json() for r in P.verify(pair).reports[:2]] == expected
+    assert [r.to_json() for r in P.check_evenness(pair.tensors(), 3)] == (
+        [r.to_json() for r in _evenness_oracle(pair, 3)])
+
+
+def test_evenness_cases_fail_past_the_cap():
+    counts = [[r.failure_count for r in _evenness_oracle(pair)] for pair in _evenness_cases()]
+    assert counts[0] == counts[3] == [3, 3] and counts[-1] == [0, 0]
+    assert all(min(c) > P.FAILURE_CAP for c in counts[1:3])
+
+
+def _read_oracle(t):
+    """(scale, biggest, {table: {(key, output): primitive integer}}) of a
+    Tensors, straight from its Fractions."""
+    entries = [c for tensor in t.tensors.values() for comps in tensor.values()
+               for c in comps.values()]
+    lcm = math.lcm(*(c.denominator for c in entries))
+    content = math.gcd(*(int(c * lcm) for c in entries)) or 1
+    scale = F(lcm, content)
+    biggest = max((abs(c * scale) for c in entries), default=1)
+    return scale, biggest, {table: {(key, o): c * scale for key, comps in tensor.items()
+                                    for o, c in comps.items()}
+                            for table, tensor in t.tensors.items()}
+
+
+def _coo_dict(keys, outs, values):
+    return {(tuple(k), o): v for k, o, v in zip(keys.tolist(), outs.tolist(), values.T.tolist())}
+
+
+def _read_case(name):
+    v = SuperSpace.make(["a", "b", "c"], [0, 1, 0])
+    # mixed denominators: the lcm 9 scales to 6, -10, 12, 42 and 18, content 2
+    m1 = {(0, 1, 2): {0: F(2, 3), 2: F(-10, 9)}, (2, 2, 0): {1: F(4, 3)},
+          (1, 0, 0): {0: F(14, 3)}}
+    m2 = {(1, 1, 1): {2: F(2)}}
+    pair = _scaled(series_gl(1, 1).pair, F(6, 5))
+    if name == "superalgebra":
+        from isopairs.tkk import superalgebra_from_pair
+
+        return superalgebra_from_pair(pair).tensors()
+    if name == "act":
+        acts = {(0, k): {k: F(k + 1, 2)} for k in range(4)}
+        return P.Tensors({0: SuperSpace.make(["z"], [0]), 1: pair.v1, 2: pair.v2},
+                         {1: pair.m1, 2: pair.m2, ("act", 1): acts})
+    return P.Tensors({1: v, 2: v}, {
+        "content": {1: m1, 2: m2},
+        "past int64": {1: {**m1, (2, 1, 1): {2: F(2**70 + 1)}}, 2: m2},
+        "one empty": {1: {}, 2: m2},
+        "all empty": {1: {}, 2: {}},
+    }[name])
+
+
+@pytest.mark.parametrize("name", ["content", "past int64", "one empty", "all empty",
+                                  "superalgebra", "act"])
+def test_read_matches_a_fraction_computation(name):
+    t = _read_case(name)
+    scale, biggest, tables = _read_oracle(t)
+    assert P._scale(t) == (scale, biggest)
+    primes = (2**31 - 1, 1000003)
+    for table, expected in tables.items():
+        arity = len(next(iter(t.tensors[table]), (0, 0, 0)))
+        keys, outs, residues = P._coo(t, table, arity, primes)
+        assert keys.shape == (len(expected), arity)
+        assert _coo_dict(keys, outs, residues) == {
+            k: [(int(v) + p // 2) % p - p // 2 for p in primes] for k, v in expected.items()}
+        if biggest < 2**63:
+            assert _coo_dict(keys, outs, P._coo(t, table, arity)[2][None]) == {
+                k: [int(v)] for k, v in expected.items()}
+    if name == "content":
+        assert P._scale(t) == (F(9, 2), 21) and tables[1][(0, 1, 2), 2] == -5
+    if name == "past int64":
+        assert P._scale(t) == (F(9), (2**70 + 1) * 9)
+    if name == "all empty":
+        assert P._scale(t) == (1, 1)
+
+
+def test_distinct_matches_np_unique():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 40, 500):
+        x, flat = rng.integers(0, 3, n), rng.integers(0, 7, n)
+        bits = (flat % 4).astype(np.uint8)  # a function of the key, as in the evaluator
+        inverse, dx, dflat, dbits = P._distinct(x, flat, bits, 7)
+        span = int(bits.max()) + 1 if n else 1
+        keys, first, expected = np.unique((x * span + bits) * 7 + flat, return_index=True,
+                                          return_inverse=True)
+        assert np.array_equal(inverse, expected.ravel())
+        for got, a in ((dx, x), (dflat, flat), (dbits, bits)):
+            assert np.array_equal(got, a[first]) and np.array_equal(got[inverse], a)
