@@ -593,9 +593,7 @@ def sym2_pair(g: LieData, eta: Matrix):
     }
 
     if invariants:
-        inv_span = IncrementalSpan()
-        for kv in invariants:
-            inv_span.insert(kv)
+        inv_span = IncrementalSpan().close(invariants)
         complement = [i for i in range(D) if i not in inv_span.pivots]
         qpos = {c: i for i, c in enumerate(complement)}
 

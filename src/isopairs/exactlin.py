@@ -11,9 +11,10 @@ anywhere.
 There is one elimination engine, ``IncrementalSpan``: a fraction-free
 integer echelon for span membership and solving, whose ``reduced``
 read-out is the reduced row-echelon form and whose ``kernel`` read-out
-is the annihilator of the span.  Kernels, canonical span bases and
-inverses are read off it; the dense Gauss-Jordan elimination they are
-checked against lives in the tests.
+is the annihilator of the span; ``close`` spans a list and closes it
+under a map.  Kernels, canonical span bases and inverses are read off
+it; the dense Gauss-Jordan elimination they are checked against lives
+in the tests.
 """
 
 from __future__ import annotations
@@ -311,6 +312,19 @@ class IncrementalSpan:
         self.combos.append(combo)
         return True
 
+    def close(self, vectors: Iterable[dict], images=lambda v: ()) -> "IncrementalSpan":
+        """Insert ``vectors`` in order, then, last inserted first, what
+        ``images(v)`` yields for each v that grew the span, until nothing
+        grows it; returns the span.  For a linear ``images`` that is the
+        least invariant span holding ``vectors``, whatever their order; a
+        partial one (yielding nothing for some v) makes the order matter."""
+        stack = [v for v in vectors if self.insert(v)]
+        while stack:
+            for w in images(stack.pop()):
+                if self.insert(w):
+                    stack.append(w)
+        return self
+
     def contains(self, v: dict) -> bool:
         return not self._reduce(v)[0]
 
@@ -354,22 +368,15 @@ class IncrementalSpan:
                 for f in cols if f not in self.row_by_pivot]
 
 
-def _span_of(rows: Iterable[dict]) -> IncrementalSpan:
-    span = IncrementalSpan()
-    for row in rows:
-        span.insert(row)
-    return span
-
-
 def span_basis(vectors: Iterable[dict]) -> list[dict]:
     """Canonical (RREF-row) basis of the span of the sparse vectors."""
-    return _span_of(vectors).reduced()[1]
+    return IncrementalSpan().close(vectors).reduced()[1]
 
 
 def kernel_basis(m: Matrix) -> list[dict]:
     """Basis of the right kernel {x : m x = 0}, as sparse vectors: the
     annihilator of m's row span."""
-    return _span_of(m._data.values()).kernel(range(m.cols))
+    return IncrementalSpan().close(m._data.values()).kernel(range(m.cols))
 
 
 def invert(m: Matrix) -> Matrix:
@@ -378,7 +385,8 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    pivots, red = _span_of({**m._data.get(i, {}), n + i: ONE} for i in range(n)).reduced()
+    rows = ({**m._data.get(i, {}), n + i: ONE} for i in range(n))
+    pivots, red = IncrementalSpan().close(rows).reduced()
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return Matrix._make(n, n, {i: {j - n: x for j, x in row.items() if j >= n}

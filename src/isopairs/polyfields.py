@@ -625,6 +625,8 @@ def _parse_factor(tok: str, n: int, m: int):
                 power = int(p)
             except ValueError as exc:
                 raise ParseError(f"bad exponent in {tok!r}") from exc
+            if power < 0:
+                raise ParseError(f"negative exponent in {tok!r}")
         try:
             idx = int(body)
         except ValueError as exc:
@@ -645,10 +647,11 @@ def _parse_factor(tok: str, n: int, m: int):
 
 
 def _split_terms(text: str) -> list[str]:
+    """The signed terms of a sum; a sign right after ``^`` is the exponent's."""
     terms = []
     current = ""
     for ch in text:
-        if ch in "+-" and current.strip():
+        if ch in "+-" and current.strip() and not current.rstrip().endswith("^"):
             terms.append(current)
             current = ch if ch == "-" else ""
         elif ch == "-" and not current.strip():

@@ -16,8 +16,9 @@ alternating operator words on seed vectors.  A word is only its id: the
 engine keeps its length, sector, parity and degree in lists by id, each
 read off the word's parent, and its children by index arithmetic.
 Relations (seed rules plus every Definition-2 instance applied to every
-short-enough word) are collected, closed under left multiplication by
-generators, and row-reduced to define the quotient.  Longest words are
+short-enough word) are closed under left multiplication by generators
+and row-reduced in one ``IncrementalSpan.close``, which defines the
+quotient.  Longest words are
 eliminated first, so the surviving basis consists of the shortest coset
 representatives.  The pass that generates the module from the seeds
 reads the action matrices off as it goes: each generator image is a new
@@ -27,7 +28,8 @@ modules take the gl grading deg E_{i,j} = j - i of
 action-invariant subspace of in-window classes that avoids the seeds:
 the unobservable subspace of the seed coordinates under the generators'
 action (Wonham, "Linear Multivariable Control: a Geometric Approach",
-ch. 3), the kernel of their closure under the transposed action.
+ch. 3), the kernel of their closure under the transposed action, a
+second ``IncrementalSpan.close``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -333,6 +336,11 @@ class SeedRelation:
 
 @dataclass
 class WordModuleResult:
+    """A word module.  ``stabilized`` means only that the pass generating
+    it from the seeds closed within the cap, so ``rep`` and ``split`` are
+    set.  Without the radical step (``induced_split_module``) that is no
+    certificate: ``check_rep`` and ``check_split`` are the certificate."""
+
     rep: Optional[PairRep]
     split: Optional[SplitData]
     dims: dict  # (sector, degree or None when ungraded) -> dimension
@@ -385,7 +393,6 @@ class _WordEngine:
                 for op in range(pair.space(side).dim):
                     self._add(wid, side, op)
             frontier = range(start, len(self.length))
-        self.relations = IncrementalSpan(pivot="max")
         self._collect(seed_relations)
 
     def _add(self, parent: int, side: int, op: int):
@@ -413,20 +420,9 @@ class _WordEngine:
         return out
 
     def _collect(self, seed_relations):
-        queue = []
+        """The relation span: the seed rules and every Definition-2 instance
+        on each short-enough word, closed under left multiplication."""
         sector, first_child = self.sector, self.first_child
-
-        def push(vec: dict):
-            if vec and self.relations.insert(vec):
-                queue.append(vec)
-
-        for rel in seed_relations:
-            vec: dict = {}
-            if self.seeds[rel.seed][0] == rel.side:  # else structurally zero
-                first = first_child[rel.seed]
-                vec = {first + op: c for op, c in rel.combo.items() if c}
-            push(_integral(axpy(vec, -1, rel.rhs)))
-
         # every instance of the identity of a word's sector, applied to
         # the word: T_s(node) w minus each operator word times w, the
         # word's last operator acting first, walked down first_child (a
@@ -440,44 +436,46 @@ class _WordEngine:
                             for _, comps, words in _instances(
                                 t, ident, _SWAPS[side] if antisymmetric else ())]
                      for side, ident in _REP.items()}
-        for wid, length in enumerate(self.length):
-            if length > self.cap - 3:
-                continue
-            child = first_child[wid]
-            for comps, words in instances[sector[wid]]:
-                vec = {child + o: c for o, c in comps.items()}
-                for c, word in words:
-                    w = wid
-                    for side, op in word:
-                        if sector[w] != side:
-                            break
-                        w = first_child[w] + op
-                    else:
-                        axpy(vec, 1, {w: c})
-                push(vec)
 
-        # close the relation span under left multiplication: a vector's
-        # words of a side move to their children together, unless one of
-        # them is at the cap
-        d1, d2 = self.pair.v1.dim, self.pair.v2.dim
-        while queue:
-            vec = queue.pop()
-            for side, dim in ((1, d1), (2, d2)):
+        def relations():
+            for rel in seed_relations:
+                vec: dict = {}
+                if self.seeds[rel.seed][0] == rel.side:  # else structurally zero
+                    vec = {first_child[rel.seed] + op: c for op, c in rel.combo.items() if c}
+                yield _integral(axpy(vec, -1, rel.rhs))
+            for wid, length in enumerate(self.length):
+                if length > self.cap - 3:
+                    continue
+                child = first_child[wid]
+                for comps, words in instances[sector[wid]]:
+                    vec = {child + o: c for o, c in comps.items()}
+                    for c, word in words:
+                        w = wid
+                        for side, op in word:
+                            if sector[w] != side:
+                                break
+                            w = first_child[w] + op
+                        else:
+                            axpy(vec, 1, {w: c})
+                    yield vec
+
+        # left multiplication: a vector's words of a side move to their
+        # children together, unless one of them is at the cap
+        def left_multiples(vec: dict):
+            for side, dim in ((1, self.pair.v1.dim), (2, self.pair.v2.dim)):
                 moved = [(first_child[wid], c) for wid, c in vec.items() if sector[wid] == side]
                 if moved and all(child is not None for child, _ in moved):
                     for op in range(dim):
-                        push({child + op: c for child, c in moved})
+                        yield {child + op: c for child, c in moved}
+
+        self.relations = IncrementalSpan(pivot="max").close(relations(), left_multiples)
 
     def _classes(self) -> list:
         pivots = self.relations.pivots
         return [wid for wid in range(len(self.length)) if wid not in pivots]
 
     def _dims_of(self, basis) -> dict:
-        dims: dict = {}
-        for wid in basis:
-            key = (self.sector[wid], self.degree[wid])
-            dims[key] = dims.get(key, 0) + 1
-        return dims
+        return dict(Counter((self.sector[wid], self.degree[wid]) for wid in basis))
 
     def _radical(self) -> list:
         """Maximal action-invariant subspace avoiding the seed lines.
@@ -497,8 +495,8 @@ class _WordEngine:
         under the maps psi_h, i.e. the common kernel of every
         sigma_g psi_h1 ... psi_hk (Wonham, "Linear Multivariable
         Control: a Geometric Approach", ch. 3).  The sigma_g rows are
-        closed under the transposed psi_h in one span, and W is its
-        kernel over the window classes, in word coordinates.
+        closed under the transposed psi_h in one span (``close``), and W
+        is its kernel over the window classes, in word coordinates.
         """
         length = self.length
         window = [wid for wid in self._classes() if 0 < length[wid] < self.cap]
@@ -513,17 +511,15 @@ class _WordEngine:
                         psi_t[g].setdefault(j, {})[k] = c
                     elif length[j] == 0:  # a seed; full-length classes drop out
                         outputs.setdefault((g, j), {})[k] = c
-        observed = IncrementalSpan()
-        queue = list(outputs.values())
-        while queue:
-            row = queue.pop()
-            if observed.insert(row):
-                for rows in psi_t.values():
-                    img: dict = {}
-                    for j, c in row.items():
-                        axpy(img, c, rows.get(j, {}))
-                    queue.append(img)
-        return observed.kernel(window)
+
+        def transposed(row: dict):
+            for rows in psi_t.values():
+                img: dict = {}
+                for j, c in row.items():
+                    axpy(img, c, rows.get(j, {}))
+                yield img
+
+        return IncrementalSpan().close(outputs.values(), transposed).kernel(window)
 
     def quotient(self, radical: bool) -> WordModuleResult:
         """Relation-closure quotient, then (with ``radical``) the radical
@@ -533,11 +529,7 @@ class _WordEngine:
         vector, a dependent one is solved over the basis kept so far,
         which is unique, so the action matrices are read off the pass."""
         closure_dims = self._dims_of(self._classes())
-        radical_dim = 0
-        if radical:
-            for v in self._radical():
-                if self.relations.insert(v):
-                    radical_dim += 1
+        radical_dim = sum(map(self.relations.insert, self._radical())) if radical else 0
 
         G = IncrementalSpan(track_combos=True)
         basis: list = []  # reduced word vectors, in insertion order
@@ -580,9 +572,7 @@ class _WordEngine:
                 entries[side, op] += [(k, j, c) for k, c in coords.items()]
             j += 1
 
-        dims: dict = {}
-        for _, sector, _, degree in meta:
-            dims[(sector, degree)] = dims.get((sector, degree), 0) + 1
+        dims = dict(Counter((sector, degree) for _, sector, _, degree in meta))
         n, labels = len(basis), [m[0] for m in meta]
         rep = split = None
         if stabilized:
@@ -644,7 +634,10 @@ def induced_split_module(
     ``sub_basis_i`` embed the subpair's basis into the ambient pair's
     coordinates; the subrep's action supplies the seed rules.  Returns
     the module and a report that its restriction to the subpair
-    reproduces the subrepresentation.  A side with more embeddings than
+    reproduces the subrepresentation.  The radical step is skipped, so
+    ``stabilized`` is no certificate (see ``WordModuleResult``): at cap 5,
+    gl(2,0) with chi (1, 0) stabilizes at a quotient that fails
+    ``check_rep``.  A side with more embeddings than
     its subpair side has basis elements, an embedding vector whose
     length is not its side's dimension, or one whose support leaves the
     parity of its subpair basis element raises SpaceMismatch; a pair
@@ -666,11 +659,7 @@ def induced_split_module(
                 raise SpaceMismatch(f"side {side} embedding of {sub.labels[si]} leaves its parity")
     if not (check_rep(subrep).passed and check_split(subrep, subsplit).passed):
         raise PreconditionError("subrep fails check_rep/check_split")
-    sector_of = {}
-    for k in subsplit.h1:
-        sector_of[k] = 1
-    for k in subsplit.h2:
-        sector_of[k] = 2
+    sector_of = {**dict.fromkeys(subsplit.h1, 1), **dict.fromkeys(subsplit.h2, 2)}
     seeds = [
         (sector_of[k], f"|v{k}>{sector_of[k]}", subrep.H.parities[k])
         for k in range(subrep.H.dim)

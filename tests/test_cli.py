@@ -462,6 +462,18 @@ def test_poly_zero_denominator_exits_2_with_one_line(capsys, argv):
     assert captured.err == "error: bad factor '1/0'\n"
 
 
+@pytest.mark.parametrize("argv, factor", [
+    (["--bracket-functions", "x1^-1", "1", "dx1"], "x1^-1"),
+    (["--m", "1", "--bracket-functions", "x1", "t1^-1", "dx1"], "t1^-1"),
+    (["--bracket-fields", "x1^-1*dx1", "dx1", "1"], "x1^-1"),
+], ids=["functions-x", "functions-t", "fields"])
+def test_poly_negative_exponent_exits_2_naming_the_factor(capsys, argv, factor):
+    assert run(["poly-check", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: negative exponent in '{factor}'\n"
+
+
 @pytest.mark.parametrize("argv, out", [
     (["--m", "1", "--bracket-functions", "x1", "1", "dx1"], "-1"),
     (["--m", "2", "--bracket-functions", "x1*t1 + 1/2*t2", "t1*t2 - 2*x1",

@@ -370,6 +370,82 @@ def test_reduce_reads_an_int_vector_as_its_fractions(case, pivot, track):
             assert all(type(x) is int and x for x in got[0].values())
 
 
+# closing a span under maps: sparse integer vectors and sparse integer
+# n x n maps, each map given by its columns
+@st.composite
+def closure_cases(draw):
+    n = draw(st.integers(1, 6))
+    sparse = st.lists(st.one_of(st.just(0), st.just(0), st.integers(-3, 3)),
+                      min_size=n, max_size=n).map(
+        lambda row: {c: x for c, x in enumerate(row) if x})
+    vectors = draw(st.lists(sparse, max_size=4))
+    maps = draw(st.lists(st.lists(sparse, min_size=n, max_size=n), min_size=1, max_size=3))
+    return n, vectors, maps
+
+
+def _images(maps):
+    """v -> (m v for each map m), over sparse dicts."""
+    def images(v):
+        for cols in maps:
+            out: dict = {}
+            for j, x in v.items():
+                axpy(out, x, cols[j])
+            yield out
+    return images
+
+
+def _closure_oracle(n, vectors, maps):
+    """The RREF basis of the least span holding ``vectors`` that each
+    map sends into itself: dense, adding the images of a basis until the
+    rank stops growing."""
+    dense_maps = [Matrix(n, n, [(i, j, x) for j, c in enumerate(cols) for i, x in c.items()])
+                  for cols in maps]
+    basis = oracle.span_basis([dense(v, n) for v in vectors])
+    while True:
+        grown = oracle.span_basis(basis + [apply(m, b) for m in dense_maps for b in basis])
+        if len(grown) == len(basis):
+            return basis
+        basis = grown
+
+
+@given(closure_cases(), st.sampled_from(["min", "max"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_close_matches_the_fixpoint_oracle(case, pivot, data):
+    n, vectors, maps = case
+    span = IncrementalSpan(pivot=pivot).close(vectors, _images(maps))
+    want = _closure_oracle(n, vectors, maps)
+    assert span.rank == len(want)
+    assert span.pivots == _normal_form([sparse(b) for b in want], {}, n, pivot)[0]
+    assert all(span.contains(sparse(b)) for b in want)
+    if pivot == "min":  # the oracle's basis is that RREF
+        assert [dense(row, n) for row in span.reduced()[1]] == want
+    # a linear closure does not depend on the order of the given vectors
+    shuffled = data.draw(st.permutations(vectors))
+    again = IncrementalSpan(pivot=pivot).close(shuffled, _images(maps))
+    assert again.pivots == span.pivots and again.reduced() == span.reduced()
+
+
+def test_close_queues_the_given_vectors_last_inserted_first():
+    # the images shift e_i to e_(i+1), and a vector touching column 3
+    # (the "cap") has none, as the word engine's left multiplication has
+    # none for a relation with a word at its cap.  c = a + b, so which of
+    # b and c grows the span, and is queued, decides the closure.
+    calls = []
+
+    def shift(v):
+        calls.append(v)
+        if 3 not in v:
+            yield {c + 1: x for c, x in v.items()}
+
+    a, b, c = {3: 1}, {0: 1}, {0: 1, 3: 1}
+    assert IncrementalSpan().close([a, b, c], shift).pivots == {0, 1, 2, 3}
+    assert calls == [b, {1: 1}, {2: 1}, a]
+    calls.clear()
+    assert IncrementalSpan().close([a, c, b], shift).pivots == {0, 3}
+    assert calls == [c, a]
+    # with no image function, close spans the vectors
+    assert IncrementalSpan().close([a, b, c]).pivots == {0, 3}
+
 NKEYS = 6
 keys = st.integers(0, NKEYS - 1)
 sparse_dicts = st.dictionaries(keys, rationals.filter(lambda x: x != 0), max_size=NKEYS)

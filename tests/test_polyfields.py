@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -301,6 +302,26 @@ def test_parse_field():
     assert f == want
     with pytest.raises(ParseError):
         parse_field("x1*x2", 2, 0)  # no derivative factor
+
+
+def test_parse_keeps_a_sign_after_caret_in_its_exponent():
+    x1 = P.x(1, 1, 1)
+    assert parse_poly("x1^+2 - x1", 1, 1) == x1 * x1 - x1
+    assert parse_poly("x1^2-x1^+1", 1, 1) == x1 * x1 - x1
+    assert parse_field("x1^+2*dx1", 1, 1) == SuperVectorField.d_dx(1, 1, 1, x1 * x1)
+
+
+@pytest.mark.parametrize("text, factor", [
+    ("x1^-1", "x1^-1"), ("t1^-1", "t1^-1"), ("2*x1^-2*t1", "x1^-2"), ("2*t1^ -1", "t1^ -1"),
+])
+def test_parse_rejects_a_negative_exponent_naming_its_factor(text, factor):
+    # before anything is built: SuperPolynomial would raise a plain
+    # ValueError for x, and t1^-1 would read as 1
+    message = f"^negative exponent in '{re.escape(factor)}'$"
+    with pytest.raises(ParseError, match=message):
+        parse_poly(text, 1, 1)
+    with pytest.raises(ParseError, match=message):
+        parse_field(text + "*dx1", 1, 1)
 
 
 def test_parse_huge_exponent_at_once():

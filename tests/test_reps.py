@@ -689,13 +689,15 @@ def _hw_module(n, m, weights, cap, radical=True):
         radical, lambda: R.hw_split_module(graded, {lo: 2 * w1}, {lo: 2 * w2}, cap=cap))
 
 
-def _induced_diagonal(chi, cap, radical=False):
-    """``rep induce --pair gl:2,0 --chi ...``: the word engine seeded by
-    a character of the even diagonal subpair."""
-    pair = series_gl(2, 0).pair
-    diag = [k for k, l in enumerate(pair.v1.labels) if l in ("E0,0", "E1,1")]
+def _induced_diagonal(chi, cap, radical=False, pair=None):
+    """``rep induce --pair gl:2,0 --chi ...`` (or another pair whose two
+    sides are alike): the word engine seeded by a character of the even
+    diagonal subpair."""
+    pair = pair or series_gl(2, 0).pair
+    diag = [k for k, (l, p) in enumerate(zip(pair.v1.labels, pair.v1.parities))
+            if not p and len(set(l[1:].split(","))) == 1]
     sub = [unit(k, pair.v1.dim) for k in diag]
-    dspace = SuperSpace.make([pair.v1.labels[k] for k in diag], [0, 0])
+    dspace = SuperSpace.make([pair.v1.labels[k] for k in diag], [0] * len(diag))
     subpair = PairStructure(dspace, dspace, "isotopic", {}, {})
     H0 = SuperSpace.make(["w1", "w2"], [0, 0])
     T1 = [Matrix.from_rows([[0, 0], [c, 0]]) for c in chi]
@@ -703,6 +705,18 @@ def _induced_diagonal(chi, cap, radical=False):
     subrep = R.PairRep(subpair, H0, T1, T2)
     return _with_radical(radical, lambda: R.induced_split_module(
         pair, sub, sub, subrep, R.SplitData((0,), (1,)), cap=cap))
+
+
+@pytest.mark.parametrize("name, chi, cap", [("gl20", (1, 0), 5), ("q1", (0,), 3)])
+def test_induced_stabilized_is_no_certificate(name, chi, cap):
+    # rep induce --pair gl:2,0 --chi 1,0 --cap 5, and --pair q:1 --cap 3:
+    # the generation pass closes within the cap, but without the radical
+    # step the quotient it reads off is no representation
+    pair = {"gl20": series_gl(2, 0), "q1": series_q(1)}[name].pair
+    result, containment = _induced_diagonal(chi, cap, pair=pair)
+    assert result.stabilized and result.rep is not None and containment.passed
+    assert result.total_dim == {"gl20": 5, "q1": 8}[name]
+    assert not R.check_rep(result.rep).passed
 
 
 def test_radical_matches_dense_kernel_recombination(monkeypatch):
