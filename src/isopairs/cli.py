@@ -2,7 +2,9 @@
 
 Subcommands: make, verify, tkk, lts, rep (check / hw / induce /
 graph-check), poly-check, suite.  Exit codes: 0 all checks pass, 1
-axiom failures, 2 parse or usage errors.
+axiom failures, 2 parse or usage errors, among them a file that is not
+JSON, holds an integer past Python's int/str digit limit, or a scalar
+outside the "p" / "p/q" form.
 
 Pairs persist as catalog entries: the pair JSON, its verify report, and
 a sha256 hash linking the report to the exact pair bytes it was
@@ -130,6 +132,8 @@ def _load(path: str, parse, what: str):
         ) from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(str(exc)) from exc
+    except ValueError as exc:  # an integer literal past Python's int/str digit limit
+        raise UsageError(f"{path}: malformed JSON: {exc}") from exc
     try:
         if type(obj) is not dict:
             raise TypeError(f"expected a JSON object, got {json.dumps(obj)[:40]}")

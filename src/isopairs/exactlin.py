@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -38,12 +39,19 @@ def scalar_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_SCALAR = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def scalar_from_str(s: str) -> Fraction:
     """Parse the "p/q" / "p" wire format, a string or an integer, back
-    into a scalar; anything else, such as a float, raises ValueError
-    instead of being read approximately."""
+    into a scalar.  A string is an optional sign, ASCII digits and an
+    optional "/digits", with optional surrounding whitespace; anything
+    else (a float, an exponent, a decimal point, "_", non-ASCII digits)
+    raises ValueError instead of being read approximately or expanded."""
     if type(s) not in (str, int):  # bool is an int subclass
         raise ValueError(f"scalar must be a string or an integer, got {s!r}")
+    if type(s) is str and not _SCALAR.fullmatch(s):
+        raise ValueError(f"malformed scalar {s[:40]!r}: expected p or p/q")
     try:
         return Fraction(s)
     except ZeroDivisionError:

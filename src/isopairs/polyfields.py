@@ -7,7 +7,8 @@ one canonical form: a nonzero int when integral, otherwise a Fraction
 with denominator > 1, so integer inputs stay on Python ints throughout
 (products, derivatives and Koszul signs keep them integral).  Odd
 derivatives are left derivatives.  Vector fields are first-order
-operators with polynomial coefficients, sum of f_i d/dx_i and g_j d/dt_j.
+operators with polynomial coefficients, sum of f_i d/dx_i and g_j d/dt_j,
+held as their n + m coefficient slots: dx1..dxn, then dt1..dtm.
 
 The pair brackets are realized through first-order operators: with M_f
 multiplication by f,
@@ -251,40 +252,58 @@ def _factors(exps: tuple, odd: tuple) -> list:
     return xs + [f"t{j}" for j in odd]
 
 
+def _slot_names(n: int, m: int) -> list:
+    """The derivation of each coefficient slot, in slot order:
+    dx1..dxn, then dt1..dtm."""
+    return [f"dx{i}" for i in range(1, n + 1)] + [f"dt{j}" for j in range(1, m + 1)]
+
+
 class SuperVectorField:
-    """First-order operator sum f_i d/dx_i + g_j d/dt_j."""
+    """First-order operator sum f_i d/dx_i + g_j d/dt_j, held as its
+    n + m coefficient slots ``coeffs``: slot k < n multiplies
+    d/dx_(k+1) and slot n + j - 1 the left d/dt_j."""
 
-    __slots__ = ("n", "m", "even_coeffs", "odd_coeffs", "_parity")
+    __slots__ = ("n", "m", "coeffs", "_parity")
 
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        even_coeffs: Optional[Sequence[SuperPolynomial]] = None,
-        odd_coeffs: Optional[Sequence[SuperPolynomial]] = None,
-    ):
-        self.n = n
-        self.m = m
-        self.even_coeffs = tuple(even_coeffs or (SuperPolynomial.zero(n, m),) * n)
-        self.odd_coeffs = tuple(odd_coeffs or (SuperPolynomial.zero(n, m),) * m)
-        if len(self.even_coeffs) != n or len(self.odd_coeffs) != m:
+    def __init__(self, n: int, m: int, even_coeffs: Optional[Sequence[SuperPolynomial]] = None,
+                 odd_coeffs: Optional[Sequence[SuperPolynomial]] = None):
+        even = tuple(even_coeffs or (SuperPolynomial.zero(n, m),) * n)
+        odd = tuple(odd_coeffs or (SuperPolynomial.zero(n, m),) * m)
+        if len(even) != n or len(odd) != m:
             raise ValueError("coefficient count mismatch")
+        self.n, self.m, self.coeffs = n, m, even + odd
+
+    @classmethod
+    def _make(cls, n: int, m: int, coeffs) -> "SuperVectorField":
+        """Trusted constructor from the n + m slot polynomials."""
+        X = object.__new__(cls)
+        X.n, X.m, X.coeffs = n, m, tuple(coeffs)
+        return X
+
+    # read-only views: the d/dx_i slots and the d/dt_j slots
+    even_coeffs = property(lambda self: self.coeffs[: self.n])
+    odd_coeffs = property(lambda self: self.coeffs[self.n :])
 
     @staticmethod
     def zero(n: int, m: int) -> "SuperVectorField":
         return SuperVectorField(n, m)
 
     @staticmethod
+    def _unit(n: int, m: int, name: str, coeff: Optional[SuperPolynomial]):
+        """``coeff`` (default 1) in the slot of derivation ``name``, zero
+        in the others; ValueError for a name with no slot."""
+        coeffs = [SuperPolynomial.zero(n, m)] * (n + m)
+        coeffs[_slot_names(n, m).index(name)] = (
+            coeff if coeff is not None else SuperPolynomial.const(n, m, 1))
+        return SuperVectorField._make(n, m, coeffs)
+
+    @staticmethod
     def d_dx(n: int, m: int, i: int, coeff: Optional[SuperPolynomial] = None):
-        coeffs = [SuperPolynomial.zero(n, m) for _ in range(n)]
-        coeffs[i - 1] = coeff if coeff is not None else SuperPolynomial.const(n, m, 1)
-        return SuperVectorField(n, m, coeffs, None)
+        return SuperVectorField._unit(n, m, f"dx{i}", coeff)
 
     @staticmethod
     def d_dt(n: int, m: int, j: int, coeff: Optional[SuperPolynomial] = None):
-        coeffs = [SuperPolynomial.zero(n, m) for _ in range(m)]
-        coeffs[j - 1] = coeff if coeff is not None else SuperPolynomial.const(n, m, 1)
-        return SuperVectorField(n, m, None, coeffs)
+        return SuperVectorField._unit(n, m, f"dt{j}", coeff)
 
     def _check(self, other):
         if (self.n, self.m) != (other.n, other.m):
@@ -292,36 +311,22 @@ class SuperVectorField:
 
     def __add__(self, other: "SuperVectorField") -> "SuperVectorField":
         self._check(other)
-        return SuperVectorField(
-            self.n,
-            self.m,
-            [a + b for a, b in zip(self.even_coeffs, other.even_coeffs)],
-            [a + b for a, b in zip(self.odd_coeffs, other.odd_coeffs)],
-        )
+        return SuperVectorField._make(self.n, self.m, map(operator.add, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "SuperVectorField") -> "SuperVectorField":
         return self + other.scale(-1)
 
     def scale(self, c) -> "SuperVectorField":
-        return SuperVectorField(
-            self.n,
-            self.m,
-            [p.scale(c) for p in self.even_coeffs],
-            [p.scale(c) for p in self.odd_coeffs],
-        )
+        return SuperVectorField._make(self.n, self.m, [p.scale(c) for p in self.coeffs])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SuperVectorField)
-            and self.even_coeffs == other.even_coeffs
-            and self.odd_coeffs == other.odd_coeffs
-        )
+        return isinstance(other, SuperVectorField) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.even_coeffs, self.odd_coeffs))
+        return hash(self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.even_coeffs + self.odd_coeffs)
+        return not any(p.terms for p in self.coeffs)
 
     @property
     def parity(self) -> Optional[int]:
@@ -331,17 +336,13 @@ class SuperVectorField:
         try:
             return self._parity
         except AttributeError:
-            ps = {p.parity for p in self.even_coeffs if not p.is_zero()}
-            ps |= {p.parity if p.parity is None else 1 - p.parity
-                   for p in self.odd_coeffs if not p.is_zero()}
+            ps = {p.parity if k < self.n or p.parity is None else 1 - p.parity
+                  for k, p in enumerate(self.coeffs) if p.terms}
             self._parity = ps.pop() if len(ps) == 1 else (0 if not ps else None)
             return self._parity
 
     def degree(self) -> int:
-        degs = [
-            p.degree() for p in self.even_coeffs + self.odd_coeffs if not p.is_zero()
-        ]
-        return max(degs) if degs else 0
+        return max((p.degree() for p in self.coeffs if p.terms), default=0)
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
         return SuperPolynomial._make(self.n, self.m, self._apply_into({}, 1, f.terms))
@@ -349,22 +350,16 @@ class SuperVectorField:
     def _apply_into(self, acc: dict, c, terms: dict) -> dict:
         """``acc += c * X(f)`` for f's term dict: each slot's coefficient
         times that derivative's terms of f, never built as a polynomial."""
-        for i, p in enumerate(self.even_coeffs, start=1):
+        n = self.n
+        for k, p in enumerate(self.coeffs):
             if p.terms:
-                _mul_into(acc, c, p.terms.items(), _d_even(terms, i))
-        for j, p in enumerate(self.odd_coeffs, start=1):
-            if p.terms:
-                _mul_into(acc, c, p.terms.items(), _d_odd(terms, j))
+                d = _d_even(terms, k + 1) if k < n else _d_odd(terms, k - n + 1)
+                _mul_into(acc, c, p.terms.items(), d)
         return acc
 
     def __repr__(self):
-        bits = []
-        for i, p in enumerate(self.even_coeffs, start=1):
-            if not p.is_zero():
-                bits.append(f"({p.pretty()})*dx{i}")
-        for j, p in enumerate(self.odd_coeffs, start=1):
-            if not p.is_zero():
-                bits.append(f"({p.pretty()})*dt{j}")
+        bits = [f"({p.pretty()})*{d}"
+                for d, p in zip(_slot_names(self.n, self.m), self.coeffs) if p.terms]
         return "SuperVectorField(" + (" + ".join(bits) or "0") + ")"
 
 
@@ -388,8 +383,7 @@ def super_lie_bracket(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFi
         acc = Y._apply_into(X._apply_into({}, 1, y.terms), -sign, x.terms)
         return SuperPolynomial._make(X.n, X.m, acc)
 
-    return SuperVectorField(X.n, X.m, list(map(coeff, X.even_coeffs, Y.even_coeffs)),
-                            list(map(coeff, X.odd_coeffs, Y.odd_coeffs)))
+    return SuperVectorField._make(X.n, X.m, map(coeff, X.coeffs, Y.coeffs))
 
 
 def iso_bracket_fields(
@@ -406,9 +400,7 @@ def iso_bracket_fields(
         acc = _mul_into(_mul_into({}, 1, xf, y.terms.items()), -a, yf, x.terms.items())
         return SuperPolynomial._make(X.n, X.m, _mul_into(acc, s, f.terms.items(), z.terms.items()))
 
-    return SuperVectorField(
-        X.n, X.m, list(map(coeff, X.even_coeffs, Y.even_coeffs, lie.even_coeffs)),
-        list(map(coeff, X.odd_coeffs, Y.odd_coeffs, lie.odd_coeffs)))
+    return SuperVectorField._make(X.n, X.m, map(coeff, X.coeffs, Y.coeffs, lie.coeffs))
 
 
 def iso_bracket_fields_operator(
@@ -491,8 +483,7 @@ def random_field(n, m, maxdeg, parity, rng: Lcg64) -> SuperVectorField:
             slot = rng.below(n + m)
             p = random_poly(n, m, maxdeg, parity if slot < n else (parity + 1) % 2, rng)
             axpy(slots[slot], 1, p.terms)
-        polys = [SuperPolynomial._make(n, m, terms) for terms in slots]
-        X = SuperVectorField(n, m, polys[:n], polys[n:])
+        X = SuperVectorField._make(n, m, (SuperPolynomial._make(n, m, t) for t in slots))
         if not X.is_zero() and X.parity == parity:
             return X
 
@@ -513,8 +504,7 @@ def _residual_repr(value) -> dict:
     x1^2*t1 (1 for the constant) for a polynomial, x1^3*dx1 for a field."""
     if isinstance(value, SuperPolynomial):
         return {"*".join(_factors(*k)) or "1": c for k, c in value.terms.items()}
-    slots = [(f"dx{i}", p) for i, p in enumerate(value.even_coeffs, 1)]
-    slots += [(f"dt{j}", p) for j, p in enumerate(value.odd_coeffs, 1)]
+    slots = zip(_slot_names(value.n, value.m), value.coeffs)
     return {"*".join(_factors(*k) + [d]): c for d, p in slots for k, c in p.terms.items()}
 
 
@@ -558,12 +548,12 @@ def sample_check_w_o_pair(
                     c = _coeff(t.coeff * eval_sign_pairs(t.sign_pairs, parities))
                     val = _eval_tree(t.expr, env)
                     field = isinstance(val, SuperVectorField)
-                    polys = val.even_coeffs + val.odd_coeffs if field else (val,)
+                    polys = val.coeffs if field else (val,)
                     acc = acc or [{} for _ in polys]
                     for terms, p in zip(acc, polys):
                         axpy(terms, c, p.terms)
                 polys = [SuperPolynomial._make(n, m, terms) for terms in acc]
-                total = SuperVectorField(n, m, polys[:n], polys[n:]) if field else polys[0]
+                total = SuperVectorField._make(n, m, polys) if field else polys[0]
                 return {} if total.is_zero() else _residual_repr(total)
 
             reports.append(axiom_report(
@@ -606,7 +596,7 @@ def sample_check_w_o_pair(
 
 
 # ---------------------------------------------------------------------------
-# text syntax: "3*x1^2*t1 + 1/2*x2", fields use dxi / dtj factors
+# text syntax: "3*x1^2*t1 + 1/2*x2"; a field term ends in a dxi / dtj factor
 
 
 class ParseError(ValueError):
@@ -663,51 +653,44 @@ def _split_terms(text: str) -> list[str]:
     return terms
 
 
-def parse_poly(text: str, n: int, m: int) -> SuperPolynomial:
-    """Parse "3*x1^2*t1 + 1/2*x2" (t_j odd, left-to-right products)."""
-    out = SuperPolynomial.zero(n, m)
+def _read_terms(text: str, n: int, m: int, field: bool = False):
+    """Each term of a sum as (coefficient, derivation): its sign taken
+    off and its factors multiplied.  A field term's last factor is its
+    derivation, returned as written (dxi or dtj); a polynomial's is None."""
     for term_text in _split_terms(text):
         term_text = term_text.strip()
         neg = term_text.startswith("-")
         if neg:
             term_text = term_text[1:].strip()
+        toks = term_text.split("*")
+        name = toks.pop().strip() if field else None
+        if field and not name.startswith(("dx", "dt")):
+            raise ParseError(f"field term {term_text!r} must end in dxi or dtj")
         if not term_text:
             raise ParseError("empty term")
-        value = SuperPolynomial.const(n, m, 1)
-        for tok in term_text.split("*"):
-            value = value * _parse_factor(tok, n, m)
-        out = out + (value.scale(-1) if neg else value)
-    return out
+        coeff = SuperPolynomial.const(n, m, 1)
+        for tok in toks:
+            coeff = coeff * _parse_factor(tok, n, m)
+        yield (coeff.scale(-1) if neg else coeff), name
+
+
+def parse_poly(text: str, n: int, m: int) -> SuperPolynomial:
+    """Parse "3*x1^2*t1 + 1/2*x2" (t_j odd, left-to-right products)."""
+    return sum((coeff for coeff, _ in _read_terms(text, n, m)), SuperPolynomial.zero(n, m))
 
 
 def parse_field(text: str, n: int, m: int) -> SuperVectorField:
     """Parse a field: each term ends in a dxi or dtj factor, e.g.
     "x1^2*dx1 + t1*dt2 - 1/2*dx2"."""
-    out = SuperVectorField.zero(n, m)
-    for term_text in _split_terms(text):
-        term_text = term_text.strip()
-        neg = term_text.startswith("-")
-        if neg:
-            term_text = term_text[1:].strip()
-        toks = [t.strip() for t in term_text.split("*")]
-        if not toks or not (toks[-1].startswith("dx") or toks[-1].startswith("dt")):
-            raise ParseError(f"field term {term_text!r} must end in dxi or dtj")
-        slot = toks[-1]
-        coeff = SuperPolynomial.const(n, m, 1)
-        for tok in toks[:-1]:
-            coeff = coeff * _parse_factor(tok, n, m)
-        if neg:
-            coeff = coeff.scale(-1)
+    slots = [SuperPolynomial.zero(n, m)] * (n + m)
+    for coeff, name in _read_terms(text, n, m, field=True):
         try:
-            idx = int(slot[2:])
+            idx = int(name[2:])
         except ValueError as exc:
-            raise ParseError(f"bad derivative {slot!r}") from exc
-        if slot.startswith("dx"):
-            if not 1 <= idx <= n:
-                raise ParseError(f"dx index out of range in {slot!r}")
-            out = out + SuperVectorField.d_dx(n, m, idx, coeff)
-        else:
-            if not 1 <= idx <= m:
-                raise ParseError(f"dt index out of range in {slot!r}")
-            out = out + SuperVectorField.d_dt(n, m, idx, coeff)
-    return out
+            raise ParseError(f"bad derivative {name!r}") from exc
+        even = name.startswith("dx")
+        if not 1 <= idx <= (n if even else m):
+            raise ParseError(f"{name[:2]} index out of range in {name!r}")
+        k = idx - 1 if even else n + idx - 1
+        slots[k] = slots[k] + coeff
+    return SuperVectorField._make(n, m, slots)

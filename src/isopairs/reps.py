@@ -517,7 +517,8 @@ class _WordEngine:
                 img: dict = {}
                 for j, c in row.items():
                     axpy(img, c, rows.get(j, {}))
-                yield img
+                if img:
+                    yield img
 
         return IncrementalSpan().close(outputs.values(), transposed).kernel(window)
 

@@ -3,7 +3,11 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -677,7 +681,7 @@ def test_non_object_document_exit_2(tmp_path, capsys, command, document):
 # the exit-code contract under mutated input files
 
 _FUZZ_VALUES = (None, [], {}, "x", -1, 1.5, True, 10**20, "1/0")
-_FUZZ_COMMANDS = (["verify"], ["tkk"], ["rep", "check"], ["rep", "graph-check"])
+_FUZZ_COMMANDS = (["verify"], ["tkk"], ["lts"], ["rep", "check"], ["rep", "graph-check"])
 
 
 def _places(doc, path=()):
@@ -686,6 +690,12 @@ def _places(doc, path=()):
     if isinstance(doc, (dict, list)):
         for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
             yield from _places(value, path + (key,))
+
+
+def _value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 def _mutation(doc, path, value, delete):
@@ -741,6 +751,35 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
                 err = capsys.readouterr().err
                 assert code in (0, 1, 2), (name, path, value, delete, command)
                 assert code != 2 or _single_error_line(err), (name, path, value, err)
+
+
+_READERS = {"pair": (["verify"], ["tkk"], ["lts"]), "rep": (["rep", "check"],),
+            "graph": (["rep", "graph-check"],)}
+
+
+@pytest.mark.parametrize("scalar", ["huge-int", "exponent"])
+def test_file_readers_exit_2_fast_on_oversized_numbers(tmp_path, capsys, scalar):
+    # the first scalar string of each input file becomes a JSON integer
+    # of 4,301 digits (past Python's int/str digit limit, so json.load
+    # raises a plain ValueError) or the 10-character "1e10000000", which
+    # the p / p/q wire format does not allow; every command that reads
+    # the file exits 2 with one error line, in a fresh interpreter under
+    # a time limit
+    inputs = _fuzz_inputs(tmp_path)
+    capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(R.__file__).resolve().parents[1])}
+    for name, doc in inputs.items():
+        path = next(p for p in _places(doc)
+                    if isinstance(_value_at(doc, p), str) and _value_at(doc, p).isdigit())
+        text = json.dumps(_mutation(doc, path, "1e10000000", False))
+        if scalar == "huge-int":
+            text = text.replace('"1e10000000"', "1" + "0" * 4300)
+        f = tmp_path / f"{name}.{scalar}.json"
+        f.write_text(text)
+        for command in _READERS[name]:
+            out = subprocess.run([sys.executable, "-m", "isopairs.cli", *command, str(f)],
+                                 capture_output=True, text=True, env=env, timeout=20)
+            assert out.returncode == 2 and _single_error_line(out.stderr), (command, out.stderr)
 
 
 def test_rep_induce_embeds_only_the_even_diagonal(capsys):

@@ -152,6 +152,25 @@ def test_scalar_wire_format():
     assert scalar_from_str("-4") == F(-4)
 
 
+@pytest.mark.parametrize("text, want", [
+    ("0", F(0)), ("12", F(12)), ("-4", F(-4)), ("+4", F(4)), ("7/3", F(7, 3)),
+    ("-6/4", F(-3, 2)), ("007/010", F(7, 10)), (" 5 ", F(5)), ("\t-1/2\n", F(-1, 2)),
+    (3, F(3)),
+])
+def test_scalar_from_str_accepts_p_and_p_over_q(text, want):
+    assert scalar_from_str(text) == want
+
+
+@pytest.mark.parametrize("text", [
+    "1e10000000", "1E5", "1.5", ".5", "1.", "1_000", "\u0661", "\uff11", "Infinity", "nan",
+    "", " ", "-", "/2", "1/", "1/-2", "1/+2", "- 1", "1 /2", "1/2/3", "0x10", "1/0",
+    0.5, True, None,
+])
+def test_scalar_from_str_rejects_anything_else(text):
+    with pytest.raises(ValueError):
+        scalar_from_str(text)
+
+
 @given(rationals)
 def test_scalar_round_trip(x):
     assert scalar_from_str(scalar_to_str(x)) == x
