@@ -28,16 +28,21 @@ Gerhard, *Modern Computer Algebra*, ch. 6).  Each template term is read
 from the nonzero entries of its two nodes in one of two forms:
 
 * the sparse join: every pair of entries that meet on the contracted
-  index is one contribution, keyed by its place in the residual; all
-  terms' contributions are sorted by key and repeats summed, so the
-  work grows with the nonzero contributions;
+  index is one contribution, keyed by its place in the residual; the
+  contributions are sorted by key and repeats summed, so the work grows
+  with the nonzero contributions;
 * the dense form: products ``a @ b`` over the distinct rows and columns
   of the two nodes, in blocks of one X index and one parity pattern of
   the rows, each term's Koszul signs folded into a signed copy of ``b``.
-  Identities evaluated in lockstep group their terms by proportional
-  integer coefficients (J1..J6 of jacobi_analog and compatibility): a
-  group adds its blocks into one buffer, and each residual is an integer
-  combination of the group buffers.
+
+Identities evaluated in lockstep group their terms by proportional
+integer coefficients (J1..J6 of jacobi_analog and compatibility) and
+evaluate each term once: the join sorts all the terms' keys once per
+run of X indices, and each identity sums its signed values in that
+order; a dense group adds its blocks into one buffer, and each residual
+is an integer combination of the group buffers.  A term whose join has
+no contribution is skipped in either form, and what depends on the
+catalog identities alone is computed once.
 
 One checked bound on what a cell of the primitive residual sums, every
 partial sum included, fixes the arithmetic, and the reports are exact
@@ -382,17 +387,31 @@ def _nested(expr):
                 (None, None))
 
 
-def _int_coeffs(ident: Identity):
-    terms = ident.residual_terms()
-    cs = reduce(math.lcm, (t.coeff.denominator for t in terms), 1)
-    return terms, cs, [int(t.coeff * cs) for t in terms]
+# what depends on catalog identities alone, by their ids; an entry holds them: no id reuse
+_CONSTANTS: dict = {}
 
 
-def _degree(terms) -> int:
-    degrees = {_term_degree(t.expr) for t in terms}
-    if len(degrees) != 1 or not degrees <= {1, 2}:
-        raise TypeError("identity evaluation needs terms of one bracket degree, 1 or 2")
-    return degrees.pop()
+def _constant(name: str, idents: tuple, build):
+    key = (name, *map(id, idents))
+    return (_CONSTANTS.get(key) or _CONSTANTS.setdefault(key, (idents, build())))[1]
+
+
+def _constants(ident: Identity) -> tuple:
+    """(residual terms, the lcm ``cs`` of their denominators, their
+    coefficients times ``cs``, their bracket degree, each term's Koszul
+    sign by the parity bits, bit k that of ``ident.letters[k]``), once."""
+    def build():
+        terms, n = ident.residual_terms(), len(ident.letters)
+        cs = reduce(math.lcm, (t.coeff.denominator for t in terms), 1)
+        degrees = {_term_degree(t.expr) for t in terms}
+        if len(degrees) != 1 or not degrees <= {1, 2}:
+            raise TypeError("identity evaluation needs terms of one bracket degree, 1 or 2")
+        bits = [{l: b >> k & 1 for k, l in enumerate(ident.letters)} for b in range(2**n)]
+        signs = np.array([[eval_sign_pairs(t.sign_pairs, p) for p in bits] for t in terms])
+        signs.flags.writeable = False  # shared by every evaluation
+        return terms, cs, [int(t.coeff * cs) for t in terms], degrees.pop(), signs
+
+    return _constant("constants", (ident,), build)
 
 
 def _read(t: Tensors) -> None:
@@ -449,8 +468,7 @@ def _checked_bound(s, ident: Identity) -> int:
     combination of those.  float64 is exact below 2^53 and int64 below
     2^62 (``_EXACT_BELOW``)."""
     t = _tensors(s)
-    terms, _, coeffs = _int_coeffs(ident)
-    degree = _degree(terms)
+    _, _, coeffs, degree, _ = _constants(ident)
     width = max(max(space.dim for space in t.spaces.values()), 1)
     unit = width ** (degree - 1) << (sum(map(abs, coeffs)) - 1).bit_length()
     return unit * _scale(t)[1] ** degree
@@ -472,7 +490,7 @@ def _primes(t: Tensors, ident: Identity) -> tuple:
     p, stays within 2^53, so float64 sums and :func:`_residues` reduces
     exactly: at degree 2, with ``unit`` the bound over max|m|^2,
     (unit h + 1)^2 <= unit (2^53 - 1) + 1."""
-    bound, degree = _checked_bound(t, ident), _degree(ident.residual_terms())
+    bound, degree = _checked_bound(t, ident), _constants(ident)[3]
     unit = bound // _scale(t)[1] ** degree
     h = (2**53 - 1) // (unit + 2) if degree == 1 else (
         math.isqrt(unit * (2**53 - 1) + 1) - 1) // unit
@@ -712,13 +730,6 @@ def _dense_term(t: Tensors, expr, sides: dict, letters: tuple, primes: tuple) ->
     return t.cached(("dense", expr, frozenset(sides.items()), letters, primes), build)
 
 
-def _sign_table(t: Tensors, sign_pairs, coeff: int, dtype, letters: tuple) -> np.ndarray:
-    """coeff times a term's Koszul sign, indexed by the parity bits."""
-    return t.cached(("signs", sign_pairs, coeff, dtype, letters), lambda: np.array([
-        coeff * eval_sign_pairs(sign_pairs, {l: bits >> k & 1 for k, l in enumerate(letters)})
-        for bits in range(2 ** len(letters))], dtype))
-
-
 # the evaluator's forms, each with the checked bound below which its
 # sums are exact in any order
 _JOIN, _FLOAT, _MODULAR = ("join", np.int64), ("dense", np.float64), ("multimodular", np.float64)
@@ -736,7 +747,7 @@ def _form(s, ident: Identity, orientation: int) -> tuple:
     bound, sides = _checked_bound(t, ident), _orient(ident.sides, orientation)
     if bound < _EXACT_BELOW[_JOIN]:
         joins, cells = map(sum, zip(*(_term_counts(t, term.expr, sides)
-                                      for term in ident.residual_terms())))
+                                      for term in _constants(ident)[0])))
         if joins < cells:
             return _JOIN
     return _FLOAT if bound < _EXACT_BELOW[_FLOAT] else _MODULAR
@@ -748,8 +759,9 @@ _RUN = 2**15
 
 
 def _runs(t: Tensors, evals: list) -> list:
-    """The runs ``(lo, hi)`` of X indices of sparse joins that share X."""
-    joins = max(sum(_term_counts(t, expr, e.sides)[0] for expr, _ in e.terms) for e in evals)
+    """The runs ``(lo, hi)`` of X indices of a batch of sparse joins."""
+    joins = sum(_term_counts(t, expr, evals[0].sides)[0]
+                for members in _term_groups(evals).values() for expr, *_ in members)
     n, dim = 1 + joins // _RUN, evals[0].dims[0]
     bounds = sorted({dim * k // n for k in range(n + 1)})
     return list(zip(bounds[:-1], bounds[1:]))
@@ -763,42 +775,17 @@ class _Evaluation:
         self.t, self.ident, self.orientation = t, ident, orientation
         self.sides = sides = _orient(ident.sides, orientation)
         self.dims = [t.spaces[sides[l]].dim for l in ident.letters]
-        terms, coeff_scale, coeffs = _int_coeffs(ident)
+        terms, coeff_scale, _, degree, _ = _constants(ident)
         self.d_out = t.spaces[_value_side(terms[0].expr, sides)].dim
-        self.denom = coeff_scale * _scale(t)[0] ** _degree(terms)
+        self.denom = coeff_scale * _scale(t)[0] ** degree
         self.form = form or (None if 0 in self.dims else _form(t, ident, orientation))
         if form and not _checked_bound(t, ident) < _EXACT_BELOW.get(form, 0):
             raise ValueError(f"{ident.name} is not exact in the evaluator form {form}")
         self.primes = _primes(t, ident) if self.form == _MODULAR else ()
         m = math.prod(self.primes)
         self.crt = [m // p * pow(m // p, -1, p) for p in self.primes]
-        self.terms = [(term.expr, _sign_table(t, term.sign_pairs, c, np.int64, ident.letters))
-                      for term, c in zip(terms, coeffs) if self.form == _JOIN]
         self.failures: list[Failure] = []
         self.count = 0
-
-    def residual(self, run: tuple, joins: dict):
-        """The join form's nonzero primitive residual for ``lo <= X < hi``:
-        (keys ``X * size + flat`` in the order of (basis tuple, output),
-        int64 rows that :meth:`value` reads), all terms' contributions
-        sorted and summed by key; ``joins`` keeps the run's term joins."""
-        t, sides, letters = self.t, self.sides, self.ident.letters
-        key = (frozenset(sides.items()), letters)
-        for expr, _ in self.terms:
-            if (expr, key) not in joins:
-                joins[expr, key] = _join_term(t, expr, sides, letters, run)
-        terms = [(joins[expr, key], table) for expr, table in self.terms]
-        keys = np.concatenate([k for (k, _, _), _ in terms])
-        values = np.concatenate([v * table[bits] for (_, bits, v), table in terms])
-        if keys.size:
-            # one sorted copy at a time keeps the peak at four arrays
-            order = np.argsort(keys)
-            keys = keys[order]
-            values = values[order]
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            sums = np.add.reduceat(values, starts)
-            kept = np.flatnonzero(sums)
-            yield keys[starts[kept]], sums[kept, None]
 
     def value(self, v) -> int:
         """The integer of a residual value, by CRT if multimodular."""
@@ -835,19 +822,25 @@ def _residues(stacked: np.ndarray, primes: tuple) -> np.ndarray:
 
 
 def _term_groups(evals: list) -> dict:
-    """{direction: [(expression, sign pairs, multiple)]}: the identities'
-    residual terms, a term's coefficient in identity i its multiple times
-    direction[i], a direction of gcd 1 with a positive first nonzero."""
-    columns: dict = {}
-    for i, ident in enumerate(e.ident for e in evals):
-        for term, c in zip(*_int_coeffs(ident)[::2]):
-            columns.setdefault((term.expr, term.sign_pairs), [0] * len(evals))[i] += c
-    groups: dict = {}
-    for (expr, sign_pairs), column in columns.items():
-        if any(column):
-            k = math.gcd(*column) * (1 if next(filter(None, column)) > 0 else -1)
-            groups.setdefault(tuple(c // k for c in column), []).append((expr, sign_pairs, k))
-    return groups
+    """{direction: [(expression, Koszul signs by parity bits, multiple)]}:
+    the identities' residual terms, a term's coefficient in identity i its
+    multiple times direction[i], a direction of gcd 1 with a positive
+    first nonzero; computed once per tuple of identities."""
+    idents = tuple(e.ident for e in evals)
+    def build():
+        columns: dict = {}
+        for i, (terms, _, coeffs, _, signs) in enumerate(map(_constants, idents)):
+            for term, c, sign in zip(terms, coeffs, signs):
+                key = term.expr, term.sign_pairs
+                columns.setdefault(key, (sign, [0] * len(idents)))[1][i] += c
+        groups: dict = {}
+        for (expr, _), (sign, column) in columns.items():
+            if any(column):
+                k = math.gcd(*column) * (1 if next(filter(None, column)) > 0 else -1)
+                groups.setdefault(tuple(c // k for c in column), []).append((expr, sign, k))
+        return groups
+
+    return _constant("groups", idents, build)
 
 
 def _lockstep(t: Tensors, evals: list):
@@ -862,8 +855,8 @@ def _lockstep(t: Tensors, evals: list):
     partial sum is within the bound of an exact member."""
     first, letters, primes = evals[0], evals[0].ident.letters, evals[0].primes
     size = first.d_out * math.prod(first.dims[1:])
-    groups = [(d, [(dense, dense.signed(_sign_table(t, sign_pairs, k, np.float64, letters)))
-                   for expr, sign_pairs, k in members
+    groups = [(d, [(dense, dense.signed(k * sign)) for expr, sign, k in members
+                   if _term_counts(t, expr, first.sides)[0]
                    for dense in [_dense_term(t, expr, first.sides, letters, primes)]])
               for d, members in _term_groups(evals).items()]
     buffers = [np.zeros(max(len(primes), 1) * size) for _ in groups]
@@ -871,7 +864,7 @@ def _lockstep(t: Tensors, evals: list):
                  None) for i in range(len(evals))]
     outs = [np.zeros_like(buffers[0]) if out is None else out for out in outs]
     shared = [b for b in buffers if all(b is not out for out in outs)]
-    for xi in range(first.dims[0]):
+    for xi in range(first.dims[0]) if any(terms for _, terms in groups) else ():
         for buffer, (_, terms) in zip(buffers, groups):
             for term, signed in terms:
                 for pattern, rows, cols, c in term.blocks[xi]:
@@ -891,19 +884,40 @@ def _lockstep(t: Tensors, evals: list):
             buffer.fill(0)
 
 
+def _joined(t: Tensors, evals: list):
+    """(evaluation, keys, int64 rows) of the nonzero primitive residuals of
+    join forms that share sides and output side, run by run of X indices:
+    each term of :func:`_term_groups` with contributions joins once, signed
+    by its multiple, the keys of all the terms are sorted once, and each
+    identity sums in that one order the values times its direction entry."""
+    sides, letters = evals[0].sides, evals[0].ident.letters
+    terms = [(d, expr, k * sign) for d, members in _term_groups(evals).items()
+             for expr, sign, k in members if _term_counts(t, expr, sides)[0]]
+    for run in _runs(t, evals) if terms else ():
+        joins = [_join_term(t, expr, sides, letters, run) for _, expr, _ in terms]
+        keys = np.concatenate([keys for keys, _, _ in joins])
+        signed = [v * table[bits] for (_, bits, v), (*_, table) in zip(joins, terms)]
+        del joins  # free the joins before the sort copies the run
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        for i, e in enumerate(evals):
+            values = np.concatenate([d[i] * v for (d, _, _), v in zip(terms, signed)])
+            sums = np.add.reduceat(values[order], starts)
+            kept = np.flatnonzero(sums)
+            yield e, keys[starts[kept]], sums[kept, None]
+
+
 def _residuals(t: Tensors, evals: list):
     """(evaluation, keys, values) chunks of the nonzero primitive residuals
-    of evaluations that share their X, each in key order: the joins run by
-    run, so shared terms join once per run, then the dense batches."""
-    joined, batches = [e for e in evals if e.form == _JOIN], {}
-    for run in _runs(t, joined) if joined else ():
-        joins: dict = {}
-        for e in joined:
-            yield from ((e, *chunk) for chunk in e.residual(run, joins))
-    for e in (e for e in evals if e.form not in (None, _JOIN)):
+    of evaluations that share their X, each in key order, by batches of
+    one form, sides and output side: the joins run by run, the dense forms
+    X index by X index."""
+    batches: dict = {}
+    for e in (e for e in evals if e.form is not None):
         batches.setdefault((e.form, e.primes, tuple(e.sides.items()), e.d_out), []).append(e)
-    for batch in batches.values():
-        yield from _lockstep(t, batch)
+    for (form, *_), batch in batches.items():
+        yield from (_joined if form == _JOIN else _lockstep)(t, batch)
 
 
 def _eval_identities(s, idents: Sequence[Identity], orientation: int, cap: int) -> list:
@@ -970,9 +984,9 @@ def _kind_symmetry(pair: PairStructure) -> Identity:
 def _check(s, names: Sequence[str], cap: int) -> list:
     """The reports of the named identities, each in both orientations,
     evaluated together over one :class:`Tensors` (``s`` or a pair's).
-    The orientations share the scale, the integer tensors and the sign
-    tables, but no dense form, so each orientation's dense forms are
-    dropped once it is done."""
+    The orientations share the scale and the integer tensors, but no
+    dense form: orientation 2's are keyed by the swapped sides and read
+    the other tensor, so each orientation's are dropped once it is done."""
     t = _tensors(s)
     idents = [CATALOG[n] for n in names]
     by_orientation = []

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from isopairs import pairs as P
@@ -309,9 +309,9 @@ def _form_residuals(pair, idents, orientation, form):
     for e, ident in zip(evals, idents):
         sides = P._orient(ident.sides, orientation)
         dims = [pair.space(sides[l]).dim for l in sorted(sides, key="XYZUV".index)]
-        terms, coeff_scale, _ = P._int_coeffs(ident)
+        terms, coeff_scale, _, degree, _ = P._constants(ident)
         d_out = pair.space(P._value_side(terms[0].expr, sides)).dim
-        denom = coeff_scale * P._scale(pair)[0] ** P._degree(terms)
+        denom = coeff_scale * P._scale(pair)[0] ** degree
         decode[e] = dims, d_out, denom, {}, []
     for e, keys, values in P._residuals(t, evals):
         dims, d_out, denom, out, seen = decode[e]
@@ -363,8 +363,12 @@ def sparse_pairs(draw):
     return P.PairStructure(v1, v2, kind, tensor(v2, v1), tensor(v1, v2))
 
 
+# a wrong evaluator fails most examples, and shrinking each distinct
+# failure with the Fraction oracle in the loop takes minutes: report the
+# first failure unshrunk
 @given(sparse_pairs(), st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, report_multiple_bugs=False,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 def test_both_forms_match_fraction_oracle_on_random_sparse_pairs(pair, rng):
     if pair.kind == "isotopic":
         names = ("antisymmetry.isotopic", "jacobi_analog", "compatibility")
@@ -549,8 +553,8 @@ def _cell_bound(t, ident, biggest):
     cell sums at most ``width`` products (one at degree 1), ``width`` the
     contracted length, at most the largest dimension; times the
     identity's coefficient sum, rounded up to a power of two."""
-    terms, _, coeffs = P._int_coeffs(ident)
-    degree, width = P._degree(terms), max(s.dim for s in t.spaces.values())
+    _, _, coeffs, degree, _ = P._constants(ident)
+    width = max(s.dim for s in t.spaces.values())
     power = next(2**k for k in itertools.count() if 2**k >= sum(map(abs, coeffs)))
     return power * biggest**degree * width ** (degree - 1)
 
@@ -705,6 +709,92 @@ def test_lockstep_batch_matches_fraction_oracle(monkeypatch, case):
             assert [P._form(pair, ident, orientation) for ident in idents] == [form, form]
             assert all(r.passed for r in got) == (k == 0)
     assert batches == [["jacobi_analog", "compatibility"]] * 4
+
+
+class _SortSpy:
+    """numpy as :mod:`isopairs.pairs` sees it, with every ``argsort``
+    recorded by its ``kind``: the join's batch sort takes the default."""
+
+    def __init__(self):
+        self.sorts = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, a, kind=None):
+        self.sorts.append(kind)
+        return np.argsort(a, kind=kind)
+
+
+def test_join_lockstep_matches_fraction_oracle(monkeypatch):
+    # jacobi_analog and compatibility evaluated together in the join form,
+    # with the X indices cut into several runs, give the oracle's reports
+    # in both orientations, on passing and failing pairs; each run sorts
+    # the keys of the batch's terms once, for both identities
+    idents = [CATALOG["jacobi_analog"], CATALOG["compatibility"]]
+    gl11 = series_gl(1, 1).pair
+    pairs = [gl11, series_q(1).pair, random_even_perturbation(gl11, Lcg64(23)),
+             random_even_perturbation(series_q(1).pair, Lcg64(29))]
+    spy, runs = _SortSpy(), []
+    monkeypatch.setattr(P, "_RUN", 2**8)
+    monkeypatch.setattr(P, "np", spy)
+    monkeypatch.setattr(P, "_runs", lambda t, evals, real=P._runs: (
+        runs.append([e.ident.name for e in evals]) or real(t, evals)))
+    total_runs = 0
+    for k, pair in enumerate(pairs):
+        for orientation in (1, 2):
+            t = pair.tensors()
+            evals = [P._Evaluation(t, ident, orientation) for ident in idents]
+            assert [e.form for e in evals] == [JOIN, JOIN]
+            batch_runs = len(P._runs(t, evals))
+            total_runs += batch_runs
+            del spy.sorts[:], runs[:]
+            got = P._eval_identities(t, idents, orientation, P.FAILURE_CAP)
+            want = [_oracle_report(pair, ident, orientation) for ident in idents]
+            assert [r.to_json() for r in got] == [r.to_json() for r in want], (k, orientation)
+            assert all(r.passed for r in got) == (k < 2)
+            assert runs == [["jacobi_analog", "compatibility"]]
+            assert spy.sorts.count(None) == batch_runs
+    assert total_runs > 2 * len(pairs)  # the runs split the X indices
+
+
+def test_terms_without_contributions_build_nothing(monkeypatch):
+    # a zero pair, an isotopic pair with m2 = {}, a superJordan pair with
+    # m1 = {}, and a pair whose nodes never meet on the contracted index:
+    # no term whose join has no contribution builds a dense form or a
+    # join, the forms are what they were before such terms were skipped,
+    # and the reports are the oracle's
+    gl11 = series_gl(1, 1).pair
+    v = SuperSpace.make(["a", "b"], [0, 0])
+    apart = {(0, 0, 0): {1: F(1)}}  # output 1, but every slot holds 0
+    cases = {
+        "zero": (zero_pair(), "dense dense dense dense dense dense"),
+        "m2 empty": (P.PairStructure(gl11.v1, gl11.v2, "isotopic", gl11.m1, {}),
+                     "dense dense join dense join dense"),
+        "m1 empty": (P.PairStructure(gl11.v1, gl11.v2, "superJordan", {}, gl11.m2),
+                     "dense dense dense join"),
+        "apart": (P.PairStructure(v, v, "isotopic", apart, apart),
+                  "dense dense join join join join"),
+    }
+    built = []
+    for name in ("_dense_term", "_join_term"):
+        monkeypatch.setattr(P, name, lambda t, expr, sides, *rest, real=getattr(P, name): (
+            built.append(P._term_counts(t, expr, sides)) or real(t, expr, sides, *rest)))
+    for name, (pair, forms) in cases.items():
+        idents = [CATALOG[n] for n in ((P._kind_symmetry(pair).name,) + (
+            ("jacobi_analog", "compatibility") if pair.kind == "isotopic" else ("super_jordan",)))]
+        got_forms = [P._form(pair, ident, o)[0] for ident in idents for o in (1, 2)]
+        assert " ".join(got_forms) == forms, name
+        del built[:]
+        report = P.verify(pair)
+        assert all(joins > 0 for joins, _ in built), name
+        assert bool(built) == (name != "zero")
+        want = [_oracle_report(pair, ident, o) for ident in idents for o in (1, 2)]
+        assert [r.to_json() for r in report.reports[2:]] == [r.to_json() for r in want], name
+    # the pair apart has dense cells but no join contribution in its deep terms
+    t = cases["apart"][0].tensors()
+    assert all(P._term_counts(t, term.expr, CATALOG["jacobi_analog"].sides) == (0, 1)
+               for term in CATALOG["jacobi_analog"].residual_terms())
 
 
 def _corner_pair(biggest):
