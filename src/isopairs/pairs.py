@@ -68,7 +68,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -414,6 +414,79 @@ def _constants(ident: Identity) -> tuple:
     return _constant("constants", (ident,), build)
 
 
+def _symmetries(ident: Identity, rule: Identity | None = None) -> dict:
+    """{σ: signs} of the identity's letter symmetries, once per identity
+    and ``rule``.  σ is a side-keeping permutation of the letter positions
+    and signs a ±1 table by parity bits (bit k that of letter k), such
+    that the residual at the tuple σ·t, whose letter k takes t's index of
+    letter σ[k], is signs[bits of t] times the residual at t.  σ is kept
+    when renaming each letter k to letter σ[k] in the residual terms gives
+    back the terms times those signs, once each node of ``rule``'s shape
+    has the two slots that ``rule`` swaps put in order of their first
+    letters by ``rule`` with its sign: ``rule`` is the kind's symmetry,
+    and it holds for a nested node with the parity its letters add up to
+    on even tensors only.  Without ``rule`` no slot moves, and only
+    relabellings such as U <-> V of jacobi_analog are kept."""
+    letters, n = ident.letters, len(ident.letters)
+    patterns = np.arange(2**n)
+
+    def build():
+        terms, _, coeffs, _, signs = _constants(ident)
+        if rule:
+            (before,), (after,) = rule.lhs.terms, rule.rhs.terms
+            shape, names = before.expr, [l.name for l in before.expr.slots]
+            i, j = (k for k, (a, b) in enumerate(zip(shape.slots, after.expr.slots)) if a != b)
+            pairs = [tuple(p) for p in chain(before.sign_pairs, after.sign_pairs)]
+
+        def swap_sign(held):
+            """The sign by parity bits that ``rule`` gives the swap of the
+            slots that hold the letters ``held``, each slot of the parity
+            its letters add up to."""
+            odd = {s: sum(patterns >> letters.index(a) & 1 for a in ls) & 1
+                   for s, ls in zip(names, held)}
+            return int(after.coeff / before.coeff) * (-1) ** sum(
+                (odd[a] * odd[b] for a, b in pairs), patterns * 0)
+
+        def canon(expr, name: dict):
+            """(a key of ``expr`` renamed by ``name``, with the slots of each
+            node of ``rule``'s shape in order, its letters, its sign by
+            parity bits)."""
+            if isinstance(expr, Letter):
+                return name[expr.name], (name[expr.name],), 1
+            keys, held, slot_signs = map(list, zip(*(canon(e, name) for e in expr.slots)))
+            k = math.prod(slot_signs)
+            if rule and type(expr) is type(shape) and expr.op == shape.op and (
+                    min(map(letters.index, held[j])) < min(map(letters.index, held[i]))):
+                k = k * swap_sign(held)
+                keys[i], keys[j] = keys[j], keys[i]
+            return (type(expr), getattr(expr, "op", None), *keys), sum(held, ()), k
+
+        def image(perm):
+            """The residual at σ·t as {expression key: coefficient by parity bits of t}."""
+            name = {l: letters[p] for l, p in zip(letters, perm)}
+            moved = sum((patterns >> p & 1) << k for k, p in enumerate(perm))
+            out: dict = {}
+            for term, c, term_signs in zip(terms, coeffs, signs):
+                expr, _, k = canon(term.expr, name)
+                out[expr] = out.get(expr, 0) + c * term_signs[moved] * k
+            return {e: v for e, v in out.items() if v.any()}
+
+        base, group = image(range(n)), {}
+        for perm in permutations(range(n)):
+            if any(ident.sides[letters[p]] != ident.sides[l] for l, p in zip(letters, perm)):
+                continue
+            moved = image(perm)
+            if moved.keys() == base.keys():
+                a, b = np.array([moved[e] for e in base]), np.array([base[e] for e in base])
+                signs_of = np.where((a * b).sum(0) < 0, -1, 1)
+                if (a == signs_of * b).all():
+                    signs_of.flags.writeable = False  # shared by every evaluation
+                    group[perm] = signs_of
+        return group
+
+    return _constant("symmetries", (ident, rule) if rule else (ident,), build)
+
+
 def _read(t: Tensors) -> None:
     """Read every tensor ``Fraction`` once, into the memo entries that
     :func:`_scale` and :func:`_coo` read: scaled to integers by the lcm
@@ -563,7 +636,8 @@ def _nodes(t: Tensors, expr, sides: dict, letters: tuple, primes: tuple = ()):
 
     ``rows`` are the nested node's entries (a single unit entry for a
     lone node) and ``cols`` the outer node's, each as (X index, flat
-    offset, parity bits, contracted index, value).  The flat offset is
+    offset, parity bits, contracted index, value, {letter: its index} of
+    the node's letters).  The flat offset is
     the position in the residual of one X index, ``size`` long, with the
     output included for ``cols``; bit k of the parity bits belongs to
     ``letters[k]``.  A row and a column that agree on the contracted
@@ -581,29 +655,28 @@ def _nodes(t: Tensors, expr, sides: dict, letters: tuple, primes: tuple = ()):
 
     def node(bracket):
         """(X index, flat offset, parity bits, nested-slot index,
-        output, value) of every nonzero entry of one node."""
+        output, value, {letter: index}) of every nonzero entry of one node."""
         keys, outs, values = _coo(t, _table(bracket, sides), len(bracket.slots), primes)
         x = flat = nested = np.zeros(len(outs), np.int64)
-        bits = np.zeros(len(outs), np.uint8)
+        bits, at = np.zeros(len(outs), np.uint8), {}
         for j, e in enumerate(bracket.slots):
             if not isinstance(e, Letter):
                 nested = keys[:, j]
                 continue
+            at[e.name] = keys[:, j]
             flat = flat + stride[e.name] * keys[:, j]
             bits = bits | parities[sides[e.name]][keys[:, j]] << letters.index(e.name)
-            if e.name == first:
-                x = keys[:, j]
-        return x, flat, bits, nested, outs, values
+        return at.get(first, x), flat, bits, nested, outs, values, at
 
     _, inner = _nested(expr)
     if inner is None:
         zero = np.zeros(1, np.int64)
-        rows, width = (zero, zero, np.zeros(1, np.uint8), zero, np.ones(1, np.int64)), 1
+        rows, width = (zero, zero, np.zeros(1, np.uint8), zero, np.ones(1, np.int64), {}), 1
     else:
-        x, flat, bits, _, c, values = node(inner)
-        rows, width = (x, flat, bits, c, values), t.spaces[_value_side(inner, sides)].dim
-    x, flat, bits, c, o, values = node(expr)
-    cols = (x, flat + o, bits, c, values)
+        x, flat, bits, _, c, values, at = node(inner)
+        rows, width = (x, flat, bits, c, values, at), t.spaces[_value_side(inner, sides)].dim
+    x, flat, bits, c, o, values, at = node(expr)
+    cols = (x, flat + o, bits, c, values, at)
     return size, width, inner is not None and first in expr_letters(inner), rows, cols
 
 
@@ -634,33 +707,64 @@ def _term_counts(t: Tensors, expr, sides: dict) -> tuple[int, int]:
     return t.cached(("counts", outer, inner, j), build)
 
 
-def _join_term(t: Tensors, expr, sides: dict, letters: tuple, run: tuple):
+def _take(entries: tuple, index) -> tuple:
+    """The node entries of :func:`_nodes` at ``index``."""
+    *arrays, at = entries
+    return (*(a[index] for a in arrays), {l: a[index] for l, a in at.items()})
+
+
+def _by_contracted(c, width: int) -> tuple:
+    """(counts, first, by_c) of entries by contracted index ``c``: how many
+    hold each index, where each index's run starts in ``by_c``, and the
+    entries sorted stably by it."""
+    counts = np.bincount(c, minlength=width)
+    return counts, np.cumsum(counts) - counts, np.argsort(c, kind="stable")
+
+
+def _join_term(t: Tensors, expr, sides: dict, letters: tuple, run: tuple, order: tuple = ()):
     """The term's sparse join over the X indices ``lo <= X < hi`` of
     ``run``: (global keys ``X * size + flat``, parity bits, int64
     values) of every contribution, each row times each column that
-    shares its contracted index."""
-    def build():  # the nodes, the entries of the one that holds X sorted by X
+    shares its contracted index, whose tuple has index(a) <= index(b)
+    for each pair of letters (a, b) of ``order``.  A node that holds both
+    letters of a pair drops its entries out of order before the join,
+    and the other pairs drop the contributions out of order."""
+    def build():  # the nodes in order, the entries of the one that holds X sorted by X
         size, width, x_in_rows, *parts = _nodes(t, expr, sides, letters)
-        k = 0 if x_in_rows else 1
-        order = np.argsort(parts[k][0], kind="stable")
-        parts[k] = tuple(a[order] for a in parts[k])
-        return size, width, x_in_rows, *parts
+        across = [(a, b) for a, b in order if not any({a, b} <= p[5].keys() for p in parts)]
 
-    size, width, x_in_rows, rows, cols = t.cached(
-        ("nodes", expr, frozenset(sides.items()), letters), build)
+        def in_order(node):
+            """The node's entries in order, with the indices of the letters of ``across`` only."""
+            *arrays, at = node
+            keep = [at[a] <= at[b] for a, b in order if {a, b} <= at.keys()]
+            node = (*arrays, {l: at[l] for pair in across for l in pair if l in at})
+            return _take(node, np.logical_and.reduce(keep)) if keep else node
+
+        parts = [in_order(node) for node in parts]
+        k = 0 if x_in_rows else 1
+        parts[k] = _take(parts[k], np.argsort(parts[k][0], kind="stable"))
+        # the columns are the same on every run when X is in the rows
+        by_c = _by_contracted(parts[1][3], width) if x_in_rows else None
+        return size, width, x_in_rows, *parts, across, by_c
+
+    size, width, x_in_rows, rows, cols, across, by_c = t.cached(
+        ("nodes", expr, frozenset(sides.items()), letters, order), build)
     part = slice(*np.searchsorted((rows if x_in_rows else cols)[0], run))
     if x_in_rows:
-        rows = tuple(a[part] for a in rows)
+        rows = _take(rows, part)
     else:
-        cols = tuple(a[part] for a in cols)
-    x_r, flat_r, bits_r, c_r, v_r = rows
-    x_c, flat_c, bits_c, c_c, v_c = cols
-    counts = np.bincount(c_c, minlength=width)
+        cols = _take(cols, part)
+    x_r, flat_r, bits_r, c_r, v_r, at_r = rows
+    x_c, flat_c, bits_c, c_c, v_c, at_c = cols
+    counts, first, by_c = by_c or _by_contracted(c_c, width)
     reps = counts[c_r]
     r = np.repeat(np.arange(len(c_r)), reps)
-    # the columns sorted by contracted index, then each row's run of them
-    by_c, first = np.argsort(c_c, kind="stable"), np.cumsum(counts) - counts
+    # each row's run of the columns sorted by contracted index
     c = by_c[np.repeat(first[c_r] - (np.cumsum(reps) - reps), reps) + np.arange(len(r))]
+    if across:
+        at = lambda l: at_r[l][r] if l in at_r else at_c[l][c]
+        keep = np.logical_and.reduce([at(a) <= at(b) for a, b in across])
+        r, c = r[keep], c[keep]
     return (
         (x_r[r] + x_c[c]) * size + flat_r[r] + flat_c[c],
         bits_r[r] | bits_c[c],
@@ -685,13 +789,13 @@ def _dense_term(t: Tensors, expr, sides: dict, letters: tuple, primes: tuple) ->
         parity = np.array(t.spaces[_value_side(inner, sides)].parities if inner else [0])
         place, split = np.argsort(np.argsort(parity, kind="stable")), np.count_nonzero(parity == 0)
         lead = (len(primes),) if primes else ()
-        x, flat, bits, c, values = rows
+        x, flat, bits, c, values, _ = rows
         rows, row_x, row_flat, row_bits = _distinct(x, flat, bits, size)
         if primes:  # a residual of ``size`` per prime
             row_flat = row_flat + size * np.arange(len(primes))[:, None]
         a = np.zeros((*lead, len(row_x), width))
         a[..., rows, place[c]] = values
-        x, flat, bits, c, values = cols
+        x, flat, bits, c, values, _ = cols
         cols, col_x, col_flat, col_bits = _distinct(x, flat, bits, size)
         b = np.zeros((*lead, width, len(col_x)))
         b[..., place[c], cols] = values
@@ -769,47 +873,94 @@ def _runs(t: Tensors, evals: list) -> list:
 
 class _Evaluation:
     """One identity and orientation over a :class:`Tensors`, in the form
-    :func:`_form` picks unless ``form`` is given."""
+    :func:`_form` picks unless ``form`` is given.  Its residuals come at
+    the representatives of the orbits of ``group``, a list of (σ, signs)
+    (see :func:`_symmetries`), which :func:`_orbits` sets for a join batch
+    and which is otherwise the identity alone; ``order`` lists the pairs of
+    letters in order at the representatives."""
 
     def __init__(self, t: Tensors, ident: Identity, orientation: int, form=None):
         self.t, self.ident, self.orientation = t, ident, orientation
         self.sides = sides = _orient(ident.sides, orientation)
         self.dims = [t.spaces[sides[l]].dim for l in ident.letters]
-        terms, coeff_scale, _, degree, _ = _constants(ident)
+        terms, coeff_scale, _, degree, signs = _constants(ident)
         self.d_out = t.spaces[_value_side(terms[0].expr, sides)].dim
         self.denom = coeff_scale * _scale(t)[0] ** degree
         self.form = form or (None if 0 in self.dims else _form(t, ident, orientation))
         if form and not _checked_bound(t, ident) < _EXACT_BELOW.get(form, 0):
             raise ValueError(f"{ident.name} is not exact in the evaluator form {form}")
         self.primes = _primes(t, ident) if self.form == _MODULAR else ()
-        m = math.prod(self.primes)
+        self.modulus = m = math.prod(self.primes)
         self.crt = [m // p * pow(m // p, -1, p) for p in self.primes]
-        self.failures: list[Failure] = []
+        self.parities = [t.spaces[sides[l]].parities for l in ident.letters]
+        self.group, self.order = [(tuple(range(len(self.dims))), np.ones_like(signs[0]))], ()
+        self.kept: list = []  # (tuple's key, failure), the first ``cap`` in key order
         self.count = 0
 
     def value(self, v) -> int:
         """The integer of a residual value, by CRT if multimodular."""
         if not self.primes:
             return int(v[0])
-        m = math.prod(self.primes)
-        x = sum(map(operator.mul, v.tolist(), self.crt)) % m
-        return x - m if 2 * x > m else x
+        x = sum(map(operator.mul, v.tolist(), self.crt)) % self.modulus
+        return x - self.modulus if 2 * x > self.modulus else x
 
     def add(self, keys, values, cap: int):
-        """Count the failing tuples, the distinct ``key // d_out``; keep ``cap``."""
-        tuples, starts = np.unique(keys // self.d_out, return_index=True)
-        self.count += len(tuples)
-        ends = np.append(starts[1:], keys.size)
-        for tup, lo, hi in zip(tuples[: cap - len(self.failures)], starts, ends):
-            where = dict(zip(self.ident.letters, map(int, np.unravel_index(tup, self.dims))))
-            self.failures.append(Failure(where, {
-                int(k % self.d_out): Fraction(self.value(v), self.denom)
+        """Count the failing tuples of the nonzero residual cells ``keys``,
+        in key order, at representatives: each counts its orbit's distinct
+        tuples.  Keep the first ``cap`` failures in key order, from the
+        orbits' smallest tuples, each the representative's residual times
+        its σ's sign; only the kept failures are read into Fractions."""
+        tuples = keys // self.d_out
+        starts, ends = _equal_runs(tuples)
+        at = np.unravel_index(tuples[starts], self.dims)
+        images = np.array([np.ravel_multi_index([at[k] for k in perm], self.dims)
+                           for perm, _ in self.group]).reshape(len(self.group), -1)
+        new = np.ones(images.shape, bool)  # the first σ to give each distinct image
+        for g in range(1, len(images)):
+            new[g] = (images[g] != images[:g]).all(0)
+        self.count += int(np.count_nonzero(new))
+        g, i = np.nonzero(new)
+        image = images[g, i]
+        if cap and len(self.kept) == cap:
+            below = image < self.kept[-1][0]
+            g, i, image = g[below], i[below], image[below]
+        if len(image) > cap:
+            least = np.argpartition(image, cap)[:cap]
+            g, i, image = g[least], i[least], image[least]
+        for g, i, key in zip(g.tolist(), i.tolist(), image.tolist()):
+            bits = sum(p[a[i]] << k for k, (p, a) in enumerate(zip(self.parities, at)))
+            sign, lo, hi = int(self.group[g][1][bits]), starts[i], ends[i]
+            where = dict(zip(self.ident.letters, map(int, np.unravel_index(key, self.dims))))
+            self.kept.append((key, Failure(where, {
+                int(k % self.d_out): Fraction(sign * self.value(v), self.denom)
                 for k, v in zip(keys[lo:hi], values[lo:hi])
-            }))
+            })))
+        self.kept.sort(key=lambda kept: kept[0])
+        del self.kept[cap:]
 
     def report(self) -> AxiomReport:
         return AxiomReport(self.ident.name, self.orientation, math.prod(self.dims), self.count,
-                           self.failures, _adopted_form_id(self.ident))
+                           [f for _, f in self.kept], _adopted_form_id(self.ident))
+
+
+def _orbits(batch: list, rule: Identity) -> None:
+    """Let a join batch evaluate one tuple per orbit: the permutations
+    that every member's symmetries under ``rule`` share, and that keep
+    each block of letters that their shared transpositions join, act on
+    the tuples; the representative of an orbit, its least tuple in key
+    order, has each block's letters in order."""
+    letters, n = batch[0].ident.letters, len(batch[0].ident.letters)
+    groups = [_symmetries(e.ident, rule) for e in batch]
+    common = set.intersection(*map(set, groups))
+    swaps = [(a, b) for a, b in combinations(range(n), 2)
+             if tuple(b if k == a else a if k == b else k for k in range(n)) in common]
+    block = list(range(n))
+    for a, b in swaps:
+        block = [block[a] if x == block[b] else x for x in block]
+    perms = sorted(p for p in common if all(block[p[k]] == block[k] for k in range(n)))
+    for e, group in zip(batch, groups):
+        e.group = [(p, group[p]) for p in perms]
+        e.order = tuple((letters[a], letters[b]) for a, b in swaps)
 
 
 def _residues(stacked: np.ndarray, primes: tuple) -> np.ndarray:
@@ -890,11 +1041,11 @@ def _joined(t: Tensors, evals: list):
     each term of :func:`_term_groups` with contributions joins once, signed
     by its multiple, the keys of all the terms are sorted once, and each
     identity sums in that one order the values times its direction entry."""
-    sides, letters = evals[0].sides, evals[0].ident.letters
+    sides, letters, pairs = evals[0].sides, evals[0].ident.letters, evals[0].order
     terms = [(d, expr, k * sign) for d, members in _term_groups(evals).items()
              for expr, sign, k in members if _term_counts(t, expr, sides)[0]]
     for run in _runs(t, evals) if terms else ():
-        joins = [_join_term(t, expr, sides, letters, run) for _, expr, _ in terms]
+        joins = [_join_term(t, expr, sides, letters, run, pairs) for _, expr, _ in terms]
         keys = np.concatenate([keys for keys, _, _ in joins])
         signed = [v * table[bits] for (_, bits, v), (*_, table) in zip(joins, terms)]
         del joins  # free the joins before the sort copies the run
@@ -908,24 +1059,32 @@ def _joined(t: Tensors, evals: list):
             yield e, keys[starts[kept]], sums[kept, None]
 
 
-def _residuals(t: Tensors, evals: list):
+def _residuals(t: Tensors, evals: list, rule: Identity | None = None):
     """(evaluation, keys, values) chunks of the nonzero primitive residuals
     of evaluations that share their X, each in key order, by batches of
     one form, sides and output side: the joins run by run, the dense forms
-    X index by X index."""
+    X index by X index.  With ``rule`` a join batch keeps the tuples of
+    :func:`_orbits` only."""
     batches: dict = {}
     for e in (e for e in evals if e.form is not None):
         batches.setdefault((e.form, e.primes, tuple(e.sides.items()), e.d_out), []).append(e)
     for (form, *_), batch in batches.items():
+        if rule and form == _JOIN:
+            _orbits(batch, rule)
         yield from (_joined if form == _JOIN else _lockstep)(t, batch)
 
 
-def _eval_identities(s, idents: Sequence[Identity], orientation: int, cap: int) -> list:
+def _eval_identities(s, idents: Sequence[Identity], orientation: int, cap: int,
+                     rule: Identity | None = None) -> list:
     """Check identities that share their X side on every basis tuple of one
-    orientation of a pair, superalgebra, triple system or :class:`Tensors`."""
+    orientation of a pair, superalgebra, triple system or :class:`Tensors`.
+    ``rule`` is the pair kind's symmetry, given only when it and evenness
+    have passed on both tensors: the joins then evaluate one tuple per
+    orbit of the identities' letter symmetries, and the reports are those
+    of every tuple."""
     t = _tensors(s)
     evals = [_Evaluation(t, ident, orientation) for ident in idents]
-    for e, keys, values in _residuals(t, evals):
+    for e, keys, values in _residuals(t, evals, rule):
         e.add(keys, values, cap)
     return [e.report() for e in evals]
 
@@ -981,17 +1140,18 @@ def _kind_symmetry(pair: PairStructure) -> Identity:
     ]
 
 
-def _check(s, names: Sequence[str], cap: int) -> list:
+def _check(s, names: Sequence[str], cap: int, rule: Identity | None = None) -> list:
     """The reports of the named identities, each in both orientations,
-    evaluated together over one :class:`Tensors` (``s`` or a pair's).
-    The orientations share the scale and the integer tensors, but no
-    dense form: orientation 2's are keyed by the swapped sides and read
-    the other tensor, so each orientation's are dropped once it is done."""
+    evaluated together over one :class:`Tensors` (``s`` or a pair's), with
+    ``rule`` as in :func:`_eval_identities`.  The orientations share the
+    scale and the integer tensors, but no dense form: orientation 2's are
+    keyed by the swapped sides and read the other tensor, so each
+    orientation's are dropped once it is done."""
     t = _tensors(s)
     idents = [CATALOG[n] for n in names]
     by_orientation = []
     for o in (1, 2):
-        by_orientation.append(_eval_identities(t, idents, o, cap))
+        by_orientation.append(_eval_identities(t, idents, o, cap, rule))
         t.memo = {k: v for k, v in t.memo.items() if k[0] != "dense"}
     return [r for rs in zip(*by_orientation) for r in rs]
 
@@ -1011,7 +1171,11 @@ def verify(pair: PairStructure, cap: int = FAILURE_CAP) -> VerifyReport:
     """Evenness, graded (anti)symmetry, and the kind-appropriate identity
     suite, both orientations, aggregated.  Every check reads the pair's
     one :class:`Tensors`, and the identities are evaluated together, so
-    that jacobi_analog and compatibility share J1..J6."""
+    that jacobi_analog and compatibility share J1..J6.  When evenness and
+    the kind's symmetry pass on both tensors, the joins of the identity
+    suite evaluate one tuple per orbit of its letter symmetries."""
     deep = ["jacobi_analog", "compatibility"] if pair.kind == ISOTOPIC else ["super_jordan"]
-    names, t = [_kind_symmetry(pair).name, *deep], pair.tensors()
-    return VerifyReport(pair.kind, check_evenness(t, cap) + _check(t, names, cap))
+    symmetry, t = _kind_symmetry(pair), pair.tensors()
+    reports = check_evenness(t, cap) + _check(t, [symmetry.name], cap)
+    rule = symmetry if all(r.passed for r in reports) else None
+    return VerifyReport(pair.kind, reports + _check(t, deep, cap, rule))

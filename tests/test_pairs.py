@@ -1,5 +1,6 @@
 """Pair structures and exhaustive checkers."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -24,7 +25,7 @@ from isopairs.constructions import (
 )
 from isopairs.exactlin import Matrix, invert
 from isopairs.rng import Lcg64
-from isopairs.supercore import CATALOG, EQUIVARIANCE, Act, SuperSpace
+from isopairs.supercore import CATALOG, EQUIVARIANCE, Act, SuperSpace, sign_a
 
 from dense_oracle import apply, col
 from identity_oracle import residual_on_vectors
@@ -462,27 +463,28 @@ def test_join_form_just_under_the_int64_bound():
 
 
 def test_check_drops_each_orientations_dense_forms(monkeypatch):
-    # verify evaluates both orientations over one Tensors: when orientation
-    # 2 starts, no dense form of orientation 1 (nor its signed copies of
-    # b) is left in the memo or alive, and the reports are those of each
-    # orientation evaluated over a Tensors of its own
+    # verify evaluates both orientations over one Tensors, the kind's
+    # symmetry first, then the deep identities: when an orientation starts,
+    # no dense form of the one before (nor its signed copies of b) is left
+    # in the memo or alive, and the reports are those of each orientation
+    # evaluated over a Tensors of its own
     pair = _dense_basis(series_osp(2, 1, 1).pair)
     real = P._eval_identities
-    done, starts, built = [], {}, {}
+    done, starts, built = [], [], {}
 
-    def spy(t, idents, orientation, cap):
+    def spy(t, idents, orientation, cap, *rule):
         gc.collect()
-        starts[orientation] = ([k for k in t.memo if k[0] == "dense"],
-                               [ref for ref in done if ref() is not None])
-        reports = real(t, idents, orientation, cap)
+        starts.append(([k for k in t.memo if k[0] == "dense"],
+                       [ref for ref in done if ref() is not None]))
+        reports = real(t, idents, orientation, cap, *rule)
         dense = [v for k, v in t.memo.items() if k[0] == "dense"]
-        built[orientation] = len(dense)
+        built[orientation] = built.get(orientation, 0) + len(dense)
         done.extend(map(weakref.ref, dense))
         return reports
 
     monkeypatch.setattr(P, "_eval_identities", spy)
     got = P.verify(pair).reports
-    assert starts == {1: ([], []), 2: ([], [])}
+    assert starts == [([], [])] * 4
     assert built[1] and built[2]
     idents = [CATALOG[n] for n in ("antisymmetry.isotopic", "jacobi_analog", "compatibility")]
     alone = [real(pair.tensors(), idents, o, P.FAILURE_CAP) for o in (1, 2)]
@@ -1252,3 +1254,177 @@ def test_distinct_matches_np_unique():
         assert np.array_equal(inverse, expected.ravel())
         for got, a in ((dx, x), (dflat, flat), (dbits, bits)):
             assert np.array_equal(got, a[first]) and np.array_equal(got[inverse], a)
+
+
+def test_letter_symmetries_are_read_off_the_templates():
+    # with the kind's symmetry (premise given), each deep identity keeps
+    # the side-keeping permutations of its letters that give back its
+    # template up to a sign by parities; without it only relabellings that
+    # need no rewrite hold, such as U <-> V of jacobi_analog
+    antisymmetry, symmetry = CATALOG["antisymmetry.isotopic"], CATALOG["symmetry.superJordan"]
+    one, uv, xy = (0, 1, 2, 3, 4), (0, 1, 2, 4, 3), (1, 0, 2, 3, 4)
+    s3 = itertools.permutations(range(3))
+    assert sorted(P._symmetries(CATALOG["jacobi_analog"], antisymmetry)) == sorted(
+        p + q for p in s3 for q in ((3, 4), (4, 3)))
+    assert sorted(P._symmetries(CATALOG["compatibility"], antisymmetry)) == sorted(
+        [one, uv, xy, (1, 0, 2, 4, 3)])
+    assert sorted(P._symmetries(CATALOG["super_jordan"], symmetry)) == [one, xy]
+    assert sorted(P._symmetries(CATALOG["jacobi_analog"])) == [one, uv]
+    assert list(P._symmetries(CATALOG["compatibility"])) == [one]
+    assert list(P._symmetries(CATALOG["super_jordan"])) == [one]
+    # compatibility's swaps are those of its own term [X, Y]_[U, V]_Z:
+    # -A_{X, [U,V]_Z, Y} for X <-> Y and -A_{UZV} for U <-> V
+    signs = P._symmetries(CATALOG["compatibility"], antisymmetry)
+    for b in range(32):
+        x, y, z, u, v = (b >> k & 1 for k in range(5))
+        assert signs[xy][b] == -sign_a(x, (u + v + z) % 2, y)
+        assert signs[uv][b] == -sign_a(u, z, v)
+    # J1's sign flipped in a copy of jacobi_analog's template (the catalog
+    # keeps its own) leaves X <-> Y alone with the premise, and nothing
+    # without it
+    ja = CATALOG["jacobi_analog"]
+    terms = list(ja.lhs.terms)
+    terms[0] = dataclasses.replace(terms[0], coeff=-terms[0].coeff)
+    flipped = dataclasses.replace(ja, lhs=dataclasses.replace(ja.lhs, terms=tuple(terms)))
+    assert sorted(P._symmetries(flipped, antisymmetry)) == [one, xy]
+    assert sorted(P._symmetries(flipped)) == [one]
+    assert len(P._symmetries(ja, antisymmetry)) == 12
+
+
+def _graded_pair(kind, seed, entries=12):
+    """A random even pair whose m1 and m2 are graded antisymmetric
+    (isotopic) or graded symmetric (superJordan): each random entry at
+    (u, x, y) comes with its image, -A_{XUY} or A_{XUY} times it, at
+    (u, y, x), so at x = y only where that image is the entry itself: odd
+    x for isotopic, even x for superJordan.  On spaces of dimension 6
+    and 5 the tensors stay sparse, so the deep identities take the join."""
+    rng = random.Random(seed)
+    v1 = SuperSpace.make([f"a{i}" for i in range(6)], [0, 1, 1, 0, 1, 0])
+    v2 = SuperSpace.make([f"b{i}" for i in range(5)], [1, 0, 0, 1, 1])
+    mirror = -1 if kind == "isotopic" else 1
+    tensors = []
+    for own, other in ((v1, v2), (v2, v1)):
+        m: dict = {}
+        for _ in range(entries):
+            u, x, y = rng.randrange(other.dim), rng.randrange(own.dim), rng.randrange(own.dim)
+            image = mirror * sign_a(own.parities[x], other.parities[u], own.parities[y])
+            if x == y and image != 1:
+                continue
+            parity = (other.parities[u] + own.parities[x] + own.parities[y]) % 2
+            o = rng.choice([o for o in range(own.dim) if own.parities[o] == parity])
+            c = F(rng.choice((1, -1, 2, -3)))
+            m.setdefault((u, x, y), {})[o] = c
+            m.setdefault((u, y, x), {})[o] = image * c
+        tensors.append(m)
+    return P.PairStructure(v1, v2, kind, *tensors)
+
+
+def _deep(pair):
+    names = ("jacobi_analog", "compatibility") if pair.kind == "isotopic" else ("super_jordan",)
+    return [CATALOG[n] for n in names]
+
+
+def _full_and_reduced(pair, orientation, cap, idents=None):
+    """The reports of the deep identities evaluated on every tuple, and
+    with the kind's symmetry as premise, on one orbit representative each."""
+    idents, t = idents or _deep(pair), pair.tensors()
+    full = P._eval_identities(t, idents, orientation, cap)
+    return full, P._eval_identities(t, idents, orientation, cap, P._kind_symmetry(pair))
+
+
+@pytest.mark.parametrize("kind", P.KINDS)
+@pytest.mark.parametrize("run", [P._RUN, 64])
+def test_orbit_representatives_give_the_reports_of_every_tuple(monkeypatch, kind, run):
+    # on even graded-(anti)symmetric pairs that fail the deep identities
+    # past the failure cap, failing at repeated-index tuples with an odd
+    # X = Y too, one tuple per orbit gives the reports of every tuple:
+    # the batch of verify, each identity alone (jacobi_analog alone has
+    # S3(X, Y, Z) x S2(U, V)), with all the failures kept and with the cap,
+    # in one run of X indices or in many
+    monkeypatch.setattr(P, "_RUN", run)
+    groups = []
+    monkeypatch.setattr(P, "_orbits", lambda batch, rule, real=P._orbits: (
+        real(batch, rule), groups.append([len(e.group) for e in batch])))
+    repeated = odd_repeated = past_cap = 0
+    for seed in range(4):
+        pair = _graded_pair(kind, seed)
+        idents = _deep(pair)
+        report = P.verify(pair)
+        assert all(r.passed for r in report.reports[:4])
+        for orientation in (1, 2):
+            assert {P._form(pair, i, orientation) for i in idents} == {JOIN}
+            total = report.reports[4].total
+            for cap in (P.FAILURE_CAP, total):
+                for batch in [idents] + [[i] for i in idents]:
+                    full, reduced = _full_and_reduced(pair, orientation, cap, batch)
+                    assert [r.to_json() for r in reduced] == [r.to_json() for r in full], (
+                        seed, orientation, cap, [i.name for i in batch])
+            full = _full_and_reduced(pair, orientation, total)[0]
+            odd = pair.space(orientation).parities  # of X's side
+            repeated += sum(f.where["X"] == f.where["Y"] for r in full for f in r.failures)
+            odd_repeated += sum(f.where["X"] == f.where["Y"] and odd[f.where["X"]]
+                                for r in full for f in r.failures)
+            past_cap += sum(r.failure_count > P.FAILURE_CAP for r in full)
+        full = [_full_and_reduced(pair, o, P.FAILURE_CAP)[0] for o in (1, 2)]
+        assert [r.to_json() for r in report.reports[4:]] == [
+            r.to_json() for rs in zip(*full) for r in rs]
+    assert repeated and past_cap >= 8 * len(_deep(_graded_pair(kind, 0)))
+    # X <-> Y fixes a tuple with X = Y, and where its sign is -1 the
+    # residual is 0: at even X on the antisymmetric pairs, odd X on the
+    # symmetric ones
+    isotopic = kind == "isotopic"
+    assert odd_repeated == (repeated if isotopic else 0)
+    # verify's batches share S2(X, Y) x S2(U, V), or X <-> Y of super_jordan
+    assert groups[:2] == ([[4, 4]] * 2 if isotopic else [[2]] * 2)
+    assert ([12] in groups and [4] in groups) if isotopic else groups == [[2]] * len(groups)
+
+
+def _with_entry(pair, seed, side, parity_shift, image):
+    """``pair`` with an entry at a random key (u, x, y), x != y, of m``side``
+    that (u, y, x) lacks, of output parity the sum of its inputs' plus
+    ``parity_shift``, and with ``image`` its graded (anti)symmetric image
+    at (u, y, x) too."""
+    rng = random.Random(seed)
+    own, other = pair.space(side), pair.space(3 - side)
+    tensor = {k: dict(v) for k, v in (pair.m1 if side == 1 else pair.m2).items()}
+    while True:
+        u, x, y = rng.randrange(other.dim), rng.randrange(own.dim), rng.randrange(own.dim)
+        if x != y and (u, y, x) not in tensor:
+            break
+    parity = (other.parities[u] + own.parities[x] + own.parities[y] + parity_shift) % 2
+    o = own.parities.index(parity)
+    tensor.setdefault((u, x, y), {})[o] = F(5)
+    if image:
+        mirror = -1 if pair.kind == "isotopic" else 1
+        tensor.setdefault((u, y, x), {})[o] = F(5 * mirror * sign_a(
+            own.parities[x], other.parities[u], own.parities[y]))
+    m1, m2 = (tensor, pair.m2) if side == 1 else (pair.m1, tensor)
+    return P.PairStructure(pair.v1, pair.v2, pair.kind, m1, m2)
+
+
+@pytest.mark.parametrize("kind", P.KINDS)
+@pytest.mark.parametrize("case", ["uneven", "one-sided"])
+def test_verify_evaluates_every_tuple_without_its_premise(monkeypatch, kind, case):
+    # an uneven pair that passes the kind's symmetry, and an even one that
+    # fails it in orientation 2 only: the premise fails, verify's joins keep
+    # every tuple, and its reports are the full evaluation's.  One tuple
+    # per orbit would not do on either: rewriting around a nested bracket
+    # uses that bracket's parity, which needs evenness, and a swap inside
+    # m2's nodes needs m2's symmetry
+    if case == "uneven":
+        pair = _with_entry(_graded_pair(kind, 1), 1, 1, 1, image=True)
+        premise = [False, True, True, True]
+    else:
+        pair = _with_entry(_graded_pair(kind, 0), 0, 2, 0, image=False)
+        premise = [True, True, True, False]
+    orbits = []
+    monkeypatch.setattr(P, "_orbits", lambda *args: orbits.append(args))
+    report = P.verify(pair)
+    assert [r.passed for r in report.reports[:4]] == premise and not orbits
+    full = [_full_and_reduced(pair, o, P.FAILURE_CAP)[0] for o in (1, 2)]
+    assert [r.to_json() for r in report.reports[4:]] == [
+        r.to_json() for rs in zip(*full) for r in rs]
+    monkeypatch.undo()
+    forced = [_full_and_reduced(pair, o, cap=10**6) for o in (1, 2)]
+    assert any(a.to_json() != b.to_json() for full, reduced in forced
+               for a, b in zip(full, reduced))
