@@ -44,6 +44,29 @@ is an integer combination of the group buffers.  A term whose join has
 no contribution is skipped in either form, and what depends on the
 catalog identities alone is computed once.
 
+:func:`verify` checks evenness and the kind's graded (anti)symmetry in
+both orientations first.  When all four pass, the joins of the deep
+identities evaluate one tuple per orbit of their letter symmetries, as
+Jacobi is checked on i < j < k only (de Graaf, *Lie Algebras: Theory and
+Algorithms*, 2000).  :func:`_symmetries` reads each identity's
+symmetries off its template: a side-keeping permutation of the letters
+is one when renaming the letters by it gives back the residual terms up
+to a sign by the letters' parities, once each bracket node has its two
+same-side arguments put in order by the kind's symmetry, with its
+Koszul sign.  That rewrite gives a nested bracket the parity its
+letters add up to, which holds on even tensors only: so the premise
+includes evenness.  A join batch takes the symmetries that its
+identities share, S2(X, Y) x S2(U, V) for jacobi_analog with
+compatibility and X <-> Y for super_jordan, and keeps the contributions
+of the orbit representatives X <= Y, U <= V, the least tuples of their
+orbits: inside a node that holds both letters, otherwise before the
+batch's sort.  A failing representative counts the distinct tuples of
+its orbit, and the first failures are the orbits' tuples in key order,
+each the representative's residual times its permutation's sign.
+Every other evaluation (a failed premise, the dense form, the
+identities of :mod:`isopairs.tkk`) runs the same code with the trivial
+group.
+
 One checked bound on what a cell of the primitive residual sums, every
 partial sum included, fixes the arithmetic, and the reports are exact
 in each form.  Below 2^62 the int64 join runs when it has fewer
@@ -910,6 +933,8 @@ class _Evaluation:
         tuples.  Keep the first ``cap`` failures in key order, from the
         orbits' smallest tuples, each the representative's residual times
         its σ's sign; only the kept failures are read into Fractions."""
+        if not keys.size:  # most chunks of a passing pair
+            return
         tuples = keys // self.d_out
         starts, ends = _equal_runs(tuples)
         at = np.unravel_index(tuples[starts], self.dims)
