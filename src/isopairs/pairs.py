@@ -660,9 +660,9 @@ def _nodes(t: Tensors, expr, sides: dict, letters: tuple, primes: tuple = ()):
     ``rows`` are the nested node's entries (a single unit entry for a
     lone node) and ``cols`` the outer node's, each as (X index, flat
     offset, parity bits, contracted index, value, {letter: its index} of
-    the node's letters).  The flat offset is
-    the position in the residual of one X index, ``size`` long, with the
-    output included for ``cols``; bit k of the parity bits belongs to
+    the node's letters).  The flat offset is the position in the
+    residual of one X index, ``size`` long, with the output included
+    for ``cols``; bit k of the parity bits belongs to
     ``letters[k]``.  A row and a column that agree on the contracted
     index (``width`` values: the nested node's output, the outer node's
     nested slot) make one contribution to the residual.  The node that
@@ -797,8 +797,10 @@ def _join_term(t: Tensors, expr, sides: dict, letters: tuple, run: tuple, order:
 
 def _equal_runs(keys) -> tuple:
     """(starts, ends) of the runs of equal values in ``keys``, none if empty."""
-    change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    return np.append(0, change)[:len(keys)], np.append(change, len(keys))[:len(keys)]
+    edge = np.ones(len(keys) + 1, bool)  # where a run starts, or the last one ends
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    return bounds[:-1], bounds[1:]
 
 
 def _dense_term(t: Tensors, expr, sides: dict, letters: tuple, primes: tuple) -> _Dense:
@@ -898,9 +900,10 @@ class _Evaluation:
     """One identity and orientation over a :class:`Tensors`, in the form
     :func:`_form` picks unless ``form`` is given.  Its residuals come at
     the representatives of the orbits of ``group``, a list of (σ, signs)
-    (see :func:`_symmetries`), which :func:`_orbits` sets for a join batch
-    and which is otherwise the identity alone; ``order`` lists the pairs of
-    letters in order at the representatives."""
+    (see :func:`_symmetries`) with the identity first, which
+    :func:`_orbits` sets for a join batch and which is otherwise the
+    identity alone; ``order`` lists the pairs of letters in order at the
+    representatives."""
 
     def __init__(self, t: Tensors, ident: Identity, orientation: int, form=None):
         self.t, self.ident, self.orientation = t, ident, orientation
@@ -937,14 +940,15 @@ class _Evaluation:
             return
         tuples = keys // self.d_out
         starts, ends = _equal_runs(tuples)
-        at = np.unravel_index(tuples[starts], self.dims)
-        images = np.array([np.ravel_multi_index([at[k] for k in perm], self.dims)
-                           for perm, _ in self.group]).reshape(len(self.group), -1)
+        reps = tuples[starts]
+        at = np.unravel_index(reps, self.dims)
+        images = np.array([reps, *(np.ravel_multi_index([at[k] for k in perm], self.dims)
+                                   for perm, _ in self.group[1:])])
         new = np.ones(images.shape, bool)  # the first σ to give each distinct image
         for g in range(1, len(images)):
             new[g] = (images[g] != images[:g]).all(0)
-        self.count += int(np.count_nonzero(new))
         g, i = np.nonzero(new)
+        self.count += len(g)
         image = images[g, i]
         if cap and len(self.kept) == cap:
             below = image < self.kept[-1][0]
@@ -953,14 +957,16 @@ class _Evaluation:
             least = np.argpartition(image, cap)[:cap]
             g, i, image = g[least], i[least], image[least]
         for g, i, key in zip(g.tolist(), i.tolist(), image.tolist()):
-            bits = sum(p[a[i]] << k for k, (p, a) in enumerate(zip(self.parities, at)))
-            sign, lo, hi = int(self.group[g][1][bits]), starts[i], ends[i]
+            sign, lo, hi = 1, starts[i], ends[i]  # the identity's sign is 1
+            if g:
+                bits = sum(p[a[i]] << k for k, (p, a) in enumerate(zip(self.parities, at)))
+                sign = int(self.group[g][1][bits])
             where = dict(zip(self.ident.letters, map(int, np.unravel_index(key, self.dims))))
             self.kept.append((key, Failure(where, {
                 int(k % self.d_out): Fraction(sign * self.value(v), self.denom)
                 for k, v in zip(keys[lo:hi], values[lo:hi])
             })))
-        self.kept.sort(key=lambda kept: kept[0])
+        self.kept.sort(key=operator.itemgetter(0))
         del self.kept[cap:]
 
     def report(self) -> AxiomReport:
