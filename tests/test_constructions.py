@@ -594,7 +594,7 @@ SERIES_PINS = {
 
 @functools.cache
 def _series(name):
-    """The series build of ``name``, once per session: the pins below
+    """The series build of ``name``, built once per test run: the pins below
     read it and leave it as it is."""
     return SERIES_PINS[name][0]()
 
