@@ -30,7 +30,9 @@ from the nonzero entries of its two nodes in one of two forms:
 * the sparse join: every pair of entries that meet on the contracted
   index is one contribution, keyed by its place in the residual; the
   contributions are sorted by key and repeats summed, so the work grows
-  with the nonzero contributions;
+  with the nonzero contributions.  Its rows are the node that holds X,
+  taken one run of X indices at a time, and its columns the other node,
+  sorted and counted by contracted index once;
 * the dense form: products ``a @ b`` over the distinct rows and columns
   of the two nodes, in blocks of one X index and one parity pattern of
   the rows, each term's Koszul signs folded into a signed copy of ``b``.
@@ -65,7 +67,9 @@ its orbit, and the first failures are the orbits' tuples in key order,
 each the representative's residual times its permutation's sign.
 Every other evaluation (a failed premise, the dense form, the
 identities of :mod:`isopairs.tkk`) runs the same code with the trivial
-group.
+group.  The same derivation lists the word engine's instances of the
+Definition-2 identities in :mod:`isopairs.reps`: their operator words
+hold letters and no bracket to rewrite.
 
 One checked bound on what a cell of the primitive residual sums, every
 partial sum included, fixes the arithmetic, and the reports are exact
@@ -90,7 +94,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, combinations, permutations
 from typing import Sequence
 
@@ -587,7 +591,12 @@ def _primes(t: Tensors, ident: Identity) -> tuple:
     exactly: at degree 2, with ``unit`` the bound over max|m|^2,
     (unit h + 1)^2 <= unit (2^53 - 1) + 1."""
     bound, degree = _checked_bound(t, ident), _constants(ident)[3]
-    unit = bound // _scale(t)[1] ** degree
+    return _prime_search(bound, bound // _scale(t)[1] ** degree, degree)
+
+
+@lru_cache
+def _prime_search(bound: int, unit: int, degree: int) -> tuple:
+    """:func:`_primes` of one checked bound, its unit and degree, searched once."""
     h = (2**53 - 1) // (unit + 2) if degree == 1 else (
         math.isqrt(unit * (2**53 - 1) + 1) - 1) // unit
     p, primes = 2 * h + 1, []
@@ -736,23 +745,17 @@ def _take(entries: tuple, index) -> tuple:
     return (*(a[index] for a in arrays), {l: a[index] for l, a in at.items()})
 
 
-def _by_contracted(c, width: int) -> tuple:
-    """(counts, first, by_c) of entries by contracted index ``c``: how many
-    hold each index, where each index's run starts in ``by_c``, and the
-    entries sorted stably by it."""
-    counts = np.bincount(c, minlength=width)
-    return counts, np.cumsum(counts) - counts, np.argsort(c, kind="stable")
-
-
 def _join_term(t: Tensors, expr, sides: dict, letters: tuple, run: tuple, order: tuple = ()):
     """The term's sparse join over the X indices ``lo <= X < hi`` of
     ``run``: (global keys ``X * size + flat``, parity bits, int64
     values) of every contribution, each row times each column that
     shares its contracted index, whose tuple has index(a) <= index(b)
-    for each pair of letters (a, b) of ``order``.  A node that holds both
-    letters of a pair drops its entries out of order before the join,
-    and the other pairs drop the contributions out of order."""
-    def build():  # the nodes in order, the entries of the one that holds X sorted by X
+    for each pair of letters (a, b) of ``order``.  The rows are the
+    entries of the node that holds X, the columns the other node's: the
+    join treats its two nodes alike.  A node that holds both letters of
+    a pair drops its entries out of order before the join, and the other
+    pairs drop the contributions out of order."""
+    def build():  # the nodes in order: rows sorted by X, columns by contracted index
         size, width, x_in_rows, *parts = _nodes(t, expr, sides, letters)
         across = [(a, b) for a, b in order if not any({a, b} <= p[5].keys() for p in parts)]
 
@@ -763,33 +766,26 @@ def _join_term(t: Tensors, expr, sides: dict, letters: tuple, run: tuple, order:
             node = (*arrays, {l: at[l] for pair in across for l in pair if l in at})
             return _take(node, np.logical_and.reduce(keep)) if keep else node
 
-        parts = [in_order(node) for node in parts]
-        k = 0 if x_in_rows else 1
-        parts[k] = _take(parts[k], np.argsort(parts[k][0], kind="stable"))
-        # the columns are the same on every run when X is in the rows
-        by_c = _by_contracted(parts[1][3], width) if x_in_rows else None
-        return size, width, x_in_rows, *parts, across, by_c
+        rows, cols = (in_order(node) for node in (parts if x_in_rows else parts[::-1]))
+        counts = np.bincount(cols[3], minlength=width)
+        return (size, _take(rows, np.argsort(rows[0], kind="stable")),
+                _take(cols, np.argsort(cols[3], kind="stable")),
+                counts, np.cumsum(counts) - counts, across)
 
-    size, width, x_in_rows, rows, cols, across, by_c = t.cached(
+    size, rows, cols, counts, first, across = t.cached(
         ("nodes", expr, frozenset(sides.items()), letters, order), build)
-    part = slice(*np.searchsorted((rows if x_in_rows else cols)[0], run))
-    if x_in_rows:
-        rows = _take(rows, part)
-    else:
-        cols = _take(cols, part)
-    x_r, flat_r, bits_r, c_r, v_r, at_r = rows
-    x_c, flat_c, bits_c, c_c, v_c, at_c = cols
-    counts, first, by_c = by_c or _by_contracted(c_c, width)
+    x_r, flat_r, bits_r, c_r, v_r, at_r = _take(rows, slice(*np.searchsorted(rows[0], run)))
+    _, flat_c, bits_c, _, v_c, at_c = cols  # the columns hold no X
     reps = counts[c_r]
     r = np.repeat(np.arange(len(c_r)), reps)
-    # each row's run of the columns sorted by contracted index
-    c = by_c[np.repeat(first[c_r] - (np.cumsum(reps) - reps), reps) + np.arange(len(r))]
+    # each row's run of the columns, which are sorted by contracted index
+    c = np.repeat(first[c_r] - (np.cumsum(reps) - reps), reps) + np.arange(len(r))
     if across:
         at = lambda l: at_r[l][r] if l in at_r else at_c[l][c]
         keep = np.logical_and.reduce([at(a) <= at(b) for a, b in across])
         r, c = r[keep], c[keep]
     return (
-        (x_r[r] + x_c[c]) * size + flat_r[r] + flat_c[c],
+        x_r[r] * size + flat_r[r] + flat_c[c],
         bits_r[r] | bits_c[c],
         v_r[r] * v_c[c],
     )

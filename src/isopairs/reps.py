@@ -9,7 +9,9 @@ representations.
 The Definition-2 checks, the word engine's relations, the Lie round
 trip and the lift read their identities from validated catalog
 templates (``rep.T1``, ``rep.T2`` and ``rep.superalgebra``), whose basis
-instances :func:`_instances` lists; no sign is written by hand here.
+instances :func:`_instances` lists, for the word engine one per orbit of
+the letter symmetries that :func:`isopairs.pairs._symmetries` reads off
+the same templates; no sign and no instance rule is written by hand here.
 
 The word-module engine represents candidate vectors as formal
 alternating operator words on seed vectors.  A word is only its id: the
@@ -53,6 +55,7 @@ from .pairs import (
     SpaceMismatch,
     Tensors,
     VerifyReport,
+    _symmetries,
     axiom_report,
     check_symmetry,
 )
@@ -135,14 +138,17 @@ class SplitData:
         return SplitData(indices("h1"), indices("h2"))
 
 
-def _instances(t: Tensors, ident: Identity, swap: tuple = ()):
+def _instances(t: Tensors, ident: Identity, group: Optional[dict] = None):
     """The basis instances over ``t`` of an identity whose one left node
     equals a signed sum of operator words, as ``(where, comps, words)``:
     the letters' basis indices in the node's key order, the node's
     tensor output, and each word as (coefficient, ((side, index), ...)).
-    With ``swap``, the letters (x, y) of :func:`_swapped_letters`, only
-    x < y, and x = y on odd elements, are listed: on a graded-antisymmetric
-    tensor the instance at (y, x) is -A times that at (x, y), or zero."""
+    With ``group``, letter symmetries {σ: signs} of :func:`_symmetries`
+    that hold on ``t``, the instance at σ·t is the one at t times a sign,
+    so only the least tuple of each orbit is listed, and none that a σ
+    fixes with sign -1, whose instance is zero: under graded antisymmetry,
+    x < y, and x = y on odd elements, for X, Y of ``rep.T1`` and U, V of
+    ``rep.T2``."""
     (lhs,), terms = ident.lhs.terms, ident.rhs.terms
     if lhs.coeff != 1 or lhs.sign_pairs or any(tm.coeff.denominator > 1 for tm in terms):
         raise TypeError("a representation identity equates one node to integer words")
@@ -150,11 +156,20 @@ def _instances(t: Tensors, ident: Identity, swap: tuple = ()):
     letters = tuple(e.name for e in node.slots)
     tensor = t.tensors[sides[node.left.name]]
     spaces = [t.spaces[sides[l]] for l in letters]
-    x, y = map(letters.index, swap) if swap else (0, 0)
+    # each σ as the places of ``letters`` that σ·t reads, with its signs
+    bit = [ident.letters.index(l) for l in letters]
+    moves = [([letters.index(ident.letters[perm[k]]) for k in bit], signs)
+             for perm, signs in (group or {}).items()]
+
+    def least(key) -> bool:
+        """Whether ``key`` is the least of its orbit and no σ fixes it with sign -1."""
+        bits = sum(s.parities[i] << k for s, i, k in zip(spaces, key, bit))
+        return all((image := tuple(key[j] for j in reads)) > key
+                   or image == key and signs[bits] > 0 for reads, signs in moves)
+
+    keys = itertools.product(*(range(s.dim) for s in spaces))
     signed: dict = {}  # the words' coefficients, by the letters' parities
-    for key in itertools.product(*(range(s.dim) for s in spaces)):
-        if swap and (key[x] > key[y] or key[x] == key[y] and not spaces[x].parities[key[x]]):
-            continue
+    for key in filter(least, keys) if moves else keys:
         where = dict(zip(letters, key))
         bits = tuple(s.parities[i] for s, i in zip(spaces, key))
         if bits not in signed:
@@ -164,19 +179,6 @@ def _instances(t: Tensors, ident: Identity, swap: tuple = ()):
         words = [(c, tuple((sides[l], where[l]) for l in tm.expr.letters))
                  for c, tm in zip(signed[bits], terms)]
         yield where, tensor.get(key, {}), words
-
-
-def _swapped_letters(ident: Identity) -> tuple:
-    """The two letters of ``ident``'s left node that graded antisymmetry
-    exchanges: those where the nodes of ``antisymmetry.isotopic`` differ,
-    renamed slot by slot onto ``ident``'s node."""
-    sym = CATALOG["antisymmetry.isotopic"]
-    (src,), (dst,) = sym.lhs.terms, sym.rhs.terms
-    node = ident.lhs.terms[0].expr
-    if type(node) is not type(src.expr) or node.op != src.expr.op:
-        raise TypeError(f"{ident.name} does not equate an isocommutator")
-    rename = {a.name: b.name for a, b in zip(src.expr.slots, node.slots)}
-    return tuple(rename[a.name] for a, b in zip(src.expr.slots, dst.expr.slots) if a != b)
 
 
 def _residuals(t: Tensors, ident: Identity, own: Sequence[Matrix], mix, tag=()):
@@ -195,10 +197,8 @@ def _residuals(t: Tensors, ident: Identity, own: Sequence[Matrix], mix, tag=()):
         yield dict(tag, **where), res
 
 
-# the Definition-2 identities, by the side whose operators they constrain,
-# and the letter pair in which each is graded-antisymmetric
+# the Definition-2 identities, by the side whose operators they constrain
 _REP = {1: CATALOG["rep.T1"], 2: CATALOG["rep.T2"]}
-_SWAPS = {side: _swapped_letters(ident) for side, ident in _REP.items()}
 
 
 def _integral(vec: dict) -> dict:
@@ -428,13 +428,13 @@ class _WordEngine:
         # word's last operator acting first, walked down first_child (a
         # word on the wrong sector is killed, and none reaches the cap);
         # on a graded-antisymmetric pair (the engine's callers take
-        # isotopic pairs only), each exchanged pair of instances spans one
-        # line, so only one of them is listed
-        t = self.pair.tensors()
+        # isotopic pairs only), the instances of an orbit of the letter
+        # symmetries span one line, so only one of them is listed
+        t, rule = self.pair.tensors(), CATALOG["antisymmetry.isotopic"]
         antisymmetric = all(r.passed for r in check_symmetry(self.pair))
         instances = {side: [(_integral(comps), [(-c, word[::-1]) for c, word in words])
                             for _, comps, words in _instances(
-                                t, ident, _SWAPS[side] if antisymmetric else ())]
+                                t, ident, _symmetries(ident, rule) if antisymmetric else None)]
                      for side, ident in _REP.items()}
 
         def relations():

@@ -121,6 +121,7 @@ class WordExpr:
     words rather than brackets)."""
 
     letters: tuple[str, ...]
+    slots = property(lambda self: tuple(map(Letter, self.letters)))
 
 
 @dataclass(frozen=True)
@@ -182,8 +183,6 @@ Expr = Union[Letter, WordExpr, Bracket, Comm, Triple, Act]
 def expr_letters(e: Expr) -> tuple[str, ...]:
     if isinstance(e, Letter):
         return (e.name,)
-    if isinstance(e, WordExpr):
-        return e.letters
     return sum(map(expr_letters, e.slots), ())
 
 

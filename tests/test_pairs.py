@@ -715,7 +715,8 @@ def test_lockstep_batch_matches_fraction_oracle(monkeypatch, case):
 
 class _SortSpy:
     """numpy as :mod:`isopairs.pairs` sees it, with every ``argsort``
-    recorded by its ``kind``: the join's batch sort takes the default."""
+    recorded by its ``kind`` (the join's batch sort takes the default)
+    and every ``bincount`` as "bincount"."""
 
     def __init__(self):
         self.sorts = []
@@ -727,37 +728,63 @@ class _SortSpy:
         self.sorts.append(kind)
         return np.argsort(a, kind=kind)
 
+    def bincount(self, *args, **kwargs):
+        self.sorts.append("bincount")
+        return np.bincount(*args, **kwargs)
+
 
 def test_join_lockstep_matches_fraction_oracle(monkeypatch):
     # jacobi_analog and compatibility evaluated together in the join form,
-    # with the X indices cut into several runs, give the oracle's reports
-    # in both orientations, on passing and failing pairs; each run sorts
-    # the keys of the batch's terms once, for both identities
-    idents = [CATALOG["jacobi_analog"], CATALOG["compatibility"]]
+    # and the kind's symmetry forced into it, with the X indices cut into
+    # several runs, give the oracle's reports in both orientations, on
+    # passing and failing pairs; each run sorts the keys of the batch's
+    # terms once, for both identities, and a term sorts and counts its
+    # nodes' entries only when it builds them, not on every run, also
+    # when X is in the outer node (J2, J5, compatibility's own term and
+    # the symmetry's one node)
+    deep = [CATALOG["jacobi_analog"], CATALOG["compatibility"]]
     gl11 = series_gl(1, 1).pair
     pairs = [gl11, series_q(1).pair, random_even_perturbation(gl11, Lcg64(23)),
              random_even_perturbation(series_q(1).pair, Lcg64(29))]
-    spy, runs = _SortSpy(), []
-    monkeypatch.setattr(P, "_RUN", 2**8)
+    spy, runs, calls = _SortSpy(), [], []
     monkeypatch.setattr(P, "np", spy)
     monkeypatch.setattr(P, "_runs", lambda t, evals, real=P._runs: (
         runs.append([e.ident.name for e in evals]) or real(t, evals)))
+
+    def join_term(t, *args, real=P._join_term):
+        """Record whether the call built the term's nodes, and what it sorted or counted."""
+        memo, start = len(t.memo), len(spy.sorts)
+        out = real(t, *args)
+        calls.append((len(t.memo) > memo, spy.sorts[start:]))
+        return out
+
+    monkeypatch.setattr(P, "_join_term", join_term)
     total_runs = 0
-    for k, pair in enumerate(pairs):
-        for orientation in (1, 2):
-            t = pair.tensors()
-            evals = [P._Evaluation(t, ident, orientation) for ident in idents]
-            assert [e.form for e in evals] == [JOIN, JOIN]
-            batch_runs = len(P._runs(t, evals))
-            total_runs += batch_runs
-            del spy.sorts[:], runs[:]
-            got = P._eval_identities(t, idents, orientation, P.FAILURE_CAP)
-            want = [_oracle_report(pair, ident, orientation) for ident in idents]
-            assert [r.to_json() for r in got] == [r.to_json() for r in want], (k, orientation)
-            assert all(r.passed for r in got) == (k < 2)
-            assert runs == [["jacobi_analog", "compatibility"]]
-            assert spy.sorts.count(None) == batch_runs
-    assert total_runs > 2 * len(pairs)  # the runs split the X indices
+    for run, idents in ((2**8, deep), (2**4, [CATALOG["antisymmetry.isotopic"]])):
+        monkeypatch.setattr(P, "_RUN", run)
+        if len(idents) == 1:  # a degree-1 join has as many contributions as
+            # its dense form has cells, so the symmetry takes the join only here
+            monkeypatch.setattr(P, "_form", lambda *args: JOIN)
+        names = [ident.name for ident in idents]
+        for k, pair in enumerate(pairs):
+            for orientation in (1, 2):
+                t = pair.tensors()
+                evals = [P._Evaluation(t, ident, orientation) for ident in idents]
+                assert [e.form for e in evals] == [JOIN] * len(idents)
+                batch_runs = len(P._runs(t, evals))
+                total_runs += batch_runs
+                del spy.sorts[:], runs[:], calls[:]
+                got = P._eval_identities(t, idents, orientation, P.FAILURE_CAP)
+                want = [_oracle_report(pair, ident, orientation) for ident in idents]
+                assert [r.to_json() for r in got] == [r.to_json() for r in want], (k, orientation)
+                if idents == deep:
+                    assert all(r.passed for r in got) == (k < 2)
+                assert runs == [names]
+                assert spy.sorts.count(None) == batch_runs
+                assert all("stable" in made for built, made in calls if built)
+                assert not any(made for built, made in calls if not built)
+                assert len(calls) == sum(built for built, _ in calls) * batch_runs
+    assert total_runs > 4 * len(pairs)  # the runs split the X indices
 
 
 def test_terms_without_contributions_build_nothing(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isopairs import pairs as P
 from isopairs import reps as R
 from isopairs.constructions import (
     SuperMatrixSpace,
@@ -20,12 +21,13 @@ from isopairs.constructions import (
 from isopairs.exactlin import IncrementalSpan, Matrix, axpy
 from isopairs.pairs import PairStructure, SpaceMismatch, check_symmetry
 from isopairs.rng import Lcg64
-from isopairs.supercore import SuperSpace, expand_template, sign_a
+from isopairs.supercore import CATALOG, SuperSpace, expand_template, sign_a
 from isopairs.tkk import superalgebra_from_pair
 
 from dense_oracle import kernel_basis, rref
 
 F = Fraction
+ANTISYMMETRY = CATALOG["antisymmetry.isotopic"]
 
 
 def unit(k, d):
@@ -888,8 +890,28 @@ def test_relation_closure_matches_the_act_oracle(monkeypatch, build):
     assert result.closure_dims == closure_dims
 
 
+def _swap(ident):
+    """The letters that the one transposition among ``ident``'s letter
+    symmetries under graded antisymmetry exchanges, and its signs."""
+    (perm, signs), = ((p, s) for p, s in P._symmetries(ident, ANTISYMMETRY).items()
+                      if p != tuple(range(len(p))))
+    return tuple(l for l, k in zip(ident.letters, perm) if ident.letters[k] != l), signs
+
+
 def test_swapped_letters_are_derived_from_the_antisymmetry_template():
-    assert R._SWAPS == {1: ("X", "Y"), 2: ("U", "V")}
+    # rep.T1 has letters (X, Y, U), rep.T2 (X, U, V); bit k of a sign
+    # table's index is the parity of letter k, and the transposition's
+    # sign is -A_{XUY} for rep.T1 and -A_{UXV} for rep.T2
+    assert sorted(P._symmetries(R._REP[1], ANTISYMMETRY)) == [(0, 1, 2), (1, 0, 2)]
+    assert sorted(P._symmetries(R._REP[2], ANTISYMMETRY)) == [(0, 1, 2), (0, 2, 1)]
+    assert {side: _swap(ident)[0] for side, ident in R._REP.items()} == {
+        1: ("X", "Y"), 2: ("U", "V")}
+    for side, ident in R._REP.items():
+        node = {1: "XUY", 2: "UXV"}[side]
+        for bits in range(8):
+            p = {l: bits >> k & 1 for k, l in enumerate(ident.letters)}
+            assert P._symmetries(ident, ANTISYMMETRY)[(0, 1, 2)][bits] == 1
+            assert _swap(ident)[1][bits] == -sign_a(*(p[l] for l in node))
 
 
 @pytest.mark.parametrize("side", [1, 2])
@@ -899,7 +921,7 @@ def test_swapped_letters_map_each_rep_rhs_to_plus_or_minus_itself(side):
     # parity assignment; so on a graded-antisymmetric tensor the
     # exchanged instance is a multiple of the listed one
     ident = R._REP[side]
-    a, b = R._SWAPS[side]
+    (a, b), _ = _swap(ident)
     assert ident.sides[a] == ident.sides[b]
     exchange = {a: b, b: a}
     letters = ident.letters
@@ -922,9 +944,9 @@ def test_the_symmetric_listing_needs_graded_antisymmetry(monkeypatch, n, m, brok
     instances = R._instances
     listed = {}
 
-    def recorded(t, ident, swap=()):
-        listed[ident.name] = [where for where, _, _ in instances(t, ident, swap)]
-        return instances(t, ident, swap)
+    def recorded(t, ident, group=None):
+        listed[ident.name] = [where for where, _, _ in instances(t, ident, group)]
+        return instances(t, ident, group)
 
     monkeypatch.setattr(R, "_instances", recorded)
     R._WordEngine(pair, [(1, "s1", 0), (2, "s2", 0)], [], 3)
@@ -933,7 +955,7 @@ def test_the_symmetric_listing_needs_graded_antisymmetry(monkeypatch, n, m, brok
         want = [where for where, _, _ in instances(t, ident)]
         if not broken:
             # one of each exchanged pair, and the diagonal on odd letters
-            a, b = R._SWAPS[side]
+            a, b = {1: ("X", "Y"), 2: ("U", "V")}[side]
             odd = pair.space(side).parities
             want = [w for w in want if w[a] < w[b] or w[a] == w[b] and odd[w[a]]]
         assert listed[ident.name] == want
