@@ -44,7 +44,7 @@ run of X indices, and each identity sums its signed values in that
 order; a dense group adds its blocks into one buffer, and each residual
 is an integer combination of the group buffers.  A term whose join has
 no contribution is skipped in either form, and what depends on the
-catalog identities alone is computed once.
+catalog identities alone is computed once, by ``functools.cache``.
 
 :func:`verify` checks evenness and the kind's graded (anti)symmetry in
 both orientations first.  When all four pass, the joins of the deep
@@ -94,7 +94,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import chain, combinations, permutations
 from typing import Sequence
 
@@ -414,104 +414,80 @@ def _nested(expr):
                 (None, None))
 
 
-# what depends on catalog identities alone, by their ids; an entry holds them: no id reuse
-_CONSTANTS: dict = {}
-
-
-def _constant(name: str, idents: tuple, build):
-    key = (name, *map(id, idents))
-    return (_CONSTANTS.get(key) or _CONSTANTS.setdefault(key, (idents, build())))[1]
-
-
+@cache
 def _constants(ident: Identity) -> tuple:
     """(residual terms, the lcm ``cs`` of their denominators, their
     coefficients times ``cs``, their bracket degree, each term's Koszul
-    sign by the parity bits, bit k that of ``ident.letters[k]``), once."""
-    def build():
-        terms, n = ident.residual_terms(), len(ident.letters)
-        cs = reduce(math.lcm, (t.coeff.denominator for t in terms), 1)
-        degrees = {_term_degree(t.expr) for t in terms}
-        if len(degrees) != 1 or not degrees <= {1, 2}:
-            raise TypeError("identity evaluation needs terms of one bracket degree, 1 or 2")
-        bits = [{l: b >> k & 1 for k, l in enumerate(ident.letters)} for b in range(2**n)]
-        signs = np.array([[eval_sign_pairs(t.sign_pairs, p) for p in bits] for t in terms])
-        signs.flags.writeable = False  # shared by every evaluation
-        return terms, cs, [int(t.coeff * cs) for t in terms], degrees.pop(), signs
-
-    return _constant("constants", (ident,), build)
+    sign by the parity bits, bit k that of ``ident.letters[k]``)."""
+    terms, n = ident.residual_terms(), len(ident.letters)
+    cs = reduce(math.lcm, (t.coeff.denominator for t in terms), 1)
+    degrees = {_term_degree(t.expr) for t in terms}
+    if len(degrees) != 1 or not degrees <= {1, 2}:
+        raise TypeError("identity evaluation needs terms of one bracket degree, 1 or 2")
+    bits = [{l: b >> k & 1 for k, l in enumerate(ident.letters)} for b in range(2**n)]
+    signs = np.array([[eval_sign_pairs(t.sign_pairs, p) for p in bits] for t in terms])
+    signs.flags.writeable = False  # shared by every evaluation
+    return terms, cs, [int(t.coeff * cs) for t in terms], degrees.pop(), signs
 
 
-def _symmetries(ident: Identity, rule: Identity | None = None) -> dict:
-    """{σ: signs} of the identity's letter symmetries, once per identity
-    and ``rule``.  σ is a side-keeping permutation of the letter positions
-    and signs a ±1 table by parity bits (bit k that of letter k), such
-    that the residual at the tuple σ·t, whose letter k takes t's index of
-    letter σ[k], is signs[bits of t] times the residual at t.  σ is kept
-    when renaming each letter k to letter σ[k] in the residual terms gives
-    back the terms times those signs, once each node of ``rule``'s shape
-    has the two slots that ``rule`` swaps put in order of their first
-    letters by ``rule`` with its sign: ``rule`` is the kind's symmetry,
-    and it holds for a nested node with the parity its letters add up to
-    on even tensors only.  Without ``rule`` no slot moves, and only
-    relabellings such as U <-> V of jacobi_analog are kept."""
-    letters, n = ident.letters, len(ident.letters)
-    patterns = np.arange(2**n)
+@cache
+def _symmetries(ident: Identity, rule: Identity) -> dict:
+    """{σ: signs} of the identity's letter symmetries under ``rule``, the
+    kind's symmetry.  σ is a side-keeping permutation of the letter
+    positions and signs a ±1 table by parity bits (bit k that of letter
+    k), such that the residual at the tuple σ·t, whose letter k takes t's
+    index of letter σ[k], is signs[bits of t] times the residual at t.  σ
+    is kept when renaming each letter k to letter σ[k] in the residual
+    terms gives back the terms times those signs, once each node of
+    ``rule``'s shape has the two slots that ``rule`` swaps put in order of
+    their first letters, times -c1 s1 / (c0 s0) of ``rule``'s residual
+    terms (-A for antisymmetry, +A for symmetry) at the slots' parities,
+    the sums of their letters', which holds on even tensors only."""
+    letters, patterns = ident.letters, np.arange(2 ** len(ident.letters))
+    terms, _, coeffs, _, signs = _constants(ident)
+    rule_terms, _, (c0, c1), _, (s0, s1) = _constants(rule)
+    shape, after = (t.expr for t in rule_terms)
+    i, j = (k for k, (a, b) in enumerate(zip(shape.slots, after.slots)) if a != b)
+    swap = -c1 * s1 // (c0 * s0)
 
-    def build():
-        terms, _, coeffs, _, signs = _constants(ident)
-        if rule:
-            (before,), (after,) = rule.lhs.terms, rule.rhs.terms
-            shape, names = before.expr, [l.name for l in before.expr.slots]
-            i, j = (k for k, (a, b) in enumerate(zip(shape.slots, after.expr.slots)) if a != b)
-            pairs = [tuple(p) for p in chain(before.sign_pairs, after.sign_pairs)]
+    def canon(expr, name: dict):
+        """(a key of ``expr`` renamed by ``name``, with the slots of each
+        node of ``rule``'s shape in order, its letters, its sign by parity
+        bits)."""
+        if isinstance(expr, Letter):
+            return name[expr.name], (name[expr.name],), 1
+        keys, held, slot_signs = map(list, zip(*(canon(e, name) for e in expr.slots)))
+        k = math.prod(slot_signs)
+        if type(expr) is type(shape) and expr.op == shape.op and (
+                min(map(letters.index, held[j])) < min(map(letters.index, held[i]))):
+            odd = [sum(patterns >> letters.index(a) for a in ls) & 1 for ls in held]
+            k = k * swap[sum(p << rule.letters.index(l.name)
+                             for p, l in zip(odd, shape.slots))]
+            keys[i], keys[j] = keys[j], keys[i]
+        return (type(expr), getattr(expr, "op", None), *keys), sum(held, ()), k
 
-        def swap_sign(held):
-            """The sign by parity bits that ``rule`` gives the swap of the
-            slots that hold the letters ``held``, each slot of the parity
-            its letters add up to."""
-            odd = {s: sum(patterns >> letters.index(a) & 1 for a in ls) & 1
-                   for s, ls in zip(names, held)}
-            return int(after.coeff / before.coeff) * (-1) ** sum(
-                (odd[a] * odd[b] for a, b in pairs), patterns * 0)
+    def image(perm):
+        """The residual at σ·t as {expression key: coefficient by parity bits of t}."""
+        name = {l: letters[p] for l, p in zip(letters, perm)}
+        moved = sum((patterns >> p & 1) << k for k, p in enumerate(perm))
+        out: dict = {}
+        for term, c, term_signs in zip(terms, coeffs, signs):
+            expr, _, k = canon(term.expr, name)
+            out[expr] = out.get(expr, 0) + c * term_signs[moved] * k
+        return {e: v for e, v in out.items() if v.any()}
 
-        def canon(expr, name: dict):
-            """(a key of ``expr`` renamed by ``name``, with the slots of each
-            node of ``rule``'s shape in order, its letters, its sign by
-            parity bits)."""
-            if isinstance(expr, Letter):
-                return name[expr.name], (name[expr.name],), 1
-            keys, held, slot_signs = map(list, zip(*(canon(e, name) for e in expr.slots)))
-            k = math.prod(slot_signs)
-            if rule and type(expr) is type(shape) and expr.op == shape.op and (
-                    min(map(letters.index, held[j])) < min(map(letters.index, held[i]))):
-                k = k * swap_sign(held)
-                keys[i], keys[j] = keys[j], keys[i]
-            return (type(expr), getattr(expr, "op", None), *keys), sum(held, ()), k
-
-        def image(perm):
-            """The residual at σ·t as {expression key: coefficient by parity bits of t}."""
-            name = {l: letters[p] for l, p in zip(letters, perm)}
-            moved = sum((patterns >> p & 1) << k for k, p in enumerate(perm))
-            out: dict = {}
-            for term, c, term_signs in zip(terms, coeffs, signs):
-                expr, _, k = canon(term.expr, name)
-                out[expr] = out.get(expr, 0) + c * term_signs[moved] * k
-            return {e: v for e, v in out.items() if v.any()}
-
-        base, group = image(range(n)), {}
-        for perm in permutations(range(n)):
-            if any(ident.sides[letters[p]] != ident.sides[l] for l, p in zip(letters, perm)):
-                continue
-            moved = image(perm)
-            if moved.keys() == base.keys():
-                a, b = np.array([moved[e] for e in base]), np.array([base[e] for e in base])
-                signs_of = np.where((a * b).sum(0) < 0, -1, 1)
-                if (a == signs_of * b).all():
-                    signs_of.flags.writeable = False  # shared by every evaluation
-                    group[perm] = signs_of
-        return group
-
-    return _constant("symmetries", (ident, rule) if rule else (ident,), build)
+    base, group = image(range(len(letters))), {}
+    for perm in permutations(range(len(letters))):
+        if any(ident.sides[letters[p]] != ident.sides[l] for l, p in zip(letters, perm)):
+            continue
+        moved = image(perm)
+        if moved.keys() == base.keys():
+            a, b = np.array([moved[e] for e in base]), np.array([base[e] for e in base])
+            signs_of = np.where((a * b).sum(0) < 0, -1, 1)
+            if (a == signs_of * b).all():
+                signs_of.flags.writeable = False  # shared by every evaluation
+                group[perm] = signs_of
+    return group
 
 
 def _read(t: Tensors) -> None:
@@ -885,8 +861,8 @@ _RUN = 2**15
 
 def _runs(t: Tensors, evals: list) -> list:
     """The runs ``(lo, hi)`` of X indices of a batch of sparse joins."""
-    joins = sum(_term_counts(t, expr, evals[0].sides)[0]
-                for members in _term_groups(evals).values() for expr, *_ in members)
+    joins = sum(_term_counts(t, expr, evals[0].sides)[0] for members in
+                _term_groups(tuple(e.ident for e in evals)).values() for expr, *_ in members)
     n, dim = 1 + joins // _RUN, evals[0].dims[0]
     bounds = sorted({dim * k // n for k in range(n + 1)})
     return list(zip(bounds[:-1], bounds[1:]))
@@ -999,26 +975,23 @@ def _residues(stacked: np.ndarray, primes: tuple) -> np.ndarray:
     return stacked
 
 
-def _term_groups(evals: list) -> dict:
+@cache
+def _term_groups(idents: tuple) -> dict:
     """{direction: [(expression, Koszul signs by parity bits, multiple)]}:
     the identities' residual terms, a term's coefficient in identity i its
     multiple times direction[i], a direction of gcd 1 with a positive
-    first nonzero; computed once per tuple of identities."""
-    idents = tuple(e.ident for e in evals)
-    def build():
-        columns: dict = {}
-        for i, (terms, _, coeffs, _, signs) in enumerate(map(_constants, idents)):
-            for term, c, sign in zip(terms, coeffs, signs):
-                key = term.expr, term.sign_pairs
-                columns.setdefault(key, (sign, [0] * len(idents)))[1][i] += c
-        groups: dict = {}
-        for (expr, _), (sign, column) in columns.items():
-            if any(column):
-                k = math.gcd(*column) * (1 if next(filter(None, column)) > 0 else -1)
-                groups.setdefault(tuple(c // k for c in column), []).append((expr, sign, k))
-        return groups
-
-    return _constant("groups", idents, build)
+    first nonzero."""
+    columns: dict = {}
+    for i, (terms, _, coeffs, _, signs) in enumerate(map(_constants, idents)):
+        for term, c, sign in zip(terms, coeffs, signs):
+            key = term.expr, term.sign_pairs
+            columns.setdefault(key, (sign, [0] * len(idents)))[1][i] += c
+    groups: dict = {}
+    for (expr, _), (sign, column) in columns.items():
+        if any(column):
+            k = math.gcd(*column) * (1 if next(filter(None, column)) > 0 else -1)
+            groups.setdefault(tuple(c // k for c in column), []).append((expr, sign, k))
+    return groups
 
 
 def _lockstep(t: Tensors, evals: list):
@@ -1036,7 +1009,7 @@ def _lockstep(t: Tensors, evals: list):
     groups = [(d, [(dense, dense.signed(k * sign)) for expr, sign, k in members
                    if _term_counts(t, expr, first.sides)[0]
                    for dense in [_dense_term(t, expr, first.sides, letters, primes)]])
-              for d, members in _term_groups(evals).items()]
+              for d, members in _term_groups(tuple(e.ident for e in evals)).items()]
     buffers = [np.zeros(max(len(primes), 1) * size) for _ in groups]
     outs = [next((b for (d, _), b in zip(groups, buffers) if d[i] == 1 and not any(d[:i])),
                  None) for i in range(len(evals))]
@@ -1069,7 +1042,8 @@ def _joined(t: Tensors, evals: list):
     by its multiple, the keys of all the terms are sorted once, and each
     identity sums in that one order the values times its direction entry."""
     sides, letters, pairs = evals[0].sides, evals[0].ident.letters, evals[0].order
-    terms = [(d, expr, k * sign) for d, members in _term_groups(evals).items()
+    groups = _term_groups(tuple(e.ident for e in evals))
+    terms = [(d, expr, k * sign) for d, members in groups.items()
              for expr, sign, k in members if _term_counts(t, expr, sides)[0]]
     for run in _runs(t, evals) if terms else ():
         joins = [_join_term(t, expr, sides, letters, run, pairs) for _, expr, _ in terms]

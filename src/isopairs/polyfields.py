@@ -40,9 +40,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exactlin import axpy, scalar_from_str
-from .pairs import VerifyReport, _orient, axiom_report
+from .pairs import VerifyReport, _constants, _orient, axiom_report
 from .rng import Lcg64
-from .supercore import CATALOG, Letter, eval_sign_pairs, sign_a
+from .supercore import CATALOG, Letter, sign_a
 
 @functools.lru_cache(maxsize=4096)
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -530,28 +530,29 @@ def sample_check_w_o_pair(
     reports = []
     for name in ("jacobi_analog", "compatibility"):
         ident = CATALOG[name]
+        terms, cs, coeffs, _, signs = _constants(ident)
         for orientation in (1, 2):
             sides = _orient(ident.sides, orientation)
 
             def residual():
-                env, parities = {}, {}
-                for letter in ident.letters:
+                env, bits = {}, 0  # bit k the parity of letter k
+                for k, letter in enumerate(ident.letters):
                     par = rng.below(2) if m else 0
                     if sides[letter] == 1:  # V1 = W(n|m)
                         env[letter] = random_field(n, m, maxdeg, par, rng)
                     else:  # V2 = O(n|m)
                         env[letter] = random_poly(n, m, maxdeg, par, rng)
-                    parities[letter] = par
+                    bits |= par << k
                 # sum the terms into one workspace per coefficient slot
                 acc: list = []
-                for t in ident.residual_terms():
-                    c = _coeff(t.coeff * eval_sign_pairs(t.sign_pairs, parities))
+                for t, c, sign in zip(terms, coeffs, signs):
+                    c = _coeff(Fraction(c * int(sign[bits]), cs))
                     val = _eval_tree(t.expr, env)
                     field = isinstance(val, SuperVectorField)
                     polys = val.coeffs if field else (val,)
                     acc = acc or [{} for _ in polys]
-                    for terms, p in zip(acc, polys):
-                        axpy(terms, c, p.terms)
+                    for workspace, p in zip(acc, polys):
+                        axpy(workspace, c, p.terms)
                 polys = [SuperPolynomial._make(n, m, terms) for terms in acc]
                 total = SuperVectorField._make(n, m, polys) if field else polys[0]
                 return {} if total.is_zero() else _residual_repr(total)

@@ -10,8 +10,9 @@ The Definition-2 checks, the word engine's relations, the Lie round
 trip and the lift read their identities from validated catalog
 templates (``rep.T1``, ``rep.T2`` and ``rep.superalgebra``), whose basis
 instances :func:`_instances` lists, for the word engine one per orbit of
-the letter symmetries that :func:`isopairs.pairs._symmetries` reads off
-the same templates; no sign and no instance rule is written by hand here.
+the letter symmetries, with the word signs and the symmetries that
+:func:`isopairs.pairs._constants` and :func:`isopairs.pairs._symmetries`
+read off the same templates; no sign or instance rule is written here.
 
 The word-module engine represents candidate vectors as formal
 alternating operator words on seed vectors.  A word is only its id: the
@@ -55,11 +56,12 @@ from .pairs import (
     SpaceMismatch,
     Tensors,
     VerifyReport,
+    _constants,
     _symmetries,
     axiom_report,
     check_symmetry,
 )
-from .supercore import CATALOG, TKK_CATALOG, Identity, SuperSpace, eval_sign_pairs
+from .supercore import CATALOG, TKK_CATALOG, Identity, SuperSpace
 from .tkk import PolarizedSuperalgebra, PreconditionError
 
 
@@ -141,14 +143,14 @@ class SplitData:
 def _instances(t: Tensors, ident: Identity, group: Optional[dict] = None):
     """The basis instances over ``t`` of an identity whose one left node
     equals a signed sum of operator words, as ``(where, comps, words)``:
-    the letters' basis indices in the node's key order, the node's
-    tensor output, and each word as (coefficient, ((side, index), ...)).
-    With ``group``, letter symmetries {σ: signs} of :func:`_symmetries`
-    that hold on ``t``, the instance at σ·t is the one at t times a sign,
-    so only the least tuple of each orbit is listed, and none that a σ
-    fixes with sign -1, whose instance is zero: under graded antisymmetry,
-    x < y, and x = y on odd elements, for X, Y of ``rep.T1`` and U, V of
-    ``rep.T2``."""
+    the letters' basis indices in the node's key order, the node's tensor
+    output, and each word as (coefficient, ((side, index), ...)), signed
+    as :func:`_constants` reads it.  With ``group``, letter symmetries
+    {σ: signs} of :func:`_symmetries` that hold on ``t``, the instance at
+    σ·t is the one at t times a sign, so only the least tuple of each
+    orbit is listed, and none that a σ fixes with sign -1, whose instance
+    is zero: under graded antisymmetry, x < y, and x = y on odd elements,
+    for X, Y of ``rep.T1`` and U, V of ``rep.T2``."""
     (lhs,), terms = ident.lhs.terms, ident.rhs.terms
     if lhs.coeff != 1 or lhs.sign_pairs or any(tm.coeff.denominator > 1 for tm in terms):
         raise TypeError("a representation identity equates one node to integer words")
@@ -160,24 +162,16 @@ def _instances(t: Tensors, ident: Identity, group: Optional[dict] = None):
     bit = [ident.letters.index(l) for l in letters]
     moves = [([letters.index(ident.letters[perm[k]]) for k in bit], signs)
              for perm, signs in (group or {}).items()]
-
-    def least(key) -> bool:
-        """Whether ``key`` is the least of its orbit and no σ fixes it with sign -1."""
+    _, _, coeffs, _, koszul = _constants(ident)
+    by_bits = (-koszul[1:].T * coeffs[1:]).tolist()  # the words' coefficients by parity bits
+    for key in itertools.product(*(range(s.dim) for s in spaces)):
         bits = sum(s.parities[i] << k for s, i, k in zip(spaces, key, bit))
-        return all((image := tuple(key[j] for j in reads)) > key
-                   or image == key and signs[bits] > 0 for reads, signs in moves)
-
-    keys = itertools.product(*(range(s.dim) for s in spaces))
-    signed: dict = {}  # the words' coefficients, by the letters' parities
-    for key in filter(least, keys) if moves else keys:
+        if moves and not all((image := tuple(key[j] for j in reads)) > key
+                             or image == key and signs[bits] > 0 for reads, signs in moves):
+            continue  # not the least of its orbit, or fixed by a σ with sign -1
         where = dict(zip(letters, key))
-        bits = tuple(s.parities[i] for s, i in zip(spaces, key))
-        if bits not in signed:
-            parities = dict(zip(letters, bits))
-            signed[bits] = [int(tm.coeff) * eval_sign_pairs(tm.sign_pairs, parities)
-                            for tm in terms]
         words = [(c, tuple((sides[l], where[l]) for l in tm.expr.letters))
-                 for c, tm in zip(signed[bits], terms)]
+                 for c, tm in zip(by_bits[bits], terms)]
         yield where, tensor.get(key, {}), words
 
 

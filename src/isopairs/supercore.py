@@ -378,7 +378,7 @@ def validate_identity(
 X, Y, Z, U, V = (Letter(l) for l in LETTERS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: caches key on it
 class Identity:
     """A named identity: lhs = rhs, letters typed to pair sides.
 
@@ -691,7 +691,7 @@ def _term_moves(t: TemplateTerm, letters: tuple[str, ...]):
 
 
 def find_correction(
-    lhs: IdentityTemplate, rhs: IdentityTemplate, max_distance: int = 2
+    lhs: IdentityTemplate, rhs: IdentityTemplate
 ) -> Optional[tuple[IdentityTemplate, str]]:
     """Search sign-corrected variants of ``rhs`` that make lhs = rhs hold
     in the envelope, nearest the printed form first.  Returns the first
@@ -708,8 +708,6 @@ def find_correction(
     for cand, what in candidates:
         if validate_identity(lhs, cand).equal:
             return cand, what
-    if max_distance < 2:
-        return None
     for (c1, w1), (c2, w2) in itertools.combinations(list(enumerate(terms)), 2):
         for t1, what1 in _term_moves(w1, letters):
             for t2, what2 in _term_moves(w2, letters):

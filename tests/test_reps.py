@@ -959,3 +959,39 @@ def test_the_symmetric_listing_needs_graded_antisymmetry(monkeypatch, n, m, brok
             odd = pair.space(side).parities
             want = [w for w in want if w[a] < w[b] or w[a] == w[b] and odd[w[a]]]
         assert listed[ident.name] == want
+
+
+def test_template_signs_are_read_once_per_identity(monkeypatch):
+    # pairs._constants is the one reader of a template's coefficients and
+    # Koszul signs outside the free-envelope validator: once its cache is
+    # warm, verify, check_rep, the word engine and the W-O sampler
+    # evaluate no sign pair
+    import importlib
+    import pkgutil
+
+    import isopairs
+    from isopairs import supercore
+    from isopairs.polyfields import sample_check_w_o_pair
+
+    def run():
+        gl21 = series_gl(2, 1)
+        assert P.verify(gl21.pair).passed
+        assert R.check_rep(R.tautological_rep(gl21)).passed
+        _hw_module(2, 0, (F(1, 2), F(1, 2)), 4)
+        assert sample_check_w_o_pair(1, 1, maxdeg=2, trials=5).passed
+
+    run()
+    calls, sign = [], supercore.eval_sign_pairs
+
+    def counted(pairs, parities):
+        calls.append(pairs)
+        return sign(pairs, parities)
+
+    for info in pkgutil.iter_modules(isopairs.__path__):
+        module = importlib.import_module(f"isopairs.{info.name}")
+        if hasattr(module, "eval_sign_pairs"):
+            monkeypatch.setattr(module, "eval_sign_pairs", counted)
+    run()
+    assert calls == []
+    CATALOG["rep.T1"].validate()  # the validator's calls reach the wrapper
+    assert calls
